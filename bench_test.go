@@ -179,7 +179,7 @@ func BenchmarkFabricCellPathSShuffle(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	n, err := fabric.NewFabric(s, fabric.DefaultConfig(100e9, sim.Microsecond, 1), g)
+	n, err := fabric.New(s, fabric.DefaultConfig(100e9, sim.Microsecond, 1), g)
 	if err != nil {
 		b.Fatal(err)
 	}

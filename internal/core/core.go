@@ -15,7 +15,7 @@
 // control-crossbar hop budget and the reachability advertisement schedule
 // are the paper's chassis architecture, defined over the Clos wiring.
 // Topology-pluggable simulation (Space Shuffle, star-replaced graphs, …)
-// lives in internal/fabric, whose fabric.Fabric interface runs over any
+// lives in internal/fabric, whose one fabric.Net runs over any
 // topo.Graph; core keeps the device-faithful model it reproduces from
 // §3–§4 and never labels non-Clos roles.
 package core

@@ -623,10 +623,6 @@ func (c *coord) finish(windows int) (Outcome, error) {
 	}
 	numFA := c.model.Net.NumFA()
 	ndirs := 2 * c.model.Net.NumLinks()
-	nspines := 0 // only the Clos fabric has owner-reported spine tables
-	if cn, ok := c.model.Net.(*fabric.Net); ok {
-		nspines = cn.Topo.NumFE2
-	}
 	nshards := c.cfg.Spec.Shards
 	sinkCells := make([]uint64, numFA)
 	sinkBytes := make([]uint64, numFA)
@@ -635,7 +631,6 @@ func (c *coord) finish(windows int) (Outcome, error) {
 	seenSink := make([]bool, numFA)
 	seenDir := make([]bool, ndirs)
 	seenShard := make([]bool, nshards)
-	seenSpine := make([]bool, nspines)
 	var out Outcome
 	readReport := func(p int) (peerReport, error) {
 		typ, body, err := c.peers[p].read()
@@ -683,6 +678,7 @@ func (c *coord) finish(windows int) (Outcome, error) {
 			out.Injected += s.Injected
 			out.Delivered += s.Delivered
 			out.Drops += s.DeadDrops + s.NoRouteDrops
+			out.Unreachable += s.Unreachable
 		}
 		for _, s := range rep.Sinks {
 			if s.FA < 0 || s.FA >= numFA || seenSink[s.FA] {
@@ -700,13 +696,6 @@ func (c *coord) finish(windows int) (Outcome, error) {
 			dirs[d.Dir] = [3]uint64{d.FwdBytes, d.FwdCells, d.Drops}
 			out.Drops += d.Drops
 		}
-		for _, s := range rep.Spines {
-			if s.Spine < 0 || s.Spine >= nspines || seenSpine[s.Spine] {
-				return Outcome{}, fmt.Errorf("distsim: peer %d double-reported spine %d", p, s.Spine)
-			}
-			seenSpine[s.Spine] = true
-			out.Unreachable += s.Unreachable
-		}
 	}
 	for s, ok := range seenShard {
 		if !ok {
@@ -723,22 +712,10 @@ func (c *coord) finish(windows int) (Outcome, error) {
 			return Outcome{}, fmt.Errorf("distsim: no peer reported link dir %d", d)
 		}
 	}
-	for i, ok := range seenSpine {
-		if !ok {
-			return Outcome{}, fmt.Errorf("distsim: no peer reported spine %d", i)
-		}
-	}
-	// FA liveness on a Clos is control-replicated administrative state, so
-	// the coordinator's own replica supplies the second half of the
-	// paper's unreachable-pairs invariant. On a graph fabric the whole
-	// reachability state is control-replicated (tables reinstall via
-	// barrier controls every replica runs), so the coordinator reports all
-	// of it.
-	if cn, ok := c.model.Net.(*fabric.Net); ok {
-		out.Unreachable += cn.DeadFAs()
-	} else {
-		out.Unreachable += c.model.Net.UnreachablePairs()
-	}
+	// Shard owners reported the holes in state that changes by mail; the
+	// rest of the reachability state follows the control schedule every
+	// replica runs, so the coordinator's own replica supplies it.
+	out.Unreachable += c.model.Net.Unreachable(fabric.Replicated)
 	out.Digest = foldDigest(sinkCells, sinkBytes, dirs)
 	out.ShardEvents = shardEv
 	c.stats.runDone()

@@ -18,7 +18,8 @@
 // no shards, relays mail between peers in a star, drives the lock-step
 // window loop, and aggregates counters and the digest at the end. Its own
 // replica tracks the control schedule and administrative state, so it can
-// report control-replicated quantities (dead FAs) itself.
+// report control-replicated quantities (fabric.Replicated reachability)
+// itself.
 package distsim
 
 import (
@@ -101,7 +102,7 @@ type Model struct {
 	Spec    Spec
 	Graph   topo.Graph
 	Eng     *parsim.Engine
-	Net     fabric.Fabric
+	Net     *fabric.Net
 	Sinks   []*CellSink
 	Horizon sim.Time
 	Drain   sim.Time
@@ -124,7 +125,7 @@ func NewModel(spec Spec) (*Model, error) {
 	look := sim.Microsecond
 	eng := parsim.New(parsim.Config{Shards: shards, Lookahead: look})
 	cfg := fabric.DefaultConfig(10e9, look, spec.Seed)
-	n, err := fabric.NewShardedFabric(eng, cfg, graph)
+	n, err := fabric.NewSharded(eng, cfg, graph, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -316,9 +317,9 @@ func (m *Model) RunLocal() (Outcome, error) {
 }
 
 // OwnersFor partitions spec.Shards shards over npeers peers in contiguous
-// blocks — the same deterministic rule fabric.AssignShards uses for
-// devices over shards, so two runs with the same (spec, npeers) always
-// cut identically.
+// blocks — the same deterministic rule fabric.NewSharded uses for each
+// tier's devices over shards, so two runs with the same (spec, npeers)
+// always cut identically.
 func OwnersFor(shards, npeers int) []int {
 	owners := make([]int, shards)
 	for s := range owners {

@@ -11,7 +11,6 @@ import (
 	"os"
 	"time"
 
-	"stardust/internal/fabric"
 	"stardust/internal/parsim"
 )
 
@@ -242,9 +241,9 @@ func deliverBatch(m *Model, batch []byte) error {
 }
 
 // buildReport snapshots everything this peer owns of the final state:
-// its shards' traffic counters and event counts, the delivery sinks of
-// its FAs, the forwarding counters of the link directions whose queues
-// live on its shards, and its spines' unreachable-FA counts.
+// its shards' traffic counters, event counts and shard-held reachability
+// holes, the delivery sinks of its FAs, and the forwarding counters of
+// the link directions whose queues live on its shards.
 func buildReport(m *Model, owned []bool) peerReport {
 	var rep peerReport
 	for s, own := range owned {
@@ -259,6 +258,7 @@ func buildReport(m *Model, owned []bool) peerReport {
 			DeadDrops:    tr.DeadDrops,
 			NoRouteDrops: tr.NoRouteDrops,
 			Processed:    m.Eng.Shard(s).Sim().Processed,
+			Unreachable:  m.Net.Unreachable(s),
 		})
 	}
 	for fa, sink := range m.Sinks {
@@ -270,17 +270,6 @@ func buildReport(m *Model, owned []bool) peerReport {
 		if owned[m.Net.OwnerOfLinkDir(d)] {
 			b, cl, dr := m.Net.DirCounters(d)
 			rep.Dirs = append(rep.Dirs, dirReport{Dir: d, FwdBytes: b, FwdCells: cl, Drops: dr})
-		}
-	}
-	// Spine reachability tables are the one report that lives on specific
-	// shards: only the Clos fabric has them. Graph fabrics reconverge via
-	// barrier controls, so their reachability is control-replicated and
-	// the coordinator's own replica reports it (see coord.finish).
-	if cn, ok := m.Net.(*fabric.Net); ok {
-		for i := 0; i < cn.Topo.NumFE2; i++ {
-			if owned[cn.ShardOfFE2(i)] {
-				rep.Spines = append(rep.Spines, spineReport{Spine: i, Unreachable: cn.SpineUnreachable(i)})
-			}
 		}
 	}
 	return rep

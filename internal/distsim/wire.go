@@ -31,8 +31,9 @@ import (
 )
 
 // protoVersion 2 added the optional telemetry section on DONE frames
-// (present whenever Spec.Telem > 0).
-const protoVersion = 2
+// (present whenever Spec.Telem > 0); 3 moved unreachable counts from
+// per-spine reports into the owning shard's report.
+const protoVersion = 3
 
 // Frame types.
 const (
@@ -80,6 +81,9 @@ type shardReport struct {
 	DeadDrops    uint64 `json:"dead"`
 	NoRouteDrops uint64 `json:"noroute"`
 	Processed    uint64 `json:"events"`
+	// Unreachable is fabric.Net.Unreachable(ID): the reachability holes in
+	// forwarding state only this shard's owner keeps current.
+	Unreachable int `json:"unreach"`
 }
 
 type sinkReport struct {
@@ -95,19 +99,13 @@ type dirReport struct {
 	Drops    uint64 `json:"drops"`
 }
 
-type spineReport struct {
-	Spine       int `json:"spine"`
-	Unreachable int `json:"unreach"`
-}
-
 // peerReport is everything a peer owns of the final outcome: each entity
-// (shard, FA sink, directed link, spine table) is owned by exactly one
-// peer, and the coordinator verifies full disjoint coverage when merging.
+// (shard, FA sink, directed link) is owned by exactly one peer, and the
+// coordinator verifies full disjoint coverage when merging.
 type peerReport struct {
 	Shards []shardReport `json:"shards"`
 	Sinks  []sinkReport  `json:"sinks"`
 	Dirs   []dirReport   `json:"dirs"`
-	Spines []spineReport `json:"spines"`
 }
 
 // writeFrame emits one frame. When compress is set and the body clears

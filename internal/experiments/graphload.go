@@ -46,19 +46,18 @@ func GraphLinkLoad(topoName string, k int, mode string, load float64, warmup, du
 	}
 	s := sim.New()
 	fcfg := fabric.DefaultConfig(netsim.Bps(10e9), sim.Microsecond, seed)
-	fab, err := fabric.NewFabric(s, fcfg, g)
+	fab, err := fabric.New(s, fcfg, g)
 	if err != nil {
 		return nil, err
 	}
 	switch mode {
 	case "spray":
-		// Both fabrics spray by default.
+		// The fabric sprays by default.
 	case "ecmp":
-		gn, ok := fab.(*fabric.GraphNet)
-		if !ok {
-			return nil, fmt.Errorf("experiments: ecmp mode needs a graph fabric; %s runs the clos reach protocol (use linkload for the fat-tree ECMP contender)", g.Spec())
+		if _, isClos := g.(*topo.Clos); isClos {
+			return nil, fmt.Errorf("experiments: graphload compares ecmp on the non-clos graphs; for %s use linkload, the fat-tree ECMP contender", g.Spec())
 		}
-		gn.SetMode(fabric.ModeECMP)
+		fab.SetMode(fabric.ModeECMP)
 	default:
 		return nil, fmt.Errorf("experiments: graphload mode %q (want spray or ecmp)", mode)
 	}

@@ -11,12 +11,16 @@
 //   - a cell (*netsim.Packet) in flight on a directed link's propagation
 //     lane — the lane IS the directed link index, so the receiver rebinds
 //     the decoded cell to its own replica's link route;
-//   - a reachability re-advertisement (applyReach) on an FE1's reach
-//     lane — spine index, down port and the reach.Message batch.
+//   - under the reach protocol, a reachability re-advertisement on an
+//     FE1's reach lane — spine index, down port and the reach.Message
+//     batch. A recomputed graph reconverges by barrier controls every
+//     replica runs locally and ships nothing.
 //
 // A transport overlay (packets with Flow state, closure actions) cannot
 // be rebound to a remote replica; EncodeMail rejects it with a
-// deterministic error rather than guessing.
+// deterministic error rather than guessing. Frames arrive from a socket:
+// DecodeMail checks every field against the model and returns an error,
+// so a decoded action cannot panic later inside the event loop.
 package fabric
 
 import (
@@ -25,15 +29,13 @@ import (
 
 	"stardust/internal/netsim"
 	"stardust/internal/parsim"
-	"stardust/internal/reach"
 	"stardust/internal/sim"
-	"stardust/internal/topo"
 )
 
 // Wire kinds of a cross-shard mail payload.
 const (
 	MailCell  byte = 1 // *netsim.Packet on a directed link's lane
-	MailReach byte = 2 // applyReach on an FE1's reach lane
+	MailReach byte = 2 // reach-protocol update on an FE1's reach lane
 )
 
 // Cell flag bits.
@@ -52,41 +54,19 @@ const (
 // a deterministic "not distributable" failure instead of silent
 // corruption.
 func (n *Net) EncodeMail(m parsim.Mail) (kind byte, payload []byte, err error) {
-	switch a := m.Act.(type) {
-	case *netsim.Packet:
-		if a.Flow != nil {
-			return 0, nil, fmt.Errorf("fabric: cell on lane %d carries transport flow state; the transport overlay is not distributable", m.Lane)
+	a, ok := m.Act.(*netsim.Packet)
+	if !ok {
+		if payload, ok := n.routes.encodeMail(m.Act); ok {
+			return MailReach, payload, nil
 		}
-		if int(m.Lane) >= 2*len(n.Topo.Links) {
-			return 0, nil, fmt.Errorf("fabric: packet on non-link lane %d is not distributable", m.Lane)
-		}
-		return MailCell, encodeCell(a), nil
-	case applyReach:
-		buf := make([]byte, 0, 8+20*len(a.msgs))
-		buf = binary.AppendUvarint(buf, uint64(a.sp.id.Index))
-		buf = binary.AppendUvarint(buf, uint64(a.port))
-		buf = binary.AppendUvarint(buf, uint64(len(a.msgs)))
-		for _, msg := range a.msgs {
-			buf = binary.AppendUvarint(buf, uint64(msg.Origin))
-			buf = binary.AppendUvarint(buf, uint64(msg.Chunk))
-			f := byte(0)
-			if msg.Faulty {
-				f = 1
-			}
-			buf = append(buf, f)
-			for _, w := range msg.Bits {
-				buf = binary.LittleEndian.AppendUint64(buf, w)
-			}
-		}
-		return MailReach, buf, nil
-	default:
 		return 0, nil, fmt.Errorf("fabric: cross-shard action %T on lane %d is not distributable", m.Act, m.Lane)
 	}
-}
-
-// encodeCell serializes one in-flight cell for the wire and releases it
-// back to the packet pool — shared by the Clos and graph fabric codecs.
-func encodeCell(a *netsim.Packet) []byte {
+	if a.Flow != nil {
+		return 0, nil, fmt.Errorf("fabric: cell on lane %d carries transport flow state; the transport overlay is not distributable", m.Lane)
+	}
+	if int(m.Lane) >= len(n.links) {
+		return 0, nil, fmt.Errorf("fabric: packet on non-link lane %d is not distributable", m.Lane)
+	}
 	var flags byte
 	if a.Ack {
 		flags |= cellAck
@@ -106,38 +86,7 @@ func encodeCell(a *netsim.Packet) []byte {
 	buf = binary.AppendUvarint(buf, uint64(a.Dst))
 	buf = binary.AppendVarint(buf, a.Seq)
 	a.Release()
-	return buf
-}
-
-// decodeCell rebuilds a pooled cell from its wire form; the caller
-// rebinds it to the receiving replica's link route.
-func decodeCell(payload []byte) (*netsim.Packet, error) {
-	if len(payload) < 1 {
-		return nil, fmt.Errorf("fabric: truncated cell payload")
-	}
-	flags := payload[0]
-	rest := payload[1:]
-	size, k1 := binary.Uvarint(rest)
-	if k1 <= 0 {
-		return nil, fmt.Errorf("fabric: truncated cell size")
-	}
-	dst, k2 := binary.Uvarint(rest[k1:])
-	if k2 <= 0 {
-		return nil, fmt.Errorf("fabric: truncated cell dst")
-	}
-	seq, k3 := binary.Varint(rest[k1+k2:])
-	if k3 <= 0 {
-		return nil, fmt.Errorf("fabric: truncated cell seq")
-	}
-	p := netsim.NewPacket()
-	p.Size = int(size)
-	p.Dst = int32(dst)
-	p.Seq = seq
-	p.Ack = flags&cellAck != 0
-	p.CE = flags&cellCE != 0
-	p.Echo = flags&cellEcho != 0
-	p.Down = flags&cellDown != 0
-	return p, nil
+	return MailCell, buf, nil
 }
 
 // DecodeMail rebinds one wire payload to this replica of the model,
@@ -146,122 +95,59 @@ func decodeCell(payload []byte) (*netsim.Packet, error) {
 func (n *Net) DecodeMail(kind byte, lane int32, payload []byte) (sim.Action, uint64, error) {
 	switch kind {
 	case MailCell:
-		if int(lane) >= 2*len(n.Topo.Links) || lane < 0 {
+		if lane < 0 || int(lane) >= len(n.links) {
 			return nil, 0, fmt.Errorf("fabric: cell on bad link lane %d", lane)
 		}
-		p, err := decodeCell(payload)
-		if err != nil {
-			return nil, 0, err
+		if len(payload) < 1 {
+			return nil, 0, fmt.Errorf("fabric: truncated cell payload")
 		}
+		flags, rest := payload[0], payload[1:]
+		// A cell that crossed a link queue fits in it, and is bound for an
+		// edge device: anything else would index out of the forwarding tables.
+		size, k := binary.Uvarint(rest)
+		if k <= 0 || size > uint64(n.Cfg.LinkBytes) {
+			return nil, 0, fmt.Errorf("fabric: bad cell size")
+		}
+		rest = rest[k:]
+		dst, k := binary.Uvarint(rest)
+		if k <= 0 || dst >= uint64(n.NumFA()) {
+			return nil, 0, fmt.Errorf("fabric: bad cell dst")
+		}
+		rest = rest[k:]
+		seq, k := binary.Varint(rest)
+		if k <= 0 || k != len(rest) {
+			return nil, 0, fmt.Errorf("fabric: bad cell seq")
+		}
+		p := netsim.NewPacket()
+		p.Size = int(size)
+		p.Dst = int32(dst)
+		p.Seq = seq
+		p.Ack = flags&cellAck != 0
+		p.CE = flags&cellCE != 0
+		p.Echo = flags&cellEcho != 0
+		p.Down = flags&cellDown != 0
 		// A cell crossing a shard cut was scheduled by the link's LanePipe
 		// with the queue and pipe hops already behind it: rebind it to the
 		// tail of this replica's route so the next hop is the link itself.
 		p.SetRoute(n.links[lane].route[2:])
 		return p, 0, nil
 	case MailReach:
-		spine, k1 := binary.Uvarint(payload)
-		if k1 <= 0 || int(spine) >= len(n.fe2) {
-			return nil, 0, fmt.Errorf("fabric: bad reach spine")
-		}
-		port, k2 := binary.Uvarint(payload[k1:])
-		if k2 <= 0 {
-			return nil, 0, fmt.Errorf("fabric: truncated reach port")
-		}
-		cnt, k3 := binary.Uvarint(payload[k1+k2:])
-		if k3 <= 0 {
-			return nil, 0, fmt.Errorf("fabric: truncated reach count")
-		}
-		rest := payload[k1+k2+k3:]
-		msgs := make([]reach.Message, cnt)
-		for i := range msgs {
-			origin, a := binary.Uvarint(rest)
-			if a <= 0 {
-				return nil, 0, fmt.Errorf("fabric: truncated reach origin")
-			}
-			chunk, b := binary.Uvarint(rest[a:])
-			if b <= 0 {
-				return nil, 0, fmt.Errorf("fabric: truncated reach chunk")
-			}
-			rest = rest[a+b:]
-			if len(rest) < 1+8*len(msgs[i].Bits) {
-				return nil, 0, fmt.Errorf("fabric: truncated reach bitmap")
-			}
-			msgs[i].Origin = uint16(origin)
-			msgs[i].Chunk = uint16(chunk)
-			msgs[i].Faulty = rest[0] != 0
-			rest = rest[1:]
-			for w := range msgs[i].Bits {
-				msgs[i].Bits[w] = binary.LittleEndian.Uint64(rest)
-				rest = rest[8:]
-			}
-		}
-		return applyReach{sp: n.fe2[spine], port: int(port), msgs: msgs}, 0, nil
+		act, err := n.routes.decodeMail(lane, payload)
+		return act, 0, err
 	default:
 		return nil, 0, fmt.Errorf("fabric: unknown mail kind %d", kind)
 	}
 }
 
-// ShardOfNode returns the shard owning a device (0 in solo mode).
-func (n *Net) ShardOfNode(id topo.NodeID) int {
-	if n.eng == nil {
-		return 0
-	}
-	switch id.Kind {
-	case topo.KindFA:
-		return n.assign.FA[id.Index]
-	case topo.KindFE1:
-		return n.assign.FE1[id.Index]
-	default:
-		return n.assign.FE2[id.Index]
-	}
-}
-
 // OwnerOfLinkDir returns the shard owning directed link d (2i = A->B of
-// topology link i, 2i+1 = B->A): the sending device's shard, where the
+// topology link i, 2i+1 = B->A): the sending node's shard, where the
 // direction's serialization queue — and therefore its counters — lives.
 func (n *Net) OwnerOfLinkDir(d int) int {
-	lk := n.Topo.Links[d/2]
+	lk := n.wiring[d/2]
 	if d%2 == 0 {
-		return n.ShardOfNode(lk.A)
+		return n.nodes[lk.A].sh.id
 	}
-	return n.ShardOfNode(lk.B)
-}
-
-// ShardOfFE2 returns the shard owning spine i — the shard whose replica
-// holds the authoritative copy of that spine's reachability table.
-func (n *Net) ShardOfFE2(i int) int {
-	if n.eng == nil {
-		return 0
-	}
-	return n.assign.FE2[i]
-}
-
-// SpineUnreachable counts the destination FAs spine i currently has no
-// live down path to — the per-spine half of UnreachablePairs, reported by
-// the spine's owner in a distributed run. Barrier context only.
-func (n *Net) SpineUnreachable(i int) int {
-	bad := 0
-	sp := n.fe2[i]
-	for fa := 0; fa < n.Topo.NumFA; fa++ {
-		if !sp.tbl.Reachable(fa) {
-			bad++
-		}
-	}
-	return bad
-}
-
-// DeadFAs counts the FAs with no live uplink at all — the other half of
-// UnreachablePairs. FA liveness is administrative state mutated only by
-// barrier controls, which every distributed replica runs identically, so
-// any replica can report it.
-func (n *Net) DeadFAs() int {
-	bad := 0
-	for _, d := range n.fas {
-		if d.live.Count() == 0 {
-			bad++
-		}
-	}
-	return bad
+	return n.nodes[lk.B].sh.id
 }
 
 // ShardTraffic is one shard's slice of the fabric's traffic accounting —

@@ -44,10 +44,13 @@ func newTestNet(t *testing.T, seed int64) (*sim.Simulator, *Net) {
 	return s, n
 }
 
+// closOf returns the Clos a test fabric was built over.
+func closOf(n *Net) *topo.Clos { return n.Topo.(*topo.Clos) }
+
 // inject paces cells from every FA to a permutation destination; rate is
 // well under the per-FA uplink capacity so queues never overflow.
 func injectAll(s *sim.Simulator, n *Net, cells int) {
-	numFA := n.Topo.NumFA
+	numFA := n.NumFA()
 	gap := 2 * sim.Microsecond // 512B at 10G is ~410ns; x5 headroom over 2 uplinks
 	for i := 0; i < cells; i++ {
 		i := i
@@ -98,9 +101,9 @@ func TestFabricSprayBalance(t *testing.T) {
 	const cells = 6000
 	injectAll(s, n, cells)
 	s.Run()
-	perFA := n.Topo.FAUplinks
+	perFA := closOf(n).FAUplinks
 	bytes := n.FAUplinkBytes()
-	for fa := 0; fa < n.Topo.NumFA; fa++ {
+	for fa := 0; fa < n.NumFA(); fa++ {
 		var min, max uint64
 		for p := 0; p < perFA; p++ {
 			b := bytes[fa*perFA+p]
@@ -148,7 +151,7 @@ func TestFabricFailureBalanceAndRecovery(t *testing.T) {
 	injectAll(s, n, cells)
 	// Kill two links mid-traffic: one FA-FE1 link and one FE1-FE2 link.
 	var faLink, feLink = -1, -1
-	for i, lk := range n.Topo.Links {
+	for i, lk := range closOf(n).Links {
 		if lk.A.Kind == topo.KindFA && faLink < 0 {
 			faLink = i
 		}
@@ -211,7 +214,7 @@ func TestFabricRestoreLink(t *testing.T) {
 // cross-check and drop its traffic through counted paths, not hang.
 func TestFabricIsolatedFA(t *testing.T) {
 	s, n := newTestNet(t, 9)
-	for i, lk := range n.Topo.Links {
+	for i, lk := range closOf(n).Links {
 		if lk.A.Kind == topo.KindFA && lk.A.Index == 0 {
 			n.FailLink(i)
 		}
@@ -267,7 +270,7 @@ func TestWithdrawalInterleavingCoalesces(t *testing.T) {
 	s, n := newTestNet(t, 13)
 	// Two FA links landing on the same FE1.
 	var lks []int
-	for i, lk := range n.Topo.Links {
+	for i, lk := range closOf(n).Links {
 		if lk.A.Kind == topo.KindFA && lk.B.Kind == topo.KindFE1 && lk.B.Index == 0 {
 			lks = append(lks, i)
 		}
@@ -276,16 +279,16 @@ func TestWithdrawalInterleavingCoalesces(t *testing.T) {
 		t.Fatalf("FE1-0 serves %d FA links", len(lks))
 	}
 	lk1, lk2 := lks[0], lks[1]
-	full := n.Topo.FE1Down // FAs one FE1 advertises when healthy
+	full := closOf(n).FE1Down // FAs one FE1 advertises when healthy
 
 	type upd struct {
 		at        sim.Time
-		fe1       int
+		node      int
 		reachable int
 	}
 	var got []upd
-	n.OnReachUpdate = func(fe1, reachable int) {
-		got = append(got, upd{s.Now(), fe1, reachable})
+	n.OnReachUpdate = func(node, reachable int) {
+		got = append(got, upd{s.Now(), node, reachable})
 	}
 	d := n.Cfg.ReachDelay
 	s.At(0, func() { n.FailLink(lk1) })
@@ -299,8 +302,8 @@ func TestWithdrawalInterleavingCoalesces(t *testing.T) {
 		t.Fatalf("got %d reach updates, want 3: %v", len(got), got)
 	}
 	for i, u := range got {
-		if u.fe1 != 0 {
-			t.Fatalf("update %d from FE1-%d, want 0", i, u.fe1)
+		if want := closOf(n).NumFA; u.node != want { // FE1 0, as a node index
+			t.Fatalf("update %d from node %d, want %d", i, u.node, want)
 		}
 		if u.reachable != full-1 {
 			t.Fatalf("update %d advertises %d FAs, want %d (stale withdrawal delivered): %v",

@@ -1,31 +1,33 @@
-// Adaptive shard rebalancing: migrate Fabric Adapters (with everything
+// Adaptive shard rebalancing: migrate edge devices (with everything
 // pinned to them — egress endpoints, host transports layered above, their
 // pending events) between parsim shards at window barriers, steered by
 // deterministic per-group executed-event counts.
 //
-// The contiguous blocks of AssignShards are the right cut for uniform
-// traffic, but a hotspot (incast toward one FA, a few hot sources) piles
-// several busy adapters onto one shard while others idle. Rebalancing
-// meters how many events each FA's device group executed per window —
-// simulated state, never wall-clock, so the measurement is identical at
-// every shard count and on every machine — and when the heaviest shard
-// exceeds the lightest by a configured ratio, moves the hottest movable
-// group over, greedily and deterministically.
+// The contiguous per-tier blocks of NewSharded are the right cut for
+// uniform traffic, but a hotspot (incast toward one edge, a few hot
+// sources) piles several busy devices onto one shard while others idle.
+// Rebalancing meters how many events each edge's device group executed
+// per window — simulated state, never wall-clock, so the measurement is
+// identical at every shard count and on every machine — and when the
+// heaviest shard exceeds the lightest by a configured ratio, moves the
+// hottest movable group over, greedily and deterministically.
 //
-// Migration preserves byte-determinism by construction. An FA's group is
-// the closure of state only its own events touch: the adapter, its uplink
-// serialization queues, its egress endpoint, and (via fabric.Net.OnMigrateFA)
-// the transport state of the hosts behind it. All of the group's pending
-// events are tagged — lane-keyed deliveries through the kernel's lane-group
-// table, causal work by group inheritance — so sim.ExtractGroup can lift
-// them out of the old shard's event store in (time, lane, seq) order and
+// Migration preserves byte-determinism by construction. An edge's group
+// is the closure of state only its own events touch: the node, its
+// outbound serialization queues, its egress endpoint, and (via
+// OnMigrateFA) the transport state of the hosts behind it. All of the
+// group's pending events are tagged — lane-keyed deliveries through the
+// kernel's lane-group table (a lane belongs to its receiving node),
+// causal work by group inheritance — so sim.ExtractGroup can lift them
+// out of the old shard's event store in (time, lane, seq) order and
 // sim.InjectOrdered can replay them into the new shard's with their
 // relative order intact. Events of different groups at the same instant on
 // the default lane may interleave differently after a move, but such
 // events touch disjoint state and emit only lane-keyed messages (the same
 // commutativity argument that makes shard-count independence hold), so
-// every observable outcome is unchanged. FEs are the fabric's shared core
-// and never move (group 0).
+// every observable outcome is unchanged. Pure transit nodes (the Clos's
+// FEs, a star graph's switches) are the fabric's shared core and never
+// move (group 0).
 package fabric
 
 import (
@@ -33,12 +35,11 @@ import (
 
 	"stardust/internal/netsim"
 	"stardust/internal/sim"
-	"stardust/internal/topo"
 )
 
-// GroupOfFA returns the kernel event-group id of Fabric Adapter fa's
-// device group (FA fa, its egress, and any transport state pinned to it).
-// Group 0 is the immovable remainder (FEs, links owned by FEs).
+// GroupOfFA returns the kernel event-group id of edge device fa's group
+// (its node, its egress, and any transport state pinned to it). Group 0
+// is the immovable remainder (transit nodes and the links they own).
 func (n *Net) GroupOfFA(fa int) int32 { return int32(fa) + 1 }
 
 // LaneGroups returns the lane→group table installed on every shard's
@@ -58,7 +59,7 @@ func (n *Net) OnMigrateFA(fn func(fa, from, to int)) {
 // Migrations counts completed MigrateFA moves (telemetry; barrier context).
 func (n *Net) Migrations() uint64 { return n.migrations }
 
-// MigrateFA moves Fabric Adapter fa's device group to shard `to`: its
+// MigrateFA moves edge device fa's group to shard `to`: its
 // pending events (fabric and any registered transport's alike — they share
 // the group id) are lifted from the old shard's event store and replayed
 // into the new one in order, and every queue, propagation hop and counter
@@ -67,11 +68,14 @@ func (n *Net) MigrateFA(fa, to int) error {
 	if n.eng == nil {
 		return fmt.Errorf("fabric: MigrateFA needs a sharded fabric")
 	}
-	n.checkBarrier()
+	if !n.eng.InBarrier() {
+		return fmt.Errorf("fabric: MigrateFA outside barrier context")
+	}
 	if to < 0 || to >= n.eng.Shards() {
 		return fmt.Errorf("fabric: shard %d out of range [0,%d)", to, n.eng.Shards())
 	}
-	from := n.assign.FA[fa]
+	d := n.edges[fa]
+	from := d.sh.id
 	if from == to {
 		return nil
 	}
@@ -80,23 +84,23 @@ func (n *Net) MigrateFA(fa, to int) error {
 	evs := n.shards[from].sm.ExtractGroup(n.GroupOfFA(fa))
 	n.shards[to].sm.InjectOrdered(evs)
 
-	n.assign.FA[fa] = to
 	sh := n.shards[to]
-	n.fas[fa].sh = sh
-	n.egress[fa].sh = sh
-	// Re-pin the adapter's links: uplink queues serialize on the FA's
-	// shard and their propagation hops re-source from it; down links
-	// deliver onto it, so their propagation hops re-target it.
-	for li, lk := range n.Topo.Links {
-		if lk.A.Kind != topo.KindFA || lk.A.Index != fa {
+	d.sh = sh
+	d.eg.sh = sh
+	// Re-pin the links incident to the node: a queue serializes on its
+	// sender's shard, the propagation hop runs from there to the
+	// receiver's, and the arrival gate counts on the receiver's.
+	for li, lk := range n.wiring {
+		if lk.A != d.id && lk.B != d.id {
 			continue
 		}
-		fe := n.fe1[lk.B.Index]
-		up, dn := n.links[2*li], n.links[2*li+1]
-		up.q.Sim = sh.sm
-		up.route[1].(*netsim.LanePipe).Sched = n.eng.Shard(to).To(fe.sh.id)
-		dn.sh = sh
-		dn.route[1].(*netsim.LanePipe).Sched = n.eng.Shard(fe.sh.id).To(to)
+		for dir, ends := range [2][2]int{{lk.A, lk.B}, {lk.B, lk.A}} {
+			l := n.links[2*li+dir]
+			src, dst := n.nodes[ends[0]].sh, n.nodes[ends[1]].sh
+			l.q.Sim = src.sm
+			l.sh = dst
+			l.route[1].(*netsim.LanePipe).Sched = n.eng.Shard(src.id).To(dst.id)
+		}
 	}
 	n.hairpin[fa][0].(*netsim.LanePipe).Sched = sh.sm
 	n.migrations++
@@ -141,7 +145,8 @@ func (n *Net) EnableRebalancing(cfg RebalanceConfig) error {
 	if cfg.Interval < 1 || cfg.Ratio <= 1 || cfg.MaxMoves < 1 {
 		return fmt.Errorf("fabric: bad rebalance config %+v", cfg)
 	}
-	numG := n.Topo.NumFA + 1
+	numFA := n.NumFA()
+	numG := numFA + 1
 	lastGroup := make([]uint64, numG) // per group, summed across shards
 	lastProc := make([]uint64, n.eng.Shards())
 	windows := 0
@@ -181,10 +186,10 @@ func (n *Net) EnableRebalancing(cfg RebalanceConfig) error {
 				return
 			}
 			// Hottest group on the heavy shard whose move strictly improves
-			// the pair; first (lowest FA) wins ties.
+			// the pair; first (lowest edge index) wins ties.
 			best := -1
-			for fa := 0; fa < n.Topo.NumFA; fa++ {
-				if n.assign.FA[fa] != heavy {
+			for fa := 0; fa < numFA; fa++ {
+				if n.ShardOfFA(fa) != heavy {
 					continue
 				}
 				d := groupDelta[fa+1]

@@ -10,7 +10,13 @@ import (
 	"stardust/internal/netsim"
 	"stardust/internal/parsim"
 	"stardust/internal/sim"
+	"stardust/internal/topo"
 )
+
+// rebalanceTopos are the graphs the migration invariants run on: the
+// Clos (FAs move, FEs stay) and Space Shuffle (every node is an edge
+// device that also relays transit cells, so whole switches move).
+var rebalanceTopos = []string{"clos", "sshuffle"}
 
 // Rebalancing invariants: hotspot-skewed workloads run with the adaptive
 // planner enabled must produce byte-identical digests at every shard
@@ -35,7 +41,7 @@ type hotInjector struct {
 }
 
 func (j *hotInjector) start(at sim.Time) {
-	sm := j.net.shards[j.net.assign.FA[j.fa]].sm
+	sm := j.net.EdgeSim(j.fa)
 	prev := sm.Group()
 	sm.SetGroup(j.net.GroupOfFA(j.fa))
 	sm.AtAction(at, j, 0)
@@ -44,7 +50,7 @@ func (j *hotInjector) start(at sim.Time) {
 
 // Act implements sim.Action: inject one uniquely-tagged cell, reschedule.
 func (j *hotInjector) Act(uint64) {
-	sm := j.net.shards[j.net.assign.FA[j.fa]].sm
+	sm := j.net.EdgeSim(j.fa)
 	if sm.Now() >= j.stop {
 		return
 	}
@@ -66,19 +72,20 @@ type rebalResult struct {
 }
 
 // runHotspot executes a hotspot-skewed randomized program: the first
-// quarter of the FAs inject 6x faster than the rest, so contiguous
-// assignment piles them onto the low shards. failN links fail and heal
-// mid-run. With rebalance, the adaptive planner is enabled.
-func runHotspot(t *testing.T, seed int64, shards int, rebalance bool, failN int) rebalResult {
+// quarter of the edge devices inject 6x faster than the rest, so
+// contiguous assignment piles them onto the low shards. failN links fail
+// and heal mid-run. With rebalance, the adaptive planner is enabled.
+func runHotspot(t *testing.T, topoName string, seed int64, shards int, rebalance bool, failN int) rebalResult {
 	t.Helper()
-	cl, err := ClosFor(4)
+	g, err := topo.ByName(topoName, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	numFA := g.NumEdge()
 	look := sim.Microsecond
 	eng := parsim.New(parsim.Config{Shards: shards, Lookahead: look})
 	cfg := DefaultConfig(10e9, look, seed)
-	n, err := NewSharded(eng, cfg, cl, nil)
+	n, err := NewSharded(eng, cfg, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +95,7 @@ func runHotspot(t *testing.T, seed int64, shards int, rebalance bool, failN int)
 		}
 	}
 
-	sinks := make([]*idSink, cl.NumFA)
+	sinks := make([]*idSink, numFA)
 	for fa := range sinks {
 		sinks[fa] = &idSink{}
 		n.SetEgress(fa, sinks[fa])
@@ -98,15 +105,15 @@ func runHotspot(t *testing.T, seed int64, shards int, rebalance bool, failN int)
 	n.VisitQueues(func(q *netsim.Queue) { q.OnDrop = drops.record })
 
 	const dur = 2 * sim.Millisecond
-	hot := cl.NumFA / 4
-	injectors := make([]*hotInjector, cl.NumFA)
-	for fa := 0; fa < cl.NumFA; fa++ {
+	hot := numFA / 4
+	injectors := make([]*hotInjector, numFA)
+	for fa := 0; fa < numFA; fa++ {
 		gap := 12 * sim.Microsecond
 		if fa < hot {
 			gap = 2 * sim.Microsecond
 		}
 		j := &hotInjector{
-			net: n, fa: fa, numFA: cl.NumFA,
+			net: n, fa: fa, numFA: numFA,
 			rng:  rand.New(rand.NewSource(seed ^ int64(fa)*7919)),
 			gap:  gap,
 			stop: dur,
@@ -223,33 +230,34 @@ func runHotspot(t *testing.T, seed int64, shards int, rebalance bool, failN int)
 	}
 }
 
-// TestRebalanceDigestDeterminism: with the adaptive planner enabled, the
-// same hotspot seed must yield byte-identical canonical outcomes at
-// shards {1, 2, 4} — and the multi-shard runs must actually migrate, or
-// the test would be vacuous.
+// TestRebalanceDigestDeterminism: on every topology the same hotspot
+// seed must yield byte-identical canonical outcomes with the adaptive
+// planner on or off, at shards {1, 2, 4} — and the multi-shard runs must
+// actually migrate, or the test would be vacuous.
 func TestRebalanceDigestDeterminism(t *testing.T) {
 	seeds := []int64{5, 19}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
-	for _, seed := range seeds {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			ref := runHotspot(t, seed, 1, true, 0)
-			if ref.migrations != 0 {
-				t.Fatalf("single-shard run migrated %d times", ref.migrations)
-			}
-			for _, shards := range []int{2, 4} {
-				got := runHotspot(t, seed, shards, true, 0)
-				if got.outcome != ref.outcome {
-					t.Fatalf("shards=%d diverged from shards=1:\n  1: %v\n  %d: %v",
-						shards, ref.outcome, shards, got.outcome)
+	for _, topoName := range rebalanceTopos {
+		for _, seed := range seeds {
+			t.Run(fmt.Sprintf("%s/seed=%d", topoName, seed), func(t *testing.T) {
+				ref := runHotspot(t, topoName, seed, 1, false, 0)
+				for _, shards := range []int{1, 2, 4} {
+					got := runHotspot(t, topoName, seed, shards, true, 0)
+					if got.outcome != ref.outcome {
+						t.Fatalf("shards=%d rebalanced diverged from shards=1 static:\n  1: %v\n  %d: %v",
+							shards, ref.outcome, shards, got.outcome)
+					}
+					if shards == 1 && got.migrations != 0 {
+						t.Fatalf("single-shard run migrated %d times", got.migrations)
+					}
+					if shards > 1 && got.migrations == 0 {
+						t.Fatalf("shards=%d: hotspot run never migrated — rebalancing untested", shards)
+					}
 				}
-				if got.migrations == 0 {
-					t.Fatalf("shards=%d: hotspot run never migrated — rebalancing untested", shards)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -258,14 +266,18 @@ func TestRebalanceDigestDeterminism(t *testing.T) {
 // a forced migration of a hot FA in the middle of the failure window.
 func TestRebalanceMigrationUnderFailHeal(t *testing.T) {
 	const seed = 23
-	ref := runHotspot(t, seed, 1, true, 3)
-	got := runHotspot(t, seed, 4, true, 3)
-	if got.outcome != ref.outcome {
-		t.Fatalf("shards=4 diverged from shards=1 under fail/heal:\n  1: %v\n  4: %v",
-			ref.outcome, got.outcome)
-	}
-	if got.migrations == 0 {
-		t.Fatal("fail/heal hotspot run never migrated — rebalancing untested")
+	for _, topoName := range rebalanceTopos {
+		t.Run(topoName, func(t *testing.T) {
+			ref := runHotspot(t, topoName, seed, 1, true, 3)
+			got := runHotspot(t, topoName, seed, 4, true, 3)
+			if got.outcome != ref.outcome {
+				t.Fatalf("shards=4 diverged from shards=1 under fail/heal:\n  1: %v\n  4: %v",
+					ref.outcome, got.outcome)
+			}
+			if got.migrations == 0 {
+				t.Fatal("fail/heal hotspot run never migrated — rebalancing untested")
+			}
+		})
 	}
 }
 
@@ -274,19 +286,26 @@ func TestRebalanceMigrationUnderFailHeal(t *testing.T) {
 // down — the sharpest version of the migration path, with runHotspot's
 // exact fate accounting as the oracle.
 func TestForcedMigrationKeepsAccounting(t *testing.T) {
+	for _, topoName := range rebalanceTopos {
+		t.Run(topoName, func(t *testing.T) { forcedMigration(t, topoName) })
+	}
+}
+
+func forcedMigration(t *testing.T, topoName string) {
 	const seed = 31
-	cl, err := ClosFor(4)
+	g, err := topo.ByName(topoName, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	numFA := g.NumEdge()
 	look := sim.Microsecond
 	eng := parsim.New(parsim.Config{Shards: 2, Lookahead: look})
 	cfg := DefaultConfig(10e9, look, seed)
-	n, err := NewSharded(eng, cfg, cl, nil)
+	n, err := NewSharded(eng, cfg, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sinks := make([]*idSink, cl.NumFA)
+	sinks := make([]*idSink, numFA)
 	for fa := range sinks {
 		sinks[fa] = &idSink{}
 		n.SetEgress(fa, sinks[fa])
@@ -296,10 +315,10 @@ func TestForcedMigrationKeepsAccounting(t *testing.T) {
 	n.VisitQueues(func(q *netsim.Queue) { q.OnDrop = drops.record })
 
 	const dur = sim.Millisecond
-	injectors := make([]*hotInjector, cl.NumFA)
-	for fa := 0; fa < cl.NumFA; fa++ {
+	injectors := make([]*hotInjector, numFA)
+	for fa := 0; fa < numFA; fa++ {
 		j := &hotInjector{
-			net: n, fa: fa, numFA: cl.NumFA,
+			net: n, fa: fa, numFA: numFA,
 			rng:  rand.New(rand.NewSource(seed ^ int64(fa)*7919)),
 			gap:  3 * sim.Microsecond,
 			stop: dur,
@@ -307,9 +326,10 @@ func TestForcedMigrationKeepsAccounting(t *testing.T) {
 		injectors[fa] = j
 		j.start(0)
 	}
-	// Fail FA 0's first uplink, migrate FA 0 while the link is down,
+	// Fail edge 0's first link, migrate edge 0 while the link is down,
 	// migrate it back, then heal.
-	eng.At(dur/4, func() { n.FailLink(0) })
+	uplink := topo.EdgeUplinkDirs(g)[0][0] / 2
+	eng.At(dur/4, func() { n.FailLink(uplink) })
 	eng.At(dur/4+20*look, func() {
 		if err := n.MigrateFA(0, 1); err != nil {
 			t.Error(err)
@@ -320,7 +340,7 @@ func TestForcedMigrationKeepsAccounting(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	eng.At(3*dur/4, func() { n.RestoreLink(0) })
+	eng.At(3*dur/4, func() { n.RestoreLink(uplink) })
 
 	eng.RunUntilQuiet(dur + 20*cfg.ReachDelay)
 	if !eng.Quiet() {
@@ -368,8 +388,8 @@ func TestForcedMigrationKeepsAccounting(t *testing.T) {
 // its one job.
 func TestRebalanceReducesImbalance(t *testing.T) {
 	const seed = 5
-	static := runHotspot(t, seed, 2, false, 0)
-	adaptive := runHotspot(t, seed, 2, true, 0)
+	static := runHotspot(t, "clos", seed, 2, false, 0)
+	adaptive := runHotspot(t, "clos", seed, 2, true, 0)
 	if adaptive.outcome != static.outcome {
 		t.Fatalf("rebalancing changed the outcome:\n  off: %v\n  on:  %v",
 			static.outcome, adaptive.outcome)

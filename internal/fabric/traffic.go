@@ -8,14 +8,13 @@ import (
 // Injector paces synthetic cells out of one edge device toward rotating
 // destinations — the shared traffic source of the parscale/parheal
 // scenarios, the managed FabricRun, and the sharded cell-path benchmark.
-// It works over any Fabric. Everything it does is a function of
-// (edge, instant) alone: it lives on its device's shard and keeps its
-// own rotation counter, so the offered traffic is identical at every
-// shard count. The shard is resolved per event rather than cached, so
-// the injector follows its FA through adaptive rebalancing migrations
-// on a Clos fabric.
+// Everything it does is a function of (edge, instant) alone: it lives on
+// its device's shard and keeps its own rotation counter, so the offered
+// traffic is identical at every shard count. The shard is resolved per
+// event rather than cached, so the injector follows its edge device
+// through adaptive rebalancing migrations.
 type Injector struct {
-	net   Fabric
+	net   *Net
 	fa    int
 	numFA int
 	gap   sim.Time
@@ -35,7 +34,7 @@ type Injector struct {
 // the first cell.
 func (n *Net) NewInjector(fa int, gap sim.Time, cellBytes int, stop sim.Time, quota int) *Injector {
 	return &Injector{
-		net: n, fa: fa, numFA: n.Topo.NumFA,
+		net: n, fa: fa, numFA: n.NumFA(),
 		gap: gap, cell: cellBytes, stop: stop, quota: quota, dst: -1,
 	}
 }

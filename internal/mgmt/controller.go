@@ -97,16 +97,15 @@ type LinkTelemetry struct {
 // anomaly detection. Attach it before running the simulation.
 type Controller struct {
 	cfg Config
-	fab fabric.Fabric
+	fab *fabric.Net
 	sim *sim.Simulator
 	inv *Inventory
 	bus *Bus
 
 	numFA     int
-	faIDs     []string             // per edge device: its inventory ID
-	reachID   func(dev int) string // device label for reach-update events
-	pairKind  string               // what UnreachablePairs counts, for anomaly text
-	faUplinks [][]int              // per edge device: directed link index of each uplink
+	faIDs     []string // per edge device: its inventory ID
+	pairKind  string   // what UnreachablePairs counts, for anomaly text
+	faUplinks [][]int  // per edge device: directed link index of each uplink
 
 	mu         sync.RWMutex
 	series     []*Series // per directed link, indexed 2*link+dir
@@ -125,7 +124,7 @@ type Controller struct {
 // ordinary simulator event on one shard and would read every other
 // shard's live queue counters mid-window — a data race the race detector
 // duly reports. The panic makes the misuse impossible rather than latent.
-func Attach(fab fabric.Fabric, cfg Config) *Controller {
+func Attach(fab *fabric.Net, cfg Config) *Controller {
 	if fab.Sharded() {
 		panic("mgmt: sharded fabric telemetry must go through the shard barrier; use AttachSharded")
 	}
@@ -140,7 +139,7 @@ func Attach(fab fabric.Fabric, cfg Config) *Controller {
 // and fabric counters cannot race the simulation, and the scrape times
 // (window boundaries) are identical for every shard count, keeping the
 // management plane's view consistent across shards.
-func AttachSharded(fab fabric.Fabric, cfg Config) *Controller {
+func AttachSharded(fab *fabric.Net, cfg Config) *Controller {
 	eng := fab.Engine()
 	if eng == nil {
 		panic("mgmt: AttachSharded needs a fabric built on a parsim engine")
@@ -156,13 +155,13 @@ func AttachSharded(fab fabric.Fabric, cfg Config) *Controller {
 	return c
 }
 
-func newController(fab fabric.Fabric, cfg Config) *Controller {
+func newController(fab *fabric.Net, cfg Config) *Controller {
 	cfg = cfg.withDefaults()
-	g := fab.Graph()
+	g := fab.Topo
 	c := &Controller{
 		cfg:       cfg,
 		fab:       fab,
-		sim:       fab.Simulator(),
+		sim:       fab.Sim,
 		inv:       NewInventory(g),
 		bus:       NewBus(cfg.EventLog),
 		anomalies: make(map[string]Anomaly),
@@ -175,45 +174,31 @@ func newController(fab fabric.Fabric, cfg Config) *Controller {
 	c.stats.Links = fab.NumLinks()
 	c.faUplinks = topo.EdgeUplinkDirs(g)
 	c.faIDs = make([]string, c.numFA)
+	// Edge devices are labelled through the inventory, which is in node
+	// order. What UnreachablePairs counts follows the fabric's route
+	// policy: the reach protocol runs on the Clos.
+	for fa := range c.faIDs {
+		c.faIDs[fa] = c.inv.Devices[g.EdgeNode(fa)].ID
+	}
+	c.pairKind = "(edge, edge) pairs"
 	if _, isClos := g.(*topo.Clos); isClos {
-		// The Clos fabric's reach hook reports FE1 indices; keep the legacy
-		// inventory IDs on both labels.
 		c.pairKind = "(spine, FA) pairs"
-		for fa := range c.faIDs {
-			c.faIDs[fa] = deviceID(topo.NodeID{Kind: topo.KindFA, Index: fa})
-		}
-		c.reachID = func(dev int) string {
-			return deviceID(topo.NodeID{Kind: topo.KindFE1, Index: dev})
-		}
-	} else {
-		c.pairKind = "(edge, edge) pairs"
-		// Graph fabrics report reach updates by node index; label through
-		// the inventory, which is in node order.
-		for fa := range c.faIDs {
-			c.faIDs[fa] = g.Node(g.EdgeNode(fa)).Name
-		}
-		c.reachID = func(dev int) string {
-			if dev >= 0 && dev < len(c.inv.Devices) {
-				return c.inv.Devices[dev].ID
-			}
-			return fmt.Sprintf("dev%d", dev)
-		}
 	}
 
-	prevLink := fab.HookOnLinkState()
-	fab.SetOnLinkState(func(link int, up bool) {
+	prevLink := fab.OnLinkState
+	fab.OnLinkState = func(link int, up bool) {
 		if prevLink != nil {
 			prevLink(link, up)
 		}
 		c.onLinkState(link, up)
-	})
-	prevReach := fab.HookOnReachUpdate()
-	fab.SetOnReachUpdate(func(dev, reachable int) {
+	}
+	prevReach := fab.OnReachUpdate
+	fab.OnReachUpdate = func(node, reachable int) {
 		if prevReach != nil {
-			prevReach(dev, reachable)
+			prevReach(node, reachable)
 		}
-		c.onReachUpdate(dev, reachable)
-	})
+		c.onReachUpdate(node, reachable)
+	}
 	return c
 }
 
@@ -254,16 +239,14 @@ func (c *Controller) onLinkState(link int, up bool) {
 	})
 }
 
-// onReachUpdate runs in the simulation goroutine (fabric hook). dev is an
-// FE1 index on the Clos fabric and a node index on graph fabrics; reachID
-// resolves the right label for either.
-func (c *Controller) onReachUpdate(dev, reachable int) {
+// onReachUpdate runs in the simulation goroutine (fabric hook).
+func (c *Controller) onReachUpdate(node, reachable int) {
 	c.mu.Lock()
 	c.stats.ReachUpdates++
 	c.mu.Unlock()
 	c.bus.Publish(Event{
 		Time: c.sim.Now(), Kind: EventReachUpdate, Link: -1,
-		Device: c.reachID(dev),
+		Device: c.inv.Devices[node].ID,
 		Detail: fmt.Sprintf("advertises %d/%d FAs", reachable, c.numFA),
 	})
 }

@@ -84,7 +84,7 @@ func TestControllerEventsOnFailureAndRecovery(t *testing.T) {
 	s, fab, ctl := newManagedFabric(t, Config{ScrapeEvery: 100 * sim.Microsecond})
 	// Fail an FA-FE1 link mid-run, restore it later.
 	victim := -1
-	for i, lk := range fab.Topo.Links {
+	for i, lk := range fab.Topo.(*topo.Clos).Links {
 		if lk.A.Kind == topo.KindFA {
 			victim = i
 			break
@@ -143,7 +143,7 @@ func TestControllerReachabilityHoleAnomaly(t *testing.T) {
 	s, fab, ctl := newManagedFabric(t, Config{ScrapeEvery: 100 * sim.Microsecond})
 	// Isolate FA0: every uplink down -> a reachability hole the §5.9
 	// self-healing cannot repair.
-	for i, lk := range fab.Topo.Links {
+	for i, lk := range fab.Topo.(*topo.Clos).Links {
 		if lk.A.Kind == topo.KindFA && lk.A.Index == 0 {
 			s.At(200*sim.Microsecond, func() { fab.FailLink(i) })
 		}
@@ -171,7 +171,7 @@ func TestControllerReachabilityHoleAnomaly(t *testing.T) {
 	}
 
 	// Healing the links clears the anomaly (and publishes the clear).
-	for i, lk := range fab.Topo.Links {
+	for i, lk := range fab.Topo.(*topo.Clos).Links {
 		if lk.A.Kind == topo.KindFA && lk.A.Index == 0 {
 			fab.RestoreLink(i)
 		}

@@ -86,7 +86,7 @@ func (c FabricRunConfig) withDefaults() FabricRunConfig {
 type FabricRun struct {
 	Cfg   FabricRunConfig
 	Sim   *sim.Simulator
-	Fab   fabric.Fabric
+	Fab   *fabric.Net
 	Ctl   *Controller
 	Eng   *parsim.Engine             // non-nil when the run is sharded
 	Net   *netsim.ShardedStardustNet // non-nil when the transport overlay is on
@@ -139,7 +139,7 @@ func NewFabricRun(cfg FabricRunConfig) (*FabricRun, error) {
 
 	var (
 		s   *sim.Simulator
-		fab fabric.Fabric
+		fab *fabric.Net
 		eng *parsim.Engine
 	)
 	if cfg.Shards > 1 || cfg.TransportHostsPer > 0 {
@@ -150,13 +150,13 @@ func NewFabricRun(cfg FabricRunConfig) (*FabricRun, error) {
 			shards = 1
 		}
 		eng = parsim.New(parsim.Config{Shards: shards, Lookahead: fcfg.LinkDelay})
-		if fab, err = fabric.NewShardedFabric(eng, fcfg, g); err != nil {
+		if fab, err = fabric.NewSharded(eng, fcfg, g, nil); err != nil {
 			return nil, err
 		}
-		s = fab.Simulator()
+		s = fab.Sim
 	} else {
 		s = sim.New()
-		if fab, err = fabric.NewFabric(s, fcfg, g); err != nil {
+		if fab, err = fabric.New(s, fcfg, g); err != nil {
 			return nil, err
 		}
 	}
@@ -334,7 +334,7 @@ func (r *FabricRun) Advance(d sim.Time) {
 
 // String describes the run for logs.
 func (r *FabricRun) String() string {
-	g := r.Fab.Graph()
+	g := r.Fab.Topo
 	if t, ok := g.(*topo.Clos); ok {
 		return fmt.Sprintf("fabric K=%d: %d FAs, %d FE1s, %d FE2s, %d links, %.0f%% load",
 			r.Cfg.K, t.NumFA, t.NumFE1, t.NumFE2, len(t.Links), 100*r.Cfg.Load)

@@ -2,7 +2,7 @@
 // the control layer that makes thousands of Fabric Elements behave like
 // one managed device, the paper's headline operational claim (§1, §7).
 //
-// It attaches to a running fabric.Fabric and provides what a chassis
+// It attaches to a running fabric.Net and provides what a chassis
 // supervisor provides for a monolithic switch: a device/link inventory
 // derived from the wiring (any topo.Graph), periodic telemetry scraping of
 // per-link counters into ring-buffered time series, an event bus carrying

@@ -93,7 +93,7 @@ func TestConcurrentFailureRecoveryEventOrdering(t *testing.T) {
 	for _, e := range evs {
 		switch e.Kind {
 		case EventLinkDown, EventLinkUp:
-			if fab.Topo.Links[e.Link].A.Kind == topo.KindFA {
+			if fab.Topo.(*topo.Clos).Links[e.Link].A.Kind == topo.KindFA {
 				faChanges++
 				pending[e.Time+fab.Cfg.ReachDelay]++
 			}

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"sync"
 
-	"stardust/internal/fabric"
 	"stardust/internal/netsim"
 	"stardust/internal/sim"
 	"stardust/internal/tcp"
+	"stardust/internal/topo"
 	"stardust/internal/workload"
 )
 
@@ -84,11 +84,11 @@ func (r *FabricRun) buildTransport(hostsPer int) error {
 	// The overlay rides the Clos fabric: its credit scheduler is sized by
 	// the uniform per-FA uplink count, and NewFabricRun rejects other
 	// topologies before building it.
-	fab, ok := r.Fab.(*fabric.Net)
+	fab := r.Fab
+	cl, ok := fab.Topo.(*topo.Clos)
 	if !ok {
-		return fmt.Errorf("mgmt: the transport overlay runs on the clos fabric only (topology %s)", r.Fab.Graph().Spec())
+		return fmt.Errorf("mgmt: the transport overlay runs on the clos fabric only (topology %s)", fab.Topo.Spec())
 	}
-	cl := fab.Topo
 	hosts := cl.NumFA * hostsPer
 	sdc := netsim.DefaultStardust(netsim.Bps(10e9), cl.FAUplinks, fab.Cfg.LinkDelay)
 	net, err := netsim.NewShardedStardustNet(fab, sdc, hosts, hostsPer)

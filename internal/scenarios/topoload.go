@@ -2,8 +2,7 @@ package scenarios
 
 // Topology-pluggable scenarios: the workloads of the evaluation run on
 // any topo.Graph — the paper's Clos, the Space Shuffle ring-space graph,
-// or the star-replaced server-centric graph — through the same fabric
-// interface. fabric/graphload records the spray-vs-ECMP per-uplink
+// or the star-replaced server-centric graph — through the same fabric. fabric/graphload records the spray-vs-ECMP per-uplink
 // spread comparison on the non-Clos graphs; fabric/collective drives
 // phase-synchronized ring/tree all-reduce collectives; fabric/openloop
 // offers diurnal bursty storage traffic. Each is a deterministic
@@ -26,14 +25,14 @@ import (
 
 // buildGraphFabric assembles the solo fabric for one topology-pluggable
 // scenario instance: resolved topology, simulator, default 10G config.
-func buildGraphFabric(c engine.Context, k int) (topo.Graph, *sim.Simulator, fabric.Fabric, error) {
+func buildGraphFabric(c engine.Context, k int) (topo.Graph, *sim.Simulator, *fabric.Net, error) {
 	g, err := topo.ByName(effectiveTopo(c), k)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	s := sim.New()
 	fcfg := fabric.DefaultConfig(netsim.Bps(10e9), sim.Microsecond, c.Seed)
-	fab, err := fabric.NewFabric(s, fcfg, g)
+	fab, err := fabric.New(s, fcfg, g)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -44,7 +43,7 @@ func buildGraphFabric(c engine.Context, k int) (topo.Graph, *sim.Simulator, fabr
 // every injected cell has a recorded fate (delivered or dropped) and at
 // least want cells went in, or the deadline passes. The quantized stop
 // instant is deterministic because the counters are.
-func runUntilAccounted(s *sim.Simulator, fab fabric.Fabric, want uint64, deadline sim.Time) {
+func runUntilAccounted(s *sim.Simulator, fab *fabric.Net, want uint64, deadline sim.Time) {
 	const quantum = sim.Microsecond
 	for s.Now() < deadline {
 		if fab.Injected() >= want && fab.Delivered()+fab.Drops() >= fab.Injected() {

@@ -13,7 +13,7 @@ import (
 type SinkFunc func(fa int) (cells, bytes uint64)
 
 // LinkSource is the slice of a fabric the recorder scrapes — satisfied
-// by every fabric.Fabric, whatever the topology.
+// by *fabric.Net, whatever the topology.
 type LinkSource interface {
 	NumLinks() int
 	ReadLinkCounters(i int, out *[2]fabric.LinkCounters)

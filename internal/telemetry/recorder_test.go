@@ -120,13 +120,13 @@ func TestRecorderOnSoloSim(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := NewRecorder(w, fab, nil, 100*sim.Microsecond)
-	log := rec.Observe(MetaFor(fab.Topo), DefaultAnalyzers()...)
+	log := rec.Observe(MetaFor(fab.Topo.(*topo.Clos)), DefaultAnalyzers()...)
 	rec.AttachSim(s)
 
 	// Isolate FA0 mid-run: a reachability hole the online analyzers must
 	// flag, and down events the stream must carry.
 	var failed []int
-	for i, lk := range fab.Topo.Links {
+	for i, lk := range fab.Topo.(*topo.Clos).Links {
 		if lk.A.Kind == topo.KindFA && lk.A.Index == 0 {
 			failed = append(failed, i)
 		}
