@@ -59,13 +59,17 @@ type Entry struct {
 	MedianEvents float64 `json:"median_events_sec_core,omitempty"`
 }
 
-// benchLine matches e.g.
-// "BenchmarkPacketPath-4   200000   521.5 ns/op   0 B/op   0 allocs/op"
-// with an optional custom-metric column, which `go test` prints between
-// ns/op and B/op:
-// "BenchmarkTransportPathSharded-4  20000  6500 ns/op  1.5e+06 events/sec/core  0 B/op  0 allocs/op".
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.e+]+) ns/op(?:\s+([0-9.e+]+) events/sec/core)?(?:\s+[0-9.e+]+ B/op\s+([0-9.e+]+) allocs/op)?`)
+// benchName matches the first column of a result line, e.g.
+// "BenchmarkPacketPath-4", capturing the name without the GOMAXPROCS
+// suffix.
+var benchName = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?$`)
 
+// parse reads result lines such as
+// "BenchmarkPacketPath-4   200000   521.5 ns/op   0 B/op   0 allocs/op":
+// a name, an iteration count, then (value, unit) pairs. `go test` prints
+// custom ReportMetric units between ns/op and B/op in alphabetical order
+// ("1.30 dispatched/op  1.5e+06 events/sec/core"); units this tool does not
+// gate are skipped.
 func parse(path string) (map[string]*Entry, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -76,12 +80,25 @@ func parse(path string) (map[string]*Entry, error) {
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
+		fields := strings.Fields(sc.Text())
+		if len(fields) < 4 || len(fields)%2 != 0 {
+			continue
+		}
+		m := benchName.FindStringSubmatch(fields[0])
 		if m == nil {
 			continue
 		}
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
+		if _, err := strconv.Atoi(fields[1]); err != nil {
+			continue
+		}
+		vals := make(map[string]float64)
+		for i := 2; i < len(fields); i += 2 {
+			if v, err := strconv.ParseFloat(fields[i], 64); err == nil {
+				vals[fields[i+1]] = v
+			}
+		}
+		ns, ok := vals["ns/op"]
+		if !ok {
 			continue
 		}
 		e := out[m[1]]
@@ -90,15 +107,11 @@ func parse(path string) (map[string]*Entry, error) {
 			out[m[1]] = e
 		}
 		e.Samples = append(e.Samples, ns)
-		if m[3] != "" {
-			if ev, err := strconv.ParseFloat(m[3], 64); err == nil {
-				e.EventSamples = append(e.EventSamples, ev)
-			}
+		if ev, ok := vals["events/sec/core"]; ok {
+			e.EventSamples = append(e.EventSamples, ev)
 		}
-		if m[4] != "" {
-			if allocs, err := strconv.ParseFloat(m[4], 64); err == nil {
-				e.AllocSamples = append(e.AllocSamples, allocs)
-			}
+		if allocs, ok := vals["allocs/op"]; ok {
+			e.AllocSamples = append(e.AllocSamples, allocs)
 		}
 	}
 	if err := sc.Err(); err != nil {

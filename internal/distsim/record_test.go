@@ -2,6 +2,8 @@ package distsim
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -66,6 +68,24 @@ func TestRecordShardInvariance(t *testing.T) {
 	}
 	if spec.K != 4 || spec.Seed != 7 || spec.Telem != 20*sim.Microsecond {
 		t.Fatalf("embedded spec mangled: %+v", spec)
+	}
+}
+
+// goldenStreamSHA256 pins the telemetry stream to history the way
+// golden_digests.json pins the end-of-run digest: it is the SHA-256 of
+// the STREC1 bytes `stardust-fabric -exp record -k 4 -seed 7` writes
+// (telemSpec is that spec), which carry every link direction's FwdBytes
+// delta and queue occupancy at each 20us scrape barrier — mid-run reads
+// the digest never sees. It may only change in a PR that says why, old ->
+// new, in CHANGES.md.
+const goldenStreamSHA256 = "8c41db358b4429770f9c32798ae96f0139ecf1128fbbf16f109499aceb2ae10c"
+
+func TestGoldenStream(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		sum := sha256.Sum256(recordBytes(t, telemSpec(shards)))
+		if got := fmt.Sprintf("%x", sum); got != goldenStreamSHA256 {
+			t.Errorf("shards=%d: stream sha256 %s, recorded %s", shards, got, goldenStreamSHA256)
+		}
 	}
 }
 

@@ -126,10 +126,10 @@ func (n *Net) DecodeMail(kind byte, lane int32, payload []byte) (sim.Action, uin
 		p.CE = flags&cellCE != 0
 		p.Echo = flags&cellEcho != 0
 		p.Down = flags&cellDown != 0
-		// A cell crossing a shard cut was scheduled by the link's LanePipe
-		// with the queue and pipe hops already behind it: rebind it to the
-		// tail of this replica's route so the next hop is the link itself.
-		p.SetRoute(n.links[lane].route[2:])
+		// A cell crossing a shard cut was scheduled by the link's wire with
+		// the queue already behind it: rebind it to the tail of this
+		// replica's route so the next hop is the link itself.
+		p.SetRoute(n.links[lane].route[1:])
 		return p, 0, nil
 	case MailReach:
 		act, err := n.routes.decodeMail(lane, payload)
@@ -175,7 +175,7 @@ func (n *Net) TrafficOfShard(s int) ShardTraffic {
 // digest-relevant subset of ReadLinkCounters). Barrier context only.
 func (n *Net) DirCounters(d int) (fwdBytes, fwdCells, drops uint64) {
 	l := n.links[d]
-	return l.q.FwdBytes, l.q.Forwarded, l.q.Drops
+	return l.q.FwdBytes(), l.q.Forwarded(), l.q.Drops
 }
 
 // DirTelemetry snapshots directed link d's telemetry tuple: DirCounters
@@ -183,5 +183,5 @@ func (n *Net) DirCounters(d int) (fwdBytes, fwdCells, drops uint64) {
 // ships per owned dir at a scrape boundary. Barrier context only.
 func (n *Net) DirTelemetry(d int) (fwdBytes, fwdCells, drops uint64, queueBytes int) {
 	l := n.links[d]
-	return l.q.FwdBytes, l.q.Forwarded, l.q.Drops, l.q.Bytes()
+	return l.q.FwdBytes(), l.q.Forwarded(), l.q.Drops, l.q.Bytes()
 }

@@ -139,6 +139,12 @@ type shardState struct {
 // loses cells when the link is down — cells already serialized into a
 // failed link are lost on the wire, like the real thing. The queue lives
 // on the sending node's shard; Receive runs on the receiving node's.
+//
+// On an engine the crossing is the queue's Wire, a LanePipe on the
+// link's own lane, and the route is {queue, link}: an idle link costs one
+// kernel event per cell, the arrival (see netsim.Queue). A solo fabric
+// shares one default-lane Pipe as a route hop, {queue, pipe, link}, and
+// pays a completion and an arrival.
 type link struct {
 	net   *Net
 	sh    *shardState // receiving node's shard
@@ -486,9 +492,9 @@ func build(cfg Config, g topo.Graph, shards []*shardState, assign []int, eng *pa
 		n.hairpin[e] = []netsim.Handler{hop, d.eg}
 	}
 	// One directed link per direction, lane = directed index. Solo mode:
-	// the shared pipe (default event lane). Sharded mode: a LanePipe on the
-	// link's own lane, crossing shards through the engine's mailboxes when
-	// the endpoints live apart.
+	// the shared pipe (default event lane). Sharded mode: the queue's wire,
+	// a LanePipe on the link's own lane, crossing shards through the
+	// engine's mailboxes when the endpoints live apart.
 	mkLink := func(from, port, to int) {
 		src, dst := n.nodes[from], n.nodes[to]
 		l := &link{
@@ -498,15 +504,16 @@ func build(cfg Config, g topo.Graph, shards []*shardState, assign []int, eng *pa
 			to:  dst,
 			up:  true,
 		}
-		var hop netsim.Handler = n.pipe
 		if eng != nil {
-			hop = &netsim.LanePipe{
+			l.q.Wire = &netsim.LanePipe{
 				Sched: eng.Shard(src.sh.id).To(dst.sh.id),
 				Delay: cfg.LinkDelay,
 				Lane:  int32(len(n.links)),
 			}
+			l.route = []netsim.Handler{l.q, l}
+		} else {
+			l.route = []netsim.Handler{l.q, n.pipe, l}
 		}
-		l.route = []netsim.Handler{l.q, hop, l}
 		n.links = append(n.links, l)
 		if ref := src.port[port]; ref.climb {
 			src.up[ref.slot] = l
@@ -673,8 +680,9 @@ func (n *Net) QueueDrops() (v uint64) {
 // Implements netsim.CellFabric. Same quiescence caveat as Injected.
 func (n *Net) Drops() uint64 { return n.DeadDrops() + n.NoRouteDrops() + n.QueueDrops() }
 
-// VisitQueues visits every directed link's serialization queue (for
-// aggregate statistics). Sharded mode: barrier context only.
+// VisitQueues visits every directed link's serialization queue, to
+// install OnDrop hooks. Counters are read through ReadLinkCounters and
+// DirCounters. Sharded mode: barrier context only.
 func (n *Net) VisitQueues(fn func(q *netsim.Queue)) {
 	for _, l := range n.links {
 		fn(l.q)
@@ -746,7 +754,7 @@ func (n *Net) FAUplinkBytes() []uint64 {
 	var out []uint64
 	for _, dirs := range topo.EdgeUplinkDirs(n.Topo) {
 		for _, d := range dirs {
-			out = append(out, n.links[d].q.FwdBytes)
+			out = append(out, n.links[d].q.FwdBytes())
 		}
 	}
 	return out
@@ -776,8 +784,8 @@ func (n *Net) ReadLinkCounters(i int, out *[2]LinkCounters) {
 			Link:       i,
 			Dir:        d,
 			Up:         l.up,
-			FwdBytes:   l.q.FwdBytes,
-			FwdCells:   l.q.Forwarded,
+			FwdBytes:   l.q.FwdBytes(),
+			FwdCells:   l.q.Forwarded(),
 			Drops:      l.q.Drops,
 			QueueBytes: l.q.Bytes(),
 			PeakBytes:  l.q.PeakBytes,

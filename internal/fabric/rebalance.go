@@ -80,7 +80,16 @@ func (n *Net) MigrateFA(fa, to int) error {
 		return nil
 	}
 	// Move the group's pending events first: the barrier has already
-	// flushed every mailbox, so the old shard's store holds all of them.
+	// flushed every mailbox, so the old shard's store holds all of them —
+	// once the node's outbound queues have turned their lazy completions,
+	// which are positions in the old shard's order, into events.
+	for _, ports := range [2][]*link{d.down, d.up} {
+		for _, l := range ports {
+			if l != nil {
+				l.q.Materialize()
+			}
+		}
+	}
 	evs := n.shards[from].sm.ExtractGroup(n.GroupOfFA(fa))
 	n.shards[to].sm.InjectOrdered(evs)
 
@@ -99,7 +108,7 @@ func (n *Net) MigrateFA(fa, to int) error {
 			src, dst := n.nodes[ends[0]].sh, n.nodes[ends[1]].sh
 			l.q.Sim = src.sm
 			l.sh = dst
-			l.route[1].(*netsim.LanePipe).Sched = n.eng.Shard(src.id).To(dst.id)
+			l.q.Wire.Sched = n.eng.Shard(src.id).To(dst.id)
 		}
 	}
 	n.hairpin[fa][0].(*netsim.LanePipe).Sched = sh.sm

@@ -404,3 +404,98 @@ func TestRebalanceReducesImbalance(t *testing.T) {
 	t.Logf("max-shard event share: static %.3f, adaptive %.3f (%d migrations)",
 		static.maxShare, adaptive.maxShare, adaptive.migrations)
 }
+
+// An engine-built fabric drives every link through its queue's wire (one
+// event per idle-link hop); a solo fabric shares a default-lane pipe and
+// must not — there the completion has to stay a real event.
+func TestLinksAreWiredByBuild(t *testing.T) {
+	for _, topoName := range []string{"clos", "sshuffle", "star"} {
+		g, err := topo.ByName(topoName, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(10e9, sim.Microsecond, 1)
+		sharded, err := NewSharded(parsim.New(parsim.Config{Shards: 1, Lookahead: sim.Microsecond}), cfg, g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo, err := New(sim.New(), cfg, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for d, l := range sharded.links {
+			if l.q.Wire == nil || l.q.Wire.Lane != int32(d) || len(l.route) != 2 {
+				t.Fatalf("%s: sharded link %d not wired on its own lane (wire %+v, route of %d)", topoName, d, l.q.Wire, len(l.route))
+			}
+		}
+		for d, l := range solo.links {
+			if l.q.Wire != nil || len(l.route) != 3 {
+				t.Fatalf("%s: solo link %d is wired (route of %d)", topoName, d, len(l.route))
+			}
+		}
+	}
+}
+
+// A cell serializing on the moving adapter's uplink when MigrateFA runs
+// has its completion only reserved on the old shard. The migration must
+// turn it into an event and take it along: the old shard gives the count
+// back, the new shard holds the event, and the run ends with the events
+// of a run that never migrated.
+func TestMigrateFACarriesLazyCompletion(t *testing.T) {
+	run := func(migrate bool) (events uint64, perShard []uint64) {
+		g, err := topo.ByName("clos", 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := parsim.New(parsim.Config{Shards: 2, Lookahead: sim.Microsecond})
+		// 1 Gb/s links: a 512-byte cell serializes for 4.096us, across
+		// several 1us windows.
+		n, err := NewSharded(eng, DefaultConfig(1e9, sim.Microsecond, 1), g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const fa = 0
+		from := n.ShardOfFA(fa)
+		old, dst := eng.Shard(from).Sim(), eng.Shard(1-from).Sim()
+		old.SetGroup(n.GroupOfFA(fa))
+		old.AtAction(500*sim.Nanosecond, sim.ActionFunc(func(uint64) {
+			c := netsim.NewPacket()
+			c.Size = 512
+			n.Inject(c, fa, n.NumFA()-1)
+		}), 0)
+		old.SetGroup(0)
+		eng.At(2*sim.Microsecond, func() {
+			if got := old.Processed - old.Dispatched(); got != 1 {
+				t.Fatalf("mid-serialization: %d completions reserved on the old shard, want 1", got)
+			}
+			if !migrate {
+				return
+			}
+			before, held := old.Processed, dst.Pending()
+			if err := n.MigrateFA(fa, 1-from); err != nil {
+				t.Fatal(err)
+			}
+			if old.Processed != before-1 || old.Processed != old.Dispatched() {
+				t.Fatalf("old shard still accounts the completion: processed %d -> %d, dispatched %d",
+					before, old.Processed, old.Dispatched())
+			}
+			if got := dst.Pending(); got != held+1 {
+				t.Fatalf("new shard holds %d events after the move, %d before; want the completion added", got, held)
+			}
+		})
+		eng.RunUntilQuiet(sim.Millisecond)
+		if n.Injected() != 1 || n.Delivered() != 1 {
+			t.Fatalf("injected %d, delivered %d, dropped %d", n.Injected(), n.Delivered(), n.Drops())
+		}
+		return eng.Processed(), n.ShardEvents()
+	}
+	stay, stayShards := run(false)
+	moved, movedShards := run(true)
+	if stay != moved {
+		t.Fatalf("events: %d without migration, %d with", stay, moved)
+	}
+	// The completion ran where the adapter now lives.
+	if movedShards[0] == stayShards[0] {
+		t.Fatalf("per-shard events unchanged by the migration: %v vs %v", movedShards, stayShards)
+	}
+}

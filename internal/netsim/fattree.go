@@ -168,7 +168,7 @@ func (n *FatTreeNet) EdgeUplinkBytes() []uint64 {
 	var out []uint64
 	for _, qs := range n.edgeUp {
 		for _, q := range qs {
-			out = append(out, q.FwdBytes)
+			out = append(out, q.FwdBytes())
 		}
 	}
 	return out

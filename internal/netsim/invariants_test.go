@@ -270,8 +270,8 @@ func runTransportProperty(t *testing.T, prog transportProgram, shards int) trans
 	w(tc.ShippedBytes)
 	w(tc.DeliveredBytes)
 	net.VisitQueues(func(q *netsim.Queue) {
-		w(q.FwdBytes)
-		w(q.Forwarded)
+		w(q.FwdBytes())
+		w(q.Forwarded())
 		w(q.Drops)
 	})
 	var lc [2]fabric.LinkCounters

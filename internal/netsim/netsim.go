@@ -178,6 +178,24 @@ type pktRing = ring[*Packet]
 // Queue is a store-and-forward output queue draining at a fixed rate, with
 // tail-drop at MaxBytes and optional ECN marking above ECNThreshBytes
 // (instantaneous queue, DCTCP-style).
+//
+// A queue completes a packet in one of two ways, fixed by what it feeds
+// and never by a setting. Eager (Wire == nil): the packet waits in the
+// queue while it serializes, a completion event fires when it is done and
+// sends it on — to a default-lane Pipe or anything else. The completion
+// has to be a real event here, because the next hop's event takes its
+// sequence number inside it, between the other events of that instant.
+// Lazy (Wire != nil, a link with an event lane of its own): a fixed-rate
+// serializer knows the departure time when service starts, and the far
+// end orders arrivals by (time, lane) alone, so the packet is handed to
+// the wire at service start and the completion is only a reserved slot of
+// the kernel (sim.Reserve). Nothing is dispatched for it; whoever looks at
+// the queue next — an arrival, Bytes, a counter read — first asks the
+// kernel whether the completion would have run by now and applies it.
+// Only when a second packet arrives while the first is still serializing
+// does the completion become a real event (sim.AtSlot, at its reserved
+// position), and from there the queue drains like an eager one until it
+// is idle again. Invariant: lazy implies an empty ring and !busy.
 type Queue struct {
 	Name           string
 	Sim            *sim.Simulator
@@ -185,22 +203,39 @@ type Queue struct {
 	MaxBytes       int
 	ECNThreshBytes int // 0 disables marking
 
-	ring  pktRing
-	cur   *Packet // packet currently serializing onto the wire
-	bytes int
-	busy  bool
+	// Wire, when non-nil, is the lane-keyed link every packet of this
+	// queue leaves on; it replaces the packet's next route hop. Set it
+	// before the first packet arrives.
+	Wire *LanePipe
+
+	ring    pktRing
+	cur     *Packet // eager: the packet serializing onto the wire
+	curSize int     // wire mode: its size — the packet itself is already on the wire
+	bytes   int
+	busy    bool // a completion event is pending
+
+	// Wire mode: the serializing packet's completion is the reserved slot
+	// at time dep instead of an event.
+	lazy bool
+	slot sim.Slot
+	dep  sim.Time
+
+	// Last txTime result; fabric cells are all one size.
+	txSize int
+	txDur  sim.Time
 
 	// OnDrop, when non-nil, observes every tail-dropped packet just
 	// before it is released — the hook that lets a harness account the
 	// fate of every packet it injected (conservation invariants).
 	OnDrop func(*Packet)
 
-	// Stats
+	// Stats. Forwarded and FwdBytes are methods: they may have a lazy
+	// completion to apply first.
 	Drops     uint64
 	Marks     uint64
-	Forwarded uint64
-	FwdBytes  uint64 // bytes serialized onto the wire (per-link load evidence)
 	PeakBytes int
+	forwarded uint64
+	fwdBytes  uint64
 }
 
 // NewQueue builds a queue bound to the simulator.
@@ -212,14 +247,63 @@ func NewQueue(s *sim.Simulator, name string, rate Bps, maxBytes int, ecnThresh i
 }
 
 func (q *Queue) txTime(bytes int) sim.Time {
-	return sim.Time(float64(bytes*8) / float64(q.Rate) * float64(sim.Second))
+	if bytes != q.txSize {
+		q.txSize = bytes
+		q.txDur = sim.Time(float64(bytes*8) / float64(q.Rate) * float64(sim.Second))
+	}
+	return q.txDur
+}
+
+// settle applies the lazy completion if it would have run by now.
+func (q *Queue) settle() {
+	if q.lazy && q.Sim.Passed(q.dep, q.slot) {
+		q.lazy = false
+		q.complete(q.curSize)
+	}
+}
+
+// complete accounts one packet as serialized.
+func (q *Queue) complete(size int) {
+	q.bytes -= size
+	q.forwarded++
+	q.fwdBytes += uint64(size)
 }
 
 // Bytes returns the current occupancy.
-func (q *Queue) Bytes() int { return q.bytes }
+func (q *Queue) Bytes() int {
+	q.settle()
+	return q.bytes
+}
+
+// Forwarded returns the number of packets serialized onto the wire.
+func (q *Queue) Forwarded() uint64 {
+	q.settle()
+	return q.forwarded
+}
+
+// FwdBytes returns the bytes serialized onto the wire (per-link load
+// evidence).
+func (q *Queue) FwdBytes() uint64 {
+	q.settle()
+	return q.fwdBytes
+}
+
+// Materialize turns a lazy completion that has not run yet into the real
+// event it stands for. The queue's owner calls it before moving the
+// queue to another Simulator: a slot is a position in one Simulator's
+// order, an event can be extracted and re-injected.
+func (q *Queue) Materialize() {
+	q.settle()
+	if q.lazy {
+		q.lazy = false
+		q.busy = true
+		q.Sim.AtSlot(q.dep, q.slot, q, 0)
+	}
+}
 
 // Receive implements Handler.
 func (q *Queue) Receive(p *Packet) {
+	q.settle()
 	if q.bytes+p.Size > q.MaxBytes {
 		q.Drops++
 		if q.OnDrop != nil {
@@ -236,29 +320,53 @@ func (q *Queue) Receive(p *Packet) {
 	if q.bytes > q.PeakBytes {
 		q.PeakBytes = q.bytes
 	}
+	if q.lazy {
+		// The wire is still busy with the previous packet: its completion
+		// has to start this one, so it must be an event after all.
+		q.Materialize()
+	}
 	if q.busy {
 		q.ring.push(p)
 		return
 	}
-	q.busy = true
-	q.cur = p
-	q.Sim.AfterAction(q.txTime(p.Size), q, 0)
+	q.start(p)
+}
+
+// start begins serializing p on an idle wire (!busy, !lazy).
+func (q *Queue) start(p *Packet) {
+	tx := q.txTime(p.Size)
+	if q.Wire == nil {
+		q.busy = true
+		q.cur = p
+		q.Sim.AfterAction(tx, q, 0)
+		return
+	}
+	dep := q.Sim.Now() + tx
+	q.curSize = p.Size
+	q.Wire.ReceiveAt(p, dep) // the wire owns p from here
+	if q.ring.len() > 0 {
+		// More to send: the completion has to start the next packet.
+		q.busy = true
+		q.Sim.AtAction(dep, q, 0)
+		return
+	}
+	q.lazy, q.dep, q.slot = true, dep, q.Sim.Reserve()
 }
 
 // Act implements sim.Action: the current packet finished serializing.
 func (q *Queue) Act(uint64) {
-	p := q.cur
-	q.cur = nil
-	q.bytes -= p.Size
-	q.Forwarded++
-	q.FwdBytes += uint64(p.Size)
-	p.SendOn() // p may be released downstream; do not touch it again
-	if next := q.ring.pop(); next != nil {
-		q.cur = next
-		q.Sim.AfterAction(q.txTime(next.Size), q, 0)
-		return
+	if q.Wire == nil {
+		p := q.cur
+		q.cur = nil
+		q.complete(p.Size)
+		p.SendOn() // p may be released downstream; do not touch it again
+	} else {
+		q.complete(q.curSize)
 	}
 	q.busy = false
+	if next := q.ring.pop(); next != nil {
+		q.start(next)
+	}
 }
 
 // Pipe is a pure propagation delay.
@@ -290,8 +398,17 @@ type LanePipe struct {
 }
 
 // Receive implements Handler.
-func (p *LanePipe) Receive(pkt *Packet) {
-	p.Sched.AtLane(p.Sched.Now()+p.Delay, p.Lane, pkt, 0)
+func (p *LanePipe) Receive(pkt *Packet) { p.ReceiveAt(pkt, p.Sched.Now()) }
+
+// ReceiveAt is Receive for a packet that will leave the sender at dep, a
+// time at or after now: the arrival is scheduled at once for dep+Delay.
+// A wire-mode Queue drives its link this way at service start (see
+// Queue). It is exact because the lane has one sender whose departures
+// are distinct instants, so (time, lane) alone places the arrival and the
+// sequence number it gets by being scheduled early is irrelevant; a
+// default-lane Pipe has no such method because there it would not be.
+func (p *LanePipe) ReceiveAt(pkt *Packet, dep sim.Time) {
+	p.Sched.AtLane(dep+p.Delay, p.Lane, pkt, 0)
 }
 
 // HandlerFunc adapts a function to the Handler interface.
@@ -315,5 +432,5 @@ func (c *Counter) Receive(p *Packet) {
 }
 
 func (q *Queue) String() string {
-	return fmt.Sprintf("queue %s: %dB queued, %d fwd, %d drops, %d marks", q.Name, q.bytes, q.Forwarded, q.Drops, q.Marks)
+	return fmt.Sprintf("queue %s: %dB queued, %d fwd, %d drops, %d marks", q.Name, q.Bytes(), q.Forwarded(), q.Drops, q.Marks)
 }

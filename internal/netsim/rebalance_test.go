@@ -196,8 +196,8 @@ func runTransportRebalance(t *testing.T, seed int64, shards, failN int) (transpo
 	w(tc.ShippedBytes)
 	w(tc.DeliveredBytes)
 	net.VisitQueues(func(q *netsim.Queue) {
-		w(q.FwdBytes)
-		w(q.Forwarded)
+		w(q.FwdBytes())
+		w(q.Forwarded())
 		w(q.Drops)
 	})
 	var lc [2]fabric.LinkCounters

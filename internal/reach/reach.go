@@ -9,6 +9,7 @@ package reach
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -220,6 +221,10 @@ type Spreader struct {
 	rounds    int
 	maxRounds int
 	rng       *rand.Rand
+	// inv[link] is link's position in perm, kept for spreaders of at most
+	// 64 links: it lets Next find the first eligible position with bit
+	// arithmetic instead of walking the permutation.
+	inv [64]uint8
 }
 
 // NewSpreader creates a spreader over numLink links reshuffling its
@@ -233,7 +238,16 @@ func NewSpreader(numLink, reshuffleRounds int, seed int64) *Spreader {
 	}
 	s := &Spreader{rng: rand.New(rand.NewSource(seed)), maxRounds: reshuffleRounds}
 	s.perm = s.rng.Perm(numLink)
+	s.invert()
 	return s
+}
+
+func (s *Spreader) invert() {
+	if len(s.perm) <= len(s.inv) {
+		for at, link := range s.perm {
+			s.inv[link] = uint8(at)
+		}
+	}
 }
 
 // reshuffle replaces the traversal order with a fresh permutation
@@ -244,18 +258,55 @@ func (s *Spreader) reshuffle() {
 		j := s.rng.Intn(i + 1)
 		s.perm[i], s.perm[j] = s.perm[j], s.perm[i]
 	}
+	s.invert()
 }
 
 // Next returns the next link to use among the eligible set (bits over
-// links). Returns -1 when the set is empty. The permutation is only
-// replaced between traversals, never while a scan is in progress, so a
-// single call always examines every link once.
+// links): the first eligible link in permutation order from the current
+// position, wrapping once. The position moves past it, a round is counted
+// at every wrap, and an empty set costs one full fruitless traversal (the
+// position comes back to where it was, one round later). Returns -1 when
+// the set is empty. The permutation is only replaced between traversals,
+// at position 0, never inside a call.
 func (s *Spreader) Next(eligible Bitmap) int {
 	n := len(s.perm)
 	if s.pos == 0 && s.rounds >= s.maxRounds {
 		s.rounds = 0
 		s.reshuffle()
 	}
+	at := s.pos
+	if !eligible.Get(s.perm[at]) {
+		if n > len(s.inv) {
+			return s.scan(eligible)
+		}
+		// The eligible links as a set of permutation positions; the answer
+		// is its first member at or after pos, else its first member.
+		var set uint64
+		for w := eligible[0] & (^uint64(0) >> (64 - n)); w != 0; w &= w - 1 {
+			set |= 1 << s.inv[bits.TrailingZeros64(w)]
+		}
+		if set == 0 {
+			s.rounds++
+			return -1
+		}
+		if later := set >> at; later != 0 {
+			at += bits.TrailingZeros64(later)
+		} else {
+			at = bits.TrailingZeros64(set)
+			s.rounds++
+		}
+	}
+	if s.pos = at + 1; s.pos == n {
+		s.pos = 0
+		s.rounds++
+	}
+	return s.perm[at]
+}
+
+// scan is Next by walking the permutation, for spreaders too wide for the
+// inverse table.
+func (s *Spreader) scan(eligible Bitmap) int {
+	n := len(s.perm)
 	for scanned := 0; scanned < n; scanned++ {
 		link := s.perm[s.pos]
 		s.pos++

@@ -1,6 +1,8 @@
 package reach
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -322,6 +324,81 @@ func TestSpreaderSparseNeverFails(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		if l := s.Next(eligible); l != 2 && l != 5 {
 			t.Fatalf("iteration %d: got %d", i, l)
+		}
+	}
+}
+
+// scanSpreader is the arbiter as it was first written — walk the
+// permutation from pos until an eligible link turns up — kept as the
+// reference Spreader.Next is held to.
+type scanSpreader struct{ Spreader }
+
+func (s *scanSpreader) Next(eligible Bitmap) int {
+	if s.pos == 0 && s.rounds >= s.maxRounds {
+		s.rounds = 0
+		s.reshuffle()
+	}
+	return s.scan(eligible)
+}
+
+// Spreader.Next finds its answer with bit arithmetic instead of a walk;
+// the state it leaves behind — position, round count, and through them
+// every later reshuffle — must be the walk's exactly, on any eligible
+// set: full, sparse, empty, changing between calls.
+func TestSpreaderNextMatchesScan(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 8, 31, 63, 64, 65, 100} {
+		for _, rounds := range []int{1, 2, 64} {
+			for seed := int64(1); seed <= 6; seed++ {
+				got := NewSpreader(n, rounds, seed)
+				want := &scanSpreader{*NewSpreader(n, rounds, seed)}
+				rng := rand.New(rand.NewSource(seed * 977))
+				eligible := NewBitmap(n)
+				for call := 0; call < 3000; call++ {
+					// Mostly keep the set and flip one link, as failures do;
+					// now and then redraw it at a random density or empty it.
+					switch r := rng.Intn(40); {
+					case r == 0:
+						eligible.Reset()
+					case r < 4:
+						density := rng.Intn(101)
+						for l := 0; l < n; l++ {
+							if rng.Intn(100) < density {
+								eligible.Set(l)
+							} else {
+								eligible.Clear(l)
+							}
+						}
+					case r < 12:
+						if l := rng.Intn(n); eligible.Get(l) {
+							eligible.Clear(l)
+						} else {
+							eligible.Set(l)
+						}
+					}
+					g, w := got.Next(eligible), want.Next(eligible)
+					if g != w || got.pos != want.pos || got.rounds != want.rounds || !reflect.DeepEqual(got.perm, want.perm) {
+						t.Fatalf("n=%d rounds=%d seed=%d call %d: link %d pos %d rounds %d, scan gives link %d pos %d rounds %d (perms equal: %v)",
+							n, rounds, seed, call, g, got.pos, got.rounds, w, want.pos, want.rounds, reflect.DeepEqual(got.perm, want.perm))
+					}
+				}
+			}
+		}
+	}
+}
+
+// Bits beyond the spreader's links (a wider table's row handed to a
+// narrower port group) are not candidates.
+func TestSpreaderIgnoresBitsBeyondLinks(t *testing.T) {
+	s := NewSpreader(5, 4, 9)
+	eligible := NewBitmap(64)
+	eligible.Set(40)
+	if got := s.Next(eligible); got != -1 {
+		t.Fatalf("picked %d from a set with no link below 5", got)
+	}
+	eligible.Set(3)
+	for i := 0; i < 20; i++ {
+		if got := s.Next(eligible); got != 3 {
+			t.Fatalf("picked %d, only link 3 is eligible", got)
 		}
 	}
 }

@@ -59,6 +59,44 @@
 // Simulator at a quiescent barrier (InjectOrdered), and per-group executed
 // event counts (GroupProcessed) give the rebalancer a deterministic,
 // sim-state-only load meter.
+//
+// # Slots
+//
+// A slot is a reserved position in the event order: Reserve hands out the
+// (sequence, group) a default-lane event scheduled at that moment would
+// have received, without putting anything in the store. It serves an
+// owner whose event is deterministic and whose only effects are on the
+// owner's own state — a fixed-rate serializer finishing a cell. Such an
+// owner need not dispatch the event at all: whenever somebody looks at its
+// state it asks Passed whether the event, had it been scheduled, would
+// already have run, and applies the effects then. Passed compares the
+// event's key (t, DefaultLane, slot seq) with the key of the event that is
+// running, so a tie at t == Now() is decided exactly as the store would
+// have decided it: an observer on an explicit lane runs before every
+// default-lane event of the instant, a default-lane observer runs before
+// or after by sequence. Between runs the comparison is against what the
+// last run call has executed: RunBefore(end) leaves every event at end
+// unexecuted, RunUntil(d) and an exhausted Run leave nothing at or before
+// the clock. When the owner does need the event after all (more work
+// arrived and the completion must start it), AtSlot enqueues it under the
+// reserved key, so it runs exactly where the eagerly scheduled event would
+// have.
+//
+// Eliding an event is only sound if everything it would have scheduled can
+// be scheduled early under a key that does not depend on when that
+// happens. A delivery on an explicit lane qualifies when the lane has one
+// sender emitting at distinct instants — a directed link: (time, lane)
+// alone orders it and the sequence number it happens to get is irrelevant.
+// A default-lane delivery does not: its sequence number would be taken
+// inside the elided event, between whatever else ran at that instant, and
+// cannot be known beforehand. That is why only lane-keyed wires may be
+// driven early.
+//
+// Processed counts a reserved event once, like any other: at Reserve; an
+// AtSlot takes that count back and the real event counts itself when it
+// runs. Both points are functions of the simulated system, so the total
+// stays independent of the partitioning. Dispatched reports what the loop
+// actually executed.
 package sim
 
 import (
@@ -251,8 +289,18 @@ type Simulator struct {
 	seq     uint64
 	stopped bool
 	npend   int
-	// Processed counts events executed so far; useful for budgeting runs.
+	// Processed counts events executed so far, plus those reserved as
+	// slots (see Slots in the package comment): the count of a model's
+	// events, whether or not the loop had to dispatch them. Useful for
+	// budgeting runs.
 	Processed uint64
+	elided    uint64 // reserved and not materialised: Processed - elided ran
+
+	// Where the event order stands: the running event's lane and sequence
+	// number (its time is now), or between runs what the last run call left
+	// behind. Passed compares slots against it.
+	curLane int32
+	curSeq  uint64
 
 	// Bucket ladder: ladder[b&ladderMask] holds the events of absolute
 	// bucket b for b in (curB, curB+ladderBuckets). occupied is the
@@ -338,19 +386,72 @@ func (s *Simulator) schedule(t Time, lane int32, fn func(), act Action, arg uint
 		group = s.laneGroups[lane]
 	}
 	s.seq++
+	s.insert(t, lane, s.seq, group, fn, act, arg)
+}
+
+// insert files one event under its complete key.
+func (s *Simulator) insert(t Time, lane int32, seq uint64, group int32, fn func(), act Action, arg uint64) {
 	s.npend++
 	b := s.bucketOf(t)
 	// Single unsigned compare for the common case: b in (curB, curB+NB).
 	if uint64(b-s.curB-1) < ladderBuckets-1 {
 		s.bucketAdd(b,
-			eventKey{at: t, seq: s.seq, lane: lane},
+			eventKey{at: t, seq: seq, lane: lane},
 			eventBody{fn: fn, act: act, arg: arg, group: group})
 	} else if b <= s.curB {
-		s.young.push(event{at: t, seq: s.seq, lane: lane, group: group, fn: fn, act: act, arg: arg})
+		s.young.push(event{at: t, seq: seq, lane: lane, group: group, fn: fn, act: act, arg: arg})
 	} else {
-		s.overflow.push(event{at: t, seq: s.seq, lane: lane, group: group, fn: fn, act: act, arg: arg})
+		s.overflow.push(event{at: t, seq: seq, lane: lane, group: group, fn: fn, act: act, arg: arg})
 	}
 }
+
+// Slot is a reserved position in the event order (see Slots in the package
+// comment): the sequence number and group of a default-lane event that was
+// never enqueued.
+type Slot struct {
+	seq   uint64
+	group int32
+}
+
+// Reserve takes the position a default-lane event scheduled right now
+// would get, and counts the event as processed, without enqueuing it.
+func (s *Simulator) Reserve() Slot {
+	s.seq++
+	s.Processed++
+	s.elided++
+	g := s.curGroup
+	if int(g) < len(s.groupCount) && g >= 0 {
+		s.groupCount[g]++
+	}
+	return Slot{seq: s.seq, group: g}
+}
+
+// Passed reports whether the event reserved as slot for time t would
+// already have run: relative to the running event when called from one,
+// relative to what the last run call executed otherwise.
+func (s *Simulator) Passed(t Time, slot Slot) bool {
+	if t != s.now {
+		return t < s.now
+	}
+	return s.curLane == DefaultLane && slot.seq < s.curSeq
+}
+
+// AtSlot enqueues the event reserved as slot after all: a.Act(arg) runs at
+// t exactly where a default-lane event scheduled at the Reserve call would
+// have. The caller must have seen Passed(t, slot) == false, and calls
+// AtSlot at most once per slot. Allocates nothing.
+func (s *Simulator) AtSlot(t Time, slot Slot, a Action, arg uint64) {
+	s.Processed--
+	s.elided--
+	if g := slot.group; int(g) < len(s.groupCount) && g >= 0 {
+		s.groupCount[g]--
+	}
+	s.insert(t, DefaultLane, slot.seq, slot.group, nil, a, arg)
+}
+
+// Dispatched returns the number of events the loop executed: Processed
+// without the slots that were reserved and never had to be enqueued.
+func (s *Simulator) Dispatched() uint64 { return s.Processed - s.elided }
 
 // At schedules fn to run at absolute time t. Scheduling in the past (t <
 // Now()) runs the event at the current time instead, preserving causality.
@@ -508,7 +609,8 @@ func (s *Simulator) drain(limit Time, haveLimit bool) {
 			}
 		}
 		var at Time
-		var group int32
+		var seq uint64
+		var lane, group int32
 		var fn func()
 		var act Action
 		var arg uint64
@@ -524,6 +626,7 @@ func (s *Simulator) drain(limit Time, haveLimit bool) {
 			if haveLimit && at >= limit {
 				return
 			}
+			seq, lane = e.seq, e.lane
 			group, fn, act, arg = e.group, e.fn, e.act, e.arg
 			s.young.pop()
 		} else {
@@ -532,12 +635,14 @@ func (s *Simulator) drain(limit Time, haveLimit bool) {
 			if haveLimit && at >= limit {
 				return
 			}
+			seq, lane = k.seq, k.lane
 			body := &s.run.bodies[k.idx]
 			group, fn, act, arg = body.group, body.fn, body.act, body.arg
 			body.fn, body.act = nil, nil // drop callback references for the GC
 			s.runPos++
 		}
 		s.now = at
+		s.curLane, s.curSeq = lane, seq
 		s.npend--
 		s.Processed++
 		s.curGroup = group
@@ -552,8 +657,24 @@ func (s *Simulator) drain(limit Time, haveLimit bool) {
 	}
 }
 
+// beforeAll and afterAll are the between-runs values of curLane: every
+// event at the clock's instant is still to run, or none is. After a Stop
+// the position stays at the last executed event instead.
+const (
+	beforeAll int32 = -1
+	afterAll        = DefaultLane
+)
+
+// ranThrough records that nothing at or before the clock is left to run.
+func (s *Simulator) ranThrough() { s.curLane, s.curSeq = afterAll, ^uint64(0) }
+
 // Run executes events until the queue is empty or Stop is called.
-func (s *Simulator) Run() { s.drain(0, false) }
+func (s *Simulator) Run() {
+	s.drain(0, false)
+	if !s.stopped {
+		s.ranThrough()
+	}
+}
 
 // RunBefore executes every event with a timestamp strictly below end and
 // leaves the clock exactly at end. It is the window-stepping primitive of
@@ -564,6 +685,7 @@ func (s *Simulator) RunBefore(end Time) {
 	s.drain(end, true)
 	if s.now < end {
 		s.now = end
+		s.curLane = beforeAll
 	}
 }
 
@@ -574,6 +696,9 @@ func (s *Simulator) RunUntil(deadline Time) {
 	s.drain(deadline+1, deadline+1 > deadline) // overflow ⇒ unbounded
 	if s.now < deadline {
 		s.now = deadline
+	}
+	if !s.stopped && s.now == deadline {
+		s.ranThrough()
 	}
 }
 
@@ -586,6 +711,7 @@ func (s *Simulator) RunUntil(deadline Time) {
 func (s *Simulator) SkipTo(t Time) {
 	if s.now < t {
 		s.now = t
+		s.curLane = beforeAll
 	}
 }
 

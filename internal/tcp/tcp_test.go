@@ -159,7 +159,7 @@ func TestMPTCPUsesBothPaths(t *testing.T) {
 		t.Fatalf("MPTCP only reached %.2f Gbps over two 10G paths", total/1e9)
 	}
 	for i, q := range sinks {
-		if q.Forwarded == 0 {
+		if q.Forwarded() == 0 {
 			t.Fatalf("subflow %d unused", i)
 		}
 	}
