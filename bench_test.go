@@ -127,6 +127,13 @@ func reportDispatched(b *testing.B, events uint64) {
 	b.ReportMetric(float64(events)/float64(b.N), "dispatched/op")
 }
 
+// reportFanned attaches the windows per op whose shards the engine handed
+// to workers (parsim.Stats.Fanned): the governor's verdict on this host.
+// Close to 0 at -cpu 1, where only its probe epochs fan out.
+func reportFanned(b *testing.B, fanned uint64) {
+	b.ReportMetric(float64(fanned)/float64(b.N), "fanned/op")
+}
+
 // fabricInjector injects one 512B cell per scheduled event (src and dst
 // packed into the action arg), keeping the benchmark loop allocation-free.
 type fabricInjector struct{ n *fabric.Net }
@@ -167,12 +174,13 @@ func BenchmarkFabricCellPathSharded(b *testing.B) {
 	}
 	deadline := sim.Time(b.N/numFA+2)*gap + sim.Millisecond
 	b.ReportAllocs()
-	ev0, d0 := eng.Processed(), dispatched(eng)
+	ev0, d0, f0 := eng.Processed(), dispatched(eng), eng.Stats().Fanned
 	b.ResetTimer()
 	eng.RunUntilQuiet(deadline)
 	b.StopTimer()
 	reportEventRate(b, eng.Processed()-ev0, 2)
 	reportDispatched(b, dispatched(eng)-d0)
+	reportFanned(b, eng.Stats().Fanned-f0)
 	if n.Injected() != uint64(b.N) {
 		b.Fatalf("injected %d of %d", n.Injected(), b.N)
 	}
@@ -292,7 +300,7 @@ func BenchmarkTransportPathSharded(b *testing.B) {
 	quota := b.N / hosts
 	extra := b.N % hosts
 	b.ReportAllocs()
-	ev0, d0 := eng.Processed(), dispatched(eng)
+	ev0, d0, f0 := eng.Processed(), dispatched(eng), eng.Stats().Fanned
 	b.ResetTimer()
 	for h, j := range injs {
 		q := quota
@@ -312,6 +320,7 @@ func BenchmarkTransportPathSharded(b *testing.B) {
 	b.StopTimer()
 	reportEventRate(b, eng.Processed()-ev0, 2)
 	reportDispatched(b, dispatched(eng)-d0)
+	reportFanned(b, eng.Stats().Fanned-f0)
 	if got := delivered() - warm; got != uint64(b.N) {
 		b.Fatalf("delivered %d of %d packets (voq drops %d, fabric drops %d, timeouts %d)",
 			got, b.N, net.VOQDrops(), net.FabricDrops(), net.ReasmTimeouts())

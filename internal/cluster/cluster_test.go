@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -61,6 +63,8 @@ func (l *lateHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // testNode is one in-process stardustd: queue + HTTP API + cluster face.
+// url is the node's ring identity, a fixed name; the test's own requests
+// go to ts.URL.
 type testNode struct {
 	url  string
 	q    *mgmt.RunQueue
@@ -69,22 +73,35 @@ type testNode struct {
 }
 
 // newTestCluster brings up n fully-wired in-process nodes sharing one
-// ring.
+// ring. The nodes know each other by fixed names that the peer client's
+// dialer resolves to the httptest listeners: ring placement hashes the
+// member URLs, and with the kernel's ports in them some port triples
+// leave seedFor without any key of the wanted ring order.
 func newTestCluster(t *testing.T, n, depth int) []*testNode {
 	t.Helper()
 	nodes := make([]*testNode, n)
 	urls := make([]string, n)
 	lhs := make([]*lateHandler, n)
+	real := make(map[string]string, n) // fixed host:port -> listener address
 	for i := range nodes {
 		lhs[i] = &lateHandler{}
 		ts := httptest.NewServer(lhs[i])
-		urls[i] = ts.URL
-		nodes[i] = &testNode{url: ts.URL, ts: ts}
+		urls[i] = fmt.Sprintf("http://node%d.cluster-test", i)
+		real[fmt.Sprintf("node%d.cluster-test:80", i)] = ts.Listener.Addr().String()
+		nodes[i] = &testNode{url: urls[i], ts: ts}
 	}
+	var dialer net.Dialer
+	transport := &http.Transport{
+		MaxIdleConnsPerHost: 16,
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			return dialer.DialContext(ctx, network, real[addr])
+		},
+	}
+	peers := &http.Client{Timeout: 30 * time.Second, Transport: transport}
 	for i, tn := range nodes {
 		q := mgmt.NewRunQueue(depth, 1, 1)
 		s := mgmt.NewServer(q, nil)
-		node, err := New(Config{Self: urls[i], Peers: urls, Attempts: 2, Backoff: 10 * time.Millisecond})
+		node, err := New(Config{Self: urls[i], Peers: urls, Attempts: 2, Backoff: 10 * time.Millisecond, Client: peers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,6 +110,7 @@ func newTestCluster(t *testing.T, n, depth int) []*testNode {
 		tn.q, tn.node = q, node
 	}
 	t.Cleanup(func() {
+		transport.CloseIdleConnections()
 		for _, tn := range nodes {
 			tn.ts.Close()
 			tn.q.Shutdown()
@@ -181,7 +199,7 @@ func TestClusterForwardCoalesceAndServeEverywhere(t *testing.T) {
 		wg.Add(1)
 		go func(i int, from *testNode) {
 			defer wg.Done()
-			resp, job := submitTo(t, from.url, req, "")
+			resp, job := submitTo(t, from.ts.URL, req, "")
 			jobs[i], served[i] = job, resp.Header.Get("X-Stardust-Served-By")
 		}(i, from)
 	}
@@ -199,13 +217,13 @@ func TestClusterForwardCoalesceAndServeEverywhere(t *testing.T) {
 	}
 
 	// The job lives on the owner only.
-	if resp, err := http.Get(owner.url + "/api/v1/runs/" + jobs[0].ID); err != nil || resp.StatusCode != http.StatusOK {
+	if resp, err := http.Get(owner.ts.URL + "/api/v1/runs/" + jobs[0].ID); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("job missing on owner: %v %v", err, resp.Status)
 	} else {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
-	if resp, err := http.Get(nodes[0].url + "/api/v1/runs/" + jobs[0].ID); err != nil || resp.StatusCode != http.StatusNotFound {
+	if resp, err := http.Get(nodes[0].ts.URL + "/api/v1/runs/" + jobs[0].ID); err != nil || resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("forwarded job unexpectedly present on non-owner: %v %v", err, resp.Status)
 	} else {
 		io.Copy(io.Discard, resp.Body)
@@ -214,19 +232,19 @@ func TestClusterForwardCoalesceAndServeEverywhere(t *testing.T) {
 
 	// Every node serves the result; non-owners fetch it from the peer
 	// once, then serve from their local store.
-	want, hdr := fetchCache(t, owner.url, key, 10*time.Second)
+	want, hdr := fetchCache(t, owner.ts.URL, key, 10*time.Second)
 	if hdr != "hit" {
 		t.Fatalf("owner cache header %q", hdr)
 	}
 	for _, other := range []*testNode{nodes[0], nodes[2]} {
-		got, hdr := fetchCache(t, other.url, key, 10*time.Second)
+		got, hdr := fetchCache(t, other.ts.URL, key, 10*time.Second)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("node %s served %d bytes, owner served %d — not byte-identical", other.url, len(got), len(want))
 		}
 		if hdr != "peer "+owner.url {
 			t.Fatalf("first fetch header %q, want peer %s", hdr, owner.url)
 		}
-		got2, hdr2 := fetchCache(t, other.url, key, time.Second)
+		got2, hdr2 := fetchCache(t, other.ts.URL, key, time.Second)
 		if !bytes.Equal(got2, want) || hdr2 != "hit" {
 			t.Fatalf("second fetch: header %q, %d bytes", hdr2, len(got2))
 		}
@@ -255,7 +273,7 @@ func TestClusterOwnerFailover(t *testing.T) {
 	})
 	key := req.CacheKey()
 
-	resp, _ := submitTo(t, nodes[0].url, req, "")
+	resp, _ := submitTo(t, nodes[0].ts.URL, req, "")
 	if resp.StatusCode != http.StatusAccepted || resp.Header.Get("X-Stardust-Served-By") != nodes[1].url {
 		t.Fatalf("initial submit: %d served by %q", resp.StatusCode, resp.Header.Get("X-Stardust-Served-By"))
 	}
@@ -264,21 +282,21 @@ func TestClusterOwnerFailover(t *testing.T) {
 	nodes[1].ts.Close()
 
 	// Resubmission from node 0 must land on the ring successor, node 2.
-	resp, job := submitTo(t, nodes[0].url, req, "")
+	resp, job := submitTo(t, nodes[0].ts.URL, req, "")
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("resubmit after owner death: %d", resp.StatusCode)
 	}
 	if got := resp.Header.Get("X-Stardust-Served-By"); got != nodes[2].url {
 		t.Fatalf("resubmission served by %q, want ring successor %s", got, nodes[2].url)
 	}
-	if resp, err := http.Get(nodes[2].url + "/api/v1/runs/" + job.ID); err != nil || resp.StatusCode != http.StatusOK {
+	if resp, err := http.Get(nodes[2].ts.URL + "/api/v1/runs/" + job.ID); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("job missing on successor: %v %v", err, resp.Status)
 	} else {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
 	// And the result is reachable from the submitting node.
-	if out, _ := fetchCache(t, nodes[0].url, key, 10*time.Second); len(out) == 0 {
+	if out, _ := fetchCache(t, nodes[0].ts.URL, key, 10*time.Second); len(out) == 0 {
 		t.Fatal("empty result after failover")
 	}
 	if st := nodes[0].node.Stats(); st.Fallbacks == 0 {
@@ -312,15 +330,15 @@ func TestClusterGreedyClientCannotStarve(t *testing.T) {
 
 	// Greedy takes 4 of 8 slots, then a fair client takes one.
 	for i := 0; i < 4; i++ {
-		if resp, _ := submitTo(t, nodes[0].url, reqs[i], "greedy"); resp.StatusCode != http.StatusAccepted {
+		if resp, _ := submitTo(t, nodes[0].ts.URL, reqs[i], "greedy"); resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("greedy submit %d: %d", i, resp.StatusCode)
 		}
 	}
-	if resp, _ := submitTo(t, nodes[0].url, reqs[4], "fair"); resp.StatusCode != http.StatusAccepted {
+	if resp, _ := submitTo(t, nodes[0].ts.URL, reqs[4], "fair"); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("fair submit: %d", resp.StatusCode)
 	}
 	// Greedy is at its share (ceil(8/2)=4): refused despite free slots.
-	resp, _ := submitTo(t, nodes[0].url, reqs[5], "greedy")
+	resp, _ := submitTo(t, nodes[0].ts.URL, reqs[5], "greedy")
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-share greedy submit: %d, want 429", resp.StatusCode)
 	}
@@ -329,7 +347,7 @@ func TestClusterGreedyClientCannotStarve(t *testing.T) {
 	}
 	// The fair client still gets its remaining share.
 	for i := 6; i < 9; i++ {
-		if resp, _ := submitTo(t, nodes[0].url, reqs[i], "fair"); resp.StatusCode != http.StatusAccepted {
+		if resp, _ := submitTo(t, nodes[0].ts.URL, reqs[i], "fair"); resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("fair submit %d: %d, greedy starved it", i, resp.StatusCode)
 		}
 	}
@@ -341,7 +359,7 @@ func TestClusterGreedyClientCannotStarve(t *testing.T) {
 // The cluster info endpoint reports membership, shares and counters.
 func TestClusterInfoEndpoint(t *testing.T) {
 	nodes := newTestCluster(t, 3, 4)
-	resp, err := http.Get(nodes[0].url + "/api/v1/cluster")
+	resp, err := http.Get(nodes[0].ts.URL + "/api/v1/cluster")
 	if err != nil {
 		t.Fatal(err)
 	}

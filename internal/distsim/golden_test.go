@@ -99,7 +99,7 @@ func TestGoldenDigests(t *testing.T) {
 		t.Fatalf("golden table has %d rows, the grid has %d", len(rows), want)
 	}
 	for _, row := range rows {
-		for _, shards := range []int{1, 2} {
+		for _, shards := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", row.Name, shards), func(t *testing.T) {
 				spec := row.Spec
 				spec.Shards = shards

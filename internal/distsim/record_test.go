@@ -81,7 +81,7 @@ func TestRecordShardInvariance(t *testing.T) {
 const goldenStreamSHA256 = "8c41db358b4429770f9c32798ae96f0139ecf1128fbbf16f109499aceb2ae10c"
 
 func TestGoldenStream(t *testing.T) {
-	for _, shards := range []int{1, 2} {
+	for _, shards := range []int{1, 2, 4} {
 		sum := sha256.Sum256(recordBytes(t, telemSpec(shards)))
 		if got := fmt.Sprintf("%x", sum); got != goldenStreamSHA256 {
 			t.Errorf("shards=%d: stream sha256 %s, recorded %s", shards, got, goldenStreamSHA256)

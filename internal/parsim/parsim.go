@@ -28,12 +28,54 @@
 // At/OnBarrier, when every shard is quiescent; their times are quantized
 // to window boundaries, which are a function of the lookahead only and
 // therefore identical for every shard count.
+//
+// Execution. A window's shards are independent, so the engine may run
+// them in any way it likes. One executor (runWindow) serves Run,
+// RunUntilQuiet and StepOwned: either the calling goroutine runs the
+// shards itself, one after the other (inline), or it hands each to a
+// worker goroutine and parks until they are done (fan-out). Fan-out buys
+// parallelism at the price of a hand-off and a wake-up per worker per
+// window; whether that pays is a property of the host and the load, not of
+// the model — on a 2-vCPU VM a two-shard K=8 Clos window of ~900 events
+// costs 50-68 ns per unit of work inline and 85-125 ns fanned out, while a
+// K=16 window of ~8,800 events costs ~200 ns inline and ~155 ns fanned
+// out. So the engine measures instead of being told: a governor times
+// every epoch of 32 windows (one clock read per epoch inside a long Run,
+// two more per call), divides by the events and windows executed, and
+// after `hold` epochs runs one probe epoch in the other mode; the probe
+// takes over only if it is more than 10 % cheaper — a smaller gap is
+// within what two identical epochs differ by — and every probe the
+// incumbent wins doubles hold, from 2 up to 256, so a 6,256-window run
+// spends 6 of its 195 epochs probing (3 %) and a long one under 0.4 %. An
+// epoch cut short by the end of a call is carried into the next call, not
+// sampled. The governor's few words live in the Engine and so survive the
+// many short Run and per-window StepOwned calls of a testbed or a
+// distributed peer. With a single shard to execute (a one-shard engine, a
+// distributed peer owning one shard, the coordinator owning none) there is
+// no choice: runWindow is a direct call, no worker exists and no clock is
+// read. There is no knob: Config carries nothing about execution.
+//
+// The choice cannot change results. Within a window a shard reads and
+// writes only its own state and its own outboxes; mailboxes are flushed,
+// hooks and controls run, after every shard has finished, by the caller,
+// in a fixed order. Which goroutine ran a shard, and whether two shards'
+// windows overlapped in time, is therefore unobservable to the model
+// (tests force each mode, and a mode flip every epoch, against the
+// recorded digests). Builds with the race detector bypass the governor
+// and fan out every multi-shard window, so `go test -race` always sees
+// the concurrent path in full, whatever the host would have chosen.
+//
+// Workers are scoped to one call: spawned at the call's first fanned
+// window, parked on their channels through inline epochs, closed on
+// return. Workers that outlived the call would need an explicit Close on
+// the Engine, and an abandoned Engine would leak them. Stats reports what
+// the governor did and the mailbox traffic it did it on.
 package parsim
 
 import (
 	"fmt"
 	"sort"
-	"sync"
+	"time"
 
 	"stardust/internal/sim"
 )
@@ -46,10 +88,6 @@ type Config struct {
 	// may take place less than one lookahead after the action that caused
 	// it. It must be positive.
 	Lookahead sim.Time
-	// Serial forces the shards' windows to run one after another on the
-	// calling goroutine instead of in parallel. The results are identical
-	// (a test asserts it); the switch exists for debugging and profiling.
-	Serial bool
 }
 
 // xmsg is one cross-shard event in flight: it is scheduled into the
@@ -121,13 +159,22 @@ type control struct {
 // Engine owns the shards and the window loop.
 type Engine struct {
 	look     sim.Time
-	serial   bool
 	shards   []*Shard
 	hooks    []func(now sim.Time)
 	ctls     []control
 	ctlSeq   int
 	now      sim.Time // end of the last completed window
 	inWindow bool
+
+	// Execution (see the package comment): the governor's numbers outlive
+	// every Run and StepOwned call, workers do not.
+	gov      governor
+	force    execForce        // tests only: overrides the governor and the race rule
+	clock    func() time.Time // the governor's clock; tests inject one
+	run      []*Shard         // StepOwned's scratch list of owned shards
+	fanned   uint64           // windows whose shards were handed to workers
+	mail     uint64           // cross-shard messages flushed or emitted
+	mailLess uint64           // windows whose flush moved nothing
 }
 
 // New builds an engine with cfg.Shards fresh simulators, all at time zero.
@@ -138,7 +185,7 @@ func New(cfg Config) *Engine {
 	if cfg.Lookahead <= 0 {
 		panic("parsim: lookahead must be positive")
 	}
-	e := &Engine{look: cfg.Lookahead, serial: cfg.Serial}
+	e := &Engine{look: cfg.Lookahead, clock: time.Now, gov: governor{hold: minHold}}
 	e.shards = make([]*Shard, cfg.Shards)
 	for i := range e.shards {
 		e.shards[i] = &Shard{
@@ -241,36 +288,50 @@ func (e *Engine) runControls(start sim.Time) {
 	}
 }
 
-// flush moves every outbox message into its destination heap, source
-// shards in index order, messages in send order. Same-lane messages can
-// only originate from one shard (a lane names one sending entity), so this
-// order is itself partition-independent; across lanes the heap key decides
-// and insertion order is irrelevant.
-func (e *Engine) flush() {
+// flush moves every outbox message towards its destination heap, source
+// shards in index order, messages in send order: straight into the heap
+// when the destination is owned (owned == nil owns every shard), through
+// emit otherwise. Same-lane messages can only originate from one shard (a
+// lane names one sending entity), so this order is itself
+// partition-independent; across lanes the heap key decides and insertion
+// order is irrelevant.
+func (e *Engine) flush(owned []bool, emit func(src, dst int, m Mail)) {
+	moved := 0
 	for _, src := range e.shards {
 		for dst, msgs := range src.out {
 			if len(msgs) == 0 {
 				continue
 			}
-			dsm := e.shards[dst].sm
-			for _, m := range msgs {
-				dsm.AtLane(m.at, m.lane, m.act, m.arg)
+			moved += len(msgs)
+			if owned == nil || owned[dst] {
+				dsm := e.shards[dst].sm
+				for _, m := range msgs {
+					dsm.AtLane(m.at, m.lane, m.act, m.arg)
+				}
+			} else {
+				for _, m := range msgs {
+					emit(src.id, dst, Mail{At: m.at, Lane: m.lane, Act: m.act, Arg: m.arg})
+				}
 			}
 			src.out[dst] = msgs[:0]
 		}
+	}
+	e.mail += uint64(moved)
+	if moved == 0 {
+		e.mailLess++
 	}
 }
 
 // Run advances every shard to the window boundary at or after until.
 func (e *Engine) Run(until sim.Time) {
-	e.advance(until, false)
+	e.loop(e.shards, nil, nil, e.ceil(until), false)
 }
 
 // RunUntilQuiet advances window by window until nothing remains to run or
 // the boundary at/after max is reached, and returns the synchronized time.
 // Use it to drain a simulation whose drivers have stopped scheduling.
 func (e *Engine) RunUntilQuiet(max sim.Time) sim.Time {
-	e.advance(max, true)
+	e.loop(e.shards, nil, nil, e.ceil(max), true)
 	return e.now
 }
 
@@ -336,7 +397,7 @@ func (e *Engine) DeliverMail(dst int, m Mail) {
 // StepOwned advances exactly one window — the distributed counterpart of
 // one iteration of Run's loop. It runs the controls due at the window
 // start, executes the window on every shard with owned[i] == true
-// (concurrently when there are several), advances unowned shards' clocks
+// (inline or fanned out, as in Run), advances unowned shards' clocks
 // without executing them, flushes the mailboxes — pairs inside the owned
 // set go straight to the destination heap, mail leaving it is handed to
 // emit in (source shard, send order) — and runs the barrier hooks. The
@@ -352,120 +413,60 @@ func (e *Engine) StepOwned(owned []bool, emit func(src, dst int, m Mail)) sim.Ti
 	if len(owned) != len(e.shards) {
 		panic("parsim: StepOwned ownership length does not match shard count")
 	}
-	start := e.now
-	end := start + e.look
-	e.runControls(start)
-	e.inWindow = true
-	nOwned := 0
-	for i := range e.shards {
-		if owned[i] {
-			nOwned++
-		}
-	}
-	if nOwned > 1 && !e.serial {
-		var wg sync.WaitGroup
-		for i, s := range e.shards {
-			if !owned[i] {
-				continue
-			}
-			wg.Add(1)
-			go func(s *Shard) {
-				s.sm.RunBefore(end)
-				wg.Done()
-			}(s)
-		}
-		wg.Wait()
-	} else {
-		for i, s := range e.shards {
-			if owned[i] {
-				s.sm.RunBefore(end)
-			}
-		}
-	}
+	e.run = e.run[:0]
 	for i, s := range e.shards {
-		if !owned[i] {
-			s.sm.SkipTo(end)
+		if owned[i] {
+			e.run = append(e.run, s)
 		}
 	}
-	e.inWindow = false
-	for _, src := range e.shards {
-		for dst, msgs := range src.out {
-			if len(msgs) == 0 {
-				continue
-			}
-			if owned[dst] {
-				dsm := e.shards[dst].sm
-				for _, m := range msgs {
-					dsm.AtLane(m.at, m.lane, m.act, m.arg)
-				}
-			} else {
-				for _, m := range msgs {
-					emit(src.id, dst, Mail{At: m.at, Lane: m.lane, Act: m.act, Arg: m.arg})
-				}
-			}
-			src.out[dst] = msgs[:0]
-		}
-	}
-	e.now = end
-	for _, fn := range e.hooks {
-		fn(end)
-	}
-	return end
+	e.loop(e.run, owned, emit, e.now+e.look, false)
+	return e.now
 }
 
-func (e *Engine) advance(until sim.Time, stopWhenQuiet bool) {
-	until = e.ceil(until)
-	parallel := len(e.shards) > 1 && !e.serial
-
-	// Workers live for one advance call, not for the Engine: persistent
-	// workers would need an explicit Close lifecycle (an abandoned Engine
-	// would leak goroutines parked on their channels), and the spawn cost
-	// is amortized over every window of the call.
-	var work []chan sim.Time
-	var wg sync.WaitGroup
-	if parallel && e.now < until {
-		work = make([]chan sim.Time, len(e.shards))
-		for i := range work {
-			ch := make(chan sim.Time)
-			work[i] = ch
-			go func(s *Shard) {
-				for end := range ch {
-					s.sm.RunBefore(end)
-					wg.Done()
-				}
-			}(e.shards[i])
-		}
-		defer func() {
-			for _, ch := range work {
-				close(ch)
-			}
-		}()
+// loop is the window loop behind Run, RunUntilQuiet and StepOwned: until
+// the boundary `until` (or, with stopWhenQuiet, until nothing remains to
+// run) it runs the due controls, executes one window on the shards in run
+// — every shard when owned is nil, else exactly the owned ones, the
+// others' clocks skipping ahead — flushes the mailboxes and runs the
+// barrier hooks.
+func (e *Engine) loop(run []*Shard, owned []bool, emit func(src, dst int, m Mail), until sim.Time, stopWhenQuiet bool) {
+	if e.now >= until {
+		return
 	}
-
+	// Call-scoped (see the package comment), and only where there is
+	// something to hand off: the pool escapes to its workers, and a
+	// one-shard call should not pay an allocation for it.
+	var pool *workers
+	if len(run) > 1 {
+		pool = new(workers)
+		defer pool.close()
+	}
+	timed := e.timed(run)
+	if timed {
+		e.gov.open(e.clock(), e.Processed())
+	}
 	for e.now < until {
-		start := e.now
-		end := start + e.look
-		e.runControls(start)
+		e.runControls(e.now)
 		if stopWhenQuiet && e.Quiet() {
-			return
+			break
 		}
-		e.inWindow = true
-		if parallel {
-			wg.Add(len(e.shards))
-			for _, ch := range work {
-				ch <- end
-			}
-			wg.Wait()
-		} else {
-			for _, s := range e.shards {
-				s.sm.RunBefore(end)
+		end := e.now + e.look
+		e.runWindow(run, end, pool)
+		for i, own := range owned {
+			if !own {
+				e.shards[i].sm.SkipTo(end)
 			}
 		}
-		e.inWindow = false
-		e.flush()
+		e.flush(owned, emit)
 		e.now = end
 		for _, fn := range e.hooks {
 			fn(end)
 		}
+		if timed {
+			e.tick()
+		}
+	}
+	if timed {
+		e.gov.close(e.clock(), e.Processed())
 	}
 }

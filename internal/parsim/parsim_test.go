@@ -1,6 +1,8 @@
 package parsim
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"stardust/internal/sim"
@@ -35,12 +37,25 @@ func (n *ringNode) Act(arg uint64) {
 	sched.AtLane(sched.Now()+n.delay, int32(n.idx), next, arg)
 }
 
-// runRing circulates tokens over `nodes` ring nodes split across shards
-// and returns the per-node digests.
-func runRing(t *testing.T, shards, nodeCount int, serial bool) []uint64 {
+// ringRun is everything a ring run can observe: the per-node digests and
+// the executed-event counts, which must not depend on the partitioning,
+// plus the split over shards and the barrier-context call log, which must
+// not depend on how a given partitioning's windows were executed.
+type ringRun struct {
+	digests []uint64
+	events  uint64
+	calls   []string // hook and control invocations, in order
+	stats   Stats    // incl. the per-shard event split
+}
+
+// runRing circulates tokens over nodeCount ring nodes split across shards
+// for `windows` windows — through Run, or one StepOwned per window with
+// every shard owned when step is set.
+func runRing(t *testing.T, shards, nodeCount, windows int, force execForce, step bool) ringRun {
 	t.Helper()
 	const look = sim.Microsecond
-	eng := New(Config{Shards: shards, Lookahead: look, Serial: serial})
+	eng := New(Config{Shards: shards, Lookahead: look})
+	eng.force = force
 	assign := make([]int, nodeCount)
 	for i := range assign {
 		assign[i] = i * shards / nodeCount
@@ -55,7 +70,7 @@ func runRing(t *testing.T, shards, nodeCount int, serial bool) []uint64 {
 	}
 	// Seed tokens at staggered instants; every node holds a per-token hop
 	// budget so tokens eventually park without any shared countdown.
-	const hops = 40
+	hops := windows - 20
 	for tok := uint64(0); tok < 8; tok++ {
 		for i := range nodes {
 			nodes[i].ttl[tok] = hops
@@ -64,28 +79,106 @@ func runRing(t *testing.T, shards, nodeCount int, serial bool) []uint64 {
 		nodes[start].eng.Shard(assign[start]).Sim().AtLane(
 			sim.Time(tok)*look/3, int32((start+nodeCount-1)%nodeCount), nodes[start], tok)
 	}
-	eng.Run(sim.Time(hops+20) * look)
-	out := make([]uint64, nodeCount)
-	for i, n := range nodes {
-		out[i] = n.digest
+	var r ringRun
+	seen := func() (n int) {
+		for _, nd := range nodes {
+			n += nd.seen
+		}
+		return n
 	}
-	return out
+	eng.OnBarrier(func(now sim.Time) {
+		if now%(7*look) == 0 {
+			r.calls = append(r.calls, fmt.Sprintf("hook@%d seen=%d", now, seen()))
+		}
+	})
+	for w := 5; w < windows; w += 13 {
+		eng.At(sim.Time(w)*look-look/2, func() {
+			r.calls = append(r.calls, fmt.Sprintf("ctl@%d seen=%d", eng.Now(), seen()))
+		})
+	}
+	if step {
+		owned := make([]bool, shards)
+		for i := range owned {
+			owned[i] = true
+		}
+		for w := 0; w < windows; w++ {
+			eng.StepOwned(owned, nil)
+		}
+	} else {
+		eng.Run(sim.Time(windows) * look)
+	}
+	for _, n := range nodes {
+		r.digests = append(r.digests, n.digest)
+	}
+	r.events, r.stats = eng.Processed(), eng.Stats()
+	return r
 }
 
 // The flagship property: the same model produces byte-identical state at
-// every shard count, parallel or serial.
+// every shard count.
 func TestRingDeterministicAcrossShardCounts(t *testing.T) {
-	ref := runRing(t, 1, 6, false)
+	ref := runRing(t, 1, 6, 60, forceNone, false)
 	for _, shards := range []int{2, 3, 4, 6} {
-		for _, serial := range []bool{false, true} {
-			got := runRing(t, shards, 6, serial)
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("shards=%d serial=%v: node %d digest %x, want %x",
-						shards, serial, i, got[i], ref[i])
+		got := runRing(t, shards, 6, 60, forceNone, false)
+		if !reflect.DeepEqual(got.digests, ref.digests) || got.events != ref.events {
+			t.Fatalf("shards=%d: digests %x (%d events), want %x (%d)",
+				shards, got.digests, got.events, ref.digests, ref.events)
+		}
+		if !reflect.DeepEqual(got.calls, ref.calls) {
+			t.Fatalf("shards=%d: barrier calls %v, want %v", shards, got.calls, ref.calls)
+		}
+	}
+}
+
+// How a window's shards are executed — inline, fanned out, or switching
+// between the two at epoch boundaries — is invisible to the model, through
+// Run and through StepOwned alike. (The same check over the golden fabric
+// specs is in modes_test.go.)
+func TestExecModesAgreeOnRing(t *testing.T) {
+	const windows = 5*epochWindows + 7
+	for _, shards := range []int{2, 3, 4} {
+		ref := runRing(t, shards, 12, windows, forceInline, false)
+		if ref.stats.Fanned != 0 || ref.stats.Mail == 0 {
+			t.Fatalf("shards=%d inline: %+v", shards, ref.stats)
+		}
+		for _, force := range []execForce{forceFanOut, forceAlternate} {
+			for _, step := range []bool{false, true} {
+				got := runRing(t, shards, 12, windows, force, step)
+				name := fmt.Sprintf("shards=%d force=%d step=%v", shards, force, step)
+				if !reflect.DeepEqual(got.digests, ref.digests) || got.events != ref.events ||
+					!reflect.DeepEqual(got.stats.ShardEvents, ref.stats.ShardEvents) {
+					t.Errorf("%s: digests %x events %d %v, inline %x %d %v", name,
+						got.digests, got.events, got.stats.ShardEvents, ref.digests, ref.events, ref.stats.ShardEvents)
+				}
+				if !reflect.DeepEqual(got.calls, ref.calls) {
+					t.Errorf("%s: barrier calls differ from inline:\n%v\n%v", name, got.calls, ref.calls)
+				}
+				if got.stats.Mail != ref.stats.Mail || got.stats.MailLess != ref.stats.MailLess {
+					t.Errorf("%s: mail %d/%d mail-less, inline %d/%d", name,
+						got.stats.Mail, got.stats.MailLess, ref.stats.Mail, ref.stats.MailLess)
+				}
+				wantFanned := uint64(windows)
+				if force == forceAlternate {
+					wantFanned = 2*epochWindows + 7 // epochs 1 and 3, and the 7 windows of epoch 5
+				}
+				if got.stats.Windows != windows || got.stats.Fanned != wantFanned {
+					t.Errorf("%s: %d windows, %d fanned, want %d and %d", name,
+						got.stats.Windows, got.stats.Fanned, windows, wantFanned)
 				}
 			}
 		}
+	}
+}
+
+// Under the race detector the governor is bypassed: every multi-shard
+// window takes the concurrent path, so -race sees it in full.
+func TestRaceBuildFansOutEveryWindow(t *testing.T) {
+	if !raceEnabled {
+		t.Skip("not a race build")
+	}
+	st := runRing(t, 3, 6, 100, forceNone, false).stats
+	if st.Windows != 100 || st.Fanned != st.Windows || st.Probes != 0 {
+		t.Fatalf("race build: %+v, want every window fanned and no probe", st)
 	}
 }
 

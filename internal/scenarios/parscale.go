@@ -11,6 +11,7 @@ import (
 	"stardust/internal/distsim"
 	"stardust/internal/engine"
 	"stardust/internal/fabric"
+	"stardust/internal/parsim"
 	"stardust/internal/sim"
 )
 
@@ -31,7 +32,7 @@ func digest64(h hash.Hash, v uint64) {
 // full fabric state, not just aggregate counts, across {workers}×{shards}.
 
 // parRun is the outcome of one sharded fabric run. Everything except wall
-// is a deterministic function of (seed, parameters) — independent of the
+// and exec is a deterministic function of (seed, parameters) — independent of the
 // shard count, which is the whole point.
 type parRun struct {
 	injected    uint64
@@ -43,6 +44,7 @@ type parRun struct {
 	wall        time.Duration
 	shardEvents []uint64
 	migrations  uint64
+	exec        parsim.Stats // how the engine executed the windows; in-process runs only
 }
 
 // parSpec assembles the distsim Spec shared by the parscale family: the
@@ -88,7 +90,9 @@ func runShardedFabric(spec distsim.Spec, rebalance bool) (parRun, error) {
 	if err != nil {
 		return parRun{}, err
 	}
-	return fromOutcome(out, time.Since(t0), m.Net.Migrations()), nil
+	r := fromOutcome(out, time.Since(t0), m.Net.Migrations())
+	r.exec = m.Eng.Stats()
+	return r, nil
 }
 
 // runDistFabric executes spec as a distributed coordinator: it listens on
@@ -242,7 +246,7 @@ func init() {
 			"cell":      "cell size in bytes",
 			"hotspot":   "boost factor for the first quarter of the FAs (>1 = skewed matrix, changes the offered traffic)",
 			"rebalance": "true enables adaptive shard rebalancing; every deterministic output stays byte-identical, only the per-shard split moves",
-			"timings":   "true adds wall-clock events/sec (total and per core) and speedup vs one shard — nondeterministic output, keep off when diffing runs",
+			"timings":   "true adds wall-clock events/sec (total and per core), speedup vs one shard and the engine's execution stats (windows, fanned, probes, switches, mail) — nondeterministic output, keep off when diffing runs",
 		},
 		Variants: parVariants,
 		Run: func(c engine.Context) (engine.Result, error) {
@@ -297,8 +301,11 @@ func init() {
 				res.Add("events_per_sec", evps, "1/s")
 				res.Add("events_per_sec_per_core", evps/float64(shards), "1/s")
 				res.Add("speedup_vs_1", speedup, "x")
-				fmt.Fprintf(&b, "  wall %v, %.0f events/sec (%.0f per core), %.2fx vs one shard (byte-identical digest)\n",
-					r.wall.Round(time.Millisecond), evps, evps/float64(shards), speedup)
+				st := r.exec
+				fmt.Fprintf(&b, "  wall %v, %.0f events/sec (%.0f per core), %.2fx vs one shard (byte-identical digest); "+
+					"%d windows, %d fanned, %d probes, %d switches, %.1f mail/window, %d mail-less\n",
+					r.wall.Round(time.Millisecond), evps, evps/float64(shards), speedup,
+					st.Windows, st.Fanned, st.Probes, st.Switches, float64(st.Mail)/float64(st.Windows), st.MailLess)
 			}
 			res.Text = b.String()
 			return res, nil
