@@ -73,7 +73,13 @@ func TestDevnetMatchesLocal(t *testing.T) {
 // outcome — digest included — to be byte-identical to the uninterrupted
 // single-process run.
 func TestDevnetKillRestore(t *testing.T) {
+	// The coordinator accounts windows behind the peers, which run ahead by
+	// what its reader queues and the socket buffers hold — a few hundred
+	// windows of DONE frames at most. Ten times the usual run makes window
+	// 150 of the coordinator's count mid-run for the peers whatever that
+	// lag is.
 	spec := devSpec()
+	spec.Dur = 2 * sim.Millisecond
 	want := localOutcome(t, spec)
 
 	l, err := distsim.Listen("127.0.0.1:0")
@@ -96,8 +102,9 @@ func TestDevnetKillRestore(t *testing.T) {
 		Peers:         2,
 		Rejoin:        true,
 		RejoinTimeout: 120 * time.Second,
-		// OnWindow runs on the coordinator's barrier loop, so the kill
-		// lands between two windows — mid-run, with live mail in flight.
+		// OnWindow runs on the coordinator's accounting loop while the
+		// peers exchange mail among themselves: the kill lands mid-window
+		// somewhere past window 150, with live mail in flight.
 		OnWindow: func(w int) {
 			if w == 150 && !killed {
 				killed = true

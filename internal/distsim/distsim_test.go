@@ -1,11 +1,14 @@
 package distsim
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"net"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -42,13 +45,31 @@ func localOutcome(t *testing.T, spec Spec) Outcome {
 	return out
 }
 
-func mustListen(t *testing.T) net.Listener {
+func mustListen(t testing.TB) net.Listener {
 	t.Helper()
 	l, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Skipf("loopback TCP unavailable: %v", err)
 	}
 	return l
+}
+
+// readFrame reads one frame off a bare connection, for the tests that
+// play a misbehaving peer by hand (they write with frame, wire_test.go).
+func readFrame(r io.Reader) (byte, []byte, error) {
+	return (&frameReader{r: r, limit: maxFrame}).read()
+}
+
+// dieOnce makes whoever holds peer id crash on reaching live window w —
+// once: its replacement, which gets the same id, runs through.
+func dieOnce(id, w int) *chaos {
+	var died atomic.Bool
+	return &chaos{at: func(peer, window int, ph phase) fault {
+		if peer == id && ph == phaseLive && window >= w && died.CompareAndSwap(false, true) {
+			return faultDie
+		}
+		return faultNone
+	}}
 }
 
 type serveResult struct {
@@ -60,32 +81,52 @@ type serveResult struct {
 // returns the coordinator's outcome.
 func serveWith(t *testing.T, spec Spec, npeers int, cfg CoordConfig) (Outcome, error) {
 	t.Helper()
+	return serveChaos(t, spec, npeers, npeers, cfg, nil)
+}
+
+// serveChaos is serveWith with dialers peers dialing in (the extra ones
+// are parked by the coordinator and become replacements when a slot
+// empties) and every peer running under the fault seam ch. It fails the
+// test when the coordinator or any peer is still running at the deadline:
+// whatever a test injects, nothing may hang.
+func serveChaos(t *testing.T, spec Spec, npeers, dialers int, cfg CoordConfig, ch *chaos) (Outcome, error) {
+	t.Helper()
 	l := mustListen(t)
 	addr := l.Addr().String()
 	cfg.Spec = spec
 	cfg.Peers = npeers
-	ch := make(chan serveResult, 1)
+	ch1 := make(chan serveResult, 1)
 	go func() {
 		out, err := Serve(l, cfg)
-		ch <- serveResult{out, err}
+		ch1 <- serveResult{out, err}
 	}()
-	for i := 0; i < npeers; i++ {
+	peersDone := make(chan struct{}, dialers)
+	for i := 0; i < dialers; i++ {
 		go func() {
+			defer func() { peersDone <- struct{}{} }()
 			conn, err := net.Dial("tcp", addr)
 			if err != nil {
 				return
 			}
 			defer conn.Close()
-			runPeerConn(conn, -1)
+			runPeerConn(conn, ch)
 		}()
 	}
+	deadline := time.After(120 * time.Second)
+	var r serveResult
 	select {
-	case r := <-ch:
-		return r.out, r.err
-	case <-time.After(120 * time.Second):
+	case r = <-ch1:
+	case <-deadline:
 		t.Fatal("distributed run deadlocked")
-		return Outcome{}, nil
 	}
+	for i := 0; i < dialers; i++ {
+		select {
+		case <-peersDone:
+		case <-deadline:
+			t.Fatal("a peer is still running after the coordinator returned")
+		}
+	}
+	return r.out, r.err
 }
 
 // TestStepOwnedMatchesRun pins the transport seam itself: driving the
@@ -127,30 +168,50 @@ func TestStepOwnedMatchesRun(t *testing.T) {
 }
 
 // TestDistributedMatchesLocal is the core guarantee: same seed, same
-// bytes, whether the shards are goroutines or remote peers — including
-// uneven partition maps and a fail/heal control schedule.
+// bytes, whether the shards are goroutines or remote peers — at every peer
+// count from one (no mesh at all) to one peer per shard, including uneven
+// partition maps (three peers over four shards: one peer runs two shards
+// through parsim's window executor), a fail/heal control schedule on every
+// replica, the non-Clos graphs, and with the telemetry stream on, whose
+// bytes must equal Record's.
 func TestDistributedMatchesLocal(t *testing.T) {
-	cases := []struct {
-		name   string
+	type specCase struct {
+		prefix string
 		spec   Spec
-		npeers int
-	}{
-		{"2peers", smallSpec(4), 2},
-		{"3peers-uneven", smallSpec(4), 3},
-		{"4peers", smallSpec(4), 4},
-		{"heal-2peers", healSpec(4), 2},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			want := localOutcome(t, tc.spec)
-			got, err := serveWith(t, tc.spec, tc.npeers, CoordConfig{})
-			if err != nil {
+	telem := healSpec(4)
+	telem.Telem = 20 * sim.Microsecond
+	specs := []specCase{
+		{"", smallSpec(4)},
+		{"heal-", healSpec(4)},
+		{"sshuffle-", topoSpec("sshuffle", "", 4)},
+		{"star-", topoSpec("star", "permutation", 4)},
+		{"telem-", telem},
+	}
+	suffix := map[int]string{1: "1peer", 2: "2peers", 3: "3peers-uneven", 4: "4peers"}
+	for _, sc := range specs {
+		want := localOutcome(t, sc.spec)
+		var wantStream bytes.Buffer
+		if sc.spec.Telem > 0 {
+			if _, err := Record(sc.spec, &wantStream); err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("distributed outcome diverged:\n got %+v\nwant %+v", got, want)
-			}
-		})
+		}
+		for npeers := 1; npeers <= 4; npeers++ {
+			t.Run(sc.prefix+suffix[npeers], func(t *testing.T) {
+				var stream bytes.Buffer
+				got, err := serveWith(t, sc.spec, npeers, CoordConfig{Stream: &stream, Stats: NewCoordStats()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("distributed outcome diverged:\n got %+v\nwant %+v", got, want)
+				}
+				if !bytes.Equal(stream.Bytes(), wantStream.Bytes()) {
+					t.Fatalf("distributed stream differs from Record's (%d vs %d bytes)", stream.Len(), wantStream.Len())
+				}
+			})
+		}
 	}
 }
 
@@ -169,8 +230,8 @@ func TestVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	hb, _ := json.Marshal(helloMsg{Version: 99})
-	if err := writeFrame(conn, tHello, hb, false); err != nil {
+	hb, _ := json.Marshal(helloMsg{Version: 99, Mesh: "127.0.0.1:1"})
+	if _, err := conn.Write(frame(t, tHello, hb, false)); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
@@ -206,8 +267,8 @@ func TestPartitionDisagreement(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	hb, _ := json.Marshal(helloMsg{Version: protoVersion})
-	if err := writeFrame(conn, tHello, hb, false); err != nil {
+	hb, _ := json.Marshal(helloMsg{Version: protoVersion, Mesh: "127.0.0.1:1"})
+	if _, err := conn.Write(frame(t, tHello, hb, false)); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
@@ -216,7 +277,7 @@ func TestPartitionDisagreement(t *testing.T) {
 		t.Fatalf("expected WELCOME, got type %d err %v", typ, err)
 	}
 	rb, _ := json.Marshal(readyMsg{Hash: 0xdeadbeef})
-	if err := writeFrame(conn, tReady, rb, false); err != nil {
+	if _, err := conn.Write(frame(t, tReady, rb, false)); err != nil {
 		t.Fatal(err)
 	}
 	typ, body, err := readFrame(conn)
@@ -240,28 +301,9 @@ func TestPartitionDisagreement(t *testing.T) {
 // the whole run with a deterministic error instead of deadlocking the
 // barrier.
 func TestMidWindowDisconnect(t *testing.T) {
-	l := mustListen(t)
-	addr := l.Addr().String()
-	ch := make(chan serveResult, 1)
-	go func() {
-		out, err := Serve(l, CoordConfig{Spec: smallSpec(2), Peers: 1})
-		ch <- serveResult{out, err}
-	}()
-	go func() {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		runPeerConn(conn, 3) // die on reaching window 3
-	}()
-	select {
-	case r := <-ch:
-		if r.err == nil || !strings.Contains(r.err.Error(), "disconnected at window") {
-			t.Fatalf("coordinator error = %v, want mid-window disconnect", r.err)
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("coordinator hung on mid-window disconnect")
+	_, err := serveChaos(t, smallSpec(2), 1, 1, CoordConfig{}, dieOnce(0, 3))
+	if err == nil || !strings.Contains(err.Error(), "disconnected at window") {
+		t.Fatalf("coordinator error = %v, want mid-window disconnect", err)
 	}
 }
 
@@ -293,7 +335,7 @@ func TestDoubleJoin(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		runPeerConn(conn, -1)
+		runPeerConn(conn, nil)
 	}()
 	<-started // the legitimate peer owns the run now
 	conn, err := net.Dial("tcp", addr)
@@ -301,8 +343,8 @@ func TestDoubleJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	hb, _ := json.Marshal(helloMsg{Version: protoVersion})
-	if err := writeFrame(conn, tHello, hb, false); err != nil {
+	hb, _ := json.Marshal(helloMsg{Version: protoVersion, Mesh: "127.0.0.1:1"})
+	if _, err := conn.Write(frame(t, tHello, hb, false)); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -324,52 +366,18 @@ func TestDoubleJoin(t *testing.T) {
 }
 
 // TestRejoinRestoresDigest: a peer dies mid-run, a replacement joins,
-// restores from the mail-log checkpoint by replay, and the final outcome
-// is byte-identical to the uninterrupted run.
+// every peer is brought back to the coordinator's window from the mail-log
+// checkpoint by replay, and the final outcome is byte-identical to the
+// uninterrupted run.
 func TestRejoinRestoresDigest(t *testing.T) {
 	spec := smallSpec(4)
 	want := localOutcome(t, spec)
-
-	l := mustListen(t)
-	addr := l.Addr().String()
-	ch := make(chan serveResult, 1)
-	go func() {
-		out, err := Serve(l, CoordConfig{Spec: spec, Peers: 2, Rejoin: true, RejoinTimeout: 60 * time.Second})
-		ch <- serveResult{out, err}
-	}()
-	// Peer 0 crashes at window 40; its death triggers the replacement.
-	go func() {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			return
-		}
-		runPeerConn(conn, 40)
-		conn.Close()
-		replacement, err := net.Dial("tcp", addr)
-		if err != nil {
-			return
-		}
-		defer replacement.Close()
-		runPeerConn(replacement, -1)
-	}()
-	go func() {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		runPeerConn(conn, -1)
-	}()
-	select {
-	case r := <-ch:
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-		if !reflect.DeepEqual(r.out, want) {
-			t.Fatalf("restored outcome diverged:\n got %+v\nwant %+v", r.out, want)
-		}
-	case <-time.After(120 * time.Second):
-		t.Fatal("restore run deadlocked")
+	got, err := serveChaos(t, spec, 2, 3, CoordConfig{Rejoin: true}, dieOnce(0, 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored outcome diverged:\n got %+v\nwant %+v", got, want)
 	}
 }
 

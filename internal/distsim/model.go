@@ -12,14 +12,17 @@
 // barrier-context code reading Now() behaves identically on every
 // replica. Barrier controls (link fail/heal schedules) run identically on
 // every replica; only the mailbox messages that leave a process's owned
-// shard set cross the wire, batched into one frame per peer per window.
+// shard set cross the wire, batched into one frame per neighbour per
+// window and sent straight to the peer that owns the destination shard.
 //
-// The coordinator is a devolved controller in the paper's sense: it owns
-// no shards, relays mail between peers in a star, drives the lock-step
-// window loop, and aggregates counters and the digest at the end. Its own
-// replica tracks the control schedule and administrative state, so it can
-// report control-replicated quantities (fabric.Replicated reachability)
-// itself.
+// The coordinator is a devolved controller in the paper's sense: like the
+// fabric's single management point it sits beside the data path, not in
+// it. It owns no shards and relays nothing; it brings the peers to a
+// common window (join and recovery), accounts the windows they report,
+// keeps the mail log and the telemetry stream, and aggregates counters and
+// the digest at the end. Its own replica tracks the control schedule and
+// administrative state, so it can report control-replicated quantities
+// (fabric.Replicated reachability) itself.
 package distsim
 
 import (

@@ -1,0 +1,369 @@
+package distsim
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"net"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"stardust/internal/sim"
+)
+
+// syncBuffer is a CoordConfig.Log sink the test may read after Serve.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// TestRecovery injects every kind of loss the mesh can suffer and holds
+// both halves of the contract: with Rejoin the run ends in the RunLocal
+// outcome (and really went through a recovery), without it in the
+// deterministic "disconnected at window" error — and either way inside
+// serveChaos's deadline, coordinator and every peer.
+func TestRecovery(t *testing.T) {
+	spec := smallSpec(4)
+	want := localOutcome(t, spec)
+	const npeers = 3
+
+	// cutOnce closes peer id's mesh link to its lowest neighbour at window
+	// w and leaves both coordinator connections alone.
+	cutOnce := func(id, w int) *chaos {
+		var cut atomic.Bool
+		return &chaos{at: func(peer, window int, ph phase) fault {
+			if peer == id && ph == phaseLive && window >= w && cut.CompareAndSwap(false, true) {
+				return faultCut
+			}
+			return faultNone
+		}}
+	}
+	// dieTwice kills peer id live at window w, then its replacement while
+	// that is replaying window w/2; the second replacement runs through.
+	dieTwice := func(id, w int) *chaos {
+		var deaths atomic.Int32
+		return &chaos{at: func(peer, window int, ph phase) fault {
+			if peer != id {
+				return faultNone
+			}
+			switch {
+			case ph == phaseLive && window >= w && deaths.CompareAndSwap(0, 1):
+				return faultDie
+			case ph == phaseReplay && window >= w/2 && deaths.CompareAndSwap(1, 2):
+				return faultDie
+			}
+			return faultNone
+		}}
+	}
+	cases := []struct {
+		name    string
+		chaos   func() *chaos
+		dialers int // npeers plus the replacements the case uses up
+	}{
+		{"kill-peer0", func() *chaos { return dieOnce(0, 100) }, npeers + 1},
+		{"kill-peer1", func() *chaos { return dieOnce(1, 100) }, npeers + 1},
+		{"kill-peer2", func() *chaos { return dieOnce(2, 100) }, npeers + 1},
+		{"kill-at-window-0", func() *chaos { return dieOnce(1, 0) }, npeers + 1},
+		// The peer has just flushed windows [0, 2*flushWindows) ...
+		{"kill-at-flush-boundary", func() *chaos { return dieOnce(1, 2*flushWindows) }, npeers + 1},
+		// ... or dies with half a batch of DONE frames still in its buffer.
+		{"kill-inside-unflushed-batch", func() *chaos { return dieOnce(1, 2*flushWindows+flushWindows/2) }, npeers + 1},
+		{"kill-replacement-during-replay", func() *chaos { return dieTwice(1, 120) }, npeers + 2},
+		{"cut-mesh-link", func() *chaos { return cutOnce(2, 90) }, npeers},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name+"/rejoin", func(t *testing.T) {
+			var log syncBuffer
+			got, err := serveChaos(t, spec, npeers, tc.dialers, CoordConfig{Rejoin: true, Log: &log}, tc.chaos())
+			if err != nil {
+				t.Fatalf("%v\n%s", err, log.String())
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("recovered outcome diverged:\n got %+v\nwant %+v", got, want)
+			}
+			if !strings.Contains(log.String(), "run restored from checkpoint") {
+				t.Fatalf("the fault was never injected: no recovery in the log\n%s", log.String())
+			}
+		})
+		t.Run(tc.name+"/abort", func(t *testing.T) {
+			_, err := serveChaos(t, spec, npeers, npeers, CoordConfig{}, tc.chaos())
+			if err == nil || !strings.Contains(err.Error(), "disconnected at window") {
+				t.Fatalf("coordinator error = %v, want a disconnect at a window", err)
+			}
+		})
+	}
+}
+
+// TestRecoveryAfterLastWindow: a peer that dies between its last DONE and
+// its REPORT is restored like any other — everybody replays the whole run
+// and reports again.
+func TestRecoveryAfterLastWindow(t *testing.T) {
+	spec := smallSpec(2)
+	want := localOutcome(t, spec)
+	var log syncBuffer
+	var died atomic.Bool
+	beforeReport := &chaos{at: func(peer, window int, ph phase) fault {
+		if peer == 1 && ph == phaseReport && died.CompareAndSwap(false, true) {
+			return faultDie
+		}
+		return faultNone
+	}}
+	got, err := serveChaos(t, spec, 2, 3, CoordConfig{Rejoin: true, Log: &log}, beforeReport)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, log.String())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered outcome diverged:\n got %+v\nwant %+v", got, want)
+	}
+	if !strings.Contains(log.String(), "run restored from checkpoint") {
+		t.Fatalf("the fault was never injected\n%s", log.String())
+	}
+}
+
+// TestRejoinGivesUp: a mesh that can never be built (peers that cannot
+// reach each other; here every mesh connection dies as it is made) must
+// not be recovered forever.
+func TestRejoinGivesUp(t *testing.T) {
+	unreachable := &chaos{tune: func(conn net.Conn) { conn.Close() }, meshWait: 200 * time.Millisecond}
+	_, err := serveChaos(t, smallSpec(2), 2, 2, CoordConfig{Rejoin: true}, unreachable)
+	if err == nil || !strings.Contains(err.Error(), "giving up") {
+		t.Fatalf("coordinator error = %v, want it to give up", err)
+	}
+}
+
+// TestCheckpointBytesPinned holds the on-disk checkpoint to the bytes the
+// star coordinator wrote (SHA-256 taken on the parent commit of the mesh
+// rewrite, healSpec(4) over two peers): the log the coordinator rebuilds
+// from the peers' DONE copies is exactly what the relay used to deliver.
+func TestCheckpointBytesPinned(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := serveWith(t, healSpec(4), 2, CoordConfig{CheckpointDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	for p, want := range []string{
+		"b8b13b9056dbe8ae6a613f139d0bedadec534e9e1d795a073f81ff5cdc847256",
+		"343cc2249da674a58592013f6894130e05686742f85e96c73df2780d3975e7e9",
+	} {
+		data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("peer%d.ckpt", p)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+			t.Errorf("peer%d.ckpt: %d bytes, sha256 %s, want %s", p, len(data), got, want)
+		}
+	}
+}
+
+// shrink gives a TCP connection the smallest socket buffers the kernel
+// allows, so that a few kilobytes in flight fill them.
+func shrink(conn net.Conn) {
+	if tc, ok := conn.(*net.TCPConn); ok {
+		tc.SetReadBuffer(1)
+		tc.SetWriteBuffer(1)
+	}
+}
+
+// shrunkListener hands the coordinator connections with shrunken buffers.
+type shrunkListener struct{ net.Listener }
+
+func (l shrunkListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err == nil {
+		shrink(conn)
+	}
+	return conn, err
+}
+
+// TestNoDeadlockAsymmetricDoneStream is the first deadlock the design
+// rules out (see peer.go): an incast makes a few peers mail much and the
+// victim's owner little, a kept log makes DONE carry the mail, and
+// shrunken buffers on every coordinator connection make the busy peers'
+// flushes block early. With one reader goroutine taking DONEs in window
+// order, or with a flush on bytes alone, this run hangs.
+func TestNoDeadlockAsymmetricDoneStream(t *testing.T) {
+	spec := smallSpec(4)
+	spec.Pattern = "incast"
+	want := localOutcome(t, spec)
+
+	l := mustListen(t)
+	addr := l.Addr().String()
+	res := make(chan serveResult, 1)
+	go func() {
+		out, err := Serve(shrunkListener{l}, CoordConfig{Spec: spec, Peers: 4, Rejoin: true})
+		res <- serveResult{out, err}
+	}()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			shrink(conn)
+			runPeerConn(conn, &chaos{tune: shrink})
+		}()
+	}
+	select {
+	case r := <-res:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if !reflect.DeepEqual(r.out, want) {
+			t.Fatalf("outcome diverged:\n got %+v\nwant %+v", r.out, want)
+		}
+	case <-time.After(120 * time.Second):
+		t.Fatal("incast run with shrunken coordinator buffers deadlocked")
+	}
+	wg.Wait()
+}
+
+// tcpPair returns two ends of one loopback TCP connection, both shrunk.
+func tcpPair(t *testing.T) (net.Conn, net.Conn) {
+	t.Helper()
+	l := mustListen(t)
+	defer l.Close()
+	type accepted struct {
+		conn net.Conn
+		err  error
+	}
+	ch := make(chan accepted, 1)
+	go func() {
+		conn, err := l.Accept()
+		ch <- accepted{conn, err}
+	}()
+	a, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := <-ch
+	if b.err != nil {
+		t.Fatal(b.err)
+	}
+	shrink(a)
+	shrink(b.conn)
+	t.Cleanup(func() { a.Close(); b.conn.Close() })
+	return a, b.conn
+}
+
+// TestNoDeadlockSymmetricExchange is the second: two peers that each write
+// an XCHG frame larger than the socket buffers between them before either
+// reads. The control shows the set-up can detect it — both ends writing
+// inline do block until their deadline — and then meshLink.send, which
+// hands a large frame to a goroutine and goes on to read, completes the
+// same exchange; a frame of meshInline bytes, written inline, must fit two
+// deep (a neighbour is at most two frames behind).
+func TestNoDeadlockSymmetricExchange(t *testing.T) {
+	// Incompressible, so the frame is as large on the wire as here.
+	big := make([]byte, 256<<10)
+	x := uint32(1)
+	for i := range big {
+		x = x*1664525 + 1013904223
+		big[i] = byte(x >> 24)
+	}
+	links := func() [2]*meshLink {
+		a, b := tcpPair(t)
+		var ls [2]*meshLink
+		for i, conn := range []net.Conn{a, b} {
+			pc := newPeerConn(conn, 0)
+			pc.trust()
+			ls[i] = &meshLink{id: 1 - i, pc: pc, sent: make(chan error, 1)}
+		}
+		return ls
+	}
+	exchange := func(ls [2]*meshLink, frames int, step func(l *meshLink) error) [2]error {
+		var errs [2]error
+		var wg sync.WaitGroup
+		for i, l := range ls {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for f := 0; f < frames && errs[i] == nil; f++ {
+					errs[i] = step(l)
+				}
+				for f := 0; f < frames && errs[i] == nil; f++ {
+					var body []byte
+					if _, body, errs[i] = l.pc.fr.read(); errs[i] == nil && len(body) != len(l.buf) {
+						errs[i] = fmt.Errorf("read %d bytes, want %d", len(body), len(l.buf))
+					}
+					if errs[i] == nil {
+						errs[i] = l.join()
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		return errs
+	}
+
+	control := links()
+	for _, l := range control {
+		l.buf = big
+		l.pc.conn.SetDeadline(time.Now().Add(time.Second))
+	}
+	if errs := exchange(control, 1, (*meshLink).writeOut); errs[0] == nil || errs[1] == nil {
+		t.Fatalf("control: two inline %d-byte writes did not block each other (%v, %v); the buffers are too large for this test", len(big), errs[0], errs[1])
+	}
+
+	// (Set after the connect, the small buffers bind loosely: 32 KiB was
+	// seen to fit, 64 KiB never. The control's quarter megabyte blocks for
+	// certain; 64 KiB keeps the real transfer, which crawls, short.)
+	large := links()
+	for _, l := range large {
+		l.buf = big[:64<<10]
+		l.pc.conn.SetDeadline(time.Now().Add(60 * time.Second))
+	}
+	if errs := exchange(large, 1, (*meshLink).send); errs[0] != nil || errs[1] != nil {
+		t.Fatalf("concurrent large exchange failed: %v, %v", errs[0], errs[1])
+	}
+
+	small := links()
+	for _, l := range small {
+		l.buf = big[:meshInline]
+		l.pc.conn.SetDeadline(time.Now().Add(60 * time.Second))
+	}
+	if errs := exchange(small, 2, (*meshLink).send); errs[0] != nil || errs[1] != nil {
+		t.Fatalf("two inline frames of meshInline bytes each way did not fit the smallest buffers: %v, %v", errs[0], errs[1])
+	}
+}
+
+// TestNoDeadlockShrunkenMesh runs a whole simulation whose XCHG frames
+// exceed meshInline (K=8 at high load: a few kilobytes of mail per window
+// each way) over mesh connections with shrunken buffers.
+func TestNoDeadlockShrunkenMesh(t *testing.T) {
+	spec := Spec{K: 8, Seed: 3, Shards: 2, Dur: 40 * sim.Microsecond, Load: 0.9, CellBytes: 512, Hotspot: 1}
+	want := localOutcome(t, spec)
+	stats := NewCoordStats()
+	got, err := serveChaos(t, spec, 2, 2, CoordConfig{Stats: stats}, &chaos{tune: shrink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("outcome diverged:\n got %+v\nwant %+v", got, want)
+	}
+	snap := stats.Snapshot()
+	if perPeer := snap.WindowMailBytes.Sum / float64(snap.Windows) / 2; perPeer <= meshInline {
+		t.Fatalf("spec too light for this test: %.0f mail bytes per peer per window over %d windows never exceed meshInline",
+			perPeer, snap.Windows)
+	}
+}

@@ -597,8 +597,9 @@ func (s *Server) replay(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// distsimStats serves the distributed coordinator's window-loop metrics
-// as JSON (the same counters /metrics renders in Prometheus form).
+// distsimStats serves the distributed runtime's metrics as JSON (the same
+// counters /metrics renders in Prometheus form): the coordinator's window
+// counts and, under "coord.peers", where each peer's wall time went.
 func (s *Server) distsimStats(w http.ResponseWriter, r *http.Request) {
 	snap := distsim.DefaultStats.Snapshot()
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -654,15 +655,31 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 	// this daemon coordinated), so they render with or without a fabric.
 	ds := distsim.DefaultStats.Snapshot()
 	counter("stardust_distsim_runs_total", "distributed runs coordinated", float64(ds.Runs))
-	counter("stardust_distsim_windows_total", "lock-step windows driven by the coordinator", float64(ds.Windows))
+	counter("stardust_distsim_windows_total", "lock-step windows accounted by the coordinator", float64(ds.Windows))
 	counter("stardust_distsim_telemetry_windows_total", "telemetry stream windows emitted by the coordinator", float64(ds.TelemetryWindows))
-	counter("stardust_distsim_mail_frames_total", "GO/DONE frames carrying cross-peer mail", float64(ds.MailFrames))
-	counter("stardust_distsim_mail_entries_total", "cross-peer mail entries relayed", float64(ds.MailEntries))
-	counter("stardust_distsim_raw_bytes_total", "frame body bytes before compression", float64(ds.RawBytes))
-	counter("stardust_distsim_wire_bytes_total", "bytes on the wire, frame headers included", float64(ds.WireBytes))
-	gauge("stardust_distsim_compression_ratio", "raw/wire byte ratio of coordinator traffic", ds.CompressionRatio)
-	telemetry.WriteProm(w, "stardust_distsim_barrier_seconds", "wall-clock latency of one lock-step window barrier", ds.BarrierLatency)
-	telemetry.WriteProm(w, "stardust_distsim_window_mail_bytes", "raw mail batch bytes relayed per window", ds.WindowMailBytes)
+	counter("stardust_distsim_mail_frames_total", "peer-to-peer XCHG frames carrying mail, as the peers report them", float64(ds.MailFrames))
+	counter("stardust_distsim_mail_entries_total", "cross-peer mail entries exchanged", float64(ds.MailEntries))
+	counter("stardust_distsim_raw_bytes_total", "frame bytes the peers wrote (mesh and coordinator stream), before compression", float64(ds.RawBytes))
+	counter("stardust_distsim_wire_bytes_total", "the same frames as they went on the wire", float64(ds.WireBytes))
+	gauge("stardust_distsim_compression_ratio", "raw/wire byte ratio of the peers' traffic", ds.CompressionRatio)
+	gauge("stardust_distsim_straggler", "peer the others spent longest waiting on (-1: nobody waited)", float64(ds.Straggler))
+	perPeer := func(name, help string, v func(distsim.PeerStats) float64) {
+		if len(ds.Peers) == 0 {
+			return
+		}
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
+		for _, p := range ds.Peers {
+			fmt.Fprintf(w, "%s{peer=\"%d\"} %g\n", name, p.Peer, v(p))
+		}
+	}
+	perPeer("stardust_distsim_peer_busy_seconds_total", "wall time a peer spent stepping its shards and in the mail codec",
+		func(p distsim.PeerStats) float64 { return p.Busy })
+	perPeer("stardust_distsim_peer_wait_seconds_total", "wall time a peer spent blocked on its neighbours' XCHG frames",
+		func(p distsim.PeerStats) float64 { return p.Wait })
+	perPeer("stardust_distsim_peer_waited_on_seconds_total", "wall time the other peers spent blocked on this peer",
+		func(p distsim.PeerStats) float64 { return p.WaitedOn })
+	telemetry.WriteProm(w, "stardust_distsim_barrier_seconds", "per-window mesh wait of one peer: from its own XCHG frames sent to everyone else's received", ds.BarrierLatency)
+	telemetry.WriteProm(w, "stardust_distsim_window_mail_bytes", "raw mail entry bytes the peers exchanged per window", ds.WindowMailBytes)
 	if s.run == nil {
 		return
 	}

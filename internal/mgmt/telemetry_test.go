@@ -249,6 +249,7 @@ func TestObservabilityMetricsFamilies(t *testing.T) {
 		"stardust_distsim_barrier_seconds_bucket",
 		"stardust_distsim_window_mail_bytes_bucket",
 		"stardust_distsim_compression_ratio",
+		"stardust_distsim_straggler",
 		"stardust_telemetry_windows_total",
 		"stardust_telemetry_stream_bytes",
 		"stardust_telemetry_findings_total",

@@ -45,6 +45,9 @@ type parRun struct {
 	shardEvents []uint64
 	migrations  uint64
 	exec        parsim.Stats // how the engine executed the windows; in-process runs only
+	// dist is where each peer's wall time went; distributed runs with
+	// timings only.
+	dist *distsim.CoordStatsSnapshot
 }
 
 // parSpec assembles the distsim Spec shared by the parscale family: the
@@ -100,7 +103,7 @@ func runShardedFabric(spec distsim.Spec, rebalance bool) (parRun, error) {
 // or devnet), and drives the run over the wire. The outcome is
 // byte-identical to runShardedFabric on the same spec — that equivalence
 // is what the distributed CI job diffs.
-func runDistFabric(spec distsim.Spec, c engine.Context) (parRun, error) {
+func runDistFabric(spec distsim.Spec, c engine.Context, timings bool) (parRun, error) {
 	l, err := distsim.Listen(c.DistListen)
 	if err != nil {
 		return parRun{}, err
@@ -108,16 +111,39 @@ func runDistFabric(spec distsim.Spec, c engine.Context) (parRun, error) {
 	// The resolved address goes to stderr: with -listen :0 the peers need
 	// it, and stdout must stay byte-identical to the in-process run.
 	fmt.Fprintf(os.Stderr, "distsim: coordinator listening on %s for %d peer(s)\n", l.Addr(), c.DistPeers)
+	// A run of its own accumulator can print its own clock; otherwise the
+	// process-wide one that /metrics renders takes it.
+	var stats *distsim.CoordStats
+	if timings {
+		stats = distsim.NewCoordStats()
+	}
 	t0 := time.Now()
 	out, err := distsim.Serve(l, distsim.CoordConfig{
 		Spec:   spec,
 		Peers:  c.DistPeers,
 		Rejoin: true,
+		Stats:  stats,
 	})
 	if err != nil {
 		return parRun{}, err
 	}
-	return fromOutcome(out, time.Since(t0), 0), nil
+	r := fromOutcome(out, time.Since(t0), 0)
+	if timings {
+		snap := stats.Snapshot()
+		r.dist = &snap
+	}
+	return r, nil
+}
+
+// distTimings renders where a distributed run's wall time went: per peer
+// the time stepping shards and in the codec (busy) and blocked on the
+// neighbours' XCHG frames (wait), and the peer the others waited on most.
+func distTimings(b *strings.Builder, r parRun) {
+	fmt.Fprintf(b, "  wall %v over %d peers, %d windows:", r.wall.Round(time.Millisecond), len(r.dist.Peers), r.dist.Windows)
+	for _, p := range r.dist.Peers {
+		fmt.Fprintf(b, " peer %d busy %.0fms wait %.0fms,", p.Peer, p.Busy*1e3, p.Wait*1e3)
+	}
+	fmt.Fprintf(b, " straggler %d\n", r.dist.Straggler)
 }
 
 // addShardSplit emits the per-shard event counts, the imbalance ratio
@@ -246,7 +272,7 @@ func init() {
 			"cell":      "cell size in bytes",
 			"hotspot":   "boost factor for the first quarter of the FAs (>1 = skewed matrix, changes the offered traffic)",
 			"rebalance": "true enables adaptive shard rebalancing; every deterministic output stays byte-identical, only the per-shard split moves",
-			"timings":   "true adds wall-clock events/sec (total and per core), speedup vs one shard and the engine's execution stats (windows, fanned, probes, switches, mail) — nondeterministic output, keep off when diffing runs",
+			"timings":   "true adds wall-clock events/sec (total and per core), speedup vs one shard and the engine's execution stats (windows, fanned, probes, switches, mail) — with -peers, each peer's busy and mesh-wait time and the straggler instead — nondeterministic output, keep off when diffing runs",
 		},
 		Variants: parVariants,
 		Run: func(c engine.Context) (engine.Result, error) {
@@ -265,10 +291,7 @@ func init() {
 				if rebalance {
 					return engine.Result{}, fmt.Errorf("parscale: adaptive rebalancing is in-process only (drop rebalance=true or -peers)")
 				}
-				if c.Params.Bool("timings", false) {
-					return engine.Result{}, fmt.Errorf("parscale: timings compare against an in-process reference and are unavailable with -peers")
-				}
-				r, err = runDistFabric(spec, c)
+				r, err = runDistFabric(spec, c, c.Params.Bool("timings", false))
 			} else {
 				r, err = runShardedFabric(spec, rebalance)
 			}
@@ -283,7 +306,9 @@ func init() {
 			if c.Params.Int("shards", 0) != 0 {
 				addShardSplit(&res, &b, r)
 			}
-			if c.Params.Bool("timings", false) {
+			if r.dist != nil {
+				distTimings(&b, r)
+			} else if c.Params.Bool("timings", false) {
 				ref := r
 				if shards != 1 {
 					ref1 := spec
@@ -346,7 +371,7 @@ func init() {
 			var r parRun
 			var err error
 			if c.DistPeers > 0 {
-				r, err = runDistFabric(spec, c)
+				r, err = runDistFabric(spec, c, false)
 			} else {
 				r, err = runShardedFabric(spec, false)
 			}

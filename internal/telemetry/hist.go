@@ -50,6 +50,23 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
+// Merge adds observations that were bucketed elsewhere against the same
+// bounds: counts is per bucket (+Inf last), sum their total. It reports
+// false, and adds nothing, when the bucket count does not match.
+func (h *Histogram) Merge(counts []uint64, sum float64) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(counts) != len(h.counts) {
+		return false
+	}
+	for i, c := range counts {
+		h.counts[i] += c
+		h.n += c
+	}
+	h.sum += sum
+	return true
+}
+
 // HistSnapshot is a point-in-time copy of a histogram.
 type HistSnapshot struct {
 	Bounds []float64
