@@ -10,8 +10,8 @@ import (
 	"stardust/internal/workload"
 )
 
-// Regression suite for StardustNet.TotalDrops/FabricDrops under
-// UseFabric: for every fabric=true htsim scenario shape, every packet
+// Regression suite for StardustNet.TotalDrops/FabricDrops over the
+// per-link fabric: for every fabric=true htsim scenario shape, every packet
 // handed to the substrate must be accounted at drain —
 //
 //	injected == delivered + queue/VOQ drops + reassembly-timeout discards
@@ -34,8 +34,9 @@ func (c *pktCounter) Receive(p *netsim.Packet) {
 }
 
 // runConservation drives the flow matrix with finite TCP flows over the
-// per-link fabric, optionally failing links mid-run, and checks the
-// accounting identities at drain.
+// per-link fabric (one shard: the two packet counters are shared by every
+// flow), optionally failing links mid-run, and checks the accounting
+// identities at drain.
 func runConservation(t *testing.T, name string, flows []workload.Flow, flowBytes int64, failLinks []int) {
 	t.Helper()
 	cfg := QuickHtsim()
@@ -49,10 +50,10 @@ func runConservation(t *testing.T, name string, flows []workload.Flow, flowBytes
 	tcfg := tcp.DefaultConfig()
 	tcfg.MSS = cfg.MSS
 	for i, fl := range flows {
-		f := tcp.NewSource(tb.s, tcfg, fmt.Sprintf("%s-%d", name, i), flowBytes, nil)
+		f := tcp.NewSource(tb.sim(fl.Src), tcfg, fmt.Sprintf("%s-%d", name, i), flowBytes, nil)
 		fwd := append([]netsim.Handler{&injected}, tb.route(fl.Src, fl.Dst, 0)...)
 		rev := append([]netsim.Handler{&injected}, tb.route(fl.Dst, fl.Src, 0)...)
-		sink := tcp.NewSink(tb.s, tcfg, f, append(rev, &delivered, tcp.Ack))
+		sink := tcp.NewSink(tb.sim(fl.Dst), tcfg, f, append(rev, &delivered, tcp.Ack))
 		f.SetRoute(append(fwd, &delivered, sink))
 		f.StartAt(sim.Time(i) * sim.Microsecond)
 		sources = append(sources, f)
@@ -60,12 +61,12 @@ func runConservation(t *testing.T, name string, flows []workload.Flow, flowBytes
 	if len(failLinks) > 0 {
 		// Fail early enough to land mid-transfer so dead-link cell losses
 		// and reassembly discards are part of what is balanced.
-		tb.s.At(300*sim.Microsecond, func() {
+		tb.eng.At(300*sim.Microsecond, func() {
 			for _, lk := range failLinks {
 				tb.fab.FailLink(lk)
 			}
 		})
-		tb.s.At(1500*sim.Microsecond, func() {
+		tb.eng.At(1500*sim.Microsecond, func() {
 			for _, lk := range failLinks {
 				tb.fab.RestoreLink(lk)
 			}
@@ -81,34 +82,35 @@ func runConservation(t *testing.T, name string, flows []workload.Flow, flowBytes
 		}
 		return true
 	}
-	for tb.s.Now() < deadline && !done() {
-		tb.s.RunUntil(tb.s.Now() + 5*sim.Millisecond)
+	for tb.now() < deadline && !done() {
+		tb.runUntil(tb.now() + 5*sim.Millisecond)
 	}
 	if !done() {
 		t.Fatalf("%s: flows did not complete within the budget", name)
 	}
 	// Grace: let duplicate ACKs, stragglers and reassembly timers settle so
 	// nothing is in flight when the books are balanced.
-	tb.s.RunUntil(tb.s.Now() + 5*sim.Millisecond)
+	tb.runUntil(tb.now() + 5*sim.Millisecond)
 
-	sd := tb.sd
-	packetDrops := sd.TotalDrops() - sd.FabricDrops() // queue + VOQ tail-drops
-	if injected.n != delivered.n+packetDrops+sd.ReasmTimeouts {
+	var tc netsim.TransportCounters
+	tb.sd.ReadCounters(&tc)
+	packetDrops := tb.sd.TotalDrops() - tc.FabricDrops // queue + VOQ tail-drops
+	if injected.n != delivered.n+packetDrops+tc.ReasmTimeouts {
 		t.Fatalf("%s: packet conservation violated: %d injected != %d delivered + %d dropped + %d discarded",
-			name, injected.n, delivered.n, packetDrops, sd.ReasmTimeouts)
+			name, injected.n, delivered.n, packetDrops, tc.ReasmTimeouts)
 	}
-	if sd.CellsSent != sd.CellsDelivered+sd.FabricDrops() {
+	if tc.CellsSent != tc.CellsDelivered+tc.FabricDrops {
 		t.Fatalf("%s: cell conservation violated: %d sent != %d delivered + %d fabric drops",
-			name, sd.CellsSent, sd.CellsDelivered, sd.FabricDrops())
+			name, tc.CellsSent, tc.CellsDelivered, tc.FabricDrops)
 	}
 	if len(failLinks) == 0 {
-		if sd.FabricDrops() != 0 {
-			t.Fatalf("%s: healthy fabric dropped %d cells", name, sd.FabricDrops())
+		if tc.FabricDrops != 0 {
+			t.Fatalf("%s: healthy fabric dropped %d cells", name, tc.FabricDrops)
 		}
-		if sd.ReasmTimeouts != 0 {
-			t.Fatalf("%s: healthy run discarded %d packets", name, sd.ReasmTimeouts)
+		if tc.ReasmTimeouts != 0 {
+			t.Fatalf("%s: healthy run discarded %d packets", name, tc.ReasmTimeouts)
 		}
-	} else if sd.FabricDrops() == 0 {
+	} else if tc.FabricDrops == 0 {
 		// The whole point of the failure case is balancing the books with
 		// real losses in them; a painless outage means the schedule missed.
 		t.Fatalf("%s: link failures produced no cell losses", name)

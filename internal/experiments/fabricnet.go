@@ -144,7 +144,6 @@ type FailureResult struct {
 // the dip and the self-healing recovery (§5.9, Appendix E).
 func FabricFailures(cfg HtsimConfig, nFail int, failAt, bin sim.Time) (*FailureResult, error) {
 	cfg.FullFabric = true
-	cfg.Shards = 0 // FailLink fires mid-run outside barrier context: solo only
 	tb, err := newTestbed(cfg, ProtoStardust)
 	if err != nil {
 		return nil, err
@@ -169,7 +168,7 @@ func FabricFailures(cfg HtsimConfig, nFail int, failAt, bin sim.Time) (*FailureR
 	}
 	victims := tb.rng.Perm(tb.fab.NumLinks())[:nFail]
 
-	tb.s.RunUntil(cfg.Warmup)
+	tb.runUntil(cfg.Warmup)
 	res := &FailureResult{FailedLinks: nFail, BinMs: bin.Seconds() * 1e3, FailBin: -1}
 	prev := delivered()
 	failed := false
@@ -181,7 +180,7 @@ func FabricFailures(cfg HtsimConfig, nFail int, failAt, bin sim.Time) (*FailureR
 			failed = true
 			res.FailBin = len(res.Gbps)
 		}
-		tb.s.RunUntil(t + bin)
+		tb.runUntil(t + bin)
 		now := delivered()
 		res.Gbps = append(res.Gbps, (now-prev)*8/bin.Seconds()/1e9)
 		prev = now
@@ -219,7 +218,7 @@ func FabricFailures(cfg HtsimConfig, nFail int, failAt, bin sim.Time) (*FailureR
 	}
 	res.Unreachable = tb.fab.UnreachablePairs()
 	res.FabricDrops = tb.fab.Drops()
-	res.ReasmTimeouts = tb.sd.ReasmTimeouts
+	res.ReasmTimeouts = tb.sd.ReasmTimeouts()
 	return res, nil
 }
 

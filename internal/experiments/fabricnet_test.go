@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
 	"stardust/internal/sim"
@@ -82,11 +83,14 @@ func TestFabricFailuresRecovery(t *testing.T) {
 	}
 }
 
-// Byte-identical determinism across runs: the engine's guarantee must
-// extend to the new fabric experiments.
+// Byte-identical determinism across runs and across executors: the
+// engine's guarantee must extend to the fabric experiments, and Shards
+// (0 means 1) must not change a result — including the failure run, whose
+// FailLink calls land between engine runs.
 func TestFabricExperimentsDeterministic(t *testing.T) {
-	cfg := quickFabricCfg()
-	run := func() (float64, float64) {
+	run := func(shards int) (*LinkLoadResult, *FailureResult) {
+		cfg := quickFabricCfg()
+		cfg.Shards = shards
 		l, err := LinkLoad(cfg, "spray")
 		if err != nil {
 			t.Fatal(err)
@@ -95,12 +99,11 @@ func TestFabricExperimentsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return l.MeanBytes, f.RecoveredGbps
+		return l, f
 	}
-	a1, b1 := run()
-	a2, b2 := run()
-	if a1 != a2 || b1 != b2 {
-		t.Fatalf("nondeterministic: (%v,%v) vs (%v,%v)", a1, b1, a2, b2)
+	l0, f0 := run(0)
+	if l, f := run(4); !reflect.DeepEqual(l, l0) || !reflect.DeepEqual(f, f0) {
+		t.Fatalf("shards=4 differs from shards=0:\n%+v %+v\n%+v %+v", l, f, l0, f0)
 	}
 }
 

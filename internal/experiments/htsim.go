@@ -48,12 +48,12 @@ type HtsimConfig struct {
 	// with the topology-faithful per-link fabric (internal/fabric): every
 	// FE device and serial link simulated, cells sprayed per link.
 	FullFabric bool
-	// Shards, when >= 1 together with FullFabric, runs the Stardust
-	// substrate sharded: fabric devices, VOQs, credit schedulers and TCP
-	// endpoints partitioned across that many parsim event loops, with
-	// byte-identical results at any shard count for the same seed. 0 keeps
-	// the classic single event loop. Only the Stardust protocol shards;
-	// the fat-tree contenders always run solo.
+	// Shards is the number of parsim event loops a FullFabric run
+	// partitions the fabric devices, VOQs, credit schedulers and TCP
+	// endpoints across; anything below 1 means 1, and the results are
+	// byte-identical at any count for the same seed. It chooses an
+	// executor, never a model. Ignored by the fluid trunk and the fat-tree
+	// contenders, which run on one event loop.
 	Shards int
 	Seed   int64
 }
@@ -81,21 +81,21 @@ func QuickHtsim() HtsimConfig {
 }
 
 // testbed wires either the fat-tree (for the TCP variants) or the Stardust
-// substrate — solo or sharded — and hands out per-flow route builders.
+// substrate — on one event loop over the fluid trunk, or on a parsim engine
+// over the per-link fabric — and hands out per-flow route builders.
 type testbed struct {
 	cfg   HtsimConfig
-	s     *sim.Simulator
+	s     *sim.Simulator // the one event loop; nil iff eng is not
 	ft    *netsim.FatTreeNet
-	sd    *netsim.StardustNet        // solo Stardust substrate
-	ssd   *netsim.ShardedStardustNet // sharded Stardust substrate (FullFabric && Shards >= 1)
-	eng   *parsim.Engine             // non-nil iff ssd is
-	fab   *fabric.Net                // non-nil when cfg.FullFabric selected the per-link fabric
+	sd    *netsim.StardustNet
+	eng   *parsim.Engine // non-nil iff cfg.FullFabric selected the per-link fabric
+	fab   *fabric.Net    // the per-link fabric, non-nil iff eng is
 	hosts int
 	rng   *rand.Rand
 }
 
 func newTestbed(cfg HtsimConfig, proto Protocol) (*testbed, error) {
-	tb := &testbed{cfg: cfg, s: sim.New(), rng: rand.New(rand.NewSource(cfg.Seed))}
+	tb := &testbed{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 	switch proto {
 	case ProtoStardust:
 		hostsPer := cfg.K / 2 // hosts per edge device in a k-ary fat-tree
@@ -108,50 +108,31 @@ func newTestbed(cfg HtsimConfig, proto Protocol) (*testbed, error) {
 		if cfg.StardustSpeedup > 0 {
 			sdc.SpeedUp = cfg.StardustSpeedup
 		}
-		hosts := cfg.K * cfg.K * cfg.K / 4
-		if cfg.FullFabric && cfg.Shards >= 1 {
-			// Sharded end-to-end run: the engine's lookahead is the link
-			// delay (the fabric's synchronization horizon) and the whole
-			// transport is partitioned by edge FA.
-			cl, err := fabric.ClosFor(cfg.K)
+		tb.hosts = cfg.K * cfg.K * cfg.K / 4
+		if !cfg.FullFabric {
+			tb.s = sim.New()
+			sd, err := netsim.NewStardustNet(tb.s, sdc, tb.hosts, hostsPer)
 			if err != nil {
 				return nil, err
 			}
-			eng := parsim.New(parsim.Config{Shards: cfg.Shards, Lookahead: ftc.LinkDelay})
-			fcfg := fabric.DefaultConfig(netsim.Bps(float64(ftc.LinkRate)*1.05), ftc.LinkDelay, cfg.Seed)
-			fn, err := fabric.NewSharded(eng, fcfg, cl, nil)
-			if err != nil {
-				return nil, err
-			}
-			ssd, err := netsim.NewShardedStardustNet(fn, sdc, hosts, hostsPer)
-			if err != nil {
-				return nil, err
-			}
-			tb.eng, tb.ssd, tb.fab = eng, ssd, fn
-			tb.s = eng.Shard(0).Sim()
-			tb.hosts = hosts
+			tb.sd = sd
 			return tb, nil
 		}
-		sd, err := netsim.NewStardustNet(tb.s, sdc, hosts, hostsPer)
+		// The engine's lookahead is the link delay (the fabric's
+		// synchronization horizon) and the whole transport is partitioned
+		// by edge FA.
+		cl, err := fabric.ClosFor(cfg.K)
 		if err != nil {
 			return nil, err
 		}
-		if cfg.FullFabric {
-			cl, err := fabric.ClosFor(cfg.K)
-			if err != nil {
-				return nil, err
-			}
-			fcfg := fabric.DefaultConfig(netsim.Bps(float64(ftc.LinkRate)*1.05), ftc.LinkDelay, cfg.Seed)
-			fn, err := fabric.New(tb.s, fcfg, cl)
-			if err != nil {
-				return nil, err
-			}
-			fn.OnDeliver = sd.DeliverCell
-			sd.UseFabric(fn)
-			tb.fab = fn
+		tb.eng = parsim.New(parsim.Config{Shards: max(cfg.Shards, 1), Lookahead: ftc.LinkDelay})
+		fcfg := fabric.DefaultConfig(netsim.Bps(float64(ftc.LinkRate)*1.05), ftc.LinkDelay, cfg.Seed)
+		if tb.fab, err = fabric.NewSharded(tb.eng, fcfg, cl, nil); err != nil {
+			return nil, err
 		}
-		tb.sd = sd
-		tb.hosts = hosts
+		if tb.sd, err = netsim.NewShardedStardustNet(tb.fab, sdc, tb.hosts, hostsPer); err != nil {
+			return nil, err
+		}
 	default:
 		ftc := netsim.DefaultFatTree()
 		ftc.K = cfg.K
@@ -159,6 +140,7 @@ func newTestbed(cfg HtsimConfig, proto Protocol) (*testbed, error) {
 		if proto == ProtoDCTCP || proto == ProtoDCQCN {
 			ftc.ECNThreshPkt = cfg.ECNThreshPkt
 		}
+		tb.s = sim.New()
 		ft, err := netsim.NewFatTreeNet(tb.s, ftc)
 		if err != nil {
 			return nil, err
@@ -174,17 +156,14 @@ func (tb *testbed) linkRate() float64 {
 	if tb.ft != nil {
 		return float64(tb.ft.Cfg.LinkRate)
 	}
-	if tb.ssd != nil {
-		return float64(tb.ssd.Cfg.HostRate)
-	}
 	return float64(tb.sd.Cfg.HostRate)
 }
 
 // sim returns the event heap host h's endpoints must run on: the shard
 // the host is pinned to in a sharded run, the single loop otherwise.
 func (tb *testbed) sim(h int) *sim.Simulator {
-	if tb.ssd != nil {
-		return tb.ssd.HostSim(h)
+	if tb.sd != nil {
+		return tb.sd.HostSim(h)
 	}
 	return tb.s
 }
@@ -211,9 +190,6 @@ func (tb *testbed) runUntil(t sim.Time) {
 // routes returns a forward route (without the endpoint) for one path
 // choice of the flow.
 func (tb *testbed) route(src, dst, choice int) []netsim.Handler {
-	if tb.ssd != nil {
-		return tb.ssd.Route(src, dst)
-	}
 	if tb.sd != nil {
 		return tb.sd.Route(src, dst)
 	}
@@ -337,24 +313,17 @@ func Permutation(cfg HtsimConfig, proto Protocol) (*PermutationResult, error) {
 	}
 	sort.Float64s(res.Gbps)
 	res.MeanUtilPct = 100 * sum / (float64(tb.hosts) * linkRate / 1e9)
-	switch {
-	case tb.ft != nil:
+	if tb.ft != nil {
 		res.FabricDrops = tb.ft.TotalDrops()
-	case tb.ssd != nil:
-		res.FabricDrops = tb.ssd.FabricDrops()
-		var tc netsim.TransportCounters
-		tb.ssd.ReadCounters(&tc)
-		res.CellsSent = tc.CellsSent
-		res.CreditsSent = tc.CreditsSent
-		res.VOQDrops = tc.VOQDrops
-		res.ReasmTimeouts = tc.ReasmTimeouts
-	default:
-		res.FabricDrops = tb.sd.FabricDrops()
-		res.CellsSent = tb.sd.CellsSent
-		res.CreditsSent = tb.sd.CreditsSent
-		res.VOQDrops = tb.sd.VOQDrops
-		res.ReasmTimeouts = tb.sd.ReasmTimeouts
+		return res, nil
 	}
+	var tc netsim.TransportCounters
+	tb.sd.ReadCounters(&tc)
+	res.FabricDrops = tc.FabricDrops
+	res.CellsSent = tc.CellsSent
+	res.CreditsSent = tc.CreditsSent
+	res.VOQDrops = tc.VOQDrops
+	res.ReasmTimeouts = tc.ReasmTimeouts
 	return res, nil
 }
 

@@ -418,7 +418,7 @@ func TestStardustTransportInOrderUnderFailures(t *testing.T) {
 	if total == 0 {
 		t.Fatal("nothing delivered")
 	}
-	if sd.ReasmTimeouts == 0 && fab.Drops() > 0 {
-		t.Logf("note: %d fabric drops, %d reassembly timeouts", fab.Drops(), sd.ReasmTimeouts)
+	if sd.ReasmTimeouts() == 0 && fab.Drops() > 0 {
+		t.Logf("note: %d fabric drops, %d reassembly timeouts", fab.Drops(), sd.ReasmTimeouts())
 	}
 }

@@ -88,9 +88,9 @@ type FabricRun struct {
 	Sim   *sim.Simulator
 	Fab   *fabric.Net
 	Ctl   *Controller
-	Eng   *parsim.Engine             // non-nil when the run is sharded
-	Net   *netsim.ShardedStardustNet // non-nil when the transport overlay is on
-	Trans *TransportMonitor          // barrier-scraped transport telemetry
+	Eng   *parsim.Engine      // non-nil when the run is sharded
+	Net   *netsim.StardustNet // non-nil when the transport overlay is on
+	Trans *TransportMonitor   // barrier-scraped transport telemetry
 
 	// Telemetry pipeline (all nil/zero unless Cfg.Telem > 0): the STREC1
 	// recorder, the capped in-memory stream it writes, the live analyzer

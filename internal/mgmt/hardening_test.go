@@ -136,13 +136,16 @@ func TestGreedyClientCannotStarve(t *testing.T) {
 	ts := httptest.NewServer(NewServer(q, nil))
 	t.Cleanup(ts.Close)
 
-	post := func(client string, seed int64) *http.Response {
+	tryPost := func(client string, seed int64) (*http.Response, error) {
 		blob, _ := json.Marshal(RunRequest{
 			Scenario: "mgmttest/sleep", Params: engine.Params{"ms": "50"}, Seed: seed,
 		})
 		req, _ := http.NewRequest("POST", ts.URL+"/api/v1/runs", bytes.NewReader(blob))
 		req.Header.Set("X-Stardust-Client", client)
-		resp, err := http.DefaultClient.Do(req)
+		return http.DefaultClient.Do(req)
+	}
+	post := func(client string, seed int64) *http.Response { // test goroutine only
+		resp, err := tryPost(client, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,16 +174,28 @@ func TestGreedyClientCannotStarve(t *testing.T) {
 	}
 	// The fair client keeps retrying while greedy keeps flooding; it must
 	// be admitted well before the greedy backlog would have drained.
-	stop := make(chan struct{})
-	defer close(stop)
+	// The flooder is joined before the test returns: t.Cleanup closes the
+	// server, and a POST still in flight then fails with a refused or reset
+	// connection.
+	stop, flooded := make(chan struct{}), make(chan struct{})
+	defer func() { close(stop); <-flooded }()
 	go func() {
+		defer close(flooded)
 		for gs := int64(1000); ; gs++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			resp := post("greedy", gs)
+			resp, err := tryPost("greedy", gs)
+			if err != nil {
+				select {
+				case <-stop: // the test is over; nothing left to flood
+				default:
+					t.Error(err)
+				}
+				return
+			}
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			time.Sleep(5 * time.Millisecond)

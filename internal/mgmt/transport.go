@@ -21,13 +21,13 @@ type TransportStats struct {
 	netsim.TransportCounters
 }
 
-// TransportMonitor scrapes a ShardedStardustNet's counters in the parsim
+// TransportMonitor scrapes a StardustNet's counters in the parsim
 // engine's barrier context — every shard quiescent at a synchronized
 // instant — exactly like the fabric controller's AttachSharded path, so a
 // live sharded transport is race-free under -race and its telemetry is
 // identical at every shard count.
 type TransportMonitor struct {
-	net   *netsim.ShardedStardustNet
+	net   *netsim.StardustNet
 	every sim.Time
 	next  sim.Time
 
@@ -35,10 +35,10 @@ type TransportMonitor struct {
 	stats TransportStats
 }
 
-// AttachTransport registers the barrier scrape on the transport's engine.
-// every <= 0 defaults to one simulated millisecond. Call it before the
-// engine runs.
-func AttachTransport(n *netsim.ShardedStardustNet, every sim.Time) *TransportMonitor {
+// AttachTransport registers the barrier scrape on the transport's engine
+// (n must be placed on one: netsim.NewShardedStardustNet). every <= 0
+// defaults to one simulated millisecond. Call it before the engine runs.
+func AttachTransport(n *netsim.StardustNet, every sim.Time) *TransportMonitor {
 	if every <= 0 {
 		every = sim.Millisecond
 	}

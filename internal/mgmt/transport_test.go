@@ -10,7 +10,7 @@ import (
 )
 
 // Tests for the sharded transport telemetry path: the barrier scrape of
-// the ShardedStardustNet's per-shard counters must be synchronized by the
+// the StardustNet's per-shard counters must be synchronized by the
 // parsim window barrier, exactly like the fabric scrape.
 //
 // The latent race this guards against: TransportMonitor reading the

@@ -14,7 +14,7 @@ import (
 	"stardust/internal/sim"
 )
 
-// Property/invariant harness for the sharded Stardust transport:
+// Property/invariant harness for the Stardust transport:
 // randomized host counts, traffic matrices and fail/heal programs drive
 // raw packets through the full VOQ → credit → cell → reassembly pipeline,
 // with every packet carrying a unique id so its fate (delivered in order,
@@ -22,7 +22,7 @@ import (
 // exactly. The same program runs at shards ∈ {1, 2, 4} and the canonical
 // digests must be byte-identical — the transport extension of the fabric
 // determinism contract, verified rather than assumed — and the loss-free
-// variant is cross-checked against the solo StardustNet's delivered set.
+// variant is cross-checked against the single-simulator placement.
 
 // flowRec records one flow's deliveries. The terminal route hop runs
 // pinned to the destination host's shard, so no locking is needed; the
@@ -321,12 +321,14 @@ func TestTransportPropertyInvariants(t *testing.T) {
 	}
 }
 
-// TestShardedTransportMatchesSolo cross-checks the sharded transport
-// against the solo StardustNet over the solo per-link fabric: with no
-// failures both must deliver every injected packet, per flow, in order —
-// the delivered sets must be identical (the two engines break
-// same-instant ties differently, so only the sets and per-flow order are
-// comparable, not event interleavings).
+// TestShardedTransportMatchesSolo cross-checks the two placements of the
+// transport: every host on one bare Simulator over the solo per-link
+// fabric (fabric.New: default-lane pipes, eager link completions) against
+// four shards over the engine-built one. With no failures both must
+// deliver every injected packet exactly once, per flow, in order, with no
+// reassembly discard (the two fabrics break same-instant ties differently,
+// so only the sets and per-flow order are comparable, not event
+// interleavings).
 func TestShardedTransportMatchesSolo(t *testing.T) {
 	const seed = 11
 	const k = 4
@@ -339,24 +341,20 @@ func TestShardedTransportMatchesSolo(t *testing.T) {
 	const packets = 60
 	const size = 4000
 
-	// Per-flow delivery logs indexed by source host: each log is written
-	// only by its own flow's terminal handler (pinned to one shard), so
-	// the slice-of-slices needs no locking.
-	type delivery = [][]uint64
-
-	program := func(route func(src, dst int) []netsim.Handler,
-		schedule func(src int, at sim.Time, fire func())) delivery {
-		got := make(delivery, hosts)
+	// run drives the same program through net — per-flow delivery logs
+	// indexed by source host, each written only by its own flow's terminal
+	// handler (pinned to one shard), so the slice-of-slices needs no locking.
+	run := func(name string, net *netsim.StardustNet, advance func(sim.Time)) {
+		got := make([][]uint64, hosts)
 		for src := 0; src < hosts; src++ {
 			src := src
-			dst := (src + 3) % hosts
-			r := append(route(src, dst), netsim.HandlerFunc(func(p *netsim.Packet) {
+			r := append(net.Route(src, (src+3)%hosts), netsim.HandlerFunc(func(p *netsim.Packet) {
 				got[src] = append(got[src], uint64(p.Seq))
 				p.Release()
 			}))
 			for i := 0; i < packets; i++ {
 				id := uint64(src)<<32 | uint64(i+1)
-				schedule(src, sim.Time(i)*10*sim.Microsecond, func() {
+				net.HostSim(src).AtLaneFunc(sim.Time(i)*10*sim.Microsecond, 0, func() {
 					p := netsim.NewPacket()
 					p.Size = size
 					p.Seq = int64(id)
@@ -365,28 +363,45 @@ func TestShardedTransportMatchesSolo(t *testing.T) {
 				})
 			}
 		}
-		return got
+		advance(20 * sim.Millisecond)
+		for src := range got {
+			if len(got[src]) != packets {
+				t.Fatalf("%s flow %d delivered %d of %d (drops %d, timeouts %d)",
+					name, src, len(got[src]), packets, net.TotalDrops(), net.ReasmTimeouts())
+			}
+			for i, id := range got[src] {
+				if want := uint64(src)<<32 | uint64(i+1); id != want {
+					t.Fatalf("%s flow %d delivery %d: id %x, want %x", name, src, i, id, want)
+				}
+			}
+		}
+		if net.ReasmTimeouts() != 0 || net.TotalDrops() != 0 || net.InFlight() != 0 {
+			t.Fatalf("%s loss-free run: %d timeouts, %d drops, %d in flight",
+				name, net.ReasmTimeouts(), net.TotalDrops(), net.InFlight())
+		}
+		if err := net.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 
-	// Solo reference: StardustNet over the classic single-loop fabric.
+	fcfg := fabric.DefaultConfig(netsim.Bps(10e9*1.05), sim.Microsecond, seed)
+	sdc := netsim.DefaultStardust(10e9, cl.FAUplinks, sim.Microsecond)
+
 	s := sim.New()
-	soloFab, err := fabric.New(s, fabric.DefaultConfig(netsim.Bps(10e9*1.05), sim.Microsecond, seed), cl)
+	soloFab, err := fabric.New(s, fcfg, cl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sdc := netsim.DefaultStardust(10e9, cl.FAUplinks, sim.Microsecond)
 	solo, err := netsim.NewStardustNet(s, sdc, hosts, hostsPer)
 	if err != nil {
 		t.Fatal(err)
 	}
 	soloFab.OnDeliver = solo.DeliverCell
 	solo.UseFabric(soloFab)
-	soloGot := program(solo.Route, func(_ int, at sim.Time, fire func()) { s.At(at, fire) })
-	s.RunUntil(20 * sim.Millisecond)
+	run("single-simulator", solo, s.RunUntil)
 
-	// Sharded run of the same program at 4 shards.
 	eng := parsim.New(parsim.Config{Shards: 4, Lookahead: sim.Microsecond})
-	shFab, err := fabric.NewSharded(eng, fabric.DefaultConfig(netsim.Bps(10e9*1.05), sim.Microsecond, seed), cl, nil)
+	shFab, err := fabric.NewSharded(eng, fcfg, cl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,26 +409,99 @@ func TestShardedTransportMatchesSolo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shGot := program(sh.Route, func(src int, at sim.Time, fire func()) {
-		sh.HostSim(src).AtLaneFunc(at, 0, fire)
-	})
-	eng.Run(20 * sim.Millisecond)
+	run("4-shard", sh, eng.Run)
+}
 
-	for src := 0; src < hosts; src++ {
-		if len(soloGot[src]) != packets {
-			t.Fatalf("solo flow %d delivered %d of %d", src, len(soloGot[src]), packets)
-		}
-		if len(shGot[src]) != packets {
-			t.Fatalf("sharded flow %d delivered %d of %d (fabric drops %d, timeouts %d)",
-				src, len(shGot[src]), packets, sh.FabricDrops(), sh.ReasmTimeouts())
-		}
-		for i := range soloGot[src] {
-			if soloGot[src][i] != shGot[src][i] {
-				t.Fatalf("flow %d delivery %d: solo id %x vs sharded %x", src, i, soloGot[src][i], shGot[src][i])
-			}
-		}
+// TestSingleSimulatorFluidTrunkFates exercises what only the engine
+// placement used to have — credit conservation (CheckInvariants) and the
+// OnVOQDrop / OnReasmDiscard packet-fate hooks — on the single-simulator
+// entry over its default fluid trunk: shallow VOQs tail-drop part of an
+// incast, and a trunk too small for a cell loses every cell of what does
+// ship, so the reassembly timer settles those. Every injected id must be
+// accounted exactly once.
+func TestSingleSimulatorFluidTrunkFates(t *testing.T) {
+	cases := []struct {
+		name       string
+		trunkBytes int
+		wantFate   string
+	}{
+		{"healthy", 1 << 20, "delivered"},
+		{"trunk-loses-all", 256, "discarded"},
 	}
-	if sh.ReasmTimeouts() != 0 || solo.ReasmTimeouts != 0 {
-		t.Fatalf("loss-free run discarded packets: solo %d, sharded %d", solo.ReasmTimeouts, sh.ReasmTimeouts())
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New()
+			cfg := netsim.DefaultStardust(10e9, 2, sim.Microsecond)
+			cfg.VOQBytes = 4 * 9000
+			cfg.TrunkBytes = tc.trunkBytes
+			net, err := netsim.NewStardustNet(s, cfg, 4, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fate := map[int64]string{}
+			settle := func(what string) func(*netsim.Packet) {
+				return func(p *netsim.Packet) {
+					if prev, dup := fate[p.Seq]; dup {
+						t.Errorf("packet %d %s after being %s", p.Seq, what, prev)
+					}
+					fate[p.Seq] = what
+				}
+			}
+			net.OnVOQDrop = settle("voq-dropped")
+			net.OnReasmDiscard = settle("discarded")
+			deliver := settle("delivered")
+			// Three line-rate bursts converge on host 3's port (one from its
+			// own FA): credits arrive at a third of the rate each 36000B
+			// VOQ fills at.
+			const burst, srcs = 12, 3
+			for src := 0; src < srcs; src++ {
+				route := append(net.Route(src, 3), netsim.HandlerFunc(func(p *netsim.Packet) {
+					deliver(p)
+					p.Release()
+				}))
+				for i := 1; i <= burst; i++ {
+					p := netsim.NewPacket()
+					p.Size = 9000
+					p.Seq = int64(src*100 + i)
+					p.SetRoute(route)
+					p.SendOn()
+				}
+			}
+			for step := 0; step < 20; step++ {
+				s.RunUntil(s.Now() + 100*sim.Microsecond)
+				if err := net.CheckInvariants(); err != nil {
+					t.Fatalf("t=%d: %v", s.Now(), err)
+				}
+			}
+			s.RunUntil(5 * sim.Millisecond)
+			if err := net.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if got := net.InFlight(); got != 0 {
+				t.Fatalf("%d packets still in flight at drain", got)
+			}
+			count := map[string]uint64{}
+			for _, f := range fate {
+				count[f]++
+			}
+			if len(fate) != burst*srcs {
+				t.Fatalf("%d fates for %d packets: %v", len(fate), burst*srcs, count)
+			}
+			var c netsim.TransportCounters
+			net.ReadCounters(&c)
+			if count["voq-dropped"] == 0 || count["voq-dropped"] != c.VOQDrops {
+				t.Fatalf("hook saw %d VOQ drops, counter %d (want > 0)", count["voq-dropped"], c.VOQDrops)
+			}
+			if count["discarded"] != c.ReasmTimeouts {
+				t.Fatalf("hook saw %d discards, counter %d", count["discarded"], c.ReasmTimeouts)
+			}
+			if count[tc.wantFate] != burst*srcs-c.VOQDrops {
+				t.Fatalf("want every admitted packet %s: %v", tc.wantFate, count)
+			}
+			if c.CellsDelivered+c.FabricDrops != c.CellsSent {
+				t.Fatalf("cell leak: %d delivered + %d lost != %d sent", c.CellsDelivered, c.FabricDrops, c.CellsSent)
+			}
+		})
 	}
 }

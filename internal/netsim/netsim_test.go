@@ -140,12 +140,12 @@ func TestStardustSubstrateDelivers(t *testing.T) {
 	if net.FabricDrops() != 0 {
 		t.Fatal("fabric dropped cells")
 	}
-	if net.CellsSent == 0 || net.CreditsSent == 0 {
+	if net.CellsSent() == 0 || net.CreditsSent() == 0 {
 		t.Fatal("no cells or credits recorded")
 	}
 	// 9000B packets over 504B payload cells: 18 cells each.
-	if net.CellsSent != 20*18 {
-		t.Fatalf("cells sent = %d, want 360", net.CellsSent)
+	if net.CellsSent() != 20*18 {
+		t.Fatalf("cells sent = %d, want 360", net.CellsSent())
 	}
 }
 

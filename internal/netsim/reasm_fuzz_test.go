@@ -15,7 +15,8 @@ import (
 //   - every shipped packet's fate is settled exactly once — delivered or
 //     discarded by the reassembly timer (delivered + timeouts == shipped);
 //   - cell conservation (delivered + dropped == sent);
-//   - no leaked reasmState: every VOQ's flight ring drains empty.
+//   - nothing leaks: every VOQ and in-order stream drains empty
+//     (InFlight) with its credit books balanced (CheckInvariants).
 
 // scriptedFabric implements CellFabric with a byte program: each injected
 // cell consumes one op. op ≡ 0 (mod 8) loses the cell; anything else
@@ -112,25 +113,25 @@ func FuzzReassembly(f *testing.F) {
 		for _, r := range recs {
 			delivered += r.delivered
 		}
-		if delivered+n.ReasmTimeouts != uint64(shipped) {
+		var tc TransportCounters
+		n.ReadCounters(&tc)
+		if delivered+tc.ReasmTimeouts != uint64(shipped) {
 			t.Fatalf("packet fates: %d delivered + %d timed out != %d shipped",
-				delivered, n.ReasmTimeouts, shipped)
+				delivered, tc.ReasmTimeouts, shipped)
 		}
-		if n.CellsDelivered+fab.dropped != n.CellsSent {
+		if tc.CellsDelivered+fab.dropped != tc.CellsSent {
 			t.Fatalf("cell leak: %d delivered + %d dropped != %d sent",
-				n.CellsDelivered, fab.dropped, n.CellsSent)
+				tc.CellsDelivered, fab.dropped, tc.CellsSent)
 		}
-		if fab.sent != n.CellsSent {
-			t.Fatalf("fabric saw %d cells, net sent %d", fab.sent, n.CellsSent)
+		if fab.sent != tc.CellsSent {
+			t.Fatalf("fabric saw %d cells, net sent %d", fab.sent, tc.CellsSent)
 		}
-		// No leaked reassembly state: every VOQ's in-order stream drained.
-		for key, v := range n.voqs {
-			if v.flight.len() != 0 {
-				t.Fatalf("voq %v leaked %d reasmStates in its flight ring", key, v.flight.len())
-			}
-			if v.q.len() != 0 {
-				t.Fatalf("voq %v still holds %d queued packets", key, v.q.len())
-			}
+		// No leaked reassembly state or queued packet, and no credit leak.
+		if got := n.InFlight(); got != 0 {
+			t.Fatalf("%d packets still queued in VOQs or flight rings", got)
+		}
+		if err := n.CheckInvariants(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -22,7 +22,7 @@ import (
 // migrations: its chain starts group-tagged (ScheduleHost) and re-resolves
 // the host's shard per event instead of caching a Simulator.
 type rebalFlow struct {
-	net   *netsim.ShardedStardustNet
+	net   *netsim.StardustNet
 	fi    int
 	src   int
 	route []netsim.Handler

@@ -46,15 +46,15 @@ func TestReasmTimerFiresWithoutLaterCompletions(t *testing.T) {
 	if got.Packets != 0 {
 		t.Fatal("a fully-lost packet was delivered")
 	}
-	if n.ReasmTimeouts != 1 {
-		t.Fatalf("ReasmTimeouts = %d, want 1 (timer-driven discard)", n.ReasmTimeouts)
+	if n.ReasmTimeouts() != 1 {
+		t.Fatalf("ReasmTimeouts = %d, want 1 (timer-driven discard)", n.ReasmTimeouts())
 	}
 	if n.FabricDrops() != bh.dropped {
 		t.Fatalf("FabricDrops = %d, want %d", n.FabricDrops(), bh.dropped)
 	}
 }
 
-// With the fluid trunk (no fabric installed) nothing is lost and the
+// With the default fluid trunk nothing is lost and the
 // timer must never discard anything.
 func TestReasmTimerIdleOnHealthyPath(t *testing.T) {
 	s := sim.New()
@@ -75,7 +75,7 @@ func TestReasmTimerIdleOnHealthyPath(t *testing.T) {
 	if got.Packets != 5 {
 		t.Fatalf("delivered %d of 5", got.Packets)
 	}
-	if n.ReasmTimeouts != 0 {
-		t.Fatalf("healthy path discarded %d packets", n.ReasmTimeouts)
+	if n.ReasmTimeouts() != 0 {
+		t.Fatalf("healthy path discarded %d packets", n.ReasmTimeouts())
 	}
 }

@@ -196,11 +196,19 @@ func ByName(name string, k int) (Graph, error) {
 	}
 }
 
+// maxSpecSize bounds what ParseSpec will build: a spec string arrives in
+// stream headers, handshakes and flags, and a constructor allocates
+// whatever size it claims. Far above anything this repository builds.
+const maxSpecSize = 1 << 20
+
 // ParseSpec rebuilds a Graph from its canonical Spec string. Round-trip
 // invariant: ParseSpec(g.Spec()).Spec() == g.Spec() for every Graph this
 // package builds. Unknown families and malformed parameters are errors —
 // a telemetry stream or distsim handshake carrying a spec this build
-// cannot reproduce must fail loudly, not mislabel the data.
+// cannot reproduce must fail loudly, not mislabel the data — and so is a
+// non-positive dimension or a graph of more than maxSpecSize devices or
+// links, checked before anything is allocated. The Graph is nil whenever
+// the error is not.
 func ParseSpec(spec string) (Graph, error) {
 	family := spec
 	rest := ""
@@ -221,46 +229,74 @@ func ParseSpec(spec string) (Graph, error) {
 			kv[f[:eq]] = v
 		}
 	}
+	// need checks the parameter set and that every dimension (all but a
+	// seed) lies in [1, maxSpecSize], which also keeps the size products
+	// below inside int64.
 	need := func(keys ...string) error {
 		if len(kv) != len(keys) {
 			return fmt.Errorf("topo: spec %q wants exactly parameters %v", spec, keys)
 		}
 		for _, k := range keys {
-			if _, ok := kv[k]; !ok {
+			v, ok := kv[k]
+			if !ok {
 				return fmt.Errorf("topo: spec %q missing parameter %q", spec, k)
+			}
+			if k != "seed" && (v < 1 || v > maxSpecSize) {
+				return fmt.Errorf("topo: spec %q parameter %s=%d outside [1, %d]", spec, k, v, maxSpecSize)
 			}
 		}
 		return nil
 	}
+	p := func(key string) int { return int(kv[key]) }
+	var (
+		err            error
+		devices, links int64
+		build          func() (Graph, error)
+	)
 	switch family {
 	case "clos":
-		if err := need("k"); err != nil {
-			return nil, err
-		}
-		return ClosForK(int(kv["k"]))
+		err = need("k")
+		k := kv["k"]
+		devices, links = k*k/2+2*k, k*k*k/4+(k+3)/4*k*k
+		build = func() (Graph, error) { return built(ClosForK(p("k"))) }
 	case "clos1":
-		if err := need("fa", "up", "fe1"); err != nil {
-			return nil, err
-		}
-		return NewClos1(int(kv["fa"]), int(kv["up"]), int(kv["fe1"]))
+		err = need("fa", "up", "fe1")
+		devices, links = kv["fa"]+kv["fe1"], kv["fa"]*kv["up"]
+		build = func() (Graph, error) { return built(NewClos1(p("fa"), p("up"), p("fe1"))) }
 	case "clos2":
-		if err := need("fa", "up", "fe1", "dn", "fe1up", "fe2"); err != nil {
-			return nil, err
+		err = need("fa", "up", "fe1", "dn", "fe1up", "fe2")
+		devices, links = kv["fa"]+kv["fe1"]+kv["fe2"], kv["fa"]*kv["up"]+kv["fe1"]*kv["fe1up"]
+		build = func() (Graph, error) {
+			return built(NewClos2(p("fa"), p("up"), p("fe1"), p("dn"), p("fe1up"), p("fe2")))
 		}
-		return NewClos2(int(kv["fa"]), int(kv["up"]), int(kv["fe1"]), int(kv["dn"]), int(kv["fe1up"]), int(kv["fe2"]))
 	case "sshuffle":
-		if err := need("n", "s", "seed"); err != nil {
-			return nil, err
-		}
-		return NewSpaceShuffle(int(kv["n"]), int(kv["s"]), kv["seed"])
+		err = need("n", "s", "seed")
+		devices, links = kv["n"], kv["n"]*kv["s"]
+		build = func() (Graph, error) { return built(NewSpaceShuffle(p("n"), p("s"), kv["seed"])) }
 	case "star":
-		if err := need("m", "d"); err != nil {
-			return nil, err
-		}
-		return NewStarReplaced(int(kv["m"]), int(kv["d"]))
+		err = need("m", "d")
+		devices, links = kv["m"]*(1+kv["d"]), kv["m"]*kv["d"]*3/2
+		build = func() (Graph, error) { return built(NewStarReplaced(p("m"), p("d"))) }
 	default:
-		return nil, fmt.Errorf("topo: unknown topology family %q in spec %q", family, spec)
+		err = fmt.Errorf("topo: unknown topology family %q in spec %q", family, spec)
 	}
+	if err != nil {
+		return nil, err
+	}
+	if devices > maxSpecSize || links > maxSpecSize {
+		return nil, fmt.Errorf("topo: spec %q describes %d devices and %d links, above the limit of %d",
+			spec, devices, links, maxSpecSize)
+	}
+	return build()
+}
+
+// built turns a constructor's (concrete graph, error) into (Graph, error)
+// without wrapping a nil pointer in a non-nil interface.
+func built[G Graph](g G, err error) (Graph, error) {
+	if err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 // ValidateGraph checks the structural invariants every Graph must hold:

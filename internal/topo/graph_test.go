@@ -62,9 +62,18 @@ func TestSpecRoundTrip(t *testing.T) {
 }
 
 func TestParseSpecRejectsUnknown(t *testing.T) {
-	for _, spec := range []string{"hypercube:d=4", "clos:k=5", "sshuffle:n=8", "clos:k=abc", "star:m=4,d=3", ""} {
-		if _, err := ParseSpec(spec); err == nil {
+	for _, spec := range []string{
+		"hypercube:d=4", "clos:k=5", "sshuffle:n=8", "clos:k=abc", "star:m=4,d=3", "",
+		// Non-positive and oversize dimensions: refused before building.
+		"clos:k=-4", "clos:k=4000", "sshuffle:n=50000000,s=3,seed=1", "star:m=3000000,d=4",
+		"clos2:fa=0,up=0,fe1=0,dn=0,fe1up=1,fe2=1",
+	} {
+		g, err := ParseSpec(spec)
+		if err == nil {
 			t.Errorf("ParseSpec(%q) should fail", spec)
+		}
+		if g != nil { // a nil *Clos inside a non-nil Graph would pass an `if g != nil` guard and crash
+			t.Errorf("ParseSpec(%q) = %T alongside an error, want an untyped nil", spec, g)
 		}
 	}
 }
