@@ -21,7 +21,6 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"syscall"
 	"time"
 
 	"stardust/internal/loadgen"
@@ -30,16 +29,6 @@ import (
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "stardust-loadgen: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-// raiseNoFile lifts the open-file soft limit to the hard limit: 10⁵
-// concurrent connections need 10⁵+ descriptors.
-func raiseNoFile() {
-	var lim syscall.Rlimit
-	if err := syscall.Getrlimit(syscall.RLIMIT_NOFILE, &lim); err == nil && lim.Cur < lim.Max {
-		lim.Cur = lim.Max
-		syscall.Setrlimit(syscall.RLIMIT_NOFILE, &lim)
-	}
 }
 
 // prime submits the scenario to the first target, waits for the run to

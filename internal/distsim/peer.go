@@ -6,7 +6,9 @@
 // START and REPORT nothing is read from the coordinator: per window a peer
 // steps its shards, writes one XCHG frame to every other peer, appends one
 // DONE frame to the coordinator's buffer, then reads one XCHG from each
-// neighbour in ascending id and delivers it — one network hop per window.
+// neighbour in ascending id and delivers it — one network hop per window,
+// and a read that finds its socket empty polls it for a while before it
+// goes to sleep (poll.go).
 //
 // Every peer evaluates the stop rule on the same numbers (the sums of
 // ownedPending and mailOut over all XCHG frames of the window plus its
@@ -17,12 +19,16 @@
 //
 // Symmetric writes: two peers that each write an XCHG larger than the
 // socket buffers between them before either reads would block forever (the
-// star never wrote in both directions at once). A neighbour is at most two
+// star never wrote in both directions at once). So a write never waits for
+// socket space: the frame is offered to the socket in one non-blocking
+// write(2), which with ordinary buffers takes all of it, and what the
+// socket did not take is written by a goroutine while this one goes on to
+// read, joined before the next window. Where the socket cannot be asked
+// (poll_other.go) the rule it replaced stands in: a neighbour is at most two
 // frames behind — it has read window w-2 before it wrote w-1 — so a frame
-// of at most meshInline bytes is written inline: two of them fit the
-// smallest buffers the kernel hands out. A larger frame is written by a
-// goroutine while this one goes on to read, and joined before the next
-// window. Nothing waits for a write before reading.
+// of at most meshInline bytes is written blocking, two of them fitting the
+// smallest buffers the kernel hands out, and a larger one goes to the
+// goroutine whole. Nothing waits for a write before reading.
 //
 // The one-way DONE stream: DONE frames pile up in a writeBuffer-sized
 // buffer and reach the coordinator when it fills or every flushWindows
@@ -37,10 +43,52 @@
 // every peer has flushed.
 //
 // The constants are measured, not tuned per run (2-vCPU Xeon 2.10 GHz VM,
-// bench dist_2peer: K=4, 10,006 windows of ~14 µs of simulation, where a
-// system call costs 5-10 µs): the star took 0.61-1.26 s; the mesh flushing
-// DONE every window 0.55-0.95 s, at 16 KiB / 32 windows 0.40-0.53 s, and
-// without the mail copy in DONE 0.29-0.35 s.
+// go1.24.0, GOMAXPROCS=2; bench dist_2peer: K=4, 10,006 windows of ~14 µs
+// of simulation, ~200 B XCHG frames): the star took 0.61-1.26 s; the mesh
+// flushing DONE every window 0.55-0.95 s, at 16 KiB / 32 windows 0.40-0.53 s,
+// and without the mail copy in DONE 0.29-0.35 s. What a window cost beyond
+// its simulation then was not work but waiting badly, in three ways.
+//
+// Poll, then park (poll.go). A reader parked in the netpoller is woken
+// through epoll and the scheduler, usually on the other vCPU.
+// BenchmarkMeshExchange (two goroutines, 10 µs of arithmetic and one frame
+// each way per window): 29.9 µs per window parked against 16.6 µs polling at
+// 200 B, 28.9 against 17.6 µs at 2 KiB — the exchange itself 19-20 µs or
+// 7 µs; in dist_2peer the mean mesh wait per window fell from 15.8 to
+// 3.3 µs and wall_s from 0.308 to 0.174 s (10 of 10 pairs). One attempt on
+// an empty socket plus the yield that follows is 0.9 µs. pollTries = 512
+// (~0.5 ms) because the bound must clearly exceed what a parked neighbour
+// takes to answer, its own wake-up plus a step: at 64 (57 µs, about that)
+// one park makes the other side's poll miss, that side parks in turn, and a
+// governed pair locked into mutual parking in about half the runs (median
+// 0.40 s, against 0.24 s at 256 and 0.23 s at 512 and 1024; never polling
+// 0.44-0.51 s). pollQuick = 128: a frame caught after more than ~115 µs of
+// polling saved no more than it burned. pollMisses = 2, pollHoldMin = 32 and
+// pollHoldCap = 4096 are set by the case polling cannot win, both peers and
+// the coordinator as three processes on one CPU (taskset -c 0), where every
+// attempt takes time the neighbour needs: a 5,006-window run spent 16 k
+// attempts (~14 ms of 330) before its links settled on parking at 2 misses,
+// 25 k at 3 or 4, and a capped hold of 4096 reads keeps a link that never
+// pays to one fruitless poll per ~4000 windows; on two CPUs the settings
+// could not be told apart (0.232-0.236 s). In one process on one CPU
+// (GOMAXPROCS=1, where a yield runs the neighbour) dist_2peer stayed at
+// 0.287 -> 0.293 s.
+//
+// Write inline. Handing the frame to a goroutine costs 2-3.5 µs and two
+// allocations per exchange under a parked reader, and under a polling one
+// the writer first needs the P the poller holds: 20.1 against 16.6 µs at
+// 200 B, 20.8 against 17.6 µs at 2 KiB. A poll therefore yields between
+// attempts, and a frame of any size is offered to the socket first.
+//
+// No DEFLATE between peers of one host. BenchmarkFrameRoundTrip/4096B: 91 µs
+// and 51 allocations to deflate and inflate a 4 KiB mail frame (45 MB/s)
+// against 0.29 µs plain — twice a K=8 window's simulation, and a loss on any
+// link faster than ~350 Mb/s. The window loop's frames (XCHG, DONE) are
+// deflated only on a connection whose ends have different IPs
+// (peerConn.far); nobody has measured a real link yet, so there the policy
+// is the inherited one. K=8, 2 ms, 2,006 windows of ~1.8 KiB frames, two
+// peers in one process: 0.54-0.60 s before, 0.18-0.22 s now, RunLocal
+// 0.16-0.17 s; with polling forced off 0.30 s.
 package distsim
 
 import (
@@ -126,11 +174,13 @@ func dialRetry(addr string, timeout time.Duration) (net.Conn, error) {
 // chaos is the tests' fault seam (a goroutine cannot be SIGKILLed): at is
 // asked before every window a peer replays or runs live and once more
 // before its REPORT, tune sees every mesh connection before it is used,
-// meshWait lets a test that breaks the mesh on purpose fail fast.
+// meshWait lets a test that breaks the mesh on purpose fail fast, poll pins
+// every mesh link's poll-or-park decision.
 type chaos struct {
 	at       func(peer, window int, ph phase) fault
 	tune     func(net.Conn)
 	meshWait time.Duration // overrides meshTimeout when positive
+	poll     pollForce
 }
 
 type phase int
@@ -160,6 +210,13 @@ func (c *chaos) tuneConn(conn net.Conn) {
 	if c != nil && c.tune != nil {
 		c.tune(conn)
 	}
+}
+
+func (c *chaos) pollForce() pollForce {
+	if c == nil {
+		return pollGoverned
+	}
+	return c.poll
 }
 
 func (c *chaos) meshTimeout() time.Duration {
@@ -335,22 +392,14 @@ func (p *peer) welcome(body []byte) (*session, error) {
 	return s, nil
 }
 
-// meshLink is the connection to one neighbour. buf is the link's own XCHG
-// frame, because a large one is written by a goroutine while the window
-// loop reads: sent carries that write's result, inflight says one is out.
+// meshLink is the connection to one neighbour. What the socket does not
+// take of a frame at once is written by a goroutine while the window loop
+// reads: sent carries that write's result, inflight says one is out.
 type meshLink struct {
 	id       int
 	pc       *peerConn
-	buf      []byte
 	sent     chan error
 	inflight bool
-}
-
-func (l *meshLink) writeOut() error {
-	if err := l.pc.put(tXchg, l.buf, true); err != nil {
-		return err
-	}
-	return l.pc.bw.Flush()
 }
 
 func closeLinks(links []*meshLink) {
@@ -361,15 +410,36 @@ func closeLinks(links []*meshLink) {
 	}
 }
 
-// send writes the frame in buf: inline when two such frames fit any socket
-// buffer, concurrently with the caller's reads otherwise (see the package
-// comment). join must follow before buf is touched again.
-func (l *meshLink) send() error {
-	if len(l.buf) <= meshInline {
-		return l.writeOut()
+// offer hands the socket as much of p as it takes without waiting for the
+// far end, and returns how much that was. Where the socket cannot be
+// asked, a frame of at most meshInline bytes is known to fit (see the
+// package comment) and anything larger is not tried.
+func (pc *peerConn) offer(p []byte) (int, error) {
+	switch {
+	case pc.rd.sock != nil:
+		return pc.rd.sock.write(p)
+	case len(p) <= meshInline+frameHeader:
+		return pc.conn.Write(p)
 	}
+	return 0, nil
+}
+
+// send writes the frames put on the link: what the socket takes now,
+// inline; the rest, if any, concurrently with the caller's reads. join
+// must follow before anything else is put.
+func (l *meshLink) send() error {
+	pc := l.pc
+	n, err := pc.offer(pc.out)
+	if err != nil || n == len(pc.out) {
+		pc.out = pc.out[:0]
+		return err
+	}
+	rest := pc.out[n:]
 	l.inflight = true
-	go func() { l.sent <- l.writeOut() }()
+	go func() {
+		_, err := pc.conn.Write(rest)
+		l.sent <- err
+	}()
 	return nil
 }
 
@@ -378,7 +448,9 @@ func (l *meshLink) join() error {
 		return nil
 	}
 	l.inflight = false
-	return <-l.sent
+	err := <-l.sent
+	l.pc.out = l.pc.out[:0]
+	return err
 }
 
 // meshError is a lost or silent neighbour: the one failure a re-join
@@ -438,6 +510,7 @@ func (s *session) connectMesh(sm startMsg) (links []*meshLink, err error) {
 		}
 		pc.trust()
 		pc.io = peerIOTimeout
+		pc.rd.gov = &pollGovernor{force: s.p.chaos.pollForce()}
 		return &meshLink{id: got.Peer, pc: pc, sent: make(chan error, 1)}, nil
 	}
 	for q := 0; q < me; q++ {
@@ -574,7 +647,7 @@ func (s *session) windows(links []*meshLink) error {
 	// only when the coordinator keeps a log — every entry in emit order.
 	out := make([][]byte, s.wm.NPeers)
 	cnt := make([]int, s.wm.NPeers)
-	var doneMail, done []byte
+	var doneMail, done, xchg []byte
 	mailOut := 0
 	var encodeErr error
 	emit := func(src, dst int, mail parsim.Mail) {
@@ -606,6 +679,8 @@ func (s *session) windows(links []*meshLink) error {
 				clock.rawBytes += l.pc.raw
 				clock.wireBytes += l.pc.wire
 				l.pc.raw, l.pc.wire = 0, 0
+				clock.poll[l.id] = linkPoll{l.pc.rd.n, l.pc.rd.gov.polling()}
+				l.pc.rd.n = pollCounts{}
 				l.pc.deadline()
 			}
 		}
@@ -618,7 +693,7 @@ func (s *session) windows(links []*meshLink) error {
 		if err := coord.put(tStats, statsBuf, false); err != nil {
 			return err
 		}
-		return coord.bw.Flush()
+		return coord.flush()
 	}
 	coord.raw, coord.wire = 0, 0 // the handshakes are not window-loop traffic
 	for _, l := range links {
@@ -664,15 +739,19 @@ func (s *session) windows(links []*meshLink) error {
 			if l == nil {
 				continue
 			}
-			b := binary.AppendUvarint(l.buf[:0], uint64(w))
-			b = binary.AppendUvarint(b, uint64(pend))
-			b = binary.AppendUvarint(b, uint64(mailOut))
-			b = binary.AppendUvarint(b, uint64(cnt[l.id]))
-			l.buf = append(b, out[l.id]...)
+			xchg = binary.AppendUvarint(xchg[:0], uint64(w))
+			xchg = binary.AppendUvarint(xchg, uint64(pend))
+			xchg = binary.AppendUvarint(xchg, uint64(mailOut))
+			xchg = binary.AppendUvarint(xchg, uint64(cnt[l.id]))
+			xchg = append(xchg, out[l.id]...)
 			if cnt[l.id] > 0 {
 				clock.mailFrames++
 			}
-			if err := l.send(); err != nil && werr == nil {
+			err := l.pc.put(tXchg, xchg, l.pc.far)
+			if err == nil {
+				err = l.send()
+			}
+			if err != nil && werr == nil {
 				werr = &meshError{l.id, err}
 			}
 		}
@@ -688,7 +767,11 @@ func (s *session) windows(links []*meshLink) error {
 		if s.telem > 0 {
 			done = appendTelemSection(done, m, s.ownedDirs, s.ownedFAs, end, look, s.telem)
 		}
-		if err := coord.put(tDone, done, true); err != nil {
+		err := coord.put(tDone, done, coord.far)
+		if err == nil && len(coord.out) >= writeBuffer {
+			err = coord.flush()
+		}
+		if err != nil {
 			return fmt.Errorf("distsim: coordinator connection lost: %w", err)
 		}
 		clock.windows++

@@ -40,7 +40,14 @@ func (s *syncBuffer) String() string {
 // outcome (and really went through a recovery), without it in the
 // deterministic "disconnected at window" error — and either way inside
 // serveChaos's deadline, coordinator and every peer.
-func TestRecovery(t *testing.T) {
+func TestRecovery(t *testing.T) { testRecovery(t, governed) }
+
+// governed leaves a test's fault seam as it is: every mesh link decides by
+// itself when to poll. TestPollModes runs the same bodies with the decision
+// forced both ways.
+func governed(c *chaos) *chaos { return c }
+
+func testRecovery(t *testing.T, with func(*chaos) *chaos) {
 	spec := smallSpec(4)
 	want := localOutcome(t, spec)
 	const npeers = 3
@@ -92,7 +99,7 @@ func TestRecovery(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name+"/rejoin", func(t *testing.T) {
 			var log syncBuffer
-			got, err := serveChaos(t, spec, npeers, tc.dialers, CoordConfig{Rejoin: true, Log: &log}, tc.chaos())
+			got, err := serveChaos(t, spec, npeers, tc.dialers, CoordConfig{Rejoin: true, Log: &log}, with(tc.chaos()))
 			if err != nil {
 				t.Fatalf("%v\n%s", err, log.String())
 			}
@@ -104,7 +111,7 @@ func TestRecovery(t *testing.T) {
 			}
 		})
 		t.Run(tc.name+"/abort", func(t *testing.T) {
-			_, err := serveChaos(t, spec, npeers, npeers, CoordConfig{}, tc.chaos())
+			_, err := serveChaos(t, spec, npeers, npeers, CoordConfig{}, with(tc.chaos()))
 			if err == nil || !strings.Contains(err.Error(), "disconnected at window") {
 				t.Fatalf("coordinator error = %v, want a disconnect at a window", err)
 			}
@@ -115,7 +122,9 @@ func TestRecovery(t *testing.T) {
 // TestRecoveryAfterLastWindow: a peer that dies between its last DONE and
 // its REPORT is restored like any other — everybody replays the whole run
 // and reports again.
-func TestRecoveryAfterLastWindow(t *testing.T) {
+func TestRecoveryAfterLastWindow(t *testing.T) { testRecoveryAfterLastWindow(t, governed) }
+
+func testRecoveryAfterLastWindow(t *testing.T, with func(*chaos) *chaos) {
 	spec := smallSpec(2)
 	want := localOutcome(t, spec)
 	var log syncBuffer
@@ -126,7 +135,7 @@ func TestRecoveryAfterLastWindow(t *testing.T) {
 		}
 		return faultNone
 	}}
-	got, err := serveChaos(t, spec, 2, 3, CoordConfig{Rejoin: true, Log: &log}, beforeReport)
+	got, err := serveChaos(t, spec, 2, 3, CoordConfig{Rejoin: true, Log: &log}, with(beforeReport))
 	if err != nil {
 		t.Fatalf("%v\n%s", err, log.String())
 	}
@@ -268,12 +277,14 @@ func tcpPair(t *testing.T) (net.Conn, net.Conn) {
 
 // TestNoDeadlockSymmetricExchange is the second: two peers that each write
 // an XCHG frame larger than the socket buffers between them before either
-// reads. The control shows the set-up can detect it — both ends writing
+// reads. The control shows the set-up can detect it — both ends flushing
 // inline do block until their deadline — and then meshLink.send, which
-// hands a large frame to a goroutine and goes on to read, completes the
-// same exchange; a frame of meshInline bytes, written inline, must fit two
-// deep (a neighbour is at most two frames behind).
-func TestNoDeadlockSymmetricExchange(t *testing.T) {
+// leaves what the socket does not take at once to a goroutine and goes on
+// to read, completes the same exchange; a frame of meshInline bytes must
+// fit two deep without one (a neighbour is at most two frames behind).
+func TestNoDeadlockSymmetricExchange(t *testing.T) { testSymmetricExchange(t, pollGoverned) }
+
+func testSymmetricExchange(t *testing.T, force pollForce) {
 	// Incompressible, so the frame is as large on the wire as here.
 	big := make([]byte, 256<<10)
 	x := uint32(1)
@@ -287,11 +298,15 @@ func TestNoDeadlockSymmetricExchange(t *testing.T) {
 		for i, conn := range []net.Conn{a, b} {
 			pc := newPeerConn(conn, 0)
 			pc.trust()
+			pc.rd.gov = &pollGovernor{force: force}
 			ls[i] = &meshLink{id: 1 - i, pc: pc, sent: make(chan error, 1)}
 		}
 		return ls
 	}
-	exchange := func(ls [2]*meshLink, frames int, step func(l *meshLink) error) [2]error {
+	exchange := func(ls [2]*meshLink, body []byte, frames int, write func(l *meshLink) error) [2]error {
+		for _, l := range ls {
+			l.pc.conn.SetDeadline(time.Now().Add(60 * time.Second))
+		}
 		var errs [2]error
 		var wg sync.WaitGroup
 		for i, l := range ls {
@@ -299,12 +314,14 @@ func TestNoDeadlockSymmetricExchange(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for f := 0; f < frames && errs[i] == nil; f++ {
-					errs[i] = step(l)
+					if errs[i] = l.pc.put(tXchg, body, true); errs[i] == nil {
+						errs[i] = write(l)
+					}
 				}
 				for f := 0; f < frames && errs[i] == nil; f++ {
-					var body []byte
-					if _, body, errs[i] = l.pc.fr.read(); errs[i] == nil && len(body) != len(l.buf) {
-						errs[i] = fmt.Errorf("read %d bytes, want %d", len(body), len(l.buf))
+					var got []byte
+					if _, got, errs[i] = l.pc.fr.read(); errs[i] == nil && len(got) != len(body) {
+						errs[i] = fmt.Errorf("read %d bytes, want %d", len(got), len(body))
 					}
 					if errs[i] == nil {
 						errs[i] = l.join()
@@ -316,45 +333,64 @@ func TestNoDeadlockSymmetricExchange(t *testing.T) {
 		return errs
 	}
 
-	control := links()
-	for _, l := range control {
-		l.buf = big
+	// The control's deadline is short: it is meant to be met.
+	inline := func(l *meshLink) error {
 		l.pc.conn.SetDeadline(time.Now().Add(time.Second))
+		return l.pc.flush()
 	}
-	if errs := exchange(control, 1, (*meshLink).writeOut); errs[0] == nil || errs[1] == nil {
+	if errs := exchange(links(), big, 1, inline); errs[0] == nil || errs[1] == nil {
 		t.Fatalf("control: two inline %d-byte writes did not block each other (%v, %v); the buffers are too large for this test", len(big), errs[0], errs[1])
 	}
 
 	// (Set after the connect, the small buffers bind loosely: 32 KiB was
 	// seen to fit, 64 KiB never. The control's quarter megabyte blocks for
 	// certain; 64 KiB keeps the real transfer, which crawls, short.)
-	large := links()
-	for _, l := range large {
-		l.buf = big[:64<<10]
-		l.pc.conn.SetDeadline(time.Now().Add(60 * time.Second))
+	short := func(l *meshLink) error {
+		if err := l.send(); err != nil {
+			return err
+		}
+		if !l.inflight {
+			return fmt.Errorf("the socket took a 64 KiB frame whole: the remainder path was not exercised")
+		}
+		return nil
 	}
-	if errs := exchange(large, 1, (*meshLink).send); errs[0] != nil || errs[1] != nil {
+	if errs := exchange(links(), big[:64<<10], 1, short); errs[0] != nil || errs[1] != nil {
 		t.Fatalf("concurrent large exchange failed: %v, %v", errs[0], errs[1])
 	}
 
-	small := links()
-	for _, l := range small {
-		l.buf = big[:meshInline]
-		l.pc.conn.SetDeadline(time.Now().Add(60 * time.Second))
+	whole := func(l *meshLink) error {
+		if err := l.send(); err != nil {
+			return err
+		}
+		if l.inflight {
+			return fmt.Errorf("a frame of meshInline bytes did not fit the smallest buffers")
+		}
+		return nil
 	}
-	if errs := exchange(small, 2, (*meshLink).send); errs[0] != nil || errs[1] != nil {
-		t.Fatalf("two inline frames of meshInline bytes each way did not fit the smallest buffers: %v, %v", errs[0], errs[1])
+	if errs := exchange(links(), big[:meshInline], 2, whole); errs[0] != nil || errs[1] != nil {
+		t.Fatalf("two inline frames of meshInline bytes each way: %v, %v", errs[0], errs[1])
 	}
 }
 
 // TestNoDeadlockShrunkenMesh runs a whole simulation whose XCHG frames
 // exceed meshInline (K=8 at high load: a few kilobytes of mail per window
 // each way) over mesh connections with shrunken buffers.
+//
+// Written as they are since nothing between two peers of one host is
+// deflated, these frames exceed what the shrunken buffers let TCP keep in
+// flight, and every window waits out a timer or two of the kernel's (a
+// third of a second a window, 0.5 s -> 18 s for the test): the price of
+// exercising, in every window, the path where the socket takes part of a
+// frame and a goroutine writes the rest.
 func TestNoDeadlockShrunkenMesh(t *testing.T) {
-	spec := Spec{K: 8, Seed: 3, Shards: 2, Dur: 40 * sim.Microsecond, Load: 0.9, CellBytes: 512, Hotspot: 1}
+	testShrunkenMesh(t, &chaos{tune: shrink}, 40*sim.Microsecond)
+}
+
+func testShrunkenMesh(t *testing.T, ch *chaos, dur sim.Time) {
+	spec := Spec{K: 8, Seed: 3, Shards: 2, Dur: dur, Load: 0.9, CellBytes: 512, Hotspot: 1}
 	want := localOutcome(t, spec)
 	stats := NewCoordStats()
-	got, err := serveChaos(t, spec, 2, 2, CoordConfig{Stats: stats}, &chaos{tune: shrink})
+	got, err := serveChaos(t, spec, 2, 2, CoordConfig{Stats: stats}, ch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,10 @@
 // it happens — on the peers, which since v4 are the only ones on the
 // critical path — and shipped to the coordinator once per flush interval
 // in a STATS frame: how each peer's wall time splits into stepping its
-// shards, running the codec, and waiting for each neighbour's XCHG frame.
-// CoordStats is the snapshot API the serving tier renders on /metrics.
+// shards, running the codec, and waiting for each neighbour's XCHG frame,
+// and how each of those waits was spent — polling the socket or parked in
+// the netpoller (poll.go). CoordStats is the snapshot API the serving tier
+// renders on /metrics.
 package distsim
 
 import (
@@ -20,9 +22,10 @@ import (
 var barrierBounds = telemetry.ExpBuckets(10e-6, 4, 9)
 
 // peerClock is one peer's accounting since its last flush: nanoseconds
-// spent stepping, in the codec and waiting per neighbour, the per-window
-// total wait bucketed against barrierBounds, and the frames and bytes the
-// peer wrote (XCHG to its neighbours, DONE and STATS to the coordinator).
+// spent stepping, in the codec and waiting per neighbour, what the socket
+// reads behind those waits did, the per-window total wait bucketed against
+// barrierBounds, and the frames and bytes the peer wrote (XCHG to its
+// neighbours, DONE and STATS to the coordinator).
 type peerClock struct {
 	windows    uint64
 	stepNs     uint64
@@ -30,12 +33,24 @@ type peerClock struct {
 	mailFrames uint64 // XCHG frames that carried at least one entry
 	rawBytes   uint64
 	wireBytes  uint64
-	waitNs     []uint64 // indexed by neighbour id, own slot unused
-	waitHist   []uint64 // len(barrierBounds)+1
+	waitNs     []uint64   // indexed by neighbour id, own slot unused
+	poll       []linkPoll // likewise
+	waitHist   []uint64   // len(barrierBounds)+1
+}
+
+// linkPoll is one mesh link's read record for the interval, and whether
+// the link polls as the interval ends.
+type linkPoll struct {
+	pollCounts
+	polling bool
 }
 
 func newPeerClock(npeers int) *peerClock {
-	return &peerClock{waitNs: make([]uint64, npeers), waitHist: make([]uint64, len(barrierBounds)+1)}
+	return &peerClock{
+		waitNs:   make([]uint64, npeers),
+		poll:     make([]linkPoll, npeers),
+		waitHist: make([]uint64, len(barrierBounds)+1),
+	}
 }
 
 // observeWait buckets one window's total mesh wait.
@@ -48,8 +63,9 @@ func (c *peerClock) observeWait(ns uint64) {
 }
 
 func (c *peerClock) reset() {
-	*c = peerClock{waitNs: c.waitNs, waitHist: c.waitHist}
+	*c = peerClock{waitNs: c.waitNs, poll: c.poll, waitHist: c.waitHist}
 	clear(c.waitNs)
+	clear(c.poll)
 	clear(c.waitHist)
 }
 
@@ -57,15 +73,24 @@ func (c *peerClock) reset() {
 //
 //	STATS := uvarint windows | uvarint stepNs | uvarint codecNs |
 //	         uvarint mailFrames | uvarint rawBytes | uvarint wireBytes |
-//	         uvarint npeers | npeers * uvarint waitNs |
+//	         uvarint npeers | npeers * (uvarint waitNs | uvarint tries |
+//	                  uvarint ready | uvarint parks | u8 polling) |
 //	         uvarint nbuckets | nbuckets * uvarint count
 func (c *peerClock) appendStats(b []byte) []byte {
 	for _, v := range []uint64{c.windows, c.stepNs, c.codecNs, c.mailFrames, c.rawBytes, c.wireBytes} {
 		b = binary.AppendUvarint(b, v)
 	}
 	b = binary.AppendUvarint(b, uint64(len(c.waitNs)))
-	for _, v := range c.waitNs {
+	for q, v := range c.waitNs {
 		b = binary.AppendUvarint(b, v)
+		lp := c.poll[q]
+		b = binary.AppendUvarint(b, lp.tries)
+		b = binary.AppendUvarint(b, lp.ready)
+		b = binary.AppendUvarint(b, lp.parks)
+		b = append(b, 0)
+		if lp.polling {
+			b[len(b)-1] = 1
+		}
 	}
 	b = binary.AppendUvarint(b, uint64(len(c.waitHist)))
 	for _, v := range c.waitHist {
@@ -85,9 +110,14 @@ func (c *peerClock) parseStats(b []byte) error {
 		return fmt.Errorf("distsim: STATS names %d peers, run has %d", np, len(c.waitNs))
 	}
 	for i := range c.waitNs {
-		if b, err = uvarints(b, "STATS", &c.waitNs[i]); err != nil {
+		lp := &c.poll[i]
+		if b, err = uvarints(b, "STATS", &c.waitNs[i], &lp.tries, &lp.ready, &lp.parks); err != nil {
 			return err
 		}
+		if len(b) == 0 || b[0] > 1 {
+			return fmt.Errorf("distsim: bad STATS poll flag")
+		}
+		lp.polling, b = b[0] == 1, b[1:]
 	}
 	if b, err = uvarints(b, "STATS", &nb); err != nil {
 		return err
@@ -128,6 +158,10 @@ type CoordStats struct {
 // that names a straggler.
 type peerTotals struct {
 	stepNs, codecNs, waitNs, waitedOnNs uint64
+	// Its mesh reads, summed over its links; polling is how many of the
+	// links polled when it last reported.
+	reads   pollCounts
+	polling int
 }
 
 // NewCoordStats builds an empty stats accumulator.
@@ -154,6 +188,15 @@ type PeerStats struct {
 	Codec    float64 `json:"codec_seconds"`
 	Wait     float64 `json:"wait_seconds"`
 	WaitedOn float64 `json:"waited_on_seconds"`
+	// How the mesh reads behind Wait went: PollReady found their bytes
+	// without parking, Parks waited in the netpoller, PollTries is the
+	// non-blocking attempts spent on both, PollingLinks how many of the
+	// peer's mesh links polled when it last reported (the others have
+	// backed off to parking at once).
+	PollTries    uint64 `json:"poll_tries"`
+	PollReady    uint64 `json:"poll_ready"`
+	Parks        uint64 `json:"parks"`
+	PollingLinks int    `json:"polling_links"`
 }
 
 // CoordStatsSnapshot is a point-in-time copy of the metrics.
@@ -199,6 +242,11 @@ func (s *CoordStats) Snapshot() CoordStatsSnapshot {
 			Codec:    float64(t.codecNs) * 1e-9,
 			Wait:     float64(t.waitNs) * 1e-9,
 			WaitedOn: float64(t.waitedOnNs) * 1e-9,
+
+			PollTries:    t.reads.tries,
+			PollReady:    t.reads.ready,
+			Parks:        t.reads.parks,
+			PollingLinks: t.polling,
 		}
 		if t.waitedOnNs > worst {
 			worst, snap.Straggler = t.waitedOnNs, p
@@ -244,6 +292,15 @@ func (s *CoordStats) flushed(p int, c *peerClock) {
 	t.stepNs += c.stepNs
 	t.codecNs += c.codecNs
 	t.waitNs += wait
+	t.polling = 0
+	for _, lp := range c.poll {
+		t.reads.tries += lp.tries
+		t.reads.ready += lp.ready
+		t.reads.parks += lp.parks
+		if lp.polling {
+			t.polling++
+		}
+	}
 	s.mailFrames += c.mailFrames
 	s.rawBytes += c.rawBytes
 	s.wireBytes += c.wireBytes

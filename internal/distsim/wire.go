@@ -1,7 +1,10 @@
-// Wire protocol (v4): length-prefixed frames over TCP.
+// Wire protocol (v5): length-prefixed frames over TCP.
 //
 //	frame   := u32be length | u8 type | u8 flags | body
-//	length  counts type+flags+body. flags bit0 = body is DEFLATE-compressed.
+//	length  counts type+flags+body. flags bit0 = body is DEFLATE-compressed:
+//	the writer's choice per frame, for a body of compressFloor bytes or more
+//	that shrinks by it — the one-off REPORT and WELCOME always, the window
+//	loop's XCHG and DONE only between hosts (peerConn.far).
 //
 // Control frames (HELLO, WELCOME, READY, START, MESH-HELLO, REPORT, ERROR)
 // carry JSON — they happen once per join. The per-window frames carry
@@ -55,8 +58,9 @@ import (
 // (present whenever Spec.Telem > 0); 3 moved unreachable counts from
 // per-spine reports into the owning shard's report; 4 replaced the
 // coordinator's per-window GO/DONE relay with the peer mesh (XCHG), made
-// DONE a one-way batched stream and recovery a re-join (STALL, START).
-const protoVersion = 4
+// DONE a one-way batched stream and recovery a re-join (STALL, START); 5
+// added each mesh link's poll record to STATS.
+const protoVersion = 5
 
 // Frame types.
 const (
@@ -165,22 +169,22 @@ type peerReport struct {
 	Dirs   []dirReport   `json:"dirs"`
 }
 
-// frameWriter emits frames on one connection. The DEFLATE state is built
-// on first use and Reset per frame, the header lives in the struct, so a
-// frame below compressFloor costs no allocation.
+// frameWriter encodes frames for one connection. The DEFLATE state is
+// built on first use and Reset per frame, so a frame below compressFloor
+// costs no allocation once the destination has grown.
 type frameWriter struct {
-	w   io.Writer
-	zw  *flate.Writer
-	zb  bytes.Buffer
-	hdr [6]byte
+	zw *flate.Writer
+	zb bytes.Buffer
 }
 
-// write emits one frame and returns the bytes it put on the wire. When
-// compress is set and the body clears the floor, the body is
-// DEFLATE-compressed (and kept only if smaller).
-func (fw *frameWriter) write(typ byte, body []byte, compress bool) (int, error) {
+const frameHeader = 6 // u32be length | u8 type | u8 flags
+
+// append appends one frame to dst. When compress is set and the body
+// clears the floor, the body is DEFLATE-compressed (and kept only if
+// smaller).
+func (fw *frameWriter) append(dst []byte, typ byte, body []byte, compress bool) ([]byte, error) {
 	if len(body) > maxFrame {
-		return 0, fmt.Errorf("distsim: frame body of %d bytes exceeds the %d limit", len(body), maxFrame)
+		return dst, fmt.Errorf("distsim: frame body of %d bytes exceeds the %d limit", len(body), maxFrame)
 	}
 	flags := byte(0)
 	if compress && len(body) >= compressFloor {
@@ -188,31 +192,26 @@ func (fw *frameWriter) write(typ byte, body []byte, compress bool) (int, error) 
 		if fw.zw == nil {
 			zw, err := flate.NewWriter(&fw.zb, flate.BestSpeed)
 			if err != nil {
-				return 0, err
+				return dst, err
 			}
 			fw.zw = zw
 		} else {
 			fw.zw.Reset(&fw.zb)
 		}
 		if _, err := fw.zw.Write(body); err != nil {
-			return 0, err
+			return dst, err
 		}
 		if err := fw.zw.Close(); err != nil {
-			return 0, err
+			return dst, err
 		}
 		if fw.zb.Len() < len(body) {
 			body = fw.zb.Bytes()
 			flags = flagDeflate
 		}
 	}
-	binary.BigEndian.PutUint32(fw.hdr[:4], uint32(2+len(body)))
-	fw.hdr[4] = typ
-	fw.hdr[5] = flags
-	if _, err := fw.w.Write(fw.hdr[:]); err != nil {
-		return 0, err
-	}
-	_, err := fw.w.Write(body)
-	return len(fw.hdr) + len(body), err
+	dst = binary.BigEndian.AppendUint32(dst, uint32(2+len(body)))
+	dst = append(dst, typ, flags)
+	return append(dst, body...), nil
 }
 
 // frameReader reads frames off one connection into buffers it reuses: a
@@ -298,18 +297,24 @@ func readGrowing(r io.Reader, buf []byte, n, limit int) ([]byte, error) {
 }
 
 // peerConn is one framed TCP connection with deadlines: coordinator to
-// peer, or peer to peer. Writes go through a buffer the caller flushes;
-// raw and wire count the frame bytes written (before and after
-// compression, headers included) for the peers' traffic report.
+// peer, or peer to peer. Frames are put into out and leave when the caller
+// flushes (a mesh link sends instead, see meshLink); raw and wire count
+// the frame bytes put (before and after compression, headers included) for
+// the peers' traffic report.
 type peerConn struct {
 	conn net.Conn
+	rd   sockReader
 	br   *bufio.Reader
-	bw   *bufio.Writer
 	fr   frameReader
 	fw   frameWriter
+	out  []byte
 	io   time.Duration
 	raw  uint64
 	wire uint64
+	// far says the other end is another host, as far as the addresses tell:
+	// the one case in which the window loop's frames are worth deflating
+	// (see the package comment in peer.go).
+	far bool
 }
 
 // writeBuffer bounds how much one-way DONE traffic a peer batches before
@@ -317,15 +322,19 @@ type peerConn struct {
 const writeBuffer = 16 << 10
 
 func newPeerConn(conn net.Conn, ioTimeout time.Duration) *peerConn {
-	pc := &peerConn{
-		conn: conn,
-		br:   bufio.NewReaderSize(conn, writeBuffer),
-		bw:   bufio.NewWriterSize(conn, writeBuffer),
-		io:   ioTimeout,
-	}
+	pc := &peerConn{conn: conn, io: ioTimeout, far: !sameHost(conn)}
+	pc.rd = sockReader{conn: conn, sock: newSock(conn)}
+	pc.br = bufio.NewReaderSize(&pc.rd, writeBuffer)
 	pc.fr = frameReader{r: pc.br, limit: helloLimit}
-	pc.fw = frameWriter{w: pc.bw}
 	return pc
+}
+
+// sameHost reports whether both ends of conn have the same IP address:
+// loopback, or one of the host's own addresses dialled from itself.
+func sameHost(conn net.Conn) bool {
+	local, lok := conn.LocalAddr().(*net.TCPAddr)
+	remote, rok := conn.RemoteAddr().(*net.TCPAddr)
+	return lok && rok && local.IP.Equal(remote.IP)
 }
 
 // trust lifts the pre-identification frame limit once the other end has
@@ -342,10 +351,18 @@ func (pc *peerConn) deadline() {
 }
 
 // put buffers one frame without flushing.
-func (pc *peerConn) put(typ byte, body []byte, compress bool) error {
-	n, err := pc.fw.write(typ, body, compress)
-	pc.raw += uint64(len(body) + 6)
-	pc.wire += uint64(n)
+func (pc *peerConn) put(typ byte, body []byte, compress bool) (err error) {
+	before := len(pc.out)
+	pc.out, err = pc.fw.append(pc.out, typ, body, compress)
+	pc.raw += uint64(len(body) + frameHeader)
+	pc.wire += uint64(len(pc.out) - before)
+	return err
+}
+
+// flush writes out everything put, waiting for the far end if it must.
+func (pc *peerConn) flush() error {
+	_, err := pc.conn.Write(pc.out)
+	pc.out = pc.out[:0]
 	return err
 }
 
@@ -355,7 +372,7 @@ func (pc *peerConn) write(typ byte, body []byte, compress bool) error {
 	if err := pc.put(typ, body, compress); err != nil {
 		return err
 	}
-	return pc.bw.Flush()
+	return pc.flush()
 }
 
 // read returns the next frame under a fresh deadline; the body is valid

@@ -23,23 +23,25 @@ import (
 // frame encodes one frame the way a connection would.
 func frame(t testing.TB, typ byte, body []byte, compress bool) []byte {
 	t.Helper()
-	var b bytes.Buffer
-	if _, err := (&frameWriter{w: &b}).write(typ, body, compress); err != nil {
+	b, err := new(frameWriter).append(nil, typ, body, compress)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return b.Bytes()
+	return b
 }
 
 func TestFrameRoundTrip(t *testing.T) {
 	var wire bytes.Buffer
-	fw := &frameWriter{w: &wire}
+	var fw frameWriter
 	fr := &frameReader{r: &wire, limit: maxFrame}
 	bodies := [][]byte{nil, []byte("x"), bytes.Repeat([]byte("stardust "), 100), bytes.Repeat([]byte{7}, 200<<10)}
 	for round := 0; round < 2; round++ { // second round runs on the Reset codecs
 		for i, body := range bodies {
-			if _, err := fw.write(byte(i+1), body, true); err != nil {
+			b, err := fw.append(nil, byte(i+1), body, true)
+			if err != nil {
 				t.Fatal(err)
 			}
+			wire.Write(b)
 		}
 		for i, body := range bodies {
 			typ, got, err := fr.read()
@@ -120,10 +122,12 @@ func TestHostileFrames(t *testing.T) {
 func TestFrameAllocs(t *testing.T) {
 	body := bytes.Repeat([]byte{0xa5}, 200)
 	var wire bytes.Buffer
-	fw := &frameWriter{w: &wire}
+	var fw frameWriter
+	var out []byte
 	fr := &frameReader{r: &wire, limit: maxFrame}
 	roundTrip := func() {
-		fw.write(tXchg, body, true)
+		out, _ = fw.append(out[:0], tXchg, body, true)
+		wire.Write(out)
 		if _, got, err := fr.read(); err != nil || len(got) != len(body) {
 			t.Fatalf("round trip: %d bytes, %v", len(got), err)
 		}
@@ -143,23 +147,34 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 		}
 		return body[:n]
 	}
+	// "-plain" is the same frame written without DEFLATE, as on a link
+	// between two peers of one host.
 	for _, n := range []int{200, 4 << 10} {
-		b.Run(fmt.Sprintf("%dB", n), func(b *testing.B) {
-			body := mk(n)
-			var wire bytes.Buffer
-			fw := &frameWriter{w: &wire}
-			fr := &frameReader{r: &wire, limit: maxFrame}
-			b.SetBytes(int64(n))
-			b.ReportAllocs()
-			for b.Loop() {
-				if _, err := fw.write(tXchg, body, true); err != nil {
-					b.Fatal(err)
-				}
-				if _, got, err := fr.read(); err != nil || len(got) != n {
-					b.Fatalf("read %d bytes, %v", len(got), err)
-				}
+		for _, deflate := range []bool{true, false} {
+			name := fmt.Sprintf("%dB", n)
+			if !deflate {
+				name += "-plain"
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				body := mk(n)
+				var wire bytes.Buffer
+				var fw frameWriter
+				var out []byte
+				fr := &frameReader{r: &wire, limit: maxFrame}
+				b.SetBytes(int64(n))
+				b.ReportAllocs()
+				for b.Loop() {
+					var err error
+					if out, err = fw.append(out[:0], tXchg, body, deflate); err != nil {
+						b.Fatal(err)
+					}
+					wire.Write(out)
+					if _, got, err := fr.read(); err != nil || len(got) != n {
+						b.Fatalf("read %d bytes, %v", len(got), err)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -312,7 +327,7 @@ func FuzzReadFrame(f *testing.F) {
 	body := bytes.Repeat([]byte("mail "), 300)
 	f.Add(frame(f, tXchg, body, true))
 	f.Add(frame(f, tDone, body[:100], true))
-	f.Add(frame(f, tHello, []byte(`{"v":4,"mesh":"127.0.0.1:1"}`), false))
+	f.Add(frame(f, tHello, []byte(`{"v":5,"mesh":"127.0.0.1:1"}`), false))
 	f.Add(append(frame(f, tStats, nil, false), frame(f, tStall, []byte{1, 2}, false)...))
 	f.Add([]byte{0x10, 0, 0, 0, tXchg, 0})
 	f.Add([]byte{0, 0, 0, 3, tXchg, flagDeflate, 0xff})

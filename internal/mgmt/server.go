@@ -663,21 +663,29 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 	counter("stardust_distsim_wire_bytes_total", "the same frames as they went on the wire", float64(ds.WireBytes))
 	gauge("stardust_distsim_compression_ratio", "raw/wire byte ratio of the peers' traffic", ds.CompressionRatio)
 	gauge("stardust_distsim_straggler", "peer the others spent longest waiting on (-1: nobody waited)", float64(ds.Straggler))
-	perPeer := func(name, help string, v func(distsim.PeerStats) float64) {
+	perPeer := func(name, typ, help string, v func(distsim.PeerStats) float64) {
 		if len(ds.Peers) == 0 {
 			return
 		}
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 		for _, p := range ds.Peers {
 			fmt.Fprintf(w, "%s{peer=\"%d\"} %g\n", name, p.Peer, v(p))
 		}
 	}
-	perPeer("stardust_distsim_peer_busy_seconds_total", "wall time a peer spent stepping its shards and in the mail codec",
+	perPeer("stardust_distsim_peer_busy_seconds_total", "counter", "wall time a peer spent stepping its shards and in the mail codec",
 		func(p distsim.PeerStats) float64 { return p.Busy })
-	perPeer("stardust_distsim_peer_wait_seconds_total", "wall time a peer spent blocked on its neighbours' XCHG frames",
+	perPeer("stardust_distsim_peer_wait_seconds_total", "counter", "wall time a peer spent blocked on its neighbours' XCHG frames",
 		func(p distsim.PeerStats) float64 { return p.Wait })
-	perPeer("stardust_distsim_peer_waited_on_seconds_total", "wall time the other peers spent blocked on this peer",
+	perPeer("stardust_distsim_peer_waited_on_seconds_total", "counter", "wall time the other peers spent blocked on this peer",
 		func(p distsim.PeerStats) float64 { return p.WaitedOn })
+	perPeer("stardust_distsim_peer_poll_tries_total", "counter", "non-blocking read attempts a peer's mesh links made before parking",
+		func(p distsim.PeerStats) float64 { return float64(p.PollTries) })
+	perPeer("stardust_distsim_peer_poll_ready_total", "counter", "mesh reads a peer satisfied without parking",
+		func(p distsim.PeerStats) float64 { return float64(p.PollReady) })
+	perPeer("stardust_distsim_peer_poll_parks_total", "counter", "mesh reads a peer waited out in the netpoller",
+		func(p distsim.PeerStats) float64 { return float64(p.Parks) })
+	perPeer("stardust_distsim_peer_poll_links", "gauge", "mesh links of a peer that polled when it last reported (a gauge: the others have backed off to parking)",
+		func(p distsim.PeerStats) float64 { return float64(p.PollingLinks) })
 	telemetry.WriteProm(w, "stardust_distsim_barrier_seconds", "per-window mesh wait of one peer: from its own XCHG frames sent to everyone else's received", ds.BarrierLatency)
 	telemetry.WriteProm(w, "stardust_distsim_window_mail_bytes", "raw mail entry bytes the peers exchanged per window", ds.WindowMailBytes)
 	if s.run == nil {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -256,6 +257,64 @@ func TestObservabilityMetricsFamilies(t *testing.T) {
 	} {
 		if !strings.Contains(body, family) {
 			t.Fatalf("/metrics lacks %s", family)
+		}
+	}
+}
+
+// TestDistsimPeerPollSurfaces: a distributed run this process coordinated
+// shows, per peer, how its mesh reads waited — on /api/v1/distsim and as
+// the stardust_distsim_peer_poll_* families on /metrics.
+func TestDistsimPeerPollSurfaces(t *testing.T) {
+	lis, err := distsim.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Skipf("loopback TCP unavailable: %v", err)
+	}
+	peers := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() { peers <- distsim.RunPeer(lis.Addr().String()) }()
+	}
+	spec := distsim.Spec{K: 4, Seed: 7, Shards: 2, Dur: 100 * sim.Microsecond, Load: 0.5, CellBytes: 512, Hotspot: 1}
+	if _, err := distsim.Serve(lis, distsim.CoordConfig{Spec: spec, Peers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-peers; err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts, _ := telemDaemon(t)
+
+	var ds struct {
+		Coord distsim.CoordStatsSnapshot `json:"coord"`
+	}
+	getJSON(t, ts.URL+"/api/v1/distsim", &ds)
+	if len(ds.Coord.Peers) != 2 {
+		t.Fatalf("/api/v1/distsim names %d peers after a 2-peer run", len(ds.Coord.Peers))
+	}
+	for _, p := range ds.Coord.Peers {
+		// Every mesh read was ready or parked, and these small frames take
+		// one a window (where sockets can only be read blocking, nothing is
+		// counted).
+		if reads := p.PollReady + p.Parks; reads == 0 && runtime.GOOS != "windows" || reads > 2*ds.Coord.Windows {
+			t.Errorf("peer %d: %d ready + %d parked mesh reads over %d windows", p.Peer, p.PollReady, p.Parks, ds.Coord.Windows)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, series := range []string{
+		`stardust_distsim_peer_poll_tries_total{peer="0"}`,
+		`stardust_distsim_peer_poll_ready_total{peer="1"}`,
+		`stardust_distsim_peer_poll_parks_total{peer="0"}`,
+		"# TYPE stardust_distsim_peer_poll_links gauge",
+		`stardust_distsim_peer_poll_links{peer="1"}`,
+	} {
+		if !strings.Contains(string(blob), series) {
+			t.Errorf("/metrics lacks %s", series)
 		}
 	}
 }

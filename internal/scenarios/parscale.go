@@ -137,11 +137,16 @@ func runDistFabric(spec distsim.Spec, c engine.Context, timings bool) (parRun, e
 
 // distTimings renders where a distributed run's wall time went: per peer
 // the time stepping shards and in the codec (busy) and blocked on the
-// neighbours' XCHG frames (wait), and the peer the others waited on most.
+// neighbours' XCHG frames (wait), how those waits were spent — mesh reads
+// that parked in the netpoller against all of them, the non-blocking
+// attempts made instead, the links still polling — and the peer the others
+// waited on most.
 func distTimings(b *strings.Builder, r parRun) {
+	links := len(r.dist.Peers) - 1
 	fmt.Fprintf(b, "  wall %v over %d peers, %d windows:", r.wall.Round(time.Millisecond), len(r.dist.Peers), r.dist.Windows)
 	for _, p := range r.dist.Peers {
-		fmt.Fprintf(b, " peer %d busy %.0fms wait %.0fms,", p.Peer, p.Busy*1e3, p.Wait*1e3)
+		fmt.Fprintf(b, " peer %d busy %.0fms wait %.0fms (%d of %d reads parked, %d polls, %d/%d links polling),",
+			p.Peer, p.Busy*1e3, p.Wait*1e3, p.Parks, p.Parks+p.PollReady, p.PollTries, p.PollingLinks, links)
 	}
 	fmt.Fprintf(b, " straggler %d\n", r.dist.Straggler)
 }
@@ -272,7 +277,7 @@ func init() {
 			"cell":      "cell size in bytes",
 			"hotspot":   "boost factor for the first quarter of the FAs (>1 = skewed matrix, changes the offered traffic)",
 			"rebalance": "true enables adaptive shard rebalancing; every deterministic output stays byte-identical, only the per-shard split moves",
-			"timings":   "true adds wall-clock events/sec (total and per core), speedup vs one shard and the engine's execution stats (windows, fanned, probes, switches, mail) — with -peers, each peer's busy and mesh-wait time and the straggler instead — nondeterministic output, keep off when diffing runs",
+			"timings":   "true adds wall-clock events/sec (total and per core), speedup vs one shard and the engine's execution stats (windows, fanned, probes, switches, mail) — with -peers, each peer's busy and mesh-wait time, how its mesh reads waited (parked or polled) and the straggler instead — nondeterministic output, keep off when diffing runs",
 		},
 		Variants: parVariants,
 		Run: func(c engine.Context) (engine.Result, error) {

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"stardust/internal/sim"
 )
@@ -114,8 +115,16 @@ type Snapshot struct {
 	Sinks []SinkSample
 }
 
-// maxBody caps a frame body against corrupt length prefixes.
-const maxBody = 1 << 26
+// maxBody caps a frame body against corrupt length prefixes; bodyChunk is
+// how much of a body the Reader makes room for ahead of the bytes.
+const (
+	maxBody   = 1 << 26
+	bodyChunk = 64 << 10
+)
+
+// windowBodyMin is the size of the smallest window record body a stream of
+// these dimensions can hold: every varint one byte.
+func windowBodyMin(dirs, fas int) int { return 2 + (dirs+7)/8 + 4*dirs + 2*fas }
 
 // Writer encodes a STREC1 stream onto w. Not safe for concurrent use.
 type Writer struct {
@@ -268,7 +277,11 @@ type Event struct {
 	Link int
 }
 
-// Reader decodes a STREC1 stream.
+// Reader decodes a STREC1 stream. Its input may come from anywhere (an
+// upload to stardustd, a file on disk), so nothing is allocated on a
+// claim: a frame body is grown with the bytes that arrive, and the window
+// arrays are built when the first window record large enough to fill them
+// has been read and verified.
 type Reader struct {
 	r      io.Reader
 	hdr    StreamHeader
@@ -313,17 +326,11 @@ func (sr *Reader) open() error {
 	if sr.hdr.Format != Format {
 		return fmt.Errorf("telemetry: stream format %d, this reader speaks %d", sr.hdr.Format, Format)
 	}
-	if sr.hdr.Dirs < 0 || sr.hdr.FAs < 0 || sr.hdr.Dirs > 1<<22 || sr.hdr.FAs > 1<<22 {
+	// Dimensions whose smallest window record no frame could carry describe
+	// a stream that cannot have windows.
+	if sr.hdr.Dirs < 0 || sr.hdr.FAs < 0 || sr.hdr.Dirs > maxBody || sr.hdr.FAs > maxBody ||
+		windowBodyMin(sr.hdr.Dirs, sr.hdr.FAs) > maxBody {
 		return fmt.Errorf("telemetry: implausible header dims (%d dirs, %d fas)", sr.hdr.Dirs, sr.hdr.FAs)
-	}
-	sr.win = Window{
-		DFwdBytes:  make([]uint64, sr.hdr.Dirs),
-		DFwdCells:  make([]uint64, sr.hdr.Dirs),
-		DDrops:     make([]uint64, sr.hdr.Dirs),
-		DSinkCells: make([]uint64, sr.hdr.FAs),
-		DSinkBytes: make([]uint64, sr.hdr.FAs),
-		Dirs:       make([]DirSample, sr.hdr.Dirs),
-		Sinks:      make([]SinkSample, sr.hdr.FAs),
 	}
 	sr.opened = true
 	return nil
@@ -355,13 +362,20 @@ func (sr *Reader) readFrame() (byte, []byte, error) {
 	if n > maxBody {
 		return 0, nil, fmt.Errorf("telemetry: frame body %d bytes exceeds limit", n)
 	}
-	if uint64(cap(sr.body)) < n {
-		sr.body = make([]byte, n)
+	// The reused buffer takes a body it has room for in one read; a larger
+	// one grows it chunk by chunk (doubling), behind the bytes.
+	body := sr.body[:0]
+	for len(body) < int(n) {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, min(max(len(body), bodyChunk), int(n)-len(body)))
+		}
+		end := min(cap(body), int(n))
+		k, err := io.ReadFull(sr.r, body[len(body):end])
+		if body = body[:len(body)+k]; err != nil {
+			return 0, nil, ErrTruncated
+		}
 	}
-	body := sr.body[:n]
-	if _, err := io.ReadFull(sr.r, body); err != nil {
-		return 0, nil, ErrTruncated
-	}
+	sr.body = body
 	var crcb [4]byte
 	if _, err := io.ReadFull(sr.r, crcb[:]); err != nil {
 		return 0, nil, ErrTruncated
@@ -430,6 +444,20 @@ func uv(b []byte) (uint64, []byte, error) {
 }
 
 func (sr *Reader) decodeWindow(b []byte) error {
+	if len(b) < windowBodyMin(sr.hdr.Dirs, sr.hdr.FAs) {
+		return ErrTruncated
+	}
+	if sr.win.Dirs == nil {
+		sr.win = Window{
+			DFwdBytes:  make([]uint64, sr.hdr.Dirs),
+			DFwdCells:  make([]uint64, sr.hdr.Dirs),
+			DDrops:     make([]uint64, sr.hdr.Dirs),
+			DSinkCells: make([]uint64, sr.hdr.FAs),
+			DSinkBytes: make([]uint64, sr.hdr.FAs),
+			Dirs:       make([]DirSample, sr.hdr.Dirs),
+			Sinks:      make([]SinkSample, sr.hdr.FAs),
+		}
+	}
 	var err error
 	var v uint64
 	if v, b, err = uv(b); err != nil {
