@@ -1,7 +1,9 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation, one benchmark per artifact. Each benchmark runs a reduced
-// configuration sized for continuous integration; the cmd/ tools run the
-// paper-scale versions (see EXPERIMENTS.md for recorded results).
+// configuration sized for continuous integration; cmd/stardust runs the
+// paper-scale versions. CI runs the sweep once per benchmark as a smoke
+// test; the hot paths' 0 allocs/op is asserted by tests (alloc_test.go),
+// and like-for-like timing comparison is `go run ./bench -compare`.
 package stardust_test
 
 import (
@@ -23,35 +25,56 @@ import (
 	"stardust/internal/workload"
 )
 
-// BenchmarkPacketPath measures the per-packet cost (time and allocations)
-// of the netsim hot path: a saturated serialization queue draining into a
-// propagation pipe, a second queue, and a terminal counter. With the
-// packet free-list and the ring-buffer queue this path is allocation-free
-// in steady state.
-func BenchmarkPacketPath(b *testing.B) {
-	s := sim.New()
-	q1 := netsim.NewQueue(s, "q1", 100e9, 1<<20, 0)
-	q2 := netsim.NewQueue(s, "q2", 100e9, 1<<20, 0)
-	pipe := netsim.NewPipe(s, sim.Microsecond)
-	var sink netsim.Counter
-	route := []netsim.Handler{q1, pipe, q2, &sink}
-	pkt := 1500
-	gap := sim.Time(float64(pkt*8) / 100e9 * float64(sim.Second))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+// packetPath is the netsim hot path: a saturated serialization queue
+// draining into a propagation pipe, a second queue, and a terminal
+// counter.
+type packetPath struct {
+	s     *sim.Simulator
+	route []netsim.Handler
+	sink  netsim.Counter
+	size  int      // packet bytes
+	gap   sim.Time // one packet's serialization time
+	sent  int
+}
+
+func newPacketPath() *packetPath {
+	pp := &packetPath{s: sim.New(), size: 1500}
+	q1 := netsim.NewQueue(pp.s, "q1", 100e9, 1<<20, 0)
+	q2 := netsim.NewQueue(pp.s, "q2", 100e9, 1<<20, 0)
+	pipe := netsim.NewPipe(pp.s, sim.Microsecond)
+	pp.route = []netsim.Handler{q1, pipe, q2, &pp.sink}
+	pp.gap = sim.Time(float64(pp.size*8) / 100e9 * float64(sim.Second))
+	return pp
+}
+
+// send offers n more back-to-back packets, running the simulator along so
+// at most ~512 events are pending, and drains.
+func (pp *packetPath) send(n int) {
+	for end := pp.sent + n; pp.sent < end; pp.sent++ {
 		p := netsim.NewPacket()
-		p.Size = pkt
-		p.SetRoute(route)
-		s.AtAction(sim.Time(i)*gap, p, 0)
-		if s.Pending() > 512 {
-			s.RunUntil(sim.Time(i) * gap)
+		p.Size = pp.size
+		p.SetRoute(pp.route)
+		at := sim.Time(pp.sent) * pp.gap
+		pp.s.AtAction(at, p, 0)
+		if pp.s.Pending() > 512 {
+			pp.s.RunUntil(at)
 		}
 	}
-	s.Run()
+	pp.s.Run()
+}
+
+// BenchmarkPacketPath measures the per-packet cost (time and allocations)
+// of the netsim hot path. With the packet free-list and the ring-buffer
+// queue this path is allocation-free in steady state
+// (TestPacketPathAllocFree).
+func BenchmarkPacketPath(b *testing.B) {
+	pp := newPacketPath()
+	b.ReportAllocs()
+	b.ResetTimer()
+	pp.send(b.N)
 	b.StopTimer()
-	if sink.Packets != uint64(b.N) {
-		b.Fatalf("delivered %d of %d packets", sink.Packets, b.N)
+	if pp.sink.Packets != uint64(b.N) {
+		b.Fatalf("delivered %d of %d packets", pp.sink.Packets, b.N)
 	}
 }
 
@@ -99,11 +122,9 @@ func BenchmarkFabricCellPath(b *testing.B) {
 	}
 }
 
-// reportEventRate attaches the kernel-throughput metric benchguard gates
-// alongside ns/op: simulator events per wall-clock second divided by the
-// shard count, so the number measures per-core event-kernel speed rather
-// than how many loops ran. Lower is worse; the CI gate fails when the
-// median drops more than the tolerance below the committed baseline.
+// reportEventRate attaches the kernel-throughput metric: simulator events
+// per wall-clock second divided by the shard count, so the number
+// measures per-core event-kernel speed rather than how many loops ran.
 func reportEventRate(b *testing.B, events uint64, shards int) {
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(events)/sec/float64(shards), "events/sec/core")
@@ -149,8 +170,8 @@ func (f *fabricInjector) Act(arg uint64) {
 // through the parsim conservative-lookahead engine at two shards: lane-
 // ordered link crossings, window barriers and cross-shard mailboxes
 // included. The steady-state path must stay allocation-free just like the
-// solo engine's (the window machinery amortizes to zero); benchguard
-// gates both the allocs/op and median ns/op of this benchmark.
+// solo engine's (the window machinery amortizes to zero;
+// fabric.TestFabricAllocFree asserts it).
 func BenchmarkFabricCellPathSharded(b *testing.B) {
 	eng := parsim.New(parsim.Config{Shards: 2, Lookahead: sim.Microsecond})
 	cl, err := fabric.ClosFor(4)
@@ -198,7 +219,7 @@ func BenchmarkFabricCellPathSharded(b *testing.B) {
 // next-hop selection, per-cell spraying over the candidate set, and
 // possible edge-device relay hops — the pluggable-topology counterpart
 // of BenchmarkFabricCellPath. The steady-state path must stay
-// allocation-free like the Clos one; benchguard gates both numbers.
+// allocation-free like the Clos one (fabric.TestFabricAllocFree).
 func BenchmarkFabricCellPathSShuffle(b *testing.B) {
 	s := sim.New()
 	g, err := topo.ByName("sshuffle", 4)
@@ -236,92 +257,118 @@ func BenchmarkFabricCellPathSShuffle(b *testing.B) {
 	}
 }
 
-// BenchmarkTransportPathSharded measures the per-packet cost of the full
-// sharded transport pipeline at two shards: NIC queue, VOQ capture,
-// cross-shard request/grant on the pair lanes, cell fragmentation, the
-// per-link fabric crossing, in-order reassembly and egress. The
-// steady-state VOQ/credit hot path must stay allocation-free — packets,
-// cells and reassembly states are pooled and every control message reuses
-// a pre-bound action; benchguard gates the allocs/op.
-func BenchmarkTransportPathSharded(b *testing.B) {
+// transportPath is the full sharded transport pipeline at two shards
+// over a K=4 Clos, two hosts per FA, every host sending 4 KB packets at
+// half its rate to the host three places on.
+type transportPath struct {
+	eng   *parsim.Engine
+	net   *netsim.StardustNet
+	injs  []*transportInjector
+	sinks []*netsim.Counter
+	gap   sim.Time
+}
+
+func newTransportPath(tb testing.TB) *transportPath {
 	eng := parsim.New(parsim.Config{Shards: 2, Lookahead: sim.Microsecond})
 	cl, err := fabric.ClosFor(4)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	fab, err := fabric.NewSharded(eng, fabric.DefaultConfig(netsim.Bps(10e9*1.05), sim.Microsecond, 1), cl, nil)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	const hostsPer = 2
 	hosts := cl.NumFA * hostsPer
 	sdc := netsim.DefaultStardust(10e9, cl.FAUplinks, sim.Microsecond)
 	net, err := netsim.NewShardedStardustNet(fab, sdc, hosts, hostsPer)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	const pktSize = 4096
 	// Half the host rate: 4KB every two serialization times.
-	gap := 2 * sim.Time(float64(pktSize*8)/10e9*float64(sim.Second))
-	sinks := make([]*netsim.Counter, hosts)
-	injs := make([]*transportInjector, hosts)
+	tp := &transportPath{eng: eng, net: net, gap: 2 * sim.Time(float64(pktSize*8)/10e9*float64(sim.Second))}
 	for h := 0; h < hosts; h++ {
-		dst := (h + 3) % hosts
-		sinks[h] = &netsim.Counter{}
-		injs[h] = &transportInjector{
+		sink := &netsim.Counter{}
+		tp.sinks = append(tp.sinks, sink)
+		tp.injs = append(tp.injs, &transportInjector{
 			sm:    net.HostSim(h),
-			route: append(net.Route(h, dst), sinks[h]),
-			gap:   gap,
+			route: append(net.Route(h, (h+3)%hosts), sink),
+			gap:   tp.gap,
 			size:  pktSize,
-		}
+		})
 	}
-	run := func(quota int, horizon sim.Time) {
-		for h, j := range injs {
-			j.quota = quota
-			j.sm.AtAction(eng.Now()+sim.Time(h)*gap/sim.Time(hosts), j, 0)
-		}
-		eng.Run(horizon)
-	}
-	delivered := func() uint64 {
-		var d uint64
-		for _, s := range sinks {
-			d += s.Packets
-		}
-		return d
-	}
-	// Warm the pools, rings, mailboxes and scheduler state before
-	// measuring, so one-time growth does not count against the hot path.
-	run(32, eng.Now()+sim.Time(40)*gap+sim.Millisecond)
-	warm := delivered()
-	if warm == 0 {
-		b.Fatal("warmup delivered nothing")
-	}
+	return tp
+}
 
-	quota := b.N / hosts
-	extra := b.N % hosts
-	b.ReportAllocs()
-	ev0, d0, f0 := eng.Processed(), dispatched(eng), eng.Stats().Fanned
-	b.ResetTimer()
-	for h, j := range injs {
+// arm spreads n more packets over the hosts' injectors, staggered from
+// now, and returns the largest per-host share.
+func (tp *transportPath) arm(n int) int {
+	hosts := len(tp.injs)
+	quota, extra := n/hosts, n%hosts
+	for h, j := range tp.injs {
 		q := quota
 		if h < extra {
 			q++
 		}
 		j.quota = q
 		if q > 0 {
-			j.sm.AtAction(eng.Now()+sim.Time(h)*gap/sim.Time(hosts), j, 0)
+			j.sm.AtAction(tp.eng.Now()+sim.Time(h)*tp.gap/sim.Time(hosts), j, 0)
 		}
 	}
-	deadline := eng.Now() + sim.Time(quota+2)*gap + sim.Millisecond
-	eng.Run(deadline)
-	for tries := 0; delivered()-warm < uint64(b.N) && tries < 50; tries++ {
-		eng.Run(eng.Now() + sim.Millisecond)
+	return quota
+}
+
+func (tp *transportPath) delivered() uint64 {
+	var d uint64
+	for _, s := range tp.sinks {
+		d += s.Packets
 	}
+	return d
+}
+
+// warm sends 32 packets per host, so that the one-time growth of pools,
+// rings, mailboxes and scheduler state does not count against the hot
+// path, and returns how many arrived.
+func (tp *transportPath) warm(tb testing.TB) uint64 {
+	tp.arm(32 * len(tp.injs))
+	tp.eng.Run(tp.eng.Now() + sim.Time(40)*tp.gap + sim.Millisecond)
+	warm := tp.delivered()
+	if warm == 0 {
+		tb.Fatal("warmup delivered nothing")
+	}
+	return warm
+}
+
+// send arms n more packets and runs until `want` have arrived in total.
+func (tp *transportPath) send(n int, want uint64) {
+	quota := tp.arm(n)
+	tp.eng.Run(tp.eng.Now() + sim.Time(quota+2)*tp.gap + sim.Millisecond)
+	for tries := 0; tp.delivered() < want && tries < 50; tries++ {
+		tp.eng.Run(tp.eng.Now() + sim.Millisecond)
+	}
+}
+
+// BenchmarkTransportPathSharded measures the per-packet cost of the full
+// sharded transport pipeline at two shards: NIC queue, VOQ capture,
+// cross-shard request/grant on the pair lanes, cell fragmentation, the
+// per-link fabric crossing, in-order reassembly and egress. The
+// steady-state VOQ/credit hot path must stay allocation-free — packets,
+// cells and reassembly states are pooled and every control message reuses
+// a pre-bound action (TestTransportPathAllocFree).
+func BenchmarkTransportPathSharded(b *testing.B) {
+	tp := newTransportPath(b)
+	eng, net := tp.eng, tp.net
+	warm := tp.warm(b)
+	b.ReportAllocs()
+	ev0, d0, f0 := eng.Processed(), dispatched(eng), eng.Stats().Fanned
+	b.ResetTimer()
+	tp.send(b.N, warm+uint64(b.N))
 	b.StopTimer()
 	reportEventRate(b, eng.Processed()-ev0, 2)
 	reportDispatched(b, dispatched(eng)-d0)
 	reportFanned(b, eng.Stats().Fanned-f0)
-	if got := delivered() - warm; got != uint64(b.N) {
+	if got := tp.delivered() - warm; got != uint64(b.N) {
 		b.Fatalf("delivered %d of %d packets (voq drops %d, fabric drops %d, timeouts %d)",
 			got, b.N, net.VOQDrops(), net.FabricDrops(), net.ReasmTimeouts())
 	}
@@ -361,7 +408,7 @@ func (j *transportInjector) Act(uint64) {
 // into the STREC1 stream, and runs the event emitter. The recorder and
 // writer reuse all scratch buffers, so steady-state export must stay
 // allocation-free — a scrape that allocates would perturb the very
-// simulation it observes; benchguard gates the allocs/op.
+// simulation it observes (telemetry.TestWriteWindowDoesNotAllocate).
 func BenchmarkTelemetryExport(b *testing.B) {
 	s := sim.New()
 	cl, err := fabric.ClosFor(4)

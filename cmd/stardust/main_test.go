@@ -1,0 +1,65 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+const asStardust = "STARDUST_TEST_AS_MAIN"
+
+// TestMain lets the tests run the real command: re-executed with
+// asStardust set, this test binary is stardust — main() and its exit
+// status included.
+func TestMain(m *testing.M) {
+	if os.Getenv(asStardust) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+func stardust(t *testing.T, args ...string) (stdout, stderr string, exit int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), asStardust+"=1")
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if err != nil && !errors.As(err, &ee) {
+		t.Fatal(err)
+	}
+	return out.String(), errb.String(), cmd.ProcessState.ExitCode()
+}
+
+func TestCommandLine(t *testing.T) {
+	out, errs, exit := stardust(t, "-format", "csv", "scaling/table2", "k=16")
+	if exit != 0 || !strings.Contains(out, "scaling/table2") || !strings.Contains(out, "k=16") {
+		t.Fatalf("run: exit %d\nstdout: %s\nstderr: %s", exit, out, errs)
+	}
+
+	// A misspelt key is one keystroke away; it must not run the defaults.
+	out, errs, exit = stardust(t, "fabric/parscale", "kk=8")
+	if exit != 1 || out != "" || !strings.Contains(errs, `no parameter "kk"`) || !strings.Contains(errs, "hotspot, k, load") {
+		t.Fatalf("unknown key: exit %d\nstdout: %s\nstderr: %s", exit, out, errs)
+	}
+
+	out, errs, exit = stardust(t, "scaling/table2", "-seed", "7")
+	if exit != 1 || out != "" || !strings.Contains(errs, "flags come first") {
+		t.Fatalf("flag after the scenario: exit %d\nstdout: %s\nstderr: %s", exit, out, errs)
+	}
+
+	out, errs, exit = stardust(t)
+	if exit != 2 || out != "" || !strings.Contains(errs, "usage: stardust") || !strings.Contains(errs, "fabric/parscale") {
+		t.Fatalf("empty command line: exit %d\nstdout: %s\nstderr: %.300s", exit, out, errs)
+	}
+
+	out, _, exit = stardust(t, "-list")
+	if exit != 0 || !strings.Contains(out, "htsim/permutation") {
+		t.Fatalf("-list: exit %d\nstdout: %.300s", exit, out)
+	}
+}

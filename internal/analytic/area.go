@@ -66,16 +66,6 @@ func (b AreaBreakdown) RelativeAreaPerTbps(r AreaRatios) float64 {
 	return b.RelativeArea(r) / (b.BandwidthB / b.BandwidthA)
 }
 
-// FabricAdapterOverhead is the fraction of a Fabric Adapter die spent on
-// Stardust-specific functionality (cell generation, load balancing, credit
-// generation), per Appendix C: about 8%, compensated by the 70% gain per
-// fabric-facing port, leaving overall FA area ~equal to device A.
-const FabricAdapterOverhead = 0.08
-
-// NetworkInterfacePortGain is the per-port area gain of a fabric interface
-// vs. a full Ethernet MAC (Appendix C).
-const NetworkInterfacePortGain = 0.70
-
 // VOQMemoryBytes returns the memory consumed by n VOQs, using Appendix C's
 // anchor that 128K VOQs consume roughly 4 MB.
 func VOQMemoryBytes(voqs int) int64 {

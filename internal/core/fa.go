@@ -392,9 +392,6 @@ func (fa *FabricAdapter) drainEgress(port int) {
 	})
 }
 
-// IngressStats exposes the VOQ manager for inspection.
-func (fa *FabricAdapter) IngressStats() *voq.Manager { return fa.voqs }
-
 // Scheduler returns the egress credit scheduler of the given host port.
 func (fa *FabricAdapter) Scheduler(port int) *sched.PortScheduler { return fa.scheds[port] }
 

@@ -31,7 +31,6 @@ import (
 	"math/rand"
 
 	"stardust/internal/fabric"
-	"stardust/internal/netsim"
 	"stardust/internal/parsim"
 	"stardust/internal/sim"
 	"stardust/internal/topo"
@@ -84,21 +83,6 @@ func (s Spec) telemEvery(look sim.Time) sim.Time {
 	return (s.Telem + look - 1) / look * look
 }
 
-// CellSink counts delivered cells for one destination FA. Installed with
-// SetEgress it runs pinned to the FA's shard: no locking, and in a
-// distributed run only the FA's owner accumulates real counts.
-type CellSink struct {
-	Cells uint64
-	Bytes uint64
-}
-
-// Receive implements netsim.Handler.
-func (s *CellSink) Receive(c *netsim.Packet) {
-	s.Cells++
-	s.Bytes += uint64(c.Size)
-	c.Release()
-}
-
 // Model is one process's replica of the simulation: the sharded fabric,
 // its engine, the per-edge delivery sinks, and the run horizon.
 type Model struct {
@@ -106,7 +90,7 @@ type Model struct {
 	Graph   topo.Graph
 	Eng     *parsim.Engine
 	Net     *fabric.Net
-	Sinks   []*CellSink
+	Sinks   []*fabric.CellSink
 	Horizon sim.Time
 	Drain   sim.Time
 }
@@ -133,22 +117,10 @@ func NewModel(spec Spec) (*Model, error) {
 		return nil, err
 	}
 	numFA := graph.NumEdge()
-	sinks := make([]*CellSink, numFA)
+	sinks := make([]*fabric.CellSink, numFA)
 	for fa := range sinks {
-		sinks[fa] = &CellSink{}
+		sinks[fa] = &fabric.CellSink{}
 		n.SetEgress(fa, sinks[fa])
-	}
-	// Offered load scales with each edge device's own uplink count (every
-	// FA has FAUplinks on a Clos; ring-space and server-centric graphs
-	// vary per device), so Load=1.0 saturates every edge everywhere.
-	uplinks := topo.EdgeUplinkDirs(graph)
-	gapOf := func(fa int) sim.Time {
-		perFA := spec.Load * float64(len(uplinks[fa])) * float64(cfg.LinkRate)
-		g := sim.Time(float64(spec.CellBytes*8) / perFA * float64(sim.Second))
-		if g < sim.Nanosecond {
-			g = sim.Nanosecond
-		}
-		return g
 	}
 	hotFAs := 0
 	if spec.Hotspot > 1 {
@@ -166,7 +138,7 @@ func NewModel(spec Spec) (*Model, error) {
 		return nil, fmt.Errorf("distsim: unknown traffic pattern %q (want rotate, permutation, incast or alltoall)", spec.Pattern)
 	}
 	for fa := 0; fa < numFA; fa++ {
-		gap := gapOf(fa)
+		gap := n.CellGap(fa, spec.CellBytes, spec.Load)
 		g := gap
 		if fa < hotFAs {
 			g = sim.Time(float64(gap) / spec.Hotspot)

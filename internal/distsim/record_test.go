@@ -73,7 +73,7 @@ func TestRecordShardInvariance(t *testing.T) {
 
 // goldenStreamSHA256 pins the telemetry stream to history the way
 // golden_digests.json pins the end-of-run digest: it is the SHA-256 of
-// the STREC1 bytes `stardust-fabric -exp record -k 4 -seed 7` writes
+// the STREC1 bytes `stardust -seed 7 trace/record k=4` writes
 // (telemSpec is that spec), which carry every link direction's FwdBytes
 // delta and queue occupancy at each 20us scrape barrier — mid-run reads
 // the digest never sees. It may only change in a PR that says why, old ->

@@ -261,12 +261,6 @@ func (s *CoordStats) Snapshot() CoordStatsSnapshot {
 	return snap
 }
 
-// BarrierHist exposes the mesh-wait histogram for /metrics.
-func (s *CoordStats) BarrierHist() telemetry.HistSnapshot { return s.barrier.Snapshot() }
-
-// MailHist exposes the per-window mail-bytes histogram for /metrics.
-func (s *CoordStats) MailHist() telemetry.HistSnapshot { return s.mailBytes.Snapshot() }
-
 // window records one window the coordinator accounted: the mail bytes and
 // entries the peers exchanged in it.
 func (s *CoordStats) window(mailBytes, entries int) {

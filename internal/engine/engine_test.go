@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -136,16 +137,16 @@ func TestRegistryLookupAndMatch(t *testing.T) {
 	if _, err := Lookup("nope"); err == nil {
 		t.Fatal("lookup of unknown scenario succeeded")
 	}
-	names, err := Match("test")
+	scs, err := Match("test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) < 4 {
-		t.Fatalf("prefix match = %v", names)
+	if len(scs) < 4 {
+		t.Fatalf("prefix match = %v", scs)
 	}
-	names, err = Match("test/ec*")
-	if err != nil || len(names) != 1 || names[0] != "test/echo" {
-		t.Fatalf("glob match = %v, %v", names, err)
+	scs, err = Match("test/ec*")
+	if err != nil || len(scs) != 1 || scs[0].Name != "test/echo" {
+		t.Fatalf("glob match = %v, %v", scs, err)
 	}
 	if _, err := Match("zzz*"); err == nil {
 		t.Fatal("match of nothing succeeded")
@@ -243,6 +244,83 @@ func TestRunErrorsAndPanicsAreIsolated(t *testing.T) {
 func TestRunUnknownScenario(t *testing.T) {
 	if _, err := Run(Options{}, []Job{{Scenario: "does/not/exist"}}); err == nil {
 		t.Fatal("unknown scenario accepted")
+	}
+}
+
+// The typed accessors fall back silently, so before Resolve a misspelt
+// key ran the defaults; it must fail the request, name the accepted keys,
+// and leave the keys a Variants hook adds ("point") alone.
+func TestRunRejectsUndeclaredParam(t *testing.T) {
+	var buf bytes.Buffer
+	_, err := Run(Options{Out: &buf}, []Job{{Scenario: "test/echo", Params: Params{"xx": "5", "zz": "1"}}})
+	if err == nil || !strings.Contains(err.Error(), `no parameter "xx"`) || !strings.Contains(err.Error(), "accepts x") {
+		t.Fatalf("undeclared parameter: err = %v", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("a refused request emitted %q", buf.String())
+	}
+	if _, err := Run(Options{}, []Job{{Scenario: "test/fail", Params: Params{"x": "1"}}}); err == nil || !strings.Contains(err.Error(), "takes none") {
+		t.Fatalf("parameter for a scenario without any: err = %v", err)
+	}
+	if _, err := Run(Options{}, []Job{{Scenario: "test/sweep", Params: Params{"points": "2"}}}); err != nil {
+		t.Fatalf("variant-added keys must not be checked: %v", err)
+	}
+}
+
+func TestParseArgs(t *testing.T) {
+	family, err := Match("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := func(name string, kv ...string) Job {
+		j := Job{Scenario: name, Params: Params{}}
+		for i := 0; i < len(kv); i += 2 {
+			j.Params[kv[i]] = kv[i+1]
+		}
+		return j
+	}
+	var whole []Job
+	for _, sc := range family {
+		whole = append(whole, job(sc.Name))
+	}
+	for _, tc := range []struct {
+		name    string
+		args    []string
+		want    []Job
+		wantErr string
+	}{
+		{name: "exact name", args: []string{"test/echo"}, want: []Job{job("test/echo")}},
+		{name: "family prefix", args: []string{"test"}, want: whole},
+		{name: "glob", args: []string{"test/s*"}, want: []Job{job("test/sweep")}},
+		{name: "two scenarios keep command-line order", args: []string{"test/sweep", "test/echo"},
+			want: []Job{job("test/sweep"), job("test/echo")}},
+		{name: "value holds = and ,", args: []string{"test/echo", "x=sshuffle:n=32,s=2,seed=1"},
+			want: []Job{job("test/echo", "x", "sshuffle:n=32,s=2,seed=1")}},
+		{name: "empty value", args: []string{"test/echo", "x="}, want: []Job{job("test/echo", "x", "")}},
+		{name: "key only one of two declares", args: []string{"test/echo", "test/sweep", "x=5", "points=2"},
+			want: []Job{job("test/echo", "x", "5"), job("test/sweep", "points", "2")}},
+		{name: "parameter before its scenario", args: []string{"x=5", "test/echo"}, want: []Job{job("test/echo", "x", "5")}},
+		{name: "key none declares", args: []string{"test/echo", "test/sweep", "kk=8"}, wantErr: `none of the 2 selected scenarios has a parameter "kk"`},
+		{name: "key the one scenario does not declare", args: []string{"test/echo", "kk=8"}, wantErr: "accepts x"},
+		{name: "no match", args: []string{"zzz*"}, wantErr: "no scenario matches"},
+		{name: "flag after the scenario", args: []string{"test/echo", "-seed", "7"}, wantErr: "flags come first"},
+		{name: "parameters without a scenario", args: []string{"x=5"}, wantErr: "no scenario named"},
+		{name: "empty command line", wantErr: "no scenario named"},
+	} {
+		got, err := ParseArgs(tc.args)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 	"stardust/internal/distsim"
 )
 
-// Flags bundles the engine options every cmd binary shares. Bind them
+// Flags bundles the engine options of the stardust command. Bind them
 // onto a FlagSet with AddFlags, then hand the parsed value to Main.
 type Flags struct {
 	Workers    int
@@ -93,8 +93,9 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// Main is the shared entry point of the cmd binaries: it honors -list,
-// handles the distributed peer modes, wraps the run in the requested
+// Main is the entry point of the stardust command: it honors -list,
+// handles the distributed peer modes, resolves args — the words left
+// after the flags — into jobs (ParseArgs), wraps the run in the requested
 // CPU/heap profiles, runs the jobs with the common options, and exits
 // non-zero on failure. Profiles are stopped and flushed before any exit
 // path, including a failed run, so a profile of a crashing sweep is
@@ -103,7 +104,7 @@ func fatal(err error) {
 // Callers must invoke distsim.MaybeRunPeer() at the very top of main(),
 // before flag parsing — a forked peer child (devnet, fabric/distscale)
 // re-executes the binary and must branch into the peer loop first.
-func Main(f *Flags, jobs []Job) {
+func Main(f *Flags, args []string) {
 	if f.List {
 		WriteRegistry(os.Stdout)
 		return
@@ -115,6 +116,10 @@ func Main(f *Flags, jobs []Job) {
 			fatal(err)
 		}
 		return
+	}
+	jobs, err := ParseArgs(args)
+	if err != nil {
+		fatal(err)
 	}
 	var cpuFile *os.File
 	if f.CPUProfile != "" {

@@ -47,6 +47,43 @@ func Lookup(name string) (*Scenario, error) {
 	return sc, nil
 }
 
+// Resolve returns the named scenario after checking that it declares
+// every requested parameter. The typed Params accessors fall back
+// silently on what they cannot find, so a misspelt key would run the
+// defaults under a second name; every door — the runner, the command
+// line, stardustd's submit handler — refuses it here instead.
+func Resolve(name string, req Params) (*Scenario, error) {
+	sc, err := Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	var unknown []string
+	for k := range req {
+		if _, ok := sc.Defaults[k]; !ok {
+			unknown = append(unknown, k)
+		}
+	}
+	if len(unknown) > 0 {
+		sort.Strings(unknown) // map order must not pick the message
+		return nil, sc.noParam(unknown[0])
+	}
+	return sc, nil
+}
+
+// noParam is the error for a key the scenario does not declare; it names
+// the keys it does.
+func (s *Scenario) noParam(key string) error {
+	accepts := "it takes none"
+	if len(s.Defaults) > 0 {
+		var keys []string
+		for _, d := range s.ParamDocs() {
+			keys = append(keys, d.Key)
+		}
+		accepts = "it accepts " + strings.Join(keys, ", ")
+	}
+	return fmt.Errorf("engine: scenario %q has no parameter %q (%s)", s.Name, key, accepts)
+}
+
 // List returns all registered scenarios sorted by name.
 func List() []*Scenario {
 	regMu.RLock()
@@ -59,28 +96,28 @@ func List() []*Scenario {
 	return out
 }
 
-// Match resolves a pattern to scenario names, sorted. A pattern is an
+// Match resolves a pattern to scenarios, sorted by name. A pattern is an
 // exact name, a family prefix ("htsim" matches "htsim/*"), or a
 // path.Match glob ("fabric/*", "*/fig*").
-func Match(pattern string) ([]string, error) {
+func Match(pattern string) ([]*Scenario, error) {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	if _, ok := registry[pattern]; ok {
-		return []string{pattern}, nil
+	if sc, ok := registry[pattern]; ok {
+		return []*Scenario{sc}, nil
 	}
-	var names []string
-	for name := range registry {
+	var out []*Scenario
+	for name, sc := range registry {
 		if strings.HasPrefix(name, pattern+"/") {
-			names = append(names, name)
+			out = append(out, sc)
 			continue
 		}
 		if ok, err := path.Match(pattern, name); err == nil && ok {
-			names = append(names, name)
+			out = append(out, sc)
 		}
 	}
-	if len(names) == 0 {
+	if len(out) == 0 {
 		return nil, fmt.Errorf("engine: no scenario matches %q", pattern)
 	}
-	sort.Strings(names)
-	return names, nil
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out, nil
 }

@@ -69,12 +69,13 @@ type instance struct {
 	seed   int64
 }
 
-// expand resolves jobs against the registry and applies variant
+// expand resolves jobs against the registry — an unknown scenario or an
+// undeclared parameter fails the whole request — and applies variant
 // expansion, preserving request order.
 func expand(opts Options, jobs []Job) ([]instance, error) {
 	var insts []instance
 	for _, j := range jobs {
-		sc, err := Lookup(j.Scenario)
+		sc, err := Resolve(j.Scenario, j.Params)
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"stardust/internal/core"
 	"stardust/internal/sim"
@@ -153,14 +152,4 @@ func aristaOne(cfg AristaConfig, pktSize int) (AristaRow, error) {
 		row.JitterNs = jitterSum / float64(jitterN)
 	}
 	return row, nil
-}
-
-// WriteArista prints the §6.1.2 table.
-func WriteArista(w io.Writer, cfg AristaConfig, rows []AristaRow) {
-	fmt.Fprintf(w, "== §6.1.2 single-tier system: %d FA x %d ports over %d FE (packing=%v) ==\n",
-		cfg.NumFA, cfg.PortsPerFA, cfg.NumFE, cfg.Packing)
-	fmt.Fprintf(w, "%8s %10s %8s %8s %8s %11s\n", "pkt[B]", "line-rate", "min[us]", "avg[us]", "max[us]", "jitter[ns]")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%8d %9.1f%% %8.2f %8.2f %8.2f %11.0f\n", r.PacketBytes, r.LineRatePct, r.MinUs, r.AvgUs, r.MaxUs, r.JitterNs)
-	}
 }

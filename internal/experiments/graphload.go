@@ -71,11 +71,7 @@ func GraphLinkLoad(topoName string, k int, mode string, load float64, warmup, du
 		if dst == fa || len(uplinks[fa]) == 0 {
 			continue
 		}
-		perFA := load * float64(len(uplinks[fa])) * float64(fcfg.LinkRate)
-		gap := sim.Time(float64(cell*8) / perFA * float64(sim.Second))
-		if gap < sim.Nanosecond {
-			gap = sim.Nanosecond
-		}
+		gap := fab.CellGap(fa, cell, load)
 		j := fab.NewInjector(fa, gap, cell, 0, -1)
 		j.FixDst(dst)
 		j.Start(sim.Time(fa) * gap / sim.Time(numFA))

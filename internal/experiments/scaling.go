@@ -6,8 +6,6 @@ import (
 
 	"stardust/internal/analytic"
 	"stardust/internal/device"
-	"stardust/internal/fabricsim"
-	"stardust/internal/queueing"
 	"stardust/internal/topo"
 	"stardust/internal/workload"
 )
@@ -109,40 +107,6 @@ func WriteFig8b(w io.Writer, clockHz float64) {
 		pak := device.NetFPGA(device.Packed, clockHz).MixThroughput(sizes, weights)
 		fmt.Fprintf(w, "%-8s %9.1f%% %9.1f%% %9.1f%%\n", tr, 100*ref, 100*cel, 100*pak)
 	}
-}
-
-// WriteFig9 runs the 2-tier fabric simulation at the paper's utilizations
-// and prints latency and queue-distribution summaries with the M/D/1
-// reference.
-func WriteFig9(w io.Writer, scale int, utils []float64) error {
-	if utils == nil {
-		utils = []float64{0.66, 0.8, 0.92, 0.95, 1.2}
-	}
-	fmt.Fprintf(w, "== Fig 9: 2-tier fabric (scale 1/%d of 256 FAs x 32 links) ==\n", scale)
-	fmt.Fprintf(w, "%6s %9s %9s %9s %9s %10s %9s %11s\n",
-		"util", "lat p50", "lat p99", "lat p999", "maxQ p99", "mean queue", "eff util", "M/D/1 meanQ")
-	for _, u := range utils {
-		var cfg fabricsim.Config
-		if scale <= 1 {
-			cfg = fabricsim.Fig9Config(u)
-		} else {
-			cfg = fabricsim.Scaled(u, scale)
-		}
-		res, err := fabricsim.Run(cfg)
-		if err != nil {
-			return err
-		}
-		md1Mean := "-"
-		if u < 1 {
-			m, _ := queueing.NewMD1(u)
-			md1Mean = fmt.Sprintf("%.2f", m.MeanQueue())
-		}
-		fmt.Fprintf(w, "%6.2f %8.2fu %8.2fu %8.2fu %9.0f %10.2f %8.1f%% %11s\n",
-			u,
-			res.Latency.Quantile(0.5), res.Latency.Quantile(0.99), res.Latency.Quantile(0.999),
-			res.QueueHist.Quantile(0.99), res.MeanQueue, 100*res.EffectiveUtil, md1Mean)
-	}
-	return nil
 }
 
 // WriteFig10d prints the silicon area table.

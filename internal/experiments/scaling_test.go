@@ -28,19 +28,6 @@ func TestWriteScalingOutputs(t *testing.T) {
 	}
 }
 
-func TestWriteFig9Scaled(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fabric sim in -short mode")
-	}
-	var b bytes.Buffer
-	if err := WriteFig9(&b, 8, []float64{0.8}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "Fig 9") {
-		t.Fatal("missing header")
-	}
-}
-
 func TestAristaScaled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("arista system in -short mode")

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"stardust/internal/netsim"
+	"stardust/internal/parsim"
 	"stardust/internal/sim"
 	"stardust/internal/topo"
 )
@@ -239,26 +240,75 @@ func TestFabricIsolatedFA(t *testing.T) {
 }
 
 // The per-cell path must stay allocation-free in steady state (pooled
-// cells, prebuilt routes, in-place reshuffles).
+// cells, prebuilt routes, in-place reshuffles, reused mailboxes) on every
+// placement: the Clos and a graph topology on one event loop, and the
+// Clos split over a two-shard engine. A batch is 32 cells from every
+// edge device through the fabric's own Injector, so a path that
+// allocated per cell would show hundreds per batch. What a multi-shard
+// engine allocates per Run call is not the cell path's: always its
+// call-scoped worker pool, and in a call where the governor probes
+// fan-out the workers themselves, which AllocsPerRun's truncated mean
+// absorbs.
 func TestFabricAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
 	}
-	s, n := newTestNet(t, 11)
-	// Warm the pools and rings.
-	injectAll(s, n, 2000)
-	s.Run()
-	avg := testing.AllocsPerRun(50, func() {
-		for i := 0; i < 64; i++ {
-			c := netsim.NewPacket()
-			c.Size = 512
-			n.Inject(c, i%8, (i+3)%8)
-		}
-		s.Run()
-	})
-	// 64 cells x 4 hops per run; allow a tiny residue for heap growth.
-	if avg > 2 {
-		t.Fatalf("fabric hot path allocates: %.1f allocs per 64 cells", avg)
+	for _, tc := range []struct {
+		name, topo string
+		shards     int     // 0 = one bare simulator
+		perCall    float64 // the engine's own allocations per Run call
+	}{
+		{"clos", "clos", 0, 0},
+		{"sshuffle", "sshuffle", 0, 0},
+		{"clos sharded", "clos", 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := topo.ByName(tc.topo, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig(10e9, sim.Microsecond, 11)
+			var (
+				n   *Net
+				now func() sim.Time
+				run func()
+			)
+			if tc.shards > 0 {
+				eng := parsim.New(parsim.Config{Shards: tc.shards, Lookahead: sim.Microsecond})
+				if n, err = NewSharded(eng, cfg, g, nil); err != nil {
+					t.Fatal(err)
+				}
+				now, run = eng.Now, func() { eng.RunUntilQuiet(eng.Now() + sim.Millisecond) }
+			} else {
+				s := sim.New()
+				if n, err = New(s, cfg, g); err != nil {
+					t.Fatal(err)
+				}
+				now, run = s.Now, s.Run
+			}
+			const perFA = 32
+			gap := 2 * sim.Microsecond // 512B at 10G is ~410ns: no queue builds
+			injs := make([]*Injector, n.NumFA())
+			for fa := range injs {
+				injs[fa] = n.NewInjector(fa, gap, 512, 0, 0)
+			}
+			batch := func() {
+				for fa, j := range injs {
+					j.quota = perFA
+					j.Start(now() + sim.Time(fa)*gap/sim.Time(len(injs)))
+				}
+				run()
+			}
+			for i := 0; i < 8; i++ { // warm the pools, rings and mailboxes
+				batch()
+			}
+			if avg := testing.AllocsPerRun(100, batch); avg > tc.perCall {
+				t.Errorf("fabric hot path allocates: %.0f allocs per %d cells", avg, perFA*len(injs))
+			}
+			if want := uint64(109 * perFA * len(injs)); n.Injected() != want || n.Delivered() != want {
+				t.Fatalf("injected %d, delivered %d, want %d of each", n.Injected(), n.Delivered(), want)
+			}
+		})
 	}
 }
 

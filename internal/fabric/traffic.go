@@ -5,6 +5,49 @@ import (
 	"stardust/internal/sim"
 )
 
+// CellGap returns the pacing gap at which edge device fa, sending cells
+// of cellBytes, offers load × its own uplink capacity — uplink counts are
+// per device: uniform on a Clos, not on ring-space or server-centric
+// graphs, so load 1.0 saturates every edge everywhere. The gap is floored
+// at 1 ns. The float expression's operation order is part of the
+// determinism contract of everything built on it (distsim.NewModel's
+// digests, recorded STREC1 streams).
+func (n *Net) CellGap(fa, cellBytes int, load float64) sim.Time {
+	d := n.edges[fa]
+	uplinks := 0
+	for _, l := range d.down {
+		if l != nil {
+			uplinks++
+		}
+	}
+	for _, l := range d.up {
+		if l != nil {
+			uplinks++
+		}
+	}
+	perFA := load * float64(uplinks) * float64(n.Cfg.LinkRate)
+	gap := sim.Time(float64(cellBytes*8) / perFA * float64(sim.Second))
+	if gap < sim.Nanosecond {
+		gap = sim.Nanosecond
+	}
+	return gap
+}
+
+// CellSink counts the cells delivered to one edge device. Installed with
+// SetEgress it runs pinned to its device's shard: no locking, and in a
+// distributed run only the device's owner accumulates real counts.
+type CellSink struct {
+	Cells uint64
+	Bytes uint64
+}
+
+// Receive implements netsim.Handler.
+func (s *CellSink) Receive(c *netsim.Packet) {
+	s.Cells++
+	s.Bytes += uint64(c.Size)
+	c.Release()
+}
+
 // Injector paces synthetic cells out of one edge device toward rotating
 // destinations — the shared traffic source of the parscale/parheal
 // scenarios, the managed FabricRun, and the sharded cell-path benchmark.
@@ -24,8 +67,6 @@ type Injector struct {
 	dst   int      // fixed destination; -1 = rotate
 	n     int
 	sent  uint64
-	boost sim.Time // hotspot mode: gap override while Now < boostEnd
-	until sim.Time
 }
 
 // NewInjector builds an injector for FA fa pacing one cell of cellBytes
@@ -38,10 +79,6 @@ func (n *Net) NewInjector(fa int, gap sim.Time, cellBytes int, stop sim.Time, qu
 		gap: gap, cell: cellBytes, stop: stop, quota: quota, dst: -1,
 	}
 }
-
-// Boost overrides the pacing gap with `gap` until time until — the
-// hotspot knob of the parscale imbalance experiments. Call before Start.
-func (j *Injector) Boost(gap, until sim.Time) { j.boost, j.until = gap, until }
 
 // FixDst pins every cell to one destination edge instead of rotating —
 // the building block of collective and incast patterns. Call before
@@ -88,9 +125,5 @@ func (j *Injector) Act(uint64) {
 	}
 	j.net.Inject(c, j.fa, dst)
 	j.sent++
-	gap := j.gap
-	if j.boost != 0 && sm.Now() < j.until {
-		gap = j.boost
-	}
-	sm.AfterAction(gap, j, 0)
+	sm.AfterAction(j.gap, j, 0)
 }

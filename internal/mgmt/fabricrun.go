@@ -93,28 +93,14 @@ type FabricRun struct {
 	Trans *TransportMonitor   // barrier-scraped transport telemetry
 
 	// Telemetry pipeline (all nil/zero unless Cfg.Telem > 0): the STREC1
-	// recorder, the capped in-memory stream it writes, the live analyzer
-	// findings, and the per-FA delivery heatmap.
+	// recorder, the capped in-memory stream it writes, and the live
+	// analyzer findings.
 	Rec      *telemetry.Recorder
 	TelemBuf *telemetry.Buffer
 	Findings *telemetry.FindingLog
-	Heat     *telemetry.FAHeatmap
 
 	mu  sync.Mutex
 	rng *rand.Rand
-}
-
-// faSink counts per-FA deliveries for the telemetry stream. Installed
-// with SetEgress it runs pinned to its FA's shard, so no locking.
-type faSink struct {
-	cells, bytes uint64
-}
-
-// Receive implements netsim.Handler.
-func (s *faSink) Receive(c *netsim.Packet) {
-	s.cells++
-	s.bytes += uint64(c.Size)
-	c.Release()
 }
 
 // NewFabricRun builds the fabric, attaches the controller, and schedules
@@ -181,16 +167,10 @@ func NewFabricRun(cfg FabricRunConfig) (*FabricRun, error) {
 	} else {
 		// Per-FA pacing: each edge device offers Load×(its uplink
 		// capacity), spread over rotating destinations, as a
-		// self-rescheduling injection. Uplink counts are per device (uniform
-		// on a Clos, not necessarily elsewhere).
-		uplinks := topo.EdgeUplinkDirs(g)
+		// self-rescheduling injection.
 		numFA := g.NumEdge()
 		for fa := 0; fa < numFA; fa++ {
-			perFA := cfg.Load * float64(len(uplinks[fa])) * float64(fcfg.LinkRate)
-			gap := sim.Time(float64(cfg.CellBytes*8) / perFA * float64(sim.Second))
-			if gap < sim.Nanosecond {
-				gap = sim.Nanosecond
-			}
+			gap := fab.CellGap(fa, cfg.CellBytes, cfg.Load)
 			// Stagger starts so FAs do not inject in lockstep. The injector
 			// lives on its FA's shard (sharded mode) or the solo loop.
 			fab.NewInjector(fa, gap, cfg.CellBytes, 0, -1).Start(sim.Time(fa) * gap / sim.Time(numFA))
@@ -252,13 +232,12 @@ func (r *FabricRun) buildTelemetry(g topo.Graph) error {
 	if r.Net == nil {
 		// Raw-cell load: install per-FA delivery sinks so the stream
 		// carries the per-FA delivery series the heatmap renders.
-		fas := make([]*faSink, g.NumEdge())
+		fas := make([]fabric.CellSink, g.NumEdge())
 		for fa := range fas {
-			fas[fa] = &faSink{}
-			r.Fab.SetEgress(fa, fas[fa])
+			r.Fab.SetEgress(fa, &fas[fa])
 		}
 		hdr.FAs = g.NumEdge()
-		sinks = func(fa int) (uint64, uint64) { return fas[fa].cells, fas[fa].bytes }
+		sinks = func(fa int) (uint64, uint64) { return fas[fa].Cells, fas[fa].Bytes }
 	} else {
 		// The transport overlay owns the egress endpoints, so the stream
 		// carries link series only. Zero the topology identifiers too: they
@@ -272,17 +251,11 @@ func (r *FabricRun) buildTelemetry(g topo.Graph) error {
 		return err
 	}
 	r.Rec = telemetry.NewRecorder(w, r.Fab, sinks, every)
-	stages := telemetry.DefaultAnalyzers()
-	for _, a := range stages {
-		if h, ok := a.(*telemetry.FAHeatmap); ok {
-			r.Heat = h
-		}
-	}
 	meta := telemetry.MetaForGraph(g)
 	if isClos {
 		meta = telemetry.MetaFor(cl) // legacy "FA3->FE11" direction labels
 	}
-	r.Findings = r.Rec.Observe(meta, stages...)
+	r.Findings = r.Rec.Observe(meta, telemetry.DefaultAnalyzers()...)
 	if r.Eng != nil {
 		r.Rec.AttachEngine(r.Eng)
 	} else {

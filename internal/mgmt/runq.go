@@ -272,7 +272,7 @@ func (q *RunQueue) retryAfterLocked() time.Duration {
 // *OverloadError carrying a Retry-After estimate.
 func (q *RunQueue) Submit(req RunRequest, client string) (Job, bool, error) {
 	req = req.normalized()
-	if _, err := engine.Lookup(req.Scenario); err != nil {
+	if _, err := engine.Resolve(req.Scenario, req.Params); err != nil {
 		return Job{}, false, err
 	}
 	key := req.CacheKey()

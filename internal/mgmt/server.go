@@ -182,6 +182,13 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
+	// Refuse an unknown scenario or an undeclared parameter before the
+	// request is keyed: it must leave no job, no cache entry and no ring
+	// forward behind.
+	if _, err := engine.Resolve(req.Scenario, req.Params); err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	client := headerClient(r)
 	// Clustered placement: a submission for a key owned by a peer is
 	// forwarded there (unless already cached here, or it arrived via a

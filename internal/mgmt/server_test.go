@@ -2,6 +2,7 @@ package mgmt
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -204,6 +205,59 @@ func TestSubmitValidationAndBoundedQueue(t *testing.T) {
 	}
 	if q2.Stats().Rejected == 0 {
 		t.Fatal("rejections not counted")
+	}
+}
+
+// untouchedRing is a Cluster that fails the test when the server
+// consults it.
+type untouchedRing struct{ t *testing.T }
+
+func (c untouchedRing) Owner(string) (string, bool) {
+	c.t.Error("ring owner looked up")
+	return "", true
+}
+
+func (c untouchedRing) ForwardSubmit(context.Context, RunRequest, string) (*ForwardResult, error) {
+	c.t.Error("submission forwarded")
+	return nil, ErrPlaceLocal
+}
+
+func (c untouchedRing) FetchResult(context.Context, string) ([]byte, string, error) {
+	c.t.Error("result fetched")
+	return nil, "", errors.New("untouchedRing")
+}
+
+func (c untouchedRing) Info() any { return nil }
+
+// A parameter the scenario does not declare used to run the defaults (the
+// typed accessors fall back), answer 202 and cache the bytes under a
+// second content address. It is a 400 naming the accepted keys, and it
+// leaves no job, no cache key and no ring forward behind.
+func TestSubmitRejectsUndeclaredParam(t *testing.T) {
+	q := NewRunQueue(8, 1, 1)
+	defer q.Shutdown()
+	s := NewServer(q, nil)
+	s.SetCluster(untouchedRing{t})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	req := RunRequest{Scenario: "mgmttest/echo", Params: engine.Params{"xx": "8"}}
+	var body map[string]string
+	resp := postJSON(t, ts.URL+"/api/v1/runs", req, &body)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("undeclared parameter gave %d", resp.StatusCode)
+	}
+	if msg := body["error"]; !strings.Contains(msg, `"xx"`) || !strings.Contains(msg, "accepts points, x") {
+		t.Fatalf("error does not name the key and the accepted ones: %q", msg)
+	}
+	if _, _, err := q.Submit(req, "test"); err == nil {
+		t.Fatal("RunQueue.Submit accepted an undeclared parameter")
+	}
+	if st := q.Stats(); st.Submitted != 0 || len(q.List(10)) != 0 {
+		t.Fatalf("refused requests left state behind: %+v, %d jobs", st, len(q.List(10)))
+	}
+	if _, ok := q.Cached(req.CacheKey()); ok {
+		t.Fatal("refused request has a cache entry")
 	}
 }
 

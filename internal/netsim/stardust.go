@@ -457,9 +457,6 @@ func (n *StardustNet) Engine() *parsim.Engine { return n.eng }
 // Hosts returns the number of end hosts.
 func (n *StardustNet) Hosts() int { return n.hosts }
 
-// ShardOfHost returns the shard owning host h's state.
-func (n *StardustNet) ShardOfHost(h int) int { return n.hostSh[h] }
-
 // HostSim returns the event heap host h is pinned to: schedule the host's
 // endpoint work (TCP sources, sinks, injectors) here.
 func (n *StardustNet) HostSim(h int) *sim.Simulator { return n.shards[n.hostSh[h]].sm }

@@ -362,17 +362,6 @@ func (e *Engine) OwnedPending(owned []bool) int {
 	return n
 }
 
-// OwnedProcessed sums executed events over the owned shards.
-func (e *Engine) OwnedProcessed(owned []bool) uint64 {
-	var n uint64
-	for i, s := range e.shards {
-		if owned[i] {
-			n += s.sm.Processed
-		}
-	}
-	return n
-}
-
 // ControlsPending returns the number of registered barrier controls that
 // have not run yet. Controls are part of the replicated model (every
 // distributed replica registers the same schedule), so any replica's count

@@ -13,10 +13,6 @@ func htsimConfig(c engine.Context) experiments.HtsimConfig {
 	cfg.K = c.Params.Int("k", cfg.K)
 	cfg.Duration = msTime(c.Params.Int("dur_ms", 20))
 	cfg.Warmup = msTime(c.Params.Int("warmup_ms", 10))
-	cfg.MSS = c.Params.Int("mss", cfg.MSS)
-	cfg.Subflows = c.Params.Int("subflows", cfg.Subflows)
-	cfg.StardustCredit = c.Params.Int64("credit", 0)
-	cfg.StardustSpeedup = c.Params.Float("speedup", 0)
 	cfg.FullFabric = c.Params.Bool("fabric", false)
 	if cfg.FullFabric {
 		// Every fabric=true run goes through the sharded transport so the

@@ -19,7 +19,7 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// The full scenario set the six cmd binaries rely on.
+// The scenario set the README's command lines and CI rely on.
 var wantScenarios = []string{
 	"htsim/permutation", "htsim/fct", "htsim/incast", "htsim/parperm",
 	"fabric/fig9", "fabric/pushpull", "fabric/recovery",
@@ -319,4 +319,37 @@ func TestAllParamsDocumented(t *testing.T) {
 			}
 		}
 	}
+}
+
+// A parameter must never again exist without being reachable: for every
+// registered scenario, its name followed by key=default for each declared
+// key parses into one job that requests exactly the defaults and that
+// the engine accepts.
+func TestEveryParamReachableFromCommandLine(t *testing.T) {
+	params := 0
+	for _, sc := range engine.List() {
+		args := []string{sc.Name}
+		for _, d := range sc.ParamDocs() {
+			args = append(args, d.Key+"="+d.Default)
+		}
+		jobs, err := engine.ParseArgs(args)
+		if err != nil || len(jobs) != 1 || jobs[0].Scenario != sc.Name {
+			t.Errorf("%v: jobs %v, err %v", args, jobs, err)
+			continue
+		}
+		got := jobs[0].Params
+		if _, err := engine.Resolve(sc.Name, got); err != nil {
+			t.Errorf("%v: %v", args, err)
+		}
+		if len(got) != len(sc.Defaults) {
+			t.Errorf("%s: %d of %d parameters parsed", sc.Name, len(got), len(sc.Defaults))
+		}
+		for k, v := range sc.Defaults {
+			if g, ok := got[k]; !ok || g != v {
+				t.Errorf("%s: %s parsed as %q (present %v), want %q", sc.Name, k, g, ok, v)
+			}
+		}
+		params += len(sc.Defaults)
+	}
+	t.Logf("%d scenarios, %d parameters", len(engine.List()), params)
 }

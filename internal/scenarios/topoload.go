@@ -53,21 +53,6 @@ func runUntilAccounted(s *sim.Simulator, fab *fabric.Net, want uint64, deadline 
 	}
 }
 
-// cellGap returns the pacing gap that offers `load` of one edge device's
-// aggregate uplink capacity in cells of cellBytes.
-func cellGap(g topo.Graph, fa, cellBytes int, rate netsim.Bps, load float64) sim.Time {
-	uplinks := topo.EdgeUplinkDirs(g)
-	n := len(uplinks[fa])
-	if n == 0 {
-		n = 1
-	}
-	gap := sim.Time(float64(cellBytes*8) / (load * float64(n) * float64(rate)) * float64(sim.Second))
-	if gap < sim.Nanosecond {
-		gap = sim.Nanosecond
-	}
-	return gap
-}
-
 func init() {
 	engine.Register(engine.Scenario{
 		Name: "fabric/graphload",
@@ -158,7 +143,6 @@ func init() {
 			default:
 				return engine.Result{}, fmt.Errorf("collective: unknown schedule %q (want ring or tree)", coll)
 			}
-			rate := netsim.Bps(10e9)
 			var want uint64
 			var worstPhase sim.Time
 			for _, flows := range phases {
@@ -168,7 +152,7 @@ func init() {
 						continue
 					}
 					n := int((f.Bytes + int64(cell) - 1) / int64(cell))
-					gap := cellGap(g, f.Src, cell, rate, load)
+					gap := fab.CellGap(f.Src, cell, load)
 					j := fab.NewInjector(f.Src, gap, cell, 0, n)
 					j.FixDst(f.Dst)
 					j.Start(start + sim.Time(fi)*gap/sim.Time(len(flows)+1))
@@ -252,7 +236,6 @@ func init() {
 				c.Params.Float("trough", 0.2),
 				float64(usTime(c.Params.Int("period_us", 2000)))/float64(sim.Second),
 				float64(dur)/float64(sim.Second))
-			rate := netsim.Bps(10e9)
 			var want uint64
 			var flowBytes int64
 			for _, at := range arrivals {
@@ -270,7 +253,7 @@ func init() {
 				}
 				flowBytes += fb
 				n := int((fb + int64(cell) - 1) / int64(cell))
-				j := fab.NewInjector(src, cellGap(g, src, cell, rate, load), cell, 0, n)
+				j := fab.NewInjector(src, fab.CellGap(src, cell, load), cell, 0, n)
 				j.FixDst(dst)
 				j.Start(sim.Time(at * float64(sim.Second)))
 				want += uint64(n)

@@ -513,8 +513,7 @@ func (a *ReachHoles) Finish() []Finding {
 
 // FAHeatmap accumulates a per-FA × window heat matrix of delivered bytes
 // (the per-FA delivery series), downsampled to at most MaxCols columns.
-// Rows are exposed for the HTTP endpoint; Finish summarizes the hottest
-// and coldest destinations.
+// Finish summarizes the hottest and coldest destinations.
 type FAHeatmap struct {
 	MaxCols int // default 64
 

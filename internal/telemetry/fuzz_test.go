@@ -13,7 +13,7 @@ import (
 	"stardust/internal/telemetry"
 )
 
-// goldenStream is the stream `stardust-fabric -exp record -k 4 -seed 7`
+// goldenStream is the stream `stardust -seed 7 trace/record k=4`
 // writes, the one distsim's TestGoldenStream pins by SHA-256.
 func goldenStream(t testing.TB) []byte {
 	t.Helper()

@@ -172,17 +172,6 @@ func Fig9Clos() *Clos {
 	return c
 }
 
-// LinksOf returns all links incident to node n.
-func (c *Clos) LinksOf(n NodeID) []Link {
-	var out []Link
-	for _, l := range c.Links {
-		if l.A == n || l.B == n {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // Validate checks structural invariants: port numbers in range and used at
 // most once per device side.
 func (c *Clos) Validate() error {
