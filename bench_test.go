@@ -131,16 +131,6 @@ func reportEventRate(b *testing.B, events uint64, shards int) {
 	}
 }
 
-// dispatched sums the events the engine's loops actually executed:
-// Processed without the link completions that stayed reserved slots
-// (sim.Simulator.Dispatched).
-func dispatched(eng *parsim.Engine) (n uint64) {
-	for i := 0; i < eng.Shards(); i++ {
-		n += eng.Shard(i).Sim().Dispatched()
-	}
-	return n
-}
-
 // reportDispatched attaches the dispatched-events-per-op metric: the
 // figure the lazy link completions move while events/op stays what it
 // was.
@@ -195,12 +185,12 @@ func BenchmarkFabricCellPathSharded(b *testing.B) {
 	}
 	deadline := sim.Time(b.N/numFA+2)*gap + sim.Millisecond
 	b.ReportAllocs()
-	ev0, d0, f0 := eng.Processed(), dispatched(eng), eng.Stats().Fanned
+	ev0, d0, f0 := eng.Processed(), eng.Dispatched(), eng.Stats().Fanned
 	b.ResetTimer()
 	eng.RunUntilQuiet(deadline)
 	b.StopTimer()
 	reportEventRate(b, eng.Processed()-ev0, 2)
-	reportDispatched(b, dispatched(eng)-d0)
+	reportDispatched(b, eng.Dispatched()-d0)
 	reportFanned(b, eng.Stats().Fanned-f0)
 	if n.Injected() != uint64(b.N) {
 		b.Fatalf("injected %d of %d", n.Injected(), b.N)
@@ -361,12 +351,12 @@ func BenchmarkTransportPathSharded(b *testing.B) {
 	eng, net := tp.eng, tp.net
 	warm := tp.warm(b)
 	b.ReportAllocs()
-	ev0, d0, f0 := eng.Processed(), dispatched(eng), eng.Stats().Fanned
+	ev0, d0, f0 := eng.Processed(), eng.Dispatched(), eng.Stats().Fanned
 	b.ResetTimer()
 	tp.send(b.N, warm+uint64(b.N))
 	b.StopTimer()
 	reportEventRate(b, eng.Processed()-ev0, 2)
-	reportDispatched(b, dispatched(eng)-d0)
+	reportDispatched(b, eng.Dispatched()-d0)
 	reportFanned(b, eng.Stats().Fanned-f0)
 	if got := tp.delivered() - warm; got != uint64(b.N) {
 		b.Fatalf("delivered %d of %d packets (voq drops %d, fabric drops %d, timeouts %d)",

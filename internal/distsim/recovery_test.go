@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -158,25 +159,61 @@ func TestRejoinGivesUp(t *testing.T) {
 	}
 }
 
-// TestCheckpointBytesPinned holds the on-disk checkpoint to the bytes the
-// star coordinator wrote (SHA-256 taken on the parent commit of the mesh
-// rewrite, healSpec(4) over two peers): the log the coordinator rebuilds
-// from the peers' DONE copies is exactly what the relay used to deliver.
+// TestCheckpointBytesPinned holds the on-disk checkpoint (healSpec(4) over
+// two peers) to recorded bytes, in two layers. The file hashes pin the
+// format and which window every entry is logged in. They were taken on the
+// parent commit of the mesh rewrite and moved once since, when wire-mode
+// links began to schedule a cell's arrival at admission instead of at
+// service start (b8b13b90… -> 129c26ca…, 343cc224… -> 9577cbbb…): a
+// cross-shard cell that waits behind others now enters the mailbox some
+// windows earlier. The entry hashes pin what that change could not move:
+// the sorted multiset of every logged entry — destination shard, time,
+// lane, kind, argument and payload — recorded on the commit before it.
 func TestCheckpointBytesPinned(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := serveWith(t, healSpec(4), 2, CoordConfig{CheckpointDir: dir}); err != nil {
 		t.Fatal(err)
 	}
-	for p, want := range []string{
-		"b8b13b9056dbe8ae6a613f139d0bedadec534e9e1d795a073f81ff5cdc847256",
-		"343cc2249da674a58592013f6894130e05686742f85e96c73df2780d3975e7e9",
+	for p, want := range []struct {
+		file, entrySum string
+		entries, bytes int
+	}{
+		{"129c26ca8b859378ad5c0e5784fcefe68d036ab6a260614784cdd78ade30fabf",
+			"61af69d5c98fd3d7adaf1227864c2832d6a58f6617e1698be8116aaa2eeb0e7e", 2299, 32183},
+		{"9577cbbb64b3a185891c6c9b24285d3fab1c805e3b47f6131180fc893525dc34",
+			"5fa0226d6960a06c7dd6beb19f0077f58cfa20cd6f53cfe88fca732c76db94dc", 2298, 32168},
 	} {
-		data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("peer%d.ckpt", p)))
+		path := filepath.Join(dir, fmt.Sprintf("peer%d.ckpt", p))
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
-			t.Errorf("peer%d.ckpt: %d bytes, sha256 %s, want %s", p, len(data), got, want)
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want.file {
+			t.Errorf("peer%d.ckpt: %d bytes, sha256 %s, want %s", p, len(data), got, want.file)
+		}
+		_, batches, err := parseCheckpoint(data, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var entries []string
+		for _, batch := range batches {
+			n, rest, err := batchCount(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range n {
+				var e mailEntry
+				if e, rest, err = readEntry(rest); err != nil {
+					t.Fatal(err)
+				}
+				entries = append(entries, string(appendEntry(nil, e)))
+			}
+		}
+		sort.Strings(entries)
+		all := strings.Join(entries, "")
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(all))); got != want.entrySum || len(entries) != want.entries || len(all) != want.bytes {
+			t.Errorf("peer%d.ckpt: %d entries in %d bytes, sorted sha256 %s; want %d in %d, %s",
+				p, len(entries), len(all), got, want.entries, want.bytes, want.entrySum)
 		}
 	}
 }

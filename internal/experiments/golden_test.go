@@ -50,6 +50,10 @@ func goldenPermutation(cfg HtsimConfig) (map[string]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	if per := float64(r.Dispatched) / float64(r.CellsSent); cfg.FullFabric && per > maxDispatchedPerCell {
+		return nil, fmt.Errorf("%d events dispatched for %d cells: %.2f per cell, want <= %.1f",
+			r.Dispatched, r.CellsSent, per, maxDispatchedPerCell)
+	}
 	h := fnv.New64a()
 	for _, d := range r.Delivered {
 		fmt.Fprintf(h, "%d,", d)
@@ -63,6 +67,13 @@ func goldenPermutation(cfg HtsimConfig) (map[string]string, error) {
 		"reasm_timeouts": fmt.Sprint(r.ReasmTimeouts),
 	}, nil
 }
+
+// maxDispatchedPerCell bounds the events the loops execute for one cell of
+// the perm/fabric run (881,566 cells at 96.21 % utilisation), beside the
+// recorded values and from the same run: not pinned — it may fall — but
+// 7.15 while a busy link dispatched a completion per cell and 4.55 since a
+// wire-mode queue elides them.
+const maxDispatchedPerCell = 4.6
 
 func goldenFCT(cfg HtsimConfig) (map[string]string, error) {
 	cfg.Duration = 3 * sim.Millisecond

@@ -273,6 +273,7 @@ type PermutationResult struct {
 	Delivered   []int64   // per-source-host acked-byte deltas over the window
 	MeanUtilPct float64
 	FabricDrops uint64
+	Dispatched  uint64 // events the loops executed; elided link completions are not among them
 
 	// Stardust-substrate transport counters at the end of the run.
 	CellsSent     uint64
@@ -313,6 +314,11 @@ func Permutation(cfg HtsimConfig, proto Protocol) (*PermutationResult, error) {
 	}
 	sort.Float64s(res.Gbps)
 	res.MeanUtilPct = 100 * sum / (float64(tb.hosts) * linkRate / 1e9)
+	if tb.eng != nil {
+		res.Dispatched = tb.eng.Dispatched()
+	} else {
+		res.Dispatched = tb.s.Dispatched()
+	}
 	if tb.ft != nil {
 		res.FabricDrops = tb.ft.TotalDrops()
 		return res, nil

@@ -80,16 +80,9 @@ func (n *Net) MigrateFA(fa, to int) error {
 		return nil
 	}
 	// Move the group's pending events first: the barrier has already
-	// flushed every mailbox, so the old shard's store holds all of them —
-	// once the node's outbound queues have turned their lazy completions,
-	// which are positions in the old shard's order, into events.
-	for _, ports := range [2][]*link{d.down, d.up} {
-		for _, l := range ports {
-			if l != nil {
-				l.q.Materialize()
-			}
-		}
-	}
+	// flushed every mailbox, so the old shard's store holds all of them.
+	// The lazy completions of the node's outbound queues are times, not
+	// events, and move with the queues.
 	evs := n.shards[from].sm.ExtractGroup(n.GroupOfFA(fa))
 	n.shards[to].sm.InjectOrdered(evs)
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -436,37 +437,60 @@ func TestLinksAreWiredByBuild(t *testing.T) {
 	}
 }
 
-// A cell serializing on the moving adapter's uplink when MigrateFA runs
-// has its completion only reserved on the old shard. The migration must
-// turn it into an event and take it along: the old shard gives the count
-// back, the new shard holds the event, and the run ends with the events
-// of a run that never migrated.
+// An adapter that migrates with deep uplink queues takes three kinds of
+// state along and converts none of it: cells already handed to the wire
+// (their completions are times the queue holds, their arrivals events of
+// the far node), the hand-over event of each queue (an ordinary event of
+// the adapter's group) and the cells still waiting beyond the horizon. The
+// run must end exactly like one that never migrated.
 func TestMigrateFACarriesLazyCompletion(t *testing.T) {
-	run := func(migrate bool) (events uint64, perShard []uint64) {
+	type arrival struct {
+		at sim.Time
+		id int64
+	}
+	type result struct {
+		arrivals  []arrival
+		events    uint64
+		perShard  []uint64
+		forwarded uint64
+	}
+	run := func(migrate bool) (res result) {
 		g, err := topo.ByName("clos", 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		eng := parsim.New(parsim.Config{Shards: 2, Lookahead: sim.Microsecond})
-		// 1 Gb/s links: a 512-byte cell serializes for 4.096us, across
-		// several 1us windows.
+		// 1 Gb/s links: a 512-byte cell serializes for 4.096us, so the third
+		// cell on an uplink starts 8.2us ahead — inside the horizon — and the
+		// fourth has to wait for the hand-over event.
 		n, err := NewSharded(eng, DefaultConfig(1e9, sim.Microsecond, 1), g, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		const fa = 0
+		const fa, cells = 0, 16
+		far := n.NumFA() - 1
+		uplinks := len(n.edges[fa].up)
+		n.SetEgress(far, netsim.HandlerFunc(func(c *netsim.Packet) {
+			res.arrivals = append(res.arrivals, arrival{n.EdgeSim(far).Now(), c.Seq})
+			c.Release()
+		}))
 		from := n.ShardOfFA(fa)
 		old, dst := eng.Shard(from).Sim(), eng.Shard(1-from).Sim()
 		old.SetGroup(n.GroupOfFA(fa))
 		old.AtAction(500*sim.Nanosecond, sim.ActionFunc(func(uint64) {
-			c := netsim.NewPacket()
-			c.Size = 512
-			n.Inject(c, fa, n.NumFA()-1)
+			for i := range cells {
+				c := netsim.NewPacket()
+				c.Size = 512
+				c.Seq = int64(i)
+				n.Inject(c, fa, far)
+			}
 		}), 0)
 		old.SetGroup(0)
 		eng.At(2*sim.Microsecond, func() {
-			if got := old.Processed - old.Dispatched(); got != 1 {
-				t.Fatalf("mid-serialization: %d completions reserved on the old shard, want 1", got)
+			// Three cells handed over per uplink; the third's completion is
+			// the pending hand-over event.
+			if got, want := old.Processed-old.Dispatched(), uint64(2*uplinks); got != want {
+				t.Fatalf("mid-burst: %d completions elided on the old shard, want 2 on each of %d uplinks", got, uplinks)
 			}
 			if !migrate {
 				return
@@ -475,27 +499,37 @@ func TestMigrateFACarriesLazyCompletion(t *testing.T) {
 			if err := n.MigrateFA(fa, 1-from); err != nil {
 				t.Fatal(err)
 			}
-			if old.Processed != before-1 || old.Processed != old.Dispatched() {
-				t.Fatalf("old shard still accounts the completion: processed %d -> %d, dispatched %d",
-					before, old.Processed, old.Dispatched())
+			if old.Processed != before {
+				t.Fatalf("old shard's count moved with the adapter: %d -> %d", before, old.Processed)
 			}
-			if got := dst.Pending(); got != held+1 {
-				t.Fatalf("new shard holds %d events after the move, %d before; want the completion added", got, held)
+			if got := dst.Pending(); got != held+uplinks {
+				t.Fatalf("new shard holds %d events after the move, %d before; want one hand-over per uplink added", got, held)
 			}
 		})
 		eng.RunUntilQuiet(sim.Millisecond)
-		if n.Injected() != 1 || n.Delivered() != 1 {
+		if n.Injected() != cells || n.Delivered() != cells {
 			t.Fatalf("injected %d, delivered %d, dropped %d", n.Injected(), n.Delivered(), n.Drops())
 		}
-		return eng.Processed(), n.ShardEvents()
+		n.VisitQueues(func(q *netsim.Queue) {
+			if q.Bytes() != 0 {
+				t.Fatalf("%v after the run", q)
+			}
+			res.forwarded += q.Forwarded()
+		})
+		res.events, res.perShard = eng.Processed(), n.ShardEvents()
+		return res
 	}
-	stay, stayShards := run(false)
-	moved, movedShards := run(true)
-	if stay != moved {
-		t.Fatalf("events: %d without migration, %d with", stay, moved)
+	stay, moved := run(false), run(true)
+	if !reflect.DeepEqual(stay.arrivals, moved.arrivals) {
+		t.Fatalf("arrivals differ:\n  stayed %v\n  moved  %v", stay.arrivals, moved.arrivals)
 	}
-	// The completion ran where the adapter now lives.
-	if movedShards[0] == stayShards[0] {
-		t.Fatalf("per-shard events unchanged by the migration: %v vs %v", movedShards, stayShards)
+	if stay.events != moved.events || stay.forwarded != moved.forwarded {
+		t.Fatalf("events / cells forwarded: %d / %d without migration, %d / %d with",
+			stay.events, stay.forwarded, moved.events, moved.forwarded)
+	}
+	// The hand-overs, and the cells they handed over, ran where the adapter
+	// now lives.
+	if moved.perShard[0] == stay.perShard[0] {
+		t.Fatalf("per-shard events unchanged by the migration: %v vs %v", moved.perShard, stay.perShard)
 	}
 }

@@ -27,7 +27,7 @@ func init() {
 		Defaults: engine.Params{"x": "1", "points": "2"},
 		Docs:     map[string]string{"x": "the echoed value", "points": "sweep width"},
 		Variants: func(p engine.Params) []engine.Params {
-			n := p.Int("points", 1)
+			n := min(max(p.Int("points", 1), 0), 8) // any value arrives here: FuzzRunBodies
 			out := make([]engine.Params, n)
 			for i := range out {
 				out[i] = p.With("point", fmt.Sprint(i))

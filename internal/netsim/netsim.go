@@ -185,17 +185,19 @@ type pktRing = ring[*Packet]
 // sends it on — to a default-lane Pipe or anything else. The completion
 // has to be a real event here, because the next hop's event takes its
 // sequence number inside it, between the other events of that instant.
-// Lazy (Wire != nil, a link with an event lane of its own): a fixed-rate
-// serializer knows the departure time when service starts, and the far
-// end orders arrivals by (time, lane) alone, so the packet is handed to
-// the wire at service start and the completion is only a reserved slot of
-// the kernel (sim.Reserve). Nothing is dispatched for it; whoever looks at
-// the queue next — an arrival, Bytes, a counter read — first asks the
-// kernel whether the completion would have run by now and applies it.
-// Only when a second packet arrives while the first is still serializing
-// does the completion become a real event (sim.AtSlot, at its reserved
-// position), and from there the queue drains like an eager one until it
-// is idle again. Invariant: lazy implies an empty ring and !busy.
+// Wire mode (Wire != nil, a link with an event lane of its own): a
+// fixed-rate FIFO server knows a packet's departure when the packet is
+// admitted — max(now, previous departure) + size/rate — and the far end
+// orders arrivals by (time, lane) alone, so the packet is handed to the
+// wire at once and its completion is only a (departure, size) entry.
+// Nothing is dispatched for it; whoever looks at the queue next — an
+// arrival, Bytes, a counter read — first applies the entries whose instant
+// has come (sim.Completed: after the explicit-lane events of that instant,
+// before the default-lane ones). Only a packet whose service would start
+// more than sim.ElideHorizon ahead waits in the ring, and then the
+// completion of the last packet handed over is a real event
+// (sim.AtCompletion) that hands over the next horizon's worth. Invariant:
+// the ring is non-empty exactly while that event is pending.
 type Queue struct {
 	Name           string
 	Sim            *sim.Simulator
@@ -208,17 +210,18 @@ type Queue struct {
 	// before the first packet arrives.
 	Wire *LanePipe
 
-	ring    pktRing
-	cur     *Packet // eager: the packet serializing onto the wire
-	curSize int     // wire mode: its size — the packet itself is already on the wire
-	bytes   int
-	busy    bool // a completion event is pending
+	ring  pktRing // eager: waiting for the wire; wire mode: beyond the horizon
+	cur   *Packet // eager: the packet serializing onto the wire
+	bytes int
+	busy  bool // eager: a completion event is pending
 
-	// Wire mode: the serializing packet's completion is the reserved slot
-	// at time dep instead of an event.
-	lazy bool
-	slot sim.Slot
-	dep  sim.Time
+	// Wire mode: last is the departure of the newest packet handed to the
+	// wire; head is the oldest completion not yet applied (size 0: none — a
+	// wire carries no empty packets) and later holds the ones behind it, so
+	// an idle link touches no ring.
+	last  sim.Time
+	head  completion
+	later ring[completion]
 
 	// Last txTime result; fabric cells are all one size.
 	txSize int
@@ -229,13 +232,20 @@ type Queue struct {
 	// fate of every packet it injected (conservation invariants).
 	OnDrop func(*Packet)
 
-	// Stats. Forwarded and FwdBytes are methods: they may have a lazy
-	// completion to apply first.
+	// Stats. Forwarded and FwdBytes are methods: they may have lazy
+	// completions to apply first.
 	Drops     uint64
 	Marks     uint64
 	PeakBytes int
 	forwarded uint64
 	fwdBytes  uint64
+}
+
+// completion is a packet on the wire whose serialization the queue has
+// not accounted yet.
+type completion struct {
+	dep  sim.Time
+	size int
 }
 
 // NewQueue builds a queue bound to the simulator.
@@ -254,11 +264,11 @@ func (q *Queue) txTime(bytes int) sim.Time {
 	return q.txDur
 }
 
-// settle applies the lazy completion if it would have run by now.
+// settle applies the completions whose instant has come.
 func (q *Queue) settle() {
-	if q.lazy && q.Sim.Passed(q.dep, q.slot) {
-		q.lazy = false
-		q.complete(q.curSize)
+	for q.head.size > 0 && q.Sim.Completed(q.head.dep) {
+		q.complete(q.head.size)
+		q.head = q.later.pop()
 	}
 }
 
@@ -288,19 +298,6 @@ func (q *Queue) FwdBytes() uint64 {
 	return q.fwdBytes
 }
 
-// Materialize turns a lazy completion that has not run yet into the real
-// event it stands for. The queue's owner calls it before moving the
-// queue to another Simulator: a slot is a position in one Simulator's
-// order, an event can be extracted and re-injected.
-func (q *Queue) Materialize() {
-	q.settle()
-	if q.lazy {
-		q.lazy = false
-		q.busy = true
-		q.Sim.AtSlot(q.dep, q.slot, q, 0)
-	}
-}
-
 // Receive implements Handler.
 func (q *Queue) Receive(p *Packet) {
 	q.settle()
@@ -320,52 +317,65 @@ func (q *Queue) Receive(p *Packet) {
 	if q.bytes > q.PeakBytes {
 		q.PeakBytes = q.bytes
 	}
-	if q.lazy {
-		// The wire is still busy with the previous packet: its completion
-		// has to start this one, so it must be an event after all.
-		q.Materialize()
-	}
-	if q.busy {
+	switch {
+	case q.busy || q.ring.len() > 0:
 		q.ring.push(p)
-		return
+	case q.Wire == nil:
+		q.start(p)
+	case q.last <= q.Sim.Now()+sim.ElideHorizon:
+		q.hand(p)
+	default:
+		// Too far ahead to schedule the arrival now: the last packet handed
+		// over completes as an event, which takes the ring from there.
+		q.ring.push(p)
+		q.Sim.AtCompletion(q.last, q, 0)
 	}
-	q.start(p)
 }
 
-// start begins serializing p on an idle wire (!busy, !lazy).
+// start begins serializing p on an idle wire (eager).
 func (q *Queue) start(p *Packet) {
-	tx := q.txTime(p.Size)
-	if q.Wire == nil {
-		q.busy = true
-		q.cur = p
-		q.Sim.AfterAction(tx, q, 0)
-		return
-	}
-	dep := q.Sim.Now() + tx
-	q.curSize = p.Size
-	q.Wire.ReceiveAt(p, dep) // the wire owns p from here
-	if q.ring.len() > 0 {
-		// More to send: the completion has to start the next packet.
-		q.busy = true
-		q.Sim.AtAction(dep, q, 0)
-		return
-	}
-	q.lazy, q.dep, q.slot = true, dep, q.Sim.Reserve()
+	q.busy = true
+	q.cur = p
+	q.Sim.AfterAction(q.txTime(p.Size), q, 0)
 }
 
-// Act implements sim.Action: the current packet finished serializing.
+// hand gives p to the wire for the departure its place in the queue fixes,
+// and notes the completion (wire mode).
+func (q *Queue) hand(p *Packet) {
+	q.last = max(q.last, q.Sim.Now()) + q.txTime(p.Size)
+	c := completion{q.last, p.Size}
+	if q.head.size == 0 {
+		q.head = c
+	} else {
+		q.later.push(c)
+	}
+	q.Sim.Elide()
+	q.Wire.ReceiveAt(p, q.last) // the wire owns p from here
+}
+
+// Act implements sim.Action. Eager: the current packet finished
+// serializing. Wire mode: so did the last packet handed over, and with it
+// every one before; the ring's next horizon's worth follows.
 func (q *Queue) Act(uint64) {
 	if q.Wire == nil {
 		p := q.cur
 		q.cur = nil
 		q.complete(p.Size)
 		p.SendOn() // p may be released downstream; do not touch it again
-	} else {
-		q.complete(q.curSize)
+		q.busy = false
+		if next := q.ring.pop(); next != nil {
+			q.start(next)
+		}
+		return
 	}
-	q.busy = false
-	if next := q.ring.pop(); next != nil {
-		q.start(next)
+	for ; q.head.size > 0; q.head = q.later.pop() {
+		q.complete(q.head.size)
+	}
+	for now := q.Sim.Now(); q.ring.len() > 0 && q.last <= now+sim.ElideHorizon; {
+		q.hand(q.ring.pop())
+	}
+	if q.ring.len() > 0 {
+		q.Sim.AtCompletion(q.last, q, 0)
 	}
 }
 
@@ -402,8 +412,7 @@ func (p *LanePipe) Receive(pkt *Packet) { p.ReceiveAt(pkt, p.Sched.Now()) }
 
 // ReceiveAt is Receive for a packet that will leave the sender at dep, a
 // time at or after now: the arrival is scheduled at once for dep+Delay.
-// A wire-mode Queue drives its link this way at service start (see
-// Queue). It is exact because the lane has one sender whose departures
+// A wire-mode Queue drives its link this way at admission (see Queue). It is exact because the lane has one sender whose departures
 // are distinct instants, so (time, lane) alone places the arrival and the
 // sequence number it gets by being scheduled early is irrelevant; a
 // default-lane Pipe has no such method because there it would not be.

@@ -603,7 +603,8 @@ func (n *StardustNet) InFlight() int {
 
 // CheckInvariants verifies the transport bookkeeping identities on every
 // VOQ — most importantly credit conservation: every granted byte is
-// accounted as shipped, still banked, or forfeited on an empty queue.
+// accounted as shipped, owed (a negative balance) or forfeited on an
+// empty queue.
 // Barrier context only.
 func (n *StardustNet) CheckInvariants() error {
 	for k, v := range n.voqs {
@@ -611,11 +612,11 @@ func (n *StardustNet) CheckInvariants() error {
 			return fmt.Errorf("netsim: voq %d->%d credit leak: granted %d != shipped %d + banked %d + forfeited %d",
 				k.src, k.dst, v.granted, v.shippedB, v.credit, v.forfeited)
 		}
-		if v.credit > 0 && v.q.len() > 0 {
-			// release() always runs the balance down to zero or empties the
-			// queue; positive credit alongside backlog at a barrier means a
-			// grant was banked without being spent.
-			return fmt.Errorf("netsim: voq %d->%d banked credit %d left unspent with backlog", k.src, k.dst, v.credit)
+		if v.credit > 0 {
+			// grant() is the only place that adds credit and release()
+			// spends it or forfeits the rest on the spot, so no balance is
+			// ever banked: every packet ships from a grant.
+			return fmt.Errorf("netsim: voq %d->%d banked credit %d", k.src, k.dst, v.credit)
 		}
 		var queued int64
 		for i := 0; i < v.q.len(); i++ {
@@ -813,6 +814,7 @@ type svoq struct {
 
 	// Credit bookkeeping; the identity granted == shippedB + credit +
 	// forfeited is the conservation invariant CheckInvariants enforces.
+	// Outside grant the balance is never positive: only a debt is carried.
 	credit    int64
 	granted   int64
 	shippedB  int64
@@ -837,10 +839,6 @@ func (v *svoq) Receive(p *Packet) {
 	v.q.push(p)
 	v.bytes += int64(p.Size)
 	v.refreshRequest()
-	// Consume any banked credit immediately.
-	if v.credit > 0 {
-		v.release()
-	}
 }
 
 // refreshRequest advertises the current backlog to the destination port's

@@ -221,6 +221,16 @@ func (e *Engine) Processed() uint64 {
 	return n
 }
 
+// Dispatched sums the events the shards' loops executed: Processed
+// without the completions that were elided (sim.Simulator.Dispatched).
+func (e *Engine) Dispatched() uint64 {
+	var n uint64
+	for _, s := range e.shards {
+		n += s.sm.Dispatched()
+	}
+	return n
+}
+
 // Pending sums the events waiting across all shards.
 func (e *Engine) Pending() int {
 	n := 0

@@ -201,7 +201,7 @@ func addParMetrics(res *engine.Result, k, shardsParam int, r parRun) {
 // instance per combination. An empty topo list means "the -topo flag",
 // one unexpanded instance.
 func parVariants(p engine.Params) []engine.Params {
-	topos := splitList(p.Str("topo", ""))
+	topos := splitTopos(p.Str("topo", ""))
 	if len(topos) == 0 {
 		topos = []string{""}
 	}

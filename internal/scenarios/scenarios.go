@@ -39,3 +39,19 @@ func splitList(s string) []string {
 	}
 	return out
 }
+
+// splitTopos is splitList for a topology sweep: a full spec string brings
+// commas of its own (sshuffle:n=32,s=2,seed=1), so a key=value item
+// continues the spec before it.
+func splitTopos(s string) []string {
+	var out []string
+	for _, item := range splitList(s) {
+		if n := len(out); n > 0 && strings.Contains(out[n-1], ":") &&
+			strings.Contains(item, "=") && !strings.Contains(item, ":") {
+			out[n-1] += "," + item
+			continue
+		}
+		out = append(out, item)
+	}
+	return out
+}

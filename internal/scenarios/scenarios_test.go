@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -352,4 +353,20 @@ func TestEveryParamReachableFromCommandLine(t *testing.T) {
 		params += len(sc.Defaults)
 	}
 	t.Logf("%d scenarios, %d parameters", len(engine.List()), params)
+}
+
+// A topology sweep may mix family names with full spec strings, whose own
+// commas must not split them.
+func TestSplitTopos(t *testing.T) {
+	for in, want := range map[string][]string{
+		"":                                   nil,
+		"clos, star":                         {"clos", "star"},
+		"sshuffle:n=32,s=2,seed=1":           {"sshuffle:n=32,s=2,seed=1"},
+		"clos,sshuffle:n=32,s=2,seed=1,star": {"clos", "sshuffle:n=32,s=2,seed=1", "star"},
+		"clos:k=4,clos:k=8":                  {"clos:k=4", "clos:k=8"},
+	} {
+		if got := splitTopos(in); !reflect.DeepEqual(got, want) {
+			t.Errorf("splitTopos(%q) = %q, want %q", in, got, want)
+		}
+	}
 }

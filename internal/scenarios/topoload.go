@@ -71,7 +71,7 @@ func init() {
 		},
 		Variants: func(p engine.Params) []engine.Params {
 			var out []engine.Params
-			for _, t := range splitList(p.Str("topo", "sshuffle,star")) {
+			for _, t := range splitTopos(p.Str("topo", "sshuffle,star")) {
 				for _, m := range splitList(p.Str("mode", "spray,ecmp")) {
 					out = append(out, p.With("topo", t).With("mode", m))
 				}

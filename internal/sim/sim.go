@@ -60,27 +60,23 @@
 // event counts (GroupProcessed) give the rebalancer a deterministic,
 // sim-state-only load meter.
 //
-// # Slots
+// # Completions
 //
-// A slot is a reserved position in the event order: Reserve hands out the
-// (sequence, group) a default-lane event scheduled at that moment would
-// have received, without putting anything in the store. It serves an
-// owner whose event is deterministic and whose only effects are on the
-// owner's own state — a fixed-rate serializer finishing a cell. Such an
-// owner need not dispatch the event at all: whenever somebody looks at its
-// state it asks Passed whether the event, had it been scheduled, would
-// already have run, and applies the effects then. Passed compares the
-// event's key (t, DefaultLane, slot seq) with the key of the event that is
-// running, so a tie at t == Now() is decided exactly as the store would
-// have decided it: an observer on an explicit lane runs before every
-// default-lane event of the instant, a default-lane observer runs before
-// or after by sequence. Between runs the comparison is against what the
-// last run call has executed: RunBefore(end) leaves every event at end
-// unexecuted, RunUntil(d) and an exhausted Run leave nothing at or before
-// the clock. When the owner does need the event after all (more work
-// arrived and the completion must start it), AtSlot enqueues it under the
-// reserved key, so it runs exactly where the eagerly scheduled event would
-// have.
+// A fixed-rate serializer knows when a cell will leave the moment the cell
+// joins its queue, and the completion's only effects are on the queue's
+// own counters. Such an event need not be dispatched if its place in the
+// order can be decided without a sequence number, and one rule decides it:
+// a serializer completion runs after every explicit-lane event and before
+// every default-lane event of its instant. Completed(t) is that rule as a
+// question — has a completion due at t taken effect yet? — asked by
+// whoever looks at the queue next; CompletionLane is the same rule as a
+// lane, for the completion that must be an event after all. Between runs
+// the answer follows what the last run call executed: RunBefore(end)
+// leaves every event at end unexecuted, RunUntil(d) and an exhausted Run
+// leave nothing at or before the clock. The rule has to be free of
+// sequence numbers because the number a completion would have drawn is
+// taken inside the completion before it, and a chain of elided
+// completions never draws any.
 //
 // Eliding an event is only sound if everything it would have scheduled can
 // be scheduled early under a key that does not depend on when that
@@ -92,11 +88,18 @@
 // cannot be known beforehand. That is why only lane-keyed wires may be
 // driven early.
 //
-// Processed counts a reserved event once, like any other: at Reserve; an
-// AtSlot takes that count back and the real event counts itself when it
-// runs. Both points are functions of the simulated system, so the total
-// stays independent of the partitioning. Dispatched reports what the loop
-// actually executed.
+// How early is bounded by ElideHorizon, half the ladder's reach: a
+// delivery scheduled further ahead than the ladder covers lands in the
+// overflow heap and costs more than the completion it saved. A serializer
+// with more queued than that hands over a horizon's worth and lets the
+// completion of the last cell handed be a real event (AtCompletion) that
+// hands over the next.
+//
+// Processed counts an elided completion once, like any other event: at
+// Elide; AtCompletion takes one count back and the real event counts
+// itself when it runs. Both points are functions of the simulated system,
+// so the total stays independent of the partitioning. Dispatched reports
+// what the loop actually executed.
 package sim
 
 import (
@@ -141,8 +144,9 @@ type ActionFunc func(arg uint64)
 func (f ActionFunc) Act(arg uint64) { f(arg) }
 
 // DefaultLane is the lane of events scheduled without an explicit lane
-// (At/After/AtAction/AfterAction). Explicit lanes must be smaller, so they
-// always sort before default-lane events at the same instant.
+// (At/After/AtAction/AfterAction). Explicit lanes must be smaller than
+// CompletionLane, so they always sort before default-lane events at the
+// same instant.
 const DefaultLane int32 = 1<<31 - 1
 
 // LaneScheduler is the scheduling surface a shardable simulation component
@@ -159,11 +163,15 @@ type LaneScheduler interface {
 // the link/control delays and serialization times of every hot simulation
 // in this repository; longer timers ride the overflow heap. The width is
 // tuned on the transport benchmark: narrower buckets spend their time in
-// ladder advances, wider ones in the per-bucket sort.
+// ladder advances, wider ones in the per-bucket sort. bucketCap is the
+// capacity a bucket's arrays start with: the pool ends up holding one pair
+// per bucket that is ever occupied at once, and growing each from nil
+// would cost it five reallocations.
 const (
 	bucketShift   = 16
 	ladderBuckets = 256
 	ladderMask    = ladderBuckets - 1
+	bucketCap     = 32
 )
 
 // eventKey is the hot half of an event: the full (time, lane, seq) ordering
@@ -289,18 +297,17 @@ type Simulator struct {
 	seq     uint64
 	stopped bool
 	npend   int
-	// Processed counts events executed so far, plus those reserved as
-	// slots (see Slots in the package comment): the count of a model's
-	// events, whether or not the loop had to dispatch them. Useful for
-	// budgeting runs.
+	// Processed counts events executed so far, plus the completions that
+	// were elided (see Completions in the package comment): the count of a
+	// model's events, whether or not the loop had to dispatch them. Useful
+	// for budgeting runs.
 	Processed uint64
-	elided    uint64 // reserved and not materialised: Processed - elided ran
+	elided    uint64 // counted without running: Processed - elided ran
 
-	// Where the event order stands: the running event's lane and sequence
-	// number (its time is now), or between runs what the last run call left
-	// behind. Passed compares slots against it.
+	// Where the event order stands: the running event's lane (its time is
+	// now), or between runs what the last run call left behind. Completed
+	// answers from it.
 	curLane int32
-	curSeq  uint64
 
 	// Bucket ladder: ladder[b&ladderMask] holds the events of absolute
 	// bucket b for b in (curB, curB+ladderBuckets). occupied is the
@@ -366,6 +373,9 @@ func (s *Simulator) bucketAdd(b int64, k eventKey, body eventBody) {
 			slot.bodies = s.freeBodies[n-1]
 			s.freeKeys = s.freeKeys[:n-1]
 			s.freeBodies = s.freeBodies[:n-1]
+		} else {
+			slot.keys = make([]eventKey, 0, bucketCap)
+			slot.bodies = make([]eventBody, 0, bucketCap)
 		}
 	}
 	k.idx = int32(len(slot.bodies))
@@ -386,11 +396,7 @@ func (s *Simulator) schedule(t Time, lane int32, fn func(), act Action, arg uint
 		group = s.laneGroups[lane]
 	}
 	s.seq++
-	s.insert(t, lane, s.seq, group, fn, act, arg)
-}
-
-// insert files one event under its complete key.
-func (s *Simulator) insert(t Time, lane int32, seq uint64, group int32, fn func(), act Action, arg uint64) {
+	seq := s.seq
 	s.npend++
 	b := s.bucketOf(t)
 	// Single unsigned compare for the common case: b in (curB, curB+NB).
@@ -405,52 +411,49 @@ func (s *Simulator) insert(t Time, lane int32, seq uint64, group int32, fn func(
 	}
 }
 
-// Slot is a reserved position in the event order (see Slots in the package
-// comment): the sequence number and group of a default-lane event that was
-// never enqueued.
-type Slot struct {
-	seq   uint64
-	group int32
+// CompletionLane is the lane of a serializer completion that has to be a
+// real event: above every explicit lane, below DefaultLane (see
+// Completions in the package comment).
+const CompletionLane = DefaultLane - 1
+
+// ElideHorizon is how far ahead of the clock a serializer may start a
+// cell's service without an event: half the ladder, so that the delivery
+// it schedules — a serialization and a propagation later — still lands in
+// a bucket and not in the overflow heap.
+const ElideHorizon Time = (ladderBuckets / 2) << bucketShift
+
+// Completed reports whether a serializer completion due at t has taken
+// effect: relative to the running event when called from one, relative to
+// what the last run call executed otherwise.
+func (s *Simulator) Completed(t Time) bool {
+	return t < s.now || t == s.now && s.curLane == DefaultLane
 }
 
-// Reserve takes the position a default-lane event scheduled right now
-// would get, and counts the event as processed, without enqueuing it.
-func (s *Simulator) Reserve() Slot {
-	s.seq++
+// Elide counts one completion as processed, in the running event's group,
+// without enqueuing it.
+func (s *Simulator) Elide() {
 	s.Processed++
 	s.elided++
-	g := s.curGroup
-	if int(g) < len(s.groupCount) && g >= 0 {
+	if g := s.curGroup; int(g) < len(s.groupCount) && g >= 0 {
 		s.groupCount[g]++
 	}
-	return Slot{seq: s.seq, group: g}
 }
 
-// Passed reports whether the event reserved as slot for time t would
-// already have run: relative to the running event when called from one,
-// relative to what the last run call executed otherwise.
-func (s *Simulator) Passed(t Time, slot Slot) bool {
-	if t != s.now {
-		return t < s.now
-	}
-	return s.curLane == DefaultLane && slot.seq < s.curSeq
-}
-
-// AtSlot enqueues the event reserved as slot after all: a.Act(arg) runs at
-// t exactly where a default-lane event scheduled at the Reserve call would
-// have. The caller must have seen Passed(t, slot) == false, and calls
-// AtSlot at most once per slot. Allocates nothing.
-func (s *Simulator) AtSlot(t Time, slot Slot, a Action, arg uint64) {
+// AtCompletion turns a completion counted by Elide into the event it
+// stands for: the count is taken back, a.Act(arg) runs at t on
+// CompletionLane and counts itself then. Call it from the group that
+// elided. Allocates nothing.
+func (s *Simulator) AtCompletion(t Time, a Action, arg uint64) {
 	s.Processed--
 	s.elided--
-	if g := slot.group; int(g) < len(s.groupCount) && g >= 0 {
+	if g := s.curGroup; int(g) < len(s.groupCount) && g >= 0 {
 		s.groupCount[g]--
 	}
-	s.insert(t, DefaultLane, slot.seq, slot.group, nil, a, arg)
+	s.schedule(t, CompletionLane, nil, a, arg)
 }
 
 // Dispatched returns the number of events the loop executed: Processed
-// without the slots that were reserved and never had to be enqueued.
+// without the completions that were elided.
 func (s *Simulator) Dispatched() uint64 { return s.Processed - s.elided }
 
 // At schedules fn to run at absolute time t. Scheduling in the past (t <
@@ -609,7 +612,6 @@ func (s *Simulator) drain(limit Time, haveLimit bool) {
 			}
 		}
 		var at Time
-		var seq uint64
 		var lane, group int32
 		var fn func()
 		var act Action
@@ -626,8 +628,7 @@ func (s *Simulator) drain(limit Time, haveLimit bool) {
 			if haveLimit && at >= limit {
 				return
 			}
-			seq, lane = e.seq, e.lane
-			group, fn, act, arg = e.group, e.fn, e.act, e.arg
+			lane, group, fn, act, arg = e.lane, e.group, e.fn, e.act, e.arg
 			s.young.pop()
 		} else {
 			k := &s.run.keys[s.runPos]
@@ -635,14 +636,14 @@ func (s *Simulator) drain(limit Time, haveLimit bool) {
 			if haveLimit && at >= limit {
 				return
 			}
-			seq, lane = k.seq, k.lane
+			lane = k.lane
 			body := &s.run.bodies[k.idx]
 			group, fn, act, arg = body.group, body.fn, body.act, body.arg
 			body.fn, body.act = nil, nil // drop callback references for the GC
 			s.runPos++
 		}
 		s.now = at
-		s.curLane, s.curSeq = lane, seq
+		s.curLane = lane
 		s.npend--
 		s.Processed++
 		s.curGroup = group
@@ -666,7 +667,7 @@ const (
 )
 
 // ranThrough records that nothing at or before the clock is left to run.
-func (s *Simulator) ranThrough() { s.curLane, s.curSeq = afterAll, ^uint64(0) }
+func (s *Simulator) ranThrough() { s.curLane = afterAll }
 
 // Run executes events until the queue is empty or Stop is called.
 func (s *Simulator) Run() {

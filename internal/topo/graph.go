@@ -175,7 +175,13 @@ func bfsRoutes(g Graph, up []bool) [][][]int {
 //	clos      — the paper's two-tier Clos (ClosForK)
 //	sshuffle  — Space Shuffle: k²/2 switches on 3 random ring spaces
 //	star      — star-replaced circulant: k²/2 dual-port servers
+//
+// A name with a colon is a full Spec string (sshuffle:n=32,s=2,seed=1): it
+// carries its own size, so k is not consulted and ParseSpec builds it.
 func ByName(name string, k int) (Graph, error) {
+	if strings.Contains(name, ":") {
+		return ParseSpec(name)
+	}
 	if k < 4 || k%2 != 0 {
 		return nil, fmt.Errorf("topo: k must be even and >= 4, got %d", k)
 	}
@@ -192,7 +198,7 @@ func ByName(name string, k int) (Graph, error) {
 		}
 		return NewStarReplaced(servers/d, d)
 	default:
-		return nil, fmt.Errorf("topo: unknown topology %q (want clos, sshuffle or star)", name)
+		return nil, fmt.Errorf("topo: unknown topology %q (want clos, sshuffle, star or a full spec such as sshuffle:n=32,s=2,seed=1)", name)
 	}
 }
 

@@ -31,6 +31,39 @@ func TestGraphStructuralInvariants(t *testing.T) {
 	}
 }
 
+// ByName takes what -topo and topo= document: a family sized by k, or a
+// full spec string that carries its own size.
+func TestByNameAcceptsSpecs(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		k        int
+		wantSpec string // "" = an error
+	}{
+		{"", 4, "clos:k=4"},
+		{"clos", 4, "clos:k=4"},
+		{"sshuffle", 4, "sshuffle:n=8,s=3,seed=1"},
+		{"sshuffle:n=8,s=3,seed=1", 4, "sshuffle:n=8,s=3,seed=1"},
+		{"sshuffle:n=32,s=2,seed=1", 4, "sshuffle:n=32,s=2,seed=1"},
+		{"sshuffle:n=32,s=2,seed=1", 0, "sshuffle:n=32,s=2,seed=1"}, // k is not consulted
+		{"clos:k=8", 4, "clos:k=8"},
+		{"clos1:fa=4,up=2,fe1=2", 4, "clos1:fa=4,up=2,fe1=2"},
+		{"sshuffle", 3, ""},
+		{"sshuffle:n=32", 4, ""},
+		{"ring:n=8", 4, ""},
+		{"ring", 4, ""},
+	} {
+		g, err := ByName(tc.name, tc.k)
+		switch {
+		case tc.wantSpec == "" && err == nil:
+			t.Errorf("ByName(%q, %d) built %s, want an error", tc.name, tc.k, g.Spec())
+		case tc.wantSpec != "" && err != nil:
+			t.Errorf("ByName(%q, %d): %v", tc.name, tc.k, err)
+		case tc.wantSpec != "" && g.Spec() != tc.wantSpec:
+			t.Errorf("ByName(%q, %d) built %s, want %s", tc.name, tc.k, g.Spec(), tc.wantSpec)
+		}
+	}
+}
+
 func TestSpecRoundTrip(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		spec := g.Spec()
