@@ -5,7 +5,7 @@
 //
 //	stardust -list                                        # every scenario, parameter, default and doc
 //	stardust htsim/permutation k=4 dur_ms=5 proto=DCTCP,Stardust
-//	stardust -seed 7 -shards 2 fabric/parscale k=4 hotspot=6 rebalance=true
+//	stardust -seed 7 -shards 2 fabric/parscale k=4 hotspot=6
 //	stardust scaling                                      # the whole family
 //	stardust scaling/appendixE fabric/recovery fabric/pushpull
 //

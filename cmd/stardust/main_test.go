@@ -43,9 +43,12 @@ func TestCommandLine(t *testing.T) {
 	}
 
 	// A misspelt key is one keystroke away; it must not run the defaults.
-	out, errs, exit = stardust(t, "fabric/parscale", "kk=8")
-	if exit != 1 || out != "" || !strings.Contains(errs, `no parameter "kk"`) || !strings.Contains(errs, "hotspot, k, load") {
-		t.Fatalf("unknown key: exit %d\nstdout: %s\nstderr: %s", exit, out, errs)
+	// Neither must a key that was removed (rebalance, PR 23).
+	for _, key := range []string{"kk", "rebalance"} {
+		out, errs, exit = stardust(t, "fabric/parscale", key+"=true")
+		if exit != 1 || out != "" || !strings.Contains(errs, `no parameter "`+key+`"`) || !strings.Contains(errs, "hotspot, k, load") {
+			t.Fatalf("unknown key %s: exit %d\nstdout: %s\nstderr: %s", key, exit, out, errs)
+		}
 	}
 
 	out, errs, exit = stardust(t, "scaling/table2", "-seed", "7")

@@ -160,7 +160,7 @@ func TestStepOwnedMatchesRun(t *testing.T) {
 		Events:      m.Eng.Processed(),
 		Unreachable: m.Net.UnreachablePairs(),
 		Digest:      foldDigest(sc, sb, dirs),
-		ShardEvents: m.Net.ShardEvents(),
+		ShardEvents: m.Eng.Stats().ShardEvents,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("StepOwned outcome diverged:\n got %+v\nwant %+v", got, want)

@@ -287,7 +287,7 @@ func (m *Model) RunLocal() (Outcome, error) {
 		Events:      m.Eng.Processed(),
 		Unreachable: m.Net.UnreachablePairs(),
 		Digest:      foldDigest(sinkCells, sinkBytes, dirs),
-		ShardEvents: m.Net.ShardEvents(),
+		ShardEvents: m.Eng.Stats().ShardEvents,
 	}, nil
 }
 

@@ -10,7 +10,7 @@ import (
 // command line speaks the registry's vocabulary, scenario names and
 // key=value parameters, exactly as -list prints them:
 //
-//	fabric/parscale k=4 hotspot=6 rebalance=true
+//	fabric/parscale k=4 hotspot=6 shards=2
 //	scaling/appendixE fabric/recovery fabric/pushpull
 //	htsim proto=Stardust
 //

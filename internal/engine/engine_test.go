@@ -265,6 +265,16 @@ func TestRunRejectsUndeclaredParam(t *testing.T) {
 	if _, err := Run(Options{}, []Job{{Scenario: "test/sweep", Params: Params{"points": "2"}}}); err != nil {
 		t.Fatalf("variant-added keys must not be checked: %v", err)
 	}
+	// A declared key with a value the Variants hook panics on (make with a
+	// negative length) is an error like the others, not a crash, and does
+	// not hide the undeclared key of the job before it.
+	hostile := Job{Scenario: "test/sweep", Params: Params{"points": "-1"}}
+	if _, err := Run(Options{Out: &buf}, []Job{{Scenario: "test/echo"}, hostile}); err == nil || !strings.Contains(err.Error(), "test/sweep (points=-1): scenario panicked") || buf.Len() != 0 {
+		t.Fatalf("panicking Variants: err = %v, emitted %q", err, buf.String())
+	}
+	if _, err := Run(Options{}, []Job{{Scenario: "test/echo", Params: Params{"xx": "5"}}, hostile}); err == nil || !strings.Contains(err.Error(), `no parameter "xx"`) {
+		t.Fatalf("undeclared parameter before a panicking Variants: err = %v", err)
+	}
 }
 
 func TestParseArgs(t *testing.T) {

@@ -69,9 +69,9 @@ type instance struct {
 	seed   int64
 }
 
-// expand resolves jobs against the registry — an unknown scenario or an
-// undeclared parameter fails the whole request — and applies variant
-// expansion, preserving request order.
+// expand resolves jobs against the registry — an unknown scenario, an
+// undeclared parameter or a Variants hook that panics fails the whole
+// request — and applies variant expansion, preserving request order.
 func expand(opts Options, jobs []Job) ([]instance, error) {
 	var insts []instance
 	for _, j := range jobs {
@@ -95,7 +95,11 @@ func expand(opts Options, jobs []Job) ([]instance, error) {
 		}
 		variants := []Params{base}
 		if sc.Variants != nil {
-			if v := sc.Variants(base); len(v) > 0 {
+			v, err := expandVariants(sc, base)
+			if err != nil {
+				return nil, err
+			}
+			if len(v) > 0 {
 				variants = v
 			}
 		}
@@ -104,6 +108,18 @@ func expand(opts Options, jobs []Job) ([]instance, error) {
 		}
 	}
 	return insts, nil
+}
+
+// expandVariants calls sc.Variants under the recover runInstance gives
+// sc.Run: the hook sees whatever values the request carried, and it runs on
+// the caller's goroutine — in stardustd, a RunQueue worker.
+func expandVariants(sc *Scenario, base Params) (v []Params, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("engine: %s (%s): scenario panicked expanding variants: %v", sc.Name, base, r)
+		}
+	}()
+	return sc.Variants(base), nil
 }
 
 // Run expands jobs into instances, executes them on a worker pool, emits

@@ -299,11 +299,6 @@ type Net struct {
 	eng    *parsim.Engine // nil in solo mode
 	shards []*shardState  // len 1 in solo mode
 
-	// Rebalancing state (sharded mode; see rebalance.go).
-	laneGroups   []int32 // lane -> owning event group (edge index + 1; 0 = immovable)
-	migrateHooks []func(fa, from, to int)
-	migrations   uint64
-
 	nodes  []*node
 	edges  []*node // per edge device: its node
 	wiring []topo.GraphLink
@@ -526,26 +521,6 @@ func build(cfg Config, g topo.Graph, shards []*shardState, assign []int, eng *pa
 		mkLink(lk.B, lk.BPort, lk.A)
 	}
 
-	if eng != nil {
-		// Lane -> event-group table for adaptive rebalancing (rebalance.go):
-		// deliveries onto an edge node — its inbound links and its hairpin
-		// path — belong to that edge's migratable group; everything landing
-		// on a transit node, and the route policy's lanes, stay in the
-		// immovable group 0.
-		n.laneGroups = make([]int32, n.Lanes())
-		for d, l := range n.links {
-			if e := l.to.edge; e >= 0 {
-				n.laneGroups[d] = n.GroupOfFA(int(e))
-			}
-		}
-		for e := 0; e < numEdge; e++ {
-			n.laneGroups[n.hairpinLane(e)] = n.GroupOfFA(e)
-		}
-		for _, sh := range shards {
-			sh.sm.SetLaneGroups(n.laneGroups)
-			sh.sm.EnsureGroups(numEdge + 1)
-		}
-	}
 	n.routes.seed(descend, climb)
 	return n, nil
 }
@@ -586,7 +561,7 @@ func (n *Net) SetMode(m RouteMode) {
 
 // ShardOfFA returns the shard owning edge device fa (0 in solo mode) —
 // the shard whose Simulator injection events and egress endpoints for fa
-// must run on. Rebalancing migrations may change it between barriers.
+// must run on. The assignment is fixed when the fabric is built.
 func (n *Net) ShardOfFA(fa int) int { return n.edges[fa].sh.id }
 
 // EdgeSim returns the event heap edge device fa's events run on.

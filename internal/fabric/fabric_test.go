@@ -398,3 +398,34 @@ func TestLinkStateIdempotent(t *testing.T) {
 		t.Fatalf("%d transitions for one fail+restore, want 2", transitions)
 	}
 }
+
+// An engine-built fabric drives every link through its queue's wire (one
+// event per idle-link hop); a solo fabric shares a default-lane pipe and
+// must not — there the completion has to stay a real event.
+func TestLinksAreWiredByBuild(t *testing.T) {
+	for _, topoName := range []string{"clos", "sshuffle", "star"} {
+		g, err := topo.ByName(topoName, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(10e9, sim.Microsecond, 1)
+		sharded, err := NewSharded(parsim.New(parsim.Config{Shards: 1, Lookahead: sim.Microsecond}), cfg, g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo, err := New(sim.New(), cfg, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for d, l := range sharded.links {
+			if l.q.Wire == nil || l.q.Wire.Lane != int32(d) || len(l.route) != 2 {
+				t.Fatalf("%s: sharded link %d not wired on its own lane (wire %+v, route of %d)", topoName, d, l.q.Wire, len(l.route))
+			}
+		}
+		for d, l := range solo.links {
+			if l.q.Wire != nil || len(l.route) != 3 {
+				t.Fatalf("%s: solo link %d is wired (route of %d)", topoName, d, len(l.route))
+			}
+		}
+	}
+}

@@ -53,9 +53,7 @@ func (s *CellSink) Receive(c *netsim.Packet) {
 // scenarios, the managed FabricRun, and the sharded cell-path benchmark.
 // Everything it does is a function of (edge, instant) alone: it lives on
 // its device's shard and keeps its own rotation counter, so the offered
-// traffic is identical at every shard count. The shard is resolved per
-// event rather than cached, so the injector follows its edge device
-// through adaptive rebalancing migrations.
+// traffic is identical at every shard count.
 type Injector struct {
 	net   *Net
 	fa    int
@@ -86,20 +84,8 @@ func (n *Net) NewInjector(fa int, gap sim.Time, cellBytes int, stop sim.Time, qu
 func (j *Injector) FixDst(dst int) { j.dst = dst }
 
 // Start schedules the first injection at absolute time at — stagger
-// starts across FAs so they do not inject in lockstep. In sharded mode
-// the event is tagged with the FA's migration group, so the pacing chain
-// follows the FA when rebalancing moves it.
-func (j *Injector) Start(at sim.Time) {
-	sm := j.net.EdgeSim(j.fa)
-	if j.net.Sharded() {
-		prev := sm.Group()
-		sm.SetGroup(j.net.GroupOfFA(j.fa))
-		sm.AtAction(at, j, 0)
-		sm.SetGroup(prev)
-		return
-	}
-	sm.AtAction(at, j, 0)
-}
+// starts across FAs so they do not inject in lockstep.
+func (j *Injector) Start(at sim.Time) { j.net.EdgeSim(j.fa).AtAction(at, j, 0) }
 
 // Sent returns the number of cells injected so far.
 func (j *Injector) Sent() uint64 { return j.sent }

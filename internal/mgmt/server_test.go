@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"stardust/internal/engine"
+	_ "stardust/internal/scenarios" // the real registry: fabric/parscale in TestSubmitRejectsUndeclaredParam
 	"stardust/internal/sim"
 )
 
@@ -27,7 +28,9 @@ func init() {
 		Defaults: engine.Params{"x": "1", "points": "2"},
 		Docs:     map[string]string{"x": "the echoed value", "points": "sweep width"},
 		Variants: func(p engine.Params) []engine.Params {
-			n := min(max(p.Int("points", 1), 0), 8) // any value arrives here: FuzzRunBodies
+			// Any value arrives here (FuzzRunBodies); a negative one panics in
+			// make, which the engine has to turn into a failed job.
+			n := min(p.Int("points", 1), 8)
 			out := make([]engine.Params, n)
 			for i := range out {
 				out[i] = p.With("point", fmt.Sprint(i))
@@ -241,40 +244,55 @@ func TestSubmitRejectsUndeclaredParam(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	req := RunRequest{Scenario: "mgmttest/echo", Params: engine.Params{"xx": "8"}}
-	var body map[string]string
-	resp := postJSON(t, ts.URL+"/api/v1/runs", req, &body)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("undeclared parameter gave %d", resp.StatusCode)
-	}
-	if msg := body["error"]; !strings.Contains(msg, `"xx"`) || !strings.Contains(msg, "accepts points, x") {
-		t.Fatalf("error does not name the key and the accepted ones: %q", msg)
-	}
-	if _, _, err := q.Submit(req, "test"); err == nil {
-		t.Fatal("RunQueue.Submit accepted an undeclared parameter")
-	}
-	if st := q.Stats(); st.Submitted != 0 || len(q.List(10)) != 0 {
-		t.Fatalf("refused requests left state behind: %+v, %d jobs", st, len(q.List(10)))
-	}
-	if _, ok := q.Cached(req.CacheKey()); ok {
-		t.Fatal("refused request has a cache entry")
+	for _, tc := range []struct {
+		req          RunRequest
+		key, accepts string
+	}{
+		{RunRequest{Scenario: "mgmttest/echo", Params: engine.Params{"xx": "8"}}, `"xx"`, "accepts points, x"},
+		// A parameter that was removed (PR 23) is undeclared like any other.
+		{RunRequest{Scenario: "fabric/parscale", Params: engine.Params{"rebalance": "true"}}, `"rebalance"`, "hotspot, k, load"},
+	} {
+		var body map[string]string
+		resp := postJSON(t, ts.URL+"/api/v1/runs", tc.req, &body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%v: undeclared parameter gave %d", tc.req.Params, resp.StatusCode)
+		}
+		if msg := body["error"]; !strings.Contains(msg, tc.key) || !strings.Contains(msg, tc.accepts) {
+			t.Fatalf("error does not name the key and the accepted ones: %q", msg)
+		}
+		if _, _, err := q.Submit(tc.req, "test"); err == nil {
+			t.Fatal("RunQueue.Submit accepted an undeclared parameter")
+		}
+		if st := q.Stats(); st.Submitted != 0 || len(q.List(10)) != 0 {
+			t.Fatalf("refused requests left state behind: %+v, %d jobs", st, len(q.List(10)))
+		}
+		if _, ok := q.Cached(tc.req.CacheKey()); ok {
+			t.Fatal("refused request has a cache entry")
+		}
 	}
 }
 
 func TestFailedJobDoesNotPoisonCache(t *testing.T) {
 	_, q, _ := newTestDaemon(t, false)
-	j, cached, err := q.Submit(RunRequest{Scenario: "mgmttest/fail"}, "test")
-	if err != nil || cached {
-		t.Fatalf("submit: %v cached=%v", err, cached)
-	}
-	done, _ := q.Wait(j.ID, 10*time.Second)
-	if done.State != JobFailed || done.Error == "" {
-		t.Fatalf("want failed state with error, got %+v", done)
-	}
-	// Resubmitting after failure re-runs instead of serving the failure.
-	j2, cached, err := q.Submit(RunRequest{Scenario: "mgmttest/fail"}, "test")
-	if err != nil || cached || j2.ID == j.ID {
-		t.Fatalf("failed job pinned the cache: %v cached=%v id=%s", err, cached, j2.ID)
+	// A Variants hook that panics fails its job like a Run that errors, and
+	// the worker it ran on lives to take the next job.
+	for _, req := range []RunRequest{
+		{Scenario: "mgmttest/echo", Params: engine.Params{"points": "-1"}},
+		{Scenario: "mgmttest/fail"},
+	} {
+		j, cached, err := q.Submit(req, "test")
+		if err != nil || cached {
+			t.Fatalf("submit: %v cached=%v", err, cached)
+		}
+		done, _ := q.Wait(j.ID, 10*time.Second)
+		if done.State != JobFailed || done.Error == "" {
+			t.Fatalf("want failed state with error, got %+v", done)
+		}
+		// Resubmitting after failure re-runs instead of serving the failure.
+		j2, cached, err := q.Submit(req, "test")
+		if err != nil || cached || j2.ID == j.ID {
+			t.Fatalf("failed job pinned the cache: %v cached=%v id=%s", err, cached, j2.ID)
+		}
 	}
 }
 

@@ -135,16 +135,6 @@ type ShardedCellFabric interface {
 	// Lanes returns the first event lane not used by the fabric; the
 	// transport allocates its lanes from there up.
 	Lanes() int32
-	// GroupOfFA returns the kernel event-group id of FA fa's migratable
-	// device group (0 is the immovable remainder).
-	GroupOfFA(fa int) int32
-	// LaneGroups returns the fabric's lane -> group table; the transport
-	// extends it over its own lanes and re-installs it on every shard.
-	LaneGroups() []int32
-	// OnMigrateFA registers a hook run (in barrier context) after the
-	// fabric migrates FA fa between shards; the transport re-pins the
-	// hosts behind the adapter from it.
-	OnMigrateFA(fn func(fa, from, to int))
 }
 
 // fluidTrunk is the Appendix G abstraction of the fabric and the
@@ -236,11 +226,10 @@ type StardustNet struct {
 	hosts    int
 	hostsPer int
 	laneBase int32
-	faGroup  []int32 // kernel event group of each FA's hosts (all 0 off-engine)
 
 	shards []*sdShard
 	hostSh []int   // shard of each host
-	hpipes []*Pipe // per host: intra-shard propagation hop (follows migrations)
+	hpipes []*Pipe // per host: intra-shard propagation hop
 
 	hostUp []*Queue // per host: NIC into the source FA
 	port   []*Queue // per host: egress port
@@ -294,7 +283,6 @@ func newStardustNet(s *sim.Simulator, sfab ShardedCellFabric, cfg StardustConfig
 		Cfg:      cfg,
 		hosts:    hosts,
 		hostsPer: hostsPer,
-		faGroup:  make([]int32, numFA),
 		voqs:     make(map[voqKey]*svoq),
 	}
 	sink := HandlerFunc(n.DeliverCell)
@@ -323,7 +311,7 @@ func newStardustNet(s *sim.Simulator, sfab ShardedCellFabric, cfg StardustConfig
 			n.shards[i] = &sdShard{id: i, sm: eng.Shard(i).Sim()}
 		}
 		for fa := range faShard {
-			faShard[fa], n.faGroup[fa] = sfab.ShardOfFA(fa), sfab.GroupOfFA(fa)
+			faShard[fa] = sfab.ShardOfFA(fa)
 			if faShard[fa] < 0 || faShard[fa] >= eng.Shards() {
 				return nil, fmt.Errorf("netsim: fabric pinned FA %d to shard %d of %d", fa, faShard[fa], eng.Shards())
 			}
@@ -355,13 +343,7 @@ func newStardustNet(s *sim.Simulator, sfab ShardedCellFabric, cfg StardustConfig
 		l.net, l.h, l.sh = n, h, sh
 		l.tmr = sim.NewTimer(sh.sm)
 		l.fn = l.tick
-		// Tag the credit loop's root event with the host's migration group
-		// so the pacing chain (which re-arms causally) follows its FA when
-		// rebalancing moves it.
-		prev := sh.sm.Group()
-		sh.sm.SetGroup(n.faGroup[h/hostsPer])
 		l.tmr.Arm(n.scheds[h].CreditInterval(), l.fn)
-		sh.sm.SetGroup(prev)
 	}
 	if sfab == nil {
 		return n, nil
@@ -369,64 +351,7 @@ func newStardustNet(s *sim.Simulator, sfab ShardedCellFabric, cfg StardustConfig
 	for fa := 0; fa < numFA; fa++ {
 		sfab.SetEgress(fa, sink)
 	}
-	// Extend the fabric's lane -> group table over the transport's pair
-	// lanes: each control flow belongs to the group of the half it is
-	// applied at (requests and ship notes run at the destination, grants at
-	// the source), so ExtractGroup lifts a migrating FA's pending transport
-	// events along with its fabric ones.
-	tbl := make([]int32, int(n.laneBase)+3*hosts*hosts)
-	copy(tbl, sfab.LaneGroups())
-	for src := 0; src < hosts; src++ {
-		for dst := 0; dst < hosts; dst++ {
-			tbl[n.laneOf(src, dst, 0)] = n.faGroup[dst/hostsPer]
-			tbl[n.laneOf(src, dst, 1)] = n.faGroup[src/hostsPer]
-			tbl[n.laneOf(src, dst, 2)] = n.faGroup[dst/hostsPer]
-		}
-	}
-	for _, sh := range n.shards {
-		sh.sm.SetLaneGroups(tbl)
-		sh.sm.EnsureGroups(numFA + 1)
-	}
-	sfab.OnMigrateFA(n.migrate)
 	return n, nil
-}
-
-// migrate re-pins the hosts behind FA fa after the fabric moved it to
-// shard `to` — the transport half of an adaptive rebalancing step. The
-// pending events already moved with the fabric's ExtractGroup (fabric and
-// transport share the group id space), so this only re-points the homes
-// future events are scheduled from: queues, propagation hops, timers and
-// the pair lane schedulers of every flow touching a migrated host.
-func (n *StardustNet) migrate(fa, _, to int) {
-	sh := n.shards[to]
-	lo, hi := fa*n.hostsPer, (fa+1)*n.hostsPer
-	for h := lo; h < hi; h++ {
-		n.hostSh[h] = to
-		n.hpipes[h].Sim = sh.sm
-		n.hostUp[h].Sim = sh.sm
-		n.port[h].Sim = sh.sm
-		n.loops[h].sh = sh
-		n.loops[h].tmr.Rebind(sh.sm)
-	}
-	// Every pair with a migrated half needs its cross-shard schedulers
-	// rebuilt. Host-order iteration keeps this loop deterministic (map
-	// range order is not), though the result would be order-independent.
-	for src := 0; src < n.hosts; src++ {
-		srcIn := src >= lo && src < hi
-		for dst := 0; dst < n.hosts; dst++ {
-			if !srcIn && (dst < lo || dst >= hi) {
-				continue
-			}
-			v, ok := n.voqs[voqKey{src: src, dst: dst}]
-			if !ok {
-				continue
-			}
-			st := v.stream
-			v.sh, st.sh = n.shards[n.hostSh[src]], n.shards[n.hostSh[dst]]
-			st.reasmTmr.Rebind(st.sh.sm)
-			v.toDst, st.toSrc = n.laneTo(v.sh, st.sh), n.laneTo(st.sh, v.sh)
-		}
-	}
 }
 
 // laneTo returns the lane scheduler that delivers from shard `from` onto
@@ -436,18 +361,6 @@ func (n *StardustNet) laneTo(from, to *sdShard) sim.LaneScheduler {
 		return to.sm
 	}
 	return n.eng.Shard(from.id).To(to.id)
-}
-
-// ScheduleHost schedules a.Act(arg) at absolute time at on host h's
-// shard, tagged with h's migration group. Endpoint drivers that must
-// survive adaptive rebalancing start their event chains here (and
-// re-resolve HostSim per event) instead of caching a Simulator.
-func (n *StardustNet) ScheduleHost(h int, at sim.Time, a sim.Action, arg uint64) {
-	sm := n.HostSim(h)
-	prev := sm.Group()
-	sm.SetGroup(n.faGroup[h/n.hostsPer])
-	sm.AtAction(at, a, arg)
-	sm.SetGroup(prev)
 }
 
 // Engine returns the parsim engine the transport is placed over, nil for

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"stardust/internal/distsim"
-	"stardust/internal/fabric"
 	"stardust/internal/parsim"
 	"stardust/internal/sim"
 )
@@ -22,18 +21,14 @@ var forces = []struct {
 	{"alternate", parsim.ForceAlternate},
 }
 
-// runForced builds spec's model, lets prep adjust it, and runs it with the
-// execution mode pinned.
-func runForced(t *testing.T, spec distsim.Spec, f parsim.ExecForce, prep func(*distsim.Model)) (distsim.Outcome, *distsim.Model) {
+// runForced builds spec's model and runs it with the execution mode pinned.
+func runForced(t *testing.T, spec distsim.Spec, f parsim.ExecForce) (distsim.Outcome, *distsim.Model) {
 	t.Helper()
 	m, err := distsim.NewModel(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Eng.Force(f)
-	if prep != nil {
-		prep(m)
-	}
 	out, err := m.RunLocal()
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +63,7 @@ func TestExecModesAgreeOnGoldenSpecs(t *testing.T) {
 			spec.Shards = shards
 			var split []uint64
 			for _, force := range forces {
-				out, m := runForced(t, spec, force.f, nil)
+				out, m := runForced(t, spec, force.f)
 				name := fmt.Sprintf("%s shards=%d %s", row.Name, shards, force.name)
 				if got := fmt.Sprintf("%016x", out.Digest); got != row.Digest {
 					t.Errorf("%s: digest %s, recorded %s", name, got, row.Digest)
@@ -93,55 +88,30 @@ func TestExecModesAgreeOnGoldenSpecs(t *testing.T) {
 	}
 }
 
-// Group migration — planned by the rebalancer or called directly at the
-// very boundary where the alternating mode flips — moves pending events
-// between heaps in barrier context; the execution mode on either side of
-// the barrier must not show.
+// A hotspot makes the shards' windows uneven, which is what the measured
+// execution mode reacts to; no golden row is skewed, so this one is held
+// to the one-shard inline run instead. (The name is the one the CI history
+// knows; nothing migrates, see ROADMAP "Parked".)
 func TestExecModesAgreeAcrossMigrations(t *testing.T) {
 	spec := distsim.Spec{
 		K: 4, Topo: "clos", Seed: 7, Shards: 1, Dur: 300 * sim.Microsecond,
 		Load: 0.4, CellBytes: 512, Hotspot: 6,
 	}
-	ref, _ := runForced(t, spec, parsim.ForceInline, nil)
-	rebalance := func(m *distsim.Model) {
-		if err := m.Net.EnableRebalancing(fabric.DefaultRebalance()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pingPong := func(m *distsim.Model) {
-		look := m.Eng.Lookahead()
-		for i, to := range []int{1, 0, 1} {
-			m.Eng.At(sim.Time(i+1)*parsim.EpochWindows*look, func() {
-				if err := m.Net.MigrateFA(0, to); err != nil {
-					t.Error(err)
-				}
-			})
-		}
-	}
+	ref, _ := runForced(t, spec, parsim.ForceInline)
 	for _, shards := range []int{2, 4} {
 		spec.Shards = shards
-		for _, tc := range []struct {
-			name string
-			prep func(*distsim.Model)
-		}{{"static", nil}, {"rebalance", rebalance}, {"pingpong", pingPong}} {
-			var first distsim.Outcome
-			var moves uint64
-			for i, force := range forces {
-				out, m := runForced(t, spec, force.f, tc.prep)
-				name := fmt.Sprintf("shards=%d %s %s", shards, tc.name, force.name)
-				if out.Digest != ref.Digest || out.Events != ref.Events || out.Delivered != ref.Delivered {
-					t.Errorf("%s: digest %016x events %d delivered %d, one static shard %016x %d %d", name,
-						out.Digest, out.Events, out.Delivered, ref.Digest, ref.Events, ref.Delivered)
-				}
-				if i == 0 {
-					first, moves = out, m.Net.Migrations()
-					if (moves == 0) != (tc.prep == nil) {
-						t.Errorf("%s: %d migrations", name, moves)
-					}
-				} else if !reflect.DeepEqual(out.ShardEvents, first.ShardEvents) || m.Net.Migrations() != moves {
-					t.Errorf("%s: shard events %v after %d migrations, inline %v after %d", name,
-						out.ShardEvents, m.Net.Migrations(), first.ShardEvents, moves)
-				}
+		var split []uint64
+		for _, force := range forces {
+			out, _ := runForced(t, spec, force.f)
+			name := fmt.Sprintf("shards=%d %s", shards, force.name)
+			if out.Digest != ref.Digest || out.Events != ref.Events || out.Delivered != ref.Delivered {
+				t.Errorf("%s: digest %016x events %d delivered %d, one shard %016x %d %d", name,
+					out.Digest, out.Events, out.Delivered, ref.Digest, ref.Events, ref.Delivered)
+			}
+			if split == nil {
+				split = out.ShardEvents
+			} else if !reflect.DeepEqual(out.ShardEvents, split) {
+				t.Errorf("%s: shard events %v, inline %v", name, out.ShardEvents, split)
 			}
 		}
 	}

@@ -10,7 +10,6 @@ import (
 
 	"stardust/internal/distsim"
 	"stardust/internal/engine"
-	"stardust/internal/fabric"
 	"stardust/internal/parsim"
 	"stardust/internal/sim"
 )
@@ -43,7 +42,6 @@ type parRun struct {
 	digest      uint64
 	wall        time.Duration
 	shardEvents []uint64
-	migrations  uint64
 	exec        parsim.Stats // how the engine executed the windows; in-process runs only
 	// dist is where each peer's wall time went; distributed runs with
 	// timings only.
@@ -61,7 +59,7 @@ func parSpec(seed int64, topo string, k, shards int, dur sim.Time, load float64,
 	}
 }
 
-func fromOutcome(out distsim.Outcome, wall time.Duration, migrations uint64) parRun {
+func fromOutcome(out distsim.Outcome, wall time.Duration) parRun {
 	return parRun{
 		injected:    out.Injected,
 		delivered:   out.Delivered,
@@ -71,29 +69,21 @@ func fromOutcome(out distsim.Outcome, wall time.Duration, migrations uint64) par
 		digest:      out.Digest,
 		wall:        wall,
 		shardEvents: out.ShardEvents,
-		migrations:  migrations,
 	}
 }
 
 // runShardedFabric executes spec with in-process goroutine shards.
-// rebalance turns on the adaptive group planner, which must not change
-// any deterministic output — only the per-shard event split.
-func runShardedFabric(spec distsim.Spec, rebalance bool) (parRun, error) {
+func runShardedFabric(spec distsim.Spec) (parRun, error) {
 	m, err := distsim.NewModel(spec)
 	if err != nil {
 		return parRun{}, err
-	}
-	if rebalance {
-		if err := m.Net.EnableRebalancing(fabric.DefaultRebalance()); err != nil {
-			return parRun{}, err
-		}
 	}
 	t0 := time.Now()
 	out, err := m.RunLocal()
 	if err != nil {
 		return parRun{}, err
 	}
-	r := fromOutcome(out, time.Since(t0), m.Net.Migrations())
+	r := fromOutcome(out, time.Since(t0))
 	r.exec = m.Eng.Stats()
 	return r, nil
 }
@@ -127,7 +117,7 @@ func runDistFabric(spec distsim.Spec, c engine.Context, timings bool) (parRun, e
 	if err != nil {
 		return parRun{}, err
 	}
-	r := fromOutcome(out, time.Since(t0), 0)
+	r := fromOutcome(out, time.Since(t0))
 	if timings {
 		snap := stats.Snapshot()
 		r.dist = &snap
@@ -151,13 +141,12 @@ func distTimings(b *strings.Builder, r parRun) {
 	fmt.Fprintf(b, " straggler %d\n", r.dist.Straggler)
 }
 
-// addShardSplit emits the per-shard event counts, the imbalance ratio
-// (max shard's share over the even split, 1.0 = perfectly balanced) and
-// the migration count — deterministic, but a function of the shard
-// count, so they follow the same rule as the shards echo in
-// addParMetrics: emitted only when the shard count was an explicit
-// scenario parameter, never when it came from the -shards flag the CI
-// determinism matrix sweeps.
+// addShardSplit emits the per-shard event counts and the imbalance ratio
+// (max shard's share over the even split, 1.0 = perfectly balanced) —
+// deterministic, but a function of the shard count, so they follow the
+// same rule as the shards echo in addParMetrics: emitted only when the
+// shard count was an explicit scenario parameter, never when it came from
+// the -shards flag the CI determinism matrix sweeps.
 func addShardSplit(res *engine.Result, b *strings.Builder, r parRun) {
 	var sum, max uint64
 	for _, ev := range r.shardEvents {
@@ -174,9 +163,7 @@ func addShardSplit(res *engine.Result, b *strings.Builder, r parRun) {
 		res.Add(fmt.Sprintf("shard%d_events", i), float64(ev), "")
 	}
 	res.Add("imbalance", imb, "x")
-	res.Add("migrations", float64(r.migrations), "")
-	fmt.Fprintf(b, "  shard events %d", r.shardEvents)
-	fmt.Fprintf(b, ", imbalance %.3fx, migrations %d\n", imb, r.migrations)
+	fmt.Fprintf(b, "  shard events %d, imbalance %.3fx\n", r.shardEvents, imb)
 }
 
 // addParMetrics emits the deterministic half of a parRun. shardsParam is
@@ -265,19 +252,18 @@ func init() {
 		Desc: "sharded-engine scaling sweep: shards×K, deterministic traffic digest (+ events/sec and speedup with timings=true)",
 		Defaults: engine.Params{
 			"k": "4", "shards": "0", "topo": "", "pattern": "", "dur_ms": "5", "load": "0.5", "cell": "512",
-			"hotspot": "1", "rebalance": "false", "timings": "false",
+			"hotspot": "1", "timings": "false",
 		},
 		Docs: map[string]string{
-			"k":         "fat-tree K sizing the Clos (comma list sweeps)",
-			"shards":    "event-loop shards; 0 = the -shards flag (comma list sweeps). Explicit values also report the per-shard event split",
-			"topo":      "topology family sized by k: clos, sshuffle, star, or a full spec string; empty = the -topo flag (comma list sweeps)",
-			"pattern":   "traffic matrix: rotate (all-to-all over time, the default), permutation, incast",
-			"dur_ms":    "injection duration in ms",
-			"load":      "offered load per FA as a fraction of its uplink capacity",
-			"cell":      "cell size in bytes",
-			"hotspot":   "boost factor for the first quarter of the FAs (>1 = skewed matrix, changes the offered traffic)",
-			"rebalance": "true enables adaptive shard rebalancing; every deterministic output stays byte-identical, only the per-shard split moves",
-			"timings":   "true adds wall-clock events/sec (total and per core), speedup vs one shard and the engine's execution stats (windows, fanned, probes, switches, mail) — with -peers, each peer's busy and mesh-wait time, how its mesh reads waited (parked or polled) and the straggler instead — nondeterministic output, keep off when diffing runs",
+			"k":       "fat-tree K sizing the Clos (comma list sweeps)",
+			"shards":  "event-loop shards; 0 = the -shards flag (comma list sweeps). Explicit values also report the per-shard event split",
+			"topo":    "topology family sized by k: clos, sshuffle, star, or a full spec string; empty = the -topo flag (comma list sweeps)",
+			"pattern": "traffic matrix: rotate (all-to-all over time, the default), permutation, incast",
+			"dur_ms":  "injection duration in ms",
+			"load":    "offered load per FA as a fraction of its uplink capacity",
+			"cell":    "cell size in bytes",
+			"hotspot": "boost factor for the first quarter of the FAs (>1 = skewed matrix, changes the offered traffic)",
+			"timings": "true adds wall-clock events/sec (total and per core), speedup vs one shard and the engine's execution stats (windows, fanned, probes, switches, mail) — with -peers, each peer's busy and mesh-wait time, how its mesh reads waited (parked or polled) and the straggler instead — nondeterministic output, keep off when diffing runs",
 		},
 		Variants: parVariants,
 		Run: func(c engine.Context) (engine.Result, error) {
@@ -287,18 +273,14 @@ func init() {
 			load := c.Params.Float("load", 0.5)
 			cell := c.Params.Int("cell", 512)
 			hotspot := c.Params.Float("hotspot", 1)
-			rebalance := c.Params.Bool("rebalance", false)
 			spec := parSpec(c.Seed, effectiveTopo(c), k, shards, dur, load,
 				c.Params.Str("pattern", ""), cell, hotspot, 0, 0, 0)
 			var r parRun
 			var err error
 			if c.DistPeers > 0 {
-				if rebalance {
-					return engine.Result{}, fmt.Errorf("parscale: adaptive rebalancing is in-process only (drop rebalance=true or -peers)")
-				}
 				r, err = runDistFabric(spec, c, c.Params.Bool("timings", false))
 			} else {
-				r, err = runShardedFabric(spec, rebalance)
+				r, err = runShardedFabric(spec)
 			}
 			if err != nil {
 				return engine.Result{}, err
@@ -318,7 +300,7 @@ func init() {
 				if shards != 1 {
 					ref1 := spec
 					ref1.Shards = 1
-					if ref, err = runShardedFabric(ref1, rebalance); err != nil {
+					if ref, err = runShardedFabric(ref1); err != nil {
 						return engine.Result{}, err
 					}
 					if ref.digest != r.digest {
@@ -378,7 +360,7 @@ func init() {
 			if c.DistPeers > 0 {
 				r, err = runDistFabric(spec, c, false)
 			} else {
-				r, err = runShardedFabric(spec, false)
+				r, err = runShardedFabric(spec)
 			}
 			if err != nil {
 				return engine.Result{}, err

@@ -3,6 +3,7 @@ package sim
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // Completed must decide a same-instant tie by lane alone: an explicit-lane
@@ -76,71 +77,41 @@ func TestPassedBetweenRuns(t *testing.T) {
 }
 
 // Elide counts the completion, AtCompletion takes the count back, the real
-// event counts itself: Processed and the group meter see every completion
-// exactly once whether or not it became an event; Dispatched sees only
-// what ran; Pending only what is enqueued.
+// event counts itself: Processed sees every completion exactly once whether
+// or not it became an event; Dispatched sees only what ran; Pending only
+// what is enqueued.
 func TestElidedAccounting(t *testing.T) {
 	s := New()
-	s.EnsureGroups(4)
-	s.SetGroup(2)
 	s.At(10, func() {
 		s.Elide()
 		s.Elide()
 	})
 	s.RunBefore(20)
-	if s.Processed != 3 || s.Dispatched() != 1 || s.GroupProcessed(2) != 3 || s.Pending() != 0 {
-		t.Fatalf("after eliding: processed %d dispatched %d group %d pending %d, want 3/1/3/0",
-			s.Processed, s.Dispatched(), s.GroupProcessed(2), s.Pending())
+	if s.Processed != 3 || s.Dispatched() != 1 || s.Pending() != 0 {
+		t.Fatalf("after eliding: processed %d dispatched %d pending %d, want 3/1/0",
+			s.Processed, s.Dispatched(), s.Pending())
 	}
 	ran := false
-	s.AtCompletion(30, ActionFunc(func(uint64) {
-		ran = true
-		if s.Group() != 2 {
-			t.Errorf("completion event runs in group %d, want the eliding event's 2", s.Group())
-		}
-	}), 0)
-	if s.Processed != 2 || s.Dispatched() != 1 || s.GroupProcessed(2) != 2 || s.Pending() != 1 {
-		t.Fatalf("after AtCompletion: processed %d dispatched %d group %d pending %d, want 2/1/2/1",
-			s.Processed, s.Dispatched(), s.GroupProcessed(2), s.Pending())
+	s.AtCompletion(30, ActionFunc(func(uint64) { ran = true }), 0)
+	if s.Processed != 2 || s.Dispatched() != 1 || s.Pending() != 1 {
+		t.Fatalf("after AtCompletion: processed %d dispatched %d pending %d, want 2/1/1",
+			s.Processed, s.Dispatched(), s.Pending())
 	}
 	s.Run()
-	if !ran || s.Processed != 3 || s.Dispatched() != 2 || s.GroupProcessed(2) != 3 {
-		t.Fatalf("at the end: ran %v processed %d dispatched %d group %d, want true/3/2/3",
-			ran, s.Processed, s.Dispatched(), s.GroupProcessed(2))
+	if !ran || s.Processed != 3 || s.Dispatched() != 2 {
+		t.Fatalf("at the end: ran %v processed %d dispatched %d, want true/3/2",
+			ran, s.Processed, s.Dispatched())
 	}
 }
 
-// A completion event is an ordinary event of its group: it runs between
-// the explicit-lane and the default-lane events of its instant, and
-// ExtractGroup / InjectOrdered replay it in the same place on another
-// Simulator.
-func TestCompletionEventMigrates(t *testing.T) {
-	const at = 50 * Nanosecond
-	src, dst := New(), New()
-	var got []string
-	rec := func(name string) ActionFunc { return func(uint64) { got = append(got, name) } }
-	src.SetGroup(1)
-	src.At(10*Nanosecond, func() {
-		src.AtAction(at, rec("a"), 0)
-		src.Elide()
-		src.AtCompletion(at, rec("completion"), 0)
-		src.AtAction(at, rec("b"), 0)
-		src.AtLane(at, 4, rec("lane"), 0)
-		src.AtAction(at+Microsecond, rec("later"), 0)
-	})
-	src.SetGroup(0)
-	src.At(at, func() { got = append(got, "stays") })
-	src.RunBefore(20 * Nanosecond)
-	evs := src.ExtractGroup(1)
-	if len(evs) != 5 || src.Pending() != 1 {
-		t.Fatalf("extracted %d events, %d left; want 5 and 1", len(evs), src.Pending())
+// The sizes the package comment quotes: the bucket sort streams 24-byte
+// keys, and a body is two callbacks and an argument.
+func TestEventLayout(t *testing.T) {
+	if got := unsafe.Sizeof(eventKey{}); got != 24 {
+		t.Errorf("eventKey is %d bytes, want 24", got)
 	}
-	dst.SkipTo(20 * Nanosecond)
-	dst.InjectOrdered(evs)
-	src.Run()
-	dst.Run()
-	if want := []string{"stays", "lane", "completion", "a", "b", "later"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("order %v, want %v", got, want)
+	if got := unsafe.Sizeof(eventBody{}); got != 32 {
+		t.Errorf("eventBody is %d bytes, want 32", got)
 	}
 }
 

@@ -43,22 +43,9 @@
 //
 // Each bucket stores events as a struct-of-arrays split: a hot array of
 // 24-byte keys (time, seq, lane, index) that the sort and the drain loop
-// touch, and a cold array of bodies (callback, argument, group) read once
+// touch, and a cold array of bodies (callback, argument) read once
 // per execution. Keys pack 2.6 to a cache line where the old 56-byte event
 // fit one, which is what makes the bucket sort cheap.
-//
-// # Groups
-//
-// Every event carries a group tag — a small integer naming the model entity
-// cluster (e.g. "FA 3 and its hosts") the event belongs to. Tags propagate
-// causally: an event scheduled while another executes inherits the running
-// event's group, and lane-keyed events take the lane owner's group from a
-// shared lane table (SetLaneGroups). Groups are what make adaptive shard
-// rebalancing possible: ExtractGroup removes one group's pending events in
-// (time, lane, seq) order so they can be re-injected into another shard's
-// Simulator at a quiescent barrier (InjectOrdered), and per-group executed
-// event counts (GroupProcessed) give the rebalancer a deterministic,
-// sim-state-only load meter.
 //
 // # Completions
 //
@@ -198,10 +185,9 @@ func keyLess(a, b *eventKey) bool {
 
 // eventBody is the cold half of an event: read once, at execution.
 type eventBody struct {
-	fn    func()
-	act   Action
-	arg   uint64
-	group int32
+	fn  func()
+	act Action
+	arg uint64
 }
 
 // bucket is one ladder slot: parallel key/body arrays, appended in
@@ -216,16 +202,15 @@ type bucket struct {
 	bodies []eventBody
 }
 
-// event is the AoS form used by the young/overflow heaps and by group
-// extraction, where events are few and cache density does not pay.
+// event is the AoS form used by the young/overflow heaps, where events are
+// few and cache density does not pay.
 type event struct {
-	at    Time
-	seq   uint64
-	lane  int32
-	group int32
-	fn    func()
-	act   Action
-	arg   uint64
+	at   Time
+	seq  uint64
+	lane int32
+	fn   func()
+	act  Action
+	arg  uint64
 }
 
 func (e *event) key() eventKey { return eventKey{at: e.at, seq: e.seq, lane: e.lane} }
@@ -329,14 +314,6 @@ type Simulator struct {
 	// Recycled slot buffers (see bucket).
 	freeKeys   [][]eventKey
 	freeBodies [][]eventBody
-
-	// Group machinery (see the package comment). curGroup is the running
-	// event's group, inherited by everything it schedules; laneGroups maps
-	// explicit lanes to their owner's group; groupCount is the per-group
-	// executed-event meter (present only after EnsureGroups).
-	curGroup   int32
-	laneGroups []int32
-	groupCount []uint64
 }
 
 // New returns a Simulator starting at time zero.
@@ -388,13 +365,6 @@ func (s *Simulator) schedule(t Time, lane int32, fn func(), act Action, arg uint
 	if t < s.now {
 		t = s.now
 	}
-	group := s.curGroup
-	// DefaultLane and unmapped lanes fall through to the inherited group;
-	// the len test rejects DefaultLane (the table never reaches 2^31-1), so
-	// the sign test only runs for mapped explicit lanes.
-	if int(lane) < len(s.laneGroups) && lane >= 0 {
-		group = s.laneGroups[lane]
-	}
 	s.seq++
 	seq := s.seq
 	s.npend++
@@ -403,11 +373,11 @@ func (s *Simulator) schedule(t Time, lane int32, fn func(), act Action, arg uint
 	if uint64(b-s.curB-1) < ladderBuckets-1 {
 		s.bucketAdd(b,
 			eventKey{at: t, seq: seq, lane: lane},
-			eventBody{fn: fn, act: act, arg: arg, group: group})
+			eventBody{fn: fn, act: act, arg: arg})
 	} else if b <= s.curB {
-		s.young.push(event{at: t, seq: seq, lane: lane, group: group, fn: fn, act: act, arg: arg})
+		s.young.push(event{at: t, seq: seq, lane: lane, fn: fn, act: act, arg: arg})
 	} else {
-		s.overflow.push(event{at: t, seq: seq, lane: lane, group: group, fn: fn, act: act, arg: arg})
+		s.overflow.push(event{at: t, seq: seq, lane: lane, fn: fn, act: act, arg: arg})
 	}
 }
 
@@ -429,26 +399,18 @@ func (s *Simulator) Completed(t Time) bool {
 	return t < s.now || t == s.now && s.curLane == DefaultLane
 }
 
-// Elide counts one completion as processed, in the running event's group,
-// without enqueuing it.
+// Elide counts one completion as processed without enqueuing it.
 func (s *Simulator) Elide() {
 	s.Processed++
 	s.elided++
-	if g := s.curGroup; int(g) < len(s.groupCount) && g >= 0 {
-		s.groupCount[g]++
-	}
 }
 
 // AtCompletion turns a completion counted by Elide into the event it
 // stands for: the count is taken back, a.Act(arg) runs at t on
-// CompletionLane and counts itself then. Call it from the group that
-// elided. Allocates nothing.
+// CompletionLane and counts itself then. Allocates nothing.
 func (s *Simulator) AtCompletion(t Time, a Action, arg uint64) {
 	s.Processed--
 	s.elided--
-	if g := s.curGroup; int(g) < len(s.groupCount) && g >= 0 {
-		s.groupCount[g]--
-	}
 	s.schedule(t, CompletionLane, nil, a, arg)
 }
 
@@ -534,66 +496,54 @@ func sortKeys(keys []eventKey) {
 // advance slides the ladder to the next nonempty bucket and loads it as the
 // sorted run. Returns false when nothing is pending anywhere.
 func (s *Simulator) advance() bool {
-	for {
-		next := s.nextBucket()
-		if s.overflow.len() > 0 {
-			ob := s.bucketOf(s.overflow.ev[0].at)
-			if next < 0 || ob < next {
-				next = ob
-			}
+	next := s.nextBucket()
+	if s.overflow.len() > 0 {
+		ob := s.bucketOf(s.overflow.ev[0].at)
+		if next < 0 || ob < next {
+			next = ob
 		}
-		if next < 0 {
-			return false
-		}
-		s.curB = next
-		// Events parked in overflow may now fall inside the window; migrate
-		// them before loading the run so the new bucket is complete.
-		horizon := s.curB + ladderBuckets
-		for s.overflow.len() > 0 && s.bucketOf(s.overflow.ev[0].at) < horizon {
-			e := s.overflow.pop()
-			b := s.bucketOf(e.at)
-			if b <= s.curB {
-				s.young.push(e)
-				continue
-			}
-			s.bucketAdd(b, e.key(), eventBody{fn: e.fn, act: e.act, arg: e.arg, group: e.group})
-		}
-		var slot *bucket
-		if s.ladder != nil {
-			slot = &s.ladder[s.curB&ladderMask]
-		}
-		if (slot == nil || len(slot.keys) == 0) && s.young.len() == 0 {
-			// The candidate bucket was emptied (group extraction); retry.
-			if slot != nil {
-				if slot.keys != nil {
-					s.freeKeys = append(s.freeKeys, slot.keys[:0])
-					s.freeBodies = append(s.freeBodies, slot.bodies[:0])
-					slot.keys, slot.bodies = nil, nil
-				}
-				s.clearOccupied(s.curB)
-			}
+	}
+	if next < 0 {
+		return false
+	}
+	s.curB = next
+	// Events parked in overflow may now fall inside the window; migrate
+	// them before loading the run so the new bucket is complete.
+	horizon := s.curB + ladderBuckets
+	for s.overflow.len() > 0 && s.bucketOf(s.overflow.ev[0].at) < horizon {
+		e := s.overflow.pop()
+		b := s.bucketOf(e.at)
+		if b <= s.curB {
+			s.young.push(e)
 			continue
 		}
-		if slot != nil && slot.keys != nil {
-			// Take the bucket's arrays as the new run and recycle the drained
-			// run's arrays through the pool (see bucket). Executed bodies had
-			// their callback references dropped in step, so the returned
-			// arrays hold nothing for the GC.
-			s.freeKeys = append(s.freeKeys, s.run.keys[:0])
-			s.freeBodies = append(s.freeBodies, s.run.bodies[:0])
-			s.run.keys, s.run.bodies = slot.keys, slot.bodies
-			slot.keys, slot.bodies = nil, nil
-			s.clearOccupied(s.curB)
-		} else {
-			s.run.keys = s.run.keys[:0]
-			s.run.bodies = s.run.bodies[:0]
-		}
-		s.runPos = 0
-		if len(s.run.keys) > 1 {
-			sortKeys(s.run.keys)
-		}
-		return true
+		s.bucketAdd(b, e.key(), eventBody{fn: e.fn, act: e.act, arg: e.arg})
 	}
+	// An occupied slot holds events, and a bucket chosen for the overflow
+	// head just put that head into young: there is something to run.
+	var slot *bucket
+	if s.ladder != nil {
+		slot = &s.ladder[s.curB&ladderMask]
+	}
+	if slot != nil && slot.keys != nil {
+		// Take the bucket's arrays as the new run and recycle the drained
+		// run's arrays through the pool (see bucket). Executed bodies had
+		// their callback references dropped in step, so the returned
+		// arrays hold nothing for the GC.
+		s.freeKeys = append(s.freeKeys, s.run.keys[:0])
+		s.freeBodies = append(s.freeBodies, s.run.bodies[:0])
+		s.run.keys, s.run.bodies = slot.keys, slot.bodies
+		slot.keys, slot.bodies = nil, nil
+		s.clearOccupied(s.curB)
+	} else {
+		s.run.keys = s.run.keys[:0]
+		s.run.bodies = s.run.bodies[:0]
+	}
+	s.runPos = 0
+	if len(s.run.keys) > 1 {
+		sortKeys(s.run.keys)
+	}
+	return true
 }
 
 // drain is the one event loop behind Run/RunBefore/RunUntil: it executes
@@ -612,7 +562,7 @@ func (s *Simulator) drain(limit Time, haveLimit bool) {
 			}
 		}
 		var at Time
-		var lane, group int32
+		var lane int32
 		var fn func()
 		var act Action
 		var arg uint64
@@ -628,7 +578,7 @@ func (s *Simulator) drain(limit Time, haveLimit bool) {
 			if haveLimit && at >= limit {
 				return
 			}
-			lane, group, fn, act, arg = e.lane, e.group, e.fn, e.act, e.arg
+			lane, fn, act, arg = e.lane, e.fn, e.act, e.arg
 			s.young.pop()
 		} else {
 			k := &s.run.keys[s.runPos]
@@ -638,7 +588,7 @@ func (s *Simulator) drain(limit Time, haveLimit bool) {
 			}
 			lane = k.lane
 			body := &s.run.bodies[k.idx]
-			group, fn, act, arg = body.group, body.fn, body.act, body.arg
+			fn, act, arg = body.fn, body.act, body.arg
 			body.fn, body.act = nil, nil // drop callback references for the GC
 			s.runPos++
 		}
@@ -646,10 +596,6 @@ func (s *Simulator) drain(limit Time, haveLimit bool) {
 		s.curLane = lane
 		s.npend--
 		s.Processed++
-		s.curGroup = group
-		if int(group) < len(s.groupCount) && group >= 0 {
-			s.groupCount[group]++
-		}
 		if fn != nil {
 			fn()
 		} else if act != nil {
@@ -716,146 +662,6 @@ func (s *Simulator) SkipTo(t Time) {
 	}
 }
 
-// SetGroup sets the group tag stamped on events scheduled from now on —
-// until the next executed event overrides it with its own group (tags
-// propagate causally). Use it at construction time to pin a model entity's
-// initial events to its group.
-func (s *Simulator) SetGroup(g int32) { s.curGroup = g }
-
-// Group returns the current group tag (the running event's group, inside an
-// event).
-func (s *Simulator) Group() int32 { return s.curGroup }
-
-// SetLaneGroups installs the shared lane-ownership table: events scheduled
-// on explicit lane l take group tbl[l] (the lane owner's group) instead of
-// the scheduler's current group. Typically one table is shared by every
-// Simulator of a parsim engine. The slice is retained, not copied.
-func (s *Simulator) SetLaneGroups(tbl []int32) { s.laneGroups = tbl }
-
-// EnsureGroups sizes the per-group executed-event meter to at least n
-// groups. Without it GroupProcessed reports zero and execution skips the
-// meter entirely.
-func (s *Simulator) EnsureGroups(n int) {
-	if n > len(s.groupCount) {
-		grown := make([]uint64, n)
-		copy(grown, s.groupCount)
-		s.groupCount = grown
-	}
-}
-
-// GroupProcessed returns the number of executed events tagged with group g
-// (zero when the meter was never sized past g). Deterministic: the executed
-// event multiset is a function of the model alone, not the partitioning.
-func (s *Simulator) GroupProcessed(g int32) uint64 {
-	if int(g) < len(s.groupCount) && g >= 0 {
-		return s.groupCount[g]
-	}
-	return 0
-}
-
-// Event is one extracted pending event, opaque except for its ordering key
-// and group; it exists to move a group's events between Simulators at a
-// migration barrier.
-type Event struct {
-	At    Time
-	Lane  int32
-	Group int32
-	seq   uint64
-	fn    func()
-	act   Action
-	arg   uint64
-}
-
-// ExtractGroup removes every pending event tagged with group g and returns
-// them sorted by (time, lane, seq) — the order they would have executed in.
-// Cold path: it scans every region of the store. The extracted events'
-// callbacks keep their bindings; hand them to another Simulator with
-// InjectOrdered at a quiescent barrier.
-func (s *Simulator) ExtractGroup(g int32) []Event {
-	var out []Event
-	take := func(e event) {
-		out = append(out, Event{At: e.at, Lane: e.lane, Group: e.group, seq: e.seq, fn: e.fn, act: e.act, arg: e.arg})
-	}
-	// Current run remainder.
-	if s.runPos < len(s.run.keys) {
-		kept := s.run.keys[:s.runPos]
-		for _, k := range s.run.keys[s.runPos:] {
-			body := &s.run.bodies[k.idx]
-			if body.group == g {
-				take(event{at: k.at, seq: k.seq, lane: k.lane, group: body.group, fn: body.fn, act: body.act, arg: body.arg})
-				body.fn, body.act = nil, nil
-				continue
-			}
-			kept = append(kept, k)
-		}
-		s.run.keys = kept
-	}
-	// Young and overflow heaps.
-	for _, h := range []*eventHeap{&s.young, &s.overflow} {
-		kept := h.ev[:0]
-		for _, e := range h.ev {
-			if e.group == g {
-				take(e)
-				continue
-			}
-			kept = append(kept, e)
-		}
-		for i := len(kept); i < len(h.ev); i++ {
-			h.ev[i] = event{}
-		}
-		h.ev = kept
-		for i := len(h.ev)/2 - 1; i >= 0; i-- {
-			h.siftDown(i)
-		}
-	}
-	// Ladder buckets.
-	for i := range s.ladder {
-		b := &s.ladder[i]
-		kept := b.keys[:0]
-		for _, k := range b.keys {
-			body := &b.bodies[k.idx]
-			if body.group == g {
-				take(event{at: k.at, seq: k.seq, lane: k.lane, group: body.group, fn: body.fn, act: body.act, arg: body.arg})
-				body.fn, body.act = nil, nil
-				continue
-			}
-			kept = append(kept, k)
-		}
-		if len(kept) == 0 && len(b.keys) > 0 {
-			// Slot fully drained by extraction; its occupancy bit goes stale
-			// and advance()'s empty-slot retry tolerates that.
-			b.keys = kept
-			continue
-		}
-		b.keys = kept
-	}
-	s.npend -= len(out)
-	slices.SortFunc(out, func(a, b Event) int {
-		ak := eventKey{at: a.At, seq: a.seq, lane: a.Lane}
-		bk := eventKey{at: b.At, seq: b.seq, lane: b.Lane}
-		if keyLess(&ak, &bk) {
-			return -1
-		}
-		return 1
-	})
-	return out
-}
-
-// InjectOrdered schedules extracted events onto s, preserving their
-// relative order (they are assigned fresh, ascending sequence numbers).
-// Events whose time has passed are clamped to now, like At. Call it with
-// the receiving Simulator quiescent at the same barrier the events were
-// extracted.
-func (s *Simulator) InjectOrdered(evs []Event) {
-	for i := range evs {
-		e := &evs[i]
-		save := s.curGroup
-		s.curGroup = e.Group
-		s.schedule(e.At, e.Lane, e.fn, e.act, e.arg)
-		s.curGroup = save
-	}
-}
-
 // Timer is a cancellable, re-armable timer bound to a Simulator. Arming a
 // timer schedules one kernel event tagged with the timer's generation;
 // cancelling or re-arming bumps the generation so stale events fall through
@@ -871,12 +677,6 @@ type Timer struct {
 
 // NewTimer returns an unarmed timer.
 func NewTimer(s *Simulator) *Timer { return &Timer{sim: s} }
-
-// Rebind points the timer at a different Simulator — the migration hook: a
-// timer whose owning entity moves shards keeps its generation (so an event
-// still pending on the old shard, once migrated, keeps firing or staying
-// stale exactly as before) but arms future events on the new event loop.
-func (t *Timer) Rebind(s *Simulator) { t.sim = s }
 
 // Arm (re)schedules fn to fire after d. Any previously armed deadline is
 // cancelled. Callers on hot paths should pass the same stored func value on
