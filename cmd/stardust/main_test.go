@@ -51,6 +51,22 @@ func TestCommandLine(t *testing.T) {
 		}
 	}
 
+	// A shard count the fabric cannot have is refused before anything is
+	// built for it: shards=100000 used to allocate until the kernel killed
+	// the process (exit 137), shards=-1 used to run one shard and echo -1.
+	for _, args := range [][]string{
+		{"fabric/parscale", "k=4", "shards=100000"},
+		{"fabric/parscale", "k=4", "shards=-1"},
+		{"fabric/parscale", "k=4", "shards=2,17"},
+		{"htsim/parperm", "k=4", "shards=100000"},
+		{"trace/record", "k=4", "shards=-1"},
+	} {
+		out, errs, exit = stardust(t, args...)
+		if exit != 1 || out != "" || !strings.Contains(errs, "must be in [1, 16], the devices of the graph") {
+			t.Fatalf("%v: exit %d\nstdout: %s\nstderr: %s", args, exit, out, errs)
+		}
+	}
+
 	out, errs, exit = stardust(t, "scaling/table2", "-seed", "7")
 	if exit != 1 || out != "" || !strings.Contains(errs, "flags come first") {
 		t.Fatalf("flag after the scenario: exit %d\nstdout: %s\nstderr: %s", exit, out, errs)

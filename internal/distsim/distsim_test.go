@@ -297,6 +297,54 @@ func TestPartitionDisagreement(t *testing.T) {
 	}
 }
 
+// TestBadShardCount: a shard count the graph cannot have is an error where
+// the replica is built — in-process, at the coordinator, and at a peer whose
+// WELCOME carries one — instead of shards² mailboxes (100,000 of them used
+// to get the process killed) or a silent single shard (-1 used to).
+func TestBadShardCount(t *testing.T) {
+	const bound = "must be in [1, 16], the devices of the graph"
+	for _, shards := range []int{-1, 17, 100000} {
+		if _, err := NewModel(smallSpec(shards)); err == nil || !strings.Contains(err.Error(), bound) {
+			t.Fatalf("NewModel at %d shards: %v", shards, err)
+		}
+	}
+	for _, shards := range []int{0, 1, 16} {
+		m, err := NewModel(smallSpec(shards))
+		if err != nil || m.Eng.Shards() != max(shards, 1) {
+			t.Fatalf("NewModel at %d shards: %v", shards, err)
+		}
+	}
+	if _, err := Serve(mustListen(t), CoordConfig{Spec: smallSpec(100000), Peers: 1}); err == nil || !strings.Contains(err.Error(), bound) {
+		t.Fatalf("coordinator at 100000 shards: %v", err)
+	}
+
+	// A peer believes no coordinator: this one welcomes it to 100,000 shards.
+	l := mustListen(t)
+	done := make(chan error, 1)
+	go func() { done <- RunPeer(l.Addr().String()) }()
+	conn, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	if typ, _, err := readFrame(conn); err != nil || typ != tHello {
+		t.Fatalf("expected HELLO, got type %d err %v", typ, err)
+	}
+	wb, _ := json.Marshal(welcomeMsg{Spec: smallSpec(100000), NPeers: 1, Owners: make([]int, 100000)})
+	if _, err := conn.Write(frame(t, tWelcome, wb, true)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), bound) {
+			t.Fatalf("peer error = %v, want the shard bound", err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("peer hung on a WELCOME to 100000 shards")
+	}
+}
+
 // TestMidWindowDisconnect: without Rejoin, a peer dropping mid-run aborts
 // the whole run with a deterministic error instead of deadlocking the
 // barrier.

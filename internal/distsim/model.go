@@ -105,9 +105,9 @@ func NewModel(spec Spec) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := spec.Shards
-	if shards < 1 {
-		shards = 1
+	shards, err := fabric.ShardCount(spec.Shards, graph)
+	if err != nil {
+		return nil, err
 	}
 	look := sim.Microsecond
 	eng := parsim.New(parsim.Config{Shards: shards, Lookahead: look})

@@ -225,6 +225,13 @@ type Scenario struct {
 	// (one per protocol, per sweep point, …). The runner executes each
 	// variant as an independent parallel instance. nil = run as-is.
 	Variants func(p Params) []Params
+	// Check optionally refuses parameter values no run could accept,
+	// where refusing is cheap and running is not (a shard count that
+	// allocates the machine away): Resolve calls it, so the command line
+	// exits 1 and stardustd answers 400 before anything is queued, keyed,
+	// forwarded or built. It sees the request as Run would — defaults
+	// merged, sweep lists unexpanded. nil = no such values.
+	Check func(c Context) error
 	// Run executes one instance.
 	Run func(c Context) (Result, error)
 }

@@ -47,6 +47,12 @@ func init() {
 		Name:     "test/echo",
 		Desc:     "echoes its parameter",
 		Defaults: Params{"x": "1"},
+		Check: func(c Context) error {
+			if x, most := c.Params.Int("x", 0), 100*c.Shards; x > most {
+				return fmt.Errorf("x = %d: must be at most %d", x, most)
+			}
+			return nil
+		},
 		Run: func(c Context) (Result, error) {
 			var r Result
 			r.Add("x", float64(c.Params.Int("x", 0)), "")
@@ -274,6 +280,29 @@ func TestRunRejectsUndeclaredParam(t *testing.T) {
 	}
 	if _, err := Run(Options{}, []Job{{Scenario: "test/echo", Params: Params{"xx": "5"}}, hostile}); err == nil || !strings.Contains(err.Error(), `no parameter "xx"`) {
 		t.Fatalf("undeclared parameter before a panicking Variants: err = %v", err)
+	}
+}
+
+// A scenario's Check refuses a declared key's value at the same door, seeing
+// the run as Run would: the defaults merged, the flags applied.
+func TestResolveRunsCheck(t *testing.T) {
+	if _, err := Resolve("test/echo", Params{"x": "100"}); err != nil {
+		t.Fatalf("x=100: %v", err)
+	}
+	if _, err := Resolve("test/echo", nil); err != nil {
+		t.Fatalf("the defaults: %v", err)
+	}
+	_, err := Resolve("test/echo", Params{"x": "150"})
+	if err == nil || !strings.Contains(err.Error(), `scenario "test/echo": x = 150: must be at most 100`) {
+		t.Fatalf("x=150: err = %v", err)
+	}
+	var buf bytes.Buffer
+	jobs := []Job{{Scenario: "test/echo"}, {Scenario: "test/echo", Params: Params{"x": "150"}}}
+	if _, err := Run(Options{Out: &buf}, jobs); err == nil || !strings.Contains(err.Error(), "must be at most 100") || buf.Len() != 0 {
+		t.Fatalf("x=150 on one shard: err = %v, emitted %q", err, buf.String())
+	}
+	if _, err := Run(Options{Out: &buf, Shards: 2}, jobs); err != nil || !strings.Contains(buf.String(), "x=150") {
+		t.Fatalf("x=150 on two shards: err = %v, emitted %q", err, buf.String())
 	}
 }
 

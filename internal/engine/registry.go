@@ -51,8 +51,14 @@ func Lookup(name string) (*Scenario, error) {
 // every requested parameter. The typed Params accessors fall back
 // silently on what they cannot find, so a misspelt key would run the
 // defaults under a second name; every door — the runner, the command
-// line, stardustd's submit handler — refuses it here instead.
+// line, stardustd's submit handler — refuses it here instead, and with it
+// whatever the scenario's Check refuses, under the engine's default options.
 func Resolve(name string, req Params) (*Scenario, error) {
+	return resolve(name, req, Options{})
+}
+
+// resolve is Resolve for a run under opts: Check sees the Context Run would.
+func resolve(name string, req Params, opts Options) (*Scenario, error) {
 	sc, err := Lookup(name)
 	if err != nil {
 		return nil, err
@@ -66,6 +72,12 @@ func Resolve(name string, req Params) (*Scenario, error) {
 	if len(unknown) > 0 {
 		sort.Strings(unknown) // map order must not pick the message
 		return nil, sc.noParam(unknown[0])
+	}
+	if sc.Check != nil {
+		c := opts.context(sc.Defaults.Merge(req), 0)
+		if err := sc.Check(c); err != nil {
+			return nil, fmt.Errorf("engine: scenario %q: %w", sc.Name, err)
+		}
 	}
 	return sc, nil
 }

@@ -75,7 +75,7 @@ type instance struct {
 func expand(opts Options, jobs []Job) ([]instance, error) {
 	var insts []instance
 	for _, j := range jobs {
-		sc, err := Resolve(j.Scenario, j.Params)
+		sc, err := resolve(j.Scenario, j.Params, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -140,10 +140,6 @@ func Run(opts Options, jobs []Job) ([]RunResult, error) {
 	if opts.DistPeers > 0 {
 		workers = 1
 	}
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = 1
-	}
 	if workers > len(insts) {
 		workers = len(insts)
 	}
@@ -162,7 +158,7 @@ func Run(opts Options, jobs []Job) ([]RunResult, error) {
 			for i := range work {
 				in := insts[i]
 				t0 := time.Now()
-				res, err := runInstance(in, shards, opts)
+				res, err := runInstance(in, opts)
 				results[i] = RunResult{
 					Name:    in.sc.Name,
 					Params:  in.params,
@@ -207,18 +203,24 @@ func Run(opts Options, jobs []Job) ([]RunResult, error) {
 
 // runInstance executes one instance, converting a panic in scenario code
 // into an error so one bad instance cannot take down a sweep.
-func runInstance(in instance, shards int, opts Options) (res Result, err error) {
+func runInstance(in instance, opts Options) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("scenario panicked: %v", r)
 		}
 	}()
-	return in.sc.Run(Context{
-		Params:     in.params,
-		Seed:       in.seed,
-		Shards:     shards,
-		Topo:       opts.Topo,
-		DistPeers:  opts.DistPeers,
-		DistListen: opts.DistListen,
-	})
+	return in.sc.Run(opts.context(in.params, in.seed))
+}
+
+// context is what a scenario sees of a run under o: one instance's
+// parameters and seed, the flags as they apply to it.
+func (o Options) context(p Params, seed int64) Context {
+	return Context{
+		Params:     p,
+		Seed:       seed,
+		Shards:     max(o.Shards, 1),
+		Topo:       o.Topo,
+		DistPeers:  o.DistPeers,
+		DistListen: o.DistListen,
+	}
 }

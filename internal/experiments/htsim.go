@@ -50,7 +50,8 @@ type HtsimConfig struct {
 	FullFabric bool
 	// Shards is the number of parsim event loops a FullFabric run
 	// partitions the fabric devices, VOQs, credit schedulers and TCP
-	// endpoints across; anything below 1 means 1, and the results are
+	// endpoints across; 0 means 1, a count below 0 or above the Clos's
+	// device count is an error (fabric.ShardCount), and the results are
 	// byte-identical at any count for the same seed. It chooses an
 	// executor, never a model. Ignored by the fluid trunk and the fat-tree
 	// contenders, which run on one event loop.
@@ -125,7 +126,11 @@ func newTestbed(cfg HtsimConfig, proto Protocol) (*testbed, error) {
 		if err != nil {
 			return nil, err
 		}
-		tb.eng = parsim.New(parsim.Config{Shards: max(cfg.Shards, 1), Lookahead: ftc.LinkDelay})
+		shards, err := fabric.ShardCount(cfg.Shards, cl)
+		if err != nil {
+			return nil, err
+		}
+		tb.eng = parsim.New(parsim.Config{Shards: shards, Lookahead: ftc.LinkDelay})
 		fcfg := fabric.DefaultConfig(netsim.Bps(float64(ftc.LinkRate)*1.05), ftc.LinkDelay, cfg.Seed)
 		if tb.fab, err = fabric.NewSharded(tb.eng, fcfg, cl, nil); err != nil {
 			return nil, err

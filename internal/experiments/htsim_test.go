@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
 	"stardust/internal/sim"
@@ -130,5 +131,19 @@ func TestFCTStardustFast(t *testing.T) {
 	if sd.Ms.Quantile(0.9) >= dc.Ms.Quantile(0.9) {
 		t.Fatalf("Stardust p90 %.3fms not better than DCTCP %.3fms",
 			sd.Ms.Quantile(0.9), dc.Ms.Quantile(0.9))
+	}
+}
+
+// A per-link fabric run refuses a shard count its Clos cannot have where
+// the engine is built: 100,000 used to allocate shards² mailboxes first.
+func TestFullFabricRefusesBadShardCount(t *testing.T) {
+	cfg := QuickHtsim()
+	cfg.FullFabric = true
+	for _, shards := range []int{-1, 17, 100000} {
+		cfg.Shards = shards
+		_, err := Permutation(cfg, ProtoStardust)
+		if err == nil || !strings.Contains(err.Error(), "must be in [1, 16], the devices of the graph") {
+			t.Fatalf("Shards = %d: %v", shards, err)
+		}
 	}
 }

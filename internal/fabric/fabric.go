@@ -132,6 +132,8 @@ type shardState struct {
 	delivered    uint64
 	deadDrops    uint64
 	noRouteDrops uint64
+
+	_ [sim.CacheLine - 48]byte // whole lines: see sim.CacheLine, TestShardStateLayout
 }
 
 // link is one direction of a physical serial link: a serialization queue,
@@ -341,6 +343,18 @@ type Net struct {
 // New builds all nodes and links of g on the single event loop s.
 func New(s *sim.Simulator, cfg Config, g topo.Graph) (*Net, error) {
 	return build(cfg, g, []*shardState{{sm: s}}, nil, nil)
+}
+
+// ShardCount resolves a requested shard count against the graph it is to
+// cut: 0 means one, and a fabric has no more shards than devices. Whoever
+// builds an engine for a fabric from a number that came from outside the
+// program — a parameter, a request, a peer's handshake — asks here first:
+// an engine allocates shards² mailboxes.
+func ShardCount(requested int, g topo.Graph) (int, error) {
+	if requested < 0 || requested > g.NumNodes() {
+		return 0, fmt.Errorf("fabric: %d shards: must be in [1, %d], the devices of the graph (0 means 1)", requested, g.NumNodes())
+	}
+	return max(requested, 1), nil
 }
 
 // NewSharded builds the fabric across the shards of eng. assign maps

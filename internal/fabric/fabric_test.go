@@ -2,12 +2,21 @@ package fabric
 
 import (
 	"testing"
+	"unsafe"
 
 	"stardust/internal/netsim"
 	"stardust/internal/parsim"
 	"stardust/internal/sim"
 	"stardust/internal/topo"
 )
+
+// A shard's counters fill whole cache lines, so two shards' never share
+// one (see sim.CacheLine).
+func TestShardStateLayout(t *testing.T) {
+	if got := unsafe.Sizeof(shardState{}); got%sim.CacheLine != 0 {
+		t.Errorf("shardState is %d bytes: not whole %d-byte cache lines", got, sim.CacheLine)
+	}
+}
 
 func TestClosForShapes(t *testing.T) {
 	for _, k := range []int{4, 6, 8, 12} {

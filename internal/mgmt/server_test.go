@@ -251,17 +251,21 @@ func TestSubmitRejectsUndeclaredParam(t *testing.T) {
 		{RunRequest{Scenario: "mgmttest/echo", Params: engine.Params{"xx": "8"}}, `"xx"`, "accepts points, x"},
 		// A parameter that was removed (PR 23) is undeclared like any other.
 		{RunRequest{Scenario: "fabric/parscale", Params: engine.Params{"rebalance": "true"}}, `"rebalance"`, "hotspot, k, load"},
+		// A declared parameter with a value no run could accept is refused
+		// the same way: this one used to get the daemon killed.
+		{RunRequest{Scenario: "fabric/parscale", Params: engine.Params{"k": "4", "shards": "100000"}}, "100000 shards", "must be in [1, 16]"},
+		{RunRequest{Scenario: "htsim/parperm", Params: engine.Params{"k": "4", "shards": "-1"}}, "-1 shards", "must be in [1, 16]"},
 	} {
 		var body map[string]string
 		resp := postJSON(t, ts.URL+"/api/v1/runs", tc.req, &body)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%v: undeclared parameter gave %d", tc.req.Params, resp.StatusCode)
+			t.Fatalf("%v: refused parameter gave %d", tc.req.Params, resp.StatusCode)
 		}
 		if msg := body["error"]; !strings.Contains(msg, tc.key) || !strings.Contains(msg, tc.accepts) {
-			t.Fatalf("error does not name the key and the accepted ones: %q", msg)
+			t.Fatalf("error does not name the key and what is accepted: %q", msg)
 		}
 		if _, _, err := q.Submit(tc.req, "test"); err == nil {
-			t.Fatal("RunQueue.Submit accepted an undeclared parameter")
+			t.Fatal("RunQueue.Submit accepted a refused parameter")
 		}
 		if st := q.Stats(); st.Submitted != 0 || len(q.List(10)) != 0 {
 			t.Fatalf("refused requests left state behind: %+v, %d jobs", st, len(q.List(10)))

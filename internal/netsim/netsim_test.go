@@ -2,9 +2,18 @@ package netsim
 
 import (
 	"testing"
+	"unsafe"
 
 	"stardust/internal/sim"
 )
+
+// A shard's transport counters fill whole cache lines, so two shards'
+// never share one (see sim.CacheLine).
+func TestShardCountersLayout(t *testing.T) {
+	if got := unsafe.Sizeof(sdShard{}); got%sim.CacheLine != 0 {
+		t.Errorf("sdShard is %d bytes: not whole %d-byte cache lines", got, sim.CacheLine)
+	}
+}
 
 func TestQueueServesAtRate(t *testing.T) {
 	s := sim.New()

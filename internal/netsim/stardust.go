@@ -192,6 +192,8 @@ type sdShard struct {
 	reasmTimeouts  uint64
 	shippedBytes   uint64 // cell bytes handed to the fabric (headers included)
 	deliveredBytes uint64 // packet bytes released in order at the destination
+
+	_ [2*sim.CacheLine - 80]byte // whole lines: see sim.CacheLine, TestShardCountersLayout
 }
 
 // TransportCounters is a point-in-time aggregate snapshot of a transport —

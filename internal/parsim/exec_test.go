@@ -1,6 +1,7 @@
 package parsim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -35,10 +36,10 @@ func TestGovernorConvergesFromEitherStart(t *testing.T) {
 	} {
 		for _, startFan := range []bool{false, true} {
 			g := governor{hold: minHold, fan: startFan}
-			feed(&g, 2*minHold+2, flat(tc.inline, tc.fanned))
+			feed(&g, minHold+2, flat(tc.inline, tc.fanned)) // the hold, then a probe's two epochs
 			if g.fan != tc.wantFan || g.probing {
 				t.Errorf("%s, start fan=%v: after %d epochs fan=%v probing=%v",
-					tc.name, startFan, 2*minHold+2, g.fan, g.probing)
+					tc.name, startFan, minHold+2, g.fan, g.probing)
 			}
 			wantSwitches := uint64(0)
 			if startFan != tc.wantFan {
@@ -68,8 +69,9 @@ func TestGovernorBackOffDoublesToCap(t *testing.T) {
 	if g.hold != maxHold {
 		t.Fatalf("hold = %d after 12 lost probes, want the cap %d", g.hold, maxHold)
 	}
-	// 6,256 windows are 195 epochs: the benchmark's run probes 6 times.
-	g = governor{hold: minHold}
+	// 6,256 windows are 195 epochs: where inline wins, the benchmark's run
+	// probes 5 times, two epochs each.
+	g = startGovernor()
 	fanned := 0
 	for i := 0; i < 6256/epochWindows; i++ {
 		if g.fan {
@@ -77,8 +79,8 @@ func TestGovernorBackOffDoublesToCap(t *testing.T) {
 		}
 		feed(&g, 1, cost)
 	}
-	if g.probes != 6 || fanned != 6 {
-		t.Fatalf("195 epochs: %d probes, %d fanned epochs, want 6 and 6", g.probes, fanned)
+	if g.probes != 5 || fanned != 10 {
+		t.Fatalf("195 epochs: %d probes, %d fanned epochs, want 5 and 10", g.probes, fanned)
 	}
 }
 
@@ -102,14 +104,100 @@ func TestGovernorFollowsALoadChange(t *testing.T) {
 	if g.fan && !g.probing || g.hold != maxHold {
 		t.Fatalf("before the change: fan=%v hold=%d", g.fan, g.hold)
 	}
-	for g.probing || g.held != 0 { // finish the hold period in progress
+	for g.probing || g.moved || g.held != 0 { // finish the hold period in progress
 		feed(&g, 1, flat(70, 100))
 	}
 	hold := g.hold
-	feed(&g, hold+1, flat(100, 60)) // hold incumbent epochs, one probe
+	feed(&g, hold+2, flat(100, 60)) // hold incumbent epochs, a probe's two
 	if !g.fan || g.probing || g.switches != 1 || g.hold != minHold {
 		t.Fatalf("%d epochs after the change: fan=%v probing=%v switches=%d hold=%d",
-			hold+1, g.fan, g.probing, g.switches, g.hold)
+			hold+2, g.fan, g.probing, g.switches, g.hold)
+	}
+}
+
+// noisy is flat with every epoch off by up to ±8 %, uniformly: what two
+// identical epochs of the K=8 benchmark differ by on the reference VM.
+func noisy(rng *rand.Rand, inline, fanned float64) func(bool) float64 {
+	cost := flat(inline, fanned)
+	return func(fan bool) float64 { return cost(fan) * (1 + (2*rng.Float64()-1)*0.08) }
+}
+
+// The rule the governor had before — a probe's only epoch against the
+// incumbent's latest — switched at least once in 31 of these 100 equal-cost
+// runs and more than a pair of times in 3 (ROADMAP's "1 run in 10 shows a
+// wrong switch pair" was taken on runs a fifth as long): this test fails
+// at that rule. Judged against min(smoothed, latest) a few runs still do —
+// a probe 8 % under meets an incumbent 8 % over — and none twice.
+func TestGovernorUnderNoise(t *testing.T) {
+	const seeds, epochs = 100, 1000
+	late, switched := 0, 0
+	for seed := int64(0); seed < seeds; seed++ {
+		// Fan-out truly 20 % cheaper: found by the first probe (the cold
+		// epoch, the hold, the probe's two: 7 epochs) or, when the noise
+		// hid it there, by the second or third; and noise takes it away
+		// and brings it back at most once in 1,000 epochs.
+		g, cost := startGovernor(), noisy(rand.New(rand.NewSource(seed)), 100, 80)
+		feed(&g, 8, cost)
+		if g.switches != 1 {
+			late++
+		}
+		feed(&g, 32, cost)
+		if g.switches != 1 {
+			t.Errorf("seed %d, fan-out 20%% cheaper: %d switches after 40 epochs, want fan-out the incumbent", seed, g.switches)
+		}
+		feed(&g, epochs-40, cost)
+		if g.switches > 3 || g.fan == g.probing {
+			t.Errorf("seed %d, fan-out 20%% cheaper: %d switches in %d epochs, ended fan=%v probing=%v",
+				seed, g.switches, epochs, g.fan, g.probing)
+		}
+		// Truly equal: nothing to find.
+		g, cost = startGovernor(), noisy(rand.New(rand.NewSource(seed)), 100, 100)
+		feed(&g, epochs, cost)
+		if g.switches > 2 {
+			t.Errorf("seed %d, equal costs: %d switches in %d epochs", seed, g.switches, epochs)
+		}
+		if g.switches > 0 {
+			switched++
+		}
+	}
+	if late > seeds/20 {
+		t.Errorf("fan-out 20%% cheaper: not the incumbent within 8 epochs in %d of %d runs", late, seeds)
+	}
+	if switched > seeds/10 {
+		t.Errorf("equal costs: %d of %d runs switched", switched, seeds)
+	}
+	t.Logf("20%% cheaper found late in %d of %d runs; equal costs switched in %d", late, seeds, switched)
+}
+
+// A probe's first epoch pays for moving the shards' working sets to other
+// processors' caches — about an epoch's worth at K=8 — and is not held
+// against the mode: the probe is judged on its second.
+func TestGovernorForgivesTheMove(t *testing.T) {
+	g := startGovernor()
+	for i := 0; !g.probing; i++ {
+		g.sample(100)
+		if i > 1+minHold {
+			t.Fatal("no probe after the first hold")
+		}
+	}
+	g.sample(300) // three times the incumbent: the move
+	if !g.fan || !g.probing {
+		t.Fatalf("the probe ended on its first epoch: fan=%v probing=%v", g.fan, g.probing)
+	}
+	g.sample(80)
+	if !g.fan || g.probing || g.switches != 1 {
+		t.Fatalf("a probe 20%% cheaper once settled lost: fan=%v probing=%v switches=%d", g.fan, g.probing, g.switches)
+	}
+	// Going back costs a move too: the incumbent's first epoch after a lost
+	// probe does not enter its average.
+	for !g.probing {
+		g.sample(80)
+	}
+	g.sample(85)
+	g.sample(85) // lost
+	before := g.cost
+	if g.sample(240); g.cost != before || g.fan != true {
+		t.Fatalf("the epoch after a lost probe moved the incumbent's cost %v -> %v", before, g.cost)
 	}
 }
 
@@ -140,6 +228,8 @@ func governed(t *testing.T, inline, fanned time.Duration) (*Engine, *modeClock) 
 	eng := New(Config{Shards: 2, Lookahead: sim.Microsecond})
 	clk := &modeClock{eng: eng, t: time.Unix(0, 0), inline: inline, fanned: fanned}
 	eng.clock = clk.now
+	eng.procs = 2 // whatever -cpu says: with one processor nothing is governed
+	eng.spin = 0  // no wait polls, so none reports the host of the test as starving it
 	return eng, clk
 }
 
@@ -175,17 +265,59 @@ func TestEngineFollowsInjectedClock(t *testing.T) {
 				t.Errorf("%s step=%v: %+v", tc.name, step, st)
 			}
 			if tc.wantFan {
-				// Inline: the first hold period and every probe after the switch.
-				if st.Switches != 1 || st.Fanned != (epochs-minHold-(st.Probes-1))*epochWindows {
+				// Inline: the cold epoch, the first hold period and the two
+				// epochs of every probe after the switch.
+				if st.Switches != 1 || st.Fanned != (epochs-1-minHold-2*(st.Probes-1))*epochWindows {
 					t.Errorf("%s step=%v: %+v, want one switch and fan-out between probes ever after", tc.name, step, st)
 				}
-			} else if st.Switches != 0 || st.Fanned != st.Probes*epochWindows {
+			} else if st.Switches != 0 || st.Fanned != 2*st.Probes*epochWindows {
 				t.Errorf("%s step=%v: %+v, want only the probe epochs fanned", tc.name, step, st)
 			}
 			if !step && clk.reads != epochs+2 {
 				t.Errorf("%s: %d clock reads for %d epochs in one Run, want one per epoch plus the call's two", tc.name, clk.reads, epochs)
 			}
 		}
+	}
+}
+
+// Hand-offs that park instead of polling say the shards' threads have no
+// processor each, and say it without a clock: a probe that meets them ends
+// within the epoch — nine windows in, not two epochs later — and an
+// incumbent fan-out hands over to inline on the spot. After such a probe
+// fan-out stays away for starvedHold epochs, twice as long the next time.
+func TestGovernorLeavesFanOutWhenStarved(t *testing.T) {
+	eng, _ := governed(t, 100*time.Microsecond, 60*time.Microsecond) // by the clock, hand-offs pay
+	starve := true
+	eng.OnBarrier(func(sim.Time) {
+		if starve && eng.gov.fan {
+			eng.parked.Add(1) // what a wait that outlasted its spin does
+		}
+	})
+	run := func(epochs int) { eng.Run(eng.Now() + sim.Time(epochs*epochWindows)*sim.Microsecond) }
+	quarter := uint64(epochWindows/4 + 1)
+
+	run(1 + minHold + 1)
+	st := eng.Stats()
+	if st.Probes != 1 || st.Fanned != quarter || st.Switches != 0 || eng.gov.fan || eng.gov.hold != starvedHold {
+		t.Fatalf("starved probe: %+v, governor %+v", st, eng.gov)
+	}
+	run(1 + starvedHold + 1) // the epoch that moved back, the hold, one of the next probe
+	if st = eng.Stats(); st.Probes != 2 || st.Fanned != 2*quarter || eng.gov.fan || eng.gov.hold != 2*starvedHold {
+		t.Fatalf("second starved probe: %+v, governor %+v", st, eng.gov)
+	}
+
+	// With processors to poll on, the next probe wins ...
+	starve = false
+	run(1 + 2*starvedHold + 2)
+	if st = eng.Stats(); st.Probes != 3 || st.Switches != 1 || !eng.gov.fan || eng.gov.probing {
+		t.Fatalf("fed probe: %+v, governor %+v", st, eng.gov)
+	}
+	// ... and when they go away again, so does fan-out, before the epoch is over.
+	starve = true
+	fanned := st.Fanned
+	run(1)
+	if st = eng.Stats(); st.Fanned-fanned != quarter || st.Switches != 2 || eng.gov.fan || eng.gov.hold != minHold {
+		t.Fatalf("starved incumbent: %+v, governor %+v", st, eng.gov)
 	}
 }
 
@@ -198,7 +330,7 @@ func TestPartialEpochsCarryOver(t *testing.T) {
 		at += sim.Time(windows) * sim.Microsecond
 		eng.Run(at)
 	}
-	for i := 0; i < minHold*epochWindows-1; i++ { // one window short of the first probe
+	for i := 0; i < (1+minHold)*epochWindows-1; i++ { // one window short of the first probe
 		run(1)
 	}
 	if eng.gov.fan || eng.gov.probes != 0 || eng.gov.windows != epochWindows-1 {

@@ -5,9 +5,9 @@
 // of any cross-shard interaction (the lookahead). Within a window the
 // shards run concurrently and cannot affect each other — every cross-shard
 // effect is at least one lookahead in the future — so each shard's window
-// is an ordinary sequential simulation. At the window barrier the engine
-// flushes cross-shard mailboxes in a fixed order and runs the registered
-// barrier hooks with every shard quiescent.
+// is an ordinary sequential simulation. At the window barrier the
+// cross-shard mailboxes change hands, to be emptied in a fixed order, and
+// the engine runs the registered barrier hooks with every shard quiescent.
 //
 // Determinism. The engine is byte-deterministic across shard counts, not
 // merely across runs: the same model partitioned over 1, 2 or 4 shards
@@ -15,7 +15,7 @@
 // events with explicit lanes (sim.AtLane) keyed by stable entities (e.g.
 // one lane per directed link) rather than by scheduling order. A shard's
 // event heap orders events by (time, lane, local sequence); cross-shard
-// messages are inserted at the barrier before their window begins, so the
+// messages are inserted before the first event of their window runs, so the
 // (time, lane) key alone decides their place and it does not matter
 // whether an event arrived through a mailbox or was scheduled locally.
 // This is the devolved-controller partitioning argument applied to the
@@ -32,49 +32,108 @@
 // Execution. A window's shards are independent, so the engine may run
 // them in any way it likes. One executor (runWindow) serves Run,
 // RunUntilQuiet and StepOwned: either the calling goroutine runs the
-// shards itself, one after the other (inline), or it hands each to a
-// worker goroutine and parks until they are done (fan-out). Fan-out buys
-// parallelism at the price of a hand-off and a wake-up per worker per
-// window; whether that pays is a property of the host and the load, not of
-// the model — on a 2-vCPU VM a two-shard K=8 Clos window of ~900 events
-// costs 50-68 ns per unit of work inline and 85-125 ns fanned out, while a
-// K=16 window of ~8,800 events costs ~200 ns inline and ~155 ns fanned
-// out. So the engine measures instead of being told: a governor times
-// every epoch of 32 windows (one clock read per epoch inside a long Run,
-// two more per call), divides by the events and windows executed, and
-// after `hold` epochs runs one probe epoch in the other mode; the probe
-// takes over only if it is more than 10 % cheaper — a smaller gap is
-// within what two identical epochs differ by — and every probe the
-// incumbent wins doubles hold, from 2 up to 256, so a 6,256-window run
-// spends 6 of its 195 epochs probing (3 %) and a long one under 0.4 %. An
-// epoch cut short by the end of a call is carried into the next call, not
-// sampled. The governor's few words live in the Engine and so survive the
-// many short Run and per-window StepOwned calls of a testbed or a
-// distributed peer. With a single shard to execute (a one-shard engine, a
-// distributed peer owning one shard, the coordinator owning none) there is
-// no choice: runWindow is a direct call, no worker exists and no clock is
-// read. There is no knob: Config carries nothing about execution.
+// shards itself, one after the other (inline), or it runs the first and a
+// worker goroutine each of the others (fan-out). Shards that interact only
+// across a lookahead should share nothing closer than that, and fan-out is
+// built so that they do not:
+//
+// The hand-off is two words, each on a cache line of its own. The caller
+// starts a window by writing its end and bumping a generation counter; a
+// worker polls that counter, runs its shard and decrements a count of
+// shards still running; whoever brings it to zero was the window's
+// straggler (Stats.Stragglers) and the caller, who polls that count after
+// its own shard, goes on. Nobody polls for ever: after spinBudget loads a
+// waiter parks on a channel — it says so in a flag first, and the other
+// side, which looks at the flag only after its own store, wakes exactly the
+// waiters that did park (Stats.Parked) — so workers sleep through inline
+// epochs, and a host that does not run the shards' threads side by side
+// costs spins, never progress. The budget is 2^16 loads, about 100 us on
+// the 2.1 GHz reference VM: twice a two-shard K=8 Clos window, because a
+// wait is the difference between two shards' windows and 99.5 % of them
+// ended within it (14 % did not within a quarter of it), and because waking
+// a parked thread of that VM takes as long — a shorter spin parks for
+// delays a wake-up cannot beat, and gives up its processor before an idle
+// one has come to take the goroutine it waits for. With fewer processors
+// than shards to run (GOMAXPROCS, or the CPUs the process may use) nothing
+// can be polled for and every wait parks at once, as does the caller's
+// first wait for workers it has just spawned; the goroutine that wakes
+// another yields to it.
+//
+// Mail stays on the core that will read it. Outboxes are double-buffered
+// by window parity: while a window fills one set, every shard, as the first
+// thing in its window and on its own goroutine, inserts what the other set
+// holds for it — source shards in index order, send order within — and the
+// sets swap at the barrier. The caller touches only the mail that leaves
+// the owned set (StepOwned's emit). Mail not yet inserted counts as pending
+// (Pending, Quiet, OwnedPending), so a drain cannot end with a message in
+// an outbox, and it is counted where it is sent, so Stats.Mail and MailLess
+// do not depend on how windows were executed.
+//
+// What a shard's goroutine writes inside a window fills whole cache lines:
+// Shard, its outbox headers, sim.Simulator and the per-shard counters of
+// fabric and netsim are padded to multiples of sim.CacheLine (a layout test
+// each), because the allocator packs equal-sized objects back to back and a
+// 48-byte counter block shared a line with its neighbour's. Each of the
+// three is necessary: the sizing prototype's forced fan-out of the
+// benchmark's K=8 run stayed at 0.43-0.49 s with any two, against 0.30-0.35
+// with all.
+//
+// Fan-out still buys parallelism at a price — every window ends when its
+// slowest shard does — and whether that pays is a property of the host and
+// the load, not of the model: the same two-shard K=8 run (6,256 windows of
+// ~900 events) takes 0.36-0.37 s inline and 0.27-0.30 s fanned out on two
+// idle vCPUs, one shard 0.31 s, and fanned out it takes longer than inline
+// when a neighbour holds one of the vCPUs. So the engine measures instead
+// of being told: a governor times every epoch of 32 windows (one clock read
+// per epoch inside a long Run, two more per call), divides by the events
+// and windows executed, and after `hold` epochs probes the other mode for
+// two: the first epoch after any change of mode moves the shards' working
+// sets between caches (about an epoch's worth at K=8) and is not a sample;
+// the second is judged against the smaller of the incumbent's smoothed cost
+// and its latest epoch — the average because two identical epochs differ by
+// +-8 %, the latest because costs drift and an average lags — and takes
+// over only if it is more than 10 % cheaper. Every probe the incumbent wins
+// doubles hold, from 4 up to 256, so where inline wins a 6,256-window run
+// spends 10 of its 195 epochs probing. Parking is evidence of its own: an
+// epoch of fan-out that parks in more than a quarter of its windows means
+// the shards' threads are not getting a processor each, and ends fan-out on
+// the spot — a probe nine windows in, kept away for 32 epochs or more, an
+// incumbent until the next ordinary probe. An epoch cut short by the end of
+// a call is carried into the next call, not sampled. The governor's few
+// words live in the Engine and so survive the many short Run and
+// per-window StepOwned calls of a testbed or a distributed peer. With a
+// single shard to execute (a one-shard engine, a distributed peer owning
+// one shard, the coordinator owning none) or a single processor to execute
+// on there is no choice: runWindow is a direct call, no worker exists and
+// no clock is read. There is no knob: Config carries nothing about
+// execution.
 //
 // The choice cannot change results. Within a window a shard reads and
-// writes only its own state and its own outboxes; mailboxes are flushed,
-// hooks and controls run, after every shard has finished, by the caller,
-// in a fixed order. Which goroutine ran a shard, and whether two shards'
-// windows overlapped in time, is therefore unobservable to the model
-// (tests force each mode, and a mode flip every epoch, against the
-// recorded digests). Builds with the race detector bypass the governor
-// and fan out every multi-shard window, so `go test -race` always sees
-// the concurrent path in full, whatever the host would have chosen.
+// writes only its own state, the outboxes it fills and the ones it drains;
+// mail leaves the owned set, hooks and controls run, after every shard has
+// finished, by the caller, in a fixed order. Which goroutine ran a shard,
+// and whether two shards' windows overlapped in time, is therefore
+// unobservable to the model (tests force each mode, and a mode flip every
+// epoch, against the recorded digests; a stress test runs a million
+// hand-offs with shards that stall past the spin). Builds with the race
+// detector bypass the governor and fan out every multi-shard window, so
+// `go test -race` always sees the concurrent path in full, whatever the
+// host would have chosen.
 //
 // Workers are scoped to one call: spawned at the call's first fanned
-// window, parked on their channels through inline epochs, closed on
-// return. Workers that outlived the call would need an explicit Close on
-// the Engine, and an abandoned Engine would leak them. Stats reports what
-// the governor did and the mailbox traffic it did it on.
+// window, parked through inline epochs, stopped when it returns.
+// Workers that outlived the call would need an explicit Close on the
+// Engine, and an abandoned Engine would leak them; the price is that a
+// per-window StepOwned call that fans out starts its workers on the
+// caller's own processor and runs the window's shards one after the other
+// all the same. Stats reports what the governor did, how the hand-offs
+// went and the mailbox traffic it all happened on.
 package parsim
 
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"stardust/internal/sim"
@@ -99,16 +158,37 @@ type xmsg struct {
 	arg  uint64
 }
 
+// outbox holds the messages one shard has sent to one other and the
+// receiver has not drained yet. The sender appends during one window, the
+// receiver empties it at the start of the next: each header has a cache
+// line to itself, so neither disturbs the boxes the other is working on.
+type outbox struct {
+	msgs []xmsg
+	_    [sim.CacheLine - 24]byte
+}
+
 // Shard is one event loop of the engine, owning a disjoint slice of the
 // model. All state reachable from events scheduled on a shard's Simulator
 // must be owned by that shard; the only sanctioned ways to touch another
 // shard's state are a Port (events at least one lookahead away) and the
 // engine's barrier context.
+//
+// A Shard is written by whichever goroutine runs its window, so it fills
+// whole cache lines (TestShardLayout): two shards never share one.
 type Shard struct {
+	// The first line is read by every shard and written by none.
 	id  int
 	sm  *sim.Simulator
 	eng *Engine
-	out [][]xmsg // per destination shard, flushed each barrier
+	// out[2*dst+p] is this shard's outbox towards dst for windows of
+	// parity p (Engine.par): double-buffered, so dst can drain last
+	// window's mail while this shard already sends the current one's.
+	out []outbox
+	_   [sim.CacheLine - 48]byte
+
+	sent uint64        // messages sent through Ports (Stats.Mail)
+	last atomic.Uint64 // fanned windows this shard was the last to finish
+	_    [sim.CacheLine - 16]byte
 }
 
 // ID returns the shard's index.
@@ -146,7 +226,31 @@ func (p Port) AtLane(t sim.Time, lane int32, a sim.Action, arg uint64) {
 		panic(fmt.Sprintf("parsim: cross-shard event at %d violates lookahead (now %d + %d)",
 			t, p.src.sm.Now(), p.src.eng.look))
 	}
-	p.src.out[p.dst] = append(p.src.out[p.dst], xmsg{at: t, lane: lane, act: a, arg: arg})
+	o := &p.src.out[2*p.dst+p.src.eng.par]
+	o.msgs = append(o.msgs, xmsg{at: t, lane: lane, act: a, arg: arg})
+	p.src.sent++
+}
+
+// window executes the window ending at end on s, on whichever goroutine
+// the executor chose: first the mail the other shards sent s during the
+// last window (the outboxes not being filled) goes into the heap — source shards
+// in index order, messages in send order; same-lane messages can only
+// originate from one shard (a lane names one sending entity), so this
+// order is itself partition-independent, and across lanes the heap key
+// decides and insertion order is irrelevant — then the events before end.
+func (s *Shard) window(end sim.Time) {
+	par := s.eng.par ^ 1
+	for _, src := range s.eng.shards {
+		o := &src.out[2*s.id+par]
+		if len(o.msgs) == 0 {
+			continue
+		}
+		for _, m := range o.msgs {
+			s.sm.AtLane(m.at, m.lane, m.act, m.arg)
+		}
+		o.msgs = o.msgs[:0]
+	}
+	s.sm.RunBefore(end)
 }
 
 // control is one barrier-context action.
@@ -159,6 +263,7 @@ type control struct {
 // Engine owns the shards and the window loop.
 type Engine struct {
 	look     sim.Time
+	par      int // parity of the outboxes being filled; the others are being drained
 	shards   []*Shard
 	hooks    []func(now sim.Time)
 	ctls     []control
@@ -171,10 +276,13 @@ type Engine struct {
 	gov      governor
 	force    execForce        // tests only: overrides the governor and the race rule
 	clock    func() time.Time // the governor's clock; tests inject one
+	procs    int              // tests only: overrides what processors() asks the runtime
+	spin     int              // polls before a hand-off parks; spinBudget, tests vary it
 	run      []*Shard         // StepOwned's scratch list of owned shards
 	fanned   uint64           // windows whose shards were handed to workers
-	mail     uint64           // cross-shard messages flushed or emitted
-	mailLess uint64           // windows whose flush moved nothing
+	parked   atomic.Uint64    // hand-offs that outlasted the spin and parked
+	mail     uint64           // cross-shard messages sent up to the last barrier
+	mailLess uint64           // windows in which none was sent
 }
 
 // New builds an engine with cfg.Shards fresh simulators, all at time zero.
@@ -185,15 +293,12 @@ func New(cfg Config) *Engine {
 	if cfg.Lookahead <= 0 {
 		panic("parsim: lookahead must be positive")
 	}
-	e := &Engine{look: cfg.Lookahead, clock: time.Now, gov: governor{hold: minHold}}
+	e := &Engine{
+		look: cfg.Lookahead, clock: time.Now, gov: startGovernor(), spin: spinBudget,
+	}
 	e.shards = make([]*Shard, cfg.Shards)
 	for i := range e.shards {
-		e.shards[i] = &Shard{
-			id:  i,
-			sm:  sim.New(),
-			eng: e,
-			out: make([][]xmsg, cfg.Shards),
-		}
+		e.shards[i] = &Shard{id: i, sm: sim.New(), eng: e, out: make([]outbox, 2*cfg.Shards)}
 	}
 	return e
 }
@@ -231,19 +336,25 @@ func (e *Engine) Dispatched() uint64 {
 	return n
 }
 
-// Pending sums the events waiting across all shards.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, s := range e.shards {
-		n += s.sm.Pending()
-	}
-	return n
-}
+// Pending sums the events waiting across all shards: those in the heaps
+// and the cross-shard messages their receivers have not drained yet.
+func (e *Engine) Pending() int { return e.OwnedPending(nil) }
 
-// Quiet reports whether nothing remains to run: every shard's heap is
-// empty and no control action is outstanding. Meaningful between windows.
+// Quiet reports whether nothing remains to run: every shard's heap and
+// outboxes are empty and no control action is outstanding. Meaningful
+// between windows.
 func (e *Engine) Quiet() bool {
-	return e.Pending() == 0 && len(e.ctls) == 0
+	if len(e.ctls) != 0 {
+		return false
+	}
+	// Heaps first: while the run lasts the first one answers, and the
+	// window loop asks after every window.
+	for _, s := range e.shards {
+		if s.sm.Pending() != 0 {
+			return false
+		}
+	}
+	return e.Pending() == 0
 }
 
 // InBarrier reports whether the engine is currently in barrier context
@@ -298,38 +409,32 @@ func (e *Engine) runControls(start sim.Time) {
 	}
 }
 
-// flush moves every outbox message towards its destination heap, source
-// shards in index order, messages in send order: straight into the heap
-// when the destination is owned (owned == nil owns every shard), through
-// emit otherwise. Same-lane messages can only originate from one shard (a
-// lane names one sending entity), so this order is itself
-// partition-independent; across lanes the heap key decides and insertion
-// order is irrelevant.
-func (e *Engine) flush(owned []bool, emit func(src, dst int, m Mail)) {
-	moved := 0
+// exchange is the mailbox half of the barrier. Mail between owned shards
+// stays where it is — the receiver inserts it itself at the start of its
+// next window (Shard.window) — so all that is left for the caller is what
+// leaves the owned set: handed to emit, source shards in index order,
+// messages in send order, which includes what barrier context sent since
+// the last exchange. Then the outboxes swap roles.
+func (e *Engine) exchange(owned []bool, emit func(src, dst int, m Mail)) {
+	sent := uint64(0)
 	for _, src := range e.shards {
-		for dst, msgs := range src.out {
-			if len(msgs) == 0 {
+		sent += src.sent
+		for dst, own := range owned {
+			if own {
 				continue
 			}
-			moved += len(msgs)
-			if owned == nil || owned[dst] {
-				dsm := e.shards[dst].sm
-				for _, m := range msgs {
-					dsm.AtLane(m.at, m.lane, m.act, m.arg)
-				}
-			} else {
-				for _, m := range msgs {
-					emit(src.id, dst, Mail{At: m.at, Lane: m.lane, Act: m.act, Arg: m.arg})
-				}
+			o := &src.out[2*dst+e.par]
+			for _, m := range o.msgs {
+				emit(src.id, dst, Mail{At: m.at, Lane: m.lane, Act: m.act, Arg: m.arg})
 			}
-			src.out[dst] = msgs[:0]
+			o.msgs = o.msgs[:0]
 		}
 	}
-	e.mail += uint64(moved)
-	if moved == 0 {
+	if sent == e.mail {
 		e.mailLess++
 	}
+	e.mail = sent
+	e.par ^= 1
 }
 
 // Run advances every shard to the window boundary at or after until.
@@ -357,16 +462,22 @@ type Mail struct {
 	Arg  uint64
 }
 
-// OwnedPending counts the events pending on the owned subset of shards.
-// On a distributed replica only the owned shards execute, so the global
-// pending count is the sum of OwnedPending over all peers — unowned
-// replicas' heaps hold stale build-time events that are executed (and
-// therefore drained) only by their owner.
+// OwnedPending counts the events pending on the owned subset of shards
+// (nil owns every shard): those in their heaps plus the mail addressed to
+// them that they have not drained yet. On a distributed replica only the
+// owned shards execute, so the global pending count is the sum of
+// OwnedPending over all peers — unowned replicas' heaps hold stale
+// build-time events that are executed (and therefore drained) only by
+// their owner.
 func (e *Engine) OwnedPending(owned []bool) int {
 	n := 0
 	for i, s := range e.shards {
-		if owned[i] {
-			n += s.sm.Pending()
+		if owned != nil && !owned[i] {
+			continue
+		}
+		n += s.sm.Pending()
+		for _, src := range e.shards {
+			n += len(src.out[2*i].msgs) + len(src.out[2*i+1].msgs)
 		}
 	}
 	return n
@@ -397,11 +508,13 @@ func (e *Engine) DeliverMail(dst int, m Mail) {
 // one iteration of Run's loop. It runs the controls due at the window
 // start, executes the window on every shard with owned[i] == true
 // (inline or fanned out, as in Run), advances unowned shards' clocks
-// without executing them, flushes the mailboxes — pairs inside the owned
-// set go straight to the destination heap, mail leaving it is handed to
-// emit in (source shard, send order) — and runs the barrier hooks. The
-// caller must deliver the mail it receives from other peers (DeliverMail)
-// before the next StepOwned. Returns the new synchronized time.
+// without executing them, hands the mail leaving the owned set to emit in
+// (source shard, send order) — mail inside it waits for its receiver's
+// next window and counts as pending until then — and runs the barrier
+// hooks. The caller must deliver the mail it receives from other peers
+// (DeliverMail) before the next StepOwned, and must not drop a shard from
+// the owned set while OwnedPending counts mail for it. Returns the new
+// synchronized time.
 //
 // With every shard owned and emit nil this is bit-identical to one window
 // of Run — the property the distributed determinism tests assert.
@@ -426,7 +539,7 @@ func (e *Engine) StepOwned(owned []bool, emit func(src, dst int, m Mail)) sim.Ti
 // the boundary `until` (or, with stopWhenQuiet, until nothing remains to
 // run) it runs the due controls, executes one window on the shards in run
 // — every shard when owned is nil, else exactly the owned ones, the
-// others' clocks skipping ahead — flushes the mailboxes and runs the
+// others' clocks skipping ahead — exchanges the mailboxes and runs the
 // barrier hooks.
 func (e *Engine) loop(run []*Shard, owned []bool, emit func(src, dst int, m Mail), until sim.Time, stopWhenQuiet bool) {
 	if e.now >= until {
@@ -436,11 +549,19 @@ func (e *Engine) loop(run []*Shard, owned []bool, emit func(src, dst int, m Mail
 	// something to hand off: the pool escapes to its workers, and a
 	// one-shard call should not pay an allocation for it.
 	var pool *workers
+	timed := false
 	if len(run) > 1 {
-		pool = new(workers)
+		procs := e.processors()
+		pool = &workers{eng: e}
 		defer pool.close()
+		// Polling pays only while every shard has a processor to itself:
+		// with fewer, the goroutine polled for may be waiting for this one
+		// to get off its processor, so the hand-off parks at once.
+		if len(run) <= procs {
+			pool.spin = e.spin
+		}
+		timed = e.timed(procs)
 	}
-	timed := e.timed(run)
 	if timed {
 		e.gov.open(e.clock(), e.Processed())
 	}
@@ -450,13 +571,13 @@ func (e *Engine) loop(run []*Shard, owned []bool, emit func(src, dst int, m Mail
 			break
 		}
 		end := e.now + e.look
-		e.runWindow(run, end, pool)
+		e.runWindow(run, end, pool, timed)
 		for i, own := range owned {
 			if !own {
 				e.shards[i].sm.SkipTo(end)
 			}
 		}
-		e.flush(owned, emit)
+		e.exchange(owned, emit)
 		e.now = end
 		for _, fn := range e.hooks {
 			fn(end)

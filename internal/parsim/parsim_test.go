@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"stardust/internal/sim"
 )
@@ -22,11 +23,19 @@ type ringNode struct {
 	digest uint64
 	seen   int
 	ttl    map[uint64]int // per token: remaining hops
+
+	// Every stallEvery-th arrival holds the shard's goroutine up for stall
+	// of wall-clock time: whoever waits for this window outlasts its spin.
+	stall      time.Duration
+	stallEvery int
 }
 
 // Act receives token arg and forwards it one step around the ring.
 func (n *ringNode) Act(arg uint64) {
 	n.seen++
+	if n.stall > 0 && n.seen%n.stallEvery == 0 {
+		time.Sleep(n.stall)
+	}
 	n.digest = n.digest*1099511628211 + arg + uint64(n.idx)
 	if n.ttl[arg] == 0 {
 		return
@@ -48,14 +57,18 @@ type ringRun struct {
 	stats   Stats    // incl. the per-shard event split
 }
 
-// runRing circulates tokens over nodeCount ring nodes split across shards
-// for `windows` windows — through Run, or one StepOwned per window with
-// every shard owned when step is set.
-func runRing(t *testing.T, shards, nodeCount, windows int, force execForce, step bool) ringRun {
-	t.Helper()
+// ring is a ringNode model on an engine, ready to run.
+type ring struct {
+	eng   *Engine
+	nodes []*ringNode
+	calls []string // hook and control invocations, in order
+}
+
+// newRing puts `tokens` tokens on nodeCount ring nodes split across
+// shards, each with hops enough for `windows` windows less 20.
+func newRing(shards, nodeCount, windows int, tokens uint64) *ring {
 	const look = sim.Microsecond
 	eng := New(Config{Shards: shards, Lookahead: look})
-	eng.force = force
 	assign := make([]int, nodeCount)
 	for i := range assign {
 		assign[i] = i * shards / nodeCount
@@ -71,7 +84,7 @@ func runRing(t *testing.T, shards, nodeCount, windows int, force execForce, step
 	// Seed tokens at staggered instants; every node holds a per-token hop
 	// budget so tokens eventually park without any shared countdown.
 	hops := windows - 20
-	for tok := uint64(0); tok < 8; tok++ {
+	for tok := uint64(0); tok < tokens; tok++ {
 		for i := range nodes {
 			nodes[i].ttl[tok] = hops
 		}
@@ -79,7 +92,7 @@ func runRing(t *testing.T, shards, nodeCount, windows int, force execForce, step
 		nodes[start].eng.Shard(assign[start]).Sim().AtLane(
 			sim.Time(tok)*look/3, int32((start+nodeCount-1)%nodeCount), nodes[start], tok)
 	}
-	var r ringRun
+	r := &ring{eng: eng, nodes: nodes}
 	seen := func() (n int) {
 		for _, nd := range nodes {
 			n += nd.seen
@@ -96,22 +109,41 @@ func runRing(t *testing.T, shards, nodeCount, windows int, force execForce, step
 			r.calls = append(r.calls, fmt.Sprintf("ctl@%d seen=%d", eng.Now(), seen()))
 		})
 	}
+	return r
+}
+
+func (r *ring) result() ringRun {
+	run := ringRun{calls: r.calls, events: r.eng.Processed(), stats: r.eng.Stats()}
+	for _, n := range r.nodes {
+		run.digests = append(run.digests, n.digest)
+	}
+	return run
+}
+
+func allOwned(shards int) []bool {
+	owned := make([]bool, shards)
+	for i := range owned {
+		owned[i] = true
+	}
+	return owned
+}
+
+// runRing circulates 8 tokens over nodeCount ring nodes split across
+// shards for `windows` windows — through Run, or one StepOwned per window
+// with every shard owned when step is set.
+func runRing(t *testing.T, shards, nodeCount, windows int, force execForce, step bool) ringRun {
+	t.Helper()
+	r := newRing(shards, nodeCount, windows, 8)
+	r.eng.force = force
 	if step {
-		owned := make([]bool, shards)
-		for i := range owned {
-			owned[i] = true
-		}
+		owned := allOwned(shards)
 		for w := 0; w < windows; w++ {
-			eng.StepOwned(owned, nil)
+			r.eng.StepOwned(owned, nil)
 		}
 	} else {
-		eng.Run(sim.Time(windows) * look)
+		r.eng.Run(sim.Time(windows) * r.eng.Lookahead())
 	}
-	for _, n := range nodes {
-		r.digests = append(r.digests, n.digest)
-	}
-	r.events, r.stats = eng.Processed(), eng.Stats()
-	return r
+	return r.result()
 }
 
 // The flagship property: the same model produces byte-identical state at
@@ -141,8 +173,11 @@ func TestExecModesAgreeOnRing(t *testing.T) {
 		if ref.stats.Fanned != 0 || ref.stats.Mail == 0 {
 			t.Fatalf("shards=%d inline: %+v", shards, ref.stats)
 		}
-		for _, force := range []execForce{forceFanOut, forceAlternate} {
+		for _, force := range []execForce{forceInline, forceFanOut, forceAlternate} {
 			for _, step := range []bool{false, true} {
+				if force == forceInline && !step {
+					continue // ref
+				}
 				got := runRing(t, shards, 12, windows, force, step)
 				name := fmt.Sprintf("shards=%d force=%d step=%v", shards, force, step)
 				if !reflect.DeepEqual(got.digests, ref.digests) || got.events != ref.events ||
@@ -158,7 +193,10 @@ func TestExecModesAgreeOnRing(t *testing.T) {
 						got.stats.Mail, got.stats.MailLess, ref.stats.Mail, ref.stats.MailLess)
 				}
 				wantFanned := uint64(windows)
-				if force == forceAlternate {
+				switch force {
+				case forceInline:
+					wantFanned = 0
+				case forceAlternate:
 					wantFanned = 2*epochWindows + 7 // epochs 1 and 3, and the 7 windows of epoch 5
 				}
 				if got.stats.Windows != windows || got.stats.Fanned != wantFanned {

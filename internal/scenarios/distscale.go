@@ -69,6 +69,7 @@ func init() {
 			"cell":   "cell size in bytes",
 			"peers":  "comma list of peer-process counts to verify against the in-process run",
 		},
+		Check: checkShards(effectiveTopo),
 		Run: func(c engine.Context) (engine.Result, error) {
 			k := c.Params.Int("k", 4)
 			shards := c.Params.Int("shards", 4)

@@ -47,6 +47,7 @@ func init() {
 			"check":     "true re-runs at one shard and fails unless the digests are byte-identical",
 		},
 		Variants: parVariants,
+		Check:    checkShards(closOnly),
 		Run: func(c engine.Context) (engine.Result, error) {
 			k := c.Params.Int("k", 4)
 			shards := effectiveShards(c)

@@ -10,8 +10,10 @@ import (
 
 	"stardust/internal/distsim"
 	"stardust/internal/engine"
+	"stardust/internal/fabric"
 	"stardust/internal/parsim"
 	"stardust/internal/sim"
+	"stardust/internal/topo"
 )
 
 // digest64 folds v into h little-endian — the one serialization both the
@@ -214,17 +216,43 @@ func shardLabel(c engine.Context) string {
 }
 
 // effectiveShards resolves the shards parameter: 0 means "use the -shards
-// flag", and anything below 1 clamps to 1.
+// flag". Whether the fabric can be cut that many ways is for whoever
+// builds it to say (fabric.ShardCount), and for checkShards before that.
 func effectiveShards(c engine.Context) int {
-	s := c.Params.Int("shards", 0)
-	if s == 0 {
-		s = c.Shards
+	if s := c.Params.Int("shards", 0); s != 0 {
+		return s
 	}
-	if s < 1 {
-		s = 1
-	}
-	return s
+	return c.Shards
 }
+
+// checkShards is the Check of every scenario that cuts a fabric into a
+// requested number of shards: it refuses a count the fabric cannot have
+// with fabric.ShardCount's error, for every combination the k, shards and
+// topo lists sweep, before a run exists that could allocate for it. family
+// resolves the topology for one combination; a k or topology that does not
+// build is the run's error to report, not this check's.
+func checkShards(family func(engine.Context) string) func(engine.Context) error {
+	return func(c engine.Context) error {
+		for _, p := range parVariants(c.Params) {
+			shards := p.Int("shards", 0)
+			if shards == 0 {
+				continue // the -shards flag, which engine.Options floors at 1
+			}
+			c.Params = p
+			g, err := topo.ByName(family(c), p.Int("k", 4))
+			if err != nil {
+				continue
+			}
+			if _, err := fabric.ShardCount(shards, g); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// closOnly is the family of the scenarios that always build the Clos.
+func closOnly(engine.Context) string { return "clos" }
 
 // effectiveTopo resolves the topo parameter: empty means "use the -topo
 // flag" (which itself defaults to the Clos).
@@ -263,9 +291,10 @@ func init() {
 			"load":    "offered load per FA as a fraction of its uplink capacity",
 			"cell":    "cell size in bytes",
 			"hotspot": "boost factor for the first quarter of the FAs (>1 = skewed matrix, changes the offered traffic)",
-			"timings": "true adds wall-clock events/sec (total and per core), speedup vs one shard and the engine's execution stats (windows, fanned, probes, switches, mail) — with -peers, each peer's busy and mesh-wait time, how its mesh reads waited (parked or polled) and the straggler instead — nondeterministic output, keep off when diffing runs",
+			"timings": "true adds wall-clock events/sec (total and per core), speedup vs one shard and the engine's execution stats (windows, fanned, probes, switches, parked hand-offs, which shard finished last how often, mail) — with -peers, each peer's busy and mesh-wait time, how its mesh reads waited (parked or polled) and the straggler instead — nondeterministic output, keep off when diffing runs",
 		},
 		Variants: parVariants,
+		Check:    checkShards(effectiveTopo),
 		Run: func(c engine.Context) (engine.Result, error) {
 			k := c.Params.Int("k", 4)
 			shards := effectiveShards(c)
@@ -315,9 +344,10 @@ func init() {
 				res.Add("speedup_vs_1", speedup, "x")
 				st := r.exec
 				fmt.Fprintf(&b, "  wall %v, %.0f events/sec (%.0f per core), %.2fx vs one shard (byte-identical digest); "+
-					"%d windows, %d fanned, %d probes, %d switches, %.1f mail/window, %d mail-less\n",
+					"%d windows, %d fanned, %d probes, %d switches, %d parked, last to finish %v, %.1f mail/window, %d mail-less\n",
 					r.wall.Round(time.Millisecond), evps, evps/float64(shards), speedup,
-					st.Windows, st.Fanned, st.Probes, st.Switches, float64(st.Mail)/float64(st.Windows), st.MailLess)
+					st.Windows, st.Fanned, st.Probes, st.Switches, st.Parked, st.Stragglers,
+					float64(st.Mail)/float64(st.Windows), st.MailLess)
 			}
 			res.Text = b.String()
 			return res, nil
@@ -343,6 +373,7 @@ func init() {
 			"fail_ms": "failure instant in ms",
 			"heal_ms": "heal instant in ms",
 		},
+		Check: checkShards(effectiveTopo),
 		Run: func(c engine.Context) (engine.Result, error) {
 			k := c.Params.Int("k", 4)
 			shards := effectiveShards(c)

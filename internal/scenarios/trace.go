@@ -194,6 +194,7 @@ func init() {
 			"out":      "file to write the stream to (empty = in-memory only)",
 			"peers":    "comma list of peer-process counts to fork and verify stream byte-identity against (each must be <= the shard count)",
 		},
+		Check: checkShards(effectiveTopo),
 		Run: func(c engine.Context) (engine.Result, error) {
 			spec := traceSpec(c)
 			stream, outc, err := runRecord(spec, c)
@@ -288,6 +289,7 @@ func init() {
 			"heal_us":       "inline record: heal instant in µs",
 			"telem_us":      "inline record: scrape period in µs",
 		},
+		Check: checkShards(effectiveTopo),
 		Run: func(c engine.Context) (engine.Result, error) {
 			var stream []byte
 			if in := c.Params.Str("in", ""); in != "" {

@@ -115,6 +115,15 @@ func TestEventLayout(t *testing.T) {
 	}
 }
 
+// A Simulator fills whole cache lines, so two shards' simulators, allocated
+// one after the other, never share one (see CacheLine): a new field goes
+// into the padding, not past it.
+func TestSimulatorLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Simulator{}); got%CacheLine != 0 {
+		t.Errorf("Simulator is %d bytes: not whole %d-byte cache lines", got, CacheLine)
+	}
+}
+
 // The horizon is the ladder's: a delivery started within it lands in a
 // bucket even after a serialization and a propagation more.
 func TestElideHorizonInsideLadder(t *testing.T) {

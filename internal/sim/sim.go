@@ -274,9 +274,19 @@ func (h *eventHeap) siftDown(i int) {
 	}
 }
 
+// CacheLine is the size in bytes that everything one goroutine of a
+// sharded run writes inside a window is rounded up to (this Simulator,
+// parsim.Shard and the per-shard counters of fabric and netsim), so the
+// allocator cannot put two shards' state on one line and make every update
+// on one core invalidate the other's copy. 64 is the coherence unit of
+// x86-64 and of most arm64 parts; where lines are wider, neighbours share
+// one again and a sharded run is slower, not wrong.
+const CacheLine = 64
+
 // Simulator is a single-threaded discrete-event scheduler. The zero value is
 // ready to use. Distinct Simulators are fully independent, so many can run
-// concurrently (one per goroutine) without sharing state.
+// concurrently (one per goroutine) without sharing state — cache lines
+// included: the struct fills whole lines (TestSimulatorLayout).
 type Simulator struct {
 	now     Time
 	seq     uint64
@@ -314,6 +324,8 @@ type Simulator struct {
 	// Recycled slot buffers (see bucket).
 	freeKeys   [][]eventKey
 	freeBodies [][]eventBody
+
+	_ [5*CacheLine - 272]byte
 }
 
 // New returns a Simulator starting at time zero.
