@@ -67,6 +67,25 @@ func TestCommandLine(t *testing.T) {
 		}
 	}
 
+	// A Spec the model cannot simulate is refused the same way, naming the
+	// field: these used to run (cell=0 with link counters that never moved,
+	// load=0 until the drain gave up).
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"fabric/parscale", "k=4", "cell=0"}, "cell 0 bytes: must be in [1, 262144]"},
+		{[]string{"fabric/parheal", "k=4", "load=0"}, "load 0: must be finite and > 0"},
+		{[]string{"fabric/distscale", "k=4", "dur_ms=-1"}, "dur -1000000000 ps: must be > 0"},
+		{[]string{"trace/record", "k=4", "load=-0.5"}, "load -0.5"},
+		{[]string{"trace/replay", "k=4", "dur_us=0"}, "dur 0 ps"},
+	} {
+		out, errs, exit = stardust(t, tc.args...)
+		if exit != 1 || out != "" || !strings.Contains(errs, tc.want) {
+			t.Fatalf("%v: exit %d\nstdout: %s\nstderr: %s", tc.args, exit, out, errs)
+		}
+	}
+
 	out, errs, exit = stardust(t, "scaling/table2", "-seed", "7")
 	if exit != 1 || out != "" || !strings.Contains(errs, "flags come first") {
 		t.Fatalf("flag after the scenario: exit %d\nstdout: %s\nstderr: %s", exit, out, errs)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"path/filepath"
 	"reflect"
@@ -342,6 +343,73 @@ func TestBadShardCount(t *testing.T) {
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("peer hung on a WELCOME to 100000 shards")
+	}
+}
+
+// TestBadSpec: a Spec the model cannot simulate is refused where the
+// replica is built, naming the field — in-process, at the coordinator, and
+// at a peer whose WELCOME carries one. A 0-byte cell used to run with link
+// counters that never moved, a load of 0 flooded at the 1 ns gap floor
+// until the drain gave up, a duration of 0 injected forever and one of -1
+// "succeeded" with no cells.
+func TestBadSpec(t *testing.T) {
+	with := func(edit func(*Spec)) Spec { s := smallSpec(1); edit(&s); return s }
+	for _, tc := range []struct {
+		spec Spec
+		want string // "" = accepted
+	}{
+		{with(func(s *Spec) { s.CellBytes = 0 }), "cell 0 bytes: must be in [1, 262144]"},
+		{with(func(s *Spec) { s.CellBytes = -512 }), "cell -512 bytes"},
+		{with(func(s *Spec) { s.CellBytes = 256<<10 + 1 }), "cell 262145 bytes"},
+		{with(func(s *Spec) { s.CellBytes = 1 }), ""},
+		{with(func(s *Spec) { s.CellBytes = 256 << 10 }), ""},
+		{with(func(s *Spec) { s.Load = 0 }), "load 0: must be finite and > 0"},
+		{with(func(s *Spec) { s.Load = -0.4 }), "load -0.4"},
+		{with(func(s *Spec) { s.Load = math.NaN() }), "load NaN"},
+		{with(func(s *Spec) { s.Load = math.Inf(1) }), "load +Inf"},
+		{with(func(s *Spec) { s.Load = 1e-9 }), ""},
+		{with(func(s *Spec) { s.Dur = 0 }), "dur 0 ps: must be > 0"},
+		{with(func(s *Spec) { s.Dur = -sim.Millisecond }), "dur -1000000000 ps"},
+		{with(func(s *Spec) { s.Dur = 1 }), ""},
+	} {
+		_, err := NewModel(tc.spec)
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("cell %d load %v dur %d: NewModel error %v, want %q", tc.spec.CellBytes, tc.spec.Load, tc.spec.Dur, err, tc.want)
+		}
+		if err := tc.spec.Check(); (err == nil) != (tc.want == "") {
+			t.Errorf("cell %d load %v dur %d: Check %v, NewModel %q", tc.spec.CellBytes, tc.spec.Load, tc.spec.Dur, err, tc.want)
+		}
+	}
+	const want = "cell 0 bytes"
+	bad := with(func(s *Spec) { s.CellBytes = 0 })
+	if _, err := Serve(mustListen(t), CoordConfig{Spec: bad, Peers: 1}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("coordinator: %v", err)
+	}
+
+	// A peer believes no coordinator: this one welcomes it to 0-byte cells.
+	l := mustListen(t)
+	done := make(chan error, 1)
+	go func() { done <- RunPeer(l.Addr().String()) }()
+	conn, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	if typ, _, err := readFrame(conn); err != nil || typ != tHello {
+		t.Fatalf("expected HELLO, got type %d err %v", typ, err)
+	}
+	wb, _ := json.Marshal(welcomeMsg{Spec: bad, NPeers: 1, Owners: make([]int, 1)})
+	if _, err := conn.Write(frame(t, tWelcome, wb, true)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("peer error = %v, want %q", err, want)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("peer hung on a WELCOME to 0-byte cells")
 	}
 }
 

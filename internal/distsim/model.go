@@ -28,6 +28,7 @@ package distsim
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 
 	"stardust/internal/fabric"
@@ -72,6 +73,30 @@ type Spec struct {
 	FailLinks []int `json:"failLinks,omitempty"`
 }
 
+// modelConfig is the fabric every replica of spec builds.
+func modelConfig(spec Spec) fabric.Config {
+	return fabric.DefaultConfig(10e9, sim.Microsecond, spec.Seed)
+}
+
+// Check refuses a Spec the model cannot simulate, naming the field: a cell
+// of no bytes (what a link queue reads as "no completion", so its counters
+// would never move) or of more than a link queue holds, a load that is
+// not finite and positive (the injection gap divides by it), an injection
+// that never starts. NewModel calls it, and so does the Check of every
+// scenario that builds a Spec, so each door refuses before anything runs.
+func (s Spec) Check() error {
+	if lb := modelConfig(s).LinkBytes; s.CellBytes < 1 || s.CellBytes > lb {
+		return fmt.Errorf("distsim: cell %d bytes: must be in [1, %d], the link queue", s.CellBytes, lb)
+	}
+	if !(s.Load > 0) || math.IsInf(s.Load, 1) {
+		return fmt.Errorf("distsim: load %v: must be finite and > 0", s.Load)
+	}
+	if s.Dur <= 0 {
+		return fmt.Errorf("distsim: dur %d ps: must be > 0", s.Dur)
+	}
+	return nil
+}
+
 // telemEvery returns the effective scrape period: Telem rounded up to a
 // whole number of lookahead windows (0 when telemetry is off). Scrape
 // instants must land exactly on barriers so every shard count and
@@ -101,6 +126,9 @@ type Model struct {
 // determinism contract — change it and remote digests diverge from local
 // ones.
 func NewModel(spec Spec) (*Model, error) {
+	if err := spec.Check(); err != nil {
+		return nil, err
+	}
 	graph, err := topo.ByName(spec.Topo, spec.K)
 	if err != nil {
 		return nil, err
@@ -109,9 +137,8 @@ func NewModel(spec Spec) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	look := sim.Microsecond
-	eng := parsim.New(parsim.Config{Shards: shards, Lookahead: look})
-	cfg := fabric.DefaultConfig(10e9, look, spec.Seed)
+	cfg := modelConfig(spec)
+	eng := parsim.New(parsim.Config{Shards: shards, Lookahead: cfg.LinkDelay})
 	n, err := fabric.NewSharded(eng, cfg, graph, nil)
 	if err != nil {
 		return nil, err

@@ -75,7 +75,7 @@ func (p Params) Int(key string, def int) int {
 	return def
 }
 
-// Int64 returns the int64 value of key, or def.
+// Int64 returns the int64 value of key, or def when absent or malformed.
 func (p Params) Int64(key string, def int64) int64 {
 	if v, ok := p[key]; ok {
 		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
@@ -85,7 +85,7 @@ func (p Params) Int64(key string, def int64) int64 {
 	return def
 }
 
-// Float returns the float value of key, or def.
+// Float returns the float value of key, or def when absent or malformed.
 func (p Params) Float(key string, def float64) float64 {
 	if v, ok := p[key]; ok {
 		if f, err := strconv.ParseFloat(v, 64); err == nil {
@@ -95,7 +95,7 @@ func (p Params) Float(key string, def float64) float64 {
 	return def
 }
 
-// Bool returns the boolean value of key, or def.
+// Bool returns the boolean value of key, or def when absent or malformed.
 func (p Params) Bool(key string, def bool) bool {
 	if v, ok := p[key]; ok {
 		if b, err := strconv.ParseBool(v); err == nil {

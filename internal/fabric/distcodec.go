@@ -126,10 +126,9 @@ func (n *Net) DecodeMail(kind byte, lane int32, payload []byte) (sim.Action, uin
 		p.CE = flags&cellCE != 0
 		p.Echo = flags&cellEcho != 0
 		p.Down = flags&cellDown != 0
-		// A cell crossing a shard cut was scheduled by the link's wire with
-		// the queue already behind it: rebind it to the tail of this
-		// replica's route so the next hop is the link itself.
-		p.SetRoute(n.links[lane].route[1:])
+		// A cell crossing a shard cut was scheduled by the link's wire: its
+		// next hop is the link itself, the whole of the link's route.
+		p.SetRoute(n.links[lane].route)
 		return p, 0, nil
 	case MailReach:
 		act, err := n.routes.decodeMail(lane, payload)

@@ -142,18 +142,22 @@ type shardState struct {
 // failed link are lost on the wire, like the real thing. The queue lives
 // on the sending node's shard; Receive runs on the receiving node's.
 //
-// On an engine the crossing is the queue's Wire, a LanePipe on the
-// link's own lane, and the route is {queue, link}: an idle link costs one
+// The link owns its queue, its wire and its route's array, so a hop reads
+// one object: send hands the cell to the queue, and the route is the rest
+// of the hop. On an engine the crossing is the queue's Wire, a LanePipe
+// on the link's own lane, and the route is {link}: an idle link costs one
 // kernel event per cell, the arrival (see netsim.Queue). A solo fabric
-// shares one default-lane Pipe as a route hop, {queue, pipe, link}, and
+// shares one default-lane Pipe, the route is {pipe, link}, and a cell
 // pays a completion and an arrival.
 type link struct {
 	net   *Net
 	sh    *shardState // receiving node's shard
-	q     *netsim.Queue
 	to    *node
-	route []netsim.Handler
 	up    bool
+	route []netsim.Handler // into hops
+	hops  [2]netsim.Handler
+	wire  netsim.LanePipe
+	q     netsim.Queue
 }
 
 // Receive implements netsim.Handler: the cell reaches the far end.
@@ -168,7 +172,7 @@ func (l *link) Receive(c *netsim.Packet) {
 
 func (l *link) send(c *netsim.Packet) {
 	c.SetRoute(l.route)
-	c.SendOn()
+	l.q.Receive(c)
 }
 
 // egress terminates cells at their destination edge device.
@@ -509,19 +513,20 @@ func build(cfg Config, g topo.Graph, shards []*shardState, assign []int, eng *pa
 		l := &link{
 			net: n,
 			sh:  dst.sh,
-			q:   netsim.NewQueue(src.sh.sm, fmt.Sprintf("%s:%d", g.Node(from).Name, port), cfg.LinkRate, cfg.LinkBytes, 0),
 			to:  dst,
 			up:  true,
+			q:   *netsim.NewQueue(src.sh.sm, fmt.Sprintf("%s:%d", g.Node(from).Name, port), cfg.LinkRate, cfg.LinkBytes, 0),
 		}
+		l.hops = [2]netsim.Handler{n.pipe, l}
+		l.route = l.hops[:] // solo: {pipe, link}
 		if eng != nil {
-			l.q.Wire = &netsim.LanePipe{
+			l.wire = netsim.LanePipe{
 				Sched: eng.Shard(src.sh.id).To(dst.sh.id),
 				Delay: cfg.LinkDelay,
 				Lane:  int32(len(n.links)),
 			}
-			l.route = []netsim.Handler{l.q, l}
-		} else {
-			l.route = []netsim.Handler{l.q, n.pipe, l}
+			l.q.Wire = &l.wire
+			l.route = l.hops[1:] // {link}; there is no pipe
 		}
 		n.links = append(n.links, l)
 		if ref := src.port[port]; ref.climb {
@@ -674,7 +679,7 @@ func (n *Net) Drops() uint64 { return n.DeadDrops() + n.NoRouteDrops() + n.Queue
 // DirCounters. Sharded mode: barrier context only.
 func (n *Net) VisitQueues(fn func(q *netsim.Queue)) {
 	for _, l := range n.links {
-		fn(l.q)
+		fn(&l.q)
 	}
 }
 

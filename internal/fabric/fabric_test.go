@@ -427,12 +427,12 @@ func TestLinksAreWiredByBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		for d, l := range sharded.links {
-			if l.q.Wire == nil || l.q.Wire.Lane != int32(d) || len(l.route) != 2 {
+			if l.q.Wire == nil || l.q.Wire.Lane != int32(d) || len(l.route) != 1 {
 				t.Fatalf("%s: sharded link %d not wired on its own lane (wire %+v, route of %d)", topoName, d, l.q.Wire, len(l.route))
 			}
 		}
 		for d, l := range solo.links {
-			if l.q.Wire != nil || len(l.route) != 3 {
+			if l.q.Wire != nil || len(l.route) != 2 {
 				t.Fatalf("%s: solo link %d is wired (route of %d)", topoName, d, len(l.route))
 			}
 		}

@@ -56,6 +56,7 @@ func (s *CellSink) Receive(c *netsim.Packet) {
 // traffic is identical at every shard count.
 type Injector struct {
 	net   *Net
+	sm    *sim.Simulator // fa's event loop
 	fa    int
 	numFA int
 	gap   sim.Time
@@ -73,7 +74,7 @@ type Injector struct {
 // the first cell.
 func (n *Net) NewInjector(fa int, gap sim.Time, cellBytes int, stop sim.Time, quota int) *Injector {
 	return &Injector{
-		net: n, fa: fa, numFA: n.NumFA(),
+		net: n, sm: n.EdgeSim(fa), fa: fa, numFA: n.NumFA(),
 		gap: gap, cell: cellBytes, stop: stop, quota: quota, dst: -1,
 	}
 }
@@ -85,15 +86,14 @@ func (j *Injector) FixDst(dst int) { j.dst = dst }
 
 // Start schedules the first injection at absolute time at — stagger
 // starts across FAs so they do not inject in lockstep.
-func (j *Injector) Start(at sim.Time) { j.net.EdgeSim(j.fa).AtAction(at, j, 0) }
+func (j *Injector) Start(at sim.Time) { j.sm.AtAction(at, j, 0) }
 
 // Sent returns the number of cells injected so far.
 func (j *Injector) Sent() uint64 { return j.sent }
 
 // Act implements sim.Action: inject one cell and reschedule.
 func (j *Injector) Act(uint64) {
-	sm := j.net.EdgeSim(j.fa)
-	if j.stop != 0 && sm.Now() >= j.stop {
+	if j.stop != 0 && j.sm.Now() >= j.stop {
 		return
 	}
 	if j.quota == 0 {
@@ -111,5 +111,5 @@ func (j *Injector) Act(uint64) {
 	}
 	j.net.Inject(c, j.fa, dst)
 	j.sent++
-	sm.AfterAction(j.gap, j, 0)
+	j.sm.AfterAction(j.gap, j, 0)
 }

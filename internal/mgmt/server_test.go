@@ -257,6 +257,9 @@ func TestSubmitRejectsUndeclaredParam(t *testing.T) {
 		// the same way: this one used to get the daemon killed.
 		{RunRequest{Scenario: "fabric/parscale", Params: engine.Params{"k": "4", "shards": "100000"}}, "100000 shards", "must be in [1, 16]"},
 		{RunRequest{Scenario: "htsim/parperm", Params: engine.Params{"k": "4", "shards": "-1"}}, "-1 shards", "must be in [1, 16]"},
+		// So is a Spec the model cannot simulate: a 0-byte cell used to run
+		// with link counters that never moved.
+		{RunRequest{Scenario: "fabric/parscale", Params: engine.Params{"k": "4", "cell": "0"}}, "cell 0 bytes", "must be in [1, 262144]"},
 	} {
 		var body map[string]string
 		resp := postJSON(t, ts.URL+"/api/v1/runs", tc.req, &body)

@@ -53,6 +53,14 @@ func distOne(spec distsim.Spec, npeers int) (distsim.Outcome, error) {
 	return out, nil
 }
 
+// distscaleSpec assembles the sweep's Spec from its parameters. Its shard
+// count is its own parameter, never the -shards flag.
+func distscaleSpec(c engine.Context) distsim.Spec {
+	spec := paramSpec(c, msTime(c.Params.Int("dur_ms", 1)), 0.5)
+	spec.Shards = c.Params.Int("shards", 4)
+	return spec
+}
+
 func init() {
 	engine.Register(engine.Scenario{
 		Name: "fabric/distscale",
@@ -69,16 +77,10 @@ func init() {
 			"cell":   "cell size in bytes",
 			"peers":  "comma list of peer-process counts to verify against the in-process run",
 		},
-		Check: checkShards(effectiveTopo),
+		Check: checkSpec(distscaleSpec),
 		Run: func(c engine.Context) (engine.Result, error) {
-			k := c.Params.Int("k", 4)
-			shards := c.Params.Int("shards", 4)
-			spec := parSpec(c.Seed, effectiveTopo(c), k, shards,
-				msTime(c.Params.Int("dur_ms", 1)),
-				c.Params.Float("load", 0.5),
-				"",
-				c.Params.Int("cell", 512),
-				1, 0, 0, 0)
+			spec := distscaleSpec(c)
+			k, shards := spec.K, spec.Shards
 			m, err := distsim.NewModel(spec)
 			if err != nil {
 				return engine.Result{}, err

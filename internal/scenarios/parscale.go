@@ -50,15 +50,30 @@ type parRun struct {
 	dist *distsim.CoordStatsSnapshot
 }
 
-// parSpec assembles the distsim Spec shared by the parscale family: the
-// model construction itself lives in distsim.NewModel so the in-process,
-// coordinator, and remote-peer replicas are one code path.
-func parSpec(seed int64, topo string, k, shards int, dur sim.Time, load float64, pattern string, cellBytes int, hotspot float64, failN int, failAt, healAt sim.Time) distsim.Spec {
+// paramSpec assembles a distsim Spec from the parameters every scenario
+// that builds one shares — k, topo, shards, load, pattern, cell and
+// hotspot — given the scenario's injection duration and default load; the
+// caller sets the rest. A key the scenario does not declare reads as its
+// fallback (no pattern, hotspot 1). The model construction itself lives
+// in distsim.NewModel so the in-process, coordinator, and remote-peer
+// replicas are one code path, and checkSpec refuses what it would.
+func paramSpec(c engine.Context, dur sim.Time, load float64) distsim.Spec {
 	return distsim.Spec{
-		K: k, Topo: topo, Seed: seed, Shards: shards, Dur: dur, Load: load,
-		Pattern: pattern, CellBytes: cellBytes, Hotspot: hotspot,
-		FailN: failN, FailAt: failAt, HealAt: healAt,
+		K: c.Params.Int("k", 4), Topo: effectiveTopo(c), Seed: c.Seed, Shards: effectiveShards(c),
+		Dur: dur, Load: c.Params.Float("load", load), Pattern: c.Params.Str("pattern", ""),
+		CellBytes: c.Params.Int("cell", 512), Hotspot: c.Params.Float("hotspot", 1),
 	}
+}
+
+func parscaleSpec(c engine.Context) distsim.Spec {
+	return paramSpec(c, msTime(c.Params.Int("dur_ms", 5)), 0.5)
+}
+
+func parhealSpec(c engine.Context) distsim.Spec {
+	spec := paramSpec(c, msTime(c.Params.Int("dur_ms", 6)), 0.4)
+	spec.FailN = c.Params.Int("fail", 3)
+	spec.FailAt, spec.HealAt = msTime(c.Params.Int("fail_ms", 2)), msTime(c.Params.Int("heal_ms", 4))
+	return spec
 }
 
 func fromOutcome(out distsim.Outcome, wall time.Duration) parRun {
@@ -251,6 +266,19 @@ func checkShards(family func(engine.Context) string) func(engine.Context) error 
 	}
 }
 
+// checkSpec is the Check of every scenario that builds a distsim Spec:
+// checkShards, then whatever distsim.Spec.Check refuses of the Spec spec
+// assembles.
+func checkSpec(spec func(engine.Context) distsim.Spec) func(engine.Context) error {
+	shards := checkShards(effectiveTopo)
+	return func(c engine.Context) error {
+		if err := shards(c); err != nil {
+			return err
+		}
+		return spec(c).Check()
+	}
+}
+
 // closOnly is the family of the scenarios that always build the Clos.
 func closOnly(engine.Context) string { return "clos" }
 
@@ -294,16 +322,10 @@ func init() {
 			"timings": "true adds wall-clock events/sec (total and per core), speedup vs one shard and the engine's execution stats (windows, fanned, probes, switches, parked hand-offs, which shard finished last how often, mail) — with -peers, each peer's busy and mesh-wait time, how its mesh reads waited (parked or polled) and the straggler instead — nondeterministic output, keep off when diffing runs",
 		},
 		Variants: parVariants,
-		Check:    checkShards(effectiveTopo),
+		Check:    checkSpec(parscaleSpec),
 		Run: func(c engine.Context) (engine.Result, error) {
-			k := c.Params.Int("k", 4)
-			shards := effectiveShards(c)
-			dur := msTime(c.Params.Int("dur_ms", 5))
-			load := c.Params.Float("load", 0.5)
-			cell := c.Params.Int("cell", 512)
-			hotspot := c.Params.Float("hotspot", 1)
-			spec := parSpec(c.Seed, effectiveTopo(c), k, shards, dur, load,
-				c.Params.Str("pattern", ""), cell, hotspot, 0, 0, 0)
+			spec := parscaleSpec(c)
+			k, shards := spec.K, spec.Shards
 			var r parRun
 			var err error
 			if c.DistPeers > 0 {
@@ -373,19 +395,10 @@ func init() {
 			"fail_ms": "failure instant in ms",
 			"heal_ms": "heal instant in ms",
 		},
-		Check: checkShards(effectiveTopo),
+		Check: checkSpec(parhealSpec),
 		Run: func(c engine.Context) (engine.Result, error) {
-			k := c.Params.Int("k", 4)
-			shards := effectiveShards(c)
-			spec := parSpec(c.Seed, effectiveTopo(c), k, shards,
-				msTime(c.Params.Int("dur_ms", 6)),
-				c.Params.Float("load", 0.4),
-				c.Params.Str("pattern", ""),
-				c.Params.Int("cell", 512),
-				1,
-				c.Params.Int("fail", 3),
-				msTime(c.Params.Int("fail_ms", 2)),
-				msTime(c.Params.Int("heal_ms", 4)))
+			spec := parhealSpec(c)
+			k := spec.K
 			var r parRun
 			var err error
 			if c.DistPeers > 0 {

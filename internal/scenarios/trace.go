@@ -27,20 +27,11 @@ import (
 
 // traceSpec assembles the recording spec from the scenario parameters.
 func traceSpec(c engine.Context) distsim.Spec {
-	return distsim.Spec{
-		K:         c.Params.Int("k", 4),
-		Topo:      effectiveTopo(c),
-		Seed:      c.Seed,
-		Shards:    effectiveShards(c),
-		Dur:       usTime(c.Params.Int("dur_us", 200)),
-		Load:      c.Params.Float("load", 0.5),
-		CellBytes: c.Params.Int("cell", 512),
-		Hotspot:   c.Params.Float("hotspot", 1),
-		FailN:     c.Params.Int("fail", 0),
-		FailAt:    usTime(c.Params.Int("fail_us", 0)),
-		HealAt:    usTime(c.Params.Int("heal_us", 0)),
-		Telem:     usTime(c.Params.Int("telem_us", 20)),
-	}
+	spec := paramSpec(c, usTime(c.Params.Int("dur_us", 200)), 0.5)
+	spec.FailN = c.Params.Int("fail", 0)
+	spec.FailAt, spec.HealAt = usTime(c.Params.Int("fail_us", 0)), usTime(c.Params.Int("heal_us", 0))
+	spec.Telem = usTime(c.Params.Int("telem_us", 20))
+	return spec
 }
 
 // runRecord produces the stream for spec: in-process goroutine shards, or
@@ -194,7 +185,7 @@ func init() {
 			"out":      "file to write the stream to (empty = in-memory only)",
 			"peers":    "comma list of peer-process counts to fork and verify stream byte-identity against (each must be <= the shard count)",
 		},
-		Check: checkShards(effectiveTopo),
+		Check: checkSpec(traceSpec),
 		Run: func(c engine.Context) (engine.Result, error) {
 			spec := traceSpec(c)
 			stream, outc, err := runRecord(spec, c)
@@ -289,7 +280,13 @@ func init() {
 			"heal_us":       "inline record: heal instant in µs",
 			"telem_us":      "inline record: scrape period in µs",
 		},
-		Check: checkShards(effectiveTopo),
+		Check: func(c engine.Context) error {
+			if c.Params.Str("in", "") != "" {
+				// The Spec is in the recorded stream; Replay's NewModel checks it.
+				return checkShards(effectiveTopo)(c)
+			}
+			return checkSpec(traceSpec)(c)
+		},
 		Run: func(c engine.Context) (engine.Result, error) {
 			var stream []byte
 			if in := c.Params.Str("in", ""); in != "" {

@@ -104,14 +104,31 @@ func TestElidedAccounting(t *testing.T) {
 	}
 }
 
-// The sizes the package comment quotes: the bucket sort streams 24-byte
-// keys, and a body is two callbacks and an argument.
+// The sizes the package comment quotes: the bucket sort streams 16-byte
+// keys, and a body is one Action and an argument.
 func TestEventLayout(t *testing.T) {
-	if got := unsafe.Sizeof(eventKey{}); got != 24 {
-		t.Errorf("eventKey is %d bytes, want 24", got)
+	if got := unsafe.Sizeof(eventKey{}); got != 16 {
+		t.Errorf("eventKey is %d bytes, want 16", got)
 	}
-	if got := unsafe.Sizeof(eventBody{}); got != 32 {
-		t.Errorf("eventBody is %d bytes, want 32", got)
+	if got := unsafe.Sizeof(eventBody{}); got != 24 {
+		t.Errorf("eventBody is %d bytes, want 24", got)
+	}
+}
+
+// A closure is stored as an Action without an allocation of its own: At,
+// After and AtLaneFunc cost what the closure costs, nothing more.
+func TestClosureSchedulingAllocatesNothing(t *testing.T) {
+	s := New()
+	fn := func() {}
+	s.At(0, fn)
+	s.Run() // warm the bucket pool
+	if n := testing.AllocsPerRun(100, func() {
+		s.At(s.Now()+Nanosecond, fn)
+		s.After(2*Nanosecond, fn)
+		s.AtLaneFunc(s.Now()+3*Nanosecond, 1, fn)
+		s.Run()
+	}); n != 0 {
+		t.Fatalf("%v allocs per three closure schedules, want 0", n)
 	}
 }
 

@@ -23,7 +23,9 @@
 // func() closure, while AtAction/AfterAction take a pre-bound Action plus a
 // uint64 argument. The Action form exists for hot paths (queues draining,
 // packets propagating, timers re-arming): it stores the callback and its
-// argument inline in the event, so scheduling allocates nothing.
+// argument inline in the event, so scheduling allocates nothing. A closure
+// is stored as an Action too — a func value is pointer-shaped, so wrapping
+// it in one costs no allocation — and the loop has one call form.
 //
 // # Event store
 //
@@ -31,21 +33,29 @@
 // one big binary heap. The ladder covers a sliding window of ladderBuckets
 // buckets of 2^bucketShift picoseconds each; an event scheduled inside the
 // window is appended to its bucket in O(1), and a whole bucket is sorted
-// once by (time, lane, seq) when its turn comes, so draining a window's
+// once when its turn comes, so draining a window's
 // worth of events costs O(1) amortized heap traffic — the run-combining the
 // single heap could not do. Two small binary heaps back the ladder up: the
 // "young" heap absorbs events scheduled into the bucket currently draining
 // (they must interleave with the sorted run), and the "overflow" heap holds
 // events beyond the ladder horizon (long timers), migrating into the ladder
-// as the window slides. The sort key is exactly the old heap's comparison,
-// so the execution order — and therefore every simulation in the repository
-// — is bit-identical to the single-heap kernel.
+// as the window slides. The execution order — and therefore every
+// simulation in the repository — is bit-identical to the single-heap
+// kernel's (time, lane, seq).
 //
 // Each bucket stores events as a struct-of-arrays split: a hot array of
-// 24-byte keys (time, seq, lane, index) that the sort and the drain loop
-// touch, and a cold array of bodies (callback, argument) read once
-// per execution. Keys pack 2.6 to a cache line where the old 56-byte event
-// fit one, which is what makes the bucket sort cheap.
+// 16-byte keys (time, lane<<32 | index), four to a cache line, that the
+// sort and the drain loop touch, and a cold array of 24-byte bodies
+// (Action, argument) read once per execution. The index is the event's
+// append position, and inside a bucket append order is sequence order: a
+// bucket's overflow events migrate into it, in heap order, in the advance
+// that brings it into the window, before it can take a direct schedule,
+// and a bucket loaded as the run is never appended to. So (time, lane,
+// index) sorts a bucket as (time, lane, seq) would. The young and overflow
+// heaps keep seq; a young event was scheduled after the run was loaded,
+// so a (time, lane) tie between the two goes to the run. The oracle
+// TestKernelOrderMatchesHeap / FuzzKernelOrder holds the store to a plain
+// heap on (time, lane, seq).
 //
 // # Completions
 //
@@ -130,6 +140,12 @@ type ActionFunc func(arg uint64)
 // Act implements Action.
 func (f ActionFunc) Act(arg uint64) { f(arg) }
 
+// funcAction is how At, After and AtLaneFunc store their closure: a func
+// value is pointer-shaped, so the conversion to Action allocates nothing.
+type funcAction func()
+
+func (f funcAction) Act(uint64) { f() }
+
 // DefaultLane is the lane of events scheduled without an explicit lane
 // (At/After/AtAction/AfterAction). Explicit lanes must be smaller than
 // CompletionLane, so they always sort before default-lane events at the
@@ -161,31 +177,23 @@ const (
 	bucketCap     = 32
 )
 
-// eventKey is the hot half of an event: the full (time, lane, seq) ordering
-// key plus the index of the cold body in the same region. 24 bytes, so the
-// bucket sort streams 2.6 keys per cache line.
+// eventKey is the hot half of a bucket event: its time, then its lane and
+// the index of its cold body, which is also its append position (see Event
+// store). 16 bytes, so the bucket sort streams four keys per cache line.
 type eventKey struct {
-	at   Time
-	seq  uint64
-	lane int32
-	idx  int32
+	at  Time
+	ord uint64 // lane<<32 | index
 }
 
-// keyLess is the one ordering every region agrees on: (time, lane, seq),
-// bit-identical to the retired single-heap kernel.
+func (k *eventKey) lane() int32 { return int32(k.ord >> 32) }
+
+// keyLess orders a bucket by (time, lane, append position).
 func keyLess(a, b *eventKey) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.lane != b.lane {
-		return a.lane < b.lane
-	}
-	return a.seq < b.seq
+	return a.at < b.at || a.at == b.at && a.ord < b.ord
 }
 
 // eventBody is the cold half of an event: read once, at execution.
 type eventBody struct {
-	fn  func()
 	act Action
 	arg uint64
 }
@@ -208,12 +216,9 @@ type event struct {
 	at   Time
 	seq  uint64
 	lane int32
-	fn   func()
 	act  Action
 	arg  uint64
 }
-
-func (e *event) key() eventKey { return eventKey{at: e.at, seq: e.seq, lane: e.lane} }
 
 // eventHeap is a hand-rolled binary min-heap of events ordered by
 // (time, lane, seq) — no interface boxing, no allocation per push.
@@ -223,13 +228,7 @@ func (h *eventHeap) len() int { return len(h.ev) }
 
 func (h *eventHeap) less(i, j int) bool {
 	a, b := &h.ev[i], &h.ev[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.lane != b.lane {
-		return a.lane < b.lane
-	}
-	return a.seq < b.seq
+	return a.at < b.at || a.at == b.at && (a.lane < b.lane || a.lane == b.lane && a.seq < b.seq)
 }
 
 func (h *eventHeap) push(e event) {
@@ -351,7 +350,7 @@ func (s *Simulator) clearOccupied(b int64) {
 
 // bucketAdd appends one event to ladder bucket b, pulling recycled arrays
 // from the pool when the slot is bare.
-func (s *Simulator) bucketAdd(b int64, k eventKey, body eventBody) {
+func (s *Simulator) bucketAdd(b int64, at Time, lane int32, body eventBody) {
 	if s.ladder == nil {
 		s.ladder = make([]bucket, ladderBuckets)
 	}
@@ -367,13 +366,12 @@ func (s *Simulator) bucketAdd(b int64, k eventKey, body eventBody) {
 			slot.bodies = make([]eventBody, 0, bucketCap)
 		}
 	}
-	k.idx = int32(len(slot.bodies))
+	slot.keys = append(slot.keys, eventKey{at: at, ord: uint64(lane)<<32 | uint64(len(slot.bodies))})
 	slot.bodies = append(slot.bodies, body)
-	slot.keys = append(slot.keys, k)
 	s.markOccupied(b)
 }
 
-func (s *Simulator) schedule(t Time, lane int32, fn func(), act Action, arg uint64) {
+func (s *Simulator) schedule(t Time, lane int32, act Action, arg uint64) {
 	if t < s.now {
 		t = s.now
 	}
@@ -383,13 +381,11 @@ func (s *Simulator) schedule(t Time, lane int32, fn func(), act Action, arg uint
 	b := s.bucketOf(t)
 	// Single unsigned compare for the common case: b in (curB, curB+NB).
 	if uint64(b-s.curB-1) < ladderBuckets-1 {
-		s.bucketAdd(b,
-			eventKey{at: t, seq: seq, lane: lane},
-			eventBody{fn: fn, act: act, arg: arg})
+		s.bucketAdd(b, t, lane, eventBody{act: act, arg: arg})
 	} else if b <= s.curB {
-		s.young.push(event{at: t, seq: seq, lane: lane, fn: fn, act: act, arg: arg})
+		s.young.push(event{at: t, seq: seq, lane: lane, act: act, arg: arg})
 	} else {
-		s.overflow.push(event{at: t, seq: seq, lane: lane, fn: fn, act: act, arg: arg})
+		s.overflow.push(event{at: t, seq: seq, lane: lane, act: act, arg: arg})
 	}
 }
 
@@ -423,7 +419,7 @@ func (s *Simulator) Elide() {
 func (s *Simulator) AtCompletion(t Time, a Action, arg uint64) {
 	s.Processed--
 	s.elided--
-	s.schedule(t, CompletionLane, nil, a, arg)
+	s.schedule(t, CompletionLane, a, arg)
 }
 
 // Dispatched returns the number of events the loop executed: Processed
@@ -432,18 +428,18 @@ func (s *Simulator) Dispatched() uint64 { return s.Processed - s.elided }
 
 // At schedules fn to run at absolute time t. Scheduling in the past (t <
 // Now()) runs the event at the current time instead, preserving causality.
-func (s *Simulator) At(t Time, fn func()) { s.schedule(t, DefaultLane, fn, nil, 0) }
+func (s *Simulator) At(t Time, fn func()) { s.schedule(t, DefaultLane, funcAction(fn), 0) }
 
 // After schedules fn to run d picoseconds from now.
-func (s *Simulator) After(d Time, fn func()) { s.schedule(s.now+d, DefaultLane, fn, nil, 0) }
+func (s *Simulator) After(d Time, fn func()) { s.schedule(s.now+d, DefaultLane, funcAction(fn), 0) }
 
 // AtAction schedules a.Act(arg) at absolute time t without allocating.
-func (s *Simulator) AtAction(t Time, a Action, arg uint64) { s.schedule(t, DefaultLane, nil, a, arg) }
+func (s *Simulator) AtAction(t Time, a Action, arg uint64) { s.schedule(t, DefaultLane, a, arg) }
 
 // AfterAction schedules a.Act(arg) d picoseconds from now without
 // allocating.
 func (s *Simulator) AfterAction(d Time, a Action, arg uint64) {
-	s.schedule(s.now+d, DefaultLane, nil, a, arg)
+	s.schedule(s.now+d, DefaultLane, a, arg)
 }
 
 // AtLane schedules a.Act(arg) at absolute time t on an explicit event lane
@@ -452,12 +448,12 @@ func (s *Simulator) AfterAction(d Time, a Action, arg uint64) {
 // Lanes must be non-negative and below DefaultLane. Implements
 // LaneScheduler; allocates nothing.
 func (s *Simulator) AtLane(t Time, lane int32, a Action, arg uint64) {
-	s.schedule(t, lane, nil, a, arg)
+	s.schedule(t, lane, a, arg)
 }
 
 // AtLaneFunc is AtLane for a plain closure (cold paths).
 func (s *Simulator) AtLaneFunc(t Time, lane int32, fn func()) {
-	s.schedule(t, lane, fn, nil, 0)
+	s.schedule(t, lane, funcAction(fn), 0)
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -479,7 +475,7 @@ func (s *Simulator) nextBucket() int64 {
 	return -1
 }
 
-// sortKeys orders a bucket's keys by (time, lane, seq). Buckets are small —
+// sortKeys orders a bucket's keys by (time, lane, index). Buckets are small —
 // a ladder slot spans tens of ns — and appended in near-ascending time
 // order (adaptive: ~O(n)), so a hand-rolled insertion sort with the
 // comparison inlined beats the generic sort's comparator indirection;
@@ -529,7 +525,7 @@ func (s *Simulator) advance() bool {
 			s.young.push(e)
 			continue
 		}
-		s.bucketAdd(b, e.key(), eventBody{fn: e.fn, act: e.act, arg: e.arg})
+		s.bucketAdd(b, e.at, e.lane, eventBody{act: e.act, arg: e.arg})
 	}
 	// An occupied slot holds events, and a bucket chosen for the overflow
 	// head just put that head into young: there is something to run.
@@ -575,14 +571,15 @@ func (s *Simulator) drain(limit Time, haveLimit bool) {
 		}
 		var at Time
 		var lane int32
-		var fn func()
 		var act Action
 		var arg uint64
 		haveRun := s.runPos < len(s.run.keys)
 		useYoung := s.young.len() > 0
 		if haveRun && useYoung {
-			rk, yk := &s.run.keys[s.runPos], s.young.ev[0].key()
-			useYoung = !keyLess(rk, &yk)
+			// Young was scheduled after the run was loaded: on a (time,
+			// lane) tie the run goes first, as its smaller seq would.
+			rk, y := &s.run.keys[s.runPos], &s.young.ev[0]
+			useYoung = y.at < rk.at || y.at == rk.at && y.lane < rk.lane()
 		}
 		if useYoung {
 			e := &s.young.ev[0]
@@ -590,7 +587,7 @@ func (s *Simulator) drain(limit Time, haveLimit bool) {
 			if haveLimit && at >= limit {
 				return
 			}
-			lane, fn, act, arg = e.lane, e.fn, e.act, e.arg
+			lane, act, arg = e.lane, e.act, e.arg
 			s.young.pop()
 		} else {
 			k := &s.run.keys[s.runPos]
@@ -598,21 +595,17 @@ func (s *Simulator) drain(limit Time, haveLimit bool) {
 			if haveLimit && at >= limit {
 				return
 			}
-			lane = k.lane
-			body := &s.run.bodies[k.idx]
-			fn, act, arg = body.fn, body.act, body.arg
-			body.fn, body.act = nil, nil // drop callback references for the GC
+			lane = k.lane()
+			body := &s.run.bodies[uint32(k.ord)]
+			act, arg = body.act, body.arg
+			body.act = nil // drop the callback reference for the GC
 			s.runPos++
 		}
 		s.now = at
 		s.curLane = lane
 		s.npend--
 		s.Processed++
-		if fn != nil {
-			fn()
-		} else if act != nil {
-			act.Act(arg)
-		}
+		act.Act(arg)
 	}
 }
 
