@@ -1,13 +1,12 @@
-// The coordinator: partitions the shard space over the joined peers, brings
-// them to a common window (the join, and every recovery), and from then on
-// is an accountant beside the data path, not a relay on it. Peers exchange
-// mail directly (peer.go); each streams one DONE frame per window to the
+// The coordinator: partitions the shard space over the joined peers, starts
+// them together (the join, and every recovery), and from then on is an
+// accountant beside the data path, not a relay on it. Peers exchange mail
+// directly (peer.go); each streams one DONE frame per window to the
 // coordinator and never waits for an answer. A reader goroutine per peer
 // drains that stream; the loop here takes window w once every peer's DONE
-// for it has arrived, steps its own replica, rebuilds the per-destination
-// batches the peers handed each other, logs them as the checkpoint, merges
-// the telemetry sections into the canonical stream, and at the end folds
-// the peers' reports into the Outcome.
+// for it has arrived, steps its own replica, sums the stop rule's counts,
+// merges the telemetry sections into the canonical stream, and at the end
+// folds the peers' reports into the Outcome.
 //
 // Why a reader per peer: the loop needs the peers' frames in window order,
 // the peers flush at their own pace. Reading them in window order from one
@@ -18,15 +17,17 @@
 // that flush on a window count (peer.go), always leave the loop a window
 // every peer has flushed.
 //
-// Recovery is the join path. When a connection or a mesh link is lost,
-// every peer ends its session (STALL, or REPORT if it had finished), the
-// coordinator takes W = the number of windows it holds every peer's DONE
-// for — exactly the windows it has accounted, logged and stepped its own
-// replica through — admits a replacement for every dead connection, and
-// sends every peer a WELCOME with Resume = W and its inbound log: all
-// rebuild, replay [0, W), re-mesh and continue. The initial join is W = 0.
-// Nothing is retained beyond the log and nothing is filtered: whatever the
-// peers did past W is done again by everyone.
+// Recovery is a re-run. A peer is a deterministic function of the Spec, the
+// partition map and the mail it receives, and that mail is what the other
+// peers send: run from window 0 again, the peers produce it again, so
+// nothing of a run needs keeping to restore it. When a connection or a mesh
+// link is lost, every peer ends its session (STALL, or REPORT if it had
+// finished), the coordinator takes W = the number of windows it holds every
+// peer's DONE for — exactly the windows its replica, the stream, the stop
+// rule's sums and OnWindow have seen — admits a replacement for every dead
+// connection, and sends every peer the WELCOME of the initial join: all
+// rebuild, re-mesh and run from window 0. The readers drop the DONE frames
+// of windows below W, and the accounting resumes at W.
 package distsim
 
 import (
@@ -51,16 +52,13 @@ type CoordConfig struct {
 	Peers int
 	// Rejoin keeps the run alive when a peer or a mesh link dies: the
 	// coordinator waits up to RejoinTimeout for a replacement connection
-	// and brings every peer back to the last window it accounted, from the
-	// mail-log checkpoint. Without it a disconnect aborts the run
-	// deterministically.
+	// and has every peer run again from window 0, accounting from the
+	// last window it had accounted on. Without it a disconnect aborts the
+	// run deterministically.
 	Rejoin        bool
 	RejoinTimeout time.Duration // default 60s
 	JoinTimeout   time.Duration // initial join wait, default 60s
 	IOTimeout     time.Duration // silent-connection backstop, default 60s
-	// CheckpointDir, when set, streams the mail-log checkpoint to one
-	// append-only file per peer (see checkpoint.go).
-	CheckpointDir string
 	// OnWindow, when non-nil, observes every window number once, in order,
 	// as the coordinator starts accounting it: window 0 right after the
 	// last READY of the initial join, later ones possibly long after the
@@ -94,8 +92,8 @@ const doneQueue = 4 * flushWindows
 // each other) fails every attempt the same way.
 const maxStuckRecoveries = 3
 
-// doneMsg is one parsed DONE frame. body (the entries when a log is kept,
-// then the telemetry section) is the reader's copy, nil when empty.
+// doneMsg is one parsed DONE frame. body is the reader's copy of its
+// telemetry section, nil when Spec.Telem is 0.
 type doneMsg struct {
 	pending   int
 	entries   int
@@ -126,11 +124,8 @@ type coord struct {
 	mesh    []string // each slot's mesh listener, from its HELLO
 	streams []*peerStream
 	readers sync.WaitGroup
-	log     *mailLog
 	none    []bool // all-false ownership: the coordinator executes nothing
 	stats   *CoordStats
-	// The stop rule's sums after the last accounted window; -1 before any.
-	sumPending, lastMail int
 	// stuck counts the recoveries since the last window the loop finished.
 	stuck int
 }
@@ -164,26 +159,17 @@ func Serve(lis net.Listener, cfg CoordConfig) (Outcome, error) {
 	}
 	owners := OwnersFor(cfg.Spec.Shards, cfg.Peers)
 	c := &coord{
-		cfg:        cfg,
-		model:      model,
-		owners:     owners,
-		hash:       modelHash(cfg.Spec, owners, model),
-		conns:      make(chan net.Conn, 16), // joins parked while the loop is busy; more are refused
-		peers:      make([]*peerConn, cfg.Peers),
-		mesh:       make([]string, cfg.Peers),
-		streams:    make([]*peerStream, cfg.Peers),
-		none:       make([]bool, cfg.Spec.Shards),
-		stats:      cfg.Stats,
-		sumPending: -1,
+		cfg:     cfg,
+		model:   model,
+		owners:  owners,
+		hash:    modelHash(cfg.Spec, owners, model),
+		conns:   make(chan net.Conn, 16), // joins parked while the loop is busy; more are refused
+		peers:   make([]*peerConn, cfg.Peers),
+		mesh:    make([]string, cfg.Peers),
+		streams: make([]*peerStream, cfg.Peers),
+		none:    make([]bool, cfg.Spec.Shards),
+		stats:   cfg.Stats,
 	}
-	// A log is kept exactly when something can read it: a recovery or a
-	// checkpoint file. Otherwise the peers do not even send the mail.
-	c.log, err = newMailLog(cfg.Peers, cfg.Rejoin || cfg.CheckpointDir != "", cfg.CheckpointDir, cfg.Spec, owners)
-	if err != nil {
-		lis.Close()
-		return Outcome{}, err
-	}
-	defer c.log.close()
 
 	accepting := make(chan struct{})
 	go func() {
@@ -317,13 +303,14 @@ func (c *coord) admit(p int, wait time.Duration) error {
 	return nil
 }
 
-// converge brings every peer to window w and starts a session there: the
-// one handshake behind the initial join (w = 0) and every recovery. Empty
-// slots are filled first, so that every WELCOME goes out together and the
-// replicas build and replay concurrently; READY follows each replay, START
-// follows the last READY and carries what the peers need to find each
-// other. A connection that dies on the way is a slot to fill again when
-// Rejoin is set; every other failure ends the run.
+// converge starts a session that the loop takes up at window w: the one
+// handshake behind the initial join (w = 0) and every recovery. Empty slots
+// are filled first, so that every WELCOME goes out together and the
+// replicas build concurrently; READY follows each build, START follows the
+// last READY and carries what the peers need to find each other. Every
+// session runs from window 0; its readers drop what comes before w. A
+// connection that dies on the way is a slot to fill again when Rejoin is
+// set; every other failure ends the run.
 func (c *coord) converge(w int, wait time.Duration) error {
 	for {
 		for p := range c.peers {
@@ -335,19 +322,7 @@ func (c *coord) converge(w int, wait time.Duration) error {
 		}
 		lost := -1
 		for p, pc := range c.peers {
-			wm := welcomeMsg{
-				Spec:   c.cfg.Spec,
-				PeerID: p,
-				NPeers: c.cfg.Peers,
-				Owners: c.owners,
-				Log:    c.log.keep,
-				Resume: w,
-			}
-			if w > 0 {
-				wm.Mail = c.log.mailFor(p, w)
-				wm.Pending, wm.LastMail = c.sumPending, c.lastMail
-			}
-			wb, err := json.Marshal(wm)
+			wb, err := json.Marshal(welcomeMsg{Spec: c.cfg.Spec, PeerID: p, NPeers: c.cfg.Peers, Owners: c.owners})
 			if err != nil {
 				return err
 			}
@@ -429,14 +404,17 @@ func (c *coord) ready(p int, pc *peerConn) error {
 }
 
 // drain is peer p's reader for one session: it parses the one-way stream
-// (DONE in window order from w, STATS) into s until the frame that ends
+// (DONE in window order from 0, STATS) into s until the frame that ends
 // the session for this peer — REPORT, STALL or ERROR — or a failure, and
-// leaves the connection to the loop again.
-func (c *coord) drain(p int, pc *peerConn, s *peerStream, w int) {
+// leaves the connection to the loop again. The DONE frames of the windows
+// before from, which the loop has accounted in an earlier session, are
+// parsed and dropped.
+func (c *coord) drain(p int, pc *peerConn, s *peerStream, from int) {
 	defer c.readers.Done()
 	defer close(s.dones)
 	clock := newPeerClock(c.cfg.Peers)
-	for {
+	telem := c.cfg.Spec.Telem > 0
+	for w := 0; ; {
 		// The deadline guards a silent peer, not a frame: arm it when the
 		// buffer has run dry and the next read goes to the socket.
 		if pc.br.Buffered() == 0 {
@@ -449,12 +427,14 @@ func (c *coord) drain(p int, pc *peerConn, s *peerStream, w int) {
 		}
 		switch typ {
 		case tDone:
-			msg, err := parseDone(body, w)
+			msg, err := parseDone(body, w, telem)
 			if err != nil {
 				s.err = fmt.Errorf("distsim: peer %d: %w", p, err)
 				return
 			}
-			w++
+			if w++; w <= from {
+				continue
+			}
 			select {
 			case s.dones <- msg:
 			case <-s.quit:
@@ -493,9 +473,9 @@ func (c *coord) drain(p int, pc *peerConn, s *peerStream, w int) {
 }
 
 // parseDone reads the counts off a DONE frame that must be for window due.
-// The returned body is a copy (the frame buffer is reused), nil when the
-// frame carries neither mail nor telemetry.
-func parseDone(frame []byte, due int) (doneMsg, error) {
+// What follows them is the telemetry section when telem is set, returned
+// as a copy (the frame buffer is reused), and nothing otherwise.
+func parseDone(frame []byte, due int, telem bool) (doneMsg, error) {
 	var w, pend, entries, mailBytes uint64
 	rest, err := uvarints(frame, "DONE", &w, &pend, &entries, &mailBytes)
 	if err != nil {
@@ -506,35 +486,15 @@ func parseDone(frame []byte, due int) (doneMsg, error) {
 		return doneMsg{}, fmt.Errorf("distsim: DONE for window %d (%d pending, %d mails of %d bytes) when window %d was due", w, pend, entries, mailBytes, due)
 	}
 	msg := doneMsg{pending: int(pend), entries: int(entries), mailBytes: int(mailBytes)}
-	if len(rest) > 0 {
+	switch {
+	case telem && len(rest) == 0:
+		return doneMsg{}, fmt.Errorf("distsim: DONE for window %d lacks its telemetry section", w)
+	case telem:
 		msg.body = append([]byte(nil), rest...)
+	case len(rest) > 0:
+		return doneMsg{}, fmt.Errorf("distsim: DONE for window %d has %d bytes past its counts", w, len(rest))
 	}
 	return msg, nil
-}
-
-// routeMail walks the mail copy in peer p's DONE (present when a log is
-// kept) and appends every entry to the batch of the peer that owns its
-// destination shard — what the mesh delivered, rebuilt for the log. It
-// returns what follows the mail: the telemetry section.
-func (c *coord) routeMail(p int, d doneMsg, nextOut [][]byte, counts []int) ([]byte, error) {
-	rest := d.body
-	if !c.log.keep {
-		return rest, nil
-	}
-	for i := 0; i < d.entries; i++ {
-		e, after, err := readEntry(rest)
-		if err != nil {
-			return nil, fmt.Errorf("distsim: peer %d: %w", p, err)
-		}
-		if e.dst < 0 || e.dst >= len(c.owners) {
-			return nil, fmt.Errorf("distsim: peer %d mailed nonexistent shard %d", p, e.dst)
-		}
-		dp := c.owners[e.dst]
-		nextOut[dp] = append(nextOut[dp], rest[:len(rest)-len(after)]...)
-		counts[dp]++
-		rest = after
-	}
-	return rest, nil
 }
 
 // peerError is a failure a peer reported in an ERROR frame: deterministic,
@@ -584,12 +544,12 @@ func (c *coord) rejoin(w int) error {
 	if err := c.converge(w, c.cfg.RejoinTimeout); err != nil {
 		return fmt.Errorf("distsim: restoring the run at window %d: %w", w, err)
 	}
-	c.logf("distsim: run restored from checkpoint at window %d", w)
+	c.logf("distsim: run restarted, accounting resumes at window %d", w)
 	return nil
 }
 
 // run is the accounting loop: one iteration per window, in the order the
-// star drove them, so that log, stream and stats come out the same.
+// star drove them, so that stream and stats come out the same.
 func (c *coord) run() (Outcome, error) {
 	eng := c.model.Eng
 	look := eng.Lookahead()
@@ -624,30 +584,19 @@ func (c *coord) run() (Outcome, error) {
 		acc.Sinks = make([]telemetry.SinkSample, numFA)
 	}
 
-	// Per-window scratch, reused: the batch each peer received going into
-	// the next window (entry bytes and count), this window's DONE frames
-	// and their telemetry sections.
-	nextOut := make([][]byte, npeers)
-	counts := make([]int, npeers)
+	// Per-window scratch, reused: this window's DONE frames and their
+	// telemetry sections.
 	dones := make([]doneMsg, npeers)
 	telemSecs := make([][]byte, npeers)
-	var batch []byte
+	// The stop rule's sums after the last accounted window; -1 before any.
+	sumPending, lastMail := -1, 0
 	quietNow := func() bool {
-		return c.sumPending == 0 && c.lastMail == 0 && eng.ControlsPending() == 0
+		return sumPending == 0 && lastMail == 0 && eng.ControlsPending() == 0
 	}
 	w := 0
 	for eng.Now() < until && !quietNow() {
 		if c.cfg.OnWindow != nil {
 			c.cfg.OnWindow(w)
-		}
-		// The batches the peers delivered going into window w: the
-		// checkpoint. (A run without a log has nothing in them.)
-		for p := 0; p < npeers && c.log.keep; p++ {
-			batch = binary.AppendUvarint(batch[:0], uint64(counts[p]))
-			batch = append(batch, nextOut[p]...)
-			if err := c.log.log(p, w, batch); err != nil {
-				return Outcome{}, err
-			}
 		}
 		for p := 0; p < npeers; {
 			msg, ok := <-c.streams[p].dones
@@ -670,19 +619,13 @@ func (c *coord) run() (Outcome, error) {
 		// control schedule in lock-step for the final aggregation.
 		eng.StepOwned(c.none, nil)
 
-		c.sumPending, c.lastMail = 0, 0
+		sumPending, lastMail = 0, 0
 		mailBytes := 0
-		for p := range nextOut {
-			nextOut[p], counts[p] = nextOut[p][:0], 0
-		}
 		for p, d := range dones {
-			c.sumPending += d.pending
-			c.lastMail += d.entries
+			sumPending += d.pending
+			lastMail += d.entries
 			mailBytes += d.mailBytes
-			var err error
-			if telemSecs[p], err = c.routeMail(p, d, nextOut, counts); err != nil {
-				return Outcome{}, err
-			}
+			telemSecs[p] = d.body
 		}
 		if emit != nil {
 			end := eng.Now()
@@ -700,11 +643,11 @@ func (c *coord) run() (Outcome, error) {
 				c.stats.telemWindow()
 			}
 		}
-		c.stats.window(mailBytes, c.lastMail)
+		c.stats.window(mailBytes, lastMail)
 		w++
 	}
 	if !quietNow() {
-		return Outcome{}, fmt.Errorf("fabric did not drain: work still pending past t=%d (%d heap events)", until, c.sumPending)
+		return Outcome{}, fmt.Errorf("fabric did not drain: work still pending past t=%d (%d heap events)", until, sumPending)
 	}
 	return c.finish(w)
 }
@@ -778,8 +721,8 @@ func (c *coord) mergeTelem(secs [][]byte, want sim.Time, acc *telemetry.Snapshot
 // model disjointly and completely, and folds the canonical digest. The
 // peers stopped by themselves after window `windows`-1 and report
 // unprompted; one that dies between its last DONE and its report is
-// restorable like any other — everyone replays the whole run and reports
-// from the same deterministic state.
+// restorable like any other — everyone runs the whole run again and
+// reports from the same deterministic state.
 func (c *coord) finish(windows int) (Outcome, error) {
 	reports := make([]*peerReport, len(c.peers))
 	for p := 0; p < len(c.peers); {

@@ -38,7 +38,7 @@ func Spawn(addr string) (*Peer, error) {
 }
 
 // Kill delivers SIGKILL — an unclean death, no TCP goodbye beyond the
-// kernel's RST. This is the crash the checkpoint/restore path must absorb.
+// kernel's RST. This is the crash a recovery (a re-run) must absorb.
 func (p *Peer) Kill() error {
 	return p.cmd.Process.Kill()
 }

@@ -1,8 +1,9 @@
 // The peer runtime. A peer dials the coordinator, opens a mesh listener on
 // the interface that connection uses, and then does what the coordinator's
-// frames say: WELCOME — build the replica and replay the resume log, answer
-// READY; START — connect the mesh and run windows until the stop rule,
-// answer REPORT (or STALL when the mesh breaks); FINISH — leave. Between
+// frames say: WELCOME — build the replica, answer READY; START — connect
+// the mesh and run windows from 0 until the stop rule, answer REPORT (or
+// STALL when the mesh breaks); FINISH — leave. A recovery is one more
+// WELCOME: the same replica is built again and the run repeats. Between
 // START and REPORT nothing is read from the coordinator: per window a peer
 // steps its shards, writes one XCHG frame to every other peer, appends one
 // DONE frame to the coordinator's buffer, then reads one XCHG from each
@@ -111,10 +112,10 @@ const EnvJoin = "STARDUST_PEER_JOIN"
 
 const (
 	// peerIOTimeout must outlast a coordinator-side rejoin wait plus a
-	// replay: after a STALL every healthy peer is parked in a read.
+	// rebuild: after a STALL every healthy peer is parked in a read.
 	peerIOTimeout = 180 * time.Second
 	// meshTimeout bounds connecting the mesh. START goes to every peer at
-	// once, after the last READY, so nobody is still replaying: a slot that
+	// once, after the last READY, so nobody is still building: a slot that
 	// stays empty this long is a dead neighbour.
 	meshTimeout = 10 * time.Second
 	// meshHelloTimeout is what an accepted connection gets to say who it
@@ -172,8 +173,8 @@ func dialRetry(addr string, timeout time.Duration) (net.Conn, error) {
 }
 
 // chaos is the tests' fault seam (a goroutine cannot be SIGKILLed): at is
-// asked before every window a peer replays or runs live and once more
-// before its REPORT, tune sees every mesh connection before it is used,
+// asked before every window a peer runs and once more before its REPORT,
+// tune sees every mesh connection before it is used,
 // meshWait lets a test that breaks the mesh on purpose fail fast, poll pins
 // every mesh link's poll-or-park decision.
 type chaos struct {
@@ -186,8 +187,7 @@ type chaos struct {
 type phase int
 
 const (
-	phaseReplay phase = iota
-	phaseLive
+	phaseLive phase = iota
 	phaseReport
 )
 
@@ -298,7 +298,7 @@ func (p *peer) fatal(err error) error {
 }
 
 // session is one WELCOME's worth of peer state: a replica at window
-// `window`, about to be (or being) run against a mesh.
+// `window`, about to be (or being) run against a mesh from window 0.
 type session struct {
 	p      *peer
 	wm     welcomeMsg
@@ -315,8 +315,8 @@ type session struct {
 	ownedDirs, ownedFAs []int
 }
 
-// welcome builds the replica a WELCOME describes, replays the resume log,
-// and answers READY with the model hash.
+// welcome builds the replica a WELCOME describes and answers READY with
+// the model hash.
 func (p *peer) welcome(body []byte) (*session, error) {
 	s := &session{p: p, sumPending: -1}
 	if err := json.Unmarshal(body, &s.wm); err != nil {
@@ -350,34 +350,6 @@ func (p *peer) welcome(body []byte) (*session, error) {
 		for fa := range m.Sinks {
 			if s.owned[m.Net.ShardOfFA(fa)] {
 				s.ownedFAs = append(s.ownedFAs, fa)
-			}
-		}
-	}
-
-	// Restore by replay: the checkpoint is the inbound mail history, and
-	// the replica is deterministic, so re-executing windows [0, Resume)
-	// reproduces the barrier state the run held there exactly. Outbound
-	// mail is discarded — every other peer replays its own inbound log —
-	// but still pushed through the codec so pooled packets are released.
-	if wm.Resume < 0 || (wm.Resume > 0 && len(wm.Mail) < wm.Resume) {
-		return nil, fmt.Errorf("distsim: WELCOME resumes at window %d with %d logged batches", wm.Resume, len(wm.Mail))
-	}
-	discard := func(src, dst int, mail parsim.Mail) { m.Net.EncodeMail(mail) }
-	for ; s.window < wm.Resume; s.window++ {
-		if p.chaos.fault(wm.PeerID, s.window, phaseReplay) == faultDie {
-			p.pc.conn.Close()
-			return nil, errInduced
-		}
-		if err := deliverMail(m, s.owned, wm.Mail[s.window]); err != nil {
-			return nil, err
-		}
-		m.Eng.StepOwned(s.owned, discard)
-	}
-	if wm.Resume > 0 {
-		s.sumPending, s.lastMail = wm.Pending, wm.LastMail
-		if len(wm.Mail) > wm.Resume {
-			if err := deliverMail(m, s.owned, wm.Mail[wm.Resume]); err != nil {
-				return nil, err
 			}
 		}
 	}
@@ -643,11 +615,10 @@ func (s *session) windows(links []*meshLink) error {
 	until := (m.Horizon + m.Drain + look - 1) / look * look
 	owners := s.wm.Owners
 
-	// Per-destination-peer entry bytes and counts for the window, and —
-	// only when the coordinator keeps a log — every entry in emit order.
+	// Per-destination-peer entry bytes and counts for the window.
 	out := make([][]byte, s.wm.NPeers)
 	cnt := make([]int, s.wm.NPeers)
-	var doneMail, done, xchg []byte
+	var done, xchg []byte
 	mailOut := 0
 	var encodeErr error
 	emit := func(src, dst int, mail parsim.Mail) {
@@ -659,11 +630,7 @@ func (s *session) windows(links []*meshLink) error {
 			return
 		}
 		q := owners[dst]
-		from := len(out[q])
 		out[q] = appendEntry(out[q], mailEntry{dst: dst, at: mail.At, lane: mail.Lane, kind: kind, arg: mail.Arg, pay: pay})
-		if s.wm.Log {
-			doneMail = append(doneMail, out[q][from:]...)
-		}
 		cnt[q]++
 		mailOut++
 	}
@@ -727,7 +694,7 @@ func (s *session) windows(links []*meshLink) error {
 		for q := range out {
 			out[q], cnt[q] = out[q][:0], 0
 		}
-		doneMail, mailOut, encodeErr = doneMail[:0], 0, nil
+		mailOut, encodeErr = 0, nil
 		end := eng.StepOwned(s.owned, emit)
 		if encodeErr != nil {
 			return encodeErr
@@ -763,7 +730,6 @@ func (s *session) windows(links []*meshLink) error {
 		done = binary.AppendUvarint(done, uint64(pend))
 		done = binary.AppendUvarint(done, uint64(mailOut))
 		done = binary.AppendUvarint(done, uint64(mailBytes))
-		done = append(done, doneMail...)
 		if s.telem > 0 {
 			done = appendTelemSection(done, m, s.ownedDirs, s.ownedFAs, end, look, s.telem)
 		}
@@ -829,7 +795,7 @@ func (s *session) windows(links []*meshLink) error {
 	}
 	// Whatever ended the loop, what was accounted reaches the coordinator:
 	// on a mesh failure its W is the last window every peer's DONE arrived
-	// for, and everybody rebuilds from there.
+	// for, and it accounts on from there once everybody has run again.
 	if werr != nil {
 		closeLinks(links)
 	}
@@ -862,8 +828,8 @@ func (s *session) deliverXchg(w int, body []byte) (pending, mailOut int, err err
 }
 
 // deliverMail decodes one mail batch against this replica and injects it
-// in barrier context; with owned set, every entry must be addressed to a
-// shard this replica executes. Entries arrive in per-source send order;
+// in barrier context; every entry must be addressed to a shard this
+// replica executes. Entries arrive in per-source send order;
 // the (time, lane) key makes cross-source order irrelevant, exactly as for
 // an in-process mailbox flush.
 func deliverMail(m *Model, owned []bool, batch []byte) error {
@@ -881,7 +847,7 @@ func deliverMail(m *Model, owned []bool, batch []byte) error {
 		if e.dst < 0 || e.dst >= m.Eng.Shards() {
 			return fmt.Errorf("distsim: mail for nonexistent shard %d", e.dst)
 		}
-		if owned != nil && !owned[e.dst] {
+		if !owned[e.dst] {
 			return fmt.Errorf("distsim: mail for shard %d, which this peer does not own", e.dst)
 		}
 		if e.at < now {
@@ -898,10 +864,6 @@ func deliverMail(m *Model, owned []bool, batch []byte) error {
 	}
 	return nil
 }
-
-// deliverBatch is deliverMail without an ownership check: what an offline
-// replay of a checkpoint file uses.
-func deliverBatch(m *Model, batch []byte) error { return deliverMail(m, nil, batch) }
 
 // buildReport snapshots everything this peer owns of the final state:
 // its shards' traffic counters, event counts and shard-held reachability

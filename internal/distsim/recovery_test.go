@@ -2,13 +2,9 @@ package distsim
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"net"
-	"os"
-	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -64,18 +60,20 @@ func testRecovery(t *testing.T, with func(*chaos) *chaos) {
 			return faultNone
 		}}
 	}
-	// dieTwice kills peer id live at window w, then its replacement while
-	// that is replaying window w/2; the second replacement runs through.
+	// dieTwice kills peer id at window w, then its replacement while that
+	// runs window w/2 again — below the window the coordinator resumes at,
+	// so in the stretch whose DONE frames it drops; the second replacement
+	// runs through.
 	dieTwice := func(id, w int) *chaos {
 		var deaths atomic.Int32
 		return &chaos{at: func(peer, window int, ph phase) fault {
-			if peer != id {
+			if peer != id || ph != phaseLive {
 				return faultNone
 			}
 			switch {
-			case ph == phaseLive && window >= w && deaths.CompareAndSwap(0, 1):
+			case window >= w && deaths.CompareAndSwap(0, 1):
 				return faultDie
-			case ph == phaseReplay && window >= w/2 && deaths.CompareAndSwap(1, 2):
+			case window >= w/2 && deaths.CompareAndSwap(1, 2):
 				return faultDie
 			}
 			return faultNone
@@ -94,7 +92,7 @@ func testRecovery(t *testing.T, with func(*chaos) *chaos) {
 		{"kill-at-flush-boundary", func() *chaos { return dieOnce(1, 2*flushWindows) }, npeers + 1},
 		// ... or dies with half a batch of DONE frames still in its buffer.
 		{"kill-inside-unflushed-batch", func() *chaos { return dieOnce(1, 2*flushWindows+flushWindows/2) }, npeers + 1},
-		{"kill-replacement-during-replay", func() *chaos { return dieTwice(1, 120) }, npeers + 2},
+		{"kill-replacement-during-rerun", func() *chaos { return dieTwice(1, 120) }, npeers + 2},
 		{"cut-mesh-link", func() *chaos { return cutOnce(2, 90) }, npeers},
 	}
 	for _, tc := range cases {
@@ -107,7 +105,7 @@ func testRecovery(t *testing.T, with func(*chaos) *chaos) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("recovered outcome diverged:\n got %+v\nwant %+v", got, want)
 			}
-			if !strings.Contains(log.String(), "run restored from checkpoint") {
+			if !strings.Contains(log.String(), "accounting resumes at window") {
 				t.Fatalf("the fault was never injected: no recovery in the log\n%s", log.String())
 			}
 		})
@@ -121,8 +119,8 @@ func testRecovery(t *testing.T, with func(*chaos) *chaos) {
 }
 
 // TestRecoveryAfterLastWindow: a peer that dies between its last DONE and
-// its REPORT is restored like any other — everybody replays the whole run
-// and reports again.
+// its REPORT is restored like any other — everybody runs the whole run
+// again and reports again.
 func TestRecoveryAfterLastWindow(t *testing.T) { testRecoveryAfterLastWindow(t, governed) }
 
 func testRecoveryAfterLastWindow(t *testing.T, with func(*chaos) *chaos) {
@@ -143,8 +141,49 @@ func testRecoveryAfterLastWindow(t *testing.T, with func(*chaos) *chaos) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered outcome diverged:\n got %+v\nwant %+v", got, want)
 	}
-	if !strings.Contains(log.String(), "run restored from checkpoint") {
+	if !strings.Contains(log.String(), "accounting resumes at window") {
 		t.Fatalf("the fault was never injected\n%s", log.String())
+	}
+}
+
+// TestRecoveredStreamMatchesRecord pins the rule that makes a recovery a
+// re-run: the coordinator drops the DONE frames of the windows it had
+// accounted before the fault and takes up the rest. The STREC1 stream it
+// writes across a peer's death must be Record's to the byte — a window
+// merged twice or lost shows — and OnWindow must see every window once, in
+// order.
+func TestRecoveredStreamMatchesRecord(t *testing.T) {
+	spec := smallSpec(4)
+	spec.Telem = 5 * sim.Microsecond
+	var want bytes.Buffer
+	wantOut, err := Record(spec, &want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log syncBuffer
+	var stream bytes.Buffer
+	var seen []int
+	cfg := CoordConfig{Rejoin: true, Log: &log, Stream: &stream, OnWindow: func(w int) { seen = append(seen, w) }}
+	got, err := serveChaos(t, spec, 3, 4, cfg, dieOnce(1, 100))
+	if err != nil {
+		t.Fatalf("%v\n%s", err, log.String())
+	}
+	if !strings.Contains(log.String(), "accounting resumes at window") {
+		t.Fatalf("the fault was never injected: no recovery in the log\n%s", log.String())
+	}
+	if !reflect.DeepEqual(got, wantOut) {
+		t.Fatalf("recovered outcome diverged:\n got %+v\nwant %+v", got, wantOut)
+	}
+	if !bytes.Equal(stream.Bytes(), want.Bytes()) {
+		t.Fatalf("recovered stream differs from Record's (%d vs %d bytes)", stream.Len(), want.Len())
+	}
+	for i, w := range seen {
+		if w != i {
+			t.Fatalf("OnWindow saw %v: window %d at call %d", seen[:i+1], w, i)
+		}
+	}
+	if len(seen) <= 100 {
+		t.Fatalf("OnWindow saw %d windows; the peer died at window 100", len(seen))
 	}
 }
 
@@ -159,101 +198,63 @@ func TestRejoinGivesUp(t *testing.T) {
 	}
 }
 
-// TestCheckpointBytesPinned holds the on-disk checkpoint (healSpec(4) over
-// two peers) to recorded bytes, in two layers. The file hashes pin the
-// format and which window every entry is logged in. They were taken on the
-// parent commit of the mesh rewrite and moved once since, when wire-mode
-// links began to schedule a cell's arrival at admission instead of at
-// service start (b8b13b90… -> 129c26ca…, 343cc224… -> 9577cbbb…): a
-// cross-shard cell that waits behind others now enters the mailbox some
-// windows earlier. The entry hashes pin what that change could not move:
-// the sorted multiset of every logged entry — destination shard, time,
-// lane, kind, argument and payload — recorded on the commit before it.
-func TestCheckpointBytesPinned(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := serveWith(t, healSpec(4), 2, CoordConfig{CheckpointDir: dir}); err != nil {
-		t.Fatal(err)
-	}
-	for p, want := range []struct {
-		file, entrySum string
-		entries, bytes int
-	}{
-		{"129c26ca8b859378ad5c0e5784fcefe68d036ab6a260614784cdd78ade30fabf",
-			"61af69d5c98fd3d7adaf1227864c2832d6a58f6617e1698be8116aaa2eeb0e7e", 2299, 32183},
-		{"9577cbbb64b3a185891c6c9b24285d3fab1c805e3b47f6131180fc893525dc34",
-			"5fa0226d6960a06c7dd6beb19f0077f58cfa20cd6f53cfe88fca732c76db94dc", 2298, 32168},
-	} {
-		path := filepath.Join(dir, fmt.Sprintf("peer%d.ckpt", p))
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want.file {
-			t.Errorf("peer%d.ckpt: %d bytes, sha256 %s, want %s", p, len(data), got, want.file)
-		}
-		_, batches, err := parseCheckpoint(data, path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var entries []string
-		for _, batch := range batches {
-			n, rest, err := batchCount(batch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for range n {
-				var e mailEntry
-				if e, rest, err = readEntry(rest); err != nil {
-					t.Fatal(err)
-				}
-				entries = append(entries, string(appendEntry(nil, e)))
-			}
-		}
-		sort.Strings(entries)
-		all := strings.Join(entries, "")
-		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(all))); got != want.entrySum || len(entries) != want.entries || len(all) != want.bytes {
-			t.Errorf("peer%d.ckpt: %d entries in %d bytes, sorted sha256 %s; want %d in %d, %s",
-				p, len(entries), len(all), got, want.entries, want.bytes, want.entrySum)
-		}
-	}
-}
-
 // shrink gives a TCP connection the smallest socket buffers the kernel
 // allows, so that a few kilobytes in flight fill them.
-func shrink(conn net.Conn) {
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetReadBuffer(1)
-		tc.SetWriteBuffer(1)
-	}
-}
+func shrink(conn net.Conn) { shrinkTo(conn, 1) }
 
-// shrunkListener hands the coordinator connections with shrunken buffers.
+// coordBuffer is what TestNoDeadlockAsymmetricDoneStream leaves of the
+// socket buffers between a peer and the coordinator.
+const coordBuffer = 6 << 10
+
+// shrunkListener hands the coordinator connections with coordBuffer-sized
+// buffers.
 type shrunkListener struct{ net.Listener }
 
 func (l shrunkListener) Accept() (net.Conn, error) {
 	conn, err := l.Listener.Accept()
 	if err == nil {
-		shrink(conn)
+		shrinkTo(conn, coordBuffer)
 	}
 	return conn, err
 }
 
+func shrinkTo(conn net.Conn, n int) {
+	if tc, ok := conn.(*net.TCPConn); ok {
+		tc.SetReadBuffer(n)
+		tc.SetWriteBuffer(n)
+	}
+}
+
 // TestNoDeadlockAsymmetricDoneStream is the first deadlock the design
-// rules out (see peer.go): an incast makes a few peers mail much and the
-// victim's owner little, a kept log makes DONE carry the mail, and
-// shrunken buffers on every coordinator connection make the busy peers'
-// flushes block early. With one reader goroutine taking DONEs in window
-// order, or with a flush on bytes alone, this run hangs.
+// rules out (see peer.go). A telemetry scrape in every window makes every
+// DONE carry the counters of the links and sinks its peer owns: at K=8
+// more than a kilobyte per shard. Five shards over four peers give peer 0 two
+// shards and so twice the DONE bytes of the others, and coordinator
+// connections shrunk to coordBuffer make its byte-triggered flushes block
+// early. With one reader taking DONEs in window order the run hangs: peer
+// 0 blocks in Flush while the reader waits for a window peer 1 has not
+// flushed, and peer 1, no longer fed XCHG frames, never does — the run
+// stops at window 64 until the IOTimeout backstop aborts it (checked with
+// the per-peer readers replaced by a token passed in window order). A
+// 2:1 imbalance can only outrun a pipe smaller than two write buffers:
+// at 8 KiB buffers that reader got through, and at the smallest the kernel
+// allows, this run crawls on the kernel's retransmission timers (20 s
+// rather than 4 s) in the good case too.
 func TestNoDeadlockAsymmetricDoneStream(t *testing.T) {
-	spec := smallSpec(4)
-	spec.Pattern = "incast"
-	want := localOutcome(t, spec)
+	spec := Spec{K: 8, Seed: 7, Shards: 5, Dur: 20 * sim.Microsecond, Load: 0.5, CellBytes: 512, Hotspot: 1, Pattern: "incast"}
+	spec.Telem = 1 // rounds up to one window: a scrape in every DONE
+	var wantStream bytes.Buffer
+	want, err := Record(spec, &wantStream)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	l := mustListen(t)
 	addr := l.Addr().String()
 	res := make(chan serveResult, 1)
+	var stream bytes.Buffer
 	go func() {
-		out, err := Serve(shrunkListener{l}, CoordConfig{Spec: spec, Peers: 4, Rejoin: true})
+		out, err := Serve(shrunkListener{l}, CoordConfig{Spec: spec, Peers: 4, Stream: &stream})
 		res <- serveResult{out, err}
 	}()
 	var wg sync.WaitGroup
@@ -266,8 +267,8 @@ func TestNoDeadlockAsymmetricDoneStream(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			shrink(conn)
-			runPeerConn(conn, &chaos{tune: shrink})
+			shrinkTo(conn, coordBuffer)
+			runPeerConn(conn, nil)
 		}()
 	}
 	select {
@@ -277,6 +278,9 @@ func TestNoDeadlockAsymmetricDoneStream(t *testing.T) {
 		}
 		if !reflect.DeepEqual(r.out, want) {
 			t.Fatalf("outcome diverged:\n got %+v\nwant %+v", r.out, want)
+		}
+		if !bytes.Equal(stream.Bytes(), wantStream.Bytes()) {
+			t.Fatalf("stream differs from Record's (%d vs %d bytes)", stream.Len(), wantStream.Len())
 		}
 	case <-time.After(120 * time.Second):
 		t.Fatal("incast run with shrunken coordinator buffers deadlocked")

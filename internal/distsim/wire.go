@@ -1,4 +1,4 @@
-// Wire protocol (v5): length-prefixed frames over TCP.
+// Wire protocol (v6): length-prefixed frames over TCP.
 //
 //	frame   := u32be length | u8 type | u8 flags | body
 //	length  counts type+flags+body. flags bit0 = body is DEFLATE-compressed:
@@ -12,7 +12,7 @@
 //
 //	XCHG  := uvarint window | uvarint ownedPending | uvarint mailOut | batch
 //	DONE  := uvarint window | uvarint ownedPending | uvarint entries |
-//	         uvarint mailBytes | [entries * entry] | [telem]
+//	         uvarint mailBytes | [telem]
 //	STALL := uvarint window | uvarint neighbour | cause text
 //	STATS := see appendStats
 //	batch := uvarint count | count * entry
@@ -23,9 +23,9 @@
 // pending-event count and total outbound mail (the inputs of the stop
 // rule, so every peer evaluates it on the same numbers) and the entries
 // addressed to the receiver's shards. DONE goes peer to coordinator and is
-// never answered: the same counts for the coordinator's accounting, a copy
-// of every outbound entry only when the WELCOME said a log is kept, and
-// the telemetry section when Spec.Telem > 0.
+// never answered: the same counts for the coordinator's accounting, the
+// bytes of mail they stand for, and the telemetry section when
+// Spec.Telem > 0 — never the mail itself, and nothing else.
 //
 // Entries preserve send order per (source, destination) pair; the (time,
 // lane) event key makes cross-source interleaving irrelevant, which is
@@ -59,14 +59,16 @@ import (
 // per-spine reports into the owning shard's report; 4 replaced the
 // coordinator's per-window GO/DONE relay with the peer mesh (XCHG), made
 // DONE a one-way batched stream and recovery a re-join (STALL, START); 5
-// added each mesh link's poll record to STATS.
-const protoVersion = 5
+// added each mesh link's poll record to STATS; 6 made recovery a re-run
+// from window 0, dropping the resume log from WELCOME and the mail copy
+// from DONE.
+const protoVersion = 6
 
 // Frame types.
 const (
 	tHello     byte = 1  // peer -> coord: version, mesh listener address
-	tWelcome   byte = 2  // coord -> peer: spec, identity, partition map, resume log
-	tReady     byte = 3  // peer -> coord: model hash after (re)build and replay
+	tWelcome   byte = 2  // coord -> peer: spec, identity, partition map
+	tReady     byte = 3  // peer -> coord: model hash after the (re)build
 	tStart     byte = 4  // coord -> peer: everyone is ready; mesh addresses and token
 	tDone      byte = 5  // peer -> coord: window w accounted (one-way, batched)
 	tFinish    byte = 6  // coord -> peer: outcome merged, the run is over
@@ -94,25 +96,13 @@ type helloMsg struct {
 	Mesh string `json:"mesh"`
 }
 
+// welcomeMsg is everything a peer needs to build its replica: the same
+// for the initial join and every recovery, which is a run from window 0.
 type welcomeMsg struct {
 	Spec   Spec  `json:"spec"`
 	PeerID int   `json:"peer"`
 	NPeers int   `json:"npeers"`
 	Owners []int `json:"owners"`
-	// Log says the coordinator keeps a mail log (CoordConfig.Rejoin or
-	// CheckpointDir): DONE frames must then carry a copy of every outbound
-	// entry. Without it they carry counts only.
-	Log bool `json:"log,omitempty"`
-	// Resume asks the peer to rebuild and replay windows [0, Resume) from
-	// Mail before going live: Mail[w] is the batch the peer's shards
-	// received going into window w (the checkpoint, see checkpoint.go),
-	// Mail[Resume] the one to deliver before the first live window.
-	// Pending and LastMail are the stop rule's sums after window Resume-1.
-	// The initial join is Resume = 0.
-	Resume   int      `json:"resume,omitempty"`
-	Mail     [][]byte `json:"mail,omitempty"`
-	Pending  int      `json:"pending,omitempty"`
-	LastMail int      `json:"lastmail,omitempty"`
 }
 
 type readyMsg struct {
@@ -463,7 +453,7 @@ func uvarints(b []byte, what string, into ...*uint64) ([]byte, error) {
 	return b, nil
 }
 
-// Telemetry section (appended to DONE after the mail when Spec.Telem > 0):
+// Telemetry section (appended to DONE after the counts when Spec.Telem > 0):
 // the absolute counter values of every entity the peer owns, captured at
 // each scrape boundary inside the window. A window of one lookahead
 // contains at most one boundary, but the count keeps the format
@@ -476,8 +466,7 @@ func uvarints(b []byte, what string, into ...*uint64) ([]byte, error) {
 //	                                       uvarint queueBytes) |
 //	            uvarint nsinks | nsinks * (uvarint fa | uvarint cells | uvarint bytes)
 //
-// Absolute values (not deltas) make re-shipment after a recovery
-// idempotent: the coordinator simply overwrites.
+// Absolute values (not deltas) let the coordinator merge by overwriting.
 
 // appendTelemSection captures the peer's owned counters for every scrape
 // boundary in (end-look, end] and appends the section to b.

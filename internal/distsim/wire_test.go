@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -317,7 +315,6 @@ func liveFrames(t testing.TB) (xchg, done [][]byte) {
 		x := binary.AppendUvarint(append([]byte(nil), head...), uint64(count))
 		xchg = append(xchg, append(x, entries...))
 		d := binary.AppendUvarint(append([]byte(nil), head...), uint64(len(entries)))
-		d = append(d, entries...)
 		done = append(done, appendTelemSection(d, m, dirs, fas, end, m.Eng.Lookahead(), every))
 	}
 	return xchg, done
@@ -356,15 +353,17 @@ func FuzzReadFrame(f *testing.F) {
 
 // FuzzWindowFrames throws bytes at the three parsers that read them off a
 // mesh or coordinator socket in the window loop — XCHG (against a live
-// replica, which the mail is injected into), DONE (the coordinator's
-// routing and telemetry merge) and the mesh HELLO. Errors are fine;
-// panics, hangs and runaway allocation are not.
+// replica, which the mail is injected into), DONE (the coordinator's count
+// and telemetry merge, with and without a section expected: which 1 and 4)
+// and the mesh HELLO. Errors are fine; panics, hangs and runaway allocation
+// are not.
 func FuzzWindowFrames(f *testing.F) {
 	xchg, done := liveFrames(f)
 	for i := range xchg {
 		f.Add(byte(0), xchg[i])
 		f.Add(byte(1), done[i])
 	}
+	f.Add(byte(4), mailDone(f))
 	hello, _ := json.Marshal(meshHelloMsg{Version: protoVersion, Peer: 1, Token: 7, Hash: 9})
 	f.Add(byte(2), frame(f, tMeshHello, hello, false))
 	f.Add(byte(2), frame(f, tError, []byte("no"), false))
@@ -386,43 +385,27 @@ func FuzzWindowFrames(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c = &coord{cfg: CoordConfig{Spec: spec, Peers: 2}, model: cm, owners: OwnersFor(2, 2), log: &mailLog{keep: true}}
+			c = &coord{cfg: CoordConfig{Spec: spec, Peers: 2}, model: cm, owners: OwnersFor(2, 2)}
 		}
 		uses++
 		switch which % 3 {
 		case 0:
 			s.deliverXchg(0, data)
 		case 1:
-			d, err := parseDone(data, 0)
+			telem := which&4 == 0
+			d, err := parseDone(data, 0, telem)
 			if err != nil {
 				return
 			}
-			nextOut, counts := make([][]byte, 2), make([]int, 2)
-			telem, err := c.routeMail(0, d, nextOut, counts)
-			if err != nil {
-				return
-			}
-			routed := 0
-			for p := range nextOut {
-				routed += counts[p]
-				// What goes into the log must read back as a batch.
-				batch := append(binary.AppendUvarint(nil, uint64(counts[p])), nextOut[p]...)
-				if n, rest, err := batchCount(batch); err != nil || n != counts[p] {
-					t.Fatalf("routed batch does not parse: %v", err)
-				} else {
-					for i := 0; i < n; i++ {
-						if _, rest, err = readEntry(rest); err != nil {
-							t.Fatalf("routed entry %d does not parse: %v", i, err)
-						}
-					}
+			if !telem {
+				if d.body != nil {
+					t.Fatalf("a DONE without telemetry kept %d bytes", len(d.body))
 				}
-			}
-			if routed != d.entries {
-				t.Fatalf("routed %d of %d entries", routed, d.entries)
+				return
 			}
 			ndirs, numFA := 2*c.model.Net.NumLinks(), c.model.Net.NumFA()
 			acc := telemetry.Snapshot{Dirs: make([]telemetry.DirSample, ndirs), Sinks: make([]telemetry.SinkSample, numFA)}
-			c.mergeTelem([][]byte{telem, telem}, 0, &acc, ndirs, numFA)
+			c.mergeTelem([][]byte{d.body, d.body}, 0, &acc, ndirs, numFA)
 		case 2:
 			pc := &peerConn{fr: frameReader{r: bytes.NewReader(data), limit: helloLimit}}
 			if got, err := readMeshHello(pc); err == nil {
@@ -432,54 +415,48 @@ func FuzzWindowFrames(f *testing.F) {
 	})
 }
 
-func FuzzLoadCheckpoint(f *testing.F) {
-	dir := f.TempDir()
-	l := mustListen(f)
-	addr := l.Addr().String()
-	res := make(chan error, 1)
-	go func() {
-		_, err := Serve(l, CoordConfig{Spec: healSpec(2), Peers: 2, CheckpointDir: dir})
-		res <- err
-	}()
-	for i := 0; i < 2; i++ {
-		go RunPeer(addr)
+// mailDone is a DONE frame for window 0 the way a peer that copied its mail
+// into it would write one: counts, then the entries.
+func mailDone(t testing.TB) []byte {
+	var entries []byte
+	for i := range 3 {
+		entries = appendEntry(entries, mailEntry{dst: 1, at: sim.Time(1000 * (i + 1)), lane: int32(i), kind: 1, pay: []byte{byte(i)}})
 	}
-	if err := <-res; err != nil {
-		f.Fatal(err)
+	b := binary.AppendUvarint(nil, 0) // window
+	b = binary.AppendUvarint(b, 5)    // pending
+	b = binary.AppendUvarint(b, 3)    // entries
+	b = binary.AppendUvarint(b, uint64(len(entries)))
+	return append(b, entries...)
+}
+
+// TestDoneRejectsMail: a DONE body is its counts and, when Spec.Telem > 0,
+// one telemetry section. Mail entries after the counts are an error —
+// from parseDone without telemetry, from mergeTelem with it — and so is a
+// missing section.
+func TestDoneRejectsMail(t *testing.T) {
+	frame := mailDone(t)
+	if _, err := parseDone(frame, 0, false); err == nil || !strings.Contains(err.Error(), "bytes past its counts") {
+		t.Fatalf("parseDone without telemetry: %v, want the trailing bytes refused", err)
 	}
-	real, err := os.ReadFile(filepath.Join(dir, "peer0.ckpt"))
+	d, err := parseDone(frame, 0, true)
 	if err != nil {
-		f.Fatal(err)
+		t.Fatalf("parseDone with telemetry: %v", err)
 	}
-	f.Add(real)
-	f.Add(real[:len(real)/2])
-	f.Add([]byte(ckptMagic))
-	f.Add(append([]byte(ckptMagic), 0xff, 0xff, 0xff, 0xff, 0x0f))
-	f.Add(append([]byte(ckptMagic), 2, '{', '}', 0, 1, 0, 5, 1, 0))
-	var m *Model
-	uses := 0
-	f.Fuzz(func(t *testing.T, data []byte) {
-		_, batches, err := parseCheckpoint(data, "fuzz")
-		if err != nil {
-			return
-		}
-		if uses%256 == 0 { // injected mail piles up in a replica that never steps
-			if m, err = NewModel(healSpec(2)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		uses++
-		total := 0
-		for i, b := range batches {
-			total += len(b)
-			// What a post-mortem tool does next: hand them to a replica (the
-			// first few are enough to reach the entry parser).
-			if i < 4 {
-				deliverBatch(m, b)
-			}
-		}
-		if total > len(data) {
-			t.Fatalf("%d bytes of batches out of a %d-byte file", total, len(data))
-		}
-	})
+	m, err := NewModel(smallSpec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &coord{model: m}
+	ndirs, numFA := 2*m.Net.NumLinks(), m.Net.NumFA()
+	acc := telemetry.Snapshot{Dirs: make([]telemetry.DirSample, ndirs), Sinks: make([]telemetry.SinkSample, numFA)}
+	if err := c.mergeTelem([][]byte{d.body}, 0, &acc, ndirs, numFA); err == nil {
+		t.Fatal("mergeTelem took mail entries for a telemetry section")
+	}
+	counts := frame[:4]
+	if _, err := parseDone(counts, 0, false); err != nil {
+		t.Fatalf("a bare DONE: %v", err)
+	}
+	if _, err := parseDone(counts, 0, true); err == nil || !strings.Contains(err.Error(), "lacks its telemetry section") {
+		t.Fatalf("a DONE without its section: %v", err)
+	}
 }
