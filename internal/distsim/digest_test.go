@@ -28,9 +28,10 @@ func TestDigestFoldMatchesLinkCounters(t *testing.T) {
 		}
 		h.Write(buf[:])
 	}
-	for _, s := range m.Sinks {
-		w(s.Cells)
-		w(s.Bytes)
+	for fa := range m.Net.NumFA() {
+		cells, bytes := m.Net.DeliveredTo(fa)
+		w(cells)
+		w(bytes)
 	}
 	var lc [2]fabric.LinkCounters
 	for i := 0; i < m.Net.NumLinks(); i++ {

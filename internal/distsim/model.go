@@ -108,14 +108,14 @@ func (s Spec) telemEvery(look sim.Time) sim.Time {
 	return (s.Telem + look - 1) / look * look
 }
 
-// Model is one process's replica of the simulation: the sharded fabric,
-// its engine, the per-edge delivery sinks, and the run horizon.
+// Model is one process's replica of the simulation: the sharded fabric
+// (which counts the cells each edge device receives), its engine, and the
+// run horizon.
 type Model struct {
 	Spec    Spec
 	Graph   topo.Graph
 	Eng     *parsim.Engine
 	Net     *fabric.Net
-	Sinks   []*fabric.CellSink
 	Horizon sim.Time
 	Drain   sim.Time
 }
@@ -144,11 +144,6 @@ func NewModel(spec Spec) (*Model, error) {
 		return nil, err
 	}
 	numFA := graph.NumEdge()
-	sinks := make([]*fabric.CellSink, numFA)
-	for fa := range sinks {
-		sinks[fa] = &fabric.CellSink{}
-		n.SetEgress(fa, sinks[fa])
-	}
 	hotFAs := 0
 	if spec.Hotspot > 1 {
 		hotFAs = (numFA + 3) / 4
@@ -231,7 +226,6 @@ func NewModel(spec Spec) (*Model, error) {
 		Graph:   graph,
 		Eng:     eng,
 		Net:     n,
-		Sinks:   sinks,
 		Horizon: horizon,
 		Drain:   drain,
 	}, nil
@@ -286,9 +280,8 @@ func (m *Model) gather() (sinkCells, sinkBytes []uint64, dirs [][3]uint64) {
 	numFA := m.Graph.NumEdge()
 	sinkCells = make([]uint64, numFA)
 	sinkBytes = make([]uint64, numFA)
-	for fa, s := range m.Sinks {
-		sinkCells[fa] = s.Cells
-		sinkBytes[fa] = s.Bytes
+	for fa := range numFA {
+		sinkCells[fa], sinkBytes[fa] = m.Net.DeliveredTo(fa)
 	}
 	dirs = make([][3]uint64, 2*m.Net.NumLinks())
 	for d := range dirs {

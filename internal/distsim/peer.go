@@ -347,7 +347,7 @@ func (p *peer) welcome(body []byte) (*session, error) {
 				s.ownedDirs = append(s.ownedDirs, d)
 			}
 		}
-		for fa := range m.Sinks {
+		for fa := range m.Net.NumFA() {
 			if s.owned[m.Net.ShardOfFA(fa)] {
 				s.ownedFAs = append(s.ownedFAs, fa)
 			}
@@ -867,7 +867,7 @@ func deliverMail(m *Model, owned []bool, batch []byte) error {
 
 // buildReport snapshots everything this peer owns of the final state:
 // its shards' traffic counters, event counts and shard-held reachability
-// holes, the delivery sinks of its FAs, and the forwarding counters of
+// holes, the delivery counts of its FAs, and the forwarding counters of
 // the link directions whose queues live on its shards.
 func buildReport(m *Model, owned []bool) peerReport {
 	var rep peerReport
@@ -886,9 +886,10 @@ func buildReport(m *Model, owned []bool) peerReport {
 			Unreachable:  m.Net.Unreachable(s),
 		})
 	}
-	for fa, sink := range m.Sinks {
+	for fa := range m.Net.NumFA() {
 		if owned[m.Net.ShardOfFA(fa)] {
-			rep.Sinks = append(rep.Sinks, sinkReport{FA: fa, Cells: sink.Cells, Bytes: sink.Bytes})
+			cells, bytes := m.Net.DeliveredTo(fa)
+			rep.Sinks = append(rep.Sinks, sinkReport{FA: fa, Cells: cells, Bytes: bytes})
 		}
 	}
 	for d := 0; d < 2*m.Net.NumLinks(); d++ {

@@ -60,10 +60,7 @@ func Record(spec Spec, out io.Writer) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	rec := telemetry.NewRecorder(w, m.Net, func(fa int) (uint64, uint64) {
-		s := m.Sinks[fa]
-		return s.Cells, s.Bytes
-	}, every)
+	rec := telemetry.NewRecorder(w, m.Net, m.Net.DeliveredTo, every)
 	rec.AttachEngine(m.Eng)
 	outc, err := m.RunLocal()
 	if err != nil {

@@ -489,10 +489,10 @@ func appendTelemSection(b []byte, m *Model, ownedDirs, ownedFAs []int, end, look
 	}
 	b = binary.AppendUvarint(b, uint64(len(ownedFAs)))
 	for _, fa := range ownedFAs {
-		s := m.Sinks[fa]
+		cells, bytes := m.Net.DeliveredTo(fa)
 		b = binary.AppendUvarint(b, uint64(fa))
-		b = binary.AppendUvarint(b, s.Cells)
-		b = binary.AppendUvarint(b, s.Bytes)
+		b = binary.AppendUvarint(b, cells)
+		b = binary.AppendUvarint(b, bytes)
 	}
 	return b
 }

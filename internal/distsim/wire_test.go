@@ -293,7 +293,7 @@ func liveFrames(t testing.TB) (xchg, done [][]byte) {
 			dirs = append(dirs, d)
 		}
 	}
-	for fa := range m.Sinks {
+	for fa := range m.Net.NumFA() {
 		if owned[m.Net.ShardOfFA(fa)] {
 			fas = append(fas, fa)
 		}

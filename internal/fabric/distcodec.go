@@ -162,12 +162,17 @@ type ShardTraffic struct {
 // TrafficOfShard snapshots shard s's counters. Barrier context only.
 func (n *Net) TrafficOfShard(s int) ShardTraffic {
 	sh := n.shards[s]
-	return ShardTraffic{
+	t := ShardTraffic{
 		Injected:     sh.injected,
-		Delivered:    sh.delivered,
 		DeadDrops:    sh.deadDrops,
 		NoRouteDrops: sh.noRouteDrops,
 	}
+	for _, d := range n.edges {
+		if d.sh == sh {
+			t.Delivered += d.eg.cells
+		}
+	}
+	return t
 }
 
 // DirCounters snapshots directed link d's forwarding counters (the

@@ -49,9 +49,13 @@
 // several shards and therefore runs in barrier context, quantized to
 // window boundaries — a function of the lookahead alone.
 //
-// The per-cell hot path allocates nothing: cells are pooled
-// netsim.Packets, every directed link's route is prebuilt once, spreader
-// reshuffles are in place, and forwarding state lives in dense bitmaps.
+// The per-cell hot path allocates nothing: cells are netsim.Packets
+// recycled through a per-shard netsim.FreeList (an Injector takes them
+// from it; a delivery with no endpoint installed and every drop inside the
+// fabric return them), every directed link's route is prebuilt once,
+// spreader reshuffles are in place, and forwarding state lives in dense
+// bitmaps. The fabric counts what each edge device receives, cells and
+// bytes (Delivered, DeliveredTo), whatever endpoint it hands them to.
 package fabric
 
 import (
@@ -117,23 +121,23 @@ const (
 	ModeECMP
 )
 
-// shardState is the per-shard slice of a Net: the shard's event heap plus
-// the counters its nodes increment. A solo fabric has exactly one; a
-// sharded fabric has one per parsim shard, so the hot path never writes a
-// counter another shard's goroutine could be writing concurrently.
-// Aggregate accessors (Injected, Delivered, ...) sum across shards and are
-// only meaningful when the fabric is quiescent: between runs in solo mode,
-// in barrier context in sharded mode.
+// shardState is the per-shard slice of a Net: the shard's event heap, the
+// free list its injectors take cells from and its egresses and drops return
+// them to, and the counters its nodes increment. A solo fabric has exactly
+// one; a sharded fabric has one per parsim shard, so the hot path never
+// writes a counter or a list another shard's goroutine could be writing
+// concurrently. Aggregate accessors (Injected, Drops, ...) sum across
+// shards and are only meaningful when the fabric is quiescent: between
+// runs in solo mode, in barrier context in sharded mode. The struct is one
+// cache line exactly (see sim.CacheLine, TestShardStateLayout).
 type shardState struct {
-	id int
-	sm *sim.Simulator
+	id    int
+	sm    *sim.Simulator
+	cells netsim.FreeList
 
 	injected     uint64
-	delivered    uint64
 	deadDrops    uint64
 	noRouteDrops uint64
-
-	_ [sim.CacheLine - 48]byte // whole lines: see sim.CacheLine, TestShardStateLayout
 }
 
 // link is one direction of a physical serial link: a serialization queue,
@@ -164,7 +168,7 @@ type link struct {
 func (l *link) Receive(c *netsim.Packet) {
 	if !l.up {
 		l.sh.deadDrops++
-		l.net.dropCell(c)
+		l.net.dropCell(l.sh, c)
 		return
 	}
 	l.to.Receive(c)
@@ -175,16 +179,21 @@ func (l *link) send(c *netsim.Packet) {
 	l.q.Receive(c)
 }
 
-// egress terminates cells at their destination edge device.
+// egress terminates cells at their destination edge device and counts
+// them: it runs on its device's shard, so in a distributed run only the
+// device's owner accumulates real counts.
 type egress struct {
-	net *Net
-	sh  *shardState
-	to  netsim.Handler // optional per-edge endpoint (SetEgress)
+	net   *Net
+	sh    *shardState
+	to    netsim.Handler // optional per-edge endpoint (SetEgress)
+	cells uint64
+	bytes uint64
 }
 
 // Receive implements netsim.Handler.
 func (e *egress) Receive(c *netsim.Packet) {
-	e.sh.delivered++
+	e.cells++
+	e.bytes += uint64(c.Size)
 	if e.to != nil {
 		e.to.Receive(c)
 		return
@@ -193,7 +202,7 @@ func (e *egress) Receive(c *netsim.Packet) {
 		fn(c)
 		return
 	}
-	c.Release()
+	e.sh.cells.Put(c)
 }
 
 // portRef locates a port inside its node's port group.
@@ -257,7 +266,7 @@ func (d *node) Receive(c *netsim.Packet) {
 		d.up[up].send(c)
 	default:
 		d.sh.noRouteDrops++
-		d.net.dropCell(c)
+		d.net.dropCell(d.sh, c)
 	}
 }
 
@@ -617,13 +626,13 @@ func (n *Net) Inject(c *netsim.Packet, srcFA, dstFA int) {
 	d.Receive(c) // not home (srcFA != dstFA): forwards
 }
 
-// dropCell releases a cell lost inside the fabric, after showing it to
-// the accounting hook.
-func (n *Net) dropCell(c *netsim.Packet) {
+// dropCell returns a cell lost inside the fabric to the free list of sh,
+// the shard that lost it, after showing it to the accounting hook.
+func (n *Net) dropCell(sh *shardState, c *netsim.Packet) {
 	if n.OnCellDrop != nil {
 		n.OnCellDrop(c)
 	}
-	c.Release()
+	sh.cells.Put(c)
 }
 
 // Injected counts cells handed to Inject. Aggregated across shards; call
@@ -638,10 +647,18 @@ func (n *Net) Injected() (v uint64) {
 // Delivered counts cells that reached their destination edge (same
 // quiescence caveat as Injected).
 func (n *Net) Delivered() (v uint64) {
-	for _, sh := range n.shards {
-		v += sh.delivered
+	for _, d := range n.edges {
+		v += d.eg.cells
 	}
 	return v
+}
+
+// DeliveredTo returns the cells and bytes delivered to edge device fa
+// (same quiescence caveat as Injected; in a distributed run only fa's
+// owner holds real counts). It is a telemetry.SinkFunc.
+func (n *Net) DeliveredTo(fa int) (cells, bytes uint64) {
+	eg := n.edges[fa].eg
+	return eg.cells, eg.bytes
 }
 
 // DeadDrops counts cells lost on a failed link (same quiescence caveat).

@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 	"unsafe"
 
@@ -318,6 +320,75 @@ func TestFabricAllocFree(t *testing.T) {
 				t.Fatalf("injected %d, delivered %d, want %d of each", n.Injected(), n.Delivered(), want)
 			}
 		})
+	}
+}
+
+// netDigest folds what every edge device received and every directed
+// link forwarded into one value.
+func netDigest(n *Net) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	w := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for fa := range n.NumFA() {
+		cells, bytes := n.DeliveredTo(fa)
+		w(cells)
+		w(bytes)
+	}
+	for d := range 2 * n.NumLinks() {
+		b, c, dr := n.DirCounters(d)
+		w(b)
+		w(c)
+		w(dr)
+	}
+	return h.Sum64()
+}
+
+// Under rotate traffic on two shards every cell is taken from its source's
+// shard list and returned to its destination's, so cells cross the cut
+// both ways and the lists trade them: the lists must stay bounded, lose
+// no cell the fabric counts, and leave the run the one-shard run.
+func TestShardFreeListsStayBounded(t *testing.T) {
+	run := func(shards int) *Net {
+		g, err := ClosFor(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := parsim.New(parsim.Config{Shards: shards, Lookahead: sim.Microsecond})
+		n, err := NewSharded(eng, DefaultConfig(10e9, sim.Microsecond, 5), g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		numFA := n.NumFA()
+		for fa := range numFA {
+			gap := n.CellGap(fa, 512, 0.4)
+			n.NewInjector(fa, gap, 512, 500*sim.Microsecond, -1).Start(sim.Time(fa) * gap / sim.Time(numFA))
+		}
+		eng.RunUntilQuiet(sim.Millisecond)
+		if !eng.Quiet() {
+			t.Fatalf("%d shards: the fabric did not drain", shards)
+		}
+		return n
+	}
+	solo, n := run(1), run(2)
+	full := 0
+	for s, sh := range n.shards {
+		if l := sh.cells.Len(); l > netsim.FreeListCap {
+			t.Errorf("shard %d holds %d free cells, over the bound %d", s, l, netsim.FreeListCap)
+		} else if l == netsim.FreeListCap {
+			full++
+		}
+	}
+	if full == 0 {
+		t.Errorf("no shard's list reached the bound %d: the spill path went untested", netsim.FreeListCap)
+	}
+	if inj, del, drp := n.Injected(), n.Delivered(), n.Drops(); inj == 0 || inj != del+drp {
+		t.Errorf("injected %d != delivered %d + dropped %d", inj, del, drp)
+	}
+	if got, want := netDigest(n), netDigest(solo); got != want {
+		t.Errorf("two shards: digest %016x, one shard %016x", got, want)
 	}
 }
 

@@ -33,30 +33,17 @@ func (n *Net) CellGap(fa, cellBytes int, load float64) sim.Time {
 	return gap
 }
 
-// CellSink counts the cells delivered to one edge device. Installed with
-// SetEgress it runs pinned to its device's shard: no locking, and in a
-// distributed run only the device's owner accumulates real counts.
-type CellSink struct {
-	Cells uint64
-	Bytes uint64
-}
-
-// Receive implements netsim.Handler.
-func (s *CellSink) Receive(c *netsim.Packet) {
-	s.Cells++
-	s.Bytes += uint64(c.Size)
-	c.Release()
-}
-
 // Injector paces synthetic cells out of one edge device toward rotating
 // destinations — the shared traffic source of the parscale/parheal
 // scenarios, the managed FabricRun, and the sharded cell-path benchmark.
 // Everything it does is a function of (edge, instant) alone: it lives on
-// its device's shard and keeps its own rotation counter, so the offered
-// traffic is identical at every shard count.
+// its device's shard, takes its cells from that shard's free list and
+// keeps its own rotation counter, so the offered traffic is identical at
+// every shard count.
 type Injector struct {
 	net   *Net
-	sm    *sim.Simulator // fa's event loop
+	sm    *sim.Simulator   // fa's event loop
+	cells *netsim.FreeList // fa's shard's
 	fa    int
 	numFA int
 	gap   sim.Time
@@ -64,7 +51,7 @@ type Injector struct {
 	stop  sim.Time // 0 = no time limit
 	quota int      // < 0 = no cell limit
 	dst   int      // fixed destination; -1 = rotate
-	n     int
+	rot   int      // cells sent, modulo numFA-1
 	sent  uint64
 }
 
@@ -73,8 +60,9 @@ type Injector struct {
 // cells (< 0 = unbounded), whichever comes first. Call Start to schedule
 // the first cell.
 func (n *Net) NewInjector(fa int, gap sim.Time, cellBytes int, stop sim.Time, quota int) *Injector {
+	sh := n.edges[fa].sh
 	return &Injector{
-		net: n, sm: n.EdgeSim(fa), fa: fa, numFA: n.NumFA(),
+		net: n, sm: sh.sm, cells: &sh.cells, fa: fa, numFA: n.NumFA(),
 		gap: gap, cell: cellBytes, stop: stop, quota: quota, dst: -1,
 	}
 }
@@ -102,12 +90,18 @@ func (j *Injector) Act(uint64) {
 	if j.quota > 0 {
 		j.quota--
 	}
-	c := netsim.NewPacket()
+	c := j.cells.Get()
 	c.Size = j.cell
-	j.n++
+	// The n-th cell goes to (fa+1 + n%(numFA-1)) % numFA: every other edge
+	// in turn, counted without a division.
+	if j.rot++; j.rot >= j.numFA-1 {
+		j.rot = 0
+	}
 	dst := j.dst
 	if dst < 0 {
-		dst = (j.fa + 1 + j.n%(j.numFA-1)) % j.numFA
+		if dst = j.fa + 1 + j.rot; dst >= j.numFA {
+			dst -= j.numFA
+		}
 	}
 	j.net.Inject(c, j.fa, dst)
 	j.sent++

@@ -230,14 +230,10 @@ func (r *FabricRun) buildTelemetry(g topo.Graph) error {
 	}
 	var sinks telemetry.SinkFunc
 	if r.Net == nil {
-		// Raw-cell load: install per-FA delivery sinks so the stream
-		// carries the per-FA delivery series the heatmap renders.
-		fas := make([]fabric.CellSink, g.NumEdge())
-		for fa := range fas {
-			r.Fab.SetEgress(fa, &fas[fa])
-		}
+		// Raw-cell load: the stream carries the per-FA delivery series the
+		// heatmap renders, from the fabric's own delivery counts.
 		hdr.FAs = g.NumEdge()
-		sinks = func(fa int) (uint64, uint64) { return fas[fa].Cells, fas[fa].Bytes }
+		sinks = r.Fab.DeliveredTo
 	} else {
 		// The transport overlay owns the egress endpoints, so the stream
 		// carries link series only. Zero the topology identifiers too: they

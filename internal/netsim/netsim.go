@@ -7,7 +7,8 @@
 // stardust.go.
 //
 // The packet hot path is allocation-free in steady state: packets come
-// from a shared free list (NewPacket/Release), queues buffer them in
+// from a shared free list (NewPacket/Release) or one goroutine's own
+// (FreeList), queues buffer them in
 // ring buffers that reuse their backing arrays under sustained load, and
 // queue draining and pipe propagation schedule pre-bound sim.Actions
 // instead of closures.
@@ -64,6 +65,56 @@ func (p *Packet) Release() {
 	*p = Packet{}
 	packetPool.Put(p)
 }
+
+// FreeList is a free list of packets that one goroutine owns — a shard's
+// event loop. Taking and returning a packet is a slice operation, where the
+// shared free list pins the processor and runs a lock-free dequeue at
+// either end. It holds at most FreeListCap packets: past that it spills to
+// the shared list, and empty it refills from there, so packets still flow
+// from a shard that releases more than it takes to one that takes more.
+// The zero value is ready to use; a FreeList must never be touched by two
+// goroutines.
+type FreeList struct{ free []*Packet }
+
+// FreeListCap bounds a FreeList. A list absorbs the difference between the
+// packets its goroutine releases and those it takes: the cells in flight,
+// for a loop that takes one per injection and releases one per delivery,
+// plus the drift between two shards trading cells across their cut. At
+// 256 (2 KiB of pointers) a two-shard K=8 Clos at load 0.4 goes to the
+// shared list for fewer than one cell in a thousand, at start-up and at
+// drain; shards that take and release at different rates spill that
+// difference under any bound.
+const FreeListCap = 256
+
+// Get returns a zeroed packet.
+func (l *FreeList) Get() *Packet {
+	n := len(l.free) - 1
+	if n < 0 {
+		return NewPacket()
+	}
+	p := l.free[n]
+	l.free[n] = nil
+	l.free = l.free[:n]
+	return p
+}
+
+// Put zeroes p and keeps it for Get, or releases it to the shared free
+// list when the list is full. The caller must hold the only live
+// reference.
+func (l *FreeList) Put(p *Packet) {
+	if len(l.free) == FreeListCap {
+		p.Release()
+		return
+	}
+	if l.free == nil {
+		l.free = make([]*Packet, 0, FreeListCap)
+	}
+	*p = Packet{}
+	l.free = append(l.free, p)
+}
+
+// Len returns the number of packets the list holds.
+func (l *FreeList) Len() int { return len(l.free) }
 
 // SetRoute installs the forward route and resets the hop cursor.
 func (p *Packet) SetRoute(route []Handler) {

@@ -104,11 +104,20 @@ func TestElidedAccounting(t *testing.T) {
 	}
 }
 
-// The sizes the package comment quotes: the bucket sort streams 16-byte
-// keys, and a body is one Action and an argument.
+// The sizes the package comment quotes: the bucket sort streams one-word
+// keys whose fields fill the word, and a body is one Action and an
+// argument.
 func TestEventLayout(t *testing.T) {
-	if got := unsafe.Sizeof(eventKey{}); got != 16 {
-		t.Errorf("eventKey is %d bytes, want 16", got)
+	var b bucket
+	if got := unsafe.Sizeof(b.keys[0]); got != 8 {
+		t.Errorf("a bucket key is %d bytes, want 8", got)
+	}
+	if offsetBits+laneBits+indexBits != 64 || offsetBits != bucketShift {
+		t.Errorf("key fields %d+%d+%d bits: want a 64-bit word and a bucket's %d-bit offset",
+			offsetBits, laneBits, indexBits, bucketShift)
+	}
+	if DefaultLane != laneMask {
+		t.Errorf("DefaultLane %d is not the largest lane a key holds, %d", DefaultLane, laneMask)
 	}
 	if got := unsafe.Sizeof(eventBody{}); got != 24 {
 		t.Errorf("eventBody is %d bytes, want 24", got)

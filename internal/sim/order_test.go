@@ -22,12 +22,17 @@ import (
 // many events to schedule from inside it (into the bucket draining now
 // when the delay is short) and whether to Stop. Scheduling covers At,
 // After, AtAction, AfterAction, AtLane and AtLaneFunc on four explicit
-// lanes plus the default lane, and Elide + AtCompletion. Delays come from
-// a few classes — zero, inside one bucket, inside the ladder, past one and
-// past two ladder horizons, and into the past — each quantized to a
-// handful of values, so same-instant ties are the common case and every
-// region of the store is used: a bucket directly, young, overflow, and
-// both migrations out of overflow.
+// lanes (the largest a caller may use among them) plus the default lane,
+// and Elide + AtCompletion. Delays come from a few classes — zero, inside
+// one bucket, inside the ladder, past one and past two ladder horizons,
+// and into the past — each quantized to a handful of values, so
+// same-instant ties are the common case and every region of the store is
+// used: a bucket directly, young, overflow, and both migrations out of
+// overflow.
+//
+// Three 0xff bytes at top level are a flood: more events than a bucket
+// key can index, into one bucket, so that it spills (see flood). Random
+// programs do not contain the run, and keep their meaning.
 
 // Order-oracle scheduling forms.
 const (
@@ -44,8 +49,31 @@ const (
 // ordHorizon is the ladder's reach.
 const ordHorizon = Time(ladderBuckets) << bucketShift
 
-// ordMaxEvents bounds the events one program may schedule.
-const ordMaxEvents = 4000
+// ordMaxEvents bounds the events one program may schedule outside floods,
+// and ordMaxFloods the floods it may run.
+const (
+	ordMaxEvents = 4000
+	ordMaxFloods = 2
+)
+
+// ordLanes are the explicit lanes a program schedules on: the smallest
+// ones, and the largest below CompletionLane, whose key has every lane bit
+// but one set.
+var ordLanes = [4]int32{0, 1, 2, CompletionLane - 1}
+
+// floodForms are the scheduling forms of a flood, cycled per event: every
+// lane kind, and each passes the event's id as its argument, which is how
+// simKernel recognizes a spilled event.
+var floodForms = [...]struct {
+	kind int
+	lane int32
+}{
+	{ordAtAction, DefaultLane},
+	{ordAtLane, 0},
+	{ordCompletion, CompletionLane},
+	{ordAtLane, CompletionLane - 1},
+	{ordAfterAction, DefaultLane},
+}
 
 // orderKernel is what the interpreter drives.
 type orderKernel interface {
@@ -80,11 +108,13 @@ func (s orderStep) String() string {
 
 // orderProg interprets one program on one kernel.
 type orderProg struct {
-	prog  []byte
-	pos   int
-	k     orderKernel
-	lanes []int32 // per event id (ids start at 1)
-	trace []orderStep
+	prog    []byte
+	pos     int
+	k       orderKernel
+	lanes   []int32 // per event id (ids start at 1)
+	trace   []orderStep
+	floods  int
+	flooded int // events scheduled by floods
 }
 
 func (p *orderProg) next() (byte, bool) {
@@ -119,7 +149,7 @@ func (p *orderProg) delay() Time {
 
 // scheduleOne decodes and issues one scheduling call.
 func (p *orderProg) scheduleOne() {
-	if len(p.lanes) >= ordMaxEvents {
+	if len(p.lanes)-p.flooded >= ordMaxEvents {
 		return
 	}
 	sel := p.read()
@@ -127,13 +157,41 @@ func (p *orderProg) scheduleOne() {
 	lane := DefaultLane
 	switch kind {
 	case ordAtLane, ordAtLaneFunc:
-		lane = int32(sel>>4) % 4
+		lane = ordLanes[sel>>4%4]
 	case ordCompletion:
 		lane = CompletionLane
 	}
 	t := p.k.now() + p.delay()
 	p.lanes = append(p.lanes, lane)
 	p.k.schedule(kind, t, lane, uint64(len(p.lanes)))
+}
+
+// flood schedules maxBucketKeys events and 1 + 61·b more (b, a byte) into
+// the bucket a delay picks — the ladder's, or overflow's past the horizon —
+// on three instants of it and every floodForms lane, so the bucket spills
+// and its spilled events tie the run on (time, lane).
+func (p *orderProg) flood() {
+	t0 := (p.k.now() + p.delay()) &^ (1<<bucketShift - 1)
+	n := maxBucketKeys + 1 + int(p.read())*61
+	if p.floods++; p.floods > ordMaxFloods {
+		return
+	}
+	for i := range n {
+		f := floodForms[i%len(floodForms)]
+		p.lanes = append(p.lanes, f.lane)
+		p.k.schedule(f.kind, t0+Time(i%3)*1000, f.lane, uint64(len(p.lanes)))
+	}
+	p.flooded += n
+}
+
+// floodMarked consumes the rest of a flood's three 0xff bytes after the
+// first, if they follow.
+func (p *orderProg) floodMarked() bool {
+	if p.pos+2 > len(p.prog) || p.prog[p.pos] != 0xff || p.prog[p.pos+1] != 0xff {
+		return false
+	}
+	p.pos += 2
+	return true
 }
 
 // fire is every event's body: record it, then read what it does.
@@ -163,6 +221,10 @@ func (p *orderProg) exec() {
 		op, ok := p.next()
 		if !ok {
 			break
+		}
+		if op == 0xff && p.floodMarked() {
+			p.flood()
+			continue
 		}
 		switch op % 10 {
 		case 0, 1, 2, 3, 4:
@@ -196,6 +258,13 @@ type simKernel struct {
 	// way overflow events left.
 	direct, young, overflow, toLadder, toYoung int
 	viaOverflow                                map[uint64]bool
+	// Spill coverage: events seen in a spill list, by id (floods pass it
+	// as the argument), and how they got there — scheduled into a full
+	// bucket, or migrated into one from overflow. A bucket that overflow
+	// fills past maxBucketKeys is watched from its migration to its load.
+	spilled                    map[uint64]bool
+	spillDirect, spillMigrated int
+	overflowIn, watched        map[int64]int
 }
 
 func (k *simKernel) now() Time { return k.s.Now() }
@@ -203,7 +272,7 @@ func (k *simKernel) now() Time { return k.s.Now() }
 func (k *simKernel) Act(arg uint64) { k.fired(arg) }
 
 func (k *simKernel) fired(id uint64) {
-	if k.viaOverflow[id] {
+	if k.viaOverflow[id] && !k.spilled[id] {
 		// A migrated event runs from young only when its bucket was loaded
 		// empty (see advance), from the sorted run otherwise.
 		if len(k.s.run.keys) == 0 {
@@ -212,11 +281,45 @@ func (k *simKernel) fired(id uint64) {
 			k.toLadder++
 		}
 	}
+	k.watchSpills()
 	k.p.fire(id)
+}
+
+// slotOf returns the ladder slot an event at t goes to, nil when t falls
+// outside the ladder's window.
+func (k *simKernel) slotOf(t Time) *bucket {
+	s := k.s
+	b := s.bucketOf(max(t, s.Now()))
+	if s.ladder == nil || b <= s.curB || b >= s.curB+ladderBuckets {
+		return nil
+	}
+	return &s.ladder[b&ladderMask]
+}
+
+// watchSpills records the events that migration put into the spill lists
+// of watched buckets since the last look.
+func (k *simKernel) watchSpills() {
+	for b, seen := range k.watched {
+		slot := k.slotOf(Time(b) << bucketShift)
+		if slot == nil || len(slot.spill) == seen {
+			continue
+		}
+		for _, e := range slot.spill[seen:] {
+			if e.arg != 0 && !k.spilled[e.arg] {
+				k.spilled[e.arg] = true
+				k.spillMigrated++
+			}
+		}
+		k.watched[b] = len(slot.spill)
+	}
 }
 
 func (k *simKernel) schedule(kind int, t Time, lane int32, id uint64) {
 	s := k.s
+	spill := 0
+	if slot := k.slotOf(t); slot != nil {
+		spill = len(slot.spill)
+	}
 	young, overflow := s.young.len(), s.overflow.len()
 	fn := func() { k.fired(id) }
 	switch kind {
@@ -236,12 +339,19 @@ func (k *simKernel) schedule(kind int, t Time, lane int32, id uint64) {
 		s.Elide()
 		s.AtCompletion(t, k, id)
 	}
-	switch {
+	switch slot := k.slotOf(t); {
 	case s.young.len() > young:
 		k.young++
 	case s.overflow.len() > overflow:
 		k.overflow++
 		k.viaOverflow[id] = true
+		b := s.bucketOf(t)
+		if k.overflowIn[b]++; k.overflowIn[b] == maxBucketKeys+1 {
+			k.watched[b] = 0 // will spill when it migrates
+		}
+	case slot != nil && len(slot.spill) > spill:
+		k.spillDirect++
+		k.spilled[id] = true
 	default:
 		k.direct++
 	}
@@ -365,7 +475,8 @@ func (r *refKernel) counts() (uint64, uint64, int) {
 func runOrderProgram(t *testing.T, prog []byte) *simKernel {
 	t.Helper()
 	ps := &orderProg{prog: prog}
-	sk := &simKernel{s: New(), p: ps, viaOverflow: map[uint64]bool{}}
+	sk := &simKernel{s: New(), p: ps, viaOverflow: map[uint64]bool{},
+		spilled: map[uint64]bool{}, overflowIn: map[int64]int{}, watched: map[int64]int{}}
 	ps.k = sk
 	pr := &orderProg{prog: prog}
 	pr.k = &refKernel{p: pr}
@@ -384,11 +495,66 @@ func runOrderProgram(t *testing.T, prog []byte) *simKernel {
 	return sk
 }
 
+// spillTies counts the spilled events that ran right behind an event of
+// the run with their (time, lane): the ties the run wins.
+func (k *simKernel) spillTies() (n int) {
+	tr := k.p.trace
+	for i := 1; i < len(tr); i++ {
+		a, b := tr[i-1], tr[i]
+		if k.spilled[b.ID] && a.ID != 0 && !k.spilled[a.ID] && a.At == b.At && a.Lane == b.Lane {
+			n++
+		}
+	}
+	return n
+}
+
 // randomOrderProgram draws one program of a few hundred calls.
 func randomOrderProgram(rng *rand.Rand) []byte {
 	prog := make([]byte, 64+rng.Intn(2048))
 	rng.Read(prog)
 	return prog
+}
+
+// ordSchedule encodes one top-level scheduling call: form kind, on lane
+// ordLanes[li] if the form takes one, after a delay of class and m.
+func ordSchedule(kind, li int, class, m byte) []byte {
+	for sel := 0; ; sel++ {
+		if sel%ordKinds == kind && sel>>4%4 == li {
+			return []byte{0, byte(sel), class, m}
+		}
+	}
+}
+
+// lanesProgram puts events on the largest explicit lane, CompletionLane
+// and DefaultLane at the same instants — now, later in the bucket, in the
+// ladder and past its horizon — in several scheduling orders, runs until
+// the second instant, then runs the rest.
+func lanesProgram() []byte {
+	var p []byte
+	for _, d := range [][2]byte{{0, 0}, {1, 1}, {2, 0}, {3, 0}} {
+		for _, f := range []struct{ kind, li int }{
+			{ordAtLane, 3}, {ordCompletion, 0}, {ordAt, 0}, {ordAtLaneFunc, 3},
+			{ordAfterAction, 0}, {ordCompletion, 0}, {ordAtLane, 3}, {ordAtAction, 0},
+		} {
+			p = append(p, ordSchedule(f.kind, f.li, d[0], d[1])...)
+		}
+	}
+	p = append(p, 6, 1, 1)             // RunUntil(now + 16 ns)
+	p = append(p, make([]byte, 16)...) // the 16 events it runs schedule nothing
+	return append(p, 7)                // Run
+}
+
+// floodProgram floods a bucket 4 µs ahead and one past the ladder's
+// horizon, runs until the first instant of the first, and hands a random
+// tail to the events that run: a bucket that spills at a direct schedule,
+// one that spills as it migrates, and the spilled events' ties with the
+// run and with young.
+func floodProgram(rng *rand.Rand) []byte {
+	p := ordSchedule(ordAtLane, 3, 2, 0)
+	p = append(p, 0xff, 0xff, 0xff, 2, 3, 1) // into the ladder: 4<<20 ps ahead
+	p = append(p, 0xff, 0xff, 0xff, 3, 1, 2) // into overflow: the horizon + 2<<20
+	p = append(p, 6, 2, 3)                   // RunUntil(now + 4<<20)
+	return append(p, randomOrderProgram(rng)...)
 }
 
 func TestKernelOrderMatchesHeap(t *testing.T) {
@@ -422,6 +588,26 @@ func TestKernelOrderMatchesHeap(t *testing.T) {
 			t.Errorf("no event %s (of %d)", c.name, events)
 		}
 	}
+
+	// More events in one bucket than a key can index: the spill list, filled
+	// both ways, must keep the order too, and must have been reached.
+	sk := runOrderProgram(t, floodProgram(rand.New(rand.NewSource(3))))
+	ties := sk.spillTies()
+	t.Logf("flood: %d events, %d spilled at a schedule, %d as they migrated, %d spilled events ran behind a run event of their (time, lane)",
+		len(sk.p.lanes), sk.spillDirect, sk.spillMigrated, ties)
+	for _, c := range []struct {
+		name string
+		n    int
+	}{
+		{"spilled at a schedule into a full bucket", sk.spillDirect},
+		{"spilled as it migrated from overflow", sk.spillMigrated},
+		{"spilled and tied with the run", ties},
+	} {
+		if c.n == 0 {
+			t.Errorf("flood: no event %s", c.name)
+		}
+	}
+	runOrderProgram(t, lanesProgram())
 }
 
 func FuzzKernelOrder(f *testing.F) {
@@ -431,6 +617,8 @@ func FuzzKernelOrder(f *testing.F) {
 	}
 	// Ties on one instant across every form, then a stopped run.
 	f.Add(slices.Repeat([]byte{0, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 0, 4, 0x10, 0, 0, 5, 0x20, 1, 0, 6, 0, 0, 7}, 8))
+	f.Add(lanesProgram())
+	f.Add(floodProgram(rand.New(rand.NewSource(3))))
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 1<<14 {
 			return

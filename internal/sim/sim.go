@@ -44,16 +44,22 @@
 // kernel's (time, lane, seq).
 //
 // Each bucket stores events as a struct-of-arrays split: a hot array of
-// 16-byte keys (time, lane<<32 | index), four to a cache line, that the
-// sort and the drain loop touch, and a cold array of 24-byte bodies
-// (Action, argument) read once per execution. The index is the event's
-// append position, and inside a bucket append order is sequence order: a
+// one-word keys, eight to a cache line, that the sort and the drain loop
+// touch, and a cold array of 24-byte bodies (Action, argument) read once
+// per execution. A key packs, most significant first, the event's offset
+// inside its bucket, its lane and its append position (the index of its
+// body), so one unsigned compare orders two keys and the bucket number
+// restores the time. Inside a bucket append order is sequence order: a
 // bucket's overflow events migrate into it, in heap order, in the advance
 // that brings it into the window, before it can take a direct schedule,
 // and a bucket loaded as the run is never appended to. So (time, lane,
 // index) sorts a bucket as (time, lane, seq) would. The young and overflow
 // heaps keep seq; a young event was scheduled after the run was loaded,
-// so a (time, lane) tie between the two goes to the run. The oracle
+// so a (time, lane) tie between the two goes to the run. A bucket that
+// would outgrow the key's index field keeps the excess, with seq, in a
+// spill list that joins young when the bucket is loaded: every spilled
+// event was scheduled after every event in the bucket, so losing its
+// (time, lane) ties to the run is its place. The oracle
 // TestKernelOrderMatchesHeap / FuzzKernelOrder holds the store to a plain
 // heap on (time, lane, seq).
 //
@@ -177,19 +183,30 @@ const (
 	bucketCap     = 32
 )
 
-// eventKey is the hot half of a bucket event: its time, then its lane and
-// the index of its cold body, which is also its append position (see Event
-// store). 16 bytes, so the bucket sort streams four keys per cache line.
-type eventKey struct {
-	at  Time
-	ord uint64 // lane<<32 | index
-}
+// A bucket key is the hot half of a bucket event, one uint64 (see Event
+// store): offset<<(laneBits+indexBits) | lane<<indexBits | index.
+//   - offsetBits is bucketShift: the offset names every picosecond of the
+//     bucket, and the bucket number supplies the rest of the time.
+//   - laneBits is 31: every lane an event can have, explicit lanes,
+//     CompletionLane and DefaultLane (1<<31 - 1), is a non-negative int32.
+//   - indexBits is what is left, 17: up to 131,072 events in one bucket
+//     have a key, and only more than that scheduled inside one 65.5 ns
+//     span spill (maxBucketKeys).
+const (
+	offsetBits    = bucketShift
+	laneBits      = 31
+	indexBits     = 64 - offsetBits - laneBits
+	maxBucketKeys = 1 << indexBits
 
-func (k *eventKey) lane() int32 { return int32(k.ord >> 32) }
+	offsetShift = laneBits + indexBits
+	laneMask    = 1<<laneBits - 1
+	indexMask   = maxBucketKeys - 1
+)
 
-// keyLess orders a bucket by (time, lane, append position).
-func keyLess(a, b *eventKey) bool {
-	return a.at < b.at || a.at == b.at && a.ord < b.ord
+// bucketKey packs an event at time at, on lane lane, appended at index:
+// the bucket it is stored in supplies the rest of at.
+func bucketKey(at Time, lane int32, index int) uint64 {
+	return uint64(at&(1<<offsetBits-1))<<offsetShift | uint64(lane)<<indexBits | uint64(index)
 }
 
 // eventBody is the cold half of an event: read once, at execution.
@@ -199,15 +216,18 @@ type eventBody struct {
 }
 
 // bucket is one ladder slot: parallel key/body arrays, appended in
-// scheduling order and sorted by key only when the bucket's turn comes.
-// Drained slots hand their arrays back to the Simulator's buffer pool
-// rather than keeping them: the set of live slots slides with the clock,
-// so per-slot capacity would have to be re-grown for every new window
-// position, while a shared LIFO pool converges once to the largest bucket
-// load and then never allocates again.
+// scheduling order and sorted by key only when the bucket's turn comes,
+// plus the spill list of events past maxBucketKeys (nil but in a bucket
+// that big; the run's is always nil). Drained slots hand their arrays back
+// to the Simulator's buffer pool rather than keeping them: the set of live
+// slots slides with the clock, so per-slot capacity would have to be
+// re-grown for every new window position, while a shared LIFO pool
+// converges once to the largest bucket load and then never allocates
+// again.
 type bucket struct {
-	keys   []eventKey
+	keys   []uint64
 	bodies []eventBody
+	spill  []event
 }
 
 // event is the AoS form used by the young/overflow heaps, where events are
@@ -321,10 +341,10 @@ type Simulator struct {
 	overflow eventHeap
 
 	// Recycled slot buffers (see bucket).
-	freeKeys   [][]eventKey
+	freeKeys   [][]uint64
 	freeBodies [][]eventBody
 
-	_ [5*CacheLine - 272]byte
+	_ [5*CacheLine - 296]byte
 }
 
 // New returns a Simulator starting at time zero.
@@ -349,8 +369,9 @@ func (s *Simulator) clearOccupied(b int64) {
 }
 
 // bucketAdd appends one event to ladder bucket b, pulling recycled arrays
-// from the pool when the slot is bare.
-func (s *Simulator) bucketAdd(b int64, at Time, lane int32, body eventBody) {
+// from the pool when the slot is bare, or to the slot's spill list when
+// its keys are all taken.
+func (s *Simulator) bucketAdd(b int64, at Time, lane int32, seq uint64, act Action, arg uint64) {
 	if s.ladder == nil {
 		s.ladder = make([]bucket, ladderBuckets)
 	}
@@ -362,12 +383,17 @@ func (s *Simulator) bucketAdd(b int64, at Time, lane int32, body eventBody) {
 			s.freeKeys = s.freeKeys[:n-1]
 			s.freeBodies = s.freeBodies[:n-1]
 		} else {
-			slot.keys = make([]eventKey, 0, bucketCap)
+			slot.keys = make([]uint64, 0, bucketCap)
 			slot.bodies = make([]eventBody, 0, bucketCap)
 		}
 	}
-	slot.keys = append(slot.keys, eventKey{at: at, ord: uint64(lane)<<32 | uint64(len(slot.bodies))})
-	slot.bodies = append(slot.bodies, body)
+	i := len(slot.bodies)
+	if i == maxBucketKeys {
+		slot.spill = append(slot.spill, event{at: at, seq: seq, lane: lane, act: act, arg: arg})
+		return
+	}
+	slot.keys = append(slot.keys, bucketKey(at, lane, i))
+	slot.bodies = append(slot.bodies, eventBody{act: act, arg: arg})
 	s.markOccupied(b)
 }
 
@@ -381,7 +407,7 @@ func (s *Simulator) schedule(t Time, lane int32, act Action, arg uint64) {
 	b := s.bucketOf(t)
 	// Single unsigned compare for the common case: b in (curB, curB+NB).
 	if uint64(b-s.curB-1) < ladderBuckets-1 {
-		s.bucketAdd(b, t, lane, eventBody{act: act, arg: arg})
+		s.bucketAdd(b, t, lane, seq, act, arg)
 	} else if b <= s.curB {
 		s.young.push(event{at: t, seq: seq, lane: lane, act: act, arg: arg})
 	} else {
@@ -475,29 +501,22 @@ func (s *Simulator) nextBucket() int64 {
 	return -1
 }
 
-// sortKeys orders a bucket's keys by (time, lane, index). Buckets are small —
-// a ladder slot spans tens of ns — and appended in near-ascending time
-// order (adaptive: ~O(n)), so a hand-rolled insertion sort with the
-// comparison inlined beats the generic sort's comparator indirection;
-// pathological buckets fall back to slices.SortFunc.
-func sortKeys(keys []eventKey) {
+// sortKeys orders a bucket's keys, and so its events by (time, lane,
+// index). Buckets are small — a ladder slot spans tens of ns — and
+// appended in near-ascending time order (adaptive: ~O(n)), so an insertion
+// sort, one word compare and one word moved per step, beats the generic
+// sort; pathological buckets fall back to slices.Sort.
+func sortKeys(keys []uint64) {
 	if len(keys) > 96 {
-		slices.SortFunc(keys, func(a, b eventKey) int {
-			if keyLess(&a, &b) {
-				return -1
-			}
-			return 1
-		})
+		slices.Sort(keys)
 		return
 	}
 	for i := 1; i < len(keys); i++ {
-		k := keys[i]
-		j := i - 1
-		for j >= 0 && keyLess(&k, &keys[j]) {
-			keys[j+1] = keys[j]
-			j--
+		k, j := keys[i], i
+		for ; j > 0 && k < keys[j-1]; j-- {
+			keys[j] = keys[j-1]
 		}
-		keys[j+1] = k
+		keys[j] = k
 	}
 }
 
@@ -525,7 +544,7 @@ func (s *Simulator) advance() bool {
 			s.young.push(e)
 			continue
 		}
-		s.bucketAdd(b, e.at, e.lane, eventBody{act: e.act, arg: e.arg})
+		s.bucketAdd(b, e.at, e.lane, e.seq, e.act, e.arg)
 	}
 	// An occupied slot holds events, and a bucket chosen for the overflow
 	// head just put that head into young: there is something to run.
@@ -543,6 +562,12 @@ func (s *Simulator) advance() bool {
 		s.run.keys, s.run.bodies = slot.keys, slot.bodies
 		slot.keys, slot.bodies = nil, nil
 		s.clearOccupied(s.curB)
+		// Spilled events lose their (time, lane) ties to the run, as
+		// young events do (see Event store).
+		for _, e := range slot.spill {
+			s.young.push(e)
+		}
+		slot.spill = nil
 	} else {
 		s.run.keys = s.run.keys[:0]
 		s.run.bodies = s.run.bodies[:0]
@@ -573,13 +598,18 @@ func (s *Simulator) drain(limit Time, haveLimit bool) {
 		var lane int32
 		var act Action
 		var arg uint64
-		haveRun := s.runPos < len(s.run.keys)
+		var k uint64
 		useYoung := s.young.len() > 0
-		if haveRun && useYoung {
-			// Young was scheduled after the run was loaded: on a (time,
-			// lane) tie the run goes first, as its smaller seq would.
-			rk, y := &s.run.keys[s.runPos], &s.young.ev[0]
-			useYoung = y.at < rk.at || y.at == rk.at && y.lane < rk.lane()
+		if s.runPos < len(s.run.keys) {
+			k = s.run.keys[s.runPos]
+			at = Time(s.curB)<<bucketShift | Time(k>>offsetShift)
+			lane = int32(k >> indexBits & laneMask)
+			if useYoung {
+				// Young was scheduled after the run was loaded: on a (time,
+				// lane) tie the run goes first, as its smaller seq would.
+				y := &s.young.ev[0]
+				useYoung = y.at < at || y.at == at && y.lane < lane
+			}
 		}
 		if useYoung {
 			e := &s.young.ev[0]
@@ -590,13 +620,10 @@ func (s *Simulator) drain(limit Time, haveLimit bool) {
 			lane, act, arg = e.lane, e.act, e.arg
 			s.young.pop()
 		} else {
-			k := &s.run.keys[s.runPos]
-			at = k.at
 			if haveLimit && at >= limit {
 				return
 			}
-			lane = k.lane()
-			body := &s.run.bodies[uint32(k.ord)]
+			body := &s.run.bodies[k&indexMask]
 			act, arg = body.act, body.arg
 			body.act = nil // drop the callback reference for the GC
 			s.runPos++
