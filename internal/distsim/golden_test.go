@@ -36,9 +36,11 @@ type goldenRow struct {
 	// different number of events.
 	Events uint64 `json:"events"`
 	// Dispatched is what the kernels actually executed
-	// (Model.Eng.Dispatched()): Events without the elided completions. Like
-	// Events it does not depend on the shard count. A change to how a hop
-	// is carried out must leave it where it was.
+	// (Model.Eng.Dispatched()): Events without the elided completions and
+	// counted arrivals. Only a new elision may move it, never anything else
+	// about how a hop is carried out, and its value must stay the same at
+	// every shard count: a model event is elided or not whichever shard
+	// runs it.
 	Dispatched uint64 `json:"dispatched"`
 }
 

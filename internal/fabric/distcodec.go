@@ -102,10 +102,11 @@ func (n *Net) DecodeMail(kind byte, lane int32, payload []byte) (sim.Action, uin
 			return nil, 0, fmt.Errorf("fabric: truncated cell payload")
 		}
 		flags, rest := payload[0], payload[1:]
-		// A cell that crossed a link queue fits in it, and is bound for an
-		// edge device: anything else would index out of the forwarding tables.
+		// A cell that crossed a link queue has bytes and fits in it, and is
+		// bound for an edge device: anything else would index out of the
+		// forwarding tables, or be counted on arrival as a cell it cannot be.
 		size, k := binary.Uvarint(rest)
-		if k <= 0 || size > uint64(n.Cfg.LinkBytes) {
+		if k <= 0 || size == 0 || size > uint64(n.Cfg.LinkBytes) {
 			return nil, 0, fmt.Errorf("fabric: bad cell size")
 		}
 		rest = rest[k:]
@@ -162,16 +163,14 @@ type ShardTraffic struct {
 // TrafficOfShard snapshots shard s's counters. Barrier context only.
 func (n *Net) TrafficOfShard(s int) ShardTraffic {
 	sh := n.shards[s]
-	t := ShardTraffic{
-		Injected:     sh.injected,
-		DeadDrops:    sh.deadDrops,
-		NoRouteDrops: sh.noRouteDrops,
-	}
+	var t ShardTraffic
 	for _, d := range n.edges {
 		if d.sh == sh {
+			d.eg.settle() // the links into d receive on sh
 			t.Delivered += d.eg.cells
 		}
 	}
+	t.Injected, t.DeadDrops, t.NoRouteDrops = sh.injected, sh.deadDrops, sh.noRouteDrops
 	return t
 }
 

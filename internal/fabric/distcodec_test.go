@@ -85,6 +85,7 @@ func TestDecodeMailRejectsHostileFrames(t *testing.T) {
 		{"reach trailing bytes", MailReach, lane0, append(reachFrame(0, 0, 1, good), 0xaa), "trailing"},
 		{"cell dst out of range", MailCell, 0, cellFrame(512, 9999, 1), "dst"},
 		{"cell larger than a link queue", MailCell, 0, cellFrame(1<<40, 1, 1), "size"},
+		{"cell of no bytes", MailCell, 0, cellFrame(0, 1, 1), "size"},
 		{"cell trailing bytes", MailCell, 0, append(cellFrame(512, 1, 1), 0), "seq"},
 		{"cell on a reach lane", MailCell, lane0, cellFrame(512, 1, 1), "lane"},
 		{"cell on a negative lane", MailCell, -1, cellFrame(512, 1, 1), "lane"},
@@ -146,14 +147,31 @@ func TestMailRoundTrip(t *testing.T) {
 	}
 }
 
+// lastHop returns a directed link of n whose cells for its far end are
+// counted on arrival, and that far end.
+func lastHop(n *Net) (lane int32, dst uint64) {
+	for d, l := range n.links {
+		if l.home >= 0 {
+			return int32(d), uint64(l.home)
+		}
+	}
+	panic("fabric: no link counts its arrivals")
+}
+
 // FuzzDecodeMail: whatever bytes arrive, on either route policy's
 // fabric, DecodeMail returns an error or an action that executes and
-// drains without a panic.
+// drains without a panic. A cell is delivered as a peer delivers it, on
+// the shard its lane's link feeds, where a cell on its last hop is
+// counted instead of scheduled.
 func FuzzDecodeMail(f *testing.F) {
 	clos := codecFabric(f, "clos")
 	lane0 := clos.routes.(*reachProtocol).reachLane(0)
 	f.Add(false, MailCell, int32(6), cellFrame(512, 5, 42))
 	f.Add(true, MailCell, int32(6), cellFrame(512, 5, 42))
+	last, home := lastHop(clos)
+	f.Add(false, MailCell, last, cellFrame(512, home, 42)) // counted
+	f.Add(false, MailCell, last, cellFrame(0, home, 42))
+	f.Add(false, MailCell, last, cellFrame(512, 1<<31+home, 42))
 	f.Add(false, MailReach, lane0, reachFrame(0, 0, 1, reach.Message{Bits: [2]uint64{0xff}}))
 	for _, frame := range hostileReachFrames {
 		f.Add(false, MailReach, lane0, frame)
@@ -168,7 +186,11 @@ func FuzzDecodeMail(f *testing.F) {
 		if err != nil {
 			return
 		}
-		act.Act(arg)
+		if kind == MailCell {
+			n.eng.DeliverMail(n.links[lane].sh.id, parsim.Mail{At: sim.Microsecond, Lane: lane, Act: act, Arg: arg})
+		} else {
+			act.Act(arg)
+		}
 		n.eng.RunUntilQuiet(sim.Millisecond)
 		if !n.eng.Quiet() {
 			t.Fatal("decoded action left the fabric busy")

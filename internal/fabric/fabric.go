@@ -56,6 +56,18 @@
 // spreader reshuffles are in place, and forwarding state lives in dense
 // bitmaps. The fabric counts what each edge device receives, cells and
 // bytes (Delivered, DeliveredTo), whatever endpoint it hands them to.
+//
+// Where an edge device does nothing but count — no endpoint (SetEgress),
+// no OnDeliver, no OnCellDrop — a cell's last hop on an engine is not an
+// event either. The link into the device records the cell's (arrival,
+// size) where it is handed over: at the sender's hand-over when both ends
+// share a shard, at the receiver's mailbox when the link crosses a cut
+// (sim.Arrival). The cell goes back to the receiver's free list at once,
+// the receiving shard holds the arrival's instant (sim.Hold), and the
+// counters take the record once sim.Due says the arrival would have run —
+// when they are read, and before the link's state changes, so a cell on a
+// wire that fails is the same dead drop it would have been. Hairpins, the
+// solo fabric and every egress with an endpoint keep the event.
 package fabric
 
 import (
@@ -153,16 +165,26 @@ type shardState struct {
 // kernel event per cell, the arrival (see netsim.Queue). A solo fabric
 // shares one default-lane Pipe, the route is {pipe, link}, and a cell
 // pays a completion and an arrival.
+//
+// A cell whose last hop this is may not need the arrival either (see the
+// package comment): home names the edge device whose cells the link counts
+// instead, and held keeps the counted cells until they are due.
 type link struct {
 	net   *Net
 	sh    *shardState // receiving node's shard
 	to    *node
 	up    bool
+	home  int32            // the far end's edge index while its cells are counted, else -1 (rehome)
 	route []netsim.Handler // into hops
 	hops  [2]netsim.Handler
 	wire  netsim.LanePipe
 	q     netsim.Queue
+	held  arrivals
 }
+
+// arrivalEvents, set by tests only, delivers every cell by an event: the
+// reference the counted arrivals are held to.
+var arrivalEvents bool
 
 // Receive implements netsim.Handler: the cell reaches the far end.
 func (l *link) Receive(c *netsim.Packet) {
@@ -179,15 +201,135 @@ func (l *link) send(c *netsim.Packet) {
 	l.q.Receive(c)
 }
 
+// rehome decides whether cells on their last hop over l are counted (home
+// is the far end's edge index) or delivered by an event (home is -1):
+// counted on an engine, where the link has a lane-keyed wire, while the
+// far end's egress has no endpoint. A link whose ends share a shard is its
+// own wire's scheduler while it counts, so the hand-over reaches AtLane; a
+// cut link is asked by the receiver's mailbox (Arrive).
+func (l *link) rehome() {
+	l.home = -1
+	if l.q.Wire == nil {
+		return
+	}
+	if e := l.to.edge; e >= 0 && l.to.eg.to == nil && !arrivalEvents {
+		l.home = e
+	}
+	if l.q.Sim == l.sh.sm {
+		l.wire.Sched = l.sh.sm
+		if l.home >= 0 {
+			l.wire.Sched = l
+		}
+	}
+}
+
+// Now implements sim.LaneScheduler for the wire of a link whose ends share
+// a shard (see rehome).
+func (l *link) Now() sim.Time { return l.sh.sm.Now() }
+
+// AtLane implements sim.LaneScheduler: a cell handed to the wire for its
+// last hop is counted and its instant held; anything else is scheduled.
+func (l *link) AtLane(t sim.Time, lane int32, a sim.Action, arg uint64) {
+	if c, ok := a.(*netsim.Packet); ok && c.Dst == l.home && l.count(c, t) {
+		l.sh.sm.Hold(t, lane)
+		return
+	}
+	l.sh.sm.AtLane(t, lane, a, arg)
+}
+
+// Arrive implements netsim.Terminus, for a cell that crossed a shard cut:
+// the receiver's mailbox asks before it schedules the arrival.
+func (l *link) Arrive(c *netsim.Packet, t sim.Time) bool {
+	return c.Dst == l.home && l.count(c, t)
+}
+
+// count records c, arriving at t at its destination, for settle, and
+// returns it to the receiver's free list. The hooks that would see the
+// cell are asked here rather than in rehome: they are fields, set whenever
+// the caller likes before the run.
+func (l *link) count(c *netsim.Packet, t sim.Time) bool {
+	if l.net.OnDeliver != nil || l.net.OnCellDrop != nil {
+		return false
+	}
+	if r := &l.held; r.n == len(r.buf) {
+		l.settle() // make room before the ring grows
+		if r.n == len(r.buf) {
+			r.grow()
+		}
+	}
+	l.held.push(arrival{at: t, size: c.Size})
+	l.sh.cells.Put(c)
+	return true
+}
+
+// settle applies the counted cells whose arrival is due on the receiving
+// shard, against the link's state: delivered while it is up, lost on the
+// wire while it is down.
+func (l *link) settle() {
+	r, sm, eg := &l.held, l.sh.sm, l.to.eg
+	for r.n > 0 {
+		a := r.buf[r.head]
+		if !sm.Due(a.at, l.wire.Lane) {
+			return
+		}
+		r.head = (r.head + 1) & (len(r.buf) - 1)
+		r.n--
+		if !l.up {
+			l.sh.deadDrops++
+			continue
+		}
+		eg.cells++
+		eg.bytes += uint64(a.size)
+	}
+}
+
+// arrival is a counted cell: its arrival instant and size.
+type arrival struct {
+	at   sim.Time
+	size int
+}
+
+// arrivals is a FIFO of counted cells in a power-of-two ring. It is
+// settled when it is full, and grows only if nothing in it is due: to the
+// most cells one link ever has counted ahead of their arrival.
+type arrivals struct {
+	buf  []arrival
+	head int
+	n    int
+}
+
+// push appends a to a ring with room for it.
+func (r *arrivals) push(a arrival) {
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = a
+	r.n++
+}
+
+func (r *arrivals) grow() {
+	buf := make([]arrival, max(8, 2*len(r.buf)))
+	for i := range r.n {
+		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+	}
+	r.buf, r.head = buf, 0
+}
+
 // egress terminates cells at their destination edge device and counts
 // them: it runs on its device's shard, so in a distributed run only the
-// device's owner accumulates real counts.
+// device's owner accumulates real counts. in lists the links into the
+// device, whose counted cells settle adds to cells and bytes.
 type egress struct {
 	net   *Net
 	sh    *shardState
 	to    netsim.Handler // optional per-edge endpoint (SetEgress)
+	in    []*link
 	cells uint64
 	bytes uint64
+}
+
+// settle applies the due counted cells of every link into the device.
+func (e *egress) settle() {
+	for _, l := range e.in {
+		l.settle()
+	}
 }
 
 // Receive implements netsim.Handler.
@@ -537,6 +679,10 @@ func build(cfg Config, g topo.Graph, shards []*shardState, assign []int, eng *pa
 			l.q.Wire = &l.wire
 			l.route = l.hops[1:] // {link}; there is no pipe
 		}
+		if dst.eg != nil {
+			dst.eg.in = append(dst.eg.in, l)
+		}
+		l.rehome()
 		n.links = append(n.links, l)
 		if ref := src.port[port]; ref.climb {
 			src.up[ref.slot] = l
@@ -598,8 +744,16 @@ func (n *Net) EdgeSim(fa int) *sim.Simulator { return n.edges[fa].sh.sm }
 // SetEgress installs h as the delivery endpoint of destination edge fa,
 // taking precedence over OnDeliver. The handler owns delivered cells
 // (forward or Release). In sharded mode h runs pinned to fa's shard, so a
-// per-edge endpoint needs no locking.
-func (n *Net) SetEgress(fa int, h netsim.Handler) { n.edges[fa].eg.to = h }
+// per-edge endpoint needs no locking. Call it before the run starts: an
+// edge with an endpoint receives its cells by events, one that only
+// counts them does not (see the package comment).
+func (n *Net) SetEgress(fa int, h netsim.Handler) {
+	eg := n.edges[fa].eg
+	eg.to = h
+	for _, l := range eg.in {
+		l.rehome()
+	}
+}
 
 // Inject sends one cell from edge device srcFA toward edge device dstFA.
 // The cell's Flow field is opaque to the fabric and travels with it;
@@ -648,6 +802,7 @@ func (n *Net) Injected() (v uint64) {
 // quiescence caveat as Injected).
 func (n *Net) Delivered() (v uint64) {
 	for _, d := range n.edges {
+		d.eg.settle()
 		v += d.eg.cells
 	}
 	return v
@@ -658,11 +813,20 @@ func (n *Net) Delivered() (v uint64) {
 // owner holds real counts). It is a telemetry.SinkFunc.
 func (n *Net) DeliveredTo(fa int) (cells, bytes uint64) {
 	eg := n.edges[fa].eg
+	eg.settle()
 	return eg.cells, eg.bytes
+}
+
+// settle applies every counted cell that is due (see the package comment).
+func (n *Net) settle() {
+	for _, d := range n.edges {
+		d.eg.settle()
+	}
 }
 
 // DeadDrops counts cells lost on a failed link (same quiescence caveat).
 func (n *Net) DeadDrops() (v uint64) {
+	n.settle()
 	for _, sh := range n.shards {
 		v += sh.deadDrops
 	}
@@ -724,6 +888,9 @@ func (n *Net) setLink(i int, up bool) {
 	if n.adminUp[i] == up {
 		return
 	}
+	// Cells counted before now arrived under the old state.
+	n.links[2*i].settle()
+	n.links[2*i+1].settle()
 	n.adminUp[i] = up
 	n.links[2*i].up = up
 	n.links[2*i+1].up = up

@@ -79,12 +79,14 @@ type FreeList struct{ free []*Packet }
 // FreeListCap bounds a FreeList. A list absorbs the difference between the
 // packets its goroutine releases and those it takes: the cells in flight,
 // for a loop that takes one per injection and releases one per delivery,
-// plus the drift between two shards trading cells across their cut. At
-// 256 (2 KiB of pointers) a two-shard K=8 Clos at load 0.4 goes to the
-// shared list for fewer than one cell in a thousand, at start-up and at
-// drain; shards that take and release at different rates spill that
-// difference under any bound.
-const FreeListCap = 256
+// plus the drift between two shards trading cells across their cut. A
+// fabric cell is released when its last hop is handed over, not when it
+// arrives (the arrival is only counted), so a two-shard K=8 Clos at load
+// 0.4 never has more than ~450 live. At 192 (1.5 KiB of pointers) it goes
+// to the shared list for fewer than one cell in a thousand, at start-up
+// and at drain; shards that take and release at different rates spill
+// that difference under any bound.
+const FreeListCap = 192
 
 // Get returns a zeroed packet.
 func (l *FreeList) Get() *Packet {
@@ -137,6 +139,26 @@ func (p *Packet) SendOn() {
 // Act implements sim.Action so pipes and queues can schedule a packet's
 // next hop without allocating a closure.
 func (p *Packet) Act(uint64) { p.SendOn() }
+
+// Terminus is a route hop that may take a packet's arrival as a count
+// instead of an event: a link into the device that only counts it.
+type Terminus interface {
+	// Arrive is asked on the receiver's event loop for p arriving at t on
+	// the terminus's own lane. True: the terminus has counted p for its
+	// instant and owns it; nothing is to be scheduled.
+	Arrive(p *Packet, t sim.Time) bool
+}
+
+// Arrive implements sim.Arrival: a packet whose next hop is a Terminus
+// asks it.
+func (p *Packet) Arrive(t sim.Time, _ int32, _ uint64) bool {
+	if p.hop < len(p.route) {
+		if h, ok := p.route[p.hop].(Terminus); ok {
+			return h.Arrive(p, t)
+		}
+	}
+	return false
+}
 
 // ring is a growable circular buffer. Unlike an append-and-shift slice it
 // reuses its backing array under sustained load: the array only grows
@@ -249,6 +271,11 @@ type pktRing = ring[*Packet]
 // completion of the last packet handed over is a real event
 // (sim.AtCompletion) that hands over the next horizon's worth. Invariant:
 // the ring is non-empty exactly while that event is pending.
+//
+// The hand-over may be the packet's last event too: the wire's scheduler
+// is whatever its far end chose, and a far end that only counts what
+// arrives (a Terminus) records the arrival there and holds its instant
+// (sim.Hold) instead of scheduling it.
 type Queue struct {
 	Name           string
 	Sim            *sim.Simulator

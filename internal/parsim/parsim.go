@@ -67,7 +67,10 @@
 // the owned set (StepOwned's emit). Mail not yet inserted counts as pending
 // (Pending, Quiet, OwnedPending), so a drain cannot end with a message in
 // an outbox, and it is counted where it is sent, so Stats.Mail and MailLess
-// do not depend on how windows were executed.
+// do not depend on how windows were executed. Mail is inserted with sim's
+// AtArrival: a message whose only effect is to be counted is counted by the
+// receiver there, and its instant stays pending (sim.Hold) until a window
+// has passed it, so the drain still ends where the event would have ended it.
 //
 // What a shard's goroutine writes inside a window fills whole cache lines:
 // Shard, its outbox headers, sim.Simulator and the per-shard counters of
@@ -238,6 +241,8 @@ func (p Port) AtLane(t sim.Time, lane int32, a sim.Action, arg uint64) {
 // originate from one shard (a lane names one sending entity), so this
 // order is itself partition-independent, and across lanes the heap key
 // decides and insertion order is irrelevant — then the events before end.
+// A message is inserted with sim's AtArrival: one whose only effect is to
+// be counted (sim.Arrival) is counted by its receiver and not dispatched.
 func (s *Shard) window(end sim.Time) {
 	par := s.eng.par ^ 1
 	for _, src := range s.eng.shards {
@@ -246,7 +251,7 @@ func (s *Shard) window(end sim.Time) {
 			continue
 		}
 		for _, m := range o.msgs {
-			s.sm.AtLane(m.at, m.lane, m.act, m.arg)
+			s.sm.AtArrival(m.at, m.lane, m.act, m.arg)
 		}
 		o.msgs = o.msgs[:0]
 	}
@@ -496,12 +501,12 @@ func (e *Engine) ControlsPending() int { return len(e.ctls) }
 // orders it exactly as a locally flushed message. Messages on one lane
 // must be delivered in their send order (they originate from a single
 // sending entity); across lanes the order of DeliverMail calls is
-// irrelevant.
+// irrelevant. Like a local flush it inserts with sim's AtArrival.
 func (e *Engine) DeliverMail(dst int, m Mail) {
 	if e.inWindow {
 		panic("parsim: DeliverMail outside barrier context")
 	}
-	e.shards[dst].sm.AtLane(m.At, m.Lane, m.Act, m.Arg)
+	e.shards[dst].sm.AtArrival(m.At, m.Lane, m.Act, m.Arg)
 }
 
 // StepOwned advances exactly one window — the distributed counterpart of

@@ -103,6 +103,17 @@
 // itself when it runs. Both points are functions of the simulated system,
 // so the total stays independent of the partitioning. Dispatched reports
 // what the loop actually executed.
+//
+// The same rule covers a delivery whose only effect is to be counted by
+// its receiver — a cell reaching an egress that does nothing but count
+// it. Its place is its own (time, lane) key, so the receiver records it
+// where it is handed over (Hold) and applies it whenever it is next
+// looked at, once Due(time, lane) says the event would have run. A held
+// delivery counts as processed at Hold and keeps the simulator pending
+// until its instant has passed, so a run drained to quiet ends where it
+// would have ended with the event. A mailbox that hands actions to the
+// loop that runs them (parsim) inserts them with AtArrival, which asks an
+// action implementing Arrival whether it can take effect that way.
 package sim
 
 import (
@@ -310,6 +321,7 @@ type Simulator struct {
 	now     Time
 	seq     uint64
 	stopped bool
+	holding bool // a delivery was held (Hold); holdAt/holdLane is the latest
 	npend   int
 	// Processed counts events executed so far, plus the completions that
 	// were elided (see Completions in the package comment): the count of a
@@ -321,7 +333,9 @@ type Simulator struct {
 	// Where the event order stands: the running event's lane (its time is
 	// now), or between runs what the last run call left behind. Completed
 	// answers from it.
-	curLane int32
+	curLane  int32
+	holdLane int32
+	holdAt   Time
 
 	// Bucket ladder: ladder[b&ladderMask] holds the events of absolute
 	// bucket b for b in (curB, curB+ladderBuckets). occupied is the
@@ -344,7 +358,7 @@ type Simulator struct {
 	freeKeys   [][]uint64
 	freeBodies [][]eventBody
 
-	_ [5*CacheLine - 296]byte
+	_ [5*CacheLine - 304]byte
 }
 
 // New returns a Simulator starting at time zero.
@@ -353,8 +367,14 @@ func New() *Simulator { return &Simulator{} }
 // Now returns the current simulated time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Pending returns the number of events waiting to run.
-func (s *Simulator) Pending() int { return s.npend }
+// Pending returns the number of events waiting to run, plus one while a
+// held delivery (Hold) is not yet due.
+func (s *Simulator) Pending() int {
+	if s.holding && !s.Due(s.holdAt, s.holdLane) {
+		return s.npend + 1
+	}
+	return s.npend
+}
 
 func (s *Simulator) bucketOf(t Time) int64 { return int64(t) >> bucketShift }
 
@@ -426,12 +446,16 @@ const CompletionLane = DefaultLane - 1
 // a bucket and not in the overflow heap.
 const ElideHorizon Time = (ladderBuckets / 2) << bucketShift
 
-// Completed reports whether a serializer completion due at t has taken
-// effect: relative to the running event when called from one, relative to
-// what the last run call executed otherwise.
-func (s *Simulator) Completed(t Time) bool {
-	return t < s.now || t == s.now && s.curLane == DefaultLane
+// Due reports whether an event at (t, lane) would have run by now:
+// relative to the running event when called from one, relative to what
+// the last run call executed otherwise.
+func (s *Simulator) Due(t Time, lane int32) bool {
+	return t < s.now || t == s.now && lane < s.curLane
 }
+
+// Completed reports whether a serializer completion due at t has taken
+// effect: Due on CompletionLane.
+func (s *Simulator) Completed(t Time) bool { return s.Due(t, CompletionLane) }
 
 // Elide counts one completion as processed without enqueuing it.
 func (s *Simulator) Elide() {
@@ -449,8 +473,41 @@ func (s *Simulator) AtCompletion(t Time, a Action, arg uint64) {
 }
 
 // Dispatched returns the number of events the loop executed: Processed
-// without the completions that were elided.
+// without the completions and deliveries that were elided.
 func (s *Simulator) Dispatched() uint64 { return s.Processed - s.elided }
+
+// Hold counts a delivery at (t, lane) as processed without enqueuing it:
+// its receiver has recorded it and applies it once Due(t, lane). Until
+// then the simulator stays pending, as it would with the event queued.
+// t must not be in the past.
+func (s *Simulator) Hold(t Time, lane int32) {
+	s.Processed++
+	s.elided++
+	if !s.holding || t > s.holdAt || t == s.holdAt && lane > s.holdLane {
+		s.holding, s.holdAt, s.holdLane = true, t, lane
+	}
+}
+
+// Arrival is implemented by an Action that may take effect where it is
+// handed to the loop that runs it instead of being dispatched: a delivery
+// whose only effect is to be counted.
+type Arrival interface {
+	// Arrive is asked on the receiving simulator, for an action that would
+	// run at (t, lane). True: the action has recorded itself for its
+	// receiver to apply once Due(t, lane), and it must not be scheduled.
+	Arrive(t Time, lane int32, arg uint64) bool
+}
+
+// AtArrival is AtLane for an action handed over from another event loop
+// (a mailbox): an Arrival that takes effect on the spot is held (Hold)
+// instead of scheduled.
+func (s *Simulator) AtArrival(t Time, lane int32, a Action, arg uint64) {
+	if r, ok := a.(Arrival); ok && r.Arrive(t, lane, arg) {
+		s.Hold(t, lane)
+		return
+	}
+	s.schedule(t, lane, a, arg)
+}
 
 // At schedules fn to run at absolute time t. Scheduling in the past (t <
 // Now()) runs the event at the current time instead, preserving causality.
@@ -647,10 +704,15 @@ const (
 // ranThrough records that nothing at or before the clock is left to run.
 func (s *Simulator) ranThrough() { s.curLane = afterAll }
 
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty or Stop is called. An
+// exhausted Run leaves the clock at the latest held delivery if that is
+// later than the last event, as the delivery's event would have.
 func (s *Simulator) Run() {
 	s.drain(0, false)
 	if !s.stopped {
+		if s.holding && s.holdAt > s.now {
+			s.now = s.holdAt
+		}
 		s.ranThrough()
 	}
 }
