@@ -27,7 +27,7 @@ type FabricAdapter struct {
 	// Routing.
 	table    *reach.Table
 	monitors []*reach.Monitor
-	spreader *reach.Spreader
+	spreader reach.Spreader[int]
 	reachTmr *sim.Timer
 
 	// Egress.
@@ -73,7 +73,7 @@ func newFabricAdapter(n *Network, id uint16, numUplinks int) *FabricAdapter {
 		upSending:  make([]bool, numUplinks),
 		hostInBusy: make([]sim.Time, n.Cfg.HostPortsPerFA),
 		table:      reach.NewTable(n.clos.NumFA, numUplinks),
-		spreader:   reach.NewSpreader(numUplinks, 4, n.Cfg.Seed+int64(id)*31337),
+		spreader:   newSpreader(numUplinks, n.Cfg.Seed+int64(id)*31337),
 		reasm:      make(map[reasmKey]*cell.Reassembler),
 		egressQ:    make([]int64, n.Cfg.HostPortsPerFA),
 		egressBusy: make([]bool, n.Cfg.HostPortsPerFA),
@@ -276,7 +276,7 @@ func (fa *FabricAdapter) grant(k voq.Key, bytes int64) {
 	cells := fr.Fragment(fa.ID, k.DstFA, k.TC, batch)
 	eligible := fa.table.Links(int(k.DstFA))
 	for _, c := range cells {
-		out := fa.spreader.Next(eligible)
+		out := spray(&fa.spreader, eligible)
 		if out < 0 {
 			fa.NoRouteDrops++
 			fa.net.discard(discardIDs(c)...)
@@ -299,7 +299,7 @@ func (fa *FabricAdapter) sendOnUplink(port int, eligible reach.Bitmap, c *cell.C
 			}
 			return
 		}
-		next := fa.spreader.Next(eligible)
+		next := spray(&fa.spreader, eligible)
 		if next < 0 {
 			break
 		}

@@ -20,7 +20,7 @@ type FabricElement struct {
 
 	table    *reach.Table
 	monitors []*reach.Monitor
-	spreader *reach.Spreader
+	spreader reach.Spreader[int]
 	reachTmr *sim.Timer
 
 	// Per-output-link queues (cells waiting for the serializer) with a
@@ -50,7 +50,7 @@ func newFabricElement(n *Network, id topo.NodeID, numLinks int) *FabricElement {
 		links:    make([]*link, numLinks),
 		downN:    downN,
 		table:    reach.NewTable(n.clos.NumFA, numLinks),
-		spreader: reach.NewSpreader(numLinks, 4, n.Cfg.Seed+int64(id.Index)*7919+int64(id.Kind)*104729),
+		spreader: newSpreader(numLinks, n.Cfg.Seed+int64(id.Index)*7919+int64(id.Kind)*104729),
 		queues:   make([][]*cell.Cell, numLinks),
 		sending:  make([]bool, numLinks),
 	}
@@ -155,7 +155,7 @@ func (fe *FabricElement) onCell(port int, c *cell.Cell) {
 		// only continue downward.
 		out = fe.pickDown(eligible)
 	} else {
-		out = fe.spreader.Next(eligible)
+		out = spray(&fe.spreader, eligible)
 	}
 	if out < 0 {
 		fe.NoRoute++
@@ -169,13 +169,33 @@ func (fe *FabricElement) onCell(port int, c *cell.Cell) {
 // pickDown spreads among eligible down-facing links only.
 func (fe *FabricElement) pickDown(eligible reach.Bitmap) int {
 	for tries := 0; tries < len(fe.links); tries++ {
-		l := fe.spreader.Next(eligible)
+		l := spray(&fe.spreader, eligible)
 		if l < 0 {
 			return -1
 		}
 		if l < fe.downN {
 			return l
 		}
+	}
+	return -1
+}
+
+// newSpreader returns a §5.3 spreader over numLinks ports, named by index,
+// with one candidate set (see spray).
+func newSpreader(numLinks int, seed int64) reach.Spreader[int] {
+	ports := make([]int, numLinks)
+	for i := range ports {
+		ports[i] = i
+	}
+	return reach.NewSpreader(ports, 1, 4, seed)
+}
+
+// spray makes eligible sp's candidate set and returns the port it picks
+// next, -1 when eligible is empty.
+func spray(sp *reach.Spreader[int], eligible reach.Bitmap) int {
+	sp.Replace(0, eligible)
+	if port, ok := sp.Next(0); ok {
+		return port
 	}
 	return -1
 }

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 
@@ -118,7 +119,9 @@ func TestMailRoundTrip(t *testing.T) {
 	n := codecFabric(t, "clos")
 	r := n.routes.(*reachProtocol)
 	spine := r.cl.NumFA + r.cl.NumFE1 + 1
-	sent := applyReach{tbl: r.tbl[spine], spine: spine, slot: 2, msgs: reach.BuildMessages(3, r.tbl[r.cl.NumFA+3].ReachableSet(), r.cl.NumFA)}
+	one := reach.NewBitmap(r.cl.NumFA) // FE1 3 reaches FA 5 alone
+	one.Set(5)
+	sent := applyReach{r: r, spine: spine, slot: 2, msgs: reach.BuildMessages(3, one, r.cl.NumFA)}
 	kind, payload, err := n.EncodeMail(parsim.Mail{Lane: r.reachLane(3), Act: sent})
 	if err != nil || kind != MailReach {
 		t.Fatalf("encode reach: kind %d, %v", kind, err)
@@ -128,8 +131,18 @@ func TestMailRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := act.(applyReach)
-	if got.tbl != sent.tbl || got.spine != sent.spine || got.slot != sent.slot || len(got.msgs) != len(sent.msgs) || got.msgs[0] != sent.msgs[0] {
+	if got.r != sent.r || got.spine != sent.spine || got.slot != sent.slot || len(got.msgs) != len(sent.msgs) || got.msgs[0] != sent.msgs[0] {
 		t.Fatalf("reach batch came back as %+v, sent %+v", got, sent)
+	}
+	// Applied, the decoded batch changes the spine's table, and the
+	// spine's spreader with it.
+	before := r.tbl[spine].LinkSet(2).Clone()
+	act.Act(0)
+	if slices.Equal(before, r.tbl[spine].LinkSet(2)) {
+		t.Fatal("the decoded reach batch changed nothing")
+	}
+	if err := checkSpray(n); err != nil {
+		t.Fatalf("after the decoded reach batch: %v", err)
 	}
 
 	c := netsim.NewPacket()
@@ -160,9 +173,10 @@ func lastHop(n *Net) (lane int32, dst uint64) {
 
 // FuzzDecodeMail: whatever bytes arrive, on either route policy's
 // fabric, DecodeMail returns an error or an action that executes and
-// drains without a panic. A cell is delivered as a peer delivers it, on
-// the shard its lane's link feeds, where a cell on its last hop is
-// counted instead of scheduled.
+// drains without a panic, and leaves the spreaders what the tables say
+// (checkSpray). A cell is delivered as a peer delivers it, on the shard
+// its lane's link feeds, where a cell on its last hop is counted instead
+// of scheduled.
 func FuzzDecodeMail(f *testing.F) {
 	clos := codecFabric(f, "clos")
 	lane0 := clos.routes.(*reachProtocol).reachLane(0)
@@ -194,6 +208,9 @@ func FuzzDecodeMail(f *testing.F) {
 		n.eng.RunUntilQuiet(sim.Millisecond)
 		if !n.eng.Quiet() {
 			t.Fatal("decoded action left the fabric busy")
+		}
+		if err := checkSpray(n); err != nil {
+			t.Fatal(err)
 		}
 		if n.Injected() != 0 || n.Delivered()+n.Drops() > 1 {
 			t.Fatalf("one decoded action accounted as %d delivered, %d dropped", n.Delivered(), n.Drops())

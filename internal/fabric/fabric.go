@@ -53,9 +53,16 @@
 // recycled through a per-shard netsim.FreeList (an Injector takes them
 // from it; a delivery with no endpoint installed and every drop inside the
 // fabric return them), every directed link's route is prebuilt once,
-// spreader reshuffles are in place, and forwarding state lives in dense
-// bitmaps. The fabric counts what each edge device receives, cells and
-// bytes (Delivered, DeliveredTo), whatever endpoint it hands them to.
+// spreader reshuffles are in place, and forwarding state lives in the
+// node's two spreaders (held by value): each owns its group's candidate
+// sets as bitmaps over port slots, which ECMP and the route policy read
+// and write, and again over positions of its current permutation, which
+// is all a spray decision reads — a shift and a trailing-zero count. The
+// route policy writes through the spreaders, which re-derive a position
+// set when its set is written and every set at a reshuffle; a reach.Table
+// is never read by the forwarding path. The fabric counts what each edge
+// device receives, cells and bytes (Delivered, DeliveredTo), whatever
+// endpoint it hands them to.
 //
 // Where an edge device does nothing but count — no endpoint (SetEgress),
 // no OnDeliver, no OnCellDrop — a cell's last hop on an engine is not an
@@ -356,25 +363,25 @@ type portRef struct {
 // node is one device of the graph. Its ports fall into two groups fixed
 // at build time: the climb group (the intact graph's climb set) and the
 // descend group (every other port; a port may not be in both). Each
-// group has its own spreader, sized over that group alone, and candidate
-// sets are bitmaps over the group's slots — the route policy keeps them
-// current.
+// group has its own spreader, sized over that group alone and held by
+// value, and the spreader owns the group's candidate sets: sprDown one
+// per destination edge (the descend sets), sprUp one, key 0 (the climb
+// set). The route policy keeps them current by writing through the
+// spreaders; a group of no ports is an empty spreader.
 type node struct {
+	// What forwarding a cell reads, first.
+	edge    int32 // edge index, -1 for pure transit nodes
+	ecmp    bool  // ModeECMP (see SetMode)
+	sprDown reach.Spreader[*link]
+	sprUp   reach.Spreader[*link]
+
 	net  *Net
 	sh   *shardState
 	id   int
-	edge int32   // edge index, -1 for pure transit nodes
-	eg   *egress // edge nodes: where cells addressed to this device end
-	ecmp bool    // ModeECMP (see SetMode)
-
+	eg   *egress   // edge nodes: where cells addressed to this device end
 	port []portRef // per port: where it sits in down or up
-	down []*link   // descend group; nil entry when the port is unwired
-	up   []*link   // climb group
-
-	descend []reach.Bitmap // per dst edge: live candidates over down
-	climb   reach.Bitmap   // live candidates over up
-	sprDown *reach.Spreader
-	sprUp   *reach.Spreader
+	down []*link   // descend group, by slot; nil entry when the port is unwired
+	up   []*link   // climb group, by slot
 }
 
 // Receive implements netsim.Handler: deliver the cell when it is home,
@@ -386,30 +393,46 @@ func (d *node) Receive(c *netsim.Packet) {
 		d.eg.Receive(c)
 		return
 	}
-	down, up := -1, -1
 	if d.ecmp {
-		h := ecmpHash(d.id, c.Seq)
-		if down = pickNth(d.descend[c.Dst], h); down < 0 && !c.Down {
-			up = pickNth(d.climb, h)
-		}
-	} else {
-		if d.sprDown != nil {
-			down = d.sprDown.Next(d.descend[c.Dst])
-		}
-		if down < 0 && d.sprUp != nil && !c.Down {
-			up = d.sprUp.Next(d.climb)
+		d.pickECMP(c)
+		return
+	}
+	if l, ok := d.sprDown.Next(int(c.Dst)); ok {
+		c.Down = true
+		l.send(c)
+		return
+	}
+	if !c.Down {
+		if l, ok := d.sprUp.Next(0); ok {
+			l.send(c)
+			return
 		}
 	}
-	switch {
-	case down >= 0:
+	d.noRoute(c)
+}
+
+// pickECMP forwards c by the same rule over the same candidate sets, one
+// candidate per flow.
+func (d *node) pickECMP(c *netsim.Packet) {
+	h := ecmpHash(d.id, c.Seq)
+	if down := pickNth(d.sprDown.Links(int(c.Dst)), h); down >= 0 {
 		c.Down = true
 		d.down[down].send(c)
-	case up >= 0:
-		d.up[up].send(c)
-	default:
-		d.sh.noRouteDrops++
-		d.net.dropCell(d.sh, c)
+		return
 	}
+	if !c.Down {
+		if up := pickNth(d.sprUp.Links(0), h); up >= 0 {
+			d.up[up].send(c)
+			return
+		}
+	}
+	d.noRoute(c)
+}
+
+// noRoute discards a cell with no live next hop.
+func (d *node) noRoute(c *netsim.Packet) {
+	d.sh.noRouteDrops++
+	d.net.dropCell(d.sh, c)
 }
 
 // ecmpHash mixes (device, flow id) into a uniform 64-bit value — a
@@ -591,12 +614,8 @@ func build(cfg Config, g topo.Graph, shards []*shardState, assign []int, eng *pa
 	}
 	n.routes = newRoutePolicy(n)
 
-	// Nodes, in node order. Spreader seeds are drawn in that order, descend
-	// before climb, one per spreader that exists; each spreader is sized
-	// over its own port group, because Spreader.Next advances its position
-	// even when no candidate is eligible.
+	// Nodes, in node order.
 	descend, climb := g.Routes(n.adminUp)
-	seeds := rand.New(rand.NewSource(cfg.Seed))
 	edgeOf := topo.EdgeOfNode(g)
 	numEdge := g.NumEdge()
 	n.nodes = make([]*node, g.NumNodes())
@@ -631,17 +650,6 @@ func build(cfg Config, g topo.Graph, shards []*shardState, assign []int, eng *pa
 			}
 		}
 		d.down, d.up = make([]*link, nDown), make([]*link, nUp)
-		d.descend = make([]reach.Bitmap, numEdge) // filled by the route policy's seed
-		d.climb = reach.NewBitmap(nUp)
-		for s := range d.up {
-			d.climb.Set(s)
-		}
-		if nDown > 0 {
-			d.sprDown = reach.NewSpreader(nDown, cfg.ReshuffleRounds, seeds.Int63())
-		}
-		if nUp > 0 {
-			d.sprUp = reach.NewSpreader(nUp, cfg.ReshuffleRounds, seeds.Int63())
-		}
 		n.nodes[i] = d
 	}
 
@@ -695,6 +703,25 @@ func build(cfg Config, g topo.Graph, shards []*shardState, assign []int, eng *pa
 		mkLink(lk.B, lk.BPort, lk.A)
 	}
 
+	// Spreaders, once the links they pick from exist. Seeds are drawn in
+	// node order, descend before climb, one per group with ports; each
+	// spreader is sized over its own port group, because Spreader.Next
+	// advances its position even when no candidate is eligible. The descend
+	// sets are filled by the route policy's seed; the climb set starts full.
+	seeds := rand.New(rand.NewSource(cfg.Seed))
+	seed := func(group []*link) int64 {
+		if len(group) == 0 {
+			return 0 // an empty spreader draws nothing
+		}
+		return seeds.Int63()
+	}
+	for _, d := range n.nodes {
+		d.sprDown = reach.NewSpreader(d.down, numEdge, cfg.ReshuffleRounds, seed(d.down))
+		d.sprUp = reach.NewSpreader(d.up, 1, cfg.ReshuffleRounds, seed(d.up))
+		for s := range d.up {
+			d.sprUp.Set(0, s)
+		}
+	}
 	n.routes.seed(descend, climb)
 	return n, nil
 }

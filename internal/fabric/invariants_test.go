@@ -189,10 +189,14 @@ func runProperty(t *testing.T, prog propProgram, shards int) propResult {
 	// Mid-run conservation: at every barrier, in-flight = injected −
 	// delivered − dropped must never go negative (a negative value means a
 	// cell was double-counted somewhere).
+	// And every node's spreaders agree with the route policy (checkSpray).
 	eng.OnBarrier(func(now sim.Time) {
 		inj, del, drp := n.Injected(), n.Delivered(), n.Drops()
 		if del+drp > inj {
 			t.Errorf("t=%d: delivered %d + dropped %d exceeds injected %d", now, del, drp, inj)
+		}
+		if err := checkSpray(n); err != nil {
+			t.Errorf("t=%d: %v", now, err)
 		}
 	})
 
@@ -236,9 +240,15 @@ func runProperty(t *testing.T, prog propProgram, shards int) propResult {
 		}
 	}
 
-	// Self-healing: every link healed, so no (spine, FA) hole may remain.
+	// Self-healing: every link healed, so no (spine, FA) hole may remain,
+	// and the installed candidate sets are the intact graph's routes.
 	if u := n.UnreachablePairs(); u != 0 {
 		t.Fatalf("shards=%d: %d unreachable pairs after full heal", shards, u)
+	}
+	wantDescend, wantClimb := prog.g.Routes(n.adminUp)
+	gotDescend, gotClimb := installedRoutes(n)
+	if fmt.Sprint(gotDescend) != fmt.Sprint(wantDescend) || fmt.Sprint(gotClimb) != fmt.Sprint(wantClimb) {
+		t.Fatalf("shards=%d: candidate sets after full heal are not the graph's routes", shards)
 	}
 
 	// Canonical digest: per-FA delivery order, sorted drop set, and every
@@ -278,6 +288,58 @@ func runProperty(t *testing.T, prog propProgram, shards int) propResult {
 		events:    eng.Processed(),
 		digest:    h.Sum64(),
 	}
+}
+
+// checkSpray holds every node's spreaders to the route policy, a check
+// that catches a path which changes a candidate set and forgets the
+// spreader: every position set must be the image of its link set under
+// the spreader's permutation (reach.Spreader.Check), and the link sets
+// must be the policy's own state. Under the reach protocol an FE's
+// descend sets are its table's rows and a climb set is exactly the live
+// uplinks; on a recomputed graph no candidate is a dead port. Barrier
+// context only when sharded.
+func checkSpray(n *Net) error {
+	for i, d := range n.nodes {
+		name := n.Topo.Node(i).Name
+		if err := d.sprDown.Check(); err != nil {
+			return fmt.Errorf("%s descend: %v", name, err)
+		}
+		if err := d.sprUp.Check(); err != nil {
+			return fmt.Errorf("%s climb: %v", name, err)
+		}
+		live := func(l *link) bool { return l != nil && l.up }
+		switch r := n.routes.(type) {
+		case *reachProtocol:
+			if tbl := r.tbl[i]; tbl != nil {
+				for fa := range tbl.NumFA() {
+					for slot := range d.down {
+						if got, want := d.sprDown.Links(fa).Get(slot), tbl.Links(fa).Get(slot); got != want {
+							return fmt.Errorf("%s: descend set of FA%d has slot %d %v, its table %v", name, fa, slot, got, want)
+						}
+					}
+				}
+			}
+			for slot, l := range d.up {
+				if got := d.sprUp.Links(0).Get(slot); got != live(l) {
+					return fmt.Errorf("%s: climb slot %d is %v, its link up %v", name, slot, got, live(l))
+				}
+			}
+		case *recompute:
+			for slot, l := range d.down {
+				for e := range d.sprDown.Sets() {
+					if d.sprDown.Links(e).Get(slot) && !live(l) {
+						return fmt.Errorf("%s: descends to edge %d over dead slot %d", name, e, slot)
+					}
+				}
+			}
+			for slot, l := range d.up {
+				if d.sprUp.Links(0).Get(slot) && !live(l) {
+					return fmt.Errorf("%s: climbs over dead slot %d", name, slot)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // TestFabricPropertyInvariants is the property suite: randomized

@@ -1,6 +1,9 @@
 // Route maintenance: the one place the fabric is plural. Both policies
-// keep every node's candidate bitmaps (node.descend, node.climb) current
-// as links fail and heal; the forwarding path never knows which one runs.
+// keep every node's candidate sets current as links fail and heal, and
+// write them through the node's spreaders (sprDown: one descend set per
+// destination edge; sprUp: the climb set, key 0), which re-derive their
+// permutation-order images as they go. The forwarding path never knows
+// which policy runs.
 
 package fabric
 
@@ -64,11 +67,6 @@ func (r *recompute) lanes() int { return 0 }
 
 func (r *recompute) seed(descend [][][]int, climb [][]int) {
 	r.reachCnt = make([]int, len(r.n.nodes))
-	for _, d := range r.n.nodes {
-		for e := range d.descend {
-			d.descend[e] = reach.NewBitmap(len(d.down))
-		}
-	}
 	r.install(descend, climb, false)
 }
 
@@ -78,20 +76,22 @@ func (r *recompute) seed(descend [][][]int, climb [][]int) {
 // silently.
 func (r *recompute) install(descend [][][]int, climb [][]int, notify bool) {
 	for i, d := range r.n.nodes {
-		cnt := 0
-		for e, set := range d.descend {
+		set := reach.NewBitmap(max(len(d.down), len(d.up)))
+		slots := func(ports []int) reach.Bitmap {
 			set.Reset()
-			for _, p := range descend[i][e] {
+			for _, p := range ports {
 				set.Set(d.port[p].slot)
 			}
-			if len(descend[i][e]) > 0 {
+			return set
+		}
+		cnt := 0
+		for e, ports := range descend[i] {
+			d.sprDown.Replace(e, slots(ports))
+			if len(ports) > 0 {
 				cnt++
 			}
 		}
-		d.climb.Reset()
-		for _, p := range climb[i] {
-			d.climb.Set(d.port[p].slot)
-		}
+		d.sprUp.Replace(0, slots(climb[i]))
 		if cnt != r.reachCnt[i] {
 			r.reachCnt[i] = cnt
 			if fn := r.n.OnReachUpdate; notify && fn != nil {
@@ -124,11 +124,11 @@ func (r *recompute) linkChanged(i int, up bool) {
 func (d *node) prune(port int) {
 	ref := d.port[port]
 	if ref.climb {
-		d.climb.Clear(ref.slot)
+		d.sprUp.Clear(0, ref.slot)
 		return
 	}
-	for _, set := range d.descend {
-		set.Clear(ref.slot)
+	for e := range d.sprDown.Sets() {
+		d.sprDown.Clear(e, ref.slot)
 	}
 }
 
@@ -143,11 +143,11 @@ func (r *recompute) unreachable(shard int) int {
 	}
 	bad := 0
 	for e, d := range r.n.edges {
-		if d.climb.Count() > 0 {
+		if d.sprUp.Links(0).Count() > 0 {
 			continue
 		}
-		for t, set := range d.descend {
-			if t != e && set.Count() == 0 {
+		for t := range d.sprDown.Sets() {
+			if t != e && d.sprDown.Links(t).Count() == 0 {
 				bad++
 			}
 		}
@@ -163,7 +163,8 @@ func (r *recompute) decodeMail(int32, []byte) (sim.Action, error) {
 
 // reachProtocol is the policy of a *topo.Clos: the hardware reachability
 // protocol of §5.8. Every FE's descend sets are the rows of a
-// reach.Table fed by per-link advertisements — an FE1 down link
+// reach.Table, written through its spreader whenever the table changes
+// (sync), and the table is fed by per-link advertisements — an FE1 down link
 // advertises its one adapter, an FE2 down link carries the reachable set
 // of the FE1 behind it. A link failure clears the lower node's climb bit
 // and the upper node's table column at once; when an FE1's reachable set
@@ -225,18 +226,15 @@ func (r *reachProtocol) advertised(i int) reach.Bitmap {
 }
 
 // seed builds the tables from the wiring, FA links first so each FE2
-// column carries its FE1's full set; an FE's descend sets are its
-// table's rows, an FA has none. Climb sets start full.
+// column carries its FE1's full set, and writes every FE's rows through
+// its spreader; an FA has no table and no descend sets. Climb sets start
+// full.
 func (r *reachProtocol) seed([][][]int, [][]int) {
 	n := r.n
 	r.tbl = make([]*reach.Table, len(n.nodes))
 	for i, d := range n.nodes {
-		if d.edge >= 0 {
-			continue
-		}
-		r.tbl[i] = reach.NewTable(r.cl.NumFA, len(d.down))
-		for e := range d.descend {
-			d.descend[e] = r.tbl[i].Links(e) // shared: the table updates it in place
+		if d.edge < 0 {
+			r.tbl[i] = reach.NewTable(r.cl.NumFA, len(d.down))
 		}
 	}
 	r.spines = make([][]spinePort, r.cl.NumFE1)
@@ -256,6 +254,20 @@ func (r *reachProtocol) seed([][][]int, [][]int) {
 			}
 		}
 	}
+	for i, t := range r.tbl {
+		if t != nil {
+			r.sync(i)
+		}
+	}
+}
+
+// sync writes FE i's table rows through its descend spreader: the refresh
+// after every change to the table.
+func (r *reachProtocol) sync(i int) {
+	d, t := r.n.nodes[i], r.tbl[i]
+	for fa := range t.NumFA() {
+		d.sprDown.Replace(fa, t.Links(fa))
+	}
 }
 
 func (r *reachProtocol) linkChanged(i int, up bool) {
@@ -263,12 +275,13 @@ func (r *reachProtocol) linkChanged(i int, up bool) {
 	lo, hi := r.n.nodes[lk.A], r.n.nodes[lk.B]
 	us, ds := lo.port[lk.APort].slot, hi.port[lk.BPort].slot
 	if up {
-		lo.climb.Set(us)
+		lo.sprUp.Set(0, us)
 		applySet(r.tbl[lk.B], ds, r.advertised(lk.A))
 	} else {
-		lo.climb.Clear(us)
+		lo.sprUp.Clear(0, us)
 		r.tbl[lk.B].LinkDown(ds)
 	}
+	r.sync(lk.B)
 	if lo.edge >= 0 && r.cl.NumFE2 > 0 {
 		// The FE1's own set changed; in a single-tier fabric FAs spray
 		// blindly and there is nothing upstream to tell.
@@ -276,11 +289,12 @@ func (r *reachProtocol) linkChanged(i int, up bool) {
 	}
 }
 
-// applyReach applies one FE1's reach messages to a spine's table — the
-// cross-shard payload of a sharded re-advertisement.
+// applyReach applies one FE1's reach messages to a spine's table and
+// writes the rows through the spine's spreader — the cross-shard payload
+// of a sharded re-advertisement.
 type applyReach struct {
-	tbl   *reach.Table
-	spine int // node index, for the wire
+	r     *reachProtocol
+	spine int // node index
 	slot  int
 	msgs  []reach.Message
 }
@@ -288,10 +302,11 @@ type applyReach struct {
 // Act implements sim.Action.
 func (a applyReach) Act(uint64) {
 	for _, m := range a.msgs {
-		if err := a.tbl.ApplyMessage(a.slot, m); err != nil {
+		if err := a.r.tbl[a.spine].ApplyMessage(a.slot, m); err != nil {
 			panic(err) // built locally or validated by decodeMail
 		}
 	}
+	a.r.sync(a.spine)
 }
 
 // readvertise propagates FE1 node fe's (changed) reachable set to every
@@ -310,7 +325,7 @@ func (r *reachProtocol) readvertise(fe int) {
 			set, msgs := build()
 			for _, sl := range r.spines[f] {
 				if n.nodes[sl.spine].down[sl.slot].up {
-					applyReach{tbl: r.tbl[sl.spine], slot: sl.slot, msgs: msgs}.Act(0)
+					applyReach{r: r, spine: sl.spine, slot: sl.slot, msgs: msgs}.Act(0)
 				}
 			}
 			if n.OnReachUpdate != nil {
@@ -335,7 +350,7 @@ func (r *reachProtocol) readvertise(fe int) {
 			// this cross-shard read is synchronized by the window barrier
 			// and identical at every shard count.
 			if sp.down[sl.slot].up {
-				src.To(sp.sh.id).AtLane(deliver, lane, applyReach{tbl: r.tbl[sl.spine], spine: sl.spine, slot: sl.slot, msgs: msgs}, 0)
+				src.To(sp.sh.id).AtLane(deliver, lane, applyReach{r: r, spine: sl.spine, slot: sl.slot, msgs: msgs}, 0)
 			}
 		}
 		r.pending[sh.id] = append(r.pending[sh.id], reachEvent{at: deliver, node: fe, reachable: set.Count()})
@@ -382,7 +397,7 @@ func (r *reachProtocol) unreachable(shard int) int {
 	bad := 0
 	if shard == Replicated {
 		for _, d := range r.n.nodes[:r.cl.NumFA] {
-			if d.climb.Count() == 0 {
+			if d.sprUp.Links(0).Count() == 0 {
 				bad++
 			}
 		}
@@ -425,7 +440,7 @@ func (r *reachProtocol) encodeMail(act sim.Action) ([]byte, bool) {
 	return buf, true
 }
 
-// decodeMail rebuilds an applyReach bound to this replica's spine table.
+// decodeMail rebuilds an applyReach bound to this replica's spine.
 // Every field is checked against the model — the frame comes off a
 // socket — so Act cannot fail later inside the event loop.
 func (r *reachProtocol) decodeMail(lane int32, payload []byte) (sim.Action, error) {
@@ -482,5 +497,5 @@ func (r *reachProtocol) decodeMail(lane int32, payload []byte) (sim.Action, erro
 	if len(payload) != 0 {
 		return nil, fmt.Errorf("fabric: %d trailing bytes after reach batch", len(payload))
 	}
-	return applyReach{tbl: t, spine: spine, slot: slot, msgs: msgs}, nil
+	return applyReach{r: r, spine: spine, slot: slot, msgs: msgs}, nil
 }

@@ -15,16 +15,16 @@ func installedRoutes(n *Net) (descend [][][]int, climb [][]int) {
 	descend = make([][][]int, len(n.nodes))
 	climb = make([][]int, len(n.nodes))
 	for i, d := range n.nodes {
-		descend[i] = make([][]int, len(d.descend))
+		descend[i] = make([][]int, d.sprDown.Sets())
 		for p, ref := range d.port {
 			if ref.climb {
-				if d.climb.Get(ref.slot) {
+				if d.sprUp.Links(0).Get(ref.slot) {
 					climb[i] = append(climb[i], p)
 				}
 				continue
 			}
-			for e, set := range d.descend {
-				if set.Get(ref.slot) {
+			for e := range descend[i] {
+				if d.sprDown.Links(e).Get(ref.slot) {
 					descend[i][e] = append(descend[i][e], p)
 				}
 			}
@@ -39,7 +39,9 @@ func installedRoutes(n *Net) (descend [][][]int, climb [][]int) {
 // would install exactly that. After a seeded random fail/heal program —
 // overlapping changes, some links left down — and a ReachDelay drain,
 // every FE's installed descend sets and every FA's live-uplink set must
-// equal Routes over the administrative mask, solo and at 2 shards.
+// equal Routes over the administrative mask, solo and at 2 shards; and
+// before and after every change, the spreaders hold what the tables say
+// (checkSpray).
 func TestReachProtocolConvergesToRoutes(t *testing.T) {
 	for _, k := range []int{4, 6} {
 		for _, shards := range []int{0, 2} {
@@ -75,14 +77,23 @@ func TestReachProtocolConvergesToRoutes(t *testing.T) {
 						lk, heal := rng.Intn(n.NumLinks()), rng.Intn(3) == 0
 						last += sim.Time(rng.Int63n(int64(cfg.ReachDelay)))
 						at(last, func() {
+							if err := checkSpray(n); err != nil {
+								t.Errorf("before changing link %d: %v", lk, err)
+							}
 							if heal {
 								n.RestoreLink(lk)
 							} else {
 								n.FailLink(lk)
 							}
+							if err := checkSpray(n); err != nil {
+								t.Errorf("after changing link %d: %v", lk, err)
+							}
 						})
 					}
 					run(last + 4*cfg.ReachDelay)
+					if err := checkSpray(n); err != nil {
+						t.Error(err)
+					}
 
 					down := 0
 					for _, up := range n.adminUp {

@@ -1,6 +1,9 @@
 package reach
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // FuzzReachApplyMessage fuzzes the hardware reachability table's message
 // application (§5.8): arbitrary messages on arbitrary links must never
@@ -103,5 +106,50 @@ func FuzzReachApplyMessage(f *testing.F) {
 			}
 		}
 		checkConsistent()
+	})
+}
+
+// FuzzSpreaderMatchesWalk runs a fuzzed program of Set, Clear, Replace and
+// Next steps over several keys of a spreader of up to 130 links against
+// the walk reference (scanSpreader): every Next must agree in link,
+// position, round count and permutation, and every step must leave the
+// link sets as written and the position sets their image. A step is two
+// bytes, an operation and its argument; a Replace draws its set, bits
+// beyond the links included, from the argument.
+func FuzzSpreaderMatchesWalk(f *testing.F) {
+	f.Add(uint8(5), uint8(2), int64(1), []byte{0, 3, 3, 0, 3, 1, 1, 3, 3, 2})
+	f.Add(uint8(64), uint8(1), int64(7), []byte{2, 200, 3, 0, 3, 1, 2, 9, 3, 2, 1, 64})
+	f.Add(uint8(130), uint8(3), int64(-4), []byte{2, 77, 2, 78, 2, 79, 3, 0, 3, 1, 3, 2, 0, 129, 1, 5})
+	f.Fuzz(func(t *testing.T, width, rounds uint8, seed int64, prog []byte) {
+		const keys = 3
+		n := int(width)%130 + 1
+		p := newSpreaderPair(t, n, keys, int(rounds)%8+1, seed)
+		for i := 0; i+1 < len(prog); i += 2 {
+			op, arg := prog[i]%4, int(prog[i+1])
+			key := arg % keys
+			switch op {
+			case 0:
+				p.set(key, arg%n)
+			case 1:
+				p.clear(key, arg%n)
+			case 2:
+				rng := rand.New(rand.NewSource(int64(arg)))
+				set, density := NewBitmap(n+64), rng.Intn(101)
+				for l := 0; l < n+64; l++ {
+					if rng.Intn(100) < density {
+						set.Set(l)
+					}
+				}
+				p.replace(key, set)
+			case 3:
+				p.next(key)
+			}
+			p.check()
+		}
+		// Long enough past the program for several reshuffles.
+		for i := 0; i < 8*n; i++ {
+			p.next(i % keys)
+		}
+		p.check()
 	})
 }

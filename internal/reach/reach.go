@@ -5,12 +5,20 @@
 // links that reach it, monitor link health by the keepalive stream, and
 // load-balance cells over the reachable set with a periodically reshuffled
 // round-robin permutation (§5.3).
+//
+// The load balancer (Spreader) owns its candidate sets and keeps each one
+// in its own permutation order as well as over links, so a spray decision
+// is a shift and a trailing-zero count. The position order is derived
+// again only when a set is written and when the permutation is reshuffled
+// (every few traversals); a forwarding table (Table) is not read by it, so
+// whoever changes a table writes the changed rows through the spreader.
 package reach
 
 import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 )
 
 // Bitmap is a dense bit set over Fabric Adapter (or link) indices.
@@ -39,9 +47,7 @@ func (b Bitmap) Or(o Bitmap) {
 func (b Bitmap) Count() int {
 	n := 0
 	for _, w := range b {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
@@ -214,109 +220,247 @@ func (t *Table) ReachableSet() Bitmap {
 // Spreader implements §5.3's cell load balancer: a round-robin arbiter
 // that traverses the links in a random permutation order, replaced every
 // few rounds so that recurrent synchronization with packet arrival times
-// cannot bias any link persistently.
-type Spreader struct {
-	perm      []int
-	pos       int
-	rounds    int
+// cannot bias any link persistently. L is what a link is to the caller
+// (its index, or the link itself); the spreader hands back the L of the
+// link it picks.
+//
+// A spreader owns the candidate sets it chooses from, one per key (a
+// destination, or a single key for a group with one set), and keeps each
+// twice: over link indices, for whoever asks which links a key may use,
+// and over permutation positions, which is all Next reads. A position set
+// is the image of its link set under the current permutation; it is
+// derived again when the set is written (Set, Clear, Replace) and, for
+// every key, when the permutation is reshuffled.
+type Spreader[L any] struct {
+	// What Next reads, in one cache line: the position sets, key-major,
+	// words words per key; the links in permutation order; the rounds
+	// left before a reshuffle is due, and the next position to look at.
+	posSets []uint64
+	byPos   []L
+	left    int
+	at      int32
+	words   int32 // per set, at least one
+
+	linkSets  []uint64 // the link sets, laid out like posSets
+	perm      []int32  // position -> link index
+	inv       []int32  // link index -> position
 	maxRounds int
 	rng       *rand.Rand
-	// inv[link] is link's position in perm, kept for spreaders of at most
-	// 64 links: it lets Next find the first eligible position with bit
-	// arithmetic instead of walking the permutation.
-	inv [64]uint8
 }
 
-// NewSpreader creates a spreader over numLink links reshuffling its
-// permutation every reshuffleRounds full traversals.
-func NewSpreader(numLink, reshuffleRounds int, seed int64) *Spreader {
-	if numLink <= 0 {
-		panic("reach: spreader needs links")
-	}
+// NewSpreader creates a spreader over links holding sets empty candidate
+// sets and reshuffling its permutation every reshuffleRounds full
+// traversals. A link is named by its index in links. A spreader over no
+// links is empty: Next finds nothing.
+func NewSpreader[L any](links []L, sets, reshuffleRounds int, seed int64) Spreader[L] {
 	if reshuffleRounds < 1 {
 		reshuffleRounds = 4
 	}
-	s := &Spreader{rng: rand.New(rand.NewSource(seed)), maxRounds: reshuffleRounds}
-	s.perm = s.rng.Perm(numLink)
+	n := len(links)
+	words := max(1, (n+63)/64)
+	s := Spreader[L]{
+		posSets:   make([]uint64, sets*words),
+		byPos:     make([]L, n),
+		left:      reshuffleRounds,
+		words:     int32(words),
+		linkSets:  make([]uint64, sets*words),
+		perm:      make([]int32, n),
+		inv:       make([]int32, n),
+		maxRounds: reshuffleRounds,
+	}
+	if n > 0 {
+		s.rng = rand.New(rand.NewSource(seed))
+		for at, link := range s.rng.Perm(n) {
+			s.perm[at], s.byPos[at] = int32(link), links[link]
+		}
+	}
 	s.invert()
 	return s
 }
 
-func (s *Spreader) invert() {
-	if len(s.perm) <= len(s.inv) {
-		for at, link := range s.perm {
-			s.inv[link] = uint8(at)
+// Sets returns how many candidate sets the spreader holds.
+func (s *Spreader[L]) Sets() int { return len(s.linkSets) / int(s.words) }
+
+// Links returns key's candidate set over link indices (shared; do not
+// mutate: write through Set, Clear or Replace).
+func (s *Spreader[L]) Links(key int) Bitmap {
+	w := int(s.words)
+	return s.linkSets[key*w : (key+1)*w : (key+1)*w]
+}
+
+// positions returns key's candidate set over permutation positions.
+func (s *Spreader[L]) positions(key int) Bitmap {
+	w := int(s.words)
+	return s.posSets[key*w : (key+1)*w : (key+1)*w]
+}
+
+// Set adds link, one of the spreader's link indices, to key's candidate
+// set.
+func (s *Spreader[L]) Set(key, link int) {
+	s.Links(key).Set(link)
+	s.positions(key).Set(int(s.inv[link]))
+}
+
+// Clear removes link, one of the spreader's link indices, from key's
+// candidate set.
+func (s *Spreader[L]) Clear(key, link int) {
+	s.Links(key).Clear(link)
+	s.positions(key).Clear(int(s.inv[link]))
+}
+
+// Replace makes set, over link indices, key's candidate set. Bits beyond
+// the spreader's links are not candidates, and words set does not have are
+// empty.
+func (s *Spreader[L]) Replace(key int, set Bitmap) {
+	dst := s.Links(key)
+	changed := false
+	for w := range dst {
+		v := uint64(0)
+		if w < len(set) {
+			v = set[w]
+		}
+		if tail := len(s.perm) - 64*w; tail < 64 {
+			v &= 1<<max(tail, 0) - 1
+		}
+		changed = changed || dst[w] != v
+		dst[w] = v
+	}
+	if changed {
+		s.derive(key)
+	}
+}
+
+// derive rebuilds key's position set from its link set.
+func (s *Spreader[L]) derive(key int) {
+	pos := s.positions(key)
+	clear(pos)
+	for w, word := range s.Links(key) {
+		for ; word != 0; word &= word - 1 {
+			at := s.inv[w*64+bits.TrailingZeros64(word)]
+			pos[at>>6] |= 1 << (at & 63)
 		}
 	}
 }
 
-// reshuffle replaces the traversal order with a fresh permutation
-// in place (Fisher-Yates), so the periodic reshuffle allocates nothing —
-// the spreader sits on the per-cell fabric hot path.
-func (s *Spreader) reshuffle() {
+func (s *Spreader[L]) invert() {
+	for at, link := range s.perm {
+		s.inv[link] = int32(at)
+	}
+}
+
+// reshuffle replaces the traversal order with a fresh permutation in
+// place (Fisher-Yates) and derives every position set again, allocating
+// nothing — the spreader sits on the per-cell fabric hot path.
+func (s *Spreader[L]) reshuffle() {
+	if len(s.perm) < 2 {
+		return // one order only: nothing can move
+	}
 	for i := len(s.perm) - 1; i > 0; i-- {
 		j := s.rng.Intn(i + 1)
 		s.perm[i], s.perm[j] = s.perm[j], s.perm[i]
+		s.byPos[i], s.byPos[j] = s.byPos[j], s.byPos[i]
 	}
 	s.invert()
+	// The image of an empty set is empty already. Equal link sets have
+	// equal images, and keys often come in runs of them (every destination
+	// behind one next hop): a run is derived once.
+	prev := -1
+	for key := range s.Sets() {
+		links := s.Links(key)
+		switch {
+		case !slices.ContainsFunc(links, func(w uint64) bool { return w != 0 }):
+		case prev >= 0 && slices.Equal(links, s.Links(prev)):
+			copy(s.positions(key), s.positions(prev))
+		default:
+			s.derive(key)
+			prev = key
+		}
+	}
 }
 
-// Next returns the next link to use among the eligible set (bits over
-// links): the first eligible link in permutation order from the current
-// position, wrapping once. The position moves past it, a round is counted
-// at every wrap, and an empty set costs one full fruitless traversal (the
-// position comes back to where it was, one round later). Returns -1 when
-// the set is empty. The permutation is only replaced between traversals,
-// at position 0, never inside a call.
-func (s *Spreader) Next(eligible Bitmap) int {
-	n := len(s.perm)
-	if s.pos == 0 && s.rounds >= s.maxRounds {
-		s.rounds = 0
+// Next picks the next link among key's candidates: the first candidate in
+// permutation order from the current position, wrapping once. The
+// position moves past it, a round is counted at every wrap, and an empty
+// set costs one full fruitless traversal (the position comes back to
+// where it was, one round later) and returns ok false. A spreader of no
+// links has no traversal and counts nothing. The permutation is only
+// replaced between traversals, at position 0, never inside a call.
+func (s *Spreader[L]) Next(key int) (link L, ok bool) {
+	n := len(s.byPos)
+	if n == 0 {
+		return link, false
+	}
+	if s.at == 0 && s.left <= 0 {
+		s.left = s.maxRounds
 		s.reshuffle()
 	}
-	at := s.pos
-	if !eligible.Get(s.perm[at]) {
-		if n > len(s.inv) {
-			return s.scan(eligible)
-		}
-		// The eligible links as a set of permutation positions; the answer
-		// is its first member at or after pos, else its first member.
-		var set uint64
-		for w := eligible[0] & (^uint64(0) >> (64 - n)); w != 0; w &= w - 1 {
-			set |= 1 << s.inv[bits.TrailingZeros64(w)]
-		}
-		if set == 0 {
-			s.rounds++
-			return -1
-		}
-		if later := set >> at; later != 0 {
-			at += bits.TrailingZeros64(later)
+	words, at := int(s.words), int(s.at)
+	base, sh := key*words, at&63
+	if word := s.posSets[base+at>>6]; word>>sh&1 == 0 {
+		// The word holding at, rotated so its members from at on come first
+		// and those below at after them: its first member in traversal
+		// order is off positions on. It is the answer unless the word is
+		// empty, or the member lies below at and other words could hold one
+		// before it.
+		word = bits.RotateLeft64(word, -sh)
+		off := sh + bits.TrailingZeros64(word)
+		if word == 0 || off >= 64 && words > 1 {
+			if at = s.wrap(s.posSets[base:base+words], at>>6); at < 0 {
+				return link, false
+			}
 		} else {
-			at = bits.TrailingZeros64(set)
-			s.rounds++
+			s.left -= off >> 6 // a member below at: the traversal wrapped
+			at += off&63 - sh
 		}
 	}
-	if s.pos = at + 1; s.pos == n {
-		s.pos = 0
-		s.rounds++
+	if at+1 == n {
+		s.at = 0
+		s.left--
+	} else {
+		s.at = int32(at + 1)
 	}
-	return s.perm[at]
+	return s.byPos[at], true
 }
 
-// scan is Next by walking the permutation, for spreaders too wide for the
-// inverse table.
-func (s *Spreader) scan(eligible Bitmap) int {
-	n := len(s.perm)
-	for scanned := 0; scanned < n; scanned++ {
-		link := s.perm[s.pos]
-		s.pos++
-		if s.pos == n {
-			s.pos = 0
-			s.rounds++
+// wrap finds the first member of set in a word after word i, else
+// the first member from position 0 on, counting the round that wraps.
+// Returns -1 when set is empty.
+func (s *Spreader[L]) wrap(set []uint64, i int) int {
+	for w := i + 1; w < len(set); w++ {
+		if set[w] != 0 {
+			return w*64 + bits.TrailingZeros64(set[w])
 		}
-		if eligible.Get(link) {
-			return link
+	}
+	s.left--
+	for w, word := range set[:i+1] {
+		if word != 0 {
+			return w*64 + bits.TrailingZeros64(word)
 		}
 	}
 	return -1
+}
+
+// Check reports whether every position set is the image of its link set
+// under the current permutation, and no link set names a link beyond the
+// spreader's: the invariant every write and every reshuffle keeps.
+func (s *Spreader[L]) Check() error {
+	for at, link := range s.perm {
+		if s.inv[link] != int32(at) {
+			return fmt.Errorf("reach: link %d at position %d, inverse says %d", link, at, s.inv[link])
+		}
+	}
+	for key := range s.Sets() {
+		links, pos := s.Links(key), s.positions(key)
+		for w := range links {
+			if tail := len(s.perm) - 64*w; tail < 64 && (links[w]|pos[w])>>max(tail, 0) != 0 {
+				return fmt.Errorf("reach: set %d names a link or position beyond its %d", key, len(s.perm))
+			}
+		}
+		for link, at := range s.inv {
+			if links.Get(link) != pos.Get(int(at)) {
+				return fmt.Errorf("reach: set %d: link %d is %v, its position %d is %v", key, link, links.Get(link), at, pos.Get(int(at)))
+			}
+		}
+	}
+	return nil
 }

@@ -168,15 +168,16 @@ func TestApplyMessageErrors(t *testing.T) {
 
 func TestSpreaderEvenness(t *testing.T) {
 	// §5.3: "the same amount of data is sent down each link".
-	s := NewSpreader(16, 4, 1)
+	s := NewSpreader(indices(16), 1, 4, 1)
 	eligible := NewBitmap(16)
 	for i := 0; i < 16; i++ {
 		eligible.Set(i)
 	}
+	s.Replace(0, eligible)
 	counts := make([]int, 16)
 	const rounds = 1600
 	for i := 0; i < rounds; i++ {
-		l := s.Next(eligible)
+		l := pick(&s, 0)
 		if l < 0 {
 			t.Fatal("no link")
 		}
@@ -190,13 +191,12 @@ func TestSpreaderEvenness(t *testing.T) {
 }
 
 func TestSpreaderSkipsIneligible(t *testing.T) {
-	s := NewSpreader(8, 4, 2)
-	eligible := NewBitmap(8)
-	eligible.Set(3)
-	eligible.Set(6)
+	s := NewSpreader(indices(8), 1, 4, 2)
+	s.Set(0, 3)
+	s.Set(0, 6)
 	counts := map[int]int{}
 	for i := 0; i < 100; i++ {
-		l := s.Next(eligible)
+		l := pick(&s, 0)
 		if l != 3 && l != 6 {
 			t.Fatalf("ineligible link %d chosen", l)
 		}
@@ -208,9 +208,27 @@ func TestSpreaderSkipsIneligible(t *testing.T) {
 }
 
 func TestSpreaderEmptySet(t *testing.T) {
-	s := NewSpreader(4, 4, 3)
-	if l := s.Next(NewBitmap(4)); l != -1 {
+	s := NewSpreader(indices(4), 1, 4, 3)
+	if l := pick(&s, 0); l != -1 {
 		t.Fatalf("empty set returned %d", l)
+	}
+}
+
+// A port group of no links is an empty spreader: every key's set is empty
+// and stays so, and Next says so, however often it is asked.
+func TestSpreaderOfNoLinks(t *testing.T) {
+	s := NewSpreader(indices(0), 3, 2, 1)
+	for i := 0; i < 100; i++ {
+		if l := pick(&s, i%3); l != -1 {
+			t.Fatalf("call %d: a spreader of no links returned %d", i, l)
+		}
+	}
+	s.Replace(1, Bitmap{^uint64(0)})
+	if l := pick(&s, 1); l != -1 || s.Links(1).Count() != 0 {
+		t.Fatalf("a spreader of no links took candidates: Next %d, set %v", l, s.Links(1))
+	}
+	if err := s.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -221,7 +239,7 @@ func TestPropertySpreaderFairness(t *testing.T) {
 		if mask == 0 {
 			return true
 		}
-		s := NewSpreader(16, 1000000, seed) // no reshuffle mid-test
+		s := NewSpreader(indices(16), 1, 1000000, seed) // no reshuffle mid-test
 		eligible := NewBitmap(16)
 		n := 0
 		for i := 0; i < 16; i++ {
@@ -230,9 +248,10 @@ func TestPropertySpreaderFairness(t *testing.T) {
 				n++
 			}
 		}
+		s.Replace(0, eligible)
 		counts := make([]int, 16)
 		for i := 0; i < n*32; i++ {
-			counts[s.Next(eligible)]++
+			counts[pick(&s, 0)]++
 		}
 		for i := 0; i < 16; i++ {
 			want := 0
@@ -317,12 +336,11 @@ func TestMessagesPerTable(t *testing.T) {
 // spreader must never fail to find an eligible link (a mid-scan reshuffle
 // used to skip links).
 func TestSpreaderSparseNeverFails(t *testing.T) {
-	s := NewSpreader(8, 2, 42) // reshuffle every 2 rounds
-	eligible := NewBitmap(8)
-	eligible.Set(2)
-	eligible.Set(5)
+	s := NewSpreader(indices(8), 1, 2, 42) // reshuffle every 2 rounds
+	s.Set(0, 2)
+	s.Set(0, 5)
 	for i := 0; i < 10000; i++ {
-		if l := s.Next(eligible); l != 2 && l != 5 {
+		if l := pick(&s, 0); l != 2 && l != 5 {
 			t.Fatalf("iteration %d: got %d", i, l)
 		}
 	}
@@ -330,57 +348,149 @@ func TestSpreaderSparseNeverFails(t *testing.T) {
 
 // scanSpreader is the arbiter as it was first written — walk the
 // permutation from pos until an eligible link turns up — kept as the
-// reference Spreader.Next is held to.
-type scanSpreader struct{ Spreader }
-
-func (s *scanSpreader) Next(eligible Bitmap) int {
-	if s.pos == 0 && s.rounds >= s.maxRounds {
-		s.rounds = 0
-		s.reshuffle()
-	}
-	return s.scan(eligible)
+// reference Spreader.Next is held to. It draws and reshuffles its
+// permutation exactly as Spreader does, and is handed the link set to walk
+// on every call.
+type scanSpreader struct {
+	perm      []int
+	pos       int
+	rounds    int
+	maxRounds int
+	rng       *rand.Rand
 }
 
-// Spreader.Next finds its answer with bit arithmetic instead of a walk;
-// the state it leaves behind — position, round count, and through them
-// every later reshuffle — must be the walk's exactly, on any eligible
-// set: full, sparse, empty, changing between calls.
+func newScanSpreader(numLink, reshuffleRounds int, seed int64) *scanSpreader {
+	s := &scanSpreader{rng: rand.New(rand.NewSource(seed)), maxRounds: reshuffleRounds}
+	s.perm = s.rng.Perm(numLink)
+	return s
+}
+
+func (s *scanSpreader) Next(eligible Bitmap) int {
+	n := len(s.perm)
+	if s.pos == 0 && s.rounds >= s.maxRounds {
+		s.rounds = 0
+		for i := n - 1; i > 0; i-- {
+			j := s.rng.Intn(i + 1)
+			s.perm[i], s.perm[j] = s.perm[j], s.perm[i]
+		}
+	}
+	for scanned := 0; scanned < n; scanned++ {
+		link := s.perm[s.pos]
+		s.pos++
+		if s.pos == n {
+			s.pos = 0
+			s.rounds++
+		}
+		if eligible.Get(link) {
+			return link
+		}
+	}
+	return -1
+}
+
+// spreaderPair drives a Spreader and its walk reference side by side over
+// keys candidate sets: every write goes to the Spreader through its API and
+// to the reference's own copy of the link sets, and every Next must agree
+// in link, position, round count and permutation.
+type spreaderPair struct {
+	t    testing.TB
+	n    int
+	got  Spreader[int]
+	want *scanSpreader
+	sets []Bitmap // the reference's link sets, bits beyond n included
+	step int
+}
+
+func newSpreaderPair(t testing.TB, n, keys, rounds int, seed int64) *spreaderPair {
+	p := &spreaderPair{t: t, n: n, got: NewSpreader(indices(n), keys, rounds, seed), want: newScanSpreader(n, rounds, seed)}
+	for range keys {
+		p.sets = append(p.sets, NewBitmap(n+64)) // room for bits beyond n
+	}
+	return p
+}
+
+func (p *spreaderPair) set(key, link int)   { p.got.Set(key, link); p.sets[key].Set(link) }
+func (p *spreaderPair) clear(key, link int) { p.got.Clear(key, link); p.sets[key].Clear(link) }
+
+func (p *spreaderPair) replace(key int, set Bitmap) {
+	p.got.Replace(key, set)
+	p.sets[key].Reset()
+	copy(p.sets[key], set)
+}
+
+func (p *spreaderPair) next(key int) {
+	p.t.Helper()
+	p.step++
+	g, w := pick(&p.got, key), p.want.Next(p.sets[key])
+	perm := make([]int, len(p.got.perm))
+	for i, l := range p.got.perm {
+		perm[i] = int(l)
+	}
+	at, rounds := int(p.got.at), p.got.maxRounds-p.got.left
+	if g != w || at != p.want.pos || rounds != p.want.rounds || !reflect.DeepEqual(perm, p.want.perm) {
+		p.t.Fatalf("n=%d step %d key %d: link %d pos %d rounds %d, the walk gives link %d pos %d rounds %d (perms equal: %v)",
+			p.n, p.step, key, g, at, rounds, w, p.want.pos, p.want.rounds, reflect.DeepEqual(perm, p.want.perm))
+	}
+}
+
+// check holds the Spreader's link sets to the reference's below n, and its
+// position sets to their image (Check).
+func (p *spreaderPair) check() {
+	p.t.Helper()
+	for key, want := range p.sets {
+		got := p.got.Links(key)
+		for l := 0; l < p.n; l++ {
+			if got.Get(l) != want.Get(l) {
+				p.t.Fatalf("n=%d step %d: set %d has link %d %v, written %v", p.n, p.step, key, l, got.Get(l), want.Get(l))
+			}
+		}
+	}
+	if err := p.got.Check(); err != nil {
+		p.t.Fatalf("n=%d step %d: %v", p.n, p.step, err)
+	}
+}
+
+// Spreader.Next finds its answer with bit arithmetic over position sets
+// instead of a walk; the state it leaves behind — position, round count,
+// and through them every later reshuffle — must be the walk's exactly, on
+// any set: full, sparse, empty, with bits beyond the links, written
+// between calls through Set, Clear and Replace.
 func TestSpreaderNextMatchesScan(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 7, 8, 31, 63, 64, 65, 100} {
+	const keys = 3
+	for _, n := range []int{1, 2, 3, 7, 8, 31, 63, 64, 65, 100, 130} {
 		for _, rounds := range []int{1, 2, 64} {
 			for seed := int64(1); seed <= 6; seed++ {
-				got := NewSpreader(n, rounds, seed)
-				want := &scanSpreader{*NewSpreader(n, rounds, seed)}
+				p := newSpreaderPair(t, n, keys, rounds, seed)
 				rng := rand.New(rand.NewSource(seed * 977))
-				eligible := NewBitmap(n)
 				for call := 0; call < 3000; call++ {
-					// Mostly keep the set and flip one link, as failures do;
-					// now and then redraw it at a random density or empty it.
+					// Mostly keep the sets and flip one link, as failures do;
+					// now and then redraw one at a random density (bits beyond
+					// n included) or empty it.
+					key := rng.Intn(keys)
 					switch r := rng.Intn(40); {
 					case r == 0:
-						eligible.Reset()
+						p.replace(key, nil)
 					case r < 4:
-						density := rng.Intn(101)
-						for l := 0; l < n; l++ {
+						set, density := NewBitmap(n+64), rng.Intn(101)
+						for l := 0; l < n+64; l++ {
 							if rng.Intn(100) < density {
-								eligible.Set(l)
-							} else {
-								eligible.Clear(l)
+								set.Set(l)
 							}
 						}
+						p.replace(key, set)
 					case r < 12:
-						if l := rng.Intn(n); eligible.Get(l) {
-							eligible.Clear(l)
+						if l := rng.Intn(n); p.sets[key].Get(l) {
+							p.clear(key, l)
 						} else {
-							eligible.Set(l)
+							p.set(key, l)
 						}
 					}
-					g, w := got.Next(eligible), want.Next(eligible)
-					if g != w || got.pos != want.pos || got.rounds != want.rounds || !reflect.DeepEqual(got.perm, want.perm) {
-						t.Fatalf("n=%d rounds=%d seed=%d call %d: link %d pos %d rounds %d, scan gives link %d pos %d rounds %d (perms equal: %v)",
-							n, rounds, seed, call, g, got.pos, got.rounds, w, want.pos, want.rounds, reflect.DeepEqual(got.perm, want.perm))
+					p.next(rng.Intn(keys))
+					if call%97 == 0 {
+						p.check()
 					}
 				}
+				p.check()
 			}
 		}
 	}
@@ -389,16 +499,55 @@ func TestSpreaderNextMatchesScan(t *testing.T) {
 // Bits beyond the spreader's links (a wider table's row handed to a
 // narrower port group) are not candidates.
 func TestSpreaderIgnoresBitsBeyondLinks(t *testing.T) {
-	s := NewSpreader(5, 4, 9)
+	s := NewSpreader(indices(5), 1, 4, 9)
 	eligible := NewBitmap(64)
 	eligible.Set(40)
-	if got := s.Next(eligible); got != -1 {
+	s.Replace(0, eligible)
+	if got := pick(&s, 0); got != -1 {
 		t.Fatalf("picked %d from a set with no link below 5", got)
 	}
 	eligible.Set(3)
+	s.Replace(0, eligible)
 	for i := 0; i < 20; i++ {
-		if got := s.Next(eligible); got != 3 {
+		if got := pick(&s, 0); got != 3 {
 			t.Fatalf("picked %d, only link 3 is eligible", got)
 		}
+	}
+}
+
+// indices returns the link indices 0..n-1: the links of a spreader whose
+// caller names its links by index.
+func indices(n int) []int {
+	links := make([]int, n)
+	for i := range links {
+		links[i] = i
+	}
+	return links
+}
+
+// pick is Next as a link index, -1 when the set is empty.
+func pick(s *Spreader[int], key int) int {
+	if link, ok := s.Next(key); ok {
+		return link
+	}
+	return -1
+}
+
+// Check catches a link set whose position set was not written with it,
+// and a set naming a position beyond the spreader's links.
+func TestSpreaderCheckCatchesDrift(t *testing.T) {
+	s := NewSpreader(indices(5), 2, 4, 1)
+	s.Set(1, 3)
+	if err := s.Check(); err != nil {
+		t.Fatal(err)
+	}
+	s.linkSets[1] |= 1 << 1 // a link written without its position
+	if s.Check() == nil {
+		t.Fatal("a link without its position passed")
+	}
+	s.linkSets[1] &^= 1 << 1
+	s.posSets[0] |= 1 << 7 // a position beyond the links
+	if s.Check() == nil {
+		t.Fatal("a position beyond the links passed")
 	}
 }
