@@ -129,7 +129,7 @@ func (n *Net) DecodeMail(kind byte, lane int32, payload []byte) (sim.Action, uin
 		p.Down = flags&cellDown != 0
 		// A cell crossing a shard cut was scheduled by the link's wire: its
 		// next hop is the link itself, the whole of the link's route.
-		p.SetRoute(n.links[lane].route)
+		p.SetRoute(n.links[lane].route[:])
 		return p, 0, nil
 	case MailReach:
 		act, err := n.routes.decodeMail(lane, payload)

@@ -40,14 +40,17 @@
 //     convergence lag without inventing a per-graph protocol.
 //
 // A fabric runs on one sim.Simulator (New) or partitioned across the
-// shards of a parsim.Engine (NewSharded): every node's events run on its
-// owning shard, cells cross shard cuts through conservative-lookahead
-// mailboxes, and every link delivery is ordered by the directed link's
-// own event lane, so the execution order of same-instant events at any
-// node is a function of the topology alone and results are byte-
-// identical for every shard count. Link administration mutates nodes on
-// several shards and therefore runs in barrier context, quantized to
-// window boundaries — a function of the lookahead alone.
+// shards of a parsim.Engine (NewSharded), and its links are wired the
+// same way on both: a solo fabric's cells run the events they run on a
+// one-shard engine (only the route policy's delayed control is scheduled
+// without one, see routes.go). Every node's events run on its owning
+// shard, cells cross shard cuts through conservative-lookahead mailboxes,
+// and every link delivery is ordered by the directed link's own event
+// lane, so the execution order of same-instant events at any node is a
+// function of the topology alone and results are byte-identical for every
+// shard count. Link administration
+// mutates nodes on several shards and therefore runs in barrier context,
+// quantized to window boundaries — a function of the lookahead alone.
 //
 // The per-cell hot path allocates nothing: cells are netsim.Packets
 // recycled through a per-shard netsim.FreeList (an Injector takes them
@@ -65,16 +68,16 @@
 // endpoint it hands them to.
 //
 // Where an edge device does nothing but count — no endpoint (SetEgress),
-// no OnDeliver, no OnCellDrop — a cell's last hop on an engine is not an
-// event either. The link into the device records the cell's (arrival,
-// size) where it is handed over: at the sender's hand-over when both ends
-// share a shard, at the receiver's mailbox when the link crosses a cut
+// no OnDeliver, no OnCellDrop — a cell's last hop is not an event
+// either. The link into the device records the cell's (arrival, size)
+// where it is handed over: at the sender's hand-over when both ends share
+// a shard, at the receiver's mailbox when the link crosses a cut
 // (sim.Arrival). The cell goes back to the receiver's free list at once,
 // the receiving shard holds the arrival's instant (sim.Hold), and the
 // counters take the record once sim.Due says the arrival would have run —
 // when they are read, and before the link's state changes, so a cell on a
-// wire that fails is the same dead drop it would have been. Hairpins, the
-// solo fabric and every egress with an endpoint keep the event.
+// wire that fails is the same dead drop it would have been. Hairpins and
+// every egress with an endpoint keep the event.
 package fabric
 
 import (
@@ -165,13 +168,11 @@ type shardState struct {
 // failed link are lost on the wire, like the real thing. The queue lives
 // on the sending node's shard; Receive runs on the receiving node's.
 //
-// The link owns its queue, its wire and its route's array, so a hop reads
-// one object: send hands the cell to the queue, and the route is the rest
-// of the hop. On an engine the crossing is the queue's Wire, a LanePipe
-// on the link's own lane, and the route is {link}: an idle link costs one
-// kernel event per cell, the arrival (see netsim.Queue). A solo fabric
-// shares one default-lane Pipe, the route is {pipe, link}, and a cell
-// pays a completion and an arrival.
+// The link owns its queue, its wire and its route, so a hop reads one
+// object: send hands the cell to the queue, the crossing is the queue's
+// Wire, a LanePipe on the link's own lane, and the route is {link}: an
+// idle link costs one kernel event per cell, the arrival (see
+// netsim.Queue).
 //
 // A cell whose last hop this is may not need the arrival either (see the
 // package comment): home names the edge device whose cells the link counts
@@ -181,9 +182,8 @@ type link struct {
 	sh    *shardState // receiving node's shard
 	to    *node
 	up    bool
-	home  int32            // the far end's edge index while its cells are counted, else -1 (rehome)
-	route []netsim.Handler // into hops
-	hops  [2]netsim.Handler
+	home  int32             // the far end's edge index while its cells are counted, else -1 (rehome)
+	route [1]netsim.Handler // {link}: what a cell on the wire continues to
 	wire  netsim.LanePipe
 	q     netsim.Queue
 	held  arrivals
@@ -204,21 +204,18 @@ func (l *link) Receive(c *netsim.Packet) {
 }
 
 func (l *link) send(c *netsim.Packet) {
-	c.SetRoute(l.route)
+	c.SetRoute(l.route[:])
 	l.q.Receive(c)
 }
 
 // rehome decides whether cells on their last hop over l are counted (home
 // is the far end's edge index) or delivered by an event (home is -1):
-// counted on an engine, where the link has a lane-keyed wire, while the
-// far end's egress has no endpoint. A link whose ends share a shard is its
-// own wire's scheduler while it counts, so the hand-over reaches AtLane; a
-// cut link is asked by the receiver's mailbox (Arrive).
+// counted while the far end's egress has no endpoint. A link whose ends
+// share a shard is its own wire's scheduler while it counts, so the
+// hand-over reaches AtLane; a cut link is asked by the receiver's mailbox
+// (Arrive).
 func (l *link) rehome() {
 	l.home = -1
-	if l.q.Wire == nil {
-		return
-	}
 	if e := l.to.edge; e >= 0 && l.to.eg.to == nil && !arrivalEvents {
 		l.home = e
 	}
@@ -486,7 +483,6 @@ type Net struct {
 	// 2i+1 is B->A.
 	links   []*link
 	adminUp []bool             // per topology link, in Graph.Routes' input shape
-	pipe    *netsim.Pipe       // solo mode: the shared propagation delay
 	hairpin [][]netsim.Handler // per edge: local switching path (src == dst)
 
 	// OnDeliver receives every cell that reaches its destination edge and
@@ -518,7 +514,8 @@ type Net struct {
 	OnReachUpdate func(node int, reachable int)
 }
 
-// New builds all nodes and links of g on the single event loop s.
+// New builds all nodes and links of g on the single event loop s, wired
+// exactly as a one-shard NewSharded: the same events run in the same order.
 func New(s *sim.Simulator, cfg Config, g topo.Graph) (*Net, error) {
 	return build(cfg, g, []*shardState{{sm: s}}, nil, nil)
 }
@@ -609,9 +606,6 @@ func build(cfg Config, g topo.Graph, shards []*shardState, assign []int, eng *pa
 	for i := range n.adminUp {
 		n.adminUp[i] = true
 	}
-	if eng == nil {
-		n.pipe = netsim.NewPipe(n.Sim, cfg.LinkDelay)
-	}
 	n.routes = newRoutePolicy(n)
 
 	// Nodes, in node order.
@@ -657,16 +651,13 @@ func build(cfg Config, g topo.Graph, shards []*shardState, assign []int, eng *pa
 	n.hairpin = make([][]netsim.Handler, numEdge)
 	for e, d := range n.edges {
 		d.eg = &egress{net: n, sh: d.sh}
-		var hop netsim.Handler = n.pipe
-		if eng != nil {
-			hop = &netsim.LanePipe{Sched: d.sh.sm, Delay: cfg.LinkDelay, Lane: n.hairpinLane(e)}
-		}
+		hop := &netsim.LanePipe{Sched: d.sh.sm, Delay: cfg.LinkDelay, Lane: n.hairpinLane(e)}
 		n.hairpin[e] = []netsim.Handler{hop, d.eg}
 	}
-	// One directed link per direction, lane = directed index. Solo mode:
-	// the shared pipe (default event lane). Sharded mode: the queue's wire,
-	// a LanePipe on the link's own lane, crossing shards through the
-	// engine's mailboxes when the endpoints live apart.
+	// One directed link per direction, lane = directed index: the queue's
+	// wire is a LanePipe on the link's own lane, crossing shards through
+	// the engine's mailboxes when the endpoints live apart (rehome picks
+	// the scheduler of a link whose ends share a shard).
 	mkLink := func(from, port, to int) {
 		src, dst := n.nodes[from], n.nodes[to]
 		l := &link{
@@ -676,17 +667,12 @@ func build(cfg Config, g topo.Graph, shards []*shardState, assign []int, eng *pa
 			up:  true,
 			q:   *netsim.NewQueue(src.sh.sm, fmt.Sprintf("%s:%d", g.Node(from).Name, port), cfg.LinkRate, cfg.LinkBytes, 0),
 		}
-		l.hops = [2]netsim.Handler{n.pipe, l}
-		l.route = l.hops[:] // solo: {pipe, link}
-		if eng != nil {
-			l.wire = netsim.LanePipe{
-				Sched: eng.Shard(src.sh.id).To(dst.sh.id),
-				Delay: cfg.LinkDelay,
-				Lane:  int32(len(n.links)),
-			}
-			l.q.Wire = &l.wire
-			l.route = l.hops[1:] // {link}; there is no pipe
+		l.route[0] = l
+		l.wire = netsim.LanePipe{Delay: cfg.LinkDelay, Lane: int32(len(n.links))}
+		if src.sh != dst.sh {
+			l.wire.Sched = eng.Shard(src.sh.id).To(dst.sh.id)
 		}
+		l.q.Wire = &l.wire
 		if dst.eg != nil {
 			dst.eg.in = append(dst.eg.in, l)
 		}
@@ -739,10 +725,7 @@ func (n *Net) hairpinLane(e int) int32 {
 // collide on one lane.
 func (n *Net) Lanes() int32 { return n.hairpinLane(n.Topo.NumEdge()) }
 
-// Sharded reports whether the fabric runs on a parsim engine.
-func (n *Net) Sharded() bool { return n.eng != nil }
-
-// Engine returns the parsim engine of a sharded fabric (nil in solo mode).
+// Engine returns the parsim engine of a sharded fabric (nil for New).
 func (n *Net) Engine() *parsim.Engine { return n.eng }
 
 // NumFA returns the number of edge devices — the injection and delivery

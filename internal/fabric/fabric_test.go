@@ -479,9 +479,9 @@ func TestLinkStateIdempotent(t *testing.T) {
 	}
 }
 
-// An engine-built fabric drives every link through its queue's wire (one
-// event per idle-link hop); a solo fabric shares a default-lane pipe and
-// must not — there the completion has to stay a real event.
+// Every link, solo or on an engine, sits on its own lane: the queue's
+// wire is the link's LanePipe and a cell's route is the link alone, so an
+// idle-link hop costs one event, the arrival.
 func TestLinksAreWiredByBuild(t *testing.T) {
 	for _, topoName := range []string{"clos", "sshuffle", "star"} {
 		g, err := topo.ByName(topoName, 4)
@@ -497,14 +497,11 @@ func TestLinksAreWiredByBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for d, l := range sharded.links {
-			if l.q.Wire == nil || l.q.Wire.Lane != int32(d) || len(l.route) != 1 {
-				t.Fatalf("%s: sharded link %d not wired on its own lane (wire %+v, route of %d)", topoName, d, l.q.Wire, len(l.route))
-			}
-		}
-		for d, l := range solo.links {
-			if l.q.Wire != nil || len(l.route) != 2 {
-				t.Fatalf("%s: solo link %d is wired (route of %d)", topoName, d, len(l.route))
+		for _, n := range []*Net{sharded, solo} {
+			for d, l := range n.links {
+				if l.q.Wire != &l.wire || l.wire.Lane != int32(d) || l.wire.Sched == nil || l.route[0] != netsim.Handler(l) {
+					t.Fatalf("%s (engine %v): link %d not wired on its own lane (wire %+v, route %v)", topoName, n.Engine() != nil, d, l.q.Wire, l.route)
+				}
 			}
 		}
 	}

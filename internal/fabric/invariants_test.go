@@ -413,80 +413,105 @@ func TestRebalanceMigrationUnderFailHeal(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesSoloLossFree cross-checks the sharded engine against
-// the classic single-event-loop fabric: with no failures and load far
-// under capacity both must deliver every injected cell, and the delivered
-// id sets must be identical (delivery order may differ — the two engines
-// break same-instant ties differently, by design).
+// TestShardedMatchesSoloLossFree holds a solo fabric (New) to a one-shard
+// NewSharded: the two are wired the same way, so with no failures one
+// program must run the same events on both — equal per-edge and per-link
+// counters, injections, drops and dispatched events, and on the numbered
+// program the same cells in the same order at every edge. The injector
+// programs' last hops are counted, the numbered program's are events.
 func TestShardedMatchesSoloLossFree(t *testing.T) {
 	const seed = 3
-	const cells = 2000
-	program := func(inject func(c *netsim.Packet, src, dst int), numFA int) {
+	programs := []struct {
+		topo     string
+		k        int
+		numbered bool
+	}{
+		{"clos", 4, false}, {"clos", 8, false},
+		{"sshuffle", 4, false}, {"sshuffle", 8, false},
+		{"star", 4, false}, {"clos", 4, true},
+	}
+	type outcome struct {
+		digest, injected, drops, dispatched uint64
+		ids                                 [][]uint64
+	}
+	// load schedules the program on n, on each edge device's own loop.
+	load := func(n *Net, numbered bool) []*idSink {
+		numFA := n.NumFA()
+		if !numbered {
+			for fa := range numFA {
+				gap := n.CellGap(fa, 512, 0.4)
+				n.NewInjector(fa, gap, 512, 100*sim.Microsecond, -1).Start(sim.Time(fa) * gap / sim.Time(numFA))
+			}
+			return nil
+		}
+		sinks := make([]*idSink, numFA)
+		for fa := range sinks {
+			sinks[fa] = &idSink{}
+			n.SetEgress(fa, sinks[fa])
+		}
 		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < cells; i++ {
+		for i := range 2000 {
 			c := netsim.NewPacket()
 			c.Size = 512
 			c.Seq = int64(i + 1)
-			src := i % numFA
-			inject(c, src, rng.Intn(numFA))
+			src, dst := i%numFA, rng.Intn(numFA)
+			n.EdgeSim(src).At(sim.Time(i/numFA)*2*sim.Microsecond, func() { n.Inject(c, src, dst) })
 		}
+		return sinks
 	}
-
-	cl, err := ClosFor(4)
-	if err != nil {
-		t.Fatal(err)
+	result := func(n *Net, sinks []*idSink, dispatched uint64) outcome {
+		o := outcome{digest: netDigest(n), injected: n.Injected(), drops: n.Drops(), dispatched: dispatched}
+		for _, sk := range sinks {
+			o.ids = append(o.ids, sk.ids)
+		}
+		return o
 	}
-
-	// Solo reference.
-	s := sim.New()
-	solo, err := New(s, DefaultConfig(10e9, sim.Microsecond, seed), cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	soloIDs := make(map[uint64]bool, cells)
-	solo.OnDeliver = func(c *netsim.Packet) { soloIDs[uint64(c.Seq)] = true; c.Release() }
-	idx := 0
-	program(func(c *netsim.Packet, src, dst int) {
-		at := sim.Time(idx/cl.NumFA) * 2 * sim.Microsecond
-		idx++
-		s.At(at, func() { solo.Inject(c, src, dst) })
-	}, cl.NumFA)
-	s.Run()
-	if got := solo.Delivered(); got != cells {
-		t.Fatalf("solo delivered %d of %d", got, cells)
-	}
-
-	// Sharded run of the same program.
-	eng := parsim.New(parsim.Config{Shards: 4, Lookahead: sim.Microsecond})
-	shn, err := NewSharded(eng, DefaultConfig(10e9, sim.Microsecond, seed), cl, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sinks := make([]*idSink, cl.NumFA)
-	for fa := range sinks {
-		sinks[fa] = &idSink{}
-		shn.SetEgress(fa, sinks[fa])
-	}
-	idx = 0
-	program(func(c *netsim.Packet, src, dst int) {
-		at := sim.Time(idx/cl.NumFA) * 2 * sim.Microsecond
-		idx++
-		eng.Shard(shn.ShardOfFA(src)).Sim().At(at, func() { shn.Inject(c, src, dst) })
-	}, cl.NumFA)
-	eng.RunUntilQuiet(sim.Second)
-	if got := shn.Delivered(); got != cells {
-		t.Fatalf("sharded delivered %d of %d (drops %d)", got, cells, shn.Drops())
-	}
-	for _, sk := range sinks {
-		for _, id := range sk.ids {
-			if !soloIDs[id] {
-				t.Fatalf("sharded delivered id %d the solo engine did not", id)
+	for _, p := range programs {
+		name := fmt.Sprintf("%s/k=%d", p.topo, p.k)
+		if p.numbered {
+			name += "/numbered"
+		}
+		t.Run(name, func(t *testing.T) {
+			g, err := topo.ByName(p.topo, p.k)
+			if err != nil {
+				t.Fatal(err)
 			}
-			delete(soloIDs, id)
-		}
-	}
-	if len(soloIDs) != 0 {
-		t.Fatalf("%d ids delivered by solo but not sharded", len(soloIDs))
+			cfg := DefaultConfig(10e9, sim.Microsecond, seed)
+
+			s := sim.New()
+			solo, err := New(s, cfg, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sinks := load(solo, p.numbered)
+			s.Run()
+			want := result(solo, sinks, s.Dispatched())
+
+			eng := parsim.New(parsim.Config{Shards: 1, Lookahead: sim.Microsecond})
+			one, err := NewSharded(eng, cfg, g, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sinks = load(one, p.numbered)
+			eng.RunUntilQuiet(sim.Second)
+			if !eng.Quiet() {
+				t.Fatal("the one-shard fabric did not drain")
+			}
+			got := result(one, sinks, eng.Dispatched())
+
+			if want.injected == 0 || want.drops != 0 || solo.Delivered() != want.injected {
+				t.Fatalf("solo run not loss-free: injected %d, delivered %d, drops %d", want.injected, solo.Delivered(), want.drops)
+			}
+			if got.digest != want.digest || got.injected != want.injected || got.drops != want.drops || got.dispatched != want.dispatched {
+				t.Fatalf("one shard diverged from solo:\n  solo:      digest %016x injected %d drops %d dispatched %d\n  one shard: digest %016x injected %d drops %d dispatched %d",
+					want.digest, want.injected, want.drops, want.dispatched, got.digest, got.injected, got.drops, got.dispatched)
+			}
+			for fa := range want.ids {
+				if fmt.Sprint(got.ids[fa]) != fmt.Sprint(want.ids[fa]) {
+					t.Fatalf("edge %d: one shard delivered %v, solo %v", fa, got.ids[fa], want.ids[fa])
+				}
+			}
+		})
 	}
 }
 

@@ -94,7 +94,7 @@ type LinkTelemetry struct {
 
 // Controller is the chassis supervisor of one fabric (Clos or any other
 // topo.Graph): inventory, telemetry scraping, event publication and
-// anomaly detection. Attach it before running the simulation.
+// anomaly detection. Attach it before running the engine.
 type Controller struct {
 	cfg Config
 	fab *fabric.Net
@@ -112,37 +112,21 @@ type Controller struct {
 	stats      FabricStats
 	anomalies  map[string]Anomaly // active findings, keyed kind+device
 	scratch    [2]fabric.LinkCounters
-	nextScrape sim.Time // sharded mode: next barrier-scrape instant
+	nextScrape sim.Time // next barrier-scrape instant
 }
 
-// Attach builds a controller over fab, hooks the fabric's link-state and
-// reachability-update paths into the event bus, and schedules the
-// periodic telemetry scrape on the fabric's simulator. The first scrape
-// happens at time zero (one full period in).
-//
-// A sharded fabric must use AttachSharded instead: this scrape runs as an
-// ordinary simulator event on one shard and would read every other
-// shard's live queue counters mid-window — a data race the race detector
-// duly reports. The panic makes the misuse impossible rather than latent.
-func Attach(fab *fabric.Net, cfg Config) *Controller {
-	if fab.Sharded() {
-		panic("mgmt: sharded fabric telemetry must go through the shard barrier; use AttachSharded")
-	}
-	c := newController(fab, cfg)
-	c.armScrape()
-	return c
-}
-
-// AttachSharded builds the controller over a sharded fabric. The
-// telemetry scrape runs in the engine's barrier context — every shard
-// quiescent at a synchronized instant — so reading the per-shard queue
-// and fabric counters cannot race the simulation, and the scrape times
-// (window boundaries) are identical for every shard count, keeping the
-// management plane's view consistent across shards.
-func AttachSharded(fab *fabric.Net, cfg Config) *Controller {
+// Attach builds a controller over a fabric built on a parsim engine
+// (fabric.NewSharded, one shard or more) and hooks the fabric's link-state
+// and reachability-update paths into the event bus. The telemetry scrape
+// runs in the engine's barrier context — every shard quiescent at a
+// synchronized instant — so reading the per-shard queue and fabric
+// counters cannot race the simulation, and the scrape times (window
+// boundaries) are identical for every shard count. A fabric without an
+// engine is an error: there is no barrier to scrape in.
+func Attach(fab *fabric.Net, cfg Config) (*Controller, error) {
 	eng := fab.Engine()
 	if eng == nil {
-		panic("mgmt: AttachSharded needs a fabric built on a parsim engine")
+		return nil, fmt.Errorf("mgmt: the controller needs a fabric built on a parsim engine (fabric.NewSharded)")
 	}
 	c := newController(fab, cfg)
 	c.nextScrape = c.cfg.ScrapeEvery
@@ -152,7 +136,7 @@ func AttachSharded(fab *fabric.Net, cfg Config) *Controller {
 			c.nextScrape += c.cfg.ScrapeEvery
 		}
 	})
-	return c
+	return c, nil
 }
 
 func newController(fab *fabric.Net, cfg Config) *Controller {
@@ -211,14 +195,7 @@ func (c *Controller) Inventory() *Inventory { return c.inv }
 // Config returns the effective configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
-func (c *Controller) armScrape() {
-	c.sim.After(c.cfg.ScrapeEvery, func() {
-		c.scrape()
-		c.armScrape()
-	})
-}
-
-// onLinkState runs in the simulation goroutine (fabric hook).
+// onLinkState runs in barrier context (fabric hook).
 func (c *Controller) onLinkState(link int, up bool) {
 	lk := c.inv.Links[link]
 	kind := EventLinkDown
@@ -239,7 +216,7 @@ func (c *Controller) onLinkState(link int, up bool) {
 	})
 }
 
-// onReachUpdate runs in the simulation goroutine (fabric hook).
+// onReachUpdate runs in barrier context (fabric hook).
 func (c *Controller) onReachUpdate(node, reachable int) {
 	c.mu.Lock()
 	c.stats.ReachUpdates++
@@ -251,7 +228,7 @@ func (c *Controller) onReachUpdate(node, reachable int) {
 	})
 }
 
-// scrape runs in the simulation goroutine: it snapshots every directed
+// scrape runs in barrier context: it snapshots every directed
 // link's counters into its series, refreshes the aggregate snapshot, and
 // re-runs the anomaly detector.
 func (c *Controller) scrape() {

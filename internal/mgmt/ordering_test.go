@@ -15,7 +15,7 @@ import (
 // ordered times, a withdrawal exactly ReachDelay after every FA-link
 // state change, and link accounting that matches the final fabric state.
 func TestConcurrentFailureRecoveryEventOrdering(t *testing.T) {
-	s, fab, ctl := newManagedFabric(t, Config{ScrapeEvery: 200 * sim.Microsecond})
+	eng, fab, ctl := newManagedFabric(t, Config{ScrapeEvery: 200 * sim.Microsecond})
 	rng := rand.New(rand.NewSource(23))
 
 	// Schedule 12 random failures, each healing after a random delay that
@@ -38,10 +38,10 @@ func TestConcurrentFailureRecoveryEventOrdering(t *testing.T) {
 		heal := at + sim.Time(10+rng.Intn(100))*sim.Microsecond
 		want = append(want, change{at, link, false}, change{heal, link, true})
 		lk := link
-		s.At(at, func() { fab.FailLink(lk) })
-		s.At(heal, func() { fab.RestoreLink(lk) })
+		eng.At(at, func() { fab.FailLink(lk) })
+		eng.At(heal, func() { fab.RestoreLink(lk) })
 	}
-	s.RunUntil(2 * sim.Millisecond)
+	eng.Run(2 * sim.Millisecond)
 
 	evs := ctl.Bus().Since(0, 0)
 	if len(evs) == 0 {

@@ -1,10 +1,14 @@
 package mgmt
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
+	"stardust/internal/fabric"
 	"stardust/internal/sim"
+	"stardust/internal/topo"
 )
 
 // Tests for the sharded management path: the telemetry scrape crossing
@@ -13,13 +17,12 @@ import (
 // The latent race this guards against: Controller.scrape reads
 // Queue.FwdBytes/occupancy of every directed link while, in a sharded
 // fabric, those counters are being written by the shard goroutines
-// mid-window. Before the barrier-scrape fix (Attach scheduling the scrape
-// as an ordinary simulator event on shard 0), TestShardedScrapeRaceFree
-// fails under -race the moment the fabric spans more than one shard; with
-// AttachSharded the scrape runs in barrier context — every shard
-// quiescent — and the race is structurally impossible. Attach now panics
-// on a sharded fabric (TestAttachPanicsOnShardedFabric) so the racy
-// configuration cannot be reintroduced silently.
+// mid-window. A scrape scheduled as an ordinary simulator event on shard 0
+// fails TestShardedScrapeRaceFree under -race the moment the fabric spans
+// more than one shard; Attach scrapes in barrier context — every shard
+// quiescent — so the race is structurally impossible, and a fabric
+// without an engine has no barrier and is refused
+// (TestAttachRefusesFabricWithoutEngine).
 
 func newShardedRun(t *testing.T, shards int, seed int64) *FabricRun {
 	t.Helper()
@@ -83,33 +86,68 @@ func TestShardedScrapeRaceFree(t *testing.T) {
 
 // TestShardedFabricRunDeterministic: with chaos and scrapes quantized to
 // window boundaries, the same seed must produce identical management
-// statistics at different shard counts.
+// statistics at every shard count, 0 (one shard) included.
 func TestShardedFabricRunDeterministic(t *testing.T) {
 	run := func(shards int) FabricStats {
 		fr := newShardedRun(t, shards, 7)
 		fr.Advance(3 * sim.Millisecond)
 		return fr.Ctl.Stats()
 	}
-	a, b := run(2), run(4)
-	if a != b {
-		t.Fatalf("sharded FabricRun diverged across shard counts:\n  2: %+v\n  4: %+v", a, b)
+	a := run(2)
+	for _, shards := range []int{0, 1, 4} {
+		if b := run(shards); a != b {
+			t.Fatalf("sharded FabricRun diverged across shard counts:\n  2: %+v\n  %d: %+v", a, shards, b)
+		}
 	}
 	if a.LinkFailures == 0 || a.Scrapes == 0 {
 		t.Fatalf("degenerate run: %+v", a)
 	}
 }
 
-// Attach on a sharded fabric must refuse loudly: scheduling the scrape as
-// a plain simulator event is exactly the data race the barrier exists to
-// prevent.
-func TestAttachPanicsOnShardedFabric(t *testing.T) {
-	fr := newShardedRun(t, 2, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Attach accepted a sharded fabric")
+// The shard count is checked against the graph before an engine is built:
+// an engine allocates shards² mailboxes, so a count the graph cannot have
+// is an error naming the bound, not an allocation.
+func TestFabricRunShardCountIsBounded(t *testing.T) {
+	g, err := topo.ByName("clos", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := fmt.Sprintf("[1, %d]", g.NumNodes())
+	for _, shards := range []int{g.NumNodes() + 1, -1} {
+		_, err := NewFabricRun(FabricRunConfig{K: 4, Shards: shards})
+		if err == nil || !strings.Contains(err.Error(), bound) {
+			t.Errorf("shards %d: error %v, want one naming %s", shards, err, bound)
 		}
-	}()
-	Attach(fr.Fab, Config{})
+	}
+	for _, shards := range []int{0, 1} {
+		fr, err := NewFabricRun(FabricRunConfig{K: 4, Shards: shards})
+		if err != nil {
+			t.Fatalf("shards %d: %v", shards, err)
+		}
+		if got := fr.Eng.Shards(); got != 1 {
+			t.Fatalf("shards %d: engine of %d shards, want 1", shards, got)
+		}
+		fr.Advance(sim.Millisecond)
+		if st := fr.Ctl.Stats(); st.Delivered == 0 {
+			t.Fatalf("shards %d: nothing delivered: %+v", shards, st)
+		}
+	}
+}
+
+// The controller scrapes in barrier context, so a fabric built without an
+// engine (fabric.New) is refused with an error rather than scraped racily.
+func TestAttachRefusesFabricWithoutEngine(t *testing.T) {
+	cl, err := fabric.ClosFor(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab, err := fabric.New(sim.New(), fabric.DefaultConfig(10e9, sim.Microsecond, 1), cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctl, err := Attach(fab, Config{}); err == nil || ctl != nil {
+		t.Fatalf("Attach on a fabric without an engine: %v, %v", ctl, err)
+	}
 }
 
 // The sharded fabric's reach updates are delivered through the barrier in

@@ -258,11 +258,14 @@ type pktRing = ring[*Packet]
 // sends it on — to a default-lane Pipe or anything else. The completion
 // has to be a real event here, because the next hop's event takes its
 // sequence number inside it, between the other events of that instant.
-// Wire mode (Wire != nil, a link with an event lane of its own): a
-// fixed-rate FIFO server knows a packet's departure when the packet is
-// admitted — max(now, previous departure) + size/rate — and the far end
-// orders arrivals by (time, lane) alone, so the packet is handed to the
-// wire at once and its completion is only a (departure, size) entry.
+// The fat-tree's links, the fluid Stardust trunk, the transport's NIC and
+// port queues, the push/pull experiment and standalone queues run eager.
+// Wire mode (Wire != nil, a link with an event lane of its own — every
+// fabric.Net link, solo or sharded): a fixed-rate FIFO server knows a
+// packet's departure when the packet is admitted — max(now, previous
+// departure) + size/rate — and the far end orders arrivals by (time,
+// lane) alone, so the packet is handed to the wire at once and its
+// completion is only a (departure, size) entry.
 // Nothing is dispatched for it; whoever looks at the queue next — an
 // arrival, Bytes, a counter read — first applies the entries whose instant
 // has come (sim.Completed: after the explicit-lane events of that instant,
@@ -472,7 +475,7 @@ func (p *Pipe) Receive(pkt *Packet) {
 }
 
 // LanePipe is a propagation delay that delivers onto an explicit event
-// lane of a lane scheduler — the sharded counterpart of Pipe. With the
+// lane of a lane scheduler — the lane-keyed counterpart of Pipe. With the
 // owning shard's Simulator as the scheduler it is an intra-shard hop; with
 // a parsim cross-shard port it hands the packet to another event loop. In
 // both cases the packet's arrival is ordered by its (time, lane) key, so a

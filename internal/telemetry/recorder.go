@@ -78,10 +78,9 @@ type RecorderStats struct {
 }
 
 // Recorder scrapes a fabric at a fixed simulated period and exports every
-// scrape as one STREC1 window, flushed in barrier context on a sharded
-// engine (so the stream is byte-identical at any shard count) or as an
-// ordinary self-rescheduling event on a solo simulator. It can feed the
-// same windows to online analyzers.
+// scrape as one STREC1 window, flushed in barrier context on a parsim
+// engine (so the stream is byte-identical at any shard count). It can feed
+// the same windows to online analyzers.
 type Recorder struct {
 	emit  *Emitter
 	net   LinkSource
@@ -103,8 +102,8 @@ type Recorder struct {
 }
 
 // NewRecorder builds a recorder over net writing through w. every is the
-// scrape period (must be positive; on a sharded engine it should be a
-// multiple of the lookahead so scrape boundaries land on barriers).
+// scrape period (0 or less means one millisecond; it should be a multiple
+// of the engine's lookahead so scrape boundaries land on barriers).
 // sinks may be nil when the header declares zero FAs.
 func NewRecorder(w *Writer, net LinkSource, sinks SinkFunc, every sim.Time) *Recorder {
 	if every <= 0 {
@@ -146,7 +145,7 @@ func (r *Recorder) Observe(meta *Meta, as ...Analyzer) *FindingLog {
 	return r.log
 }
 
-// AttachEngine registers the scrape on a sharded engine's barrier: every
+// AttachEngine registers the scrape on an engine's barrier: every
 // shard quiescent, so reading cross-shard counters cannot race and the
 // capture instants (scrape-period boundaries) are identical for every
 // shard count and process placement.
@@ -159,22 +158,10 @@ func (r *Recorder) AttachEngine(eng *parsim.Engine) {
 	})
 }
 
-// AttachSim schedules the scrape as a self-rescheduling event on a solo
-// simulator — the unsharded live-fabric path. The rescheduling keeps the
-// simulator permanently non-quiet; use AttachEngine for bounded runs.
-func (r *Recorder) AttachSim(s *sim.Simulator) {
-	var tick func()
-	tick = func() {
-		r.Capture(s.Now())
-		s.After(r.every, tick)
-	}
-	s.After(r.every, tick)
-}
-
 // Capture scrapes the fabric now and appends one window stamped at. It
-// must run with the fabric quiescent (barrier context, or the solo
-// simulation goroutine). Errors latch: the first write error stops the
-// stream and surfaces in Stats.
+// must run with the fabric quiescent (barrier context, or between runs).
+// Errors latch: the first write error stops the stream and surfaces in
+// Stats.
 func (r *Recorder) Capture(at sim.Time) {
 	if r.err != nil {
 		return

@@ -7,6 +7,7 @@ import (
 
 	"stardust/internal/fabric"
 	"stardust/internal/netsim"
+	"stardust/internal/parsim"
 	"stardust/internal/sim"
 	"stardust/internal/topo"
 )
@@ -82,18 +83,21 @@ func TestEmitterEventSemantics(t *testing.T) {
 	}
 }
 
-// liveFabric builds a small loaded fabric for recorder tests.
-func liveFabric(t *testing.T) (*sim.Simulator, *fabric.Net) {
+// liveFabric builds a small loaded fabric on a one-shard engine for
+// recorder tests. Link state changes go through eng.At: they run in
+// barrier context.
+func liveFabric(t *testing.T) (*parsim.Engine, *fabric.Net) {
 	t.Helper()
 	cl, err := fabric.ClosFor(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sim.New()
-	fab, err := fabric.New(s, fabric.DefaultConfig(10e9, sim.Microsecond, 1), cl)
+	eng := parsim.New(parsim.Config{Shards: 1, Lookahead: sim.Microsecond})
+	fab, err := fabric.NewSharded(eng, fabric.DefaultConfig(10e9, sim.Microsecond, 1), cl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := fab.Sim
 	for fa := 0; fa < cl.NumFA; fa++ {
 		fa := fa
 		var inject func()
@@ -105,14 +109,14 @@ func liveFabric(t *testing.T) (*sim.Simulator, *fabric.Net) {
 		}
 		s.At(0, inject)
 	}
-	return s, fab
+	return eng, fab
 }
 
-// TestRecorderOnSoloSim drives the unsharded path end to end: AttachSim
+// TestRecorderOnSoloSim drives the one-shard path end to end: AttachEngine
 // scrapes on period, the stream decodes, counters are monotonic, online
 // analyzers feed the finding log, and stats reflect all of it.
 func TestRecorderOnSoloSim(t *testing.T) {
-	s, fab := liveFabric(t)
+	eng, fab := liveFabric(t)
 	hdr := StreamHeader{Dirs: 2 * fab.NumLinks(), FAs: 0, K: 4, ScrapePs: 100 * sim.Microsecond}
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, hdr)
@@ -121,7 +125,7 @@ func TestRecorderOnSoloSim(t *testing.T) {
 	}
 	rec := NewRecorder(w, fab, nil, 100*sim.Microsecond)
 	log := rec.Observe(MetaFor(fab.Topo.(*topo.Clos)), DefaultAnalyzers()...)
-	rec.AttachSim(s)
+	rec.AttachEngine(eng)
 
 	// Isolate FA0 mid-run: a reachability hole the online analyzers must
 	// flag, and down events the stream must carry.
@@ -131,12 +135,12 @@ func TestRecorderOnSoloSim(t *testing.T) {
 			failed = append(failed, i)
 		}
 	}
-	s.At(250*sim.Microsecond, func() {
+	eng.At(250*sim.Microsecond, func() {
 		for _, i := range failed {
 			fab.FailLink(i)
 		}
 	})
-	s.RunUntil(sim.Millisecond)
+	eng.Run(sim.Millisecond)
 
 	st := rec.Stats()
 	if st.Windows < 9 || st.Bytes == 0 || st.LastT == 0 {
@@ -184,15 +188,15 @@ func TestRecorderOnSoloSim(t *testing.T) {
 // at the first failed write, surfaces in Stats, and further captures are
 // no-ops instead of corrupting the tail.
 func TestRecorderLatchesWriteError(t *testing.T) {
-	s, fab := liveFabric(t)
+	eng, fab := liveFabric(t)
 	sink := NewBuffer(512) // fits the header, not the windows
 	w, err := NewWriter(sink, StreamHeader{Dirs: 2 * fab.NumLinks(), FAs: 0, ScrapePs: 50 * sim.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := NewRecorder(w, fab, nil, 50*sim.Microsecond)
-	rec.AttachSim(s)
-	s.RunUntil(sim.Millisecond)
+	rec.AttachEngine(eng)
+	eng.Run(sim.Millisecond)
 
 	if rec.Err() != ErrStreamFull {
 		t.Fatalf("latched error = %v, want ErrStreamFull", rec.Err())
