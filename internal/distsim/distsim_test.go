@@ -8,6 +8,7 @@ import (
 	"net"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -423,11 +424,14 @@ func TestMidWindowDisconnect(t *testing.T) {
 
 // TestDoubleJoin: a second connection while every peer slot is taken is
 // parked and then deterministically rejected — it never steals a slot and
-// never hangs.
+// never hangs. The run waits at its first window until the straggler is
+// accepted and has written its HELLO: a short run closes its listener.
 func TestDoubleJoin(t *testing.T) {
-	l := mustListen(t)
+	l := &secondAccept{Listener: mustListen(t), second: make(chan struct{})}
 	addr := l.Addr().String()
-	started := make(chan struct{})
+	started, joined := make(chan struct{}), make(chan struct{})
+	var release sync.Once
+	defer release.Do(func() { close(joined) }) // every exit path lets the run end
 	var once bool
 	ch := make(chan serveResult, 1)
 	go func() {
@@ -438,6 +442,7 @@ func TestDoubleJoin(t *testing.T) {
 				if !once {
 					once = true
 					close(started)
+					<-joined
 				}
 			},
 		})
@@ -461,6 +466,8 @@ func TestDoubleJoin(t *testing.T) {
 	if _, err := conn.Write(frame(t, tHello, hb, false)); err != nil {
 		t.Fatal(err)
 	}
+	<-l.second
+	release.Do(func() { close(joined) })
 	select {
 	case r := <-ch:
 		if r.err != nil {
@@ -477,6 +484,22 @@ func TestDoubleJoin(t *testing.T) {
 	if typ != tError || !strings.Contains(string(body), "no free peer slot") {
 		t.Fatalf("expected no-free-slot ERROR frame, got type %d %q", typ, body)
 	}
+}
+
+// secondAccept closes second once it has handed out two connections (one
+// goroutine accepts).
+type secondAccept struct {
+	net.Listener
+	n      int
+	second chan struct{}
+}
+
+func (l *secondAccept) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if l.n++; l.n == 2 {
+		close(l.second)
+	}
+	return c, err
 }
 
 // TestRejoinRestoresDigest: a peer dies mid-run, a replacement joins,

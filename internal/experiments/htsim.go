@@ -138,7 +138,7 @@ func newTestbed(cfg HtsimConfig, proto Protocol) (*testbed, error) {
 		if tb.sd, err = netsim.NewShardedStardustNet(tb.fab, sdc, tb.hosts, hostsPer); err != nil {
 			return nil, err
 		}
-	default:
+	case ProtoDCTCP, ProtoDCQCN, ProtoMPTCP:
 		ftc := netsim.DefaultFatTree()
 		ftc.K = cfg.K
 		ftc.MTU = cfg.MSS
@@ -152,6 +152,8 @@ func newTestbed(cfg HtsimConfig, proto Protocol) (*testbed, error) {
 		}
 		tb.ft = ft
 		tb.hosts = ft.Topo.Hosts
+	default:
+		return nil, fmt.Errorf("experiments: unknown protocol %q (want one of %v)", proto, Protocols)
 	}
 	return tb, nil
 }
@@ -208,7 +210,8 @@ type flowRunner struct {
 }
 
 // launchFlow starts one flow of flowBytes (0 = long-running) between src
-// and dst and returns accessors for measurement. onDone is optional.
+// and dst and returns accessors for measurement. onDone is optional. proto
+// is the testbed's, which newTestbed has checked.
 func (tb *testbed) launchFlow(proto Protocol, src, dst int, flowBytes int64, at sim.Time, onDone func(sim.Time)) flowRunner {
 	cfg := tcp.DefaultConfig()
 	cfg.MSS = tb.cfg.MSS
@@ -248,7 +251,7 @@ func (tb *testbed) launchFlow(proto Protocol, src, dst int, flowBytes int64, at 
 			deliveredAt: func() int64 { return d.DeliveredB },
 			fct:         func() (sim.Time, bool) { return d.FCT(), d.Done },
 		}
-	case ProtoMPTCP:
+	default: // ProtoMPTCP
 		n := tb.cfg.Subflows
 		m := tcp.NewMPTCP(tb.s, cfg, fmt.Sprintf("mptcp-%d-%d", src, dst), flowBytes, make([][]netsim.Handler, n))
 		for i := 0; i < n; i++ {
@@ -266,7 +269,6 @@ func (tb *testbed) launchFlow(proto Protocol, src, dst int, flowBytes int64, at 
 			fct:         func() (sim.Time, bool) { return m.FCT(), m.Done },
 		}
 	}
-	panic("experiments: unknown protocol " + string(proto))
 }
 
 // PermutationResult is one Fig 10(a) series: per-flow goodput sorted

@@ -147,3 +147,11 @@ func TestFullFabricRefusesBadShardCount(t *testing.T) {
 		}
 	}
 }
+
+// A protocol that is not a Fig 10 contender is an error where the testbed
+// is built, not a panic inside a run.
+func TestUnknownProtocolIsAnError(t *testing.T) {
+	if _, err := Permutation(QuickHtsim(), "Bogus"); err == nil || !strings.Contains(err.Error(), "unknown protocol") {
+		t.Fatal(err)
+	}
+}

@@ -111,23 +111,25 @@ func compareObserved(t *testing.T, counted, events observed) (elided uint64) {
 	return elided
 }
 
-// Every recorded golden spec, at every shard count the golden test runs.
+// Every digest row of the golden ledger, at the shard counts it is held at.
 func TestCountedArrivalsMatchEvents(t *testing.T) {
-	buf, err := os.ReadFile("../distsim/testdata/golden_digests.json")
+	buf, err := os.ReadFile("../../testdata/golden.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []struct {
-		Name string
-		Spec distsim.Spec
+	var ledger struct {
+		Digests []struct {
+			Name string
+			Spec distsim.Spec
+		}
 	}
-	if err := json.Unmarshal(buf, &rows); err != nil {
+	if err := json.Unmarshal(buf, &ledger); err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) == 0 {
-		t.Fatal("no golden rows")
+	if len(ledger.Digests) == 0 {
+		t.Fatal("no digest rows")
 	}
-	for _, row := range rows {
+	for _, row := range ledger.Digests {
 		for _, shards := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", row.Name, shards), func(t *testing.T) {
 				spec := row.Spec

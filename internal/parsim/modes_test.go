@@ -36,28 +36,30 @@ func runForced(t *testing.T, spec distsim.Spec, f parsim.ExecForce) (distsim.Out
 	return out, m
 }
 
-// Every recorded fabric outcome — digest, cell counts, executed events —
-// comes out the same whichever way the windows are executed, and so does
-// the split of events over the shards. This is the check that used to
-// compare Config.Serial with the parallel path, now against history.
+// Every digest row of the golden ledger — digest, cell counts, executed
+// events — comes out the same whichever way the windows are executed, and
+// so does the split of events over the shards. This is the check that
+// used to compare Config.Serial with the parallel path, now against history.
 func TestExecModesAgreeOnGoldenSpecs(t *testing.T) {
-	buf, err := os.ReadFile("../distsim/testdata/golden_digests.json")
+	buf, err := os.ReadFile("../../testdata/golden.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []struct {
-		Name                               string
-		Spec                               distsim.Spec
-		Digest                             string
-		Injected, Delivered, Drops, Events uint64
+	var ledger struct {
+		Digests []struct {
+			Name                               string
+			Spec                               distsim.Spec
+			Digest                             string
+			Injected, Delivered, Drops, Events uint64
+		}
 	}
-	if err := json.Unmarshal(buf, &rows); err != nil {
+	if err := json.Unmarshal(buf, &ledger); err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) == 0 {
-		t.Fatal("no golden rows")
+	if len(ledger.Digests) == 0 {
+		t.Fatal("no digest rows")
 	}
-	for _, row := range rows {
+	for _, row := range ledger.Digests {
 		for _, shards := range []int{2, 4} {
 			spec := row.Spec
 			spec.Shards = shards

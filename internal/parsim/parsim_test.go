@@ -164,8 +164,8 @@ func TestRingDeterministicAcrossShardCounts(t *testing.T) {
 
 // How a window's shards are executed — inline, fanned out, or switching
 // between the two at epoch boundaries — is invisible to the model, through
-// Run and through StepOwned alike. (The same check over the golden fabric
-// specs is in modes_test.go.)
+// Run and through StepOwned alike. (The same check over the golden
+// ledger's digest rows is in modes_test.go.)
 func TestExecModesAgreeOnRing(t *testing.T) {
 	const windows = 5*epochWindows + 7
 	for _, shards := range []int{2, 3, 4} {

@@ -95,6 +95,7 @@ func init() {
 			"frac": "fraction of senders aimed at a hot destination",
 		}),
 		Variants: protoVariants,
+		Check:    checkProto,
 		Run: func(c engine.Context) (engine.Result, error) {
 			cfg := htsimConfig(c)
 			proto := experiments.Protocol(c.Params.Str("proto", string(experiments.ProtoStardust)))
@@ -125,6 +126,7 @@ func init() {
 		},
 		Docs:     htsimDocs,
 		Variants: protoVariants,
+		Check:    checkProto,
 		Run: func(c engine.Context) (engine.Result, error) {
 			cfg := htsimConfig(c)
 			proto := experiments.Protocol(c.Params.Str("proto", string(experiments.ProtoStardust)))

@@ -3,6 +3,7 @@ package scenarios
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"stardust/internal/engine"
 	"stardust/internal/experiments"
@@ -24,18 +25,31 @@ func htsimConfig(c engine.Context) experiments.HtsimConfig {
 	return cfg
 }
 
-// protoList resolves the "proto" parameter ("all" or a comma list) into
-// the Fig 10 contenders in the paper's legend order.
+// protoList resolves the "proto" parameter (a comma list of protocols, in
+// which "all" stands for the Fig 10 contenders in the paper's legend
+// order).
 func protoList(p engine.Params) []experiments.Protocol {
-	sel := p.Str("proto", "all")
-	if sel == "all" {
-		return experiments.Protocols
-	}
 	var out []experiments.Protocol
-	for _, s := range splitList(sel) {
-		out = append(out, experiments.Protocol(s))
+	for _, s := range splitList(p.Str("proto", "all")) {
+		if s == "all" {
+			out = append(out, experiments.Protocols...)
+		} else {
+			out = append(out, experiments.Protocol(s))
+		}
 	}
 	return out
+}
+
+// checkProto is the Check of every scenario with a proto list: it refuses
+// an element that is neither all nor a Fig 10 contender, which no testbed
+// could run.
+func checkProto(c engine.Context) error {
+	for _, pr := range protoList(c.Params) {
+		if !slices.Contains(experiments.Protocols, pr) {
+			return fmt.Errorf("proto %q: want all, or a comma list of %v", pr, experiments.Protocols)
+		}
+	}
+	return nil
 }
 
 // protoVariants expands one instance per selected protocol.
@@ -90,6 +104,7 @@ func init() {
 		},
 		Docs:     htsimDocs,
 		Variants: protoVariants,
+		Check:    checkProto,
 		Run: func(c engine.Context) (engine.Result, error) {
 			cfg := htsimConfig(c)
 			proto := experiments.Protocol(c.Params.Str("proto", string(experiments.ProtoStardust)))
@@ -120,6 +135,7 @@ func init() {
 			"flows": "Web-workload flows to measure on the clean pair",
 		}),
 		Variants: protoVariants,
+		Check:    checkProto,
 		Run: func(c engine.Context) (engine.Result, error) {
 			cfg := htsimConfig(c)
 			proto := experiments.Protocol(c.Params.Str("proto", string(experiments.ProtoStardust)))
@@ -160,6 +176,7 @@ func init() {
 			}
 			return out
 		},
+		Check: checkProto,
 		Run: func(c engine.Context) (engine.Result, error) {
 			cfg := htsimConfig(c)
 			proto := experiments.Protocol(c.Params.Str("proto", string(experiments.ProtoStardust)))

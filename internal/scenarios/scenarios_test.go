@@ -10,6 +10,7 @@ import (
 
 	"stardust/internal/distsim"
 	"stardust/internal/engine"
+	"stardust/internal/experiments"
 )
 
 // TestMain routes forked peer children into the peer loop: the
@@ -367,6 +368,28 @@ func TestSplitTopos(t *testing.T) {
 	} {
 		if got := splitTopos(in); !reflect.DeepEqual(got, want) {
 			t.Errorf("splitTopos(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// Every scenario with a proto list refuses, before anything runs, an
+// element that is neither all nor one of the four Fig 10 contenders, and
+// names them.
+func TestProtoListIsChecked(t *testing.T) {
+	good := []string{"all", "all,DCTCP", "MPTCP,DCTCP,DCQCN,Stardust"}
+	for _, p := range experiments.Protocols {
+		good = append(good, string(p))
+	}
+	for _, name := range []string{"htsim/permutation", "htsim/fct", "htsim/incast", "htsim/hotspot", "htsim/alltoall"} {
+		for _, p := range good {
+			if _, err := engine.Resolve(name, engine.Params{"proto": p}); err != nil {
+				t.Errorf("%s proto=%s: %v", name, p, err)
+			}
+		}
+		for _, p := range []string{"Bogus", "stardust", "Stardust,Bogus"} {
+			if _, err := engine.Resolve(name, engine.Params{"proto": p}); err == nil || !strings.Contains(err.Error(), "MPTCP DCTCP DCQCN Stardust") {
+				t.Errorf("%s proto=%s: %v", name, p, err)
+			}
 		}
 	}
 }

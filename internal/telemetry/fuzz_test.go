@@ -14,7 +14,7 @@ import (
 )
 
 // goldenStream is the stream `stardust -seed 7 trace/record k=4`
-// writes, the one distsim's TestGoldenStream pins by SHA-256.
+// writes, the one the golden ledger's stream row pins by SHA-256.
 func goldenStream(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
