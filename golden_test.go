@@ -38,8 +38,9 @@ import (
 //	go test . -run '^TestGolden$' -update
 //
 // re-runs every row and rewrites the file, or refuses, writing nothing, if
-// a run breaks a bound of its row.
-var update = flag.Bool("update", false, "re-record testdata/golden.json from this build; refused if a run breaks a bound")
+// a run breaks a bound of its row. It also regenerates README.md's
+// parameter table, which TestGolden otherwise holds to the declarations.
+var update = flag.Bool("update", false, "re-record testdata/golden.json from this build (refused if a run breaks a bound) and regenerate README.md's parameter table")
 
 const ledgerPath = "testdata/golden.json"
 
@@ -97,6 +98,9 @@ func TestGolden(t *testing.T) {
 		if _, skip := l.Skipped[sc.Name]; !pinned[sc.Name] && !skip {
 			t.Errorf("%s has no row in %s: add its command (or a reason to skipped)", sc.Name, ledgerPath)
 		}
+	}
+	if err := checkParamTable(readmePath, *update); err != nil {
+		t.Error(err)
 	}
 	if *update {
 		var rs []reading
@@ -190,6 +194,52 @@ func record(path string, l ledger, readings []reading) error {
 		return err
 	}
 	return os.WriteFile(path, buf.Bytes(), 0o644)
+}
+
+const readmePath = "README.md"
+
+// README.md's parameter table sits between these two lines.
+const (
+	tableBegin = "<!-- parameter table: generated from the declarations by go test . -run '^TestGolden$' -update -->\n"
+	tableEnd   = "<!-- end of parameter table -->\n"
+)
+
+// paramTable renders the registry's declarations as that table: one row
+// per scenario with every key=default.
+func paramTable() string {
+	var b strings.Builder
+	b.WriteString("| Scenario | Parameters (`key=default`) |\n|---|---|\n")
+	for _, sc := range engine.List() {
+		var kvs []string
+		for _, d := range sc.ParamDocs() {
+			kvs = append(kvs, "`"+d.Key+"="+d.Default+"`")
+		}
+		if len(kvs) == 0 {
+			kvs = []string{"—"}
+		}
+		fmt.Fprintf(&b, "| `%s` | %s |\n", sc.Name, strings.Join(kvs, " "))
+	}
+	return b.String()
+}
+
+// checkParamTable holds the table in the file at path to paramTable, or
+// with rewrite makes it so.
+func checkParamTable(path string, rewrite bool) error {
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	before, rest, ok := strings.Cut(string(buf), tableBegin)
+	table, after, ok2 := strings.Cut(rest, tableEnd)
+	switch want := paramTable(); {
+	case !ok || !ok2:
+		return fmt.Errorf("%s has no parameter table between %q and %q", path, tableBegin, tableEnd)
+	case table == want:
+		return nil
+	case rewrite:
+		return os.WriteFile(path, []byte(before+tableBegin+want+tableEnd+after), 0o644)
+	}
+	return fmt.Errorf("%s: the parameter table is not the registry's; regenerate it with go test . -run '^TestGolden$' -update", path)
 }
 
 func readLedger(path string) (ledger, error) {

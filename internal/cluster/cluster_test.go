@@ -21,25 +21,23 @@ import (
 
 func init() {
 	engine.Register(engine.Scenario{
-		Name:     "clustertest/echo",
-		Desc:     "fast deterministic scenario for cluster tests",
-		Defaults: engine.Params{"x": "1"},
-		Docs:     map[string]string{"x": "the echoed value"},
+		Name:   "clustertest/echo",
+		Desc:   "fast deterministic scenario for cluster tests",
+		Params: []engine.Param{engine.Int("x", "1", "the echoed value")},
 		Run: func(c engine.Context) (engine.Result, error) {
 			var r engine.Result
-			r.Add("x", float64(c.Params.Int("x", 0)), "")
+			r.Add("x", float64(c.Params.Int("x")), "")
 			r.Add("seed", float64(c.Seed), "")
-			r.Text = engine.Textf("x=%s seed=%d\n", c.Params["x"], c.Seed)
+			r.Text = engine.Textf("x=%d seed=%d\n", c.Params.Int("x"), c.Seed)
 			return r, nil
 		},
 	})
 	engine.Register(engine.Scenario{
-		Name:     "clustertest/slow",
-		Desc:     "sleeps ms then echoes the seed",
-		Defaults: engine.Params{"ms": "100"},
-		Docs:     map[string]string{"ms": "wall sleep in milliseconds"},
+		Name:   "clustertest/slow",
+		Desc:   "sleeps ms then echoes the seed",
+		Params: []engine.Param{engine.Int("ms", "100", "wall sleep in milliseconds")},
 		Run: func(c engine.Context) (engine.Result, error) {
-			time.Sleep(time.Duration(c.Params.Int("ms", 100)) * time.Millisecond)
+			time.Sleep(time.Duration(c.Params.Int("ms")) * time.Millisecond)
 			var r engine.Result
 			r.Add("seed", float64(c.Seed), "")
 			r.Text = engine.Textf("slept seed=%d\n", c.Seed)

@@ -51,7 +51,7 @@ func ParseArgs(args []string) ([]Job, error) {
 		key, val, _ := strings.Cut(a, "=")
 		used := false
 		for i, sc := range scs {
-			if _, ok := sc.Defaults[key]; ok {
+			if _, ok := sc.defaults[key]; ok {
 				jobs[i].Params[key] = val
 				used = true
 			}

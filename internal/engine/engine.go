@@ -23,13 +23,11 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 )
 
-// Params carries scenario parameters as strings (the flag-friendly common
-// denominator) with typed accessors. A missing key falls back to the
-// scenario's registered default, then to the accessor's fallback.
+// Params carries scenario parameters as strings, the form a request
+// arrives in and a result emits; Values holds them parsed.
 type Params map[string]string
 
 // Clone returns a deep copy.
@@ -57,92 +55,6 @@ func (p Params) With(key, val string) Params {
 	return q
 }
 
-// Str returns the string value of key, or def when absent/empty.
-func (p Params) Str(key, def string) string {
-	if v, ok := p[key]; ok && v != "" {
-		return v
-	}
-	return def
-}
-
-// Int returns the integer value of key, or def when absent or malformed.
-func (p Params) Int(key string, def int) int {
-	if v, ok := p[key]; ok {
-		if n, err := strconv.Atoi(v); err == nil {
-			return n
-		}
-	}
-	return def
-}
-
-// Int64 returns the int64 value of key, or def when absent or malformed.
-func (p Params) Int64(key string, def int64) int64 {
-	if v, ok := p[key]; ok {
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			return n
-		}
-	}
-	return def
-}
-
-// Float returns the float value of key, or def when absent or malformed.
-func (p Params) Float(key string, def float64) float64 {
-	if v, ok := p[key]; ok {
-		if f, err := strconv.ParseFloat(v, 64); err == nil {
-			return f
-		}
-	}
-	return def
-}
-
-// Bool returns the boolean value of key, or def when absent or malformed.
-func (p Params) Bool(key string, def bool) bool {
-	if v, ok := p[key]; ok {
-		if b, err := strconv.ParseBool(v); err == nil {
-			return b
-		}
-	}
-	return def
-}
-
-// Ints splits a comma-separated list of integers; malformed or
-// non-positive entries are skipped. Returns def when the key is absent.
-func (p Params) Ints(key string, def []int) []int {
-	v, ok := p[key]
-	if !ok || v == "" {
-		return def
-	}
-	var out []int
-	for _, s := range strings.Split(v, ",") {
-		if n, err := strconv.Atoi(strings.TrimSpace(s)); err == nil && n > 0 {
-			out = append(out, n)
-		}
-	}
-	if len(out) == 0 {
-		return def
-	}
-	return out
-}
-
-// Floats splits a comma-separated list of floats. Returns def when the
-// key is absent.
-func (p Params) Floats(key string, def []float64) []float64 {
-	v, ok := p[key]
-	if !ok || v == "" {
-		return def
-	}
-	var out []float64
-	for _, s := range strings.Split(v, ",") {
-		if f, err := strconv.ParseFloat(strings.TrimSpace(s), 64); err == nil {
-			out = append(out, f)
-		}
-	}
-	if len(out) == 0 {
-		return def
-	}
-	return out
-}
-
 // String renders the params as "k=v k=v" with sorted keys (deterministic).
 func (p Params) String() string {
 	keys := make([]string, 0, len(p))
@@ -163,7 +75,7 @@ func (p Params) String() string {
 // Context is handed to a Scenario's Run with the fully resolved instance
 // parameters and the seed for this run.
 type Context struct {
-	Params Params
+	Params Values
 	Seed   int64
 	// Shards is the requested intra-instance event-loop parallelism (the
 	// -shards flag): scenarios built on the sharded fabric partition one
@@ -225,13 +137,15 @@ func (r *Result) Add(name string, value float64, unit string) *Result {
 	return r
 }
 
-// ParamDoc is one documented parameter of a scenario: the structured
-// form of the registry metadata that -list prints and the stardustd
-// API serves.
+// ParamDoc is one declared parameter as -list prints it and the
+// stardustd API serves it.
 type ParamDoc struct {
-	Key     string `json:"key"`
-	Default string `json:"default"`
-	Desc    string `json:"desc,omitempty"`
+	Key     string   `json:"key"`
+	Kind    string   `json:"kind"`
+	Default string   `json:"default"`
+	Desc    string   `json:"desc,omitempty"`
+	Choices []string `json:"choices,omitempty"` // an enum list's alias first
+	Range   string   `json:"range,omitempty"`
 }
 
 // Scenario declares one registered experiment.
@@ -242,40 +156,40 @@ type Scenario struct {
 	// Desc is a one-line description shown by -list and as the text
 	// header.
 	Desc string
-	// Defaults documents the accepted parameters and their default
-	// values; requested params are merged on top.
-	Defaults Params
-	// Docs describes the accepted parameters (key -> one-line doc).
-	// Every key must exist in Defaults — Register enforces it, so a
-	// typo cannot document a parameter that does not exist.
-	Docs map[string]string
+	// Params declares every parameter a request may set, once each.
+	Params []Param
 	// Variants optionally expands one requested instance into several
-	// (one per protocol, per sweep point, …). The runner executes each
+	// (one per protocol, per sweep point, …), each written as the
+	// request's strings with the swept keys set. The runner executes each
 	// variant as an independent parallel instance. nil = run as-is.
-	Variants func(p Params) []Params
+	Variants func(v Values) []Params
 	// Check optionally refuses parameter values no run could accept,
 	// where refusing is cheap and running is not (a shard count that
 	// allocates the machine away): Resolve calls it, so the command line
 	// exits 1 and stardustd answers 400 before anything is queued, keyed,
-	// forwarded or built. It sees the request as Run would — defaults
-	// merged, sweep lists unexpanded. nil = no such values.
+	// forwarded or built. It sees every instance the request expands into
+	// as Run would. nil = no such values.
 	Check func(c Context) error
 	// Run executes one instance.
 	Run func(c Context) (Result, error)
+
+	defaults Params // every declared key at its default
 }
 
-// ParamDocs returns the scenario's full parameter table sorted by key:
-// one entry per Defaults key, carrying its registered description (empty
-// when the parameter is undocumented).
+// ParamDocs returns the scenario's parameter table, sorted by key.
 func (s *Scenario) ParamDocs() []ParamDoc {
-	keys := make([]string, 0, len(s.Defaults))
-	for k := range s.Defaults {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]ParamDoc, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, ParamDoc{Key: k, Default: s.Defaults[k], Desc: s.Docs[k]})
+	out := make([]ParamDoc, 0, len(s.Params))
+	for i := range s.Params {
+		p := &s.Params[i]
+		choices := p.choices
+		if p.alias != "" {
+			choices = append([]string{p.alias}, choices...)
+		}
+		kind := p.kind.String()
+		if p.list {
+			kind += " list"
+		}
+		out = append(out, ParamDoc{Key: p.Key, Kind: kind, Default: p.Default, Desc: p.Doc, Choices: choices, Range: p.rangeText()})
 	}
 	return out
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -29,10 +30,10 @@ func init() {
 	Register(Scenario{
 		Name: "test/parallel",
 		Desc: "records concurrency",
-		Variants: func(p Params) []Params {
+		Variants: func(v Values) []Params {
 			out := make([]Params, 8)
 			for i := range out {
-				out[i] = p.With("i", fmt.Sprint(i))
+				out[i] = v.Params().With("i", fmt.Sprint(i))
 			}
 			return out
 		},
@@ -55,38 +56,43 @@ func init() {
 		},
 	})
 	Register(Scenario{
-		Name:     "test/echo",
-		Desc:     "echoes its parameter",
-		Defaults: Params{"x": "1"},
+		Name:   "test/echo",
+		Desc:   "echoes its parameter",
+		Params: []Param{Int("x", "1", "the echoed value")},
 		Check: func(c Context) error {
-			if x, most := c.Params.Int("x", 0), 100*c.Shards; x > most {
+			if x, most := c.Params.Int("x"), 100*c.Shards; x > most {
 				return fmt.Errorf("x = %d: must be at most %d", x, most)
 			}
 			return nil
 		},
 		Run: func(c Context) (Result, error) {
 			var r Result
-			r.Add("x", float64(c.Params.Int("x", 0)), "")
+			r.Add("x", float64(c.Params.Int("x")), "")
 			r.Add("seed", float64(c.Seed), "")
-			r.Text = Textf("x=%d seed=%d\n", c.Params.Int("x", 0), c.Seed)
+			r.Text = Textf("x=%d seed=%d\n", c.Params.Int("x"), c.Seed)
 			return r, nil
 		},
 	})
-	points := func(p Params) []Params {
-		n := p.Int("points", 1)
-		out := make([]Params, n)
+	// The sweeps write a point key no request may set, and read it back as
+	// the string they wrote.
+	points := func(v Values) []Params {
+		out := make([]Params, v.Int("points"))
 		for i := range out {
-			out[i] = p.With("point", fmt.Sprint(i))
+			out[i] = v.Params().With("point", fmt.Sprint(i))
 		}
 		return out
+	}
+	point := func(c Context) int {
+		i, _ := strconv.Atoi(c.Params.Params()["point"])
+		return i
 	}
 	Register(Scenario{
 		Name:     "test/sweep",
 		Desc:     "expands into one instance per point",
-		Defaults: Params{"points": "3"},
+		Params:   []Param{Int("points", "3", "")},
 		Variants: points,
 		Run: func(c Context) (Result, error) {
-			i := c.Params.Int("point", -1)
+			i := point(c)
 			var r Result
 			r.Add("point", float64(i), "")
 			r.Text = Textf("point %d\n", i)
@@ -96,10 +102,10 @@ func init() {
 	Register(Scenario{
 		Name:     "test/render",
 		Desc:     "counts its renderer's calls, panics in one outside a text run",
-		Defaults: Params{"points": "8", "fail": "-1"},
+		Params:   []Param{Int("points", "8", ""), Int("fail", "-1", "")},
 		Variants: points,
 		Run: func(c Context) (Result, error) {
-			i := c.Params.Int("point", -1)
+			i := point(c)
 			var r Result
 			r.Add("point", float64(i), "")
 			r.Text = func(w io.Writer) error {
@@ -107,14 +113,34 @@ func init() {
 					panic("rendered outside a text run")
 				}
 				renderCalls.Add(1)
-				if i == c.Params.Int("fail", -1) {
+				if i == c.Params.Int("fail") {
 					return errRender
 				}
-				_, err := fmt.Fprintf(w, "point %d of %s\n", i, c.Params.Str("points", ""))
+				_, err := fmt.Fprintf(w, "point %d of %d\n", i, c.Params.Int("points"))
 				return err
 			}
 			return r, nil
 		},
+	})
+	Register(Scenario{
+		Name: "test/kinds",
+		Desc: "declares every kind",
+		Params: []Param{
+			Int("i", "42", "the i knob").Min(2).Even(), Float("f", "2.5", ""), Bool("b", "true", ""),
+			String("s", "hi", ""), Path("p", "", ""), Enum("e", "", "", "x", "y"),
+			Enums("es", "x", "all", "", "x", "y").Each("es"), Ints("is", "1", "").Min(1),
+			Floats("fs", "0.5,1", "").Above(0).Each("f1"), Topos("ts", "", ""),
+		},
+		Variants: func(v Values) []Params {
+			var out []Params
+			for _, e := range v.List("es") {
+				for _, f := range v.Floats("fs") {
+					out = append(out, v.Params().Merge(Params{"es": e, "f1": fmt.Sprint(f)}))
+				}
+			}
+			return out
+		},
+		Run: func(Context) (Result, error) { return Result{}, nil },
 	})
 	Register(Scenario{
 		Name: "test/fail",
@@ -132,35 +158,37 @@ func init() {
 	})
 }
 
+// Every kind parses once into typed storage its accessor reads without a
+// default; an instance of a list the Variants sweep reads one element.
 func TestParamsAccessors(t *testing.T) {
-	p := Params{"i": "42", "f": "2.5", "b": "true", "s": "hi", "list": "1,2, 3", "bad": "x"}
-	if got := p.Int("i", 0); got != 42 {
-		t.Fatalf("Int = %d", got)
+	v, err := resolve("test/kinds", Params{"is": "3, 4", "ts": "clos,sshuffle:n=32,s=2,seed=1,star", "es": "all"}, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := p.Int("bad", 7); got != 7 {
-		t.Fatalf("Int fallback = %d", got)
+	for _, tc := range []struct {
+		got, want any
+	}{
+		{v.Int("i"), 42}, {v.Float("f"), 2.5}, {v.Bool("b"), true}, {v.Str("s"), "hi"}, {v.Str("p"), ""}, {v.Str("e"), ""},
+		{v.List("es"), []string{"x", "y"}}, {v.Ints("is"), []int{3, 4}}, {v.Floats("fs"), []float64{0.5, 1}},
+		{v.List("ts"), []string{"clos", "sshuffle:n=32,s=2,seed=1", "star"}},
+	} {
+		if !reflect.DeepEqual(tc.got, tc.want) {
+			t.Errorf("got %#v, want %#v", tc.got, tc.want)
+		}
 	}
-	if got := p.Int("missing", 7); got != 7 {
-		t.Fatalf("Int missing = %d", got)
+	insts, err := v.instances()
+	if err != nil || len(insts) != 4 {
+		t.Fatalf("instances: %d, %v", len(insts), err)
 	}
-	if got := p.Float("f", 0); got != 2.5 {
-		t.Fatalf("Float = %v", got)
+	if got := insts[3]; got.Str("es") != "y" || got.Float("f1") != 1 || got.Floats("fs")[1] != 1 {
+		t.Fatalf("last instance reads es=%q f1=%v", got.Str("es"), got.Float("f1"))
 	}
-	if !p.Bool("b", false) {
-		t.Fatal("Bool")
-	}
-	if got := p.Str("s", ""); got != "hi" {
-		t.Fatalf("Str = %q", got)
-	}
-	if got := p.Ints("list", nil); len(got) != 3 || got[2] != 3 {
-		t.Fatalf("Ints = %v", got)
-	}
-	if got := p.Floats("missing", []float64{9}); len(got) != 1 || got[0] != 9 {
-		t.Fatalf("Floats default = %v", got)
-	}
-	if got := (Params{"b": "2", "a": "1"}).String(); got != "a=1 b=2" {
-		t.Fatalf("String = %q", got)
-	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), `test/kinds reads parameter "nope", which it does not declare`) {
+			t.Fatalf("reading an undeclared key: %v", r)
+		}
+	}()
+	v.Int("nope")
 }
 
 func TestParamsMergeDoesNotMutate(t *testing.T) {
@@ -242,8 +270,8 @@ func TestRunVariantExpansion(t *testing.T) {
 		t.Fatalf("got %d instances, want 5", len(results))
 	}
 	for i, r := range results {
-		if got := r.Params.Int("point", -1); got != i {
-			t.Fatalf("instance %d has point %d (order not preserved)", i, got)
+		if got := r.Params["point"]; got != fmt.Sprint(i) {
+			t.Fatalf("instance %d has point %s (order not preserved)", i, got)
 		}
 	}
 }
@@ -382,6 +410,9 @@ func TestResolveRunsCheck(t *testing.T) {
 	if _, err := Resolve("test/echo", nil); err != nil {
 		t.Fatalf("the defaults: %v", err)
 	}
+	if _, err := Resolve("test/echo", Params{"x": "1.5"}); err == nil || !strings.Contains(err.Error(), `scenario "test/echo": parameter x=1.5: want an int`) {
+		t.Fatalf("x=1.5: err = %v", err)
+	}
 	_, err := Resolve("test/echo", Params{"x": "150"})
 	if err == nil || !strings.Contains(err.Error(), `scenario "test/echo": x = 150: must be at most 100`) {
 		t.Fatalf("x=150: err = %v", err)
@@ -485,38 +516,46 @@ func TestEmitUnknownFormat(t *testing.T) {
 }
 
 func TestParamDocs(t *testing.T) {
-	sc := Scenario{
-		Name:     "x",
-		Defaults: Params{"b": "2", "a": "1"},
-		Docs:     map[string]string{"a": "the a knob"},
+	sc, err := Lookup("test/kinds")
+	if err != nil {
+		t.Fatal(err)
 	}
 	docs := sc.ParamDocs()
-	if len(docs) != 2 {
-		t.Fatalf("want one ParamDoc per default, got %d", len(docs))
+	if len(docs) != len(sc.Params) || docs[0].Key != "b" || docs[len(docs)-1].Key != "ts" {
+		t.Fatalf("want one ParamDoc per declaration, sorted by key: %v", docs)
 	}
-	if docs[0].Key != "a" || docs[1].Key != "b" {
-		t.Fatalf("docs not sorted by key: %v", docs)
+	want := map[string]ParamDoc{
+		"i":  {Key: "i", Kind: "int", Default: "42", Desc: "the i knob", Range: ">= 2, even"},
+		"e":  {Key: "e", Kind: "enum", Choices: []string{"x", "y"}},
+		"es": {Key: "es", Kind: "enum list", Default: "x", Choices: []string{"all", "x", "y"}},
+		"fs": {Key: "fs", Kind: "float list", Default: "0.5,1", Range: "> 0"},
 	}
-	if docs[0].Desc != "the a knob" || docs[0].Default != "1" {
-		t.Fatalf("doc/default not carried: %+v", docs[0])
-	}
-	if docs[1].Desc != "" {
-		t.Fatalf("undocumented param grew a desc: %+v", docs[1])
+	for _, d := range docs {
+		if w, ok := want[d.Key]; ok && !reflect.DeepEqual(d, w) {
+			t.Errorf("got %+v, want %+v", d, w)
+		}
 	}
 }
 
-func TestRegisterRejectsDocWithoutDefault(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("registering a doc for a parameter with no default must panic")
-		}
-	}()
-	Register(Scenario{
-		Name:     "test/bad-docs",
-		Docs:     map[string]string{"nope": "typo"},
-		Run:      func(Context) (Result, error) { return Result{}, nil },
-		Defaults: Params{"k": "1"},
-	})
+// What a declaration can still get wrong panics at Register: a key
+// declared twice, a default its own declaration refuses.
+func TestRegisterRejectsBadDeclaration(t *testing.T) {
+	run := func(Context) (Result, error) { return Result{}, nil }
+	for _, sc := range []Scenario{
+		{Name: "test/dup-key", Run: run, Params: []Param{Int("k", "1", ""), Float("k", "1", "")}},
+		{Name: "test/bad-default", Run: run, Params: []Param{Int("k", "abc", "")}},
+		{Name: "test/out-of-range", Run: run, Params: []Param{Int("k", "3", "").Min(4)}},
+		{Name: "test/not-a-choice", Run: run, Params: []Param{Enum("e", "z", "", "x", "y")}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("registering %s did not panic", sc.Name)
+				}
+			}()
+			Register(sc)
+		}()
+	}
 }
 
 func TestWriteRegistryShowsDocs(t *testing.T) {
@@ -528,5 +567,24 @@ func TestWriteRegistryShowsDocs(t *testing.T) {
 	}
 	if !strings.Contains(out, "x=1") {
 		t.Fatal("-list output misses parameter defaults")
+	}
+	if !strings.Contains(out, "[int >= 2, even] the i knob") || !strings.Contains(out, "[enum list of all, x, y]") {
+		t.Fatalf("-list output misses a kind, its choices or range:\n%s", out)
+	}
+}
+
+// A topology sweep may mix family names with full spec strings, whose own
+// commas must not split them.
+func TestSplitTopos(t *testing.T) {
+	for in, want := range map[string][]string{
+		"":                                   nil,
+		"clos, star":                         {"clos", "star"},
+		"sshuffle:n=32,s=2,seed=1":           {"sshuffle:n=32,s=2,seed=1"},
+		"clos,sshuffle:n=32,s=2,seed=1,star": {"clos", "sshuffle:n=32,s=2,seed=1", "star"},
+		"clos:k=4,clos:k=8":                  {"clos:k=4", "clos:k=8"},
+	} {
+		if got := splitTopos(splitList(in)); !reflect.DeepEqual(got, want) {
+			t.Errorf("splitTopos(%q) = %q, want %q", in, got, want)
+		}
 	}
 }

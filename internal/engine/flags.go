@@ -7,6 +7,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"stardust/internal/distsim"
 )
@@ -71,18 +72,17 @@ func (f *Flags) Options() Options {
 }
 
 // WriteRegistry prints the scenario registry: name, description, and one
-// line per accepted parameter with its default and registered doc string
-// (the same metadata the stardustd API serves as JSON).
+// line per declared parameter with its default, kind, choices or range,
+// and doc (the same declarations the stardustd API serves as JSON).
 func WriteRegistry(w io.Writer) {
 	for _, sc := range List() {
 		fmt.Fprintf(w, "%-20s %s\n", sc.Name, sc.Desc)
 		for _, d := range sc.ParamDocs() {
-			kv := d.Key + "=" + d.Default
-			if d.Desc != "" {
-				fmt.Fprintf(w, "    %-24s %s\n", kv, d.Desc)
-			} else {
-				fmt.Fprintf(w, "    %s\n", kv)
+			of := ""
+			if len(d.Choices) > 0 {
+				of = " of " + strings.Join(d.Choices, ", ")
 			}
+			fmt.Fprintf(w, "    %-24s [%s] %s\n", d.Key+"="+d.Default, strings.TrimSpace(d.Kind+of+" "+d.Range), d.Desc)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -17,22 +18,30 @@ var (
 )
 
 // Register adds a scenario to the global registry. It panics on a
-// duplicate or malformed registration — both are programmer errors.
+// duplicate scenario or parameter, or a default its own declaration
+// refuses — all programmer errors.
 func Register(s Scenario) {
 	if s.Name == "" || s.Run == nil {
 		panic("engine: scenario needs a name and a Run function")
 	}
-	for k := range s.Docs {
-		if _, ok := s.Defaults[k]; !ok {
-			panic("engine: " + s.Name + " documents parameter " + k + " that has no default")
-		}
+	sc := s
+	sc.Params = slices.Clone(s.Params)
+	slices.SortFunc(sc.Params, func(a, b Param) int { return strings.Compare(a.Key, b.Key) })
+	sc.defaults = make(Params, len(sc.Params))
+	for _, p := range sc.Params {
+		sc.defaults[p.Key] = p.Default
+	}
+	if len(sc.defaults) < len(sc.Params) {
+		panic("engine: " + s.Name + " declares a parameter twice")
+	}
+	if _, err := sc.parse(sc.defaults, false); err != nil {
+		panic(err)
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
 	if _, dup := registry[s.Name]; dup {
 		panic("engine: duplicate scenario " + s.Name)
 	}
-	sc := s
 	registry[s.Name] = &sc
 }
 
@@ -47,49 +56,58 @@ func Lookup(name string) (*Scenario, error) {
 	return sc, nil
 }
 
-// Resolve returns the named scenario after checking that it declares
-// every requested parameter. The typed Params accessors fall back
-// silently on what they cannot find, so a misspelt key would run the
-// defaults under a second name; every door — the runner, the command
-// line, stardustd's submit handler — refuses it here instead, and with it
-// whatever the scenario's Check refuses, under the engine's default options.
+// Resolve returns the named scenario after parsing the request, merged
+// over the defaults, into the kinds the scenario declares. Every door —
+// the runner, the command line, stardustd's submit handler — calls it, so
+// a key the scenario does not declare, a value that does not parse as its
+// key's kind or falls outside its range, and whatever the scenario's Check
+// refuses under the engine's default options, is an error naming the key
+// before anything is queued, keyed, forwarded or built.
 func Resolve(name string, req Params) (*Scenario, error) {
-	return resolve(name, req, Options{})
+	v, err := resolve(name, req, Options{})
+	return v.sc, err
 }
 
 // resolve is Resolve for a run under opts: Check sees the Context Run would.
-func resolve(name string, req Params, opts Options) (*Scenario, error) {
+func resolve(name string, req Params, opts Options) (Values, error) {
 	sc, err := Lookup(name)
 	if err != nil {
-		return nil, err
+		return Values{}, err
 	}
 	var unknown []string
 	for k := range req {
-		if _, ok := sc.Defaults[k]; !ok {
+		if _, ok := sc.defaults[k]; !ok {
 			unknown = append(unknown, k)
 		}
 	}
 	if len(unknown) > 0 {
 		sort.Strings(unknown) // map order must not pick the message
-		return nil, sc.noParam(unknown[0])
+		return Values{}, sc.noParam(unknown[0])
 	}
-	if sc.Check != nil {
-		c := opts.context(sc.Defaults.Merge(req), 0)
-		if err := sc.Check(c); err != nil {
-			return nil, fmt.Errorf("engine: scenario %q: %w", sc.Name, err)
+	v, err := sc.parse(sc.defaults.Merge(req), false)
+	if err != nil || sc.Check == nil {
+		return v, err
+	}
+	insts, err := v.instances()
+	if err != nil {
+		return Values{}, err
+	}
+	for _, iv := range insts {
+		if err := sc.Check(opts.context(iv, 0)); err != nil {
+			return Values{}, fmt.Errorf("engine: scenario %q: %w", sc.Name, err)
 		}
 	}
-	return sc, nil
+	return v, nil
 }
 
 // noParam is the error for a key the scenario does not declare; it names
 // the keys it does.
 func (s *Scenario) noParam(key string) error {
 	accepts := "it takes none"
-	if len(s.Defaults) > 0 {
+	if len(s.Params) > 0 {
 		var keys []string
-		for _, d := range s.ParamDocs() {
-			keys = append(keys, d.Key)
+		for _, p := range s.Params {
+			keys = append(keys, p.Key)
 		}
 		accepts = "it accepts " + strings.Join(keys, ", ")
 	}

@@ -10,8 +10,9 @@ import (
 )
 
 // Job requests one scenario run. Params are merged over the scenario's
-// defaults; the scenario's Variants hook may then expand the job into
-// several instances (e.g. one per protocol).
+// defaults and parsed into its declared kinds; the scenario's Variants
+// hook may then expand the job into several instances (e.g. one per
+// protocol).
 type Job struct {
 	Scenario string
 	Params   Params
@@ -69,27 +70,20 @@ type RunResult struct {
 
 // instance is one unit of parallel work after variant expansion.
 type instance struct {
-	sc     *Scenario
-	params Params
-	seed   int64
+	vals Values
+	seed int64
 }
 
 // expand resolves jobs against the registry — an unknown scenario, an
-// undeclared parameter or a Variants hook that panics fails the whole
-// request — and applies variant expansion, preserving request order.
+// undeclared parameter, a value that does not parse or a Variants hook
+// that panics fails the whole request — and applies variant expansion,
+// preserving request order.
 func expand(opts Options, jobs []Job) ([]instance, error) {
 	var insts []instance
 	for _, j := range jobs {
-		sc, err := resolve(j.Scenario, j.Params, opts)
+		v, err := resolve(j.Scenario, j.Params, opts)
 		if err != nil {
 			return nil, err
-		}
-		base := Params{}
-		if sc.Defaults != nil {
-			base = sc.Defaults.Clone()
-		}
-		if j.Params != nil {
-			base = base.Merge(j.Params)
 		}
 		seed := j.Seed
 		if seed == 0 {
@@ -98,33 +92,15 @@ func expand(opts Options, jobs []Job) ([]instance, error) {
 		if seed == 0 {
 			seed = 1
 		}
-		variants := []Params{base}
-		if sc.Variants != nil {
-			v, err := expandVariants(sc, base)
-			if err != nil {
-				return nil, err
-			}
-			if len(v) > 0 {
-				variants = v
-			}
+		variants, err := v.instances()
+		if err != nil {
+			return nil, err
 		}
-		for _, p := range variants {
-			insts = append(insts, instance{sc: sc, params: p, seed: seed})
+		for _, iv := range variants {
+			insts = append(insts, instance{vals: iv, seed: seed})
 		}
 	}
 	return insts, nil
-}
-
-// expandVariants calls sc.Variants under the recover runInstance gives
-// sc.Run: the hook sees whatever values the request carried, and it runs on
-// the caller's goroutine — in stardustd, a RunQueue worker.
-func expandVariants(sc *Scenario, base Params) (v []Params, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("engine: %s (%s): scenario panicked expanding variants: %v", sc.Name, base, r)
-		}
-	}()
-	return sc.Variants(base), nil
 }
 
 // Run expands jobs into instances, executes them on a worker pool, emits
@@ -165,8 +141,8 @@ func Run(opts Options, jobs []Job) ([]RunResult, error) {
 				t0 := time.Now()
 				res, text, err := runInstance(in, opts)
 				results[i] = RunResult{
-					Name:    in.sc.Name,
-					Params:  in.params,
+					Name:    in.vals.sc.Name,
+					Params:  in.vals.raw,
 					Seed:    in.seed,
 					Result:  res,
 					Text:    text,
@@ -216,7 +192,7 @@ func runInstance(in instance, opts Options) (res Result, text string, err error)
 			err = fmt.Errorf("scenario panicked: %v", r)
 		}
 	}()
-	res, err = in.sc.Run(opts.context(in.params, in.seed))
+	res, err = in.vals.sc.Run(opts.context(in.vals, in.seed))
 	if err != nil || res.Text == nil || !opts.text() {
 		return res, "", err
 	}
@@ -232,7 +208,7 @@ func (o Options) text() bool { return o.Format == "" || o.Format == "text" }
 
 // context is what a scenario sees of a run under o: one instance's
 // parameters and seed, the flags as they apply to it.
-func (o Options) context(p Params, seed int64) Context {
+func (o Options) context(p Values, seed int64) Context {
 	return Context{
 		Params:     p,
 		Seed:       seed,

@@ -21,15 +21,14 @@ func init() {
 	// A scenario that takes real wall time, for queue-occupancy and
 	// streaming-timeout tests.
 	engine.Register(engine.Scenario{
-		Name:     "mgmttest/sleep",
-		Desc:     "sleeps ms then echoes",
-		Defaults: engine.Params{"ms": "100"},
-		Docs:     map[string]string{"ms": "wall sleep in milliseconds"},
+		Name:   "mgmttest/sleep",
+		Desc:   "sleeps ms then echoes",
+		Params: []engine.Param{engine.Int("ms", "100", "wall sleep in milliseconds")},
 		Run: func(c engine.Context) (engine.Result, error) {
-			time.Sleep(time.Duration(c.Params.Int("ms", 100)) * time.Millisecond)
+			time.Sleep(time.Duration(c.Params.Int("ms")) * time.Millisecond)
 			var r engine.Result
 			r.Add("seed", float64(c.Seed), "")
-			r.Text = engine.Textf("slept ms=%s seed=%d\n", c.Params["ms"], c.Seed)
+			r.Text = engine.Textf("slept ms=%d seed=%d\n", c.Params.Int("ms"), c.Seed)
 			return r, nil
 		},
 	})

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -25,26 +26,28 @@ func init() {
 	// A tiny deterministic scenario for daemon tests: fast, seeded, with
 	// a sweep so progress has multiple instances to report.
 	engine.Register(engine.Scenario{
-		Name:     "mgmttest/echo",
-		Desc:     "daemon test scenario",
-		Defaults: engine.Params{"x": "1", "points": "2"},
-		Docs:     map[string]string{"x": "the echoed value", "points": "sweep width"},
-		Variants: func(p engine.Params) []engine.Params {
-			// Any value arrives here (FuzzRunBodies); a negative one panics in
+		Name: "mgmttest/echo",
+		Desc: "daemon test scenario",
+		Params: []engine.Param{
+			engine.Int("x", "1", "the echoed value"),
+			engine.Int("points", "2", "sweep width"),
+		},
+		Variants: func(v engine.Values) []engine.Params {
+			// Any int arrives here (FuzzRunBodies); a negative one panics in
 			// make, which the engine has to turn into a failed job.
-			n := min(p.Int("points", 1), 8)
-			out := make([]engine.Params, n)
+			out := make([]engine.Params, min(v.Int("points"), 8))
 			for i := range out {
-				out[i] = p.With("point", fmt.Sprint(i))
+				out[i] = v.Params().With("point", fmt.Sprint(i))
 			}
 			return out
 		},
 		Run: func(c engine.Context) (engine.Result, error) {
 			var r engine.Result
-			r.Add("x", float64(c.Params.Int("x", 0)), "")
-			r.Add("point", float64(c.Params.Int("point", 0)), "")
+			point, _ := strconv.Atoi(c.Params.Params()["point"]) // written by Variants, not declared
+			r.Add("x", float64(c.Params.Int("x")), "")
+			r.Add("point", float64(point), "")
 			r.Add("seed", float64(c.Seed), "")
-			r.Text = engine.Textf("x=%s point=%s seed=%d\n", c.Params["x"], c.Params["point"], c.Seed)
+			r.Text = engine.Textf("x=%d point=%d seed=%d\n", c.Params.Int("x"), point, c.Seed)
 			return r, nil
 		},
 	})
@@ -260,6 +263,9 @@ func TestSubmitRejectsUndeclaredParam(t *testing.T) {
 		// So is a Spec the model cannot simulate: a 0-byte cell used to run
 		// with link counters that never moved.
 		{RunRequest{Scenario: "fabric/parscale", Params: engine.Params{"k": "4", "cell": "0"}}, "cell 0 bytes", "must be in [1, 262144]"},
+		// And a value that does not parse as its key's kind: k=abc used to
+		// run, and cache, the K=4 default.
+		{RunRequest{Scenario: "fabric/parscale", Params: engine.Params{"k": "abc"}}, "parameter k=abc", "want an int"},
 	} {
 		var body map[string]string
 		resp := postJSON(t, ts.URL+"/api/v1/runs", tc.req, &body)
@@ -319,15 +325,28 @@ func TestScenarioMetadataEndpoint(t *testing.T) {
 	}
 	var sawDoc bool
 	for _, p := range in.Params {
-		if p.Key == "x" && p.Desc == "the echoed value" && p.Default == "1" {
+		if p.Key == "x" && p.Desc == "the echoed value" && p.Default == "1" && p.Kind == "int" {
 			sawDoc = true
 		}
 	}
 	if !sawDoc {
 		t.Fatalf("param docs not served: %+v", in.Params)
 	}
-	if _, ok := byName["htsim/permutation"]; len(byName) > 2 && !ok {
-		t.Log("note: full scenario registry not linked in this test binary")
+	// The kind, choices and range come from the one declaration.
+	want := map[string]engine.ParamDoc{
+		"k":     {Key: "k", Kind: "int", Default: "8", Desc: "fat-tree K (12 = the paper's 432 hosts)", Range: ">= 4, even"},
+		"proto": {Key: "proto", Kind: "enum list", Default: "all", Choices: []string{"all", "MPTCP", "DCTCP", "DCQCN", "Stardust"}},
+	}
+	for _, p := range byName["htsim/permutation"].Params {
+		if w, ok := want[p.Key]; ok {
+			if p.Kind != w.Kind || p.Default != w.Default || p.Range != w.Range || !slices.Equal(p.Choices, w.Choices) {
+				t.Errorf("htsim/permutation serves %+v, want %+v", p, w)
+			}
+			delete(want, p.Key)
+		}
+	}
+	if len(want) > 0 {
+		t.Errorf("htsim/permutation does not serve %v", want)
 	}
 }
 

@@ -2,7 +2,6 @@ package scenarios
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"stardust/internal/distsim"
@@ -56,8 +55,8 @@ func distOne(spec distsim.Spec, npeers int) (distsim.Outcome, error) {
 // distscaleSpec assembles the sweep's Spec from its parameters. Its shard
 // count is its own parameter, never the -shards flag.
 func distscaleSpec(c engine.Context) distsim.Spec {
-	spec := paramSpec(c, msTime(c.Params.Int("dur_ms", 1)), 0.5)
-	spec.Shards = c.Params.Int("shards", 4)
+	spec := paramSpec(c, msTime(c.Params.Int("dur_ms")))
+	spec.Shards = c.Params.Int("shards")
 	return spec
 }
 
@@ -65,18 +64,12 @@ func init() {
 	engine.Register(engine.Scenario{
 		Name: "fabric/distscale",
 		Desc: "distributed runtime sweep: forks real peer processes and requires byte-identical outcomes vs in-process shards",
-		Defaults: engine.Params{
-			"k": "4", "shards": "4", "topo": "", "dur_ms": "1", "load": "0.5", "cell": "512", "peers": "2,4",
-		},
-		Docs: map[string]string{
-			"k":      "fat-tree K sizing the Clos",
-			"shards": "event-loop shards to partition over the peers (must be >= every peer count)",
-			"topo":   "topology family sized by k: clos, sshuffle, star, or a full spec string; empty = the -topo flag",
-			"dur_ms": "injection duration in ms",
-			"load":   "offered load per FA as a fraction of its uplink capacity",
-			"cell":   "cell size in bytes",
-			"peers":  "comma list of peer-process counts to verify against the in-process run",
-		},
+		Params: append(specParams("0.5"),
+			engine.Int("k", "4", "fat-tree K sizing the Clos"),
+			engine.Int("shards", "4", "event-loop shards to partition over the peers (must be >= every peer count)"),
+			engine.String("topo", "", "topology family sized by k: clos, sshuffle, star, or a full spec string; empty = the -topo flag"),
+			engine.Int("dur_ms", "1", "injection duration in ms"),
+			engine.Ints("peers", "2,4", "comma list of peer-process counts to verify against the in-process run")),
 		Check: checkSpec(distscaleSpec),
 		Run: func(c engine.Context) (engine.Result, error) {
 			spec := distscaleSpec(c)
@@ -100,10 +93,9 @@ func init() {
 			var b strings.Builder
 			fmt.Fprintf(&b, "distscale K=%d shards=%d: local digest %016x (%d cells, %d events)\n",
 				k, shards, want.Digest, want.Delivered, want.Events)
-			for _, ps := range splitList(c.Params.Str("peers", "2,4")) {
-				np, aerr := strconv.Atoi(ps)
-				if aerr != nil || np < 1 || np > shards {
-					return engine.Result{}, fmt.Errorf("distscale: peer count %q must be in [1, shards=%d]", ps, shards)
+			for _, np := range c.Params.Ints("peers") {
+				if np < 1 || np > shards {
+					return engine.Result{}, fmt.Errorf("distscale: peer count %d must be in [1, shards=%d]", np, shards)
 				}
 				got, err := distOne(spec, np)
 				if err != nil {

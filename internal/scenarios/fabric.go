@@ -14,24 +14,21 @@ func init() {
 	engine.Register(engine.Scenario{
 		Name: "fabric/fig9",
 		Desc: "Fig 9 two-tier cell fabric: latency and queue distributions vs utilization",
-		Defaults: engine.Params{
-			"scale": "4", "utils": "0.66,0.8,0.92,0.95,1.2", "dist": "false",
+		Params: []engine.Param{
+			engine.Int("scale", "4", "linear downscale of the Fig 9 topology (1 = paper size)").Min(1),
+			engine.Floats("utils", "0.66,0.8,0.92,0.95,1.2", "comma list of offered utilizations (one instance each)").Above(0).Each("util"),
+			engine.Bool("dist", "false", "also emit the full latency and queue-size distributions"),
 		},
-		Docs: map[string]string{
-			"scale": "linear downscale of the Fig 9 topology (1 = paper size)",
-			"utils": "comma list of offered utilizations (one instance each)",
-			"dist":  "also emit the full latency and queue-size distributions",
-		},
-		Variants: func(p engine.Params) []engine.Params {
+		Variants: func(v engine.Values) []engine.Params {
 			var out []engine.Params
-			for _, u := range p.Floats("utils", []float64{0.8}) {
-				out = append(out, p.With("util", fmt.Sprintf("%g", u)))
+			for _, u := range v.Floats("utils") {
+				out = append(out, v.Params().With("util", fmt.Sprintf("%g", u)))
 			}
 			return out
 		},
 		Run: func(c engine.Context) (engine.Result, error) {
-			util := c.Params.Float("util", 0.8)
-			scale := c.Params.Int("scale", 4)
+			util := c.Params.Float("util")
+			scale := c.Params.Int("scale")
 			var cfg fabricsim.Config
 			if scale <= 1 {
 				cfg = fabricsim.Fig9Config(util)
@@ -58,7 +55,7 @@ func init() {
 					res.Add("md1_mean_queue_cells", m.MeanQueue(), "cells")
 				}
 			}
-			dist := c.Params.Bool("dist", false)
+			dist := c.Params.Bool("dist")
 			res.Text = report(func(w io.Writer) {
 				fmt.Fprintf(w, "util %4.2f (scale 1/%d): lat p50=%.2fus p99=%.2fus p999=%.2fus  maxQ p99=%.0f  meanQ=%.2f  eff-util=%.1f%%  M/D/1 meanQ=%s\n",
 					util, scale,
@@ -76,23 +73,14 @@ func init() {
 	})
 
 	engine.Register(engine.Scenario{
-		Name:     "fabric/pushpull",
-		Desc:     "Fig 7 / Fig 12 push-vs-pull fabric: congested ports must not steal throughput",
-		Defaults: engine.Params{"tc": "both"},
-		Docs: map[string]string{
-			"tc": "traffic classes on the congested port: true, false, or both",
+		Name: "fabric/pushpull",
+		Desc: "Fig 7 / Fig 12 push-vs-pull fabric: congested ports must not steal throughput",
+		Params: []engine.Param{
+			engine.Enums("tc", "both", "both", "traffic classes on the congested port: true, false, or both", "false", "true").Each("tc"),
 		},
-		Variants: func(p engine.Params) []engine.Params {
-			switch p.Str("tc", "both") {
-			case "true":
-				return []engine.Params{p.With("tc", "true")}
-			case "false":
-				return []engine.Params{p.With("tc", "false")}
-			}
-			return []engine.Params{p.With("tc", "false"), p.With("tc", "true")}
-		},
+		Variants: sweep("tc"),
 		Run: func(c engine.Context) (engine.Result, error) {
-			r := experiments.PushPull(c.Params.Bool("tc", false))
+			r := experiments.PushPull(c.Params.Str("tc") == "true")
 			var res engine.Result
 			res.Add("ethernet_a1_pct", 100*r.EthernetA1, "%")
 			res.Add("ethernet_a2_pct", 100*r.EthernetA2, "%")

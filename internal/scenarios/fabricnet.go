@@ -16,22 +16,11 @@ func init() {
 	engine.Register(engine.Scenario{
 		Name: "fabric/linkload",
 		Desc: "per-uplink byte counts under a permutation: cell spraying vs per-flow ECMP (§5.3)",
-		Defaults: engine.Params{
-			"k": "8", "dur_ms": "10", "warmup_ms": "5", "mode": "both",
-		},
-		Docs: pickDocs([]string{"k", "dur_ms", "warmup_ms"}, map[string]string{
-			"mode": "spray (Stardust cells), ecmp (per-flow hashing), or both",
-		}),
-		Variants: func(p engine.Params) []engine.Params {
-			switch p.Str("mode", "both") {
-			case "spray", "ecmp":
-				return []engine.Params{p}
-			}
-			return []engine.Params{p.With("mode", "spray"), p.With("mode", "ecmp")}
-		},
+		Params: append(htsimParams("8", "10", "5"),
+			engine.Enums("mode", "both", "both", "spray (Stardust cells), ecmp (per-flow hashing), or both", "spray", "ecmp").Each("mode")),
+		Variants: sweep("mode"),
 		Run: func(c engine.Context) (engine.Result, error) {
-			cfg := htsimConfig(c)
-			r, err := experiments.LinkLoad(cfg, c.Params.Str("mode", "spray"))
+			r, err := experiments.LinkLoad(htsimConfig(c), c.Params.Str("mode"))
 			if err != nil {
 				return engine.Result{}, err
 			}
@@ -52,21 +41,13 @@ func init() {
 	engine.Register(engine.Scenario{
 		Name: "fabric/failures",
 		Desc: "kill N random fabric links mid-run: goodput dip and self-healing recovery (§5.9, App E)",
-		Defaults: engine.Params{
-			"k": "8", "dur_ms": "30", "warmup_ms": "10",
-			"fail": "4", "fail_ms": "10", "bin_ms": "1",
-		},
-		Docs: pickDocs([]string{"k", "dur_ms", "warmup_ms"}, map[string]string{
-			"fail":    "random fabric links to kill mid-run",
-			"fail_ms": "failure instant relative to end of warmup, in ms",
-			"bin_ms":  "goodput aggregation bin, in ms",
-		}),
+		Params: append(htsimParams("8", "30", "10"),
+			engine.Int("fail", "4", "random fabric links to kill mid-run"),
+			engine.Int("fail_ms", "10", "failure instant relative to end of warmup, in ms"),
+			engine.Int("bin_ms", "1", "goodput aggregation bin, in ms")),
 		Run: func(c engine.Context) (engine.Result, error) {
-			cfg := htsimConfig(c)
-			r, err := experiments.FabricFailures(cfg,
-				c.Params.Int("fail", 4),
-				msTime(c.Params.Int("fail_ms", 10)),
-				msTime(c.Params.Int("bin_ms", 1)))
+			r, err := experiments.FabricFailures(htsimConfig(c),
+				c.Params.Int("fail"), msTime(c.Params.Int("fail_ms")), msTime(c.Params.Int("bin_ms")))
 			if err != nil {
 				return engine.Result{}, err
 			}
@@ -86,21 +67,13 @@ func init() {
 	engine.Register(engine.Scenario{
 		Name: "htsim/hotspot",
 		Desc: "hotspot fan-in matrix: aggregate goodput into hot egress ports vs the rest, per protocol",
-		Defaults: engine.Params{
-			"k": "8", "dur_ms": "20", "warmup_ms": "10", "proto": "all",
-			"hot": "2", "frac": "0.4", "fabric": "false",
-		},
-		Docs: withDocs(htsimDocs, map[string]string{
-			"hot":  "number of hot destination hosts",
-			"frac": "fraction of senders aimed at a hot destination",
-		}),
-		Variants: protoVariants,
-		Check:    checkProto,
+		Params: protoParams("8",
+			engine.Int("hot", "2", "number of hot destination hosts"),
+			engine.Float("frac", "0.4", "fraction of senders aimed at a hot destination")),
+		Variants: sweep("proto"),
 		Run: func(c engine.Context) (engine.Result, error) {
-			cfg := htsimConfig(c)
-			proto := experiments.Protocol(c.Params.Str("proto", string(experiments.ProtoStardust)))
-			r, hot, err := experiments.HotspotRun(cfg, proto,
-				c.Params.Int("hot", 2), c.Params.Float("frac", 0.4))
+			cfg, proto := protoConfig(c)
+			r, hot, err := experiments.HotspotRun(cfg, proto, c.Params.Int("hot"), c.Params.Float("frac"))
 			if err != nil {
 				return engine.Result{}, err
 			}
@@ -119,18 +92,12 @@ func init() {
 	})
 
 	engine.Register(engine.Scenario{
-		Name: "htsim/alltoall",
-		Desc: "all-to-all matrix (n*(n-1) flows): per-flow goodput distribution, per protocol",
-		Defaults: engine.Params{
-			"k": "4", "dur_ms": "20", "warmup_ms": "10", "proto": "all", "fabric": "false",
-		},
-		Docs:     htsimDocs,
-		Variants: protoVariants,
-		Check:    checkProto,
+		Name:     "htsim/alltoall",
+		Desc:     "all-to-all matrix (n*(n-1) flows): per-flow goodput distribution, per protocol",
+		Params:   protoParams("4"),
+		Variants: sweep("proto"),
 		Run: func(c engine.Context) (engine.Result, error) {
-			cfg := htsimConfig(c)
-			proto := experiments.Protocol(c.Params.Str("proto", string(experiments.ProtoStardust)))
-			r, err := experiments.AllToAllRun(cfg, proto)
+			r, err := experiments.AllToAllRun(protoConfig(c))
 			if err != nil {
 				return engine.Result{}, err
 			}

@@ -11,14 +11,16 @@ import (
 	"stardust/internal/workload"
 )
 
+// clockParam declares the one parameter of the Fig 8 scenarios.
+var clockParam = []engine.Param{engine.Float("clock_hz", "150000000", "NetFPGA datapath clock in Hz")}
+
 func init() {
 	engine.Register(engine.Scenario{
-		Name:     "pack/fig8a",
-		Desc:     "Fig 8(a) NetFPGA packing throughput vs packet size, four designs",
-		Defaults: engine.Params{"clock_hz": "150000000"},
-		Docs:     map[string]string{"clock_hz": "NetFPGA datapath clock in Hz"},
+		Name:   "pack/fig8a",
+		Desc:   "Fig 8(a) NetFPGA packing throughput vs packet size, four designs",
+		Params: clockParam,
 		Run: func(c engine.Context) (engine.Result, error) {
-			clock := c.Params.Float("clock_hz", 150e6)
+			clock := c.Params.Float("clock_hz")
 			var res engine.Result
 			for _, row := range device.Fig8a(clock, nil) {
 				for _, d := range device.AllDesigns {
@@ -31,12 +33,11 @@ func init() {
 	})
 
 	engine.Register(engine.Scenario{
-		Name:     "pack/fig8b",
-		Desc:     "Fig 8(b) production-trace throughput mixes",
-		Defaults: engine.Params{"clock_hz": "150000000"},
-		Docs:     map[string]string{"clock_hz": "NetFPGA datapath clock in Hz"},
+		Name:   "pack/fig8b",
+		Desc:   "Fig 8(b) production-trace throughput mixes",
+		Params: clockParam,
 		Run: func(c engine.Context) (engine.Result, error) {
-			clock := c.Params.Float("clock_hz", 150e6)
+			clock := c.Params.Float("clock_hz")
 			var res engine.Result
 			for _, tr := range workload.Traces {
 				sizes, weights := workload.PacketMix(tr)

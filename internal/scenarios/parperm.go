@@ -36,34 +36,27 @@ func init() {
 	engine.Register(engine.Scenario{
 		Name: "htsim/parperm",
 		Desc: "sharded-transport permutation sweep: TCP over the sharded Stardust substrate, shards×K, deterministic transport digest",
-		Defaults: engine.Params{
-			"k": "4", "shards": "0", "dur_ms": "5", "warmup_ms": "2", "check": "false",
+		Params: []engine.Param{
+			engine.Ints("k", "4", "fat-tree K sizing hosts and the Clos (comma list sweeps)").Each("k"),
+			engine.Ints("shards", "0", "event-loop shards; 0 = the -shards flag (comma list sweeps)").Each("shards"),
+			engine.Int("dur_ms", "5", "measurement window in ms, after warmup").Min(1),
+			engine.Int("warmup_ms", "2", "warmup before measurement starts, in ms"),
+			engine.Bool("check", "false", "true re-runs at one shard and fails unless the digests are byte-identical"),
 		},
-		Docs: map[string]string{
-			"k":         "fat-tree K sizing hosts and the Clos (comma list sweeps)",
-			"shards":    "event-loop shards; 0 = the -shards flag (comma list sweeps)",
-			"dur_ms":    "measurement window in ms, after warmup",
-			"warmup_ms": "warmup before measurement starts, in ms",
-			"check":     "true re-runs at one shard and fails unless the digests are byte-identical",
-		},
-		Variants: parVariants,
-		Check:    checkShards(closOnly),
+		// Its instances carry an empty topo, as its emitted params always have.
+		Variants: func(v engine.Values) []engine.Params { return shardSweep(v, nil) },
+		Check:    func(c engine.Context) error { return checkShards(c, closOnly) },
 		Run: func(c engine.Context) (engine.Result, error) {
-			k := c.Params.Int("k", 4)
-			shards := effectiveShards(c)
-			cfg := experiments.DefaultHtsim()
-			cfg.K = k
-			cfg.Duration = msTime(c.Params.Int("dur_ms", 5))
-			cfg.Warmup = msTime(c.Params.Int("warmup_ms", 2))
+			cfg := htsimConfig(c)
+			k, shards := cfg.K, effectiveShards(c)
 			cfg.FullFabric = true
 			cfg.Shards = shards
-			cfg.Seed = c.Seed
 			r, err := experiments.Permutation(cfg, experiments.ProtoStardust)
 			if err != nil {
 				return engine.Result{}, err
 			}
 			digest := permDigest(r)
-			if c.Params.Bool("check", false) && shards != 1 {
+			if c.Params.Bool("check") && shards != 1 {
 				ref := cfg
 				ref.Shards = 1
 				rr, err := experiments.Permutation(ref, experiments.ProtoStardust)
@@ -77,7 +70,7 @@ func init() {
 			}
 			var res engine.Result
 			res.Add("k", float64(k), "")
-			if sp := c.Params.Int("shards", 0); sp != 0 {
+			if sp := c.Params.Int("shards"); sp != 0 {
 				res.Add("shards", float64(sp), "")
 			}
 			n := len(r.Gbps)

@@ -51,28 +51,28 @@ type parRun struct {
 }
 
 // paramSpec assembles a distsim Spec from the parameters every scenario
-// that builds one shares — k, topo, shards, load, pattern, cell and
-// hotspot — given the scenario's injection duration and default load; the
-// caller sets the rest. A key the scenario does not declare reads as its
-// fallback (no pattern, hotspot 1). The model construction itself lives
-// in distsim.NewModel so the in-process, coordinator, and remote-peer
-// replicas are one code path, and checkSpec refuses what it would.
-func paramSpec(c engine.Context, dur sim.Time, load float64) distsim.Spec {
+// that builds one declares — k, topo, shards, load and cell — given the
+// scenario's injection duration; the caller sets what else it declares.
+// The model construction itself lives in distsim.NewModel so the
+// in-process, coordinator, and remote-peer replicas are one code path,
+// and checkSpec refuses what it would.
+func paramSpec(c engine.Context, dur sim.Time) distsim.Spec {
 	return distsim.Spec{
-		K: c.Params.Int("k", 4), Topo: effectiveTopo(c), Seed: c.Seed, Shards: effectiveShards(c),
-		Dur: dur, Load: c.Params.Float("load", load), Pattern: c.Params.Str("pattern", ""),
-		CellBytes: c.Params.Int("cell", 512), Hotspot: c.Params.Float("hotspot", 1),
+		K: c.Params.Int("k"), Topo: effectiveTopo(c), Seed: c.Seed, Shards: effectiveShards(c),
+		Dur: dur, Load: c.Params.Float("load"), CellBytes: c.Params.Int("cell"), Hotspot: 1,
 	}
 }
 
 func parscaleSpec(c engine.Context) distsim.Spec {
-	return paramSpec(c, msTime(c.Params.Int("dur_ms", 5)), 0.5)
+	spec := paramSpec(c, msTime(c.Params.Int("dur_ms")))
+	spec.Pattern, spec.Hotspot = c.Params.Str("pattern"), c.Params.Float("hotspot")
+	return spec
 }
 
 func parhealSpec(c engine.Context) distsim.Spec {
-	spec := paramSpec(c, msTime(c.Params.Int("dur_ms", 6)), 0.4)
-	spec.FailN = c.Params.Int("fail", 3)
-	spec.FailAt, spec.HealAt = msTime(c.Params.Int("fail_ms", 2)), msTime(c.Params.Int("heal_ms", 4))
+	spec := paramSpec(c, msTime(c.Params.Int("dur_ms")))
+	spec.Pattern, spec.FailN = c.Params.Str("pattern"), c.Params.Int("fail")
+	spec.FailAt, spec.HealAt = msTime(c.Params.Int("fail_ms")), msTime(c.Params.Int("heal_ms"))
 	return spec
 }
 
@@ -201,19 +201,18 @@ func addParMetrics(res *engine.Result, k, shardsParam int, r parRun) {
 	res.Add("digest_hi", float64(r.digest>>32), "")
 }
 
-// parVariants expands comma-separated k, shards and topo lists into one
-// instance per combination. An empty topo list means "the -topo flag",
-// one unexpanded instance.
-func parVariants(p engine.Params) []engine.Params {
-	topos := splitTopos(p.Str("topo", ""))
+// shardSweep expands the k and shards lists, under each of topos, into
+// one instance per combination. No topos means one empty topo: the -topo
+// flag.
+func shardSweep(v engine.Values, topos []string) []engine.Params {
 	if len(topos) == 0 {
 		topos = []string{""}
 	}
 	var out []engine.Params
 	for _, t := range topos {
-		for _, k := range splitList(p.Str("k", "4")) {
-			for _, s := range splitList(p.Str("shards", "0")) {
-				out = append(out, p.With("topo", t).With("k", k).With("shards", s))
+		for _, k := range v.Ints("k") {
+			for _, s := range v.Ints("shards") {
+				out = append(out, v.Params().With("topo", t).With("k", fmt.Sprint(k)).With("shards", fmt.Sprint(s)))
 			}
 		}
 	}
@@ -224,7 +223,7 @@ func parVariants(p engine.Params) []engine.Params {
 // empty when it comes from the -shards flag, so runs differing only in
 // that flag stay byte-identical (the CI determinism matrix diffs them).
 func shardLabel(c engine.Context) string {
-	if s := c.Params.Int("shards", 0); s != 0 {
+	if s := c.Params.Int("shards"); s != 0 {
 		return fmt.Sprintf(" shards=%d", s)
 	}
 	return ""
@@ -234,45 +233,35 @@ func shardLabel(c engine.Context) string {
 // flag". Whether the fabric can be cut that many ways is for whoever
 // builds it to say (fabric.ShardCount), and for checkShards before that.
 func effectiveShards(c engine.Context) int {
-	if s := c.Params.Int("shards", 0); s != 0 {
+	if s := c.Params.Int("shards"); s != 0 {
 		return s
 	}
 	return c.Shards
 }
 
-// checkShards is the Check of every scenario that cuts a fabric into a
-// requested number of shards: it refuses a count the fabric cannot have
-// with fabric.ShardCount's error, for every combination the k, shards and
-// topo lists sweep, before a run exists that could allocate for it. family
-// resolves the topology for one combination; a k or topology that does not
+// checkShards refuses a shard count one instance's fabric cannot have,
+// with fabric.ShardCount's error, before a run exists that could allocate
+// for it. family resolves the topology; a k or topology that does not
 // build is the run's error to report, not this check's.
-func checkShards(family func(engine.Context) string) func(engine.Context) error {
-	return func(c engine.Context) error {
-		for _, p := range parVariants(c.Params) {
-			shards := p.Int("shards", 0)
-			if shards == 0 {
-				continue // the -shards flag, which engine.Options floors at 1
-			}
-			c.Params = p
-			g, err := topo.ByName(family(c), p.Int("k", 4))
-			if err != nil {
-				continue
-			}
-			if _, err := fabric.ShardCount(shards, g); err != nil {
-				return err
-			}
-		}
+func checkShards(c engine.Context, family func(engine.Context) string) error {
+	shards := c.Params.Int("shards")
+	if shards == 0 {
+		return nil // the -shards flag, which engine.Options floors at 1
+	}
+	g, err := topo.ByName(family(c), c.Params.Int("k"))
+	if err != nil {
 		return nil
 	}
+	_, err = fabric.ShardCount(shards, g)
+	return err
 }
 
 // checkSpec is the Check of every scenario that builds a distsim Spec:
 // checkShards, then whatever distsim.Spec.Check refuses of the Spec spec
 // assembles.
 func checkSpec(spec func(engine.Context) distsim.Spec) func(engine.Context) error {
-	shards := checkShards(effectiveTopo)
 	return func(c engine.Context) error {
-		if err := shards(c); err != nil {
+		if err := checkShards(c, effectiveTopo); err != nil {
 			return err
 		}
 		return spec(c).Check()
@@ -285,7 +274,7 @@ func closOnly(engine.Context) string { return "clos" }
 // effectiveTopo resolves the topo parameter: empty means "use the -topo
 // flag" (which itself defaults to the Clos).
 func effectiveTopo(c engine.Context) string {
-	if t := c.Params.Str("topo", ""); t != "" {
+	if t := c.Params.Str("topo"); t != "" {
 		return t
 	}
 	return c.Topo
@@ -296,32 +285,47 @@ func effectiveTopo(c engine.Context) string {
 // shardLabel: runs differing only in a swept flag stay byte-identical,
 // and the CI determinism matrix sweeps -topo alongside -shards.
 func topoLabel(c engine.Context) string {
-	if t := c.Params.Str("topo", ""); t != "" {
+	if t := c.Params.Str("topo"); t != "" {
 		return fmt.Sprintf(" topo=%s", t)
 	}
 	return ""
 }
 
+// specParams declares the load and cell knobs of every scenario that
+// builds a distsim Spec, at its default load.
+func specParams(load string) []engine.Param {
+	return []engine.Param{
+		engine.Float("load", load, "offered load per FA as a fraction of its uplink capacity"),
+		engine.Int("cell", "512", "cell size in bytes"),
+	}
+}
+
+// fabricParams is specParams plus the k, shards and topo of an instance
+// that builds one fabric.
+func fabricParams(load string) []engine.Param {
+	return append(specParams(load),
+		engine.Int("k", "4", "fat-tree K sizing the Clos"),
+		engine.Int("shards", "0", "event-loop shards; 0 = the -shards flag"),
+		engine.String("topo", "", "topology family sized by k: clos, sshuffle, star, or a full spec string; empty = the -topo flag"))
+}
+
+// patternParam declares the traffic matrix of parscale and parheal.
+var patternParam = engine.Enum("pattern", "", "traffic matrix: rotate (all-to-all over time, the default), permutation, incast",
+	"rotate", "permutation", "incast", "alltoall")
+
 func init() {
 	engine.Register(engine.Scenario{
 		Name: "fabric/parscale",
 		Desc: "sharded-engine scaling sweep: shards×K, deterministic traffic digest (+ events/sec and speedup with timings=true)",
-		Defaults: engine.Params{
-			"k": "4", "shards": "0", "topo": "", "pattern": "", "dur_ms": "5", "load": "0.5", "cell": "512",
-			"hotspot": "1", "timings": "false",
-		},
-		Docs: map[string]string{
-			"k":       "fat-tree K sizing the Clos (comma list sweeps)",
-			"shards":  "event-loop shards; 0 = the -shards flag (comma list sweeps). Explicit values also report the per-shard event split",
-			"topo":    "topology family sized by k: clos, sshuffle, star, or a full spec string; empty = the -topo flag (comma list sweeps)",
-			"pattern": "traffic matrix: rotate (all-to-all over time, the default), permutation, incast",
-			"dur_ms":  "injection duration in ms",
-			"load":    "offered load per FA as a fraction of its uplink capacity",
-			"cell":    "cell size in bytes",
-			"hotspot": "boost factor for the first quarter of the FAs (>1 = skewed matrix, changes the offered traffic)",
-			"timings": "true adds wall-clock events/sec (total and per core), speedup vs one shard and the engine's execution stats (windows, fanned, probes, switches, parked hand-offs, which shard finished last how often, mail) — with -peers, each peer's busy and mesh-wait time, how its mesh reads waited (parked or polled) and the straggler instead — nondeterministic output, keep off when diffing runs",
-		},
-		Variants: parVariants,
+		Params: append(specParams("0.5"),
+			engine.Ints("k", "4", "fat-tree K sizing the Clos (comma list sweeps)").Each("k"),
+			engine.Ints("shards", "0", "event-loop shards; 0 = the -shards flag (comma list sweeps). Explicit values also report the per-shard event split").Each("shards"),
+			engine.Topos("topo", "", "topology family sized by k: clos, sshuffle, star, or a full spec string; empty = the -topo flag (comma list sweeps)").Each("topo"),
+			patternParam,
+			engine.Int("dur_ms", "5", "injection duration in ms"),
+			engine.Float("hotspot", "1", "boost factor for the first quarter of the FAs (>1 = skewed matrix, changes the offered traffic)"),
+			engine.Bool("timings", "false", "true adds wall-clock events/sec (total and per core), speedup vs one shard and the engine's execution stats (windows, fanned, probes, switches, parked hand-offs, which shard finished last how often, mail) — with -peers, each peer's busy and mesh-wait time, how its mesh reads waited (parked or polled) and the straggler instead — nondeterministic output, keep off when diffing runs")),
+		Variants: func(v engine.Values) []engine.Params { return shardSweep(v, v.List("topo")) },
 		Check:    checkSpec(parscaleSpec),
 		Run: func(c engine.Context) (engine.Result, error) {
 			spec := parscaleSpec(c)
@@ -329,7 +333,7 @@ func init() {
 			var r parRun
 			var err error
 			if c.DistPeers > 0 {
-				r, err = runDistFabric(spec, c, c.Params.Bool("timings", false))
+				r, err = runDistFabric(spec, c, c.Params.Bool("timings"))
 			} else {
 				r, err = runShardedFabric(spec)
 			}
@@ -337,16 +341,16 @@ func init() {
 				return engine.Result{}, err
 			}
 			var res engine.Result
-			addParMetrics(&res, k, c.Params.Int("shards", 0), r)
+			addParMetrics(&res, k, c.Params.Int("shards"), r)
 			var b strings.Builder
 			fmt.Fprintf(&b, "parscale K=%d%s%s: %d cells injected, %d delivered, %d dropped, %d events, digest %016x\n",
 				k, topoLabel(c), shardLabel(c), r.injected, r.delivered, r.drops, r.events, r.digest)
-			if c.Params.Int("shards", 0) != 0 {
+			if c.Params.Int("shards") != 0 {
 				addShardSplit(&res, &b, r)
 			}
 			if r.dist != nil {
 				distTimings(&b, r)
-			} else if c.Params.Bool("timings", false) {
+			} else if c.Params.Bool("timings") {
 				ref := r
 				if shards != 1 {
 					ref1 := spec
@@ -379,22 +383,11 @@ func init() {
 	engine.Register(engine.Scenario{
 		Name: "fabric/parheal",
 		Desc: "sharded fail/heal schedule: conservation and §5.9 self-healing under the parallel engine, deterministic digest",
-		Defaults: engine.Params{
-			"k": "4", "shards": "0", "topo": "", "pattern": "", "dur_ms": "6", "load": "0.4", "cell": "512",
-			"fail": "3", "fail_ms": "2", "heal_ms": "4",
-		},
-		Docs: map[string]string{
-			"k":       "fat-tree K sizing the Clos",
-			"shards":  "event-loop shards; 0 = the -shards flag",
-			"topo":    "topology family sized by k: clos, sshuffle, star, or a full spec string; empty = the -topo flag",
-			"pattern": "traffic matrix: rotate (all-to-all over time, the default), permutation, incast",
-			"dur_ms":  "injection duration in ms",
-			"load":    "offered load per FA as a fraction of its uplink capacity",
-			"cell":    "cell size in bytes",
-			"fail":    "seed-chosen links to fail",
-			"fail_ms": "failure instant in ms",
-			"heal_ms": "heal instant in ms",
-		},
+		Params: append(fabricParams("0.4"), patternParam,
+			engine.Int("dur_ms", "6", "injection duration in ms"),
+			engine.Int("fail", "3", "seed-chosen links to fail"),
+			engine.Int("fail_ms", "2", "failure instant in ms"),
+			engine.Int("heal_ms", "4", "heal instant in ms")),
 		Check: checkSpec(parhealSpec),
 		Run: func(c engine.Context) (engine.Result, error) {
 			spec := parhealSpec(c)
@@ -416,7 +409,7 @@ func init() {
 				return engine.Result{}, fmt.Errorf("parheal: %d unreachable pairs after heal", r.unreachable)
 			}
 			var res engine.Result
-			addParMetrics(&res, k, c.Params.Int("shards", 0), r)
+			addParMetrics(&res, k, c.Params.Int("shards"), r)
 			res.Text = engine.Textf("parheal K=%d%s%s: %d injected, %d delivered, %d dropped (conserved), 0 unreachable after heal, digest %016x\n",
 				k, topoLabel(c), shardLabel(c), r.injected, r.delivered, r.drops, r.digest)
 			return res, nil

@@ -27,20 +27,15 @@ func init() {
 	})
 
 	engine.Register(engine.Scenario{
-		Name:     "scaling/table2",
-		Desc:     "Table 2 element counts for (k, t, l)",
-		Defaults: engine.Params{"k": "8", "t": "4", "l": "2"},
-		Docs: map[string]string{
-			"k": "FE radix factor k of Table 2",
-			"t": "ToR downlinks per FA",
-			"l": "FA fabric links",
+		Name: "scaling/table2",
+		Desc: "Table 2 element counts for (k, t, l)",
+		Params: []engine.Param{
+			engine.Int("k", "8", "FE radix factor k of Table 2"),
+			engine.Int("t", "4", "ToR downlinks per FA"),
+			engine.Int("l", "2", "FA fabric links"),
 		},
 		Run: func(c engine.Context) (engine.Result, error) {
-			p := topo.Params{
-				K: c.Params.Int("k", 8),
-				T: c.Params.Int("t", 4),
-				L: c.Params.Int("l", 2),
-			}
+			p := topo.Params{K: c.Params.Int("k"), T: c.Params.Int("t"), L: c.Params.Int("l")}
 			var res engine.Result
 			for n := 1; n <= 4; n++ {
 				ec := topo.Table2(p, n)

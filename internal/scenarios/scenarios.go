@@ -20,7 +20,6 @@ package scenarios
 
 import (
 	"io"
-	"strings"
 
 	"stardust/internal/engine"
 	"stardust/internal/sim"
@@ -40,30 +39,3 @@ func msTime(n int) sim.Time { return sim.Time(n) * sim.Millisecond }
 
 // usTime converts an integer microsecond parameter to sim.Time.
 func usTime(n int) sim.Time { return sim.Time(n) * sim.Microsecond }
-
-// splitList splits a comma-separated parameter, trimming blanks.
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
-// splitTopos is splitList for a topology sweep: a full spec string brings
-// commas of its own (sshuffle:n=32,s=2,seed=1), so a key=value item
-// continues the spec before it.
-func splitTopos(s string) []string {
-	var out []string
-	for _, item := range splitList(s) {
-		if n := len(out); n > 0 && strings.Contains(out[n-1], ":") &&
-			strings.Contains(item, "=") && !strings.Contains(item, ":") {
-			out[n-1] += "," + item
-			continue
-		}
-		out = append(out, item)
-	}
-	return out
-}

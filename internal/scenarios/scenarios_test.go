@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -323,15 +322,24 @@ func TestAllParamsDocumented(t *testing.T) {
 	}
 }
 
-// A parameter must never again exist without being reachable: for every
-// registered scenario, its name followed by key=default for each declared
-// key parses into one job that requests exactly the defaults and that
-// the engine accepts.
+// A parameter must never again exist without being reachable, nor run
+// what it was not given. For every registered scenario, its name followed
+// by key=default for each declared key parses into one job that requests
+// exactly the defaults and that the engine accepts, and a value of the
+// wrong kind for any declared key is refused by engine.Resolve with an
+// error naming the key. Each command below ran something other than what
+// it printed before values were parsed at the door (a fallback default, a
+// flag left off, every choice, a fluid tree no testbed has, a NaN or zero
+// report), or failed only inside a running worker; each is refused before
+// an instance runs.
 func TestEveryParamReachableFromCommandLine(t *testing.T) {
+	wrong := map[string]string{"int": "abc", "float": "half", "bool": "yes", "enum": "foo",
+		"enum list": "foo", "int list": "4,x", "float list": "0.5,x"} // a string, path or topology list takes any
 	params := 0
 	for _, sc := range engine.List() {
+		docs := sc.ParamDocs()
 		args := []string{sc.Name}
-		for _, d := range sc.ParamDocs() {
+		for _, d := range docs {
 			args = append(args, d.Key+"="+d.Default)
 		}
 		jobs, err := engine.ParseArgs(args)
@@ -343,31 +351,40 @@ func TestEveryParamReachableFromCommandLine(t *testing.T) {
 		if _, err := engine.Resolve(sc.Name, got); err != nil {
 			t.Errorf("%v: %v", args, err)
 		}
-		if len(got) != len(sc.Defaults) {
-			t.Errorf("%s: %d of %d parameters parsed", sc.Name, len(got), len(sc.Defaults))
+		if len(got) != len(docs) {
+			t.Errorf("%s: %d of %d parameters parsed", sc.Name, len(got), len(docs))
 		}
-		for k, v := range sc.Defaults {
-			if g, ok := got[k]; !ok || g != v {
-				t.Errorf("%s: %s parsed as %q (present %v), want %q", sc.Name, k, g, ok, v)
+		for _, d := range docs {
+			if g, ok := got[d.Key]; !ok || g != d.Default {
+				t.Errorf("%s: %s parsed as %q (present %v), want %q", sc.Name, d.Key, g, ok, d.Default)
+			}
+			if bad, ok := wrong[d.Kind]; ok {
+				if _, err := engine.Resolve(sc.Name, engine.Params{d.Key: bad}); err == nil || !strings.Contains(err.Error(), "parameter "+d.Key+"="+bad+": ") {
+					t.Errorf("%s %s=%s (%s): err = %v", sc.Name, d.Key, bad, d.Kind, err)
+				}
 			}
 		}
-		params += len(sc.Defaults)
+		params += len(docs)
 	}
 	t.Logf("%d scenarios, %d parameters", len(engine.List()), params)
-}
 
-// A topology sweep may mix family names with full spec strings, whose own
-// commas must not split them.
-func TestSplitTopos(t *testing.T) {
-	for in, want := range map[string][]string{
-		"":                                   nil,
-		"clos, star":                         {"clos", "star"},
-		"sshuffle:n=32,s=2,seed=1":           {"sshuffle:n=32,s=2,seed=1"},
-		"clos,sshuffle:n=32,s=2,seed=1,star": {"clos", "sshuffle:n=32,s=2,seed=1", "star"},
-		"clos:k=4,clos:k=8":                  {"clos:k=4", "clos:k=8"},
+	for _, cmd := range []string{
+		"fabric/parscale k=abc", "fabric/parscale load=half", "fabric/parscale dur_ms=1.5",
+		"htsim/incast n=abc", "htsim/incast n=4,x", "htsim/incast n=0", "system/arista sizes=0",
+		"htsim/permutation fabric=yes", "fabric/fig9 dist=yes",
+		"fabric/linkload mode=foo", "fabric/pushpull tc=maybe",
+		"fabric/parscale pattern=foo", "fabric/collective collective=foo",
+		"fabric/openloop sizes=foo", "fabric/graphload mode=foo",
+		"htsim/permutation proto=Stardust k=3", "htsim/permutation dur_ms=0",
+		"fabric/fig9 utils=-1", "fabric/fig9 scale=0",
 	} {
-		if got := splitTopos(in); !reflect.DeepEqual(got, want) {
-			t.Errorf("splitTopos(%q) = %q, want %q", in, got, want)
+		args := strings.Fields(cmd)
+		jobs, err := engine.ParseArgs(args)
+		if err == nil {
+			_, err = engine.Resolve(jobs[0].Scenario, jobs[0].Params)
+		}
+		if kv := args[len(args)-1]; err == nil || !strings.Contains(err.Error(), "parameter "+kv+": ") {
+			t.Errorf("%s: err = %v, want one naming %s", cmd, err, kv)
 		}
 	}
 }

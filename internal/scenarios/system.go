@@ -11,35 +11,30 @@ func init() {
 	engine.Register(engine.Scenario{
 		Name: "system/arista",
 		Desc: "§6.1.2 single-tier system: line rate and latency vs packet size",
-		Defaults: engine.Params{
-			"fa": "6", "ports": "16", "packing": "false", "dur_us": "300",
-			"sizes": "64,128,256,384,512,1024,1518",
-		},
-		Docs: map[string]string{
-			"fa":      "Fabric Adapters in the single-tier system",
-			"ports":   "front-panel ports per FA",
-			"packing": "enable cell packing on the FA ingress",
-			"dur_us":  "measurement window in us",
-			"sizes":   "comma list of packet sizes in bytes (one instance each)",
+		Params: []engine.Param{
+			engine.Int("fa", "6", "Fabric Adapters in the single-tier system"),
+			engine.Int("ports", "16", "front-panel ports per FA"),
+			engine.Bool("packing", "false", "enable cell packing on the FA ingress"),
+			engine.Int("dur_us", "300", "measurement window in us"),
+			engine.Ints("sizes", "64,128,256,384,512,1024,1518", "comma list of packet sizes in bytes (one instance each)").Min(1).Each("size"),
 		},
 		// One instance per packet size: the sweep points are independent
 		// simulations, so they parallelize.
-		Variants: func(p engine.Params) []engine.Params {
+		Variants: func(v engine.Values) []engine.Params {
 			var out []engine.Params
-			for _, s := range p.Ints("sizes", []int{384}) {
-				out = append(out, p.With("size", fmt.Sprint(s)))
+			for _, s := range v.Ints("sizes") {
+				out = append(out, v.Params().With("size", fmt.Sprint(s)))
 			}
 			return out
 		},
 		Run: func(c engine.Context) (engine.Result, error) {
 			cfg := experiments.ScaledArista()
-			cfg.NumFA = c.Params.Int("fa", cfg.NumFA)
-			cfg.PortsPerFA = c.Params.Int("ports", cfg.PortsPerFA)
-			cfg.Packing = c.Params.Bool("packing", cfg.Packing)
-			cfg.Duration = usTime(c.Params.Int("dur_us", 300))
+			cfg.NumFA = c.Params.Int("fa")
+			cfg.PortsPerFA = c.Params.Int("ports")
+			cfg.Packing = c.Params.Bool("packing")
+			cfg.Duration = usTime(c.Params.Int("dur_us"))
 			cfg.Seed = c.Seed
-			size := c.Params.Int("size", 384)
-			rows, err := experiments.Arista(cfg, []int{size})
+			rows, err := experiments.Arista(cfg, []int{c.Params.Int("size")})
 			if err != nil {
 				return engine.Result{}, err
 			}

@@ -23,10 +23,21 @@ import (
 	"stardust/internal/workload"
 )
 
+// graphParams declares the topology, sizing and injection knobs of a
+// scenario on buildGraphFabric, then more.
+func graphParams(more ...engine.Param) []engine.Param {
+	return append([]engine.Param{
+		engine.String("topo", "", "topology family sized by k: clos, sshuffle, star, or a full spec string; empty = the -topo flag"),
+		engine.Int("k", "4", "sizing parameter handed to topo.ByName"),
+		engine.Int("cell", "512", "cell size in bytes"),
+		engine.Float("load", "1", "per-flow pacing as a fraction of the source's uplink capacity"),
+	}, more...)
+}
+
 // buildGraphFabric assembles the solo fabric for one topology-pluggable
 // scenario instance: resolved topology, simulator, default 10G config.
-func buildGraphFabric(c engine.Context, k int) (topo.Graph, *sim.Simulator, *fabric.Net, error) {
-	g, err := topo.ByName(effectiveTopo(c), k)
+func buildGraphFabric(c engine.Context) (topo.Graph, *sim.Simulator, *fabric.Net, error) {
+	g, err := topo.ByName(effectiveTopo(c), c.Params.Int("k"))
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -57,36 +68,26 @@ func init() {
 	engine.Register(engine.Scenario{
 		Name: "fabric/graphload",
 		Desc: "spray vs ECMP per-uplink byte spread on pluggable topologies (Space Shuffle, star-replaced) — §5.3 carried beyond the Clos",
-		Defaults: engine.Params{
-			"topo": "sshuffle,star", "mode": "spray,ecmp", "k": "8",
-			"load": "0.6", "warm_us": "100", "dur_us": "400",
+		Params: []engine.Param{
+			engine.Topos("topo", "sshuffle,star", "topology families sized by k (comma list sweeps); clos is spray-only (use fabric/linkload for the fat-tree ECMP contender)").Each("topo"),
+			engine.Enums("mode", "spray,ecmp", "", "routing mode: spray (per-cell round robin) or ecmp (per-flow hash-pinned path); comma list sweeps", "spray", "ecmp").Each("mode"),
+			engine.Int("k", "8", "sizing parameter handed to topo.ByName (edge devices = k*k/2)"),
+			engine.Float("load", "0.6", "offered load per edge device as a fraction of its uplink capacity"),
+			engine.Int("warm_us", "100", "warmup before measurement, in µs"),
+			engine.Int("dur_us", "400", "measurement window in µs"),
 		},
-		Docs: map[string]string{
-			"topo":    "topology families sized by k (comma list sweeps); clos is spray-only (use fabric/linkload for the fat-tree ECMP contender)",
-			"mode":    "routing mode: spray (per-cell round robin) or ecmp (per-flow hash-pinned path); comma list sweeps",
-			"k":       "sizing parameter handed to topo.ByName (edge devices = k*k/2)",
-			"load":    "offered load per edge device as a fraction of its uplink capacity",
-			"warm_us": "warmup before measurement, in µs",
-			"dur_us":  "measurement window in µs",
-		},
-		Variants: func(p engine.Params) []engine.Params {
+		Variants: func(v engine.Values) []engine.Params {
 			var out []engine.Params
-			for _, t := range splitTopos(p.Str("topo", "sshuffle,star")) {
-				for _, m := range splitList(p.Str("mode", "spray,ecmp")) {
-					out = append(out, p.With("topo", t).With("mode", m))
+			for _, t := range v.List("topo") {
+				for _, m := range v.List("mode") {
+					out = append(out, v.Params().With("topo", t).With("mode", m))
 				}
 			}
 			return out
 		},
 		Run: func(c engine.Context) (engine.Result, error) {
-			r, err := experiments.GraphLinkLoad(
-				c.Params.Str("topo", "sshuffle"),
-				c.Params.Int("k", 8),
-				c.Params.Str("mode", "spray"),
-				c.Params.Float("load", 0.6),
-				usTime(c.Params.Int("warm_us", 100)),
-				usTime(c.Params.Int("dur_us", 400)),
-				c.Seed)
+			r, err := experiments.GraphLinkLoad(c.Params.Str("topo"), c.Params.Int("k"), c.Params.Str("mode"),
+				c.Params.Float("load"), usTime(c.Params.Int("warm_us")), usTime(c.Params.Int("dur_us")), c.Seed)
 			if err != nil {
 				return engine.Result{}, err
 			}
@@ -110,37 +111,22 @@ func init() {
 	engine.Register(engine.Scenario{
 		Name: "fabric/collective",
 		Desc: "ML-collective all-reduce (ring or binomial tree) over any topology: phase-synchronized cell traffic, completion time and conservation",
-		Defaults: engine.Params{
-			"topo": "", "k": "4", "collective": "ring", "kb": "64",
-			"cell": "512", "load": "1",
-		},
-		Docs: map[string]string{
-			"topo":       "topology family sized by k: clos, sshuffle, star, or a full spec string; empty = the -topo flag",
-			"k":          "sizing parameter handed to topo.ByName",
-			"collective": "schedule: ring (bandwidth-optimal reduce-scatter + all-gather) or tree (binomial reduce + broadcast)",
-			"kb":         "all-reduce payload per rank in KB",
-			"cell":       "cell size in bytes",
-			"load":       "per-flow pacing as a fraction of the source's uplink capacity",
-		},
+		Params: graphParams(
+			engine.Enum("collective", "ring", "schedule: ring (bandwidth-optimal reduce-scatter + all-gather) or tree (binomial reduce + broadcast)", "ring", "tree"),
+			engine.Int("kb", "64", "all-reduce payload per rank in KB")),
 		Run: func(c engine.Context) (engine.Result, error) {
-			k := c.Params.Int("k", 4)
-			cell := c.Params.Int("cell", 512)
-			load := c.Params.Float("load", 1)
-			bytes := int64(c.Params.Int("kb", 64)) * 1024
-			g, s, fab, err := buildGraphFabric(c, k)
+			cell, load := c.Params.Int("cell"), c.Params.Float("load")
+			bytes := int64(c.Params.Int("kb")) * 1024
+			g, s, fab, err := buildGraphFabric(c)
 			if err != nil {
 				return engine.Result{}, err
 			}
 			numFA := g.NumEdge()
-			var phases [][]workload.CollectiveFlow
-			switch coll := c.Params.Str("collective", "ring"); coll {
-			case "ring":
-				phases = workload.RingAllReduce(numFA, bytes)
-			case "tree":
-				phases = workload.TreeAllReduce(numFA, bytes)
-			default:
-				return engine.Result{}, fmt.Errorf("collective: unknown schedule %q (want ring or tree)", coll)
+			schedule := workload.RingAllReduce
+			if c.Params.Str("collective") == "tree" {
+				schedule = workload.TreeAllReduce
 			}
+			phases := schedule(numFA, bytes)
 			var want uint64
 			var worstPhase sim.Time
 			for _, flows := range phases {
@@ -181,7 +167,7 @@ func init() {
 			res.Add("worst_phase_us", float64(worstPhase)/float64(sim.Microsecond), "us")
 			res.Add("algo_gbps", algBW/1e9, "Gb/s")
 			res.Text = engine.Textf("collective %s on %s: %d ranks, %d phases, %d cells (%d dropped), done in %.0fµs (worst phase %.0fµs, %.2f Gb/s algorithmic)\n",
-				c.Params.Str("collective", "ring"), g.Spec(), numFA, len(phases),
+				c.Params.Str("collective"), g.Spec(), numFA, len(phases),
 				fab.Injected(), fab.Drops(),
 				float64(total)/float64(sim.Microsecond), float64(worstPhase)/float64(sim.Microsecond), algBW/1e9)
 			return res, nil
@@ -191,48 +177,31 @@ func init() {
 	engine.Register(engine.Scenario{
 		Name: "fabric/openloop",
 		Desc: "diurnal bursty open-loop arrivals with storage-style mixed flow sizes over any topology: conservation under a daily load cycle",
-		Defaults: engine.Params{
-			"topo": "", "k": "4", "rate_kfps": "200", "trough": "0.2",
-			"period_us": "2000", "dur_us": "2000", "cap_kb": "64",
-			"sizes": "storage", "cell": "512", "load": "1",
-		},
-		Docs: map[string]string{
-			"topo":      "topology family sized by k: clos, sshuffle, star, or a full spec string; empty = the -topo flag",
-			"k":         "sizing parameter handed to topo.ByName",
-			"rate_kfps": "peak flow arrival rate in thousands of flows per second",
-			"trough":    "trough-to-peak rate ratio of the diurnal cycle (0..1)",
-			"period_us": "diurnal period in µs (scaled-down day)",
-			"dur_us":    "arrival horizon in µs",
-			"cap_kb":    "clamp individual flow sizes at this many KB (keeps the chunk tail simulable)",
-			"sizes":     "flow-size distribution: storage (bimodal metadata+chunks) or web (Fig 10b)",
-			"cell":      "cell size in bytes",
-			"load":      "per-flow pacing as a fraction of the source's uplink capacity",
-		},
+		Params: graphParams(
+			engine.Float("rate_kfps", "200", "peak flow arrival rate in thousands of flows per second"),
+			engine.Float("trough", "0.2", "trough-to-peak rate ratio of the diurnal cycle (0..1)"),
+			engine.Int("period_us", "2000", "diurnal period in µs (scaled-down day)"),
+			engine.Int("dur_us", "2000", "arrival horizon in µs"),
+			engine.Int("cap_kb", "64", "clamp individual flow sizes at this many KB (keeps the chunk tail simulable)"),
+			engine.Enum("sizes", "storage", "flow-size distribution: storage (bimodal metadata+chunks) or web (Fig 10b)", "storage", "web")),
 		Run: func(c engine.Context) (engine.Result, error) {
-			k := c.Params.Int("k", 4)
-			cell := c.Params.Int("cell", 512)
-			load := c.Params.Float("load", 1)
-			capB := int64(c.Params.Int("cap_kb", 64)) * 1024
-			dur := usTime(c.Params.Int("dur_us", 2000))
-			g, s, fab, err := buildGraphFabric(c, k)
+			cell, load := c.Params.Int("cell"), c.Params.Float("load")
+			capB := int64(c.Params.Int("cap_kb")) * 1024
+			dur := usTime(c.Params.Int("dur_us"))
+			g, s, fab, err := buildGraphFabric(c)
 			if err != nil {
 				return engine.Result{}, err
 			}
 			numFA := g.NumEdge()
-			var sizes interface{ Sample(*rand.Rand) float64 }
-			switch sz := c.Params.Str("sizes", "storage"); sz {
-			case "storage":
-				sizes = workload.StorageFlowSizes()
-			case "web":
+			var sizes interface{ Sample(*rand.Rand) float64 } = workload.StorageFlowSizes()
+			if c.Params.Str("sizes") == "web" {
 				sizes = workload.WebFlowSizes()
-			default:
-				return engine.Result{}, fmt.Errorf("openloop: unknown size distribution %q (want storage or web)", sz)
 			}
 			rng := rand.New(rand.NewSource(c.Seed ^ 0x5ee0_10ad))
 			arrivals := workload.DiurnalArrivals(rng,
-				c.Params.Float("rate_kfps", 200)*1e3,
-				c.Params.Float("trough", 0.2),
-				float64(usTime(c.Params.Int("period_us", 2000)))/float64(sim.Second),
+				c.Params.Float("rate_kfps")*1e3,
+				c.Params.Float("trough"),
+				float64(usTime(c.Params.Int("period_us")))/float64(sim.Second),
 				float64(dur)/float64(sim.Second))
 			var want uint64
 			var flowBytes int64
@@ -271,7 +240,7 @@ func init() {
 			res.Add("dropped_cells", float64(fab.Drops()), "")
 			res.Add("drain_us", float64(s.Now())/float64(sim.Microsecond), "us")
 			res.Text = engine.Textf("openloop %s on %s: %d flows (%d KB), %d cells injected, %d delivered, %d dropped, drained by %.0fµs\n",
-				c.Params.Str("sizes", "storage"), g.Spec(), len(arrivals), flowBytes/1024,
+				c.Params.Str("sizes"), g.Spec(), len(arrivals), flowBytes/1024,
 				fab.Injected(), fab.Delivered(), fab.Drops(), float64(s.Now())/float64(sim.Microsecond))
 			return res, nil
 		},

@@ -16,7 +16,7 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
-	"strconv"
+	"slices"
 	"strings"
 
 	"stardust/internal/distsim"
@@ -27,10 +27,10 @@ import (
 
 // traceSpec assembles the recording spec from the scenario parameters.
 func traceSpec(c engine.Context) distsim.Spec {
-	spec := paramSpec(c, usTime(c.Params.Int("dur_us", 200)), 0.5)
-	spec.FailN = c.Params.Int("fail", 0)
-	spec.FailAt, spec.HealAt = usTime(c.Params.Int("fail_us", 0)), usTime(c.Params.Int("heal_us", 0))
-	spec.Telem = usTime(c.Params.Int("telem_us", 20))
+	spec := paramSpec(c, usTime(c.Params.Int("dur_us")))
+	spec.Hotspot, spec.FailN = c.Params.Float("hotspot"), c.Params.Int("fail")
+	spec.FailAt, spec.HealAt = usTime(c.Params.Int("fail_us")), usTime(c.Params.Int("heal_us"))
+	spec.Telem = usTime(c.Params.Int("telem_us"))
 	return spec
 }
 
@@ -139,52 +139,38 @@ func addStreamMetrics(res *engine.Result, stream []byte) (windows, events int, e
 	return windows, events, nil
 }
 
-// replayOverrides assembles the what-if knobs from scenario parameters.
+// traceOverrides assembles the what-if knobs from scenario parameters.
 // All default to "keep the recorded value".
-func traceOverrides(c engine.Context) (distsim.Overrides, error) {
-	ov := distsim.Overrides{
-		Shards:  c.Params.Int("replay_shards", 0),
-		K:       c.Params.Int("new_k", 0),
-		Seed:    int64(c.Params.Int("new_seed", 0)),
-		Load:    c.Params.Float("new_load", 0),
-		Hotspot: c.Params.Float("new_hotspot", 0),
-		FailAt:  usTime(c.Params.Int("fail_at_us", 0)),
-		HealAt:  usTime(c.Params.Int("heal_at_us", 0)),
+func traceOverrides(c engine.Context) distsim.Overrides {
+	return distsim.Overrides{
+		Shards:    c.Params.Int("replay_shards"),
+		K:         c.Params.Int("new_k"),
+		Seed:      int64(c.Params.Int("new_seed")),
+		Load:      c.Params.Float("new_load"),
+		Hotspot:   c.Params.Float("new_hotspot"),
+		FailAt:    usTime(c.Params.Int("fail_at_us")),
+		HealAt:    usTime(c.Params.Int("heal_at_us")),
+		FailLinks: c.Params.Ints("fail_link"),
 	}
-	for _, ls := range splitList(c.Params.Str("fail_link", "")) {
-		var lk int
-		if _, err := fmt.Sscanf(ls, "%d", &lk); err != nil {
-			return ov, fmt.Errorf("bad fail_link %q", ls)
-		}
-		ov.FailLinks = append(ov.FailLinks, lk)
-	}
-	return ov, nil
 }
+
+// recordParams declares the recording parameters trace/record and an
+// inline trace/replay share.
+var recordParams = append(fabricParams("0.5"),
+	engine.Int("dur_us", "200", "injection duration in µs"),
+	engine.Float("hotspot", "1", "boost factor for the first quarter of the FAs (>1 = skewed matrix)"),
+	engine.Int("fail", "0", "seed-chosen links to fail at fail_us (healed at heal_us)"),
+	engine.Int("fail_us", "0", "failure instant in µs"),
+	engine.Int("heal_us", "0", "heal instant in µs"),
+	engine.Int("telem_us", "20", "scrape period in µs (rounded up to whole lookahead windows)"))
 
 func init() {
 	engine.Register(engine.Scenario{
 		Name: "trace/record",
 		Desc: "record a fabric run as a durable STREC1 telemetry stream (byte-identical at any shard/worker/peer count) and run the offline analyzers over it",
-		Defaults: engine.Params{
-			"k": "4", "shards": "0", "topo": "", "dur_us": "200", "load": "0.5", "cell": "512",
-			"hotspot": "1", "fail": "0", "fail_us": "0", "heal_us": "0",
-			"telem_us": "20", "out": "", "peers": "",
-		},
-		Docs: map[string]string{
-			"k":        "fat-tree K sizing the Clos",
-			"shards":   "event-loop shards; 0 = the -shards flag. Never changes the stream bytes",
-			"topo":     "topology family sized by k: clos, sshuffle, star, or a full spec string; empty = the -topo flag",
-			"dur_us":   "injection duration in µs",
-			"load":     "offered load per FA as a fraction of its uplink capacity",
-			"cell":     "cell size in bytes",
-			"hotspot":  "boost factor for the first quarter of the FAs (>1 = skewed matrix)",
-			"fail":     "seed-chosen links to fail at fail_us (healed at heal_us)",
-			"fail_us":  "failure instant in µs",
-			"heal_us":  "heal instant in µs",
-			"telem_us": "scrape period in µs (rounded up to whole lookahead windows)",
-			"out":      "file to write the stream to (empty = in-memory only)",
-			"peers":    "comma list of peer-process counts to fork and verify stream byte-identity against (each must be <= the shard count)",
-		},
+		Params: append(slices.Clone(recordParams),
+			engine.Path("out", "", "file to write the stream to (empty = in-memory only)"),
+			engine.Ints("peers", "", "comma list of peer-process counts to fork and verify stream byte-identity against (each must be <= the shard count)")),
 		Check: checkSpec(traceSpec),
 		Run: func(c engine.Context) (engine.Result, error) {
 			spec := traceSpec(c)
@@ -215,7 +201,7 @@ func init() {
 			}
 			res.Add("findings", float64(len(findings)), "")
 			res.Add("findings_critical", float64(critical), "")
-			if out := c.Params.Str("out", ""); out != "" {
+			if out := c.Params.Str("out"); out != "" {
 				if err := os.WriteFile(out, stream, 0o644); err != nil {
 					return engine.Result{}, err
 				}
@@ -225,10 +211,9 @@ func init() {
 				spec.K, topoLabel(c), shardLabel(c), windows, events, len(stream), streamDigest(stream))
 			fmt.Fprintf(&b, "  %d cells injected, %d delivered, %d dropped; %d analyzer findings (%d critical)\n",
 				outc.Injected, outc.Delivered, outc.Drops, len(findings), critical)
-			for _, ps := range splitList(c.Params.Str("peers", "")) {
-				np, aerr := strconv.Atoi(ps)
-				if aerr != nil || np < 1 || np > spec.Shards {
-					return engine.Result{}, fmt.Errorf("trace/record: peer count %q must be in [1, shards=%d]", ps, spec.Shards)
+			for _, np := range c.Params.Ints("peers") {
+				if np < 1 || np > spec.Shards {
+					return engine.Result{}, fmt.Errorf("trace/record: peer count %d must be in [1, shards=%d]", np, spec.Shards)
 				}
 				dstream, err := distRecord(spec, np)
 				if err != nil {
@@ -249,47 +234,27 @@ func init() {
 	engine.Register(engine.Scenario{
 		Name: "trace/replay",
 		Desc: "digital-twin replay: re-drive the fabric from a recorded stream (unchanged = zero divergence) with optional what-if overrides, and report the divergence",
-		Defaults: engine.Params{
-			"in": "", "expect_zero": "false", "replay_shards": "0",
-			"fail_link": "", "fail_at_us": "0", "heal_at_us": "0",
-			"new_k": "0", "new_seed": "0", "new_load": "0", "new_hotspot": "0",
-			// Inline-record parameters, used when in is empty:
-			"k": "4", "shards": "0", "topo": "", "dur_us": "200", "load": "0.5", "cell": "512",
-			"hotspot": "1", "fail": "0", "fail_us": "0", "heal_us": "0", "telem_us": "20",
-		},
-		Docs: map[string]string{
-			"topo":          "inline record: topology family sized by k (clos, sshuffle, star, or a full spec); empty = the -topo flag",
-			"in":            "recorded stream file (empty = record one inline with the k/dur_us/... parameters)",
-			"expect_zero":   "true fails the run unless the replay reports zero divergence",
-			"replay_shards": "shard count for the replay execution (0 = recorded); never affects the divergence",
-			"fail_link":     "topology links to fail during the replay (comma list) — the what-if knob",
-			"fail_at_us":    "what-if failure instant in µs (0 = a quarter into the run)",
-			"heal_at_us":    "what-if heal instant in µs (0 = never)",
-			"new_k":         "override the fabric K (0 = recorded)",
-			"new_seed":      "override the traffic seed (0 = recorded)",
-			"new_load":      "override the offered load (0 = recorded)",
-			"new_hotspot":   "override the hotspot factor (0 = recorded)",
-			"k":             "inline record: fat-tree K",
-			"shards":        "inline record: event-loop shards; 0 = the -shards flag",
-			"dur_us":        "inline record: injection duration in µs",
-			"load":          "inline record: offered load",
-			"cell":          "inline record: cell size in bytes",
-			"hotspot":       "inline record: hotspot factor",
-			"fail":          "inline record: seed-chosen links to fail",
-			"fail_us":       "inline record: failure instant in µs",
-			"heal_us":       "inline record: heal instant in µs",
-			"telem_us":      "inline record: scrape period in µs",
-		},
+		Params: append(slices.Clone(recordParams),
+			engine.Path("in", "", "recorded stream file (empty = record one inline with the k/dur_us/... parameters)"),
+			engine.Bool("expect_zero", "false", "true fails the run unless the replay reports zero divergence"),
+			engine.Int("replay_shards", "0", "shard count for the replay execution (0 = recorded); never affects the divergence"),
+			engine.Ints("fail_link", "", "topology links to fail during the replay (comma list) — the what-if knob"),
+			engine.Int("fail_at_us", "0", "what-if failure instant in µs (0 = a quarter into the run)"),
+			engine.Int("heal_at_us", "0", "what-if heal instant in µs (0 = never)"),
+			engine.Int("new_k", "0", "override the fabric K (0 = recorded)"),
+			engine.Int("new_seed", "0", "override the traffic seed (0 = recorded)"),
+			engine.Float("new_load", "0", "override the offered load (0 = recorded)"),
+			engine.Float("new_hotspot", "0", "override the hotspot factor (0 = recorded)")),
 		Check: func(c engine.Context) error {
-			if c.Params.Str("in", "") != "" {
+			if c.Params.Str("in") != "" {
 				// The Spec is in the recorded stream; Replay's NewModel checks it.
-				return checkShards(effectiveTopo)(c)
+				return checkShards(c, effectiveTopo)
 			}
 			return checkSpec(traceSpec)(c)
 		},
 		Run: func(c engine.Context) (engine.Result, error) {
 			var stream []byte
-			if in := c.Params.Str("in", ""); in != "" {
+			if in := c.Params.Str("in"); in != "" {
 				var err error
 				if stream, err = os.ReadFile(in); err != nil {
 					return engine.Result{}, err
@@ -300,15 +265,11 @@ func init() {
 					return engine.Result{}, err
 				}
 			}
-			ov, err := traceOverrides(c)
+			div, outc, _, err := distsim.Replay(stream, traceOverrides(c))
 			if err != nil {
 				return engine.Result{}, err
 			}
-			div, outc, _, err := distsim.Replay(stream, ov)
-			if err != nil {
-				return engine.Result{}, err
-			}
-			if c.Params.Bool("expect_zero", false) && !div.Zero {
+			if c.Params.Bool("expect_zero") && !div.Zero {
 				return engine.Result{}, fmt.Errorf("trace/replay: expected zero divergence, got: %s", div)
 			}
 			var res engine.Result
