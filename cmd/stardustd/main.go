@@ -1,10 +1,10 @@
 // Command stardustd is the chassis management daemon: the long-running
 // serving face of the repository. It manages a live cell fabric the way
 // the paper's single-management-point claim demands — device inventory,
-// per-link telemetry, failure/withdrawal/recovery events, anomaly
-// detection — and serves scenario runs over HTTP through a bounded job
-// queue with a content-addressed result cache (identical requests never
-// re-simulate).
+// per-link telemetry, failure/withdrawal/recovery events, and the
+// anomalies its online telemetry analyzers find — and serves scenario
+// runs over HTTP through a bounded job queue with a content-addressed
+// result cache (identical requests never re-simulate).
 //
 //	stardustd -addr :8080 -fabric-k 8 -chaos-every-ms 50
 //
@@ -19,11 +19,13 @@
 //	# chassis state
 //	curl localhost:8080/api/v1/fabric
 //	curl localhost:8080/api/v1/fabric/telemetry
+//	curl localhost:8080/api/v1/fabric/anomalies
 //	curl "localhost:8080/api/v1/fabric/events?since=0"
 //	curl localhost:8080/metrics
-//	# durable telemetry stream + analytics (with -fabric-telem-us)
-//	curl -o fabric.strec localhost:8080/api/v1/telemetry/stream
+//	# the analyzers' findings the anomalies come from
 //	curl "localhost:8080/api/v1/telemetry/findings?follow=1"
+//	# the durable telemetry stream (with -fabric-telem)
+//	curl -o fabric.strec localhost:8080/api/v1/telemetry/stream
 //	# digital-twin replay of a recorded stream with a what-if failure
 //	curl -X POST --data-binary @trace.strec "localhost:8080/api/v1/replay?fail_link=3"
 package main
@@ -57,11 +59,11 @@ func main() {
 	fabricShards := flag.Int("fabric-shards", 1, "event-loop shards of the managed fabric's parsim engine (0 and 1 both mean one; at most the graph's devices)")
 	fabricLoad := flag.Float64("fabric-load", 0.3, "offered load fraction on the managed fabric")
 	transportHostsPer := flag.Int("transport-hosts-per", 0, "run the sharded Stardust transport overlay with N hosts per FA (TCP permutation load, telemetry at /api/v1/transport; 0 = raw cell injectors)")
-	telemUs := flag.Int("fabric-telem-us", 0, "record the managed fabric as a STREC1 telemetry stream, one window per N sim-us (0 = off; serves /api/v1/telemetry/*)")
+	telem := flag.Bool("fabric-telem", false, "record the managed fabric's telemetry windows as a STREC1 stream (serves /api/v1/telemetry/stream)")
 	telemCapMB := flag.Int("fabric-telem-cap-mb", 64, "in-memory cap for the recorded telemetry stream, in MiB")
 	chaosMs := flag.Int("chaos-every-ms", 0, "fail one random link every N sim-ms (0 = no chaos)")
 	healMs := flag.Int("heal-after-ms", 5, "chaos-failed links recover after N sim-ms")
-	scrapeUs := flag.Int("scrape-every-us", 1000, "telemetry scrape period in sim-us")
+	scrapeUs := flag.Int("scrape-every-us", 1000, "telemetry scrape period in sim-us: one window of analysis, series and recording")
 	stepMs := flag.Int("sim-step-ms", 1, "sim time advanced per pacing tick, in ms")
 	tickMs := flag.Int("tick-wall-ms", 100, "wall-clock pacing tick, in ms")
 	seed := flag.Int64("seed", 1, "fabric traffic/chaos RNG seed")
@@ -82,11 +84,9 @@ func main() {
 			Seed:              *seed,
 			Shards:            *fabricShards,
 			TransportHostsPer: *transportHostsPer,
-			Telem:             sim.Time(*telemUs) * sim.Microsecond,
+			ScrapeEvery:       sim.Time(*scrapeUs) * sim.Microsecond,
+			Telem:             *telem,
 			TelemCap:          *telemCapMB << 20,
-			Controller: mgmt.Config{
-				ScrapeEvery: sim.Time(*scrapeUs) * sim.Microsecond,
-			},
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "stardustd:", err)

@@ -923,10 +923,8 @@ const Replicated = -1
 
 // UnreachablePairs is Unreachable summed over every shard and the
 // replicated half. Zero means every destination is still deliverable
-// from everywhere — the §5.9 self-healing invariant. What a pair is
-// depends on the route policy: (spine, FA) pairs plus adapters with no
-// live uplink under the reach protocol, (source edge, destination edge)
-// pairs on a recomputed graph.
+// from everywhere — the §5.9 self-healing invariant. HoleUnit names what
+// it counts; it lags the links by Cfg.ReachDelay and then equals Holes.
 func (n *Net) UnreachablePairs() int {
 	bad := n.Unreachable(Replicated)
 	for s := range n.shards {

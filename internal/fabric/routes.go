@@ -51,6 +51,53 @@ func newRoutePolicy(n *Net) routePolicy {
 	return &recompute{n: n}
 }
 
+// Holes is the count the route policy of g converges to over the live
+// links up (indexed like g.GraphLinks()): on a Clos, the reach protocol's
+// (spine, FA) pairs with no descend port plus the FAs with no climb port;
+// on any other graph, the ordered (edge, edge) pairs the recomputed
+// tables cannot route. It is what Net.UnreachablePairs reads once the
+// tables have caught up with the links, computed from the mask alone, so
+// a recorded stream's up bitmap yields it offline.
+func Holes(g topo.Graph, up []bool) int {
+	descend, climb := g.Routes(up)
+	bad := 0
+	if cl, ok := g.(*topo.Clos); ok {
+		for fa := 0; fa < cl.NumFA; fa++ {
+			if len(climb[fa]) == 0 {
+				bad++
+			}
+		}
+		for _, toFA := range descend[cl.NumFA+cl.NumFE1:] {
+			for _, ports := range toFA {
+				if len(ports) == 0 {
+					bad++
+				}
+			}
+		}
+		return bad
+	}
+	for e := 0; e < g.NumEdge(); e++ {
+		n := g.EdgeNode(e)
+		if len(climb[n]) > 0 {
+			continue
+		}
+		for t, ports := range descend[n] {
+			if t != e && len(ports) == 0 {
+				bad++
+			}
+		}
+	}
+	return bad
+}
+
+// HoleUnit names what Holes and Net.UnreachablePairs count on g.
+func HoleUnit(g topo.Graph) string {
+	if _, ok := g.(*topo.Clos); ok {
+		return "(spine, FA) pairs + FAs without uplinks"
+	}
+	return "(edge, edge) pairs"
+}
+
 // recompute is the policy of graphs without an up/down orientation:
 // FailLink prunes the dead port from the adjacent nodes' candidate sets
 // at once (local keepalive), then Graph.Routes over the administrative

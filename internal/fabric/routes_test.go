@@ -7,6 +7,7 @@ import (
 
 	"stardust/internal/parsim"
 	"stardust/internal/sim"
+	"stardust/internal/topo"
 )
 
 // installedRoutes reads every node's live candidate sets back out as
@@ -119,6 +120,50 @@ func TestReachProtocolConvergesToRoutes(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestHolesMatchConvergedTables: Holes, computed from the link mask
+// alone, is what the installed tables count once they have caught up.
+// Clos, star and Space Shuffle at K 4 and 8, seeds 1–40, on 2 shards:
+// up to a third of the links fail at one instant, and after 5×ReachDelay
+// Net.UnreachablePairs must equal Holes over the administrative mask.
+func TestHolesMatchConvergedTables(t *testing.T) {
+	for _, name := range []string{"clos", "star", "sshuffle"} {
+		holed := 0
+		for _, k := range []int{4, 8} {
+			g, err := topo.ByName(name, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := int64(1); seed <= 40; seed++ {
+				cfg := DefaultConfig(10e9, sim.Microsecond, seed)
+				eng := parsim.New(parsim.Config{Shards: 2, Lookahead: sim.Microsecond})
+				n, err := NewSharded(eng, cfg, g, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(seed))
+				fail := rng.Perm(n.NumLinks())[:rng.Intn(n.NumLinks()/3+1)]
+				eng.At(sim.Microsecond, func() {
+					for _, lk := range fail {
+						n.FailLink(lk)
+					}
+				})
+				eng.RunUntilQuiet(sim.Microsecond + 5*cfg.ReachDelay)
+				want := Holes(g, n.adminUp)
+				if got := n.UnreachablePairs(); got != want {
+					t.Errorf("%s k=%d seed %d, links %v down: tables count %d %s, Holes says %d",
+						name, k, seed, fail, got, HoleUnit(g), want)
+				}
+				if want > 0 {
+					holed++
+				}
+			}
+		}
+		if holed == 0 {
+			t.Errorf("%s: no case opened a hole, so nothing was compared but zeros", name)
 		}
 	}
 }

@@ -7,48 +7,19 @@ import (
 
 	"stardust/internal/fabric"
 	"stardust/internal/sim"
-	"stardust/internal/topo"
+	"stardust/internal/telemetry"
 )
 
-// Config sizes the controller.
-type Config struct {
-	// ScrapeEvery is the telemetry scrape period in simulated time.
-	ScrapeEvery sim.Time // default 1ms
-	// HistoryLen is the ring capacity of each per-link series.
-	HistoryLen int // default 128
-	// EventLog is the bus's retained-event capacity.
-	EventLog int // default 1024
-	// SprayThreshold flags a spray-imbalance anomaly when one FA's
-	// per-uplink byte spread over the last scrape interval exceeds this
-	// fraction of the per-uplink mean ((max-min)/mean, §5.3).
-	SprayThreshold float64 // default 0.25
-	// MinSprayBytes is the per-uplink mean (bytes per interval) below
-	// which spray balance is not judged — idle or barely loaded FAs
-	// produce meaningless ratios.
-	MinSprayBytes float64 // default 64 KiB
-}
+// historyLen is the ring capacity of each per-link series; eventLog is
+// the bus's retained-event capacity.
+const (
+	historyLen = 128
+	eventLog   = 1024
+)
 
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
-	if c.ScrapeEvery <= 0 {
-		c.ScrapeEvery = sim.Millisecond
-	}
-	if c.HistoryLen <= 0 {
-		c.HistoryLen = 128
-	}
-	if c.EventLog <= 0 {
-		c.EventLog = 1024
-	}
-	if c.SprayThreshold <= 0 {
-		c.SprayThreshold = 0.25
-	}
-	if c.MinSprayBytes <= 0 {
-		c.MinSprayBytes = 64 << 10
-	}
-	return c
-}
-
-// Anomaly is one active finding of the detector.
+// Anomaly is one active telemetry finding: a device's spray imbalance
+// while its latest window carries one, or a reachability hole from the
+// window it opened to the window it closed.
 type Anomaly struct {
 	Kind   string   `json:"kind"` // "spray-imbalance" or "reachability-hole"
 	Device string   `json:"device,omitempty"`
@@ -56,15 +27,23 @@ type Anomaly struct {
 	Since  sim.Time `json:"since_ps"`
 }
 
-// AnomalySprayImbalance and AnomalyReachHole are the detector's finding
-// kinds.
+// AnomalySprayImbalance and AnomalyReachHole are the anomaly kinds, raised
+// by the telemetry.SprayImbalance and telemetry.ReachHoles findings.
 const (
 	AnomalySprayImbalance = "spray-imbalance"
 	AnomalyReachHole      = "reachability-hole"
 )
 
+// anomalyOf maps an analyzer stage to the anomaly kind its findings raise.
+var anomalyOf = map[string]string{
+	"spray-imbalance": AnomalySprayImbalance,
+	"reach-holes":     AnomalyReachHole,
+}
+
 // FabricStats is an aggregate snapshot of the fabric, taken at the last
-// scrape (so HTTP readers never race the simulation).
+// scrape (so HTTP readers never race the simulation). Unreachable counts
+// the holes in the installed tables (fabric.HoleUnit names the unit),
+// which lag the links by the fabric's ReachDelay.
 type FabricStats struct {
 	Time         sim.Time `json:"sim_ps"`
 	Scrapes      uint64   `json:"scrapes"`
@@ -93,81 +72,40 @@ type LinkTelemetry struct {
 }
 
 // Controller is the chassis supervisor of one fabric (Clos or any other
-// topo.Graph): inventory, telemetry scraping, event publication and
-// anomaly detection. Attach it before running the engine.
+// topo.Graph): inventory, event publication, and the views the FabricRun's
+// one barrier scrape feeds it (observe) — per-link series, aggregate
+// stats, and the anomalies its telemetry analyzers find.
 type Controller struct {
-	cfg Config
 	fab *fabric.Net
 	sim *sim.Simulator
 	inv *Inventory
 	bus *Bus
 
-	numFA     int
-	faIDs     []string // per edge device: its inventory ID
-	pairKind  string   // what UnreachablePairs counts, for anomaly text
-	faUplinks [][]int  // per edge device: directed link index of each uplink
+	numFA int
 
-	mu         sync.RWMutex
-	series     []*Series // per directed link, indexed 2*link+dir
-	stats      FabricStats
-	anomalies  map[string]Anomaly // active findings, keyed kind+device
-	scratch    [2]fabric.LinkCounters
-	nextScrape sim.Time // next barrier-scrape instant
+	mu        sync.RWMutex
+	series    []*Series // per directed link, indexed 2*link+dir
+	stats     FabricStats
+	anomalies map[string]Anomaly // active, keyed kind/device
 }
 
-// Attach builds a controller over a fabric built on a parsim engine
-// (fabric.NewSharded, one shard or more) and hooks the fabric's link-state
-// and reachability-update paths into the event bus. The telemetry scrape
-// runs in the engine's barrier context — every shard quiescent at a
-// synchronized instant — so reading the per-shard queue and fabric
-// counters cannot race the simulation, and the scrape times (window
-// boundaries) are identical for every shard count. A fabric without an
-// engine is an error: there is no barrier to scrape in.
-func Attach(fab *fabric.Net, cfg Config) (*Controller, error) {
-	eng := fab.Engine()
-	if eng == nil {
-		return nil, fmt.Errorf("mgmt: the controller needs a fabric built on a parsim engine (fabric.NewSharded)")
-	}
-	c := newController(fab, cfg)
-	c.nextScrape = c.cfg.ScrapeEvery
-	eng.OnBarrier(func(now sim.Time) {
-		for now >= c.nextScrape {
-			c.scrape()
-			c.nextScrape += c.cfg.ScrapeEvery
-		}
-	})
-	return c, nil
-}
-
-func newController(fab *fabric.Net, cfg Config) *Controller {
-	cfg = cfg.withDefaults()
+// newController builds a controller over fab and hooks the fabric's
+// link-state and reachability-update paths into the event bus.
+func newController(fab *fabric.Net) *Controller {
 	g := fab.Topo
 	c := &Controller{
-		cfg:       cfg,
 		fab:       fab,
 		sim:       fab.Sim,
 		inv:       NewInventory(g),
-		bus:       NewBus(cfg.EventLog),
+		bus:       NewBus(eventLog),
 		anomalies: make(map[string]Anomaly),
 		numFA:     g.NumEdge(),
 	}
 	c.series = make([]*Series, 2*fab.NumLinks())
 	for i := range c.series {
-		c.series[i] = newSeries(cfg.HistoryLen)
+		c.series[i] = newSeries(historyLen)
 	}
 	c.stats.Links = fab.NumLinks()
-	c.faUplinks = topo.EdgeUplinkDirs(g)
-	c.faIDs = make([]string, c.numFA)
-	// Edge devices are labelled through the inventory, which is in node
-	// order. What UnreachablePairs counts follows the fabric's route
-	// policy: the reach protocol runs on the Clos.
-	for fa := range c.faIDs {
-		c.faIDs[fa] = c.inv.Devices[g.EdgeNode(fa)].ID
-	}
-	c.pairKind = "(edge, edge) pairs"
-	if _, isClos := g.(*topo.Clos); isClos {
-		c.pairKind = "(spine, FA) pairs"
-	}
 
 	prevLink := fab.OnLinkState
 	fab.OnLinkState = func(link int, up bool) {
@@ -189,11 +127,8 @@ func newController(fab *fabric.Net, cfg Config) *Controller {
 // Bus returns the event bus.
 func (c *Controller) Bus() *Bus { return c.bus }
 
-// Inventory returns the chassis inventory (immutable after Attach).
+// Inventory returns the chassis inventory (immutable once built).
 func (c *Controller) Inventory() *Inventory { return c.inv }
-
-// Config returns the effective configuration.
-func (c *Controller) Config() Config { return c.cfg }
 
 // onLinkState runs in barrier context (fabric hook).
 func (c *Controller) onLinkState(link int, up bool) {
@@ -228,27 +163,24 @@ func (c *Controller) onReachUpdate(node, reachable int) {
 	})
 }
 
-// scrape runs in barrier context: it snapshots every directed
-// link's counters into its series, refreshes the aggregate snapshot, and
-// re-runs the anomaly detector.
-func (c *Controller) scrape() {
-	now := c.sim.Now()
+// observe runs in barrier context after every capture: it appends the
+// window to the per-link series, refreshes the aggregate snapshot, and
+// turns the analyzers' findings on the window into anomaly raises and
+// clears on the bus.
+func (c *Controller) observe(snap *telemetry.Snapshot, found []telemetry.Finding) {
+	now := snap.T
 	c.mu.Lock()
 	var queued uint64
-	for i := 0; i < c.fab.NumLinks(); i++ {
-		c.fab.ReadLinkCounters(i, &c.scratch)
-		for d := 0; d < 2; d++ {
-			lc := &c.scratch[d]
-			c.series[2*i+d].Push(Sample{
-				T:          now,
-				FwdBytes:   lc.FwdBytes,
-				FwdCells:   lc.FwdCells,
-				Drops:      lc.Drops,
-				QueueBytes: lc.QueueBytes,
-				Up:         lc.Up,
-			})
-			queued += uint64(lc.QueueBytes)
-		}
+	for d, ds := range snap.Dirs {
+		c.series[d].Push(Sample{
+			T:          now,
+			FwdBytes:   ds.FwdBytes,
+			FwdCells:   ds.FwdCells,
+			Drops:      ds.Drops,
+			QueueBytes: int(ds.QueueBytes),
+			Up:         ds.Up,
+		})
+		queued += ds.QueueBytes
 	}
 	c.stats.Time = now
 	c.stats.Scrapes++
@@ -257,91 +189,47 @@ func (c *Controller) scrape() {
 	c.stats.Drops = c.fab.Drops()
 	c.stats.QueueBytes = queued
 	c.stats.Unreachable = c.fab.UnreachablePairs()
-	c.mu.Unlock()
-	c.detect(now)
-}
 
-// detect re-evaluates the anomaly set and publishes raise/clear events.
-func (c *Controller) detect(now sim.Time) {
-	found := make(map[string]Anomaly)
-
-	// Reachability holes: the §5.9 self-healing invariant is violated —
-	// some (spine, FA) pair has no live down path, or an FA lost every
-	// uplink.
-	c.mu.RLock()
-	unreachable := c.stats.Unreachable
-	c.mu.RUnlock()
-	if unreachable > 0 {
-		a := Anomaly{
-			Kind:   AnomalyReachHole,
-			Detail: fmt.Sprintf("%d unreachable %s", unreachable, c.pairKind),
-			Since:  now,
-		}
-		found[a.Kind+"/"+a.Device] = a
-	}
-
-	// Spray imbalance: §5.3 promises near-perfect per-device balance;
-	// a spread above the threshold on a loaded FA means the spreader or
-	// the liveness masks are wrong.
-	for fa, ups := range c.faUplinks {
-		var minD, maxD, sum float64
-		n := 0
-		ok := true
-		for _, li := range ups {
-			s := c.series[li]
-			last, haveLast := s.Last()
-			prev, havePrev := s.Prev()
-			if !haveLast || !havePrev || !last.Up {
-				ok = false // a down or unsampled uplink: balance not judged
-				break
-			}
-			d := float64(last.FwdBytes - prev.FwdBytes)
-			if n == 0 || d < minD {
-				minD = d
-			}
-			if d > maxD {
-				maxD = d
-			}
-			sum += d
-			n++
-		}
-		if !ok || n < 2 {
-			continue
-		}
-		mean := sum / float64(n)
-		if mean < c.cfg.MinSprayBytes {
-			continue
-		}
-		if spread := (maxD - minD) / mean; spread > c.cfg.SprayThreshold {
-			dev := c.faIDs[fa]
-			a := Anomaly{
-				Kind:   AnomalySprayImbalance,
-				Device: dev,
-				Detail: fmt.Sprintf("uplink spread %.1f%% over last interval (min=%.0fB max=%.0fB)", 100*spread, minD, maxD),
-				Since:  now,
-			}
-			found[a.Kind+"/"+dev] = a
+	// A spray imbalance lasts as long as its device's windows carry one;
+	// a reachability hole lasts from its opening finding to its closing.
+	active := make(map[string]Anomaly, len(c.anomalies))
+	for k, a := range c.anomalies {
+		if a.Kind == AnomalyReachHole {
+			active[k] = a
 		}
 	}
-
-	c.mu.Lock()
-	var raised, cleared []Anomaly
-	for k, a := range found {
+	for _, f := range found {
+		kind, ok := anomalyOf[f.Stage]
+		if !ok {
+			continue
+		}
+		k := kind + "/" + f.Device
+		if kind == AnomalyReachHole && f.Value == 0 {
+			delete(active, k) // the closing finding
+			continue
+		}
+		a := Anomaly{Kind: kind, Device: f.Device, Detail: f.Detail, Since: f.T}
 		if prev, ok := c.anomalies[k]; ok {
-			a.Since = prev.Since // keep the original onset
-			found[k] = a
-		} else {
+			a.Since = prev.Since // the original onset stays
+		}
+		active[k] = a
+	}
+	var raised, cleared []Anomaly
+	for k, a := range active {
+		if _, ok := c.anomalies[k]; !ok {
 			raised = append(raised, a)
 		}
 	}
 	for k, a := range c.anomalies {
-		if _, ok := found[k]; !ok {
+		if _, ok := active[k]; !ok {
 			cleared = append(cleared, a)
 		}
 	}
-	c.anomalies = found
+	c.anomalies = active
 	c.mu.Unlock()
 
+	sortAnomalies(raised)
+	sortAnomalies(cleared)
 	for _, a := range raised {
 		c.bus.Publish(Event{
 			Time: now, Kind: EventAnomaly, Link: -1,
@@ -371,13 +259,18 @@ func (c *Controller) Anomalies() []Anomaly {
 		out = append(out, a)
 	}
 	c.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
-		}
-		return out[i].Device < out[j].Device
-	})
+	sortAnomalies(out)
 	return out
+}
+
+// sortAnomalies orders anomalies by kind, then device.
+func sortAnomalies(as []Anomaly) {
+	sort.Slice(as, func(i, j int) bool {
+		if as[i].Kind != as[j].Kind {
+			return as[i].Kind < as[j].Kind
+		}
+		return as[i].Device < as[j].Device
+	})
 }
 
 // Telemetry returns the latest per-directed-link summaries.

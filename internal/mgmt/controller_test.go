@@ -1,52 +1,32 @@
 package mgmt
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"stardust/internal/fabric"
-	"stardust/internal/netsim"
 	"stardust/internal/parsim"
 	"stardust/internal/sim"
+	"stardust/internal/telemetry"
 	"stardust/internal/topo"
 )
 
-// newManagedFabric builds a K=4 fabric on a one-shard engine with an
-// attached controller and a steady background load. Link state changes go
-// through eng.At: they run in barrier context.
-func newManagedFabric(t *testing.T, cfg Config) (*parsim.Engine, *fabric.Net, *Controller) {
+// newManagedFabric builds a K=4 fabric run under background load with
+// the given scrape period and no chaos. Link state changes go through
+// eng.At: they run in barrier context.
+func newManagedFabric(t *testing.T, scrape sim.Time) (*parsim.Engine, *fabric.Net, *Controller) {
 	t.Helper()
-	cl, err := fabric.ClosFor(4)
+	fr, err := NewFabricRun(FabricRunConfig{K: 4, Load: 0.4, ScrapeEvery: scrape})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := parsim.New(parsim.Config{Shards: 1, Lookahead: sim.Microsecond})
-	fab, err := fabric.NewSharded(eng, fabric.DefaultConfig(10e9, sim.Microsecond, 1), cl, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctl, err := Attach(fab, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := fab.Sim
-	// Sustained permutation load: every FA sends a 512B cell every 2us.
-	for fa := 0; fa < cl.NumFA; fa++ {
-		fa := fa
-		var inject func()
-		inject = func() {
-			c := netsim.NewPacket()
-			c.Size = 512
-			fab.Inject(c, fa, (fa+1)%cl.NumFA)
-			s.After(2*sim.Microsecond, inject)
-		}
-		s.At(0, inject)
-	}
-	return eng, fab, ctl
+	return fr.Eng, fr.Fab, fr.Ctl
 }
 
 func TestControllerScrapesTelemetry(t *testing.T) {
-	eng, fab, ctl := newManagedFabric(t, Config{ScrapeEvery: 100 * sim.Microsecond})
+	eng, fab, ctl := newManagedFabric(t, 100*sim.Microsecond)
 	eng.Run(sim.Millisecond)
 	st := ctl.Stats()
 	if st.Scrapes < 9 {
@@ -87,7 +67,7 @@ func TestControllerScrapesTelemetry(t *testing.T) {
 }
 
 func TestControllerEventsOnFailureAndRecovery(t *testing.T) {
-	eng, fab, ctl := newManagedFabric(t, Config{ScrapeEvery: 100 * sim.Microsecond})
+	eng, fab, ctl := newManagedFabric(t, 100*sim.Microsecond)
 	// Fail an FA-FE1 link mid-run, restore it later.
 	victim := -1
 	for i, lk := range fab.Topo.(*topo.Clos).Links {
@@ -146,110 +126,222 @@ func TestControllerEventsOnFailureAndRecovery(t *testing.T) {
 }
 
 func TestControllerReachabilityHoleAnomaly(t *testing.T) {
-	eng, fab, ctl := newManagedFabric(t, Config{ScrapeEvery: 100 * sim.Microsecond})
-	// Isolate FA0: every uplink down -> a reachability hole the §5.9
-	// self-healing cannot repair.
-	for i, lk := range fab.Topo.(*topo.Clos).Links {
+	// Isolate FA0 — every uplink down, a hole the §5.9 self-healing
+	// cannot repair — or fail links 0 (FA0–FE1_0) and 20 (FE1_1–FE2_0):
+	// every device keeps a live link, yet spine FE2_0 has no way down to
+	// FA0.
+	cl, err := fabric.ClosFor(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fa0 []int
+	for i, lk := range cl.Links {
 		if lk.A.Kind == topo.KindFA && lk.A.Index == 0 {
-			eng.At(200*sim.Microsecond, func() { fab.FailLink(i) })
+			fa0 = append(fa0, i)
 		}
 	}
-	eng.Run(sim.Millisecond)
-	anoms := ctl.Anomalies()
-	found := false
-	for _, a := range anoms {
-		if a.Kind == AnomalyReachHole {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("isolated FA did not raise a reachability-hole anomaly: %v", anoms)
-	}
-	// The raise must also be on the bus.
-	sawRaise := false
-	for _, e := range ctl.Bus().Since(0, 0) {
-		if e.Kind == EventAnomaly && strings.Contains(e.Detail, AnomalyReachHole) {
-			sawRaise = true
-		}
-	}
-	if !sawRaise {
-		t.Fatal("anomaly raise not published to the bus")
-	}
+	for _, tc := range []struct {
+		name   string
+		links  []int
+		detail string
+	}{
+		{"isolated FA0", fa0, fmt.Sprintf("%d unreachable", cl.NumFE2+1)},
+		{"links 0 and 20", []int{0, 20}, "1 unreachable"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fr, err := NewFabricRun(FabricRunConfig{K: 4, Load: 0.4, ScrapeEvery: 100 * sim.Microsecond, Telem: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, fab, ctl := fr.Eng, fr.Fab, fr.Ctl
+			set := func(at sim.Time, up bool) {
+				eng.At(at, func() {
+					for _, lk := range tc.links {
+						if up {
+							fab.RestoreLink(lk)
+						} else {
+							fab.FailLink(lk)
+						}
+					}
+				})
+			}
+			set(200*sim.Microsecond, false)
+			eng.Run(sim.Millisecond)
+			var holes []Anomaly
+			for _, a := range ctl.Anomalies() {
+				if a.Kind == AnomalyReachHole {
+					holes = append(holes, a)
+				}
+			}
+			if len(holes) != 1 || !strings.Contains(holes[0].Detail, tc.detail) {
+				t.Fatalf("want one reachability hole with %q: %v", tc.detail, ctl.Anomalies())
+			}
+			// The raise must also be on the bus.
+			sawRaise := false
+			for _, e := range ctl.Bus().Since(0, 0) {
+				if e.Kind == EventAnomaly && strings.Contains(e.Detail, AnomalyReachHole) {
+					sawRaise = true
+				}
+			}
+			if !sawRaise {
+				t.Fatal("anomaly raise not published to the bus")
+			}
 
-	// Healing the links clears the anomaly (and publishes the clear).
-	for i, lk := range fab.Topo.(*topo.Clos).Links {
-		if lk.A.Kind == topo.KindFA && lk.A.Index == 0 {
-			eng.At(eng.Now(), func() { fab.RestoreLink(i) })
-		}
-	}
-	eng.Run(2 * sim.Millisecond)
-	for _, a := range ctl.Anomalies() {
-		if a.Kind == AnomalyReachHole {
-			t.Fatalf("reachability-hole anomaly survived healing: %+v", a)
-		}
-	}
-	sawClear := false
-	for _, e := range ctl.Bus().Since(0, 0) {
-		if e.Kind == EventAnomalyCleared {
-			sawClear = true
-		}
-	}
-	if !sawClear {
-		t.Fatal("anomaly clear not published")
+			// Healing the links clears the anomaly (and publishes the clear).
+			set(eng.Now(), true)
+			eng.Run(2 * sim.Millisecond)
+			for _, a := range ctl.Anomalies() {
+				if a.Kind == AnomalyReachHole {
+					t.Fatalf("reachability-hole anomaly survived healing: %+v", a)
+				}
+			}
+			sawClear := false
+			for _, e := range ctl.Bus().Since(0, 0) {
+				if e.Kind == EventAnomalyCleared && e.Detail == AnomalyReachHole {
+					sawClear = true
+				}
+			}
+			if !sawClear {
+				t.Fatal("anomaly clear not published")
+			}
+
+			// The analyzers find the same over the recorded stream offline.
+			online, _ := fr.Findings.Since(0, 1<<20)
+			offline, err := telemetry.Analyze(bytes.NewReader(fr.TelemBuf.Bytes()), nil, telemetry.DefaultAnalyzers()...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := reachHoleFindings(offline), reachHoleFindings(online); fmt.Sprint(got) != fmt.Sprint(want) || len(want) != 2 {
+				t.Fatalf("offline reach holes %v, online %v", got, want)
+			}
+		})
 	}
 }
 
-// The spray-imbalance detector works on per-interval deltas: feed one
-// FA's uplink series a synthetic skew and check the finding (a healthy
-// spreader cannot be coaxed into imbalance from outside, so the detector
-// is tested white-box).
-func TestSprayImbalanceDetector(t *testing.T) {
-	_, fab, ctl := newManagedFabric(t, Config{
-		ScrapeEvery: 100 * sim.Microsecond, SprayThreshold: 0.25, MinSprayBytes: 1000,
+// reachHoleFindings keeps the per-window reach-hole findings, unstamped.
+func reachHoleFindings(fs []telemetry.Finding) []telemetry.Finding {
+	var out []telemetry.Finding
+	for _, f := range fs {
+		if f.Stage == "reach-holes" && f.T > 0 {
+			f.Seq = 0
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// TestAnomaliesAreFindings is the chaos run behind the one-detector
+// design: K=4 at load 0.3, a link failed every 2 ms and healed after
+// 5 ms, 1 ms windows, 300 ms. Every anomaly raised on the bus is a finding
+// of the same window in the analyzers' log — one reachability-hole raise
+// per "opened" finding, one spray-imbalance raise per device whose
+// previous window was clean — and the recorded stream analyzed offline
+// opens the same holes.
+func TestAnomaliesAreFindings(t *testing.T) {
+	fr, err := NewFabricRun(FabricRunConfig{
+		K: 4, Load: 0.3, Seed: 1,
+		FailEvery: 2 * sim.Millisecond, HealAfter: 5 * sim.Millisecond,
+		ScrapeEvery: sim.Millisecond, Telem: true,
 	})
-	_ = fab
-	ups := ctl.faUplinks[0]
-	if len(ups) < 2 {
-		t.Fatal("FA0 has fewer than 2 uplinks")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Interval deltas: uplink 0 carries 10000B, the rest 100B.
-	for i, li := range ups {
-		var d uint64 = 100
-		if i == 0 {
-			d = 10000
-		}
-		ctl.series[li].Push(Sample{T: 0, FwdBytes: 0, Up: true})
-		ctl.series[li].Push(Sample{T: 100 * sim.Microsecond, FwdBytes: d, Up: true})
+	var online []telemetry.Finding
+	var cursor uint64
+	for i := 0; i < 300; i++ {
+		fr.Advance(sim.Millisecond)
+		var fs []telemetry.Finding
+		fs, cursor = fr.Findings.Since(cursor, 1<<20)
+		online = append(online, fs...)
 	}
-	ctl.detect(100 * sim.Microsecond)
-	anoms := ctl.Anomalies()
-	var hit *Anomaly
-	for i, a := range anoms {
-		if a.Kind == AnomalySprayImbalance && a.Device == "FA0" {
-			hit = &anoms[i]
-		}
-	}
-	if hit == nil {
-		t.Fatalf("skewed uplinks did not raise spray-imbalance: %v", anoms)
+	if uint64(len(online)) != fr.Findings.Total() {
+		t.Fatalf("collected %d findings of %d", len(online), fr.Findings.Total())
 	}
 
-	// Balanced deltas below threshold clear it again.
-	for _, li := range ups {
-		last, _ := ctl.series[li].Last()
-		ctl.series[li].Push(Sample{T: last.T + 100*sim.Microsecond, FwdBytes: last.FwdBytes + 5000, Up: true})
+	type key struct {
+		t      sim.Time
+		kind   string
+		device string
 	}
-	ctl.detect(200 * sim.Microsecond)
-	for _, a := range ctl.Anomalies() {
-		if a.Kind == AnomalySprayImbalance {
-			t.Fatalf("balanced interval did not clear the finding: %+v", a)
+	raisedBy := map[key]bool{}
+	opened := 0
+	for _, f := range online {
+		switch {
+		case f.Stage == "spray-imbalance":
+			raisedBy[key{f.T, AnomalySprayImbalance, f.Device}] = true
+		case f.Stage == "reach-holes" && f.Value > 0:
+			raisedBy[key{f.T, AnomalyReachHole, f.Device}] = true
+			opened++
 		}
+	}
+	holeRaises := 0
+	for _, e := range fr.Ctl.Bus().Since(0, 0) {
+		if e.Kind != EventAnomaly {
+			continue
+		}
+		kind, _, _ := strings.Cut(e.Detail, ": ")
+		if !raisedBy[key{e.Time, kind, e.Device}] {
+			t.Errorf("anomaly raised at %v without a finding of its window: %+v", e.Time, e)
+		}
+		if kind == AnomalyReachHole {
+			holeRaises++
+		}
+	}
+	if opened == 0 || holeRaises != opened {
+		t.Fatalf("%d reachability-hole raises on the bus, %d opened findings", holeRaises, opened)
+	}
+	t.Logf("%d findings, %d holes opened and raised", len(online), opened)
+
+	offline, err := telemetry.Analyze(bytes.NewReader(fr.TelemBuf.Bytes()), nil, telemetry.DefaultAnalyzers()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reachHoleFindings(offline), reachHoleFindings(online); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("offline reach holes\n%v\nonline\n%v", got, want)
+	}
+}
+
+// A spray imbalance is active while its device's latest window carries
+// a SprayImbalance finding: windows with the finding raise it once, the
+// next without clears it (a healthy spreader cannot be coaxed into
+// imbalance from outside, so the finding is fed in white-box).
+func TestSprayImbalanceDetector(t *testing.T) {
+	_, fab, ctl := newManagedFabric(t, 100*sim.Microsecond)
+	snap := &telemetry.Snapshot{Dirs: make([]telemetry.DirSample, 2*fab.NumLinks())}
+	window := func(at sim.Time, found ...telemetry.Finding) {
+		snap.T = at
+		for i := range found {
+			found[i].T = at
+		}
+		ctl.observe(snap, found)
+	}
+	skew := telemetry.Finding{Stage: "spray-imbalance", Device: "FA0", Detail: "FA0 uplink spray imbalance 1.800"}
+	window(100*sim.Microsecond, skew)
+	window(200*sim.Microsecond, skew)
+	anoms := ctl.Anomalies()
+	if len(anoms) != 1 || anoms[0].Kind != AnomalySprayImbalance || anoms[0].Device != "FA0" || anoms[0].Since != 100*sim.Microsecond {
+		t.Fatalf("skewed windows did not raise one spray imbalance at FA0 since the first: %v", anoms)
+	}
+
+	window(300 * sim.Microsecond) // a clean window
+	if anoms := ctl.Anomalies(); len(anoms) != 0 {
+		t.Fatalf("clean window did not clear the anomaly: %v", anoms)
+	}
+	var kinds []EventKind
+	for _, e := range ctl.Bus().Since(0, 0) {
+		if e.Device == "FA0" {
+			kinds = append(kinds, e.Kind)
+		}
+	}
+	if fmt.Sprint(kinds) != fmt.Sprint([]EventKind{EventAnomaly, EventAnomalyCleared}) {
+		t.Fatalf("FA0 events %v, want one raise and one clear", kinds)
 	}
 }
 
 // A healthy balanced fabric must not raise spray-imbalance findings under
 // its normal load — the detector's false-positive guard.
 func TestNoSprayImbalanceOnHealthyFabric(t *testing.T) {
-	eng, _, ctl := newManagedFabric(t, Config{ScrapeEvery: 100 * sim.Microsecond})
+	eng, _, ctl := newManagedFabric(t, 100*sim.Microsecond)
 	eng.Run(2 * sim.Millisecond)
 	for _, a := range ctl.Anomalies() {
 		if a.Kind == AnomalySprayImbalance {
@@ -261,7 +353,7 @@ func TestNoSprayImbalanceOnHealthyFabric(t *testing.T) {
 func TestFabricRunAdvanceAndChaos(t *testing.T) {
 	fr, err := NewFabricRun(FabricRunConfig{
 		K: 4, Load: 0.2, FailEvery: 2 * sim.Millisecond, HealAfter: sim.Millisecond,
-		Controller: Config{ScrapeEvery: 500 * sim.Microsecond},
+		ScrapeEvery: 500 * sim.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package mgmt
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 
@@ -44,19 +45,20 @@ type FabricRunConfig struct {
 	// TransportHostsPer, when > 0, lays the sharded Stardust transport
 	// over the fabric with that many hosts per FA, driven by a permutation
 	// of long-running TCP flows instead of raw cell injectors, and scrapes
-	// its counters at the window barrier (TransportMonitor).
+	// its counters with the fabric's (TransportMonitor).
 	TransportHostsPer int
-	// Telem, when > 0, records the run as a durable STREC1 telemetry
-	// stream: one window per Telem of simulated time (rounded up to whole
-	// lookahead windows), scraped in barrier context, buffered in memory
-	// for download, and fed to the online analyzer pipeline.
-	Telem sim.Time
+	// ScrapeEvery is the one telemetry period: every link's counters are
+	// captured once per period (rounded up to whole lookahead windows),
+	// in barrier context, and feed the analyzers, the controller and the
+	// transport monitor.
+	ScrapeEvery sim.Time // default 1ms
+	// Telem records the captured windows as a durable STREC1 telemetry
+	// stream, buffered in memory for download.
+	Telem bool
 	// TelemCap caps the in-memory stream buffer (0 means 64 MiB). When
 	// the cap is hit the stream stops growing and the recorder latches
-	// ErrStreamFull; the run itself is unaffected.
+	// ErrStreamFull; the run and its analysis are unaffected.
 	TelemCap int
-	// Controller configures the attached management plane.
-	Controller Config
 }
 
 func (c FabricRunConfig) withDefaults() FabricRunConfig {
@@ -75,6 +77,9 @@ func (c FabricRunConfig) withDefaults() FabricRunConfig {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
+	if c.ScrapeEvery <= 0 {
+		c.ScrapeEvery = sim.Millisecond
+	}
 	return c
 }
 
@@ -88,14 +93,14 @@ type FabricRun struct {
 	Ctl   *Controller
 	Eng   *parsim.Engine      // the fabric's engine, one shard or more
 	Net   *netsim.StardustNet // non-nil when the transport overlay is on
-	Trans *TransportMonitor   // barrier-scraped transport telemetry
+	Trans *TransportMonitor   // non-nil when the transport overlay is on
 
-	// Telemetry pipeline (all nil/zero unless Cfg.Telem > 0): the STREC1
-	// recorder, the capped in-memory stream it writes, and the live
-	// analyzer findings.
+	// The telemetry pipeline: the recorder whose captures feed everything
+	// above, the analyzers' findings, and the capped in-memory STREC1
+	// stream (nil unless Cfg.Telem).
 	Rec      *telemetry.Recorder
-	TelemBuf *telemetry.Buffer
 	Findings *telemetry.FindingLog
+	TelemBuf *telemetry.Buffer
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -121,7 +126,7 @@ func NewFabricRun(cfg FabricRunConfig) (*FabricRun, error) {
 		fcfg.LinkRate = netsim.Bps(float64(fcfg.LinkRate) * 1.05)
 	}
 
-	// The engine's barrier is what makes the scrapes race-free and the
+	// The engine's barrier is what makes the scrape race-free and the
 	// chaos shard-count independent, so even one shard runs on it.
 	shards, err := fabric.ShardCount(cfg.Shards, g)
 	if err != nil {
@@ -135,11 +140,9 @@ func NewFabricRun(cfg FabricRunConfig) (*FabricRun, error) {
 	r := &FabricRun{
 		Cfg: cfg,
 		Fab: fab,
+		Ctl: newController(fab),
 		Eng: eng,
 		rng: rand.New(rand.NewSource(cfg.Seed ^ 0x51d)),
-	}
-	if r.Ctl, err = Attach(fab, cfg.Controller); err != nil {
-		return nil, err
 	}
 	if cfg.TransportHostsPer > 0 {
 		// The transport overlay is the load source: TCP flows over the
@@ -170,23 +173,23 @@ func NewFabricRun(cfg FabricRunConfig) (*FabricRun, error) {
 			}
 		})
 	}
-	if cfg.Telem > 0 {
-		if err := r.buildTelemetry(g); err != nil {
-			return nil, err
-		}
+	if err := r.buildTelemetry(g); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
 
-// buildTelemetry wires the STREC1 recorder over the live fabric: a
-// capped in-memory stream buffer (the download endpoint serves it), the
-// scrape attached in barrier context, and the default online analyzer
-// pipeline feeding the findings log the NDJSON tail endpoint reads.
+// buildTelemetry wires the one scrape of the live fabric: a recorder
+// whose windows feed the default online analyzers (their findings log is
+// what the NDJSON tail endpoint reads), the controller and the transport
+// monitor, captured by one barrier callback registered after the chaos
+// schedule's. With Cfg.Telem the windows are also encoded into a capped
+// in-memory STREC1 stream the download endpoint serves.
 func (r *FabricRun) buildTelemetry(g topo.Graph) error {
 	// Scrape instants must land exactly on window barriers so the captured
 	// state is quiescent and shard-count independent.
 	look := r.Eng.Lookahead()
-	every := (r.Cfg.Telem + look - 1) / look * look
+	every := (r.Cfg.ScrapeEvery + look - 1) / look * look
 	cl, isClos := g.(*topo.Clos)
 	hdr := telemetry.StreamHeader{
 		Format:   telemetry.Format,
@@ -211,8 +214,12 @@ func (r *FabricRun) buildTelemetry(g topo.Graph) error {
 		// checks the dimensions).
 		hdr.K, hdr.Topo = 0, ""
 	}
-	r.TelemBuf = telemetry.NewBuffer(r.Cfg.TelemCap)
-	w, err := telemetry.NewWriter(r.TelemBuf, hdr)
+	var out io.Writer // nil: the writer only gives the windows' shape
+	if r.Cfg.Telem {
+		r.TelemBuf = telemetry.NewBuffer(r.Cfg.TelemCap)
+		out = r.TelemBuf
+	}
+	w, err := telemetry.NewWriter(out, hdr)
 	if err != nil {
 		return err
 	}
@@ -222,15 +229,23 @@ func (r *FabricRun) buildTelemetry(g topo.Graph) error {
 		meta = telemetry.MetaFor(cl) // legacy "FA3->FE11" direction labels
 	}
 	r.Findings = r.Rec.Observe(meta, telemetry.DefaultAnalyzers()...)
-	r.Rec.AttachEngine(r.Eng)
+	next := every
+	r.Eng.OnBarrier(func(now sim.Time) {
+		for now >= next {
+			r.Ctl.observe(r.Rec.Capture(next))
+			if r.Trans != nil {
+				r.Trans.scrape(next)
+			}
+			next += every
+		}
+	})
 	return nil
 }
 
 // chaosStep fails one random currently-up link and schedules its
 // recovery. Overlapping failures may isolate an FA outright when the
 // chaos period is short relative to HealAfter — deliberately so: that is
-// exactly the condition the detector's reachability-hole anomaly exists
-// to surface.
+// exactly the condition the reachability-hole anomaly exists to surface.
 func (r *FabricRun) chaosStep() {
 	n := r.Fab.NumLinks()
 	pick := -1

@@ -2,22 +2,26 @@
 // the control layer that makes thousands of Fabric Elements behave like
 // one managed device, the paper's headline operational claim (§1, §7).
 //
-// It attaches to a running fabric.Net and provides what a chassis
+// A FabricRun runs a fabric under management and provides what a chassis
 // supervisor provides for a monolithic switch: a device/link inventory
-// derived from the wiring (any topo.Graph), periodic telemetry scraping of
-// per-link counters into ring-buffered time series, an event bus carrying
-// link failure/withdrawal/recovery notifications (hooked into the
-// fabric's reachability-withdrawal path), and an anomaly detector that
-// flags spray imbalance (§5.3 violated) and reachability holes (§5.9
-// violated). Package mgmt also hosts the serving layer of cmd/stardustd:
-// a bounded scenario-run queue over the engine worker pool with a
-// content-addressed result cache, and the HTTP/JSON + Prometheus API.
+// derived from the wiring (any topo.Graph), an event bus carrying link
+// failure/withdrawal/recovery notifications (hooked into the fabric's
+// reachability-withdrawal path), and one telemetry scrape per window. That
+// scrape is a telemetry.Recorder capture: it feeds the online analyzers,
+// the controller's ring-buffered per-link series and aggregate stats, the
+// transport monitor, and — when recording is on — the STREC1 stream. The
+// fabric's anomalies are the analyzers' findings: spray imbalance (§5.3
+// violated) and reachability holes (§5.9 violated), so the live daemon
+// and an offline analysis of its recorded stream agree. Package mgmt also
+// hosts the serving layer of cmd/stardustd: a bounded scenario-run queue
+// over the engine worker pool with a content-addressed result cache, and
+// the HTTP/JSON + Prometheus API.
 //
 // Concurrency model: the simulation (and therefore every fabric hook and
-// scheduled scrape) runs in a single goroutine; HTTP handlers run in
+// the barrier scrape) runs in a single goroutine; HTTP handlers run in
 // others. All state shared across that boundary lives behind the
-// Controller's lock — handlers read consistent snapshots and never touch
-// the fabric directly.
+// Controller's, the monitor's and the recorder's locks — handlers read
+// consistent snapshots and never touch the fabric directly.
 package mgmt
 
 import (

@@ -15,7 +15,7 @@ import (
 // ordered times, a withdrawal exactly ReachDelay after every FA-link
 // state change, and link accounting that matches the final fabric state.
 func TestConcurrentFailureRecoveryEventOrdering(t *testing.T) {
-	eng, fab, ctl := newManagedFabric(t, Config{ScrapeEvery: 200 * sim.Microsecond})
+	eng, fab, ctl := newManagedFabric(t, 200*sim.Microsecond)
 	rng := rand.New(rand.NewSource(23))
 
 	// Schedule 12 random failures, each healing after a random delay that

@@ -15,6 +15,7 @@ import (
 
 	"stardust/internal/distsim"
 	"stardust/internal/engine"
+	"stardust/internal/fabric"
 	"stardust/internal/sim"
 	"stardust/internal/telemetry"
 )
@@ -400,15 +401,12 @@ func (s *Server) fabricInfo(w http.ResponseWriter, r *http.Request) {
 	if !s.needFabric(w) {
 		return
 	}
-	info := map[string]any{
-		"config":    s.run.Cfg,
-		"inventory": s.run.Ctl.Inventory(),
-		"stats":     s.run.Ctl.Stats(),
-	}
-	if s.run.Rec != nil {
-		info["telemetry_stream"] = s.run.Rec.Stats()
-	}
-	writeJSON(w, http.StatusOK, info)
+	writeJSON(w, http.StatusOK, map[string]any{
+		"config":           s.run.Cfg,
+		"inventory":        s.run.Ctl.Inventory(),
+		"stats":            s.run.Ctl.Stats(),
+		"telemetry_stream": s.run.Rec.Stats(),
+	})
 }
 
 func (s *Server) telemetry(w http.ResponseWriter, r *http.Request) {
@@ -449,18 +447,11 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) needRecorder(w http.ResponseWriter) bool {
-	if s.run == nil || s.run.Rec == nil {
-		writeErr(w, http.StatusNotFound, "no telemetry recorder attached (start stardustd with -fabric-telem)")
-		return false
-	}
-	return true
-}
-
 // telemetryStream downloads the recorded STREC1 stream as captured so
 // far — a consistent prefix of the durable trace, replayable offline.
 func (s *Server) telemetryStream(w http.ResponseWriter, r *http.Request) {
-	if !s.needRecorder(w) {
+	if s.run == nil || s.run.TelemBuf == nil {
+		writeErr(w, http.StatusNotFound, "no telemetry stream recorded (start stardustd with -fabric-telem)")
 		return
 	}
 	data := s.run.TelemBuf.Bytes()
@@ -473,11 +464,12 @@ func (s *Server) telemetryStream(w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
-// telemetryFindings serves the online analyzers' findings: a JSON page
-// by default, or an NDJSON live tail with ?follow=1 (one finding per
-// line as the analyzers emit them, until the client disconnects).
+// telemetryFindings serves the online analyzers' findings — what the
+// fabric's anomalies are raised from: a JSON page by default, or an
+// NDJSON live tail with ?follow=1 (one finding per line as the analyzers
+// emit them, until the client disconnects).
 func (s *Server) telemetryFindings(w http.ResponseWriter, r *http.Request) {
-	if !s.needRecorder(w) {
+	if !s.needFabric(w) {
 		return
 	}
 	log := s.run.Findings
@@ -707,7 +699,7 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 	counter("stardust_fabric_cells_dropped_total", "cells lost in the fabric", float64(st.Drops))
 	gauge("stardust_fabric_links", "full-duplex serial links", float64(st.Links))
 	gauge("stardust_fabric_links_down", "links currently failed", float64(st.LinksDown))
-	gauge("stardust_fabric_unreachable_pairs", "reachability holes ((spine,FA) pairs with no live path)", float64(st.Unreachable))
+	gauge("stardust_fabric_unreachable_pairs", "reachability holes in the installed tables: "+fabric.HoleUnit(s.run.Fab.Topo), float64(st.Unreachable))
 	gauge("stardust_fabric_queue_bytes", "bytes queued across all link serializers", float64(st.QueueBytes))
 	counter("stardust_fabric_link_failures_total", "link failure events", float64(st.LinkFailures))
 	counter("stardust_fabric_link_recoveries_total", "link recovery events", float64(st.LinkRecovers))
@@ -717,13 +709,11 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 	counter("stardust_mgmt_events_dropped_total", "events lost to full subscriber channels", float64(bs.Dropped))
 	counter("stardust_mgmt_events_evicted_total", "retained events overwritten by ring wrap-around", float64(bs.Evicted))
 	gauge("stardust_mgmt_event_subscribers", "live event bus subscribers", float64(bs.Subscribers))
-	gauge("stardust_mgmt_anomalies", "active anomaly findings", float64(len(s.run.Ctl.Anomalies())))
-	if s.run.Rec != nil {
-		rs := s.run.Rec.Stats()
-		counter("stardust_telemetry_windows_total", "STREC1 windows recorded", float64(rs.Windows))
-		gauge("stardust_telemetry_stream_bytes", "recorded stream size in memory", float64(rs.Bytes))
-		counter("stardust_telemetry_findings_total", "online analyzer findings", float64(rs.Findings))
-	}
+	gauge("stardust_mgmt_anomalies", "active anomalies: spray imbalances and reachability holes the analyzers found", float64(len(s.run.Ctl.Anomalies())))
+	rs := s.run.Rec.Stats()
+	counter("stardust_telemetry_windows_total", "telemetry windows captured", float64(rs.Windows))
+	gauge("stardust_telemetry_stream_bytes", "recorded stream size in memory (0 without -fabric-telem)", float64(rs.Bytes))
+	counter("stardust_telemetry_findings_total", "online analyzer findings", float64(rs.Findings))
 	if s.run.Trans == nil {
 		return
 	}

@@ -69,7 +69,7 @@ func newTestDaemon(t *testing.T, withFabric bool) (*httptest.Server, *RunQueue, 
 		var err error
 		fr, err = NewFabricRun(FabricRunConfig{
 			K: 4, Load: 0.2, FailEvery: 2 * sim.Millisecond, HealAfter: sim.Millisecond,
-			Controller: Config{ScrapeEvery: 500 * sim.Microsecond},
+			ScrapeEvery: 500 * sim.Microsecond,
 		})
 		if err != nil {
 			t.Fatal(err)

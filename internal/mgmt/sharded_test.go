@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"stardust/internal/fabric"
 	"stardust/internal/sim"
 	"stardust/internal/topo"
 )
@@ -14,28 +13,24 @@ import (
 // Tests for the sharded management path: the telemetry scrape crossing
 // every shard's queues must be synchronized by the parsim window barrier.
 //
-// The latent race this guards against: Controller.scrape reads
+// The latent race this guards against: the scrape reads
 // Queue.FwdBytes/occupancy of every directed link while, in a sharded
 // fabric, those counters are being written by the shard goroutines
 // mid-window. A scrape scheduled as an ordinary simulator event on shard 0
 // fails TestShardedScrapeRaceFree under -race the moment the fabric spans
-// more than one shard; Attach scrapes in barrier context — every shard
-// quiescent — so the race is structurally impossible, and a fabric
-// without an engine has no barrier and is refused
-// (TestAttachRefusesFabricWithoutEngine).
+// more than one shard; a FabricRun captures in barrier context — every
+// shard quiescent — so the race is structurally impossible.
 
 func newShardedRun(t *testing.T, shards int, seed int64) *FabricRun {
 	t.Helper()
 	fr, err := NewFabricRun(FabricRunConfig{
-		K:         4,
-		Load:      0.4,
-		FailEvery: 300 * sim.Microsecond,
-		HealAfter: 500 * sim.Microsecond,
-		Seed:      seed,
-		Shards:    shards,
-		Controller: Config{
-			ScrapeEvery: 100 * sim.Microsecond,
-		},
+		K:           4,
+		Load:        0.4,
+		FailEvery:   300 * sim.Microsecond,
+		HealAfter:   500 * sim.Microsecond,
+		Seed:        seed,
+		Shards:      shards,
+		ScrapeEvery: 100 * sim.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,22 +126,6 @@ func TestFabricRunShardCountIsBounded(t *testing.T) {
 		if st := fr.Ctl.Stats(); st.Delivered == 0 {
 			t.Fatalf("shards %d: nothing delivered: %+v", shards, st)
 		}
-	}
-}
-
-// The controller scrapes in barrier context, so a fabric built without an
-// engine (fabric.New) is refused with an error rather than scraped racily.
-func TestAttachRefusesFabricWithoutEngine(t *testing.T) {
-	cl, err := fabric.ClosFor(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fab, err := fabric.New(sim.New(), fabric.DefaultConfig(10e9, sim.Microsecond, 1), cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctl, err := Attach(fab, Config{}); err == nil || ctl != nil {
-		t.Fatalf("Attach on a fabric without an engine: %v, %v", ctl, err)
 	}
 }
 

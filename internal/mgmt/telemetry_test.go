@@ -59,9 +59,9 @@ func telemDaemon(t *testing.T) (*httptest.Server, *FabricRun) {
 	t.Helper()
 	fr, err := NewFabricRun(FabricRunConfig{
 		K: 4, Load: 0.3, Seed: 1,
-		Telem:      100 * sim.Microsecond,
-		TelemCap:   1 << 20,
-		Controller: Config{ScrapeEvery: 500 * sim.Microsecond},
+		ScrapeEvery: 100 * sim.Microsecond,
+		Telem:       true,
+		TelemCap:    1 << 20,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,16 +141,37 @@ func TestTelemetryStreamDownload(t *testing.T) {
 	}
 }
 
+// Only the stream needs recording: a fabric without Telem still captures
+// and analyzes every window, so its findings are served, while the stream
+// download is a 404 naming the flag that turns it on. Without a fabric
+// both are 404s.
 func TestTelemetryEndpointsNeedRecorder(t *testing.T) {
 	ts, _, _ := newTestDaemon(t, true) // fabric without Telem
+	resp, err := http.Get(ts.URL + "/api/v1/telemetry/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound || !strings.Contains(string(blob), "-fabric-telem") {
+		t.Fatalf("GET stream without recording: status %d, %s", resp.StatusCode, blob)
+	}
+	var page struct {
+		Total *uint64 `json:"total"`
+	}
+	if resp := getJSON(t, ts.URL+"/api/v1/telemetry/findings", &page); resp.StatusCode != http.StatusOK || page.Total == nil {
+		t.Fatalf("GET findings without recording: status %d, total %v", resp.StatusCode, page.Total)
+	}
+
+	bare, _, _ := newTestDaemon(t, false)
 	for _, path := range []string{"/api/v1/telemetry/stream", "/api/v1/telemetry/findings"} {
-		resp, err := http.Get(ts.URL + path)
+		resp, err := http.Get(bare.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("GET %s without recorder: status %d", path, resp.StatusCode)
+			t.Fatalf("GET %s without a fabric: status %d", path, resp.StatusCode)
 		}
 	}
 }

@@ -21,36 +21,15 @@ type TransportStats struct {
 	netsim.TransportCounters
 }
 
-// TransportMonitor scrapes a StardustNet's counters in the parsim
-// engine's barrier context — every shard quiescent at a synchronized
-// instant — exactly like the fabric controller's scrape (Attach), so a
-// live sharded transport is race-free under -race and its telemetry is
-// identical at every shard count.
+// TransportMonitor holds a StardustNet's counters as the FabricRun's
+// barrier scrape last read them — every shard quiescent at a synchronized
+// instant — so a live sharded transport is race-free under -race and its
+// telemetry is identical at every shard count.
 type TransportMonitor struct {
-	net   *netsim.StardustNet
-	every sim.Time
-	next  sim.Time
+	net *netsim.StardustNet
 
 	mu    sync.RWMutex
 	stats TransportStats
-}
-
-// AttachTransport registers the barrier scrape on the transport's engine
-// (n must be placed on one: netsim.NewShardedStardustNet). every <= 0
-// defaults to one simulated millisecond. Call it before the engine runs.
-func AttachTransport(n *netsim.StardustNet, every sim.Time) *TransportMonitor {
-	if every <= 0 {
-		every = sim.Millisecond
-	}
-	m := &TransportMonitor{net: n, every: every, next: every}
-	m.stats.Hosts = n.Hosts()
-	n.Engine().OnBarrier(func(now sim.Time) {
-		for now >= m.next {
-			m.scrape(m.next)
-			m.next += m.every
-		}
-	})
-	return m
 }
 
 // scrape runs in barrier context. The recorded instant is the scrape
@@ -107,6 +86,6 @@ func (r *FabricRun) buildTransport(hostsPer int) error {
 		// request in the same window.
 		f.StartAt(sim.Time(src) * 2 * sim.Microsecond)
 	}
-	r.Trans = AttachTransport(net, r.Cfg.Controller.ScrapeEvery)
+	r.Trans = &TransportMonitor{net: net, stats: TransportStats{Hosts: hosts}}
 	return nil
 }

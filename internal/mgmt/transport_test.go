@@ -29,9 +29,7 @@ func newTransportRun(t *testing.T, shards int, seed int64) *FabricRun {
 		Seed:              seed,
 		Shards:            shards,
 		TransportHostsPer: 2,
-		Controller: Config{
-			ScrapeEvery: 100 * sim.Microsecond,
-		},
+		ScrapeEvery:       100 * sim.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)

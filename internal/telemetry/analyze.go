@@ -31,21 +31,31 @@ type WindowView struct {
 	Meta *Meta
 }
 
-// Meta is the topology context analyzers need to group directed-link
-// series by device: which dirs are a given FA's uplinks, which dirs leave
-// a given spine. Built once per stream, never per window.
+// Meta is the topology context analyzers need: the graph itself (what
+// the route policy can reach over the live links) and, derived from it,
+// which dirs are a given FA's uplinks. Built once per stream, never per
+// window.
 type Meta struct {
 	Dirs int
 	FAs  int
+	// Graph is the recorded fabric's wiring; nil for a stream whose
+	// header names no topology.
+	Graph topo.Graph
 	// FAUplinks[fa] lists the dir indices carrying traffic from fa into
 	// tier 1 — the spray set whose balance Stardust's per-link spraying
 	// is supposed to guarantee.
 	FAUplinks [][]int
-	// SpineDown[s] lists the dir indices leaving spine (FE2) s toward
-	// tier 1. All of them down means the spine is a black hole.
-	SpineDown [][]int
 	// DirNames[d] is a human label like "FA3->FE1_1", for findings.
 	DirNames []string
+}
+
+// edgeName names edge device fa as the graph does ("FA3" on a Clos) — the
+// inventory ID the management plane keys anomalies on.
+func (m *Meta) edgeName(fa int) string {
+	if m.Graph == nil {
+		return fmt.Sprintf("FA%d", fa)
+	}
+	return m.Graph.Node(m.Graph.EdgeNode(fa)).Name
 }
 
 // MetaFor derives analyzer metadata from a Clos instance. scrape-period
@@ -54,8 +64,8 @@ func MetaFor(cl *topo.Clos) *Meta {
 	m := &Meta{
 		Dirs:      2 * len(cl.Links),
 		FAs:       cl.NumFA,
+		Graph:     cl,
 		FAUplinks: make([][]int, cl.NumFA),
-		SpineDown: make([][]int, cl.NumFE2),
 		DirNames:  make([]string, 2*len(cl.Links)),
 	}
 	for i, lk := range cl.Links {
@@ -65,45 +75,24 @@ func MetaFor(cl *topo.Clos) *Meta {
 			fa := lk.A.Index
 			m.FAUplinks[fa] = append(m.FAUplinks[fa], 2*i)
 		}
-		if lk.B.Kind == topo.KindFE2 {
-			s := lk.B.Index
-			m.SpineDown[s] = append(m.SpineDown[s], 2*i+1)
-		}
 	}
 	return m
 }
 
 // MetaForGraph derives analyzer metadata from any topo.Graph. Uplink
-// groups come from the edge devices' outbound directions; SpineDown
-// groups the outbound directions of top-tier transit nodes (the spines
-// of a Clos, the switches of a star-replaced graph; empty on a flat
-// fabric, where there is no core to black-hole).
+// groups come from the edge devices' outbound directions.
 func MetaForGraph(g topo.Graph) *Meta {
 	links := g.GraphLinks()
 	m := &Meta{
 		Dirs:      2 * len(links),
 		FAs:       g.NumEdge(),
+		Graph:     g,
 		FAUplinks: topo.EdgeUplinkDirs(g),
 		DirNames:  make([]string, 2*len(links)),
-	}
-	topTier := g.NumTiers() - 1
-	spineOf := map[int]int{} // node -> SpineDown index
-	edge := topo.EdgeOfNode(g)
-	for i := 0; i < g.NumNodes(); i++ {
-		if edge[i] < 0 && g.Node(i).Tier == topTier {
-			spineOf[i] = len(m.SpineDown)
-			m.SpineDown = append(m.SpineDown, nil)
-		}
 	}
 	for i, lk := range links {
 		m.DirNames[2*i] = fmt.Sprintf("%s->%s", g.Node(lk.A).Name, g.Node(lk.B).Name)
 		m.DirNames[2*i+1] = fmt.Sprintf("%s->%s", g.Node(lk.B).Name, g.Node(lk.A).Name)
-		if s, ok := spineOf[lk.A]; ok {
-			m.SpineDown[s] = append(m.SpineDown[s], 2*i)
-		}
-		if s, ok := spineOf[lk.B]; ok {
-			m.SpineDown[s] = append(m.SpineDown[s], 2*i+1)
-		}
 	}
 	return m
 }
@@ -149,13 +138,15 @@ func MetaFromHeader(hdr StreamHeader) (*Meta, error) {
 }
 
 // Finding is one analyzer observation. Seq is assigned when the finding
-// enters a FindingLog; offline analysis leaves it zero.
+// enters a FindingLog; offline analysis leaves it zero. Device names the
+// one device a finding is about, empty when it is about the fabric.
 type Finding struct {
 	Seq      uint64   `json:"seq,omitempty"`
 	Window   uint64   `json:"window"`
 	T        sim.Time `json:"t_ps"`
 	Stage    string   `json:"stage"`
 	Severity string   `json:"severity"`
+	Device   string   `json:"device,omitempty"`
 	Detail   string   `json:"detail"`
 	Value    float64  `json:"value,omitempty"`
 }
@@ -246,22 +237,20 @@ type FindingLog struct {
 	first uint64 // seq of the oldest finding still in the ring
 }
 
-// NewFindingLog builds a log keeping the most recent cap findings.
+// NewFindingLog builds a log keeping the most recent capacity findings.
 func NewFindingLog(capacity int) *FindingLog {
-	if capacity <= 0 {
-		capacity = 256
-	}
 	return &FindingLog{ring: make([]Finding, 0, capacity)}
 }
 
-// Append stamps sequence numbers and stores the findings.
+// Append stamps sequence numbers on the findings and stores them.
 func (l *FindingLog) Append(fs ...Finding) {
 	if len(fs) == 0 {
 		return
 	}
 	l.mu.Lock()
-	for _, f := range fs {
-		f.Seq = l.next
+	for i := range fs {
+		fs[i].Seq = l.next
+		f := fs[i]
 		l.next++
 		if len(l.ring) < cap(l.ring) {
 			l.ring = append(l.ring, f)
@@ -294,14 +283,30 @@ func (l *FindingLog) Since(from uint64, max int) (out []Finding, next uint64) {
 	return out, from + uint64(len(out))
 }
 
-// SprayImbalance flags windows where one FA's uplink spray diverges:
-// (max-min)/mean of per-uplink cells this window above Threshold, over
-// live uplinks only (a failed link legitimately carries nothing). It also
-// tracks the worst ratio seen per FA for the end-of-stream summary.
-type SprayImbalance struct {
-	Threshold float64 // default 0.25
-	MinCells  uint64  // ignore windows with less traffic than this per FA
+// The analyzers' thresholds. The management plane raises its anomalies
+// from these findings, so one set of numbers judges a fabric online and
+// its recorded stream offline.
+const (
+	// sprayThreshold is the (max-min)/mean per-uplink cell spread above
+	// which an FA's spray is flagged (§5.3 promises near-perfect balance).
+	sprayThreshold = 0.25
+	// sprayMinCells is the per-FA window traffic below which balance is
+	// not judged: idle or barely loaded FAs give meaningless ratios.
+	sprayMinCells = 16
+	// rampWindows consecutive rising windows above minQueueBytes make an
+	// occupancy ramp.
+	rampWindows   = 3
+	minQueueBytes = 4096
+	// maxCols bounds the heat matrix's columns.
+	maxCols = 64
+)
 
+// SprayImbalance flags windows where one FA's uplink spray diverges:
+// (max-min)/mean of per-uplink cells this window above sprayThreshold,
+// over live uplinks only (a failed link legitimately carries nothing). It
+// also tracks the worst ratio seen per FA for the end-of-stream summary.
+type SprayImbalance struct {
+	meta    *Meta // names the worst FA in the summary
 	worst   []float64
 	worstFA int
 }
@@ -312,15 +317,8 @@ func (a *SprayImbalance) Window(v *WindowView) []Finding {
 	if v.Meta == nil || len(v.Meta.FAUplinks) == 0 {
 		return nil
 	}
-	th := a.Threshold
-	if th <= 0 {
-		th = 0.25
-	}
-	minCells := a.MinCells
-	if minCells == 0 {
-		minCells = 16
-	}
 	if a.worst == nil {
+		a.meta = v.Meta
 		a.worst = make([]float64, len(v.Meta.FAUplinks))
 		a.worstFA = -1
 	}
@@ -343,7 +341,7 @@ func (a *SprayImbalance) Window(v *WindowView) []Finding {
 			}
 			live++
 		}
-		if live < 2 || sum < minCells {
+		if live < 2 || sum < sprayMinCells {
 			continue
 		}
 		mean := float64(sum) / float64(live)
@@ -354,11 +352,12 @@ func (a *SprayImbalance) Window(v *WindowView) []Finding {
 				a.worstFA = fa
 			}
 		}
-		if ratio > th {
+		if ratio > sprayThreshold {
+			dev := v.Meta.edgeName(fa)
 			out = append(out, Finding{
-				Window: v.Index, T: v.T, Stage: a.Name(), Severity: SevWarn,
-				Detail: fmt.Sprintf("FA%d uplink spray imbalance %.3f over %d live links (max-min %d cells, mean %.1f)",
-					fa, ratio, live, max-min, mean),
+				Window: v.Index, T: v.T, Stage: a.Name(), Severity: SevWarn, Device: dev,
+				Detail: fmt.Sprintf("%s uplink spray imbalance %.3f over %d live links (max-min %d cells, mean %.1f)",
+					dev, ratio, live, max-min, mean),
 				Value: ratio,
 			})
 		}
@@ -372,19 +371,16 @@ func (a *SprayImbalance) Finish() []Finding {
 	}
 	return []Finding{{
 		Stage: a.Name(), Severity: SevInfo,
-		Detail: fmt.Sprintf("worst spray imbalance %.3f at FA%d", a.worst[a.worstFA], a.worstFA),
+		Detail: fmt.Sprintf("worst spray imbalance %.3f at %s", a.worst[a.worstFA], a.meta.edgeName(a.worstFA)),
 		Value:  a.worst[a.worstFA],
 	}}
 }
 
 // CongestionOnset detects the transition into congestion per directed
 // link: the first window where drops appear after a drop-free window, and
-// occupancy ramps (queue strictly rising for RampWindows consecutive
-// windows above MinQueueBytes).
+// occupancy ramps (queue strictly rising for rampWindows consecutive
+// windows above minQueueBytes).
 type CongestionOnset struct {
-	RampWindows   int    // default 3
-	MinQueueBytes uint64 // default 4096
-
 	prevDrops []uint64
 	prevQueue []uint64
 	rising    []int
@@ -394,14 +390,6 @@ type CongestionOnset struct {
 func (a *CongestionOnset) Name() string { return "congestion-onset" }
 
 func (a *CongestionOnset) Window(v *WindowView) []Finding {
-	ramp := a.RampWindows
-	if ramp <= 0 {
-		ramp = 3
-	}
-	floor := a.MinQueueBytes
-	if floor == 0 {
-		floor = 4096
-	}
 	n := len(v.DDrops)
 	if a.prevDrops == nil {
 		a.prevDrops = make([]uint64, n)
@@ -419,13 +407,13 @@ func (a *CongestionOnset) Window(v *WindowView) []Finding {
 				Value: float64(v.DDrops[d]),
 			})
 		}
-		if v.QueueBytes[d] > a.prevQueue[d] && v.QueueBytes[d] >= floor {
+		if v.QueueBytes[d] > a.prevQueue[d] && v.QueueBytes[d] >= minQueueBytes {
 			a.rising[d]++
-			if a.rising[d] == ramp {
+			if a.rising[d] == rampWindows {
 				out = append(out, Finding{
 					Window: v.Index, T: v.T, Stage: a.Name(), Severity: SevWarn,
 					Detail: fmt.Sprintf("%s occupancy rising %d windows, now %dB",
-						dirLabel(v.Meta, d), ramp, v.QueueBytes[d]),
+						dirLabel(v.Meta, d), rampWindows, v.QueueBytes[d]),
 					Value: float64(v.QueueBytes[d]),
 				})
 			}
@@ -446,61 +434,54 @@ func (a *CongestionOnset) Finish() []Finding {
 	}}
 }
 
-// ReachHoles reports windows during which a device is unreachable at the
-// link layer: an FA with every uplink down (isolated edge) or a spine
-// with every down-link down (dead spine). Findings mark the transitions
-// in and out of the hole.
+// ReachHoles watches the §5.9 invariant over the window's live links:
+// fabric.Holes counts what the route policy cannot route once it has
+// converged over them, recomputed only in windows whose up bitmap
+// changed. Its findings are the transitions of that count n: "opened"
+// when n leaves zero (Value n), "closed" when it returns to zero.
 type ReachHoles struct {
-	faHole    []bool
-	spineHole []bool
-	holes     int
+	up    []bool // per topology link, as of the last window
+	n     int    // holes over up
+	holes int    // openings over the stream
 }
 
 func (a *ReachHoles) Name() string { return "reach-holes" }
 
 func (a *ReachHoles) Window(v *WindowView) []Finding {
-	if v.Meta == nil {
+	if v.Meta == nil || v.Meta.Graph == nil {
 		return nil
 	}
-	if a.faHole == nil {
-		a.faHole = make([]bool, len(v.Meta.FAUplinks))
-		a.spineHole = make([]bool, len(v.Meta.SpineDown))
+	changed := false
+	if a.up == nil {
+		a.up = make([]bool, len(v.Up)/2)
+		changed = true
 	}
-	var out []Finding
-	check := func(holes []bool, dirs [][]int, what string, i int) {
-		if len(dirs[i]) == 0 {
-			return
-		}
-		down := true
-		for _, d := range dirs[i] {
-			if v.Up[d] {
-				down = false
-				break
-			}
-		}
-		switch {
-		case down && !holes[i]:
-			holes[i] = true
-			a.holes++
-			out = append(out, Finding{
-				Window: v.Index, T: v.T, Stage: a.Name(), Severity: SevCritical,
-				Detail: fmt.Sprintf("%s%d reachability hole opened: all %d links down", what, i, len(dirs[i])),
-			})
-		case !down && holes[i]:
-			holes[i] = false
-			out = append(out, Finding{
-				Window: v.Index, T: v.T, Stage: a.Name(), Severity: SevInfo,
-				Detail: fmt.Sprintf("%s%d reachability hole closed", what, i),
-			})
+	for lk := range a.up {
+		if a.up[lk] != v.Up[2*lk] {
+			a.up[lk] = v.Up[2*lk]
+			changed = true
 		}
 	}
-	for fa := range v.Meta.FAUplinks {
-		check(a.faHole, v.Meta.FAUplinks, "FA", fa)
+	if !changed {
+		return nil
 	}
-	for s := range v.Meta.SpineDown {
-		check(a.spineHole, v.Meta.SpineDown, "FE2_", s)
+	was := a.n
+	a.n = fabric.Holes(v.Meta.Graph, a.up)
+	switch {
+	case a.n > 0 && was == 0:
+		a.holes++
+		return []Finding{{
+			Window: v.Index, T: v.T, Stage: a.Name(), Severity: SevCritical,
+			Detail: fmt.Sprintf("reachability hole opened: %d unreachable %s", a.n, fabric.HoleUnit(v.Meta.Graph)),
+			Value:  float64(a.n),
+		}}
+	case a.n == 0 && was > 0:
+		return []Finding{{
+			Window: v.Index, T: v.T, Stage: a.Name(), Severity: SevInfo,
+			Detail: "reachability hole closed",
+		}}
 	}
-	return out
+	return nil
 }
 
 func (a *ReachHoles) Finish() []Finding {
@@ -512,15 +493,13 @@ func (a *ReachHoles) Finish() []Finding {
 }
 
 // FAHeatmap accumulates a per-FA × window heat matrix of delivered bytes
-// (the per-FA delivery series), downsampled to at most MaxCols columns.
+// (the per-FA delivery series), downsampled to at most maxCols columns.
 // Finish summarizes the hottest and coldest destinations.
 type FAHeatmap struct {
-	MaxCols int // default 64
-
 	rows    [][]uint64 // rows[fa][col]
 	col     int
 	perCol  int // windows folded into one column so far this column
-	fold    int // windows per column (doubles when MaxCols is hit)
+	fold    int // windows per column (doubles when maxCols is hit)
 	windows int
 }
 
@@ -529,10 +508,6 @@ func (a *FAHeatmap) Name() string { return "fa-heatmap" }
 func (a *FAHeatmap) Window(v *WindowView) []Finding {
 	if len(v.DSinkBytes) == 0 {
 		return nil
-	}
-	maxCols := a.MaxCols
-	if maxCols <= 0 {
-		maxCols = 64
 	}
 	if a.rows == nil {
 		a.rows = make([][]uint64, len(v.DSinkBytes))

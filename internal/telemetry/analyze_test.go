@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"stardust/internal/fabric"
 	"stardust/internal/sim"
+	"stardust/internal/topo"
 )
 
 // synthStream builds a stream from a window script: each step mutates the
@@ -31,13 +33,12 @@ func synthStream(t *testing.T, dirs, fas int, steps []func(s *Snapshot)) []byte 
 	return buf.Bytes()
 }
 
-// twoUplinkMeta: one FA with dirs 0,1 as uplinks, one spine fed by dir 1.
+// twoUplinkMeta: one FA with dirs 0,1 as uplinks, and no graph.
 func twoUplinkMeta() *Meta {
 	return &Meta{
 		Dirs:      2,
 		FAs:       1,
 		FAUplinks: [][]int{{0, 1}},
-		SpineDown: [][]int{{1}},
 		DirNames:  []string{"FA0->FE1_0", "FA0->FE1_1"},
 	}
 }
@@ -117,47 +118,95 @@ func TestCongestionOnsetAnalyzer(t *testing.T) {
 	}
 }
 
+// TestReachHolesAnalyzer: on a real K=4 Clos, a hole is what the reach
+// protocol cannot route once converged over the window's live links. An
+// isolated FA and a dead spine are holes, and so are failures that leave
+// every device with a live link but cut paths: links 0 (FA0–FE1_0) and
+// 20 (FE1_1–FE2_0) leave FE2_0 no way down to FA0, links 16 and 20 cut
+// FE2_0 off the four FAs under FE1_0 and FE1_1.
 func TestReachHolesAnalyzer(t *testing.T) {
+	cl, err := fabric.ClosFor(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := MetaFor(cl)
+	var fa0, spine0 []int
+	for i, lk := range cl.Links {
+		if lk.A == (topo.NodeID{Kind: topo.KindFA, Index: 0}) {
+			fa0 = append(fa0, i)
+		}
+		if lk.B == (topo.NodeID{Kind: topo.KindFE2, Index: 0}) {
+			spine0 = append(spine0, i)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		links []int
+		n     float64
+	}{
+		{"isolated FA0", fa0, float64(cl.NumFE2 + 1)},
+		{"dead spine FE2_0", spine0, float64(cl.NumFA)},
+		{"links 0 and 20", []int{0, 20}, 1},
+		{"links 16 and 20", []int{16, 20}, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			set := func(up bool) func(*Snapshot) {
+				return func(s *Snapshot) {
+					for _, lk := range tc.links {
+						s.Dirs[2*lk].Up, s.Dirs[2*lk+1].Up = up, up
+					}
+				}
+			}
+			stream := synthStream(t, meta.Dirs, 0, []func(*Snapshot){
+				func(s *Snapshot) {},
+				set(false),
+				func(s *Snapshot) {}, // still down: no repeated finding
+				set(true),
+			})
+			fs, err := Analyze(bytes.NewReader(stream), meta, &ReachHoles{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opened := bySeverity(fs, "reach-holes", SevCritical)
+			if len(opened) != 1 || opened[0].Window != 1 || opened[0].Value != tc.n {
+				t.Fatalf("want one hole of %v opened at window 1, got %v", tc.n, opened)
+			}
+			var closed []Finding
+			for _, f := range bySeverity(fs, "reach-holes", SevInfo) {
+				if strings.Contains(f.Detail, "closed") {
+					closed = append(closed, f)
+				}
+			}
+			if len(closed) != 1 || closed[0].Window != 3 {
+				t.Fatalf("want the hole closed at window 3, got %v", closed)
+			}
+		})
+	}
+
+	// Without a graph there is no route policy to ask: no findings but
+	// the summary.
 	stream := synthStream(t, 2, 1, []func(*Snapshot){
-		func(s *Snapshot) {},
-		// Both uplinks down: FA0 isolated; dir 1 down also kills the spine.
-		func(s *Snapshot) { s.Dirs[0].Up = false; s.Dirs[1].Up = false },
-		func(s *Snapshot) {}, // still down: no repeated finding
-		func(s *Snapshot) { s.Dirs[0].Up = true; s.Dirs[1].Up = true },
+		func(s *Snapshot) { s.Dirs[0].Up, s.Dirs[1].Up = false, false },
 	})
 	fs, err := Analyze(bytes.NewReader(stream), twoUplinkMeta(), &ReachHoles{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opened := bySeverity(fs, "reach-holes", SevCritical)
-	if len(opened) != 2 { // FA0 and FE2_0
-		t.Fatalf("want FA and spine holes opened, got %v", opened)
-	}
-	for _, f := range opened {
-		if f.Window != 1 {
-			t.Fatalf("hole opened at window %d, want 1: %+v", f.Window, f)
-		}
-	}
-	var closed int
-	for _, f := range bySeverity(fs, "reach-holes", SevInfo) {
-		if strings.Contains(f.Detail, "closed") {
-			closed++
-		}
-	}
-	if closed != 2 {
-		t.Fatalf("want both holes closed, got %d: %v", closed, fs)
+	if len(fs) != 1 || fs[0].Value != 0 {
+		t.Fatalf("graphless meta: %v", fs)
 	}
 }
 
 func TestFAHeatmapFoldsColumns(t *testing.T) {
 	var steps []func(*Snapshot)
-	for i := 0; i < 10; i++ {
+	const windows = 3*maxCols + 5 // folds twice, the last column partial
+	for i := 0; i < windows; i++ {
 		steps = append(steps, func(s *Snapshot) {
 			s.Sinks[0].Bytes += 100
 			s.Sinks[1].Bytes += 300
 		})
 	}
-	hm := &FAHeatmap{MaxCols: 4}
+	hm := &FAHeatmap{}
 	stream := synthStream(t, 2, 2, steps)
 	fs, err := Analyze(bytes.NewReader(stream), nil, hm)
 	if err != nil {
@@ -167,8 +216,8 @@ func TestFAHeatmapFoldsColumns(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("want 2 FA rows, got %d", len(rows))
 	}
-	if len(rows[0]) > 4 {
-		t.Fatalf("heatmap exceeded MaxCols: %d columns", len(rows[0]))
+	if len(rows[0]) > maxCols {
+		t.Fatalf("heatmap exceeded %d columns: %d", maxCols, len(rows[0]))
 	}
 	// Folding must conserve the totals.
 	var t0, t1 uint64
@@ -178,7 +227,7 @@ func TestFAHeatmapFoldsColumns(t *testing.T) {
 	for _, v := range rows[1] {
 		t1 += v
 	}
-	if t0 != 1000 || t1 != 3000 {
+	if t0 != 100*windows || t1 != 300*windows {
 		t.Fatalf("fold lost bytes: FA0=%d FA1=%d", t0, t1)
 	}
 	finish := bySeverity(fs, "fa-heatmap", SevInfo)

@@ -68,7 +68,8 @@ func (e *Emitter) Emit(snap *Snapshot) error {
 }
 
 // RecorderStats is the recorder's own telemetry, safe to read while the
-// simulation advances.
+// simulation advances. Windows counts captures; Bytes is the stream's
+// size, zero when nothing is recorded.
 type RecorderStats struct {
 	Windows  uint64   `json:"windows"`
 	Bytes    uint64   `json:"bytes"`
@@ -80,9 +81,9 @@ type RecorderStats struct {
 // Recorder scrapes a fabric at a fixed simulated period and exports every
 // scrape as one STREC1 window, flushed in barrier context on a parsim
 // engine (so the stream is byte-identical at any shard count). It can feed
-// the same windows to online analyzers.
+// the same windows to online analyzers, with or without a stream.
 type Recorder struct {
-	emit  *Emitter
+	emit  *Emitter // nil when the writer has no sink: capture only
 	net   LinkSource
 	sinks SinkFunc
 	every sim.Time
@@ -91,7 +92,8 @@ type Recorder struct {
 	snap    Snapshot
 	scratch [2]fabric.LinkCounters
 	view    WindowView
-	prev    Snapshot // delta baseline for the online analyzer view
+	prev    Snapshot  // delta baseline for the online analyzer view
+	found   []Finding // the last window's findings, reused
 	index   uint64
 
 	mu        sync.Mutex
@@ -101,21 +103,25 @@ type Recorder struct {
 	log       *FindingLog
 }
 
-// NewRecorder builds a recorder over net writing through w. every is the
-// scrape period (0 or less means one millisecond; it should be a multiple
-// of the engine's lookahead so scrape boundaries land on barriers).
-// sinks may be nil when the header declares zero FAs.
+// NewRecorder builds a recorder over net writing through w; a w made by
+// NewWriter(nil, hdr) gives the shape of the windows but records nothing.
+// every is the scrape period of AttachEngine (0 or less means one
+// millisecond; it should be a multiple of the engine's lookahead so scrape
+// boundaries land on barriers). sinks may be nil when the header declares
+// zero FAs.
 func NewRecorder(w *Writer, net LinkSource, sinks SinkFunc, every sim.Time) *Recorder {
 	if every <= 0 {
 		every = sim.Millisecond
 	}
 	hdr := w.Header()
 	r := &Recorder{
-		emit:  NewEmitter(w),
 		net:   net,
 		sinks: sinks,
 		every: every,
 		next:  every,
+	}
+	if w.w != nil {
+		r.emit = NewEmitter(w)
 	}
 	r.snap.Dirs = make([]DirSample, hdr.Dirs)
 	r.snap.Sinks = make([]SinkSample, hdr.FAs)
@@ -158,14 +164,13 @@ func (r *Recorder) AttachEngine(eng *parsim.Engine) {
 	})
 }
 
-// Capture scrapes the fabric now and appends one window stamped at. It
-// must run with the fabric quiescent (barrier context, or between runs).
+// Capture scrapes the fabric now, appends one window stamped at to the
+// stream and feeds it to the analyzers. It returns the window and the
+// analyzers' findings on it, both valid until the next Capture. It must
+// run with the fabric quiescent (barrier context, or between runs).
 // Errors latch: the first write error stops the stream and surfaces in
-// Stats.
-func (r *Recorder) Capture(at sim.Time) {
-	if r.err != nil {
-		return
-	}
+// Stats, while capture and analysis go on.
+func (r *Recorder) Capture(at sim.Time) (*Snapshot, []Finding) {
 	n := r.net.NumLinks()
 	for i := 0; i < n; i++ {
 		r.net.ReadLinkCounters(i, &r.scratch)
@@ -185,24 +190,30 @@ func (r *Recorder) Capture(at sim.Time) {
 		r.snap.Sinks[fa] = SinkSample{Cells: c, Bytes: b}
 	}
 	r.snap.T = at
-	err := r.emit.Emit(&r.snap)
-
-	if len(r.analyzers) > 0 && err == nil {
+	var err error
+	if r.emit != nil && r.err == nil {
+		err = r.emit.Emit(&r.snap)
+	}
+	r.found = r.found[:0]
+	if len(r.analyzers) > 0 {
 		r.analyze(at)
 	}
 
 	r.mu.Lock()
-	if err != nil && r.err == nil {
+	if err != nil {
 		r.err = err
 		r.stats.Err = err.Error()
 	}
-	r.stats.Windows = r.emit.W.Windows
-	r.stats.Bytes = r.emit.W.Bytes
+	r.stats.Windows++
+	if r.emit != nil {
+		r.stats.Bytes = r.emit.W.Bytes
+	}
 	r.stats.LastT = at
 	if r.log != nil {
 		r.stats.Findings = r.log.Total()
 	}
 	r.mu.Unlock()
+	return &r.snap, r.found
 }
 
 // analyze feeds the freshly captured window to the online analyzers.
@@ -227,8 +238,9 @@ func (r *Recorder) analyze(at sim.Time) {
 	copy(r.prev.Sinks, r.snap.Sinks)
 	r.index++
 	for _, a := range r.analyzers {
-		r.log.Append(a.Window(v)...)
+		r.found = append(r.found, a.Window(v)...)
 	}
+	r.log.Append(r.found...)
 }
 
 // Stats snapshots the recorder's counters.

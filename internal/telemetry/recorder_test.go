@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"io"
+	"reflect"
+	"slices"
 	"testing"
 
 	"stardust/internal/fabric"
@@ -114,7 +116,9 @@ func liveFabric(t *testing.T) (*parsim.Engine, *fabric.Net) {
 
 // TestRecorderOnSoloSim drives the one-shard path end to end: AttachEngine
 // scrapes on period, the stream decodes, counters are monotonic, online
-// analyzers feed the finding log, and stats reflect all of it.
+// analyzers feed the finding log, and stats reflect all of it. A recorder
+// over a shape-only writer finds the same, and so does Analyze over the
+// recorded stream.
 func TestRecorderOnSoloSim(t *testing.T) {
 	eng, fab := liveFabric(t)
 	hdr := StreamHeader{Dirs: 2 * fab.NumLinks(), FAs: 0, K: 4, ScrapePs: 100 * sim.Microsecond}
@@ -124,8 +128,16 @@ func TestRecorderOnSoloSim(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := NewRecorder(w, fab, nil, 100*sim.Microsecond)
-	log := rec.Observe(MetaFor(fab.Topo.(*topo.Clos)), DefaultAnalyzers()...)
+	meta := MetaFor(fab.Topo.(*topo.Clos))
+	log := rec.Observe(meta, DefaultAnalyzers()...)
 	rec.AttachEngine(eng)
+	shape, err := NewWriter(nil, hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiet := NewRecorder(shape, fab, nil, 100*sim.Microsecond)
+	quietLog := quiet.Observe(meta, DefaultAnalyzers()...)
+	quiet.AttachEngine(eng)
 
 	// Isolate FA0 mid-run: a reachability hole the online analyzers must
 	// flag, and down events the stream must carry.
@@ -182,11 +194,42 @@ func TestRecorderOnSoloSim(t *testing.T) {
 	if log.Total() == 0 || st.Findings != log.Total() {
 		t.Fatalf("online analyzers silent: log=%d stats=%d", log.Total(), st.Findings)
 	}
+	online, _ := log.Since(0, 1<<20)
+	holes := 0
+	for _, f := range online {
+		if f.Stage == "reach-holes" && f.Value == float64(fab.Topo.(*topo.Clos).NumFE2+1) {
+			holes++
+		}
+	}
+	if holes != 1 {
+		t.Fatalf("isolating FA0 opened %d holes of its spines + 1, want 1: %v", holes, online)
+	}
+
+	if qs := quiet.Stats(); qs.Windows != st.Windows || qs.Bytes != 0 {
+		t.Fatalf("shape-only recorder: %+v, recording one: %+v", qs, st)
+	}
+	unstamped := func(fs []Finding) []Finding {
+		out := slices.Clone(fs)
+		for i := range out {
+			out[i].Seq = 0
+		}
+		return out
+	}
+	if got, _ := quietLog.Since(0, 1<<20); !reflect.DeepEqual(unstamped(got), unstamped(online)) {
+		t.Fatalf("shape-only recorder found\n%v\nthe recording one\n%v", got, online)
+	}
+	offline, err := Analyze(bytes.NewReader(buf.Bytes()), meta, DefaultAnalyzers()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(offline) < len(online) || !reflect.DeepEqual(offline[:len(online)], unstamped(online)) {
+		t.Fatalf("Analyze over the stream found\n%v\nonline\n%v", offline, online)
+	}
 }
 
-// TestRecorderLatchesWriteError: a full stream buffer stops the recorder
-// at the first failed write, surfaces in Stats, and further captures are
-// no-ops instead of corrupting the tail.
+// TestRecorderLatchesWriteError: a full stream buffer stops the stream
+// at the first failed write and surfaces in Stats; further captures go on
+// being counted (and analyzed) but never touch the tail.
 func TestRecorderLatchesWriteError(t *testing.T) {
 	eng, fab := liveFabric(t)
 	sink := NewBuffer(512) // fits the header, not the windows
@@ -208,9 +251,8 @@ func TestRecorderLatchesWriteError(t *testing.T) {
 	if !sink.Truncated() {
 		t.Fatal("buffer never refused a write")
 	}
-	wins := st.Windows
 	rec.Capture(2 * sim.Millisecond)
-	if rec.Stats().Windows != wins {
-		t.Fatal("capture after latched error still wrote")
+	if after := rec.Stats(); after.Bytes != st.Bytes || after.Windows != st.Windows+1 {
+		t.Fatalf("capture after latched error: %+v, before %+v", after, st)
 	}
 }

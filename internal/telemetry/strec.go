@@ -144,10 +144,15 @@ type Writer struct {
 }
 
 // NewWriter starts a stream: it writes the magic and the header record
-// immediately so even an empty stream is self-describing.
+// immediately so even an empty stream is self-describing. A nil w gives
+// a Writer that only carries the header's shape — for a Recorder that
+// captures and analyzes without recording — and must not be written to.
 func NewWriter(w io.Writer, hdr StreamHeader) (*Writer, error) {
 	hdr.Format = Format
 	sw := &Writer{w: w, hdr: hdr}
+	if w == nil {
+		return sw, nil
+	}
 	sw.prev.Dirs = make([]DirSample, hdr.Dirs)
 	sw.prev.Sinks = make([]SinkSample, hdr.FAs)
 	if _, err := io.WriteString(w, Magic); err != nil {
