@@ -415,10 +415,23 @@ func TestBadSpec(t *testing.T) {
 // TestMidWindowDisconnect: without Rejoin, a peer dropping mid-run aborts
 // the whole run with a deterministic error instead of deadlocking the
 // barrier.
+// With a second peer, the survivor's mesh link ends under it: over a ring
+// and over a socket alike.
 func TestMidWindowDisconnect(t *testing.T) {
 	_, err := serveChaos(t, smallSpec(2), 1, 1, CoordConfig{}, dieOnce(0, 3))
 	if err == nil || !strings.Contains(err.Error(), "disconnected at window") {
 		t.Fatalf("coordinator error = %v, want mid-window disconnect", err)
+	}
+	for _, with := range []struct {
+		name string
+		with func(*chaos) *chaos
+	}{{"2peers", governed}, {"2peers-tcp", onTCP(governed)}} {
+		t.Run(with.name, func(t *testing.T) {
+			_, err := serveChaos(t, smallSpec(2), 2, 2, CoordConfig{}, with.with(dieOnce(0, 3)))
+			if err == nil || !strings.Contains(err.Error(), "disconnected at window") {
+				t.Fatalf("coordinator error = %v, want mid-window disconnect", err)
+			}
+		})
 	}
 }
 
@@ -509,11 +522,15 @@ func (l *secondAccept) Accept() (net.Conn, error) {
 func TestRejoinRestoresDigest(t *testing.T) {
 	spec := smallSpec(4)
 	want := localOutcome(t, spec)
-	got, err := serveChaos(t, spec, 2, 3, CoordConfig{Rejoin: true}, dieOnce(0, 40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("restored outcome diverged:\n got %+v\nwant %+v", got, want)
+	for _, tcp := range []bool{false, true} {
+		ch := dieOnce(0, 40)
+		ch.tcp = tcp
+		got, err := serveChaos(t, spec, 2, 3, CoordConfig{Rejoin: true}, ch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("tcp=%v: restored outcome diverged:\n got %+v\nwant %+v", tcp, got, want)
+		}
 	}
 }

@@ -9,7 +9,9 @@
 // DONE frame to the coordinator's buffer, then reads one XCHG from each
 // neighbour in ascending id and delivers it — one network hop per window,
 // and a read that finds its socket empty polls it for a while before it
-// goes to sleep (poll.go).
+// goes to sleep (poll.go). Between two peers of one host the hop is a
+// shared-memory ring, and the socket beside it only rings the bell
+// (ring.go).
 //
 // Every peer evaluates the stop rule on the same numbers (the sums of
 // ownedPending and mailOut over all XCHG frames of the window plus its
@@ -29,7 +31,9 @@
 // frames behind — it has read window w-2 before it wrote w-1 — so a frame
 // of at most meshInline bytes is written blocking, two of them fitting the
 // smallest buffers the kernel hands out, and a larger one goes to the
-// goroutine whole. Nothing waits for a write before reading.
+// goroutine whole. On a ring the ring's room stands in for the socket's:
+// what does not fit goes to the same goroutine, which looks for room
+// (ring_unix.go). Nothing waits for a write before reading.
 //
 // The one-way DONE stream: DONE frames pile up in a writeBuffer-sized
 // buffer and reach the coordinator when it fills or every flushWindows
@@ -90,6 +94,34 @@
 // is the inherited one. K=8, 2 ms, 2,006 windows of ~1.8 KiB frames, two
 // peers in one process: 0.54-0.60 s before, 0.18-0.22 s now, RunLocal
 // 0.16-0.17 s; with polling forced off 0.30 s.
+//
+// Shared memory between peers of one host (ring.go). On a polled loopback
+// link what was left of the exchange was system calls: 36 % of a
+// dist_2peer CPU profile was read(2) and write(2) on ~250 B frames. A ring
+// makes the write a copy and a store and an empty poll a load, and the
+// socket is written only to wake a reader that sleeps. Measured on a
+// 2-vCPU Intel Xeon VM (go1.24.0, GOMAXPROCS=2), socket and ring
+// interleaved: BenchmarkMeshExchange at 200 B, polling, inline, 23.5-23.9
+// µs a window over the socket against 12.3-13.2 µs over the ring — the
+// exchange itself 13.5-13.9 against 2.3-3.2 µs; parked 36.5-44.2 against
+// 30.6-32.4 µs, a wake-up still being the socket's. dist_2peer wall_s went
+// from 0.165 to 0.107 s (medians of 10 alternating pairs, better in 9),
+// and read(2) and write(2) to 1.4 % of the samples. Why a ring and not a
+// unix socket, which still costs a system call per frame each way: on
+// dist_2peer a prototype over AF_UNIX measured -16 %, one over an
+// in-memory ring -37 %. ringLooks = 4: one look at an empty ring and the
+// yield after it take 0.22 µs against 0.9 µs for a read(2) of an empty
+// socket, and the poll governor counts attempts; at one look an attempt,
+// pollTries and pollQuick spanned a quarter of the time they were set at,
+// and fabric/parscale k=4 -peers 2 (three processes) parked more and read
+// a median 0.39 s over 15 alternating rounds, against 0.24 s at four looks
+// and 0.40 s over sockets (0.23 against 0.33 s in a second batch).
+// ringSize = 64 KiB a direction: a K=8 XCHG frame is ~1.8 KiB, so a frame
+// that does not fit is the rare path, and in one process (the bench's
+// peers) rusage counts both mappings of each ring.
+// ringNap = 50 µs, about a scheduler wake-up: a writer that found no room
+// in pollTries looks sleeps between looks, so that two peers on one CPU
+// let each other run (TestNoDeadlockRingFull fills its rings every window).
 package distsim
 
 import (
@@ -99,6 +131,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"path/filepath"
 	"time"
 
 	"stardust/internal/parsim"
@@ -176,12 +209,15 @@ func dialRetry(addr string, timeout time.Duration) (net.Conn, error) {
 // asked before every window a peer runs and once more before its REPORT,
 // tune sees every mesh connection before it is used,
 // meshWait lets a test that breaks the mesh on purpose fail fast, poll pins
-// every mesh link's poll-or-park decision.
+// every mesh link's poll-or-park decision, tcp keeps every mesh link on its
+// socket, and ringBytes sizes the rings this peer offers.
 type chaos struct {
-	at       func(peer, window int, ph phase) fault
-	tune     func(net.Conn)
-	meshWait time.Duration // overrides meshTimeout when positive
-	poll     pollForce
+	at        func(peer, window int, ph phase) fault
+	tune      func(net.Conn)
+	meshWait  time.Duration // overrides meshTimeout when positive
+	poll      pollForce
+	tcp       bool
+	ringBytes int // overrides ringSize when positive
 }
 
 type phase int
@@ -217,6 +253,15 @@ func (c *chaos) pollForce() pollForce {
 		return pollGoverned
 	}
 	return c.poll
+}
+
+func (c *chaos) tcpOnly() bool { return c != nil && c.tcp }
+
+func (c *chaos) ringSize() int {
+	if c != nil && c.ringBytes > 0 {
+		return c.ringBytes
+	}
+	return ringSize
 }
 
 func (c *chaos) meshTimeout() time.Duration {
@@ -364,12 +409,15 @@ func (p *peer) welcome(body []byte) (*session, error) {
 	return s, nil
 }
 
-// meshLink is the connection to one neighbour. What the socket does not
-// take of a frame at once is written by a goroutine while the window loop
-// reads: sent carries that write's result, inflight says one is out.
+// meshLink is the connection to one neighbour, and ring its mapped ring
+// when the frames go through one (ring.go). What the socket or the ring
+// does not take of a frame at once is written by a goroutine while the
+// window loop reads: sent carries that write's result, inflight says one
+// is out.
 type meshLink struct {
 	id       int
 	pc       *peerConn
+	ring     []byte
 	sent     chan error
 	inflight bool
 }
@@ -382,10 +430,32 @@ func closeLinks(links []*meshLink) {
 	}
 }
 
-// offer hands the socket as much of p as it takes without waiting for the
-// far end, and returns how much that was. Where the socket cannot be
-// asked, a frame of at most meshInline bytes is known to fit (see the
-// package comment) and anything larger is not tried.
+// releaseLinks closes every link for good: a writer goroutine still out
+// ends on the closed connection, and only then is a ring unmapped.
+func releaseLinks(links []*meshLink) {
+	for _, l := range links {
+		if l != nil {
+			l.release()
+		}
+	}
+}
+
+func (l *meshLink) release() {
+	l.pc.conn.Close()
+	if l.inflight {
+		<-l.sent
+		l.inflight = false
+	}
+	if l.ring != nil {
+		unmapFile(l.ring)
+		l.ring = nil
+	}
+}
+
+// offer hands the socket or the ring as much of p as it takes without
+// waiting for the far end, and returns how much that was. Where the socket
+// cannot be asked, a frame of at most meshInline bytes is known to fit
+// (see the package comment) and anything larger is not tried.
 func (pc *peerConn) offer(p []byte) (int, error) {
 	switch {
 	case pc.rd.sock != nil:
@@ -396,9 +466,18 @@ func (pc *peerConn) offer(p []byte) (int, error) {
 	return 0, nil
 }
 
-// send writes the frames put on the link: what the socket takes now,
-// inline; the rest, if any, concurrently with the caller's reads. join
-// must follow before anything else is put.
+// writeAll writes p, waiting for the far end if it must.
+func (pc *peerConn) writeAll(p []byte) error {
+	if pc.rd.sock != nil {
+		return pc.rd.sock.writeAll(p)
+	}
+	_, err := pc.conn.Write(p)
+	return err
+}
+
+// send writes the frames put on the link: what the socket or the ring
+// takes now, inline; the rest, if any, concurrently with the caller's
+// reads. join must follow before anything else is put.
 func (l *meshLink) send() error {
 	pc := l.pc
 	n, err := pc.offer(pc.out)
@@ -408,10 +487,7 @@ func (l *meshLink) send() error {
 	}
 	rest := pc.out[n:]
 	l.inflight = true
-	go func() {
-		_, err := pc.conn.Write(rest)
-		l.sent <- err
-	}()
+	go func() { l.sent <- pc.writeAll(rest) }()
 	return nil
 }
 
@@ -444,46 +520,26 @@ func (s *session) connectMesh(sm startMsg) (links []*meshLink, err error) {
 	links = make([]*meshLink, n)
 	defer func() {
 		if err != nil {
-			closeLinks(links)
+			releaseLinks(links)
 		}
 	}()
-	hello, err := json.Marshal(meshHelloMsg{Version: protoVersion, Peer: me, Token: sm.Token, Hash: s.hash})
-	if err != nil {
-		return nil, err
-	}
 	wait := s.p.chaos.meshTimeout()
 	deadline := time.Now().Add(wait)
-	// greet runs the HELLO exchange on a fresh connection, under the
-	// connection's own deadline until it ends: the dialer speaks first, so
-	// that a listener names nothing to a stranger.
+	// greet runs the handshake on a fresh connection, under the
+	// connection's own deadline until it ends.
 	greet := func(conn net.Conn, until time.Time, dialed bool, wantID func(int) bool) (*meshLink, error) {
 		s.p.chaos.tuneConn(conn)
 		conn.SetDeadline(until)
-		pc := newPeerConn(conn, 0)
-		var got meshHelloMsg
-		say := func() error { return pc.write(tMeshHello, hello, false) }
-		hear := func() (err error) {
-			if got, err = readMeshHello(pc); err == nil {
-				err = s.checkMeshHello(got, sm.Token, wantID)
-			}
-			return err
-		}
-		first, second := hear, say
-		if dialed {
-			first, second = say, hear
-		}
-		err := first()
-		if err == nil {
-			err = second()
-		}
-		if err != nil {
-			pc.fail(err.Error()) // best effort: the other end learns why
+		l := &meshLink{pc: newPeerConn(conn, 0), sent: make(chan error, 1)}
+		if err := s.meshHandshake(l, sm.Token, dialed, wantID); err != nil {
+			l.pc.fail(err.Error()) // best effort: the other end learns why
+			l.release()
 			return nil, err
 		}
-		pc.trust()
-		pc.io = peerIOTimeout
-		pc.rd.gov = &pollGovernor{force: s.p.chaos.pollForce()}
-		return &meshLink{id: got.Peer, pc: pc, sent: make(chan error, 1)}, nil
+		l.pc.trust()
+		l.pc.io = peerIOTimeout
+		l.pc.rd.gov = &pollGovernor{force: s.p.chaos.pollForce()}
+		return l, nil
 	}
 	for q := 0; q < me; q++ {
 		conn, err := net.DialTimeout("tcp", sm.Mesh[q], wait)
@@ -520,6 +576,102 @@ func (s *session) connectMesh(sm startMsg) (links []*meshLink, err error) {
 		missing--
 	}
 	return links, nil
+}
+
+// meshHandshake identifies the two ends of a fresh link to each other and
+// agrees on its transport. The dialer speaks first, so that a listener
+// names nothing to a stranger. When both ends are on one host the
+// acceptor offers a ring in its HELLO, and the dialer answers with a RING
+// frame — or, for a malformed offer, an ERROR; the acceptor removes the
+// ring file once it has the answer (ring.go).
+func (s *session) meshHandshake(l *meshLink, token uint64, dialed bool, wantID func(int) bool) error {
+	pc, me := l.pc, s.wm.PeerID
+	hello := meshHelloMsg{Version: protoVersion, Peer: me, Token: token, Hash: s.hash}
+	say := func() error {
+		b, err := json.Marshal(hello)
+		if err == nil {
+			err = pc.write(tMeshHello, b, false)
+		}
+		return err
+	}
+	var got meshHelloMsg
+	hear := func() (err error) {
+		if got, err = readMeshHello(pc); err == nil {
+			err = s.checkMeshHello(got, token, wantID)
+		}
+		return err
+	}
+	canRing := pc.rd.sock != nil && !pc.far && !s.p.chaos.tcpOnly()
+	if dialed {
+		if err := say(); err != nil {
+			return err
+		}
+		if err := hear(); err != nil {
+			return err
+		}
+		l.id = got.Peer
+		if got.Ring == "" {
+			return nil
+		}
+		if canRing {
+			var err error
+			var refused ringRefusal
+			l.ring, err = openRing(ringDir(), got.Ring, ringHeader{token: token, hash: s.hash, acceptor: got.Peer, dialer: me})
+			if errors.As(err, &refused) {
+				return err
+			}
+		}
+		if err := pc.write(tRing, []byte{flag(l.ring != nil)}, false); err != nil {
+			return err
+		}
+		return l.onRing(true)
+	}
+	if err := hear(); err != nil {
+		return err
+	}
+	if l.id = got.Peer; got.Ring != "" {
+		return fmt.Errorf("distsim: mesh HELLO offers a ring from the dialing side")
+	}
+	if canRing {
+		dir := ringDir()
+		var err error
+		if l.ring, hello.Ring, err = createRing(dir, ringHeader{token: token, hash: s.hash, acceptor: me, dialer: got.Peer, size: s.p.chaos.ringSize()}); err == nil {
+			defer os.Remove(filepath.Join(dir, hello.Ring))
+		}
+	}
+	if err := say(); err != nil || l.ring == nil {
+		return err
+	}
+	typ, body, err := pc.read()
+	switch {
+	case err != nil:
+		return err
+	case typ == tError:
+		return fmt.Errorf("distsim: mesh neighbour refused: %s", body)
+	case typ != tRing || len(body) != 1 || body[0] > 1:
+		return fmt.Errorf("distsim: frame %d (%d bytes) instead of a RING answer", typ, len(body))
+	case body[0] == 0:
+		unmapFile(l.ring)
+		l.ring = nil
+	}
+	return l.onRing(false)
+}
+
+// onRing moves the link's frames onto its ring, if it has one. Nothing but
+// the handshake has crossed the socket, and nothing may be left of it.
+func (l *meshLink) onRing(dialer bool) error {
+	if l.ring == nil {
+		return nil
+	}
+	if n := l.pc.br.Buffered(); n > 0 {
+		return fmt.Errorf("distsim: %d stray bytes behind the mesh handshake", n)
+	}
+	r := newShmRing(l.ring, dialer, l.pc.conn)
+	if r == nil {
+		return fmt.Errorf("distsim: a ring needs a socket for its doorbell")
+	}
+	l.pc.rd.sock = r
+	return nil
 }
 
 func readMeshHello(pc *peerConn) (meshHelloMsg, error) {
@@ -572,9 +724,9 @@ func (s *session) run(startBody []byte) error {
 	links, err := s.connectMesh(sm)
 	if err == nil {
 		err = s.windows(links)
-		// Every neighbour's last frame has been read (or the mesh is being
-		// abandoned), and any writer goroutine has been joined.
-		closeLinks(links)
+		// Every neighbour's last frame has been read, or the mesh is being
+		// abandoned.
+		releaseLinks(links)
 	}
 	var lost *meshError
 	switch {
@@ -646,7 +798,7 @@ func (s *session) windows(links []*meshLink) error {
 				clock.rawBytes += l.pc.raw
 				clock.wireBytes += l.pc.wire
 				l.pc.raw, l.pc.wire = 0, 0
-				clock.poll[l.id] = linkPoll{l.pc.rd.n, l.pc.rd.gov.polling()}
+				clock.poll[l.id] = linkPoll{l.pc.rd.n, l.pc.rd.gov.polling(), l.ring != nil}
 				l.pc.rd.n = pollCounts{}
 				l.pc.deadline()
 			}

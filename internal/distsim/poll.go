@@ -1,8 +1,8 @@
 // Waiting for a neighbour without going to sleep. A mesh read that finds
-// its socket empty asks it again, without blocking, up to pollTries times,
-// and only then parks in the netpoller like any other read. Why, for how
-// long, and when a link stops doing it: see the measured constants in
-// peer.go's package comment.
+// its socket — or its shared-memory ring (ring.go) — empty asks it again,
+// without blocking, up to pollTries times, and only then parks in the
+// netpoller like any other read. Why, for how long, and when a link stops
+// doing it: see the measured constants in peer.go's package comment.
 //
 // A poll can hold nothing up. It is bounded, every attempt goes through
 // the connection (syscall.RawConn), so it fails on the deadline or a Close
@@ -89,6 +89,21 @@ func (g *pollGovernor) polling() bool {
 	return g.force == pollAlways || g.force == pollGoverned && g.hold == 0
 }
 
+// sock is non-blocking access to what carries a connection's bytes: the
+// socket itself (poll_unix.go), or, between two peers of one host, a pair
+// of shared-memory rings that use the socket as their doorbell
+// (ring_unix.go). One goroutine reads and one writes at a time.
+type sock interface {
+	// read reads into p. An empty transport makes it return at once, or
+	// with park set wait as conn.Read would; blocked reports that it was
+	// found empty.
+	read(p []byte, park bool) (n int, blocked bool, err error)
+	// write offers p without waiting and returns how much was taken.
+	write(p []byte) (int, error)
+	// writeAll writes all of p, waiting for the far end if it must.
+	writeAll(p []byte) error
+}
+
 // pollCounts is what a link's reads cost: every read either found bytes
 // without parking (ready) or waited in the netpoller (parks); tries are
 // the non-blocking attempts the polled ones made.
@@ -101,7 +116,7 @@ type pollCounts struct {
 // non-blocking access to the socket (sock == nil), Read is conn.Read.
 type sockReader struct {
 	conn net.Conn
-	sock *sock // non-blocking access to conn, nil where the platform has none
+	sock sock // non-blocking access to conn, nil where the platform has none
 	gov  *pollGovernor
 	n    pollCounts
 }

@@ -93,12 +93,43 @@ var pollModes = []struct {
 
 // TestPollModes runs the tests that hold the window loop to its contract —
 // the outcome of RunLocal, every recovery, the deterministic abort, no
-// deadlock with 4 KiB socket buffers — with every mesh link forced to poll
-// on every read and on none: whatever the governor decides at run time, it
-// decides between two paths that both pass.
+// deadlock with 4 KiB socket buffers or a full ring — with every mesh link
+// forced to poll on every read and on none, over rings and (tcp) over
+// sockets: whatever the governor decides at run time, it decides between
+// two paths that both pass.
 func TestPollModes(t *testing.T) {
 	spec := smallSpec(4)
 	want := localOutcome(t, spec)
+	contract := func(t *testing.T, with func(*chaos) *chaos) {
+		t.Run("matches-local", func(t *testing.T) {
+			for _, npeers := range []int{2, 3} {
+				got, err := serveChaos(t, spec, npeers, npeers, CoordConfig{Stats: NewCoordStats()}, with(nil))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%d peers: outcome diverged:\n got %+v\nwant %+v", npeers, got, want)
+				}
+			}
+		})
+		t.Run("recovery", func(t *testing.T) { testRecovery(t, with) })
+		t.Run("recovery-after-last-window", func(t *testing.T) { testRecoveryAfterLastWindow(t, with) })
+		t.Run("rejoin-restores-digest", func(t *testing.T) {
+			got, err := serveChaos(t, spec, 2, 3, CoordConfig{Rejoin: true}, with(dieOnce(0, 40)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("restored outcome diverged:\n got %+v\nwant %+v", got, want)
+			}
+		})
+		t.Run("mid-window-disconnect", func(t *testing.T) {
+			_, err := serveChaos(t, smallSpec(2), 1, 1, CoordConfig{}, with(dieOnce(0, 3)))
+			if err == nil || !strings.Contains(err.Error(), "disconnected at window") {
+				t.Fatalf("coordinator error = %v, want mid-window disconnect", err)
+			}
+		})
+	}
 	for _, mode := range pollModes[1:] {
 		with := func(c *chaos) *chaos {
 			if c == nil {
@@ -108,38 +139,15 @@ func TestPollModes(t *testing.T) {
 			return c
 		}
 		t.Run(mode.name, func(t *testing.T) {
-			t.Run("matches-local", func(t *testing.T) {
-				for _, npeers := range []int{2, 3} {
-					got, err := serveChaos(t, spec, npeers, npeers, CoordConfig{Stats: NewCoordStats()}, with(nil))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%d peers: outcome diverged:\n got %+v\nwant %+v", npeers, got, want)
-					}
-				}
-			})
-			t.Run("recovery", func(t *testing.T) { testRecovery(t, with) })
-			t.Run("recovery-after-last-window", func(t *testing.T) { testRecoveryAfterLastWindow(t, with) })
-			t.Run("rejoin-restores-digest", func(t *testing.T) {
-				got, err := serveChaos(t, spec, 2, 3, CoordConfig{Rejoin: true}, with(dieOnce(0, 40)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("restored outcome diverged:\n got %+v\nwant %+v", got, want)
-				}
-			})
-			t.Run("mid-window-disconnect", func(t *testing.T) {
-				_, err := serveChaos(t, smallSpec(2), 1, 1, CoordConfig{}, with(dieOnce(0, 3)))
-				if err == nil || !strings.Contains(err.Error(), "disconnected at window") {
-					t.Fatalf("coordinator error = %v, want mid-window disconnect", err)
-				}
-			})
+			contract(t, with)
+			t.Run("tcp", func(t *testing.T) { contract(t, onTCP(with)) })
 			t.Run("no-deadlock-symmetric-exchange", func(t *testing.T) { testSymmetricExchange(t, mode.force) })
 			// (A quarter of the governed test's run: see there why it crawls.)
 			t.Run("no-deadlock-shrunken-mesh", func(t *testing.T) {
-				testShrunkenMesh(t, with(&chaos{tune: shrink}), 10*sim.Microsecond)
+				testShrunkenMesh(t, with(&chaos{tune: shrink, tcp: true}), 10*sim.Microsecond)
+			})
+			t.Run("no-deadlock-ring-full", func(t *testing.T) {
+				testShrunkenMesh(t, with(&chaos{ringBytes: shrunkRing}), 10*sim.Microsecond)
 			})
 		})
 	}
@@ -231,11 +239,12 @@ func TestPolledReadEquivalence(t *testing.T) {
 
 // TestCutLinkStalls: a mesh link closed under a polling reader ends the
 // session in the STALL a parked reader produces, and the run in the same
-// deterministic error.
+// deterministic error — over a ring, whose socket is only the doorbell, as
+// over the socket itself (tcp).
 func TestCutLinkStalls(t *testing.T) {
 	for _, mode := range pollModes {
-		t.Run(mode.name, func(t *testing.T) {
-			cut := &chaos{poll: mode.force, at: func(peer, window int, ph phase) fault {
+		stalls := func(t *testing.T, tcp bool) {
+			cut := &chaos{poll: mode.force, tcp: tcp, at: func(peer, window int, ph phase) fault {
 				if peer == 1 && ph == phaseLive && window == 20 {
 					return faultCut
 				}
@@ -245,6 +254,10 @@ func TestCutLinkStalls(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "lost its mesh link") {
 				t.Fatalf("coordinator error = %v, want a lost mesh link", err)
 			}
+		}
+		t.Run(mode.name, func(t *testing.T) {
+			stalls(t, false)
+			t.Run("tcp", func(t *testing.T) { stalls(t, true) })
 		})
 	}
 }
@@ -293,92 +306,89 @@ func (c addrConn) LocalAddr() net.Addr  { return c.local }
 func (c addrConn) RemoteAddr() net.Addr { return c.remote }
 
 // BenchmarkMeshExchange is the window loop's network rung by itself: two
-// goroutines each write one XCHG frame to the other over loopback TCP and
-// then read the other's, window after window, with the read parked in the
-// netpoller or polling first, and the write offered to the socket inline or
-// — what every frame above meshInline used to cost — handed to a goroutine
-// and joined. A window starts with meshBenchStep of arithmetic in place of
-// its simulation (ns/op includes it): between empty windows a waker finds
-// the sleeper still spinning in the scheduler, and parking looks as cheap
-// as polling.
+// goroutines each write one XCHG frame to the other and then read the
+// other's, window after window, over loopback TCP or over a shared-memory
+// ring (whose socket only rings the bell), with the read parked or polling
+// first, and the write offered inline or — what every frame above
+// meshInline used to cost — handed to a goroutine and joined. A window
+// starts with meshBenchStep of arithmetic in place of its simulation
+// (ns/op includes it): between empty windows a waker finds the sleeper
+// still spinning in the scheduler, and parking looks as cheap as polling.
 // The numbers are a property of the host (peer.go's package comment quotes
 // the reference VM's), so nothing gates on them.
 func BenchmarkMeshExchange(b *testing.B) {
 	const meshBenchStep = 10 * time.Microsecond // about a K=4 window on the reference VM
 	goWrite := func(l *meshLink) error {
 		l.inflight = true
-		go func() {
-			_, err := l.pc.conn.Write(l.pc.out)
-			l.sent <- err
-		}()
+		go func() { l.sent <- l.pc.writeAll(l.pc.out) }()
 		return nil
 	}
-	for _, size := range []int{200, 2 << 10} {
-		for _, read := range pollModes[1:] {
-			for _, write := range []struct {
-				name string
-				send func(*meshLink) error
-			}{{"inline", (*meshLink).send}, {"goroutine", goWrite}} {
-				b.Run(fmt.Sprintf("%dB/%s/write-%s", size, read.name, write.name), func(b *testing.B) {
-					l := mustListen(b)
-					defer l.Close()
-					conn, err := net.Dial("tcp", l.Addr().String())
-					if err != nil {
-						b.Fatal(err)
-					}
-					accepted, err := l.Accept()
-					if err != nil {
-						b.Fatal(err)
-					}
-					body := make([]byte, size)
-					var links [2]*meshLink
-					for i, c := range []net.Conn{conn, accepted} {
-						pc := newPeerConn(c, 0)
-						pc.trust()
-						pc.rd.gov = &pollGovernor{force: read.force}
-						links[i] = &meshLink{id: 1 - i, pc: pc, sent: make(chan error, 1)}
-						defer c.Close()
-					}
-					// One window's network half, as session.windows does it: write
-					// the frame, read the neighbour's, join the writer.
-					exchange := func(l *meshLink) error {
-						for t0 := time.Now(); time.Since(t0) < meshBenchStep; {
+	socket := func(b testing.TB, force pollForce) [2]*meshLink {
+		conn, accepted := connPair(b)
+		var links [2]*meshLink
+		for i, c := range []net.Conn{conn, accepted} {
+			pc := newPeerConn(c, 0)
+			pc.trust()
+			pc.rd.gov = &pollGovernor{force: force}
+			links[i] = &meshLink{id: 1 - i, pc: pc, sent: make(chan error, 1)}
+		}
+		return links
+	}
+	ring := func(b testing.TB, force pollForce) [2]*meshLink { return ringPair(b, force, ringSize) }
+	for _, transport := range []struct {
+		name  string
+		links func(testing.TB, pollForce) [2]*meshLink
+	}{{"socket", socket}, {"ring", ring}} {
+		for _, size := range []int{200, 2 << 10} {
+			for _, read := range pollModes[1:] {
+				for _, write := range []struct {
+					name string
+					send func(*meshLink) error
+				}{{"inline", (*meshLink).send}, {"goroutine", goWrite}} {
+					b.Run(fmt.Sprintf("%s/%dB/%s/write-%s", transport.name, size, read.name, write.name), func(b *testing.B) {
+						links := transport.links(b, read.force)
+						body := make([]byte, size)
+						// One window's network half, as session.windows does it:
+						// write the frame, read the neighbour's, join the writer.
+						exchange := func(l *meshLink) error {
+							for t0 := time.Now(); time.Since(t0) < meshBenchStep; {
+							}
+							if err := l.pc.put(tXchg, body, l.pc.far); err != nil {
+								return err
+							}
+							if err := write.send(l); err != nil {
+								return err
+							}
+							if _, _, err := l.pc.fr.read(); err != nil {
+								return err
+							}
+							return l.join()
 						}
-						if err := l.pc.put(tXchg, body, l.pc.far); err != nil {
-							return err
-						}
-						if err := write.send(l); err != nil {
-							return err
-						}
-						if _, _, err := l.pc.fr.read(); err != nil {
-							return err
-						}
-						return l.join()
-					}
-					echo := make(chan error, 1)
-					go func() {
-						for {
-							if err := exchange(links[1]); err != nil {
-								echo <- err
-								return
+						echo := make(chan error, 1)
+						go func() {
+							for {
+								if err := exchange(links[1]); err != nil {
+									echo <- err
+									return
+								}
+							}
+						}()
+						b.ReportAllocs()
+						for b.Loop() {
+							if err := exchange(links[0]); err != nil {
+								b.Fatal(err)
 							}
 						}
-					}()
-					b.ReportAllocs()
-					for b.Loop() {
-						if err := exchange(links[0]); err != nil {
-							b.Fatal(err)
+						b.StopTimer()
+						links[0].pc.conn.Close()
+						if err := <-echo; err != io.EOF && !errors.Is(err, net.ErrClosed) {
+							var ne *net.OpError
+							if !errors.As(err, &ne) { // a reset, when the close overtakes the last frame
+								b.Fatalf("echo side: %v", err)
+							}
 						}
-					}
-					b.StopTimer()
-					conn.Close()
-					if err := <-echo; err != io.EOF && !errors.Is(err, net.ErrClosed) {
-						var ne *net.OpError
-						if !errors.As(err, &ne) { // a reset, when the close overtakes the last frame
-							b.Fatalf("echo side: %v", err)
-						}
-					}
-				})
+					})
+				}
 			}
 		}
 	}

@@ -37,12 +37,29 @@ func (s *syncBuffer) String() string {
 // outcome (and really went through a recovery), without it in the
 // deterministic "disconnected at window" error — and either way inside
 // serveChaos's deadline, coordinator and every peer.
-func TestRecovery(t *testing.T) { testRecovery(t, governed) }
+func TestRecovery(t *testing.T) {
+	testRecovery(t, governed)
+	t.Run("tcp", func(t *testing.T) { testRecovery(t, onTCP(governed)) })
+}
 
 // governed leaves a test's fault seam as it is: every mesh link decides by
 // itself when to poll. TestPollModes runs the same bodies with the decision
 // forced both ways.
 func governed(c *chaos) *chaos { return c }
+
+// onTCP is with, and every mesh link kept on its socket. The tests that
+// hold the window loop to its contract run over both transports a link
+// between peers of one host can have: its shared-memory ring, which it
+// takes when it can, and its socket.
+func onTCP(with func(*chaos) *chaos) func(*chaos) *chaos {
+	return func(c *chaos) *chaos {
+		if c = with(c); c == nil {
+			c = &chaos{}
+		}
+		c.tcp = true
+		return c
+	}
+}
 
 func testRecovery(t *testing.T, with func(*chaos) *chaos) {
 	spec := smallSpec(4)
@@ -121,7 +138,10 @@ func testRecovery(t *testing.T, with func(*chaos) *chaos) {
 // TestRecoveryAfterLastWindow: a peer that dies between its last DONE and
 // its REPORT is restored like any other — everybody runs the whole run
 // again and reports again.
-func TestRecoveryAfterLastWindow(t *testing.T) { testRecoveryAfterLastWindow(t, governed) }
+func TestRecoveryAfterLastWindow(t *testing.T) {
+	testRecoveryAfterLastWindow(t, governed)
+	t.Run("tcp", func(t *testing.T) { testRecoveryAfterLastWindow(t, onTCP(governed)) })
+}
 
 func testRecoveryAfterLastWindow(t *testing.T, with func(*chaos) *chaos) {
 	spec := smallSpec(2)
@@ -153,6 +173,11 @@ func testRecoveryAfterLastWindow(t *testing.T, with func(*chaos) *chaos) {
 // merged twice or lost shows — and OnWindow must see every window once, in
 // order.
 func TestRecoveredStreamMatchesRecord(t *testing.T) {
+	testRecoveredStream(t, governed)
+	t.Run("tcp", func(t *testing.T) { testRecoveredStream(t, onTCP(governed)) })
+}
+
+func testRecoveredStream(t *testing.T, with func(*chaos) *chaos) {
 	spec := smallSpec(4)
 	spec.Telem = 5 * sim.Microsecond
 	var want bytes.Buffer
@@ -164,7 +189,7 @@ func TestRecoveredStreamMatchesRecord(t *testing.T) {
 	var stream bytes.Buffer
 	var seen []int
 	cfg := CoordConfig{Rejoin: true, Log: &log, Stream: &stream, OnWindow: func(w int) { seen = append(seen, w) }}
-	got, err := serveChaos(t, spec, 3, 4, cfg, dieOnce(1, 100))
+	got, err := serveChaos(t, spec, 3, 4, cfg, with(dieOnce(1, 100)))
 	if err != nil {
 		t.Fatalf("%v\n%s", err, log.String())
 	}
@@ -241,6 +266,11 @@ func shrinkTo(conn net.Conn, n int) {
 // allows, this run crawls on the kernel's retransmission timers (20 s
 // rather than 4 s) in the good case too.
 func TestNoDeadlockAsymmetricDoneStream(t *testing.T) {
+	testAsymmetricDoneStream(t, nil)
+	t.Run("tcp", func(t *testing.T) { testAsymmetricDoneStream(t, &chaos{tcp: true}) })
+}
+
+func testAsymmetricDoneStream(t *testing.T, ch *chaos) {
 	spec := Spec{K: 8, Seed: 7, Shards: 5, Dur: 20 * sim.Microsecond, Load: 0.5, CellBytes: 512, Hotspot: 1, Pattern: "incast"}
 	spec.Telem = 1 // rounds up to one window: a scrape in every DONE
 	var wantStream bytes.Buffer
@@ -268,7 +298,7 @@ func TestNoDeadlockAsymmetricDoneStream(t *testing.T) {
 			}
 			defer conn.Close()
 			shrinkTo(conn, coordBuffer)
-			runPeerConn(conn, nil)
+			runPeerConn(conn, ch)
 		}()
 	}
 	select {
@@ -291,6 +321,15 @@ func TestNoDeadlockAsymmetricDoneStream(t *testing.T) {
 // tcpPair returns two ends of one loopback TCP connection, both shrunk.
 func tcpPair(t *testing.T) (net.Conn, net.Conn) {
 	t.Helper()
+	a, b := connPair(t)
+	shrink(a)
+	shrink(b)
+	return a, b
+}
+
+// connPair returns two ends of one loopback TCP connection.
+func connPair(t testing.TB) (net.Conn, net.Conn) {
+	t.Helper()
 	l := mustListen(t)
 	defer l.Close()
 	type accepted struct {
@@ -310,8 +349,6 @@ func tcpPair(t *testing.T) (net.Conn, net.Conn) {
 	if b.err != nil {
 		t.Fatal(b.err)
 	}
-	shrink(a)
-	shrink(b.conn)
 	t.Cleanup(func() { a.Close(); b.conn.Close() })
 	return a, b.conn
 }
@@ -323,6 +360,7 @@ func tcpPair(t *testing.T) (net.Conn, net.Conn) {
 // leaves what the socket does not take at once to a goroutine and goes on
 // to read, completes the same exchange; a frame of meshInline bytes must
 // fit two deep without one (a neighbour is at most two frames behind).
+// Over a shared-memory ring the same holds at the ring's size.
 func TestNoDeadlockSymmetricExchange(t *testing.T) { testSymmetricExchange(t, pollGoverned) }
 
 func testSymmetricExchange(t *testing.T, force pollForce) {
@@ -391,7 +429,7 @@ func testSymmetricExchange(t *testing.T, force pollForce) {
 			return err
 		}
 		if !l.inflight {
-			return fmt.Errorf("the socket took a 64 KiB frame whole: the remainder path was not exercised")
+			return fmt.Errorf("the link took a 64 KiB frame whole: the remainder path was not exercised")
 		}
 		return nil
 	}
@@ -404,13 +442,24 @@ func testSymmetricExchange(t *testing.T, force pollForce) {
 			return err
 		}
 		if l.inflight {
-			return fmt.Errorf("a frame of meshInline bytes did not fit the smallest buffers")
+			return fmt.Errorf("a frame of meshInline bytes did not fit two deep")
 		}
 		return nil
 	}
 	if errs := exchange(links(), big[:meshInline], 2, whole); errs[0] != nil || errs[1] != nil {
 		t.Fatalf("two inline frames of meshInline bytes each way: %v, %v", errs[0], errs[1])
 	}
+
+	// A ring smaller than the frame leaves a remainder in both directions
+	// at once, and the default ring takes the two meshInline frames whole.
+	t.Run("ring", func(t *testing.T) {
+		if errs := exchange(ringPair(t, force, shrunkRing), big[:64<<10], 1, short); errs[0] != nil || errs[1] != nil {
+			t.Fatalf("concurrent large exchange over a %d-byte ring failed: %v, %v", shrunkRing, errs[0], errs[1])
+		}
+		if errs := exchange(ringPair(t, force, ringSize), big[:meshInline], 2, whole); errs[0] != nil || errs[1] != nil {
+			t.Fatalf("two inline frames of meshInline bytes each way over a ring: %v, %v", errs[0], errs[1])
+		}
+	})
 }
 
 // TestNoDeadlockShrunkenMesh runs a whole simulation whose XCHG frames
@@ -422,9 +471,23 @@ func testSymmetricExchange(t *testing.T, force pollForce) {
 // flight, and every window waits out a timer or two of the kernel's (a
 // third of a second a window, 0.5 s -> 18 s for the test): the price of
 // exercising, in every window, the path where the socket takes part of a
-// frame and a goroutine writes the rest.
+// frame and a goroutine writes the rest. (So the links stay on their
+// sockets; TestNoDeadlockRingFull is the same run over shrunken rings.)
 func TestNoDeadlockShrunkenMesh(t *testing.T) {
-	testShrunkenMesh(t, &chaos{tune: shrink}, 40*sim.Microsecond)
+	testShrunkenMesh(t, &chaos{tune: shrink, tcp: true}, 40*sim.Microsecond)
+}
+
+// shrunkRing is a ring smaller than one XCHG frame of testShrunkenMesh's
+// spec.
+const shrunkRing = 1 << 10
+
+// TestNoDeadlockRingFull is the symmetric-write deadlock on the ring: every
+// window both peers write a frame larger than the ring before either
+// reads, so both rings fill and both writer goroutines wait for room while
+// their window loops read. The run must end in RunLocal's outcome, with
+// every link on its ring.
+func TestNoDeadlockRingFull(t *testing.T) {
+	testShrunkenMesh(t, &chaos{ringBytes: shrunkRing}, 40*sim.Microsecond)
 }
 
 func testShrunkenMesh(t *testing.T, ch *chaos, dur sim.Time) {
@@ -439,8 +502,18 @@ func testShrunkenMesh(t *testing.T, ch *chaos, dur sim.Time) {
 		t.Fatalf("outcome diverged:\n got %+v\nwant %+v", got, want)
 	}
 	snap := stats.Snapshot()
+	// (meshInline is also shrunkRing: a frame above it overfills the ring.)
 	if perPeer := snap.WindowMailBytes.Sum / float64(snap.Windows) / 2; perPeer <= meshInline {
 		t.Fatalf("spec too light for this test: %.0f mail bytes per peer per window over %d windows never exceed meshInline",
 			perPeer, snap.Windows)
+	}
+	wantRings := 0
+	if !ch.tcpOnly() && ringsHere(t) {
+		wantRings = 1
+	}
+	for _, p := range snap.Peers {
+		if p.RingLinks != wantRings {
+			t.Fatalf("peer %d ran %d links over a ring, want %d", p.Peer, p.RingLinks, wantRings)
+		}
 	}
 }

@@ -4,9 +4,10 @@
 // critical path — and shipped to the coordinator once per flush interval
 // in a STATS frame: how each peer's wall time splits into stepping its
 // shards, running the codec, and waiting for each neighbour's XCHG frame,
-// and how each of those waits was spent — polling the socket or parked in
-// the netpoller (poll.go). CoordStats is the snapshot API the serving tier
-// renders on /metrics.
+// and how each of those waits was spent — polling the socket or ring or
+// parked in the netpoller (poll.go) — and which links ran over a
+// shared-memory ring (ring.go). CoordStats is the snapshot API the serving
+// tier renders on /metrics.
 package distsim
 
 import (
@@ -38,11 +39,13 @@ type peerClock struct {
 	waitHist   []uint64   // len(barrierBounds)+1
 }
 
-// linkPoll is one mesh link's read record for the interval, and whether
-// the link polls as the interval ends.
+// linkPoll is one mesh link's read record for the interval, whether the
+// link polls as the interval ends, and whether it runs over a
+// shared-memory ring (ring.go) rather than its socket.
 type linkPoll struct {
 	pollCounts
 	polling bool
+	ring    bool
 }
 
 func newPeerClock(npeers int) *peerClock {
@@ -62,6 +65,13 @@ func (c *peerClock) observeWait(ns uint64) {
 	c.waitHist[i]++
 }
 
+func flag(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 func (c *peerClock) reset() {
 	*c = peerClock{waitNs: c.waitNs, poll: c.poll, waitHist: c.waitHist}
 	clear(c.waitNs)
@@ -74,7 +84,7 @@ func (c *peerClock) reset() {
 //	STATS := uvarint windows | uvarint stepNs | uvarint codecNs |
 //	         uvarint mailFrames | uvarint rawBytes | uvarint wireBytes |
 //	         uvarint npeers | npeers * (uvarint waitNs | uvarint tries |
-//	                  uvarint ready | uvarint parks | u8 polling) |
+//	                  uvarint ready | uvarint parks | u8 polling | u8 ring) |
 //	         uvarint nbuckets | nbuckets * uvarint count
 func (c *peerClock) appendStats(b []byte) []byte {
 	for _, v := range []uint64{c.windows, c.stepNs, c.codecNs, c.mailFrames, c.rawBytes, c.wireBytes} {
@@ -87,10 +97,7 @@ func (c *peerClock) appendStats(b []byte) []byte {
 		b = binary.AppendUvarint(b, lp.tries)
 		b = binary.AppendUvarint(b, lp.ready)
 		b = binary.AppendUvarint(b, lp.parks)
-		b = append(b, 0)
-		if lp.polling {
-			b[len(b)-1] = 1
-		}
+		b = append(b, flag(lp.polling), flag(lp.ring))
 	}
 	b = binary.AppendUvarint(b, uint64(len(c.waitHist)))
 	for _, v := range c.waitHist {
@@ -114,10 +121,10 @@ func (c *peerClock) parseStats(b []byte) error {
 		if b, err = uvarints(b, "STATS", &c.waitNs[i], &lp.tries, &lp.ready, &lp.parks); err != nil {
 			return err
 		}
-		if len(b) == 0 || b[0] > 1 {
-			return fmt.Errorf("distsim: bad STATS poll flag")
+		if len(b) < 2 || b[0] > 1 || b[1] > 1 {
+			return fmt.Errorf("distsim: bad STATS link flags")
 		}
-		lp.polling, b = b[0] == 1, b[1:]
+		lp.polling, lp.ring, b = b[0] == 1, b[1] == 1, b[2:]
 	}
 	if b, err = uvarints(b, "STATS", &nb); err != nil {
 		return err
@@ -158,10 +165,10 @@ type CoordStats struct {
 // that names a straggler.
 type peerTotals struct {
 	stepNs, codecNs, waitNs, waitedOnNs uint64
-	// Its mesh reads, summed over its links; polling is how many of the
-	// links polled when it last reported.
-	reads   pollCounts
-	polling int
+	// Its mesh reads, summed over its links; polling and ring are how many
+	// of the links polled, and ran over a ring, when it last reported.
+	reads         pollCounts
+	polling, ring int
 }
 
 // NewCoordStats builds an empty stats accumulator.
@@ -197,6 +204,9 @@ type PeerStats struct {
 	PollReady    uint64 `json:"poll_ready"`
 	Parks        uint64 `json:"parks"`
 	PollingLinks int    `json:"polling_links"`
+	// RingLinks is how many of its mesh links ran over a shared-memory
+	// ring when it last reported; the others ran over their sockets.
+	RingLinks int `json:"ring_links"`
 }
 
 // CoordStatsSnapshot is a point-in-time copy of the metrics.
@@ -247,6 +257,7 @@ func (s *CoordStats) Snapshot() CoordStatsSnapshot {
 			PollReady:    t.reads.ready,
 			Parks:        t.reads.parks,
 			PollingLinks: t.polling,
+			RingLinks:    t.ring,
 		}
 		if t.waitedOnNs > worst {
 			worst, snap.Straggler = t.waitedOnNs, p
@@ -286,14 +297,13 @@ func (s *CoordStats) flushed(p int, c *peerClock) {
 	t.stepNs += c.stepNs
 	t.codecNs += c.codecNs
 	t.waitNs += wait
-	t.polling = 0
+	t.polling, t.ring = 0, 0
 	for _, lp := range c.poll {
 		t.reads.tries += lp.tries
 		t.reads.ready += lp.ready
 		t.reads.parks += lp.parks
-		if lp.polling {
-			t.polling++
-		}
+		t.polling += int(flag(lp.polling))
+		t.ring += int(flag(lp.ring))
 	}
 	s.mailFrames += c.mailFrames
 	s.rawBytes += c.rawBytes

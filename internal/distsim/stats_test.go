@@ -61,8 +61,8 @@ func TestStatsFrameRoundTrip(t *testing.T) {
 	c := newPeerClock(3)
 	c.windows, c.stepNs, c.codecNs, c.mailFrames, c.rawBytes, c.wireBytes = 32, 1e6, 2e5, 60, 9000, 8000
 	c.waitNs[1], c.waitNs[2] = 7e5, 3e4
-	c.poll[1] = linkPoll{pollCounts{tries: 900, ready: 30, parks: 2}, true}
-	c.poll[2] = linkPoll{pollCounts{parks: 32}, false}
+	c.poll[1] = linkPoll{pollCounts{tries: 900, ready: 30, parks: 2}, true, true}
+	c.poll[2] = linkPoll{pollCounts{parks: 32}, false, false}
 	c.observeWait(5_000)      // first bucket
 	c.observeWait(50_000_000) // 50 ms
 	c.observeWait(5e9)        // +Inf
@@ -78,18 +78,24 @@ func TestStatsFrameRoundTrip(t *testing.T) {
 	if got.poll[0] != (linkPoll{}) || got.poll[1] != c.poll[1] || got.poll[2] != c.poll[2] {
 		t.Fatalf("STATS poll records came back as %+v", got.poll)
 	}
-	// The coordinator sums a peer's links and counts the polling ones.
+	// The coordinator sums a peer's links and counts the polling ones and
+	// the ones on a ring.
 	stats := NewCoordStats()
 	stats.flushed(0, got)
 	stats.flushed(0, got)
-	if p := stats.Snapshot().Peers[0]; p.PollTries != 1800 || p.PollReady != 60 || p.Parks != 68 || p.PollingLinks != 1 {
+	if p := stats.Snapshot().Peers[0]; p.PollTries != 1800 || p.PollReady != 60 || p.Parks != 68 || p.PollingLinks != 1 || p.RingLinks != 1 {
 		t.Fatalf("two flushes summed to %+v", p)
 	}
-	flag := len(body) - len(got.waitHist) - 2 // peer 2's polling byte: the last before the bucket count
-	if bad := append([]byte(nil), body...); bad[flag] != 0 {
-		t.Fatalf("test out of step with the STATS layout: byte %d is %d", flag, bad[flag])
-	} else if bad[flag] = 2; newPeerClock(3).parseStats(bad) == nil {
-		t.Fatal("a polling flag of 2 parsed")
+	// Peer 2's polling and ring bytes: the last two before the bucket count.
+	for _, f := range []struct {
+		name string
+		at   int
+	}{{"polling", len(body) - len(got.waitHist) - 3}, {"ring", len(body) - len(got.waitHist) - 2}} {
+		if bad := append([]byte(nil), body...); bad[f.at] != 0 {
+			t.Fatalf("test out of step with the STATS layout: byte %d is %d", f.at, bad[f.at])
+		} else if bad[f.at] = 2; newPeerClock(3).parseStats(bad) == nil {
+			t.Fatalf("a %s flag of 2 parsed", f.name)
+		}
 	}
 	if err := newPeerClock(2).parseStats(body); err == nil {
 		t.Fatal("a STATS frame for three peers parsed in a two-peer run")

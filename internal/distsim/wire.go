@@ -1,4 +1,5 @@
-// Wire protocol (v6): length-prefixed frames over TCP.
+// Wire protocol (v7): length-prefixed frames over TCP — or, on a mesh link
+// whose ends share a host, through a shared-memory ring (ring.go).
 //
 //	frame   := u32be length | u8 type | u8 flags | body
 //	length  counts type+flags+body. flags bit0 = body is DEFLATE-compressed:
@@ -7,8 +8,9 @@
 //	loop's XCHG and DONE only between hosts (peerConn.far).
 //
 // Control frames (HELLO, WELCOME, READY, START, MESH-HELLO, REPORT, ERROR)
-// carry JSON — they happen once per join. The per-window frames carry
-// compact varints:
+// carry JSON — they happen once per join, as does RING, the dialer's
+// one-byte answer to a ring offer (1: taken, 0: the link stays on its
+// socket). The per-window frames carry compact varints:
 //
 //	XCHG  := uvarint window | uvarint ownedPending | uvarint mailOut | batch
 //	DONE  := uvarint window | uvarint ownedPending | uvarint entries |
@@ -61,8 +63,10 @@ import (
 // DONE a one-way batched stream and recovery a re-join (STALL, START); 5
 // added each mesh link's poll record to STATS; 6 made recovery a re-run
 // from window 0, dropping the resume log from WELCOME and the mail copy
-// from DONE.
-const protoVersion = 6
+// from DONE; 7 lets a mesh link of one host run over a shared-memory ring
+// (the ring offer in the acceptor's mesh HELLO, the RING answer) and adds
+// each link's transport to STATS.
+const protoVersion = 7
 
 // Frame types.
 const (
@@ -78,6 +82,7 @@ const (
 	tMeshHello byte = 10 // peer <-> peer: identity, run token, model hash
 	tStall     byte = 11 // peer -> coord: mesh lost at window w, parked for a WELCOME
 	tStats     byte = 12 // peer -> coord: wall-time split since the last flush
+	tRing      byte = 13 // peer -> peer: the dialer took the offered ring, or not
 )
 
 const (
@@ -117,12 +122,14 @@ type startMsg struct {
 	Token uint64   `json:"token"`
 }
 
-// meshHelloMsg identifies one end of a mesh connection to the other.
+// meshHelloMsg identifies one end of a mesh connection to the other. The
+// acceptor's may offer Ring, the name of a ring file it made for the link.
 type meshHelloMsg struct {
 	Version int    `json:"v"`
 	Peer    int    `json:"peer"`
 	Token   uint64 `json:"token"`
 	Hash    uint64 `json:"hash"`
+	Ring    string `json:"ring,omitempty"`
 }
 
 type shardReport struct {

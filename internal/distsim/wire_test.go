@@ -199,8 +199,9 @@ func meshStranger(t *testing.T, addr string, send []byte) (byte, string) {
 // TestMeshHelloRejections: a connection to a peer's mesh listener that is
 // not one of the neighbours this session expects — unknown, out-of-range
 // or duplicate id, another session's token, another model's hash, another
-// protocol version, not a HELLO at all — gets an ERROR frame and never
-// holds a slot; the real neighbours still get theirs.
+// protocol version, a ring offered from the dialing side, not a HELLO at
+// all — gets an ERROR frame and never holds a slot; the real neighbours
+// still get theirs.
 func TestMeshHelloRejections(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -232,6 +233,7 @@ func TestMeshHelloRejections(t *testing.T) {
 		return frame(t, tMeshHello, b, false)
 	}
 	addr := lis.Addr().String()
+	dialerOffer, _ := json.Marshal(meshHelloMsg{Version: protoVersion, Peer: 1, Token: token, Hash: hash, Ring: ringPrefix + "1-0000000000000001"})
 	for _, bad := range []struct {
 		name string
 		send []byte
@@ -245,19 +247,25 @@ func TestMeshHelloRejections(t *testing.T) {
 		{"wrong version", hello(protoVersion-1, 1, token, hash), "version"},
 		{"not a hello", frame(t, tXchg, []byte{0, 0, 0, 0}, false), "instead of a mesh HELLO"},
 		{"not json", frame(t, tMeshHello, []byte("{"), false), "bad mesh HELLO"},
+		{"a dialer's ring offer", frame(t, tMeshHello, dialerOffer, false), "offers a ring"},
 		{"length prefix only", []byte{0x10, 0, 0, 0, tMeshHello, 0}, "bad frame length"},
 	} {
 		if typ, body := meshStranger(t, addr, bad.send); typ != tError || !strings.Contains(body, bad.want) {
 			t.Errorf("%s: answered frame %d %q, want an ERROR naming %q", bad.name, typ, body, bad.want)
 		}
 	}
-	if typ, _ := meshStranger(t, addr, hello(protoVersion, 1, token, hash)); typ != tMeshHello {
+	// The real peers decline the ring the listener may offer them: the
+	// slot is taken once the handshake is over.
+	real := func(id int) []byte {
+		return append(hello(protoVersion, id, token, hash), frame(t, tRing, []byte{0}, false)...)
+	}
+	if typ, _ := meshStranger(t, addr, real(1)); typ != tMeshHello {
 		t.Fatalf("the real peer 1 was answered with frame %d", typ)
 	}
-	if typ, body := meshStranger(t, addr, hello(protoVersion, 1, token, hash)); typ != tError || !strings.Contains(body, "no free slot") {
+	if typ, body := meshStranger(t, addr, real(1)); typ != tError || !strings.Contains(body, "no free slot") {
 		t.Errorf("duplicate id: answered frame %d %q, want an ERROR", typ, body)
 	}
-	if typ, _ := meshStranger(t, addr, hello(protoVersion, 2, token, hash)); typ != tMeshHello {
+	if typ, _ := meshStranger(t, addr, real(2)); typ != tMeshHello {
 		t.Fatalf("the real peer 2 was answered with frame %d", typ)
 	}
 	select {
@@ -268,7 +276,7 @@ func TestMeshHelloRejections(t *testing.T) {
 		if r.links[0] != nil || r.links[1] == nil || r.links[2] == nil {
 			t.Fatalf("mesh slots after the strangers: %v", r.links)
 		}
-		closeLinks(r.links)
+		releaseLinks(r.links)
 	case <-time.After(30 * time.Second):
 		t.Fatal("connectMesh never completed")
 	}

@@ -686,6 +686,8 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 		func(p distsim.PeerStats) float64 { return float64(p.Parks) })
 	perPeer("stardust_distsim_peer_poll_links", "gauge", "mesh links of a peer that polled when it last reported (a gauge: the others have backed off to parking)",
 		func(p distsim.PeerStats) float64 { return float64(p.PollingLinks) })
+	perPeer("stardust_distsim_peer_ring_links", "gauge", "mesh links of a peer that ran over a shared-memory ring when it last reported (the others ran over their sockets)",
+		func(p distsim.PeerStats) float64 { return float64(p.RingLinks) })
 	telemetry.WriteProm(w, "stardust_distsim_barrier_seconds", "per-window mesh wait of one peer: from its own XCHG frames sent to everyone else's received", ds.BarrierLatency)
 	telemetry.WriteProm(w, "stardust_distsim_window_mail_bytes", "raw mail entry bytes the peers exchanged per window", ds.WindowMailBytes)
 	if s.run == nil {

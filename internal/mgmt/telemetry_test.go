@@ -283,8 +283,9 @@ func TestObservabilityMetricsFamilies(t *testing.T) {
 }
 
 // TestDistsimPeerPollSurfaces: a distributed run this process coordinated
-// shows, per peer, how its mesh reads waited — on /api/v1/distsim and as
-// the stardust_distsim_peer_poll_* families on /metrics.
+// shows, per peer, how its mesh reads waited and whether its links ran over
+// shared memory — on /api/v1/distsim and as the stardust_distsim_peer_poll_*
+// and stardust_distsim_peer_ring_links families on /metrics.
 func TestDistsimPeerPollSurfaces(t *testing.T) {
 	lis, err := distsim.Listen("127.0.0.1:0")
 	if err != nil {
@@ -319,6 +320,11 @@ func TestDistsimPeerPollSurfaces(t *testing.T) {
 		if reads := p.PollReady + p.Parks; reads == 0 && runtime.GOOS != "windows" || reads > 2*ds.Coord.Windows {
 			t.Errorf("peer %d: %d ready + %d parked mesh reads over %d windows", p.Peer, p.PollReady, p.Parks, ds.Coord.Windows)
 		}
+		// Both peers are on this host: where a ring can be had, their one
+		// link runs over it.
+		if p.RingLinks < 0 || p.RingLinks > 1 || p.RingLinks == 0 && runtime.GOOS == "linux" {
+			t.Errorf("peer %d: %d of its 1 links over shared memory", p.Peer, p.RingLinks)
+		}
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -333,6 +339,8 @@ func TestDistsimPeerPollSurfaces(t *testing.T) {
 		`stardust_distsim_peer_poll_parks_total{peer="0"}`,
 		"# TYPE stardust_distsim_peer_poll_links gauge",
 		`stardust_distsim_peer_poll_links{peer="1"}`,
+		"# TYPE stardust_distsim_peer_ring_links gauge",
+		`stardust_distsim_peer_ring_links{peer="0"}`,
 	} {
 		if !strings.Contains(string(blob), series) {
 			t.Errorf("/metrics lacks %s", series)

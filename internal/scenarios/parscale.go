@@ -145,15 +145,16 @@ func runDistFabric(spec distsim.Spec, c engine.Context, timings bool) (parRun, e
 // distTimings renders where a distributed run's wall time went: per peer
 // the time stepping shards and in the codec (busy) and blocked on the
 // neighbours' XCHG frames (wait), how those waits were spent — mesh reads
-// that parked in the netpoller against all of them, the non-blocking
-// attempts made instead, the links still polling — and the peer the others
-// waited on most.
+// that parked against all of them, the non-blocking attempts made
+// instead, the links still polling — how many of its links ran over
+// shared memory rather than their sockets, and the peer the others waited
+// on most.
 func distTimings(b *strings.Builder, r parRun) {
 	links := len(r.dist.Peers) - 1
 	fmt.Fprintf(b, "  wall %v over %d peers, %d windows:", r.wall.Round(time.Millisecond), len(r.dist.Peers), r.dist.Windows)
 	for _, p := range r.dist.Peers {
-		fmt.Fprintf(b, " peer %d busy %.0fms wait %.0fms (%d of %d reads parked, %d polls, %d/%d links polling),",
-			p.Peer, p.Busy*1e3, p.Wait*1e3, p.Parks, p.Parks+p.PollReady, p.PollTries, p.PollingLinks, links)
+		fmt.Fprintf(b, " peer %d busy %.0fms wait %.0fms (%d of %d reads parked, %d polls, %d/%d links polling, %d/%d on shared memory),",
+			p.Peer, p.Busy*1e3, p.Wait*1e3, p.Parks, p.Parks+p.PollReady, p.PollTries, p.PollingLinks, links, p.RingLinks, links)
 	}
 	fmt.Fprintf(b, " straggler %d\n", r.dist.Straggler)
 }
