@@ -162,7 +162,7 @@ func Serve(lis net.Listener, cfg CoordConfig) (Outcome, error) {
 		cfg:     cfg,
 		model:   model,
 		owners:  owners,
-		hash:    modelHash(cfg.Spec, owners, model),
+		hash:    modelHash(cfg.Spec, owners, model.Net.Cut(), model),
 		conns:   make(chan net.Conn, 16), // joins parked while the loop is busy; more are refused
 		peers:   make([]*peerConn, cfg.Peers),
 		mesh:    make([]string, cfg.Peers),
@@ -802,6 +802,7 @@ func (c *coord) finish(windows int) (Outcome, error) {
 	out.Unreachable += c.model.Net.Unreachable(fabric.Replicated)
 	out.Digest = foldDigest(sinkCells, sinkBytes, dirs)
 	out.ShardEvents = shardEv
+	out.Cut = cutTraffic(c.model.Net, dirs)
 	c.stats.runDone()
 	c.logf("distsim: run complete after %d windows, digest %016x", windows, out.Digest)
 	return out, nil

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -161,6 +162,7 @@ func TestStepOwnedMatchesRun(t *testing.T) {
 		Unreachable: m.Net.UnreachablePairs(),
 		Digest:      foldDigest(sc, sb, dirs),
 		ShardEvents: m.Eng.Stats().ShardEvents,
+		Cut:         cutTraffic(m.Net, dirs),
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("StepOwned outcome diverged:\n got %+v\nwant %+v", got, want)
@@ -294,6 +296,51 @@ func TestPartitionDisagreement(t *testing.T) {
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("coordinator hung on partition disagreement")
+	}
+}
+
+// The READY hash covers the node -> shard cut: two replicas that cut the
+// same graph differently must not agree on it.
+func TestModelHashCoversCut(t *testing.T) {
+	spec := smallSpec(2)
+	m, err := NewModel(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owners, cut := OwnersFor(spec.Shards, 2), m.Net.Cut()
+	want := modelHash(spec, owners, cut, m)
+	if got := modelHash(spec, owners, m.Net.Cut(), m); got != want {
+		t.Fatalf("same replica hashed %016x, then %016x", want, got)
+	}
+	for _, node := range []int{0, len(cut) - 1} {
+		moved := slices.Clone(cut)
+		moved[node] = 1 - moved[node]
+		if got := modelHash(spec, owners, moved, m); got == want {
+			t.Errorf("moving node %d to shard %d left the hash %016x", node, moved[node], got)
+		}
+	}
+}
+
+// On the benchmark's two-shard K=8 Clos the cut follows the pods: only
+// the spine links cross it, so the mail is about half a message per
+// delivered cell (1.52 when every tier was cut into index blocks), and it
+// is exactly the cells the cut links carried.
+func TestTwoShardClosMail(t *testing.T) {
+	spec := Spec{K: 8, Topo: "clos", Seed: 1, Shards: 2, Dur: 6250 * sim.Microsecond, Load: 0.4, CellBytes: 512, Hotspot: 1}
+	m, err := NewModel(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := m.RunLocal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mail := m.Eng.Stats().Mail
+	if perCell := float64(mail) / float64(out.Delivered); out.Delivered == 0 || perCell > 0.6 {
+		t.Errorf("%d messages for %d delivered cells: %.2f per cell, want <= 0.6", mail, out.Delivered, perCell)
+	}
+	if mail != out.Cut.Cells {
+		t.Errorf("mail %d, cells over the %d cut links %d", mail, out.Cut.CutLinks, out.Cut.Cells)
 	}
 }
 

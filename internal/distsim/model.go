@@ -241,6 +241,31 @@ type Outcome struct {
 	Unreachable int
 	Digest      uint64
 	ShardEvents []uint64
+	Cut         CutTraffic
+}
+
+// CutTraffic is what crossed a run's shard cut: Links counts the topology
+// links, CutLinks those whose ends lie on different shards, and Cells the
+// cells forwarded over them — every cross-shard message of a run that
+// fails no link (parsim.Stats.Mail adds the reach updates a failure
+// sends). Like ShardEvents, it depends on the shard count but not on where
+// the shards ran.
+type CutTraffic struct {
+	Links, CutLinks int
+	Cells           uint64
+}
+
+// cutTraffic reads the cut of the fabric n off its directed link counters
+// dirs.
+func cutTraffic(n *fabric.Net, dirs [][3]uint64) CutTraffic {
+	c := CutTraffic{Links: n.NumLinks()}
+	for i := range c.Links {
+		if n.OwnerOfLinkDir(2*i) != n.OwnerOfLinkDir(2*i+1) {
+			c.CutLinks++
+			c.Cells += dirs[2*i][1] + dirs[2*i+1][1]
+		}
+	}
+	return c
 }
 
 // foldDigest computes the canonical fabric digest: per-FA sink counters
@@ -308,13 +333,16 @@ func (m *Model) RunLocal() (Outcome, error) {
 		Unreachable: m.Net.UnreachablePairs(),
 		Digest:      foldDigest(sinkCells, sinkBytes, dirs),
 		ShardEvents: m.Eng.Stats().ShardEvents,
+		Cut:         cutTraffic(m.Net, dirs),
 	}, nil
 }
 
 // OwnersFor partitions spec.Shards shards over npeers peers in contiguous
-// blocks — the same deterministic rule fabric.NewSharded uses for each
-// tier's devices over shards, so two runs with the same (spec, npeers)
-// always cut identically.
+// blocks, so two runs with the same (spec, npeers) always place shards
+// identically. fabric.Partition keeps such blocks low-cut: no block of
+// shards is cut from the rest by more links than under per-tier index
+// blocks, and a Clos cut into four shards over two peers gives each peer
+// one pod whole.
 func OwnersFor(shards, npeers int) []int {
 	owners := make([]int, shards)
 	for s := range owners {
@@ -324,13 +352,15 @@ func OwnersFor(shards, npeers int) []int {
 }
 
 // modelHash fingerprints everything the peers must agree on before the
-// first window: the spec, the partition map, and the replica's derived
-// topology — the canonical topology spec string plus the graph and lane
-// dimensions, so two peers that sized different graphs from the same
-// flags fail the READY handshake instead of diverging digests half an
-// hour into a run.
-func modelHash(spec Spec, owners []int, m *Model) uint64 {
+// first window: the spec, the partition map — which peer owns each shard
+// (owners) and which shard owns each node (cut, fabric.Net.Cut) — and the
+// replica's derived topology: the canonical topology spec string plus the
+// graph and lane dimensions. Two peers that sized different graphs from
+// the same flags, or cut the same graph differently, fail the READY
+// handshake instead of misrouting mail or diverging digests half an hour
+// into a run.
+func modelHash(spec Spec, owners, cut []int, m *Model) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v/%v/%s/%d/%d/%d", spec, owners, m.Graph.Spec(), m.Graph.NumNodes(), m.Graph.NumEdge(), m.Net.Lanes())
+	fmt.Fprintf(h, "%+v/%v/%v/%s/%d/%d/%d", spec, owners, cut, m.Graph.Spec(), m.Graph.NumNodes(), m.Graph.NumEdge(), m.Net.Lanes())
 	return h.Sum64()
 }

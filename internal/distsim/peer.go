@@ -398,7 +398,7 @@ func (p *peer) welcome(body []byte) (*session, error) {
 			}
 		}
 	}
-	s.hash = modelHash(wm.Spec, wm.Owners, m)
+	s.hash = modelHash(wm.Spec, wm.Owners, m.Net.Cut(), m)
 	rb, err := json.Marshal(readyMsg{Hash: s.hash})
 	if err != nil {
 		return nil, err

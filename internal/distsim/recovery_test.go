@@ -463,8 +463,9 @@ func testSymmetricExchange(t *testing.T, force pollForce) {
 }
 
 // TestNoDeadlockShrunkenMesh runs a whole simulation whose XCHG frames
-// exceed meshInline (K=8 at high load: a few kilobytes of mail per window
-// each way) over mesh connections with shrunken buffers.
+// exceed meshInline (K=10 at high load on three shards: two to three
+// kilobytes of mail per window each way) over mesh connections with
+// shrunken buffers.
 //
 // Written as they are since nothing between two peers of one host is
 // deflated, these frames exceed what the shrunken buffers let TCP keep in
@@ -490,8 +491,12 @@ func TestNoDeadlockRingFull(t *testing.T) {
 	testShrunkenMesh(t, &chaos{ringBytes: shrunkRing}, 40*sim.Microsecond)
 }
 
+// testShrunkenMesh runs K=10 at load 0.9 on three shards over two peers.
+// K=8 on two shards is cut along the Clos's pods, and the mail left
+// crossing the cut (the spine links alone) stays under meshInline per
+// window.
 func testShrunkenMesh(t *testing.T, ch *chaos, dur sim.Time) {
-	spec := Spec{K: 8, Seed: 3, Shards: 2, Dur: dur, Load: 0.9, CellBytes: 512, Hotspot: 1}
+	spec := Spec{K: 10, Seed: 3, Shards: 3, Dur: dur, Load: 0.9, CellBytes: 512, Hotspot: 1}
 	want := localOutcome(t, spec)
 	stats := NewCoordStats()
 	got, err := serveChaos(t, spec, 2, 2, CoordConfig{Stats: stats}, ch)

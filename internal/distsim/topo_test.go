@@ -47,9 +47,10 @@ func TestTopoShardInvariance(t *testing.T) {
 				}
 				for _, shards := range []int{2, 4} {
 					got := localOutcome(t, topoSpec(topoName, pattern, shards))
-					// ShardEvents legitimately varies with the split; every
-					// other field is the determinism contract.
+					// ShardEvents and the cut legitimately vary with the
+					// split; every other field is the determinism contract.
 					got.ShardEvents, ref.ShardEvents = nil, nil
+					got.Cut, ref.Cut = CutTraffic{}, CutTraffic{}
 					got.Events, ref.Events = 0, 0
 					if !reflect.DeepEqual(got, ref) {
 						t.Fatalf("%s %q diverged at shards=%d:\n got %+v\nwant %+v",
@@ -81,6 +82,7 @@ func TestTopoFailHealInvariants(t *testing.T) {
 			for _, shards := range []int{2, 4} {
 				got := localOutcome(t, mk(shards))
 				got.ShardEvents, ref.ShardEvents = nil, nil
+				got.Cut, ref.Cut = CutTraffic{}, CutTraffic{}
 				got.Events, ref.Events = 0, 0
 				if !reflect.DeepEqual(got, ref) {
 					t.Fatalf("%s fail/heal diverged at shards=%d:\n got %+v\nwant %+v",

@@ -532,51 +532,105 @@ func ShardCount(requested int, g topo.Graph) (int, error) {
 	return max(requested, 1), nil
 }
 
-// NewSharded builds the fabric across the shards of eng. assign maps
-// each node to a shard; nil assigns contiguous blocks per tier — a
-// deterministic function of (graph, shard count), so two runs at the
-// same shard count always cut the same links. The engine's lookahead
-// must not exceed the link delay (a cell crossing a cut link must arrive
-// at least one window later) and the reach delay must be at least two
-// lookaheads (build + deliver).
+// NewSharded builds the fabric across the shards of eng, cut by
+// Partition: a deterministic function of (graph, shard count), so two
+// runs at the same shard count always cut the same links. assign must be
+// nil: it is kept only for callers that still pass it. The engine's
+// lookahead must not exceed the link delay (a cell crossing a cut link
+// must arrive at least one window later) and the reach delay must be at
+// least two lookaheads (build + deliver).
 func NewSharded(eng *parsim.Engine, cfg Config, g topo.Graph, assign []int) (*Net, error) {
+	if assign != nil {
+		return nil, fmt.Errorf("fabric: a custom shard assignment is not supported; pass nil")
+	}
 	if eng.Lookahead() > cfg.LinkDelay {
 		return nil, fmt.Errorf("fabric: engine lookahead %d exceeds link delay %d", eng.Lookahead(), cfg.LinkDelay)
 	}
 	if cfg.ReachDelay < 2*eng.Lookahead() {
 		return nil, fmt.Errorf("fabric: reach delay %d below two lookaheads (%d)", cfg.ReachDelay, 2*eng.Lookahead())
 	}
-	if assign == nil {
-		assign = tierBlocks(g, eng.Shards())
-	}
-	if len(assign) != g.NumNodes() {
-		return nil, fmt.Errorf("fabric: sharding shape %d does not match %d nodes", len(assign), g.NumNodes())
-	}
-	for _, s := range assign {
-		if s < 0 || s >= eng.Shards() {
-			return nil, fmt.Errorf("fabric: shard %d out of range [0,%d)", s, eng.Shards())
-		}
-	}
 	shards := make([]*shardState, eng.Shards())
 	for i := range shards {
 		shards[i] = &shardState{id: i, sm: eng.Shard(i).Sim()}
 	}
-	return build(cfg, g, shards, assign, eng)
+	return build(cfg, g, shards, Partition(g, eng.Shards()), eng)
 }
 
-// tierBlocks distributes the nodes of g over n shards in contiguous
-// index blocks, each tier independently.
-func tierBlocks(g topo.Graph, n int) []int {
-	count := make([]int, g.NumTiers())
+// Partition cuts the nodes of g into n shards along its traffic. Each
+// tier starts in contiguous index blocks, one per shard, so every shard
+// holds its share of every tier to within one node — the edge devices
+// source and sink every cell, the interior tiers forward it. Then, while
+// swapping two nodes of one tier between their shards cuts fewer links,
+// the best such partner of each node in turn is swapped with it; a swap
+// keeps every shard's count of every tier. On a two-shard Clos this moves
+// every FA to the pod of its uplinks (all of FA i's land on one half of
+// the FE1s, chosen by the parity of i), so no FA–FE1 link is cut. The
+// result is a deterministic function of (g, n) alone.
+func Partition(g topo.Graph, n int) []int {
+	tiers := make([][]int, g.NumTiers()) // each tier's nodes, ascending
 	for i := 0; i < g.NumNodes(); i++ {
-		count[g.Node(i).Tier]++
-	}
-	rank := make([]int, len(count))
-	out := make([]int, g.NumNodes())
-	for i := range out {
 		t := g.Node(i).Tier
-		out[i] = rank[t] * n / count[t]
-		rank[t]++
+		tiers[t] = append(tiers[t], i)
+	}
+	out := make([]int, g.NumNodes())
+	for _, tier := range tiers {
+		for r, v := range tier {
+			out[v] = r * n / len(tier)
+		}
+	}
+	nbrs := make([][]int, g.NumNodes()) // one entry per link: parallel links repeat
+	for _, lk := range g.GraphLinks() {
+		nbrs[lk.A] = append(nbrs[lk.A], lk.B)
+		nbrs[lk.B] = append(nbrs[lk.B], lk.A)
+	}
+	in := make([][]int, len(out)) // in[v][s]: v's links into shard s
+	for v, ns := range nbrs {
+		in[v] = make([]int, n)
+		for _, u := range ns {
+			in[v][out[u]]++
+		}
+	}
+	move := func(v, to int) {
+		for _, u := range nbrs[v] {
+			in[u][out[v]]--
+			in[u][to]++
+		}
+		out[v] = to
+	}
+	for swapped := true; swapped; {
+		swapped = false
+		for _, tier := range tiers {
+			for i, u := range tier {
+				a := out[u]
+				best, bestGain := -1, 0
+				for _, v := range tier[i+1:] {
+					b := out[v]
+					if b == a {
+						continue
+					}
+					// The in-counts take a link between u and v for one the
+					// swap joins, on both sides; it stays cut.
+					gain := in[u][b] - in[u][a] + in[v][a] - in[v][b]
+					if gain <= bestGain {
+						continue
+					}
+					for _, w := range nbrs[u] {
+						if w == v {
+							gain -= 2
+						}
+					}
+					if gain > bestGain {
+						best, bestGain = v, gain
+					}
+				}
+				if best >= 0 {
+					b := out[best]
+					move(u, b)
+					move(best, a)
+					swapped = true
+				}
+			}
+		}
 	}
 	return out
 }
@@ -747,6 +801,16 @@ func (n *Net) SetMode(m RouteMode) {
 // the shard whose Simulator injection events and egress endpoints for fa
 // must run on. The assignment is fixed when the fabric is built.
 func (n *Net) ShardOfFA(fa int) int { return n.edges[fa].sh.id }
+
+// Cut returns the shard owning each node, in node order: Partition's
+// answer for a sharded fabric, all zeros for a solo one.
+func (n *Net) Cut() []int {
+	out := make([]int, len(n.nodes))
+	for i, d := range n.nodes {
+		out[i] = d.sh.id
+	}
+	return out
+}
 
 // EdgeSim returns the event heap edge device fa's events run on.
 func (n *Net) EdgeSim(fa int) *sim.Simulator { return n.edges[fa].sh.sm }

@@ -349,7 +349,8 @@ func netDigest(n *Net) uint64 {
 // Under rotate traffic on two shards every cell is taken from its source's
 // shard list and returned to its destination's, so cells cross the cut
 // both ways and the lists trade them: the lists must stay bounded, lose
-// no cell the fabric counts, and leave the run the one-shard run.
+// no cell the fabric counts, and leave the run the one-shard run. Load 0.6
+// keeps enough cells live that both lists reach the bound at the drain.
 func TestShardFreeListsStayBounded(t *testing.T) {
 	run := func(shards int) *Net {
 		g, err := ClosFor(8)
@@ -363,7 +364,7 @@ func TestShardFreeListsStayBounded(t *testing.T) {
 		}
 		numFA := n.NumFA()
 		for fa := range numFA {
-			gap := n.CellGap(fa, 512, 0.4)
+			gap := n.CellGap(fa, 512, 0.6)
 			n.NewInjector(fa, gap, 512, 500*sim.Microsecond, -1).Start(sim.Time(fa) * gap / sim.Time(numFA))
 		}
 		eng.RunUntilQuiet(sim.Millisecond)

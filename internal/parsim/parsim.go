@@ -84,9 +84,11 @@
 // Fan-out still buys parallelism at a price — every window ends when its
 // slowest shard does — and whether that pays is a property of the host and
 // the load, not of the model: the same two-shard K=8 run (6,256 windows of
-// ~900 events) takes 0.36-0.37 s inline and 0.27-0.30 s fanned out on two
-// idle vCPUs, one shard 0.31 s, and fanned out it takes longer than inline
-// when a neighbour holds one of the vCPUs. So the engine measures instead
+// ~900 events and ~65 messages) takes 0.26-0.30 s inline and 0.28-0.33 s
+// fanned out, one shard 0.23-0.28 s (quartiles of 14 runs on the shared
+// 2-vCPU reference VM; 0.28-0.32 s and 0.34-0.44 s while three times the
+// mail crossed the cut), where on two idle vCPUs fan-out once led with
+// 0.27-0.30 s against 0.36-0.37 s inline. So the engine measures instead
 // of being told: a governor times every epoch of 32 windows (one clock read
 // per epoch inside a long Run, two more per call), divides by the events
 // and windows executed, and after `hold` epochs probes the other mode for

@@ -44,6 +44,7 @@ type parRun struct {
 	digest      uint64
 	wall        time.Duration
 	shardEvents []uint64
+	cut         distsim.CutTraffic
 	exec        parsim.Stats // how the engine executed the windows; in-process runs only
 	// dist is where each peer's wall time went; distributed runs with
 	// timings only.
@@ -86,6 +87,7 @@ func fromOutcome(out distsim.Outcome, wall time.Duration) parRun {
 		digest:      out.Digest,
 		wall:        wall,
 		shardEvents: out.ShardEvents,
+		cut:         out.Cut,
 	}
 }
 
@@ -159,12 +161,14 @@ func distTimings(b *strings.Builder, r parRun) {
 	fmt.Fprintf(b, " straggler %d\n", r.dist.Straggler)
 }
 
-// addShardSplit emits the per-shard event counts and the imbalance ratio
-// (max shard's share over the even split, 1.0 = perfectly balanced) —
-// deterministic, but a function of the shard count, so they follow the
-// same rule as the shards echo in addParMetrics: emitted only when the
-// shard count was an explicit scenario parameter, never when it came from
-// the -shards flag the CI determinism matrix sweeps.
+// addShardSplit emits the per-shard event counts, the imbalance ratio
+// (max shard's share over the even split, 1.0 = perfectly balanced), the
+// links the shard cut severs and the mail that crossed them — parscale
+// fails no link, so every cross-shard message is a cell on a cut link.
+// All are deterministic, but a function of the shard count, so they
+// follow the same rule as the shards echo in addParMetrics: emitted only
+// when the shard count was an explicit scenario parameter, never when it
+// came from the -shards flag the CI determinism matrix sweeps.
 func addShardSplit(res *engine.Result, b *strings.Builder, r parRun) {
 	var sum, max uint64
 	for _, ev := range r.shardEvents {
@@ -182,6 +186,14 @@ func addShardSplit(res *engine.Result, b *strings.Builder, r parRun) {
 	}
 	res.Add("imbalance", imb, "x")
 	fmt.Fprintf(b, "  shard events %d, imbalance %.3fx\n", r.shardEvents, imb)
+	perCell := 0.0
+	if r.delivered > 0 {
+		perCell = float64(r.cut.Cells) / float64(r.delivered)
+	}
+	res.Add("cut_links", float64(r.cut.CutLinks), "")
+	res.Add("mail", float64(r.cut.Cells), "")
+	res.Add("mail_per_cell", perCell, "")
+	fmt.Fprintf(b, "  cut links %d of %d, mail %d (%.2f per delivered cell)\n", r.cut.CutLinks, r.cut.Links, r.cut.Cells, perCell)
 }
 
 // addParMetrics emits the deterministic half of a parRun. shardsParam is
