@@ -13,7 +13,7 @@ import "testing"
 
 func TestPacketPathAllocFree(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the packet pool allocates under the race detector")
+		t.Skip("race instrumentation allocates; counts are meaningless")
 	}
 	pp := newPacketPath()
 	pp.send(2048) // grow the queue rings and the event store once
@@ -27,7 +27,7 @@ func TestPacketPathAllocFree(t *testing.T) {
 
 func TestTransportPathAllocFree(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the packet pool allocates under the race detector")
+		t.Skip("race instrumentation allocates; counts are meaningless")
 	}
 	tp := newTransportPath(t)
 	want := tp.warm(t)

@@ -39,6 +39,7 @@ type packetPath struct {
 
 func newPacketPath() *packetPath {
 	pp := &packetPath{s: sim.New(), size: 1500}
+	pp.sink.Free = netsim.FreeListOf(pp.s)
 	q1 := netsim.NewQueue(pp.s, "q1", 100e9, 1<<20, 0)
 	q2 := netsim.NewQueue(pp.s, "q2", 100e9, 1<<20, 0)
 	pipe := netsim.NewPipe(pp.s, sim.Microsecond)
@@ -51,7 +52,7 @@ func newPacketPath() *packetPath {
 // at most ~512 events are pending, and drains.
 func (pp *packetPath) send(n int) {
 	for end := pp.sent + n; pp.sent < end; pp.sent++ {
-		p := netsim.NewPacket()
+		p := pp.sink.Free.Get()
 		p.Size = pp.size
 		p.SetRoute(pp.route)
 		at := sim.Time(pp.sent) * pp.gap
@@ -64,7 +65,7 @@ func (pp *packetPath) send(n int) {
 }
 
 // BenchmarkPacketPath measures the per-packet cost (time and allocations)
-// of the netsim hot path. With the packet free-list and the ring-buffer
+// of the netsim hot path. With the loop's packet free list and the ring-buffer
 // queue this path is allocation-free in steady state
 // (TestPacketPathAllocFree).
 func BenchmarkPacketPath(b *testing.B) {
@@ -82,8 +83,8 @@ func BenchmarkPacketPath(b *testing.B) {
 // topology-faithful fabric: source-FA spray, FE1 up/down decision, spine
 // spray, egress delivery — four per-link queue+pipe hops per cell. It
 // doubles as the cell-accounting leak check: every injected cell must
-// leave through a counted path (delivered or dropped), or the packet pool
-// is leaking.
+// leave through a counted path (delivered or dropped), or cells are
+// leaking.
 func BenchmarkFabricCellPath(b *testing.B) {
 	s := sim.New()
 	cl, err := fabric.ClosFor(4)
@@ -151,7 +152,7 @@ type fabricInjector struct{ n *fabric.Net }
 
 // Act implements sim.Action.
 func (f *fabricInjector) Act(arg uint64) {
-	c := netsim.NewPacket()
+	c := netsim.FreeListOf(f.n.EdgeSim(int(arg >> 32))).Get()
 	c.Size = 512
 	f.n.Inject(c, int(arg>>32), int(uint32(arg)))
 }
@@ -279,11 +280,13 @@ func newTransportPath(tb testing.TB) *transportPath {
 	// Half the host rate: 4KB every two serialization times.
 	tp := &transportPath{eng: eng, net: net, gap: 2 * sim.Time(float64(pktSize*8)/10e9*float64(sim.Second))}
 	for h := 0; h < hosts; h++ {
-		sink := &netsim.Counter{}
+		dst := (h + 3) % hosts
+		sink := &netsim.Counter{Free: netsim.FreeListOf(net.HostSim(dst))}
 		tp.sinks = append(tp.sinks, sink)
 		tp.injs = append(tp.injs, &transportInjector{
 			sm:    net.HostSim(h),
-			route: append(net.Route(h, (h+3)%hosts), sink),
+			free:  netsim.FreeListOf(net.HostSim(h)),
+			route: append(net.Route(h, dst), sink),
 			gap:   tp.gap,
 			size:  pktSize,
 		})
@@ -344,8 +347,8 @@ func (tp *transportPath) send(n int, want uint64) {
 // cross-shard request/grant on the pair lanes, cell fragmentation, the
 // per-link fabric crossing, in-order reassembly and egress. The
 // steady-state VOQ/credit hot path must stay allocation-free — packets,
-// cells and reassembly states are pooled and every control message reuses
-// a pre-bound action (TestTransportPathAllocFree).
+// cells and reassembly states come from the loops' free lists and every
+// control message reuses a pre-bound action (TestTransportPathAllocFree).
 func BenchmarkTransportPathSharded(b *testing.B) {
 	tp := newTransportPath(b)
 	eng, net := tp.eng, tp.net
@@ -367,10 +370,12 @@ func BenchmarkTransportPathSharded(b *testing.B) {
 	}
 }
 
-// transportInjector feeds one host's flow with pooled packets, itself the
-// scheduled action so the benchmark loop allocates nothing.
+// transportInjector feeds one host's flow with packets from its loop's
+// free list, itself the scheduled action so the benchmark loop allocates
+// nothing.
 type transportInjector struct {
 	sm    *sim.Simulator
+	free  *netsim.FreeList
 	route []netsim.Handler
 	gap   sim.Time
 	size  int
@@ -383,7 +388,7 @@ func (j *transportInjector) Act(uint64) {
 		return
 	}
 	j.quota--
-	p := netsim.NewPacket()
+	p := j.free.Get()
 	p.Size = j.size
 	p.SetRoute(j.route)
 	p.SendOn()
@@ -447,7 +452,7 @@ func BenchmarkTelemetryExport(b *testing.B) {
 
 // BenchmarkFabricFailurePath exercises the failure machinery under load
 // and asserts the same no-leak invariant when links die mid-traffic (the
-// Release() audit for dropped and failed-link cells).
+// free-list audit for dropped and failed-link cells).
 func BenchmarkFabricFailurePath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := sim.New()

@@ -773,8 +773,10 @@ func (s *session) windows(links []*meshLink) error {
 	var done, xchg []byte
 	mailOut := 0
 	var encodeErr error
+	var pay []byte // one payload at a time, copied into its entry
 	emit := func(src, dst int, mail parsim.Mail) {
-		kind, pay, err := m.Net.EncodeMail(mail)
+		kind, p, err := m.Net.AppendMail(pay[:0], mail)
+		pay = p
 		if err != nil {
 			if encodeErr == nil {
 				encodeErr = err

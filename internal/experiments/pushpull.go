@@ -35,12 +35,13 @@ type PushPullResult struct {
 func constSource(s *sim.Simulator, rate netsim.Bps, size int, route []netsim.Handler, tag int, offset, until sim.Time) {
 	gap := float64(size*8) / float64(rate) * float64(sim.Second)
 	rng := rand.New(rand.NewSource(int64(tag)*7919 + 13))
+	free := netsim.FreeListOf(s)
 	var emit func()
 	emit = func() {
 		if s.Now() >= until {
 			return
 		}
-		p := netsim.NewPacket()
+		p := free.Get()
 		p.Size = size
 		p.Flow = tag
 		p.SetRoute(route)
@@ -86,7 +87,8 @@ func PushPull(withTC bool) PushPullResult {
 		trunk := netsim.NewPriorityQueue(s, "trunk", 2*port, bufferB, classify)
 		portA := netsim.NewQueue(s, "A", port, bufferB, 0)
 		portB := netsim.NewQueue(s, "B", port, bufferB, 0)
-		var a1, a2, b netsim.Counter
+		free := netsim.FreeListOf(s)
+		a1, a2, b := netsim.Counter{Free: free}, netsim.Counter{Free: free}, netsim.Counter{Free: free}
 		pipe := netsim.NewPipe(s, sim.Microsecond)
 		demuxA1 := []netsim.Handler{trunk, pipe, portA, &a1}
 		demuxA2 := []netsim.Handler{trunk, pipe, portA, &a2}
@@ -112,7 +114,8 @@ func PushPull(withTC bool) PushPullResult {
 		trunk := netsim.NewQueue(s, "trunk", 2*port, bufferB, 0)
 		portA := netsim.NewQueue(s, "A", port, bufferB, 0)
 		portB := netsim.NewQueue(s, "B", port, bufferB, 0)
-		var a1, a2, b netsim.Counter
+		free := netsim.FreeListOf(s)
+		a1, a2, b := netsim.Counter{Free: free}, netsim.Counter{Free: free}, netsim.Counter{Free: free}
 		pipe := netsim.NewPipe(s, sim.Microsecond)
 		// The egress schedulers' steady-state credit rates (§5.2).
 		gapSecs := float64(pkt*8) / port

@@ -155,7 +155,7 @@ func TestHooksSeeEveryCell(t *testing.T) {
 				t.Fatal(err)
 			}
 			if hook == "OnDeliver" {
-				m.Net.OnDeliver = func(c *netsim.Packet) { seen.Add(1); c.Release() }
+				m.Net.OnDeliver = func(c *netsim.Packet) { seen.Add(1) }
 			} else {
 				m.Net.OnCellDrop = func(*netsim.Packet) { seen.Add(1) }
 			}

@@ -46,26 +46,33 @@ const (
 	cellDown = 1 << 3
 )
 
-// EncodeMail serializes one cross-shard message for the wire. It consumes
-// the message: an encoded cell is released back to the packet pool, so
-// the caller must not touch m.Act afterwards. Messages the codec cannot
-// rebind on a remote replica (transport packets with Flow state, unknown
-// action types) return an error — the distributed runtime turns that into
-// a deterministic "not distributable" failure instead of silent
-// corruption.
+// EncodeMail serializes one cross-shard message for the wire into a new
+// buffer: AppendMail(nil, m).
 func (n *Net) EncodeMail(m parsim.Mail) (kind byte, payload []byte, err error) {
+	return n.AppendMail(nil, m)
+}
+
+// AppendMail serializes one cross-shard message for the wire, appending
+// its payload to buf. It consumes the message: an encoded cell goes back
+// to the free list of the shard that sent it, so the caller must not
+// touch m.Act afterwards. Messages the codec cannot rebind on a remote
+// replica (transport packets with Flow state, unknown action types)
+// return an error — the distributed runtime turns that into a
+// deterministic "not distributable" failure instead of silent corruption.
+// A cell allocates nothing once buf has room. Barrier context.
+func (n *Net) AppendMail(buf []byte, m parsim.Mail) (kind byte, payload []byte, err error) {
 	a, ok := m.Act.(*netsim.Packet)
 	if !ok {
 		if payload, ok := n.routes.encodeMail(m.Act); ok {
-			return MailReach, payload, nil
+			return MailReach, append(buf, payload...), nil
 		}
-		return 0, nil, fmt.Errorf("fabric: cross-shard action %T on lane %d is not distributable", m.Act, m.Lane)
+		return 0, buf, fmt.Errorf("fabric: cross-shard action %T on lane %d is not distributable", m.Act, m.Lane)
 	}
 	if a.Flow != nil {
-		return 0, nil, fmt.Errorf("fabric: cell on lane %d carries transport flow state; the transport overlay is not distributable", m.Lane)
+		return 0, buf, fmt.Errorf("fabric: cell on lane %d carries transport flow state; the transport overlay is not distributable", m.Lane)
 	}
-	if int(m.Lane) >= len(n.links) {
-		return 0, nil, fmt.Errorf("fabric: packet on non-link lane %d is not distributable", m.Lane)
+	if m.Lane < 0 || int(m.Lane) >= len(n.links) {
+		return 0, buf, fmt.Errorf("fabric: packet on non-link lane %d is not distributable", m.Lane)
 	}
 	var flags byte
 	if a.Ack {
@@ -80,12 +87,12 @@ func (n *Net) EncodeMail(m parsim.Mail) (kind byte, payload []byte, err error) {
 	if a.Down {
 		flags |= cellDown
 	}
-	buf := make([]byte, 0, 16)
 	buf = append(buf, flags)
 	buf = binary.AppendUvarint(buf, uint64(a.Size))
 	buf = binary.AppendUvarint(buf, uint64(a.Dst))
 	buf = binary.AppendVarint(buf, a.Seq)
-	a.Release()
+	// The link's queue, and so the cell, was the sending shard's.
+	netsim.FreeListOf(n.links[m.Lane].q.Sim).Put(a)
 	return MailCell, buf, nil
 }
 
@@ -119,7 +126,7 @@ func (n *Net) DecodeMail(kind byte, lane int32, payload []byte) (sim.Action, uin
 		if k <= 0 || k != len(rest) {
 			return nil, 0, fmt.Errorf("fabric: bad cell seq")
 		}
-		p := netsim.NewPacket()
+		p := n.links[lane].sh.cells.Get() // the receiving shard's
 		p.Size = int(size)
 		p.Dst = int32(dst)
 		p.Seq = seq

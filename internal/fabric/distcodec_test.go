@@ -160,6 +160,48 @@ func TestMailRoundTrip(t *testing.T) {
 	}
 }
 
+// A peer encodes a window's cells into its frame buffer and decodes the
+// frames it receives: once the buffer and the shards' free lists have
+// grown, neither allocates. Every directed link of a two-shard fabric
+// carries one cell per window, taken from its sender's list; decoding
+// takes from its receiver's, and the round trip gives it back there.
+func TestMailCodecAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	n := codecFabric(t, "clos")
+	var buf []byte
+	var at []int // where each payload starts in buf
+	window := func() {
+		buf, at = buf[:0], at[:0]
+		for d, l := range n.links {
+			c := netsim.FreeListOf(l.q.Sim).Get()
+			c.Size, c.Dst, c.Seq = 512, int32(d%n.NumFA()), int64(d)
+			at = append(at, len(buf))
+			var kind byte
+			var err error
+			if kind, buf, err = n.AppendMail(buf, parsim.Mail{Lane: int32(d), Act: c}); err != nil || kind != MailCell {
+				t.Fatalf("encode: kind %d, %v", kind, err)
+			}
+		}
+		at = append(at, len(buf))
+		for d, l := range n.links {
+			act, _, err := n.DecodeMail(MailCell, int32(d), buf[at[d]:at[d+1]])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c := act.(*netsim.Packet); c.Seq != int64(d) {
+				t.Fatalf("lane %d: cell %d came back", d, c.Seq)
+			}
+			l.sh.cells.Put(act.(*netsim.Packet))
+		}
+	}
+	window()
+	if avg := testing.AllocsPerRun(100, window); avg != 0 {
+		t.Fatalf("a window of %d cells allocates %.1f times", len(n.links), avg)
+	}
+}
+
 // lastHop returns a directed link of n whose cells for its far end are
 // counted on arrival, and that far end.
 func lastHop(n *Net) (lane int32, dst uint64) {

@@ -53,9 +53,11 @@
 // quantized to window boundaries — a function of the lookahead alone.
 //
 // The per-cell hot path allocates nothing: cells are netsim.Packets
-// recycled through a per-shard netsim.FreeList (an Injector takes them
-// from it; a delivery with no endpoint installed and every drop inside the
-// fabric return them), every directed link's route is prebuilt once,
+// recycled through each shard's event loop's netsim.FreeList (an Injector
+// and the Stardust transport take them from it; a delivery with no
+// endpoint installed and every drop inside the fabric return them), the
+// lists of a sharded fabric are evened out at every barrier
+// (netsim.EvenFreeLists), every directed link's route is prebuilt once,
 // spreader reshuffles are in place, and forwarding state lives in the
 // node's two spreaders (held by value): each owns its group's candidate
 // sets as bitmaps over port slots, which ECMP and the route policy read
@@ -67,17 +69,24 @@
 // device receives, cells and bytes (Delivered, DeliveredTo), whatever
 // endpoint it hands them to.
 //
-// Where an edge device does nothing but count — no endpoint (SetEgress),
-// no OnDeliver, no OnCellDrop — a cell's last hop is not an event
-// either. The link into the device records the cell's (arrival, size)
-// where it is handed over: at the sender's hand-over when both ends share
-// a shard, at the receiver's mailbox when the link crosses a cut
-// (sim.Arrival). The cell goes back to the receiver's free list at once,
-// the receiving shard holds the arrival's instant (sim.Hold), and the
-// counters take the record once sim.Due says the arrival would have run —
-// when they are read, and before the link's state changes, so a cell on a
-// wire that fails is the same dead drop it would have been. Hairpins and
-// every egress with an endpoint keep the event.
+// Where an edge device only counts — no endpoint (SetEgress), or one that
+// counts too (netsim.CellCounter), and no OnDeliver, no OnCellDrop — a
+// cell's last hop is not an event either. The link into the device
+// records the cell where it is handed over: at the sender's hand-over
+// when both ends share a shard, at the receiver's mailbox when the link
+// crosses a cut (sim.Arrival). The receiving shard holds the arrival's
+// instant (sim.Hold), and the counters take the record once sim.Due says
+// the arrival would have run — when they are read, and before the link's
+// state changes, so a cell on a wire that fails is the same dead drop it
+// would have been. With no endpoint the link keeps only (arrival, size)
+// and the cell goes back to the receiver's free list at once. An
+// endpoint that counts is asked first (CountCell) and the link keeps the
+// cell itself until it is due, so that a cell whose wire is down by then
+// is reported lost to it (LostCell). Every change of a link's state bumps
+// LinkEpoch: an endpoint that must know its cells' fates by a given
+// arrival settles its links (SettleThrough), which is a no-op while no
+// link has changed since the epoch it names. Hairpins and endpoints that
+// cannot count keep the event.
 package fabric
 
 import (
@@ -155,11 +164,12 @@ const (
 type shardState struct {
 	id    int
 	sm    *sim.Simulator
-	cells netsim.FreeList
+	cells *netsim.FreeList // the loop's (netsim.FreeListOf)
 
 	injected     uint64
 	deadDrops    uint64
 	noRouteDrops uint64
+	_            [sim.CacheLine - 48]byte
 }
 
 // link is one direction of a physical serial link: a serialization queue,
@@ -176,17 +186,20 @@ type shardState struct {
 //
 // A cell whose last hop this is may not need the arrival either (see the
 // package comment): home names the edge device whose cells the link counts
-// instead, and held keeps the counted cells until they are due.
+// instead, held keeps the counted cells until they are due, and heldCells
+// those an endpoint counted (counter).
 type link struct {
-	net   *Net
-	sh    *shardState // receiving node's shard
-	to    *node
-	up    bool
-	home  int32             // the far end's edge index while its cells are counted, else -1 (rehome)
-	route [1]netsim.Handler // {link}: what a cell on the wire continues to
-	wire  netsim.LanePipe
-	q     netsim.Queue
-	held  arrivals
+	net       *Net
+	sh        *shardState // receiving node's shard
+	to        *node
+	up        bool
+	home      int32              // the far end's edge index while its cells are counted, else -1 (rehome)
+	counter   netsim.CellCounter // the far end's endpoint, while it counts the cells
+	route     [1]netsim.Handler  // {link}: what a cell on the wire continues to
+	wire      netsim.LanePipe
+	q         netsim.Queue
+	held      fifo[arrival]
+	heldCells fifo[heldCell]
 }
 
 // arrivalEvents, set by tests only, delivers every cell by an event: the
@@ -210,14 +223,16 @@ func (l *link) send(c *netsim.Packet) {
 
 // rehome decides whether cells on their last hop over l are counted (home
 // is the far end's edge index) or delivered by an event (home is -1):
-// counted while the far end's egress has no endpoint. A link whose ends
-// share a shard is its own wire's scheduler while it counts, so the
-// hand-over reaches AtLane; a cut link is asked by the receiver's mailbox
-// (Arrive).
+// counted while the far end's egress has no endpoint, or one that counts.
+// A link whose ends share a shard is its own wire's scheduler while it
+// counts, so the hand-over reaches AtLane; a cut link is asked by the
+// receiver's mailbox (Arrive).
 func (l *link) rehome() {
-	l.home = -1
-	if e := l.to.edge; e >= 0 && l.to.eg.to == nil && !arrivalEvents {
-		l.home = e
+	l.home, l.counter = -1, nil
+	if e := l.to.edge; e >= 0 && !arrivalEvents {
+		if eg := l.to.eg; eg.to == nil || eg.counter != nil {
+			l.home, l.counter = e, eg.counter
+		}
 	}
 	if l.q.Sim == l.sh.sm {
 		l.wire.Sched = l.sh.sm
@@ -247,19 +262,27 @@ func (l *link) Arrive(c *netsim.Packet, t sim.Time) bool {
 	return c.Dst == l.home && l.count(c, t)
 }
 
-// count records c, arriving at t at its destination, for settle, and
-// returns it to the receiver's free list. The hooks that would see the
-// cell are asked here rather than in rehome: they are fields, set whenever
-// the caller likes before the run.
+// count records c, arriving at t at its destination, for settle. With no
+// endpoint c goes back to the receiver's free list at once; an endpoint
+// that counts is asked first, and the link keeps c until it is due. The
+// hooks that would see the cell are asked here rather than in rehome:
+// they are fields, set whenever the caller likes before the run.
 func (l *link) count(c *netsim.Packet, t sim.Time) bool {
 	if l.net.OnDeliver != nil || l.net.OnCellDrop != nil {
 		return false
 	}
-	if r := &l.held; r.n == len(r.buf) {
-		l.settle() // make room before the ring grows
-		if r.n == len(r.buf) {
-			r.grow()
+	if l.counter != nil {
+		if !l.counter.CountCell(c, t, l.wire.Lane) {
+			return false
 		}
+		if l.heldCells.full() {
+			l.settle()
+		}
+		l.heldCells.push(heldCell{at: t, c: c})
+		return true
+	}
+	if l.held.full() {
+		l.settle()
 	}
 	l.held.push(arrival{at: t, size: c.Size})
 	l.sh.cells.Put(c)
@@ -269,15 +292,18 @@ func (l *link) count(c *netsim.Packet, t sim.Time) bool {
 // settle applies the counted cells whose arrival is due on the receiving
 // shard, against the link's state: delivered while it is up, lost on the
 // wire while it is down.
-func (l *link) settle() {
-	r, sm, eg := &l.held, l.sh.sm, l.to.eg
-	for r.n > 0 {
-		a := r.buf[r.head]
+func (l *link) settle() { l.settleThrough(-1, -1) }
+
+// settleThrough is settle that also applies the cell arriving at (t,
+// lane), the key of the event running on the receiving shard: a cell an
+// endpoint counted is freed, and reported lost if its wire is down.
+func (l *link) settleThrough(t sim.Time, lane int32) {
+	sm, eg := l.sh.sm, l.to.eg
+	for r := &l.held; r.n > 0; r.pop() {
+		a := r.peek()
 		if !sm.Due(a.at, l.wire.Lane) {
-			return
+			break
 		}
-		r.head = (r.head + 1) & (len(r.buf) - 1)
-		r.n--
 		if !l.up {
 			l.sh.deadDrops++
 			continue
@@ -285,31 +311,69 @@ func (l *link) settle() {
 		eg.cells++
 		eg.bytes += uint64(a.size)
 	}
+	for r := &l.heldCells; r.n > 0; r.pop() {
+		h := r.peek()
+		if !sm.Due(h.at, l.wire.Lane) && (h.at != t || l.wire.Lane != lane) {
+			break
+		}
+		if !l.up {
+			l.sh.deadDrops++
+			l.counter.LostCell(h.c)
+		} else {
+			eg.cells++
+			eg.bytes += uint64(h.c.Size)
+		}
+		l.sh.cells.Put(h.c)
+	}
 }
 
-// arrival is a counted cell: its arrival instant and size.
+// arrival is a counted cell of an edge with no endpoint: its arrival
+// instant and size (16 bytes).
 type arrival struct {
 	at   sim.Time
 	size int
 }
 
-// arrivals is a FIFO of counted cells in a power-of-two ring. It is
-// settled when it is full, and grows only if nothing in it is due: to the
-// most cells one link ever has counted ahead of their arrival.
-type arrivals struct {
-	buf  []arrival
+// heldCell is a cell an endpoint counted, kept until its arrival.
+type heldCell struct {
+	at sim.Time
+	c  *netsim.Packet
+}
+
+// fifo is a FIFO of counted cells in a power-of-two ring. It is settled
+// when it is full, and grows only if nothing in it is due: to the most
+// cells one link ever has counted ahead of their arrival.
+type fifo[T any] struct {
+	buf  []T
 	head int
 	n    int
 }
 
-// push appends a to a ring with room for it.
-func (r *arrivals) push(a arrival) {
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = a
+// full reports that the ring has no room for push.
+func (r *fifo[T]) full() bool { return r.n == len(r.buf) }
+
+// push appends v, growing the ring if it is full.
+func (r *fifo[T]) push(v T) {
+	if r.full() {
+		r.grow()
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
 	r.n++
 }
 
-func (r *arrivals) grow() {
-	buf := make([]arrival, max(8, 2*len(r.buf)))
+// peek returns the oldest entry of a ring that has one.
+func (r *fifo[T]) peek() T { return r.buf[r.head] }
+
+// pop drops the oldest entry of a ring that has one.
+func (r *fifo[T]) pop() {
+	var zero T
+	r.buf[r.head] = zero
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+}
+
+func (r *fifo[T]) grow() {
+	buf := make([]T, max(8, 2*len(r.buf)))
 	for i := range r.n {
 		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 	}
@@ -321,12 +385,13 @@ func (r *arrivals) grow() {
 // device's owner accumulates real counts. in lists the links into the
 // device, whose counted cells settle adds to cells and bytes.
 type egress struct {
-	net   *Net
-	sh    *shardState
-	to    netsim.Handler // optional per-edge endpoint (SetEgress)
-	in    []*link
-	cells uint64
-	bytes uint64
+	net     *Net
+	sh      *shardState
+	to      netsim.Handler     // optional per-edge endpoint (SetEgress)
+	counter netsim.CellCounter // to, when it can count its cells
+	in      []*link
+	cells   uint64
+	bytes   uint64
 }
 
 // settle applies the due counted cells of every link into the device.
@@ -475,6 +540,7 @@ type Net struct {
 
 	eng    *parsim.Engine // nil in solo mode
 	shards []*shardState  // len 1 in solo mode
+	epoch  uint64         // link state changes so far (LinkEpoch)
 
 	nodes  []*node
 	edges  []*node // per edge device: its node
@@ -486,13 +552,13 @@ type Net struct {
 	hairpin [][]netsim.Handler // per edge: local switching path (src == dst)
 
 	// OnDeliver receives every cell that reaches its destination edge and
-	// owns it (must forward or Release it). When nil, delivered cells are
-	// Released. In sharded mode it runs on the destination's shard, so it
-	// must only touch per-edge state — prefer SetEgress there.
+	// owns it (must forward it or free it). When nil, delivered cells go
+	// back to the free list. In sharded mode it runs on the destination's
+	// shard, so it must only touch per-edge state — prefer SetEgress there.
 	OnDeliver func(*netsim.Packet)
 
 	// OnCellDrop, when non-nil, observes every cell the fabric drops
-	// (failed link, no live route) just before it is released, so a
+	// (failed link, no live route) just before it is freed, so a
 	// harness can account the fate of every injected cell. It does not see
 	// link-queue tail drops; install netsim Queue.OnDrop hooks (via
 	// VisitQueues) for those. In sharded mode it is called from the
@@ -517,7 +583,7 @@ type Net struct {
 // New builds all nodes and links of g on the single event loop s, wired
 // exactly as a one-shard NewSharded: the same events run in the same order.
 func New(s *sim.Simulator, cfg Config, g topo.Graph) (*Net, error) {
-	return build(cfg, g, []*shardState{{sm: s}}, nil, nil)
+	return build(cfg, g, []*shardState{{sm: s, cells: netsim.FreeListOf(s)}}, nil, nil)
 }
 
 // ShardCount resolves a requested shard count against the graph it is to
@@ -550,10 +616,19 @@ func NewSharded(eng *parsim.Engine, cfg Config, g topo.Graph, assign []int) (*Ne
 		return nil, fmt.Errorf("fabric: reach delay %d below two lookaheads (%d)", cfg.ReachDelay, 2*eng.Lookahead())
 	}
 	shards := make([]*shardState, eng.Shards())
+	lists := make([]*netsim.FreeList, len(shards))
 	for i := range shards {
-		shards[i] = &shardState{id: i, sm: eng.Shard(i).Sim()}
+		sm := eng.Shard(i).Sim()
+		lists[i] = netsim.FreeListOf(sm)
+		shards[i] = &shardState{id: i, sm: sm, cells: lists[i]}
 	}
-	return build(cfg, g, shards, Partition(g, eng.Shards()), eng)
+	n, err := build(cfg, g, shards, Partition(g, eng.Shards()), eng)
+	if err == nil && len(lists) > 1 {
+		// A shard that delivers more cells than it injects would hoard
+		// them while its neighbours allocate: even the lists out.
+		eng.OnBarrier(func(sim.Time) { netsim.EvenFreeLists(lists) })
+	}
+	return n, err
 }
 
 // Partition cuts the nodes of g into n shards along its traffic. Each
@@ -817,13 +892,15 @@ func (n *Net) EdgeSim(fa int) *sim.Simulator { return n.edges[fa].sh.sm }
 
 // SetEgress installs h as the delivery endpoint of destination edge fa,
 // taking precedence over OnDeliver. The handler owns delivered cells
-// (forward or Release). In sharded mode h runs pinned to fa's shard, so a
-// per-edge endpoint needs no locking. Call it before the run starts: an
-// edge with an endpoint receives its cells by events, one that only
-// counts them does not (see the package comment).
+// (forward or free them). In sharded mode h runs pinned to fa's shard, so
+// a per-edge endpoint needs no locking. Call it before the run starts: an
+// edge whose endpoint cannot count (netsim.CellCounter) receives its
+// cells by events, one that can, or has no endpoint, does not (see the
+// package comment).
 func (n *Net) SetEgress(fa int, h netsim.Handler) {
 	eg := n.edges[fa].eg
 	eg.to = h
+	eg.counter, _ = h.(netsim.CellCounter)
 	for _, l := range eg.in {
 		l.rehome()
 	}
@@ -832,7 +909,7 @@ func (n *Net) SetEgress(fa int, h netsim.Handler) {
 // Inject sends one cell from edge device srcFA toward edge device dstFA.
 // The cell's Flow field is opaque to the fabric and travels with it;
 // delivered cells are handed to the egress endpoint (SetEgress/OnDeliver),
-// lost cells are Released. In sharded mode it must be called from srcFA's
+// lost cells are freed. In sharded mode it must be called from srcFA's
 // shard (an event scheduled on that shard's Simulator). In ECMP mode the
 // cell is stamped with its flow id (in Seq) so every hop hashes the same
 // flow to the same path; ECMP fabrics therefore cannot carry a transport
@@ -895,6 +972,26 @@ func (n *Net) DeliveredTo(fa int) (cells, bytes uint64) {
 func (n *Net) settle() {
 	for _, d := range n.edges {
 		d.eg.settle()
+	}
+}
+
+// LinkEpoch implements netsim.ShardedCellFabric: the number of link state
+// changes so far, written only where the state changes (barrier context
+// in sharded mode).
+func (n *Net) LinkEpoch() uint64 { return n.epoch }
+
+// SettleThrough implements netsim.ShardedCellFabric: unless no link has
+// changed state since epoch since, the counted cells into edge fa that
+// are due, and the one arriving at (t, lane), take effect. Call it on fa's
+// shard. A cell enters a link's queue only while the link is up (the
+// adjacent devices prune a failed port at once), so a cell of a packet
+// shipped after the last change cannot be lost on a wire.
+func (n *Net) SettleThrough(fa int, t sim.Time, lane int32, since uint64) {
+	if n.epoch == since {
+		return
+	}
+	for _, l := range n.edges[fa].eg.in {
+		l.settleThrough(t, lane)
 	}
 }
 
@@ -965,6 +1062,7 @@ func (n *Net) setLink(i int, up bool) {
 	// Cells counted before now arrived under the old state.
 	n.links[2*i].settle()
 	n.links[2*i+1].settle()
+	n.epoch++
 	n.adminUp[i] = up
 	n.links[2*i].up = up
 	n.links[2*i+1].up = up

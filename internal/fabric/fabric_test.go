@@ -96,7 +96,7 @@ func TestFabricDeliversEverything(t *testing.T) {
 func TestFabricHairpin(t *testing.T) {
 	s, n := newTestNet(t, 1)
 	got := 0
-	n.OnDeliver = func(c *netsim.Packet) { got++; c.Release() }
+	n.OnDeliver = func(c *netsim.Packet) { got++ }
 	c := netsim.NewPacket()
 	c.Size = 512
 	n.Inject(c, 3, 3)
@@ -250,8 +250,8 @@ func TestFabricIsolatedFA(t *testing.T) {
 	}
 }
 
-// The per-cell path must stay allocation-free in steady state (pooled
-// cells, prebuilt routes, in-place reshuffles, reused mailboxes) on every
+// The per-cell path must stay allocation-free in steady state (cells from
+// the shards' free lists, prebuilt routes, in-place reshuffles, reused mailboxes) on every
 // placement: the Clos and a graph topology on one event loop, and the
 // Clos split over a two-shard engine. A batch is 32 cells from every
 // edge device through the fabric's own Injector, so a path that
@@ -390,6 +390,77 @@ func TestShardFreeListsStayBounded(t *testing.T) {
 	}
 	if got, want := netDigest(n), netDigest(solo); got != want {
 		t.Errorf("two shards: digest %016x, one shard %016x", got, want)
+	}
+
+	// The Stardust transport over two shards: every host sends 4 KB
+	// packets to the host three on, so each shard takes cells and
+	// reassembly states for what it ships and frees them for what it
+	// receives, and the barriers even the lists out.
+	// Read the lists as the last barrier left them: reading a counter
+	// settles the counted cells held on the links, and frees them.
+	runTransport := func(shards int) (*Net, []uint64, []int) {
+		g, err := ClosFor(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := parsim.New(parsim.Config{Shards: shards, Lookahead: sim.Microsecond})
+		n, err := NewSharded(eng, DefaultConfig(netsim.Bps(10e9*1.05), sim.Microsecond, 5), g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const hostsPer, pkts = 2, 200
+		hosts := g.NumFA * hostsPer
+		sd, err := netsim.NewShardedStardustNet(n, netsim.DefaultStardust(10e9, g.FAUplinks, sim.Microsecond), hosts, hostsPer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]uint64, hosts)
+		for h := range hosts {
+			dst := (h + 3) % hosts
+			route := append(sd.Route(h, dst), netsim.HandlerFunc(func(p *netsim.Packet) {
+				got[h]++
+				netsim.FreeListOf(sd.HostSim(dst)).Put(p)
+			}))
+			sm := sd.HostSim(h)
+			for i := range pkts {
+				sm.AtLaneFunc(sim.Time(i)*4*sim.Microsecond, 0, func() {
+					p := netsim.FreeListOf(sm).Get()
+					p.Size = 4096
+					p.SetRoute(route)
+					p.SendOn()
+				})
+			}
+		}
+		eng.Run(2 * sim.Millisecond)
+		lens := make([]int, shards)
+		for s, sh := range n.shards {
+			lens[s] = sh.cells.Len()
+		}
+		if sd.InFlight() != 0 || sd.TotalDrops() != 0 {
+			t.Fatalf("%d shards: %d packets in flight, %d drops", shards, sd.InFlight(), sd.TotalDrops())
+		}
+		return n, got, lens
+	}
+	soloT, want, _ := runTransport(1)
+	nT, got, lens := runTransport(2)
+	full = 0
+	for s, l := range lens {
+		if l > netsim.FreeListCap {
+			t.Errorf("transport: shard %d holds %d free packets, over the bound %d", s, l, netsim.FreeListCap)
+		} else if l == netsim.FreeListCap {
+			full++
+		}
+	}
+	if full == 0 {
+		t.Errorf("transport: no shard's list reached the bound %d: the evening went untested", netsim.FreeListCap)
+	}
+	for h := range got {
+		if got[h] != want[h] {
+			t.Errorf("transport: host %d received %d packets on two shards, %d on one", h, got[h], want[h])
+		}
+	}
+	if got, want := netDigest(nT), netDigest(soloT); got != want {
+		t.Errorf("transport: two shards: digest %016x, one shard %016x", got, want)
 	}
 }
 

@@ -34,7 +34,6 @@ type idSink struct {
 // Receive implements netsim.Handler.
 func (s *idSink) Receive(c *netsim.Packet) {
 	s.ids = append(s.ids, uint64(c.Seq))
-	c.Release()
 }
 
 // dropLog collects the ids of dropped cells. Drops fire on whichever
@@ -556,7 +555,6 @@ func TestStardustTransportInOrderUnderFailures(t *testing.T) {
 			}
 			r.last = p.Seq
 			r.delivered++
-			p.Release()
 		}))
 		for i := 0; i < 200; i++ {
 			i := i

@@ -62,7 +62,7 @@ type Injector struct {
 func (n *Net) NewInjector(fa int, gap sim.Time, cellBytes int, stop sim.Time, quota int) *Injector {
 	sh := n.edges[fa].sh
 	return &Injector{
-		net: n, sm: sh.sm, cells: &sh.cells, fa: fa, numFA: n.NumFA(),
+		net: n, sm: sh.sm, cells: sh.cells, fa: fa, numFA: n.NumFA(),
 		gap: gap, cell: cellBytes, stop: stop, quota: quota, dst: -1,
 	}
 }

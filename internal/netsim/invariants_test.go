@@ -12,6 +12,7 @@ import (
 	"stardust/internal/netsim"
 	"stardust/internal/parsim"
 	"stardust/internal/sim"
+	"stardust/internal/topo"
 )
 
 // Property/invariant harness for the Stardust transport:
@@ -69,6 +70,24 @@ type transportProgram struct {
 	hot      int // the first hot flows send six times faster
 	failN    int
 	dur      sim.Time
+	// While victimFA is set, every link of the FA that two hot flows
+	// converge on (the destination of the second) is down in this window.
+	victimFA       bool
+	victimDownFrom sim.Time
+	victimDownTo   sim.Time
+}
+
+// victimProgram is the hotspot program with the links of a hot FA failing
+// under load and healing three windows later: cells counted on those
+// links before the failure arrive on a dead wire, or after the heal;
+// cells handed over while they are down arrive by an event, dead or
+// after the heal.
+func victimProgram(seed int64) transportProgram {
+	prog := hotspotProgram(seed, 0)
+	prog.victimFA = true
+	prog.victimDownFrom = 60 * sim.Microsecond
+	prog.victimDownTo = 63 * sim.Microsecond
+	return prog
 }
 
 func newProgram(seed int64) transportProgram {
@@ -138,6 +157,29 @@ func (o transportOutcome) String() string {
 // checks the per-run invariants, and returns the canonical outcome.
 func runTransportProperty(t *testing.T, prog transportProgram, shards int) transportOutcome {
 	t.Helper()
+	return runTransportProgram(t, prog, shards, false).outcome
+}
+
+// transportRun is what one run of a program shows beyond its canonical
+// outcome: how its loops executed it.
+type transportRun struct {
+	outcome    transportOutcome
+	barriers   []netsim.TransportCounters // ReadCounters at every barrier
+	processed  uint64
+	dispatched uint64
+	deadDrops  uint64
+	// Packets delivered, and their cells, of the flows that cross the
+	// fabric (source and destination on different FAs).
+	crossPkts, crossCells uint64
+	hairpinCells          uint64
+}
+
+// runTransportProgram is runTransportProperty that also reports the run.
+// events re-installs DeliverCell as a plain handler at every FA, so every
+// cell's last hop is an event: the reference the counted last hops are
+// held to.
+func runTransportProgram(t *testing.T, prog transportProgram, shards int, events bool) transportRun {
+	t.Helper()
 	cl, err := fabric.ClosFor(prog.k)
 	if err != nil {
 		t.Fatal(err)
@@ -155,6 +197,12 @@ func runTransportProperty(t *testing.T, prog transportProgram, shards int) trans
 	if err != nil {
 		t.Fatal(err)
 	}
+	if events {
+		for fa := range cl.NumFA {
+			fab.SetEgress(fa, netsim.HandlerFunc(net.DeliverCell))
+		}
+	}
+	var run transportRun
 
 	drops := &lockedIDs{}    // VOQ tail-drops + NIC/port queue drops
 	discards := &lockedIDs{} // §4.1 reassembly-timer discards
@@ -169,7 +217,6 @@ func runTransportProperty(t *testing.T, prog transportProgram, shards int) trans
 		recs[fi] = rec
 		route := append(net.Route(f[0], f[1]), netsim.HandlerFunc(func(p *netsim.Packet) {
 			rec.got = append(rec.got, uint64(p.Seq))
-			p.Release()
 		}))
 		sm := net.HostSim(f[0])
 		rng := rand.New(rand.NewSource(prog.seed ^ int64(fi)*104729))
@@ -191,6 +238,17 @@ func runTransportProperty(t *testing.T, prog transportProgram, shards int) trans
 		}
 	}
 
+	if prog.victimFA {
+		edgeOf := topo.EdgeOfNode(cl)
+		victim := prog.flows[1][1] / prog.hostsPer
+		for i, lk := range cl.GraphLinks() {
+			if edgeOf[lk.A] == victim || edgeOf[lk.B] == victim {
+				eng.At(prog.victimDownFrom, func() { fab.FailLink(i) })
+				eng.At(prog.victimDownTo, func() { fab.RestoreLink(i) })
+			}
+		}
+	}
+
 	// Random fail/heal schedule in barrier context; every link heals well
 	// before the drain horizon.
 	rng := rand.New(rand.NewSource(prog.seed ^ 0x5d))
@@ -207,6 +265,9 @@ func runTransportProperty(t *testing.T, prog transportProgram, shards int) trans
 		if err := net.CheckInvariants(); err != nil {
 			t.Errorf("t=%d shards=%d: %v", now, shards, err)
 		}
+		var tc netsim.TransportCounters
+		net.ReadCounters(&tc)
+		run.barriers = append(run.barriers, tc)
 	})
 
 	// The credit loops re-arm forever, so the engine never goes quiet; run
@@ -314,13 +375,24 @@ func runTransportProperty(t *testing.T, prog transportProgram, shards int) trans
 			w(lc[d].Drops)
 		}
 	}
-	return transportOutcome{
+	cells := uint64((prog.size + sdc.CellBytes - sdc.CellHeader - 1) / (sdc.CellBytes - sdc.CellHeader))
+	for _, rec := range recs {
+		if rec.src/prog.hostsPer == rec.dst/prog.hostsPer {
+			run.hairpinCells += cells * uint64(len(rec.got))
+		} else {
+			run.crossPkts += uint64(len(rec.got))
+			run.crossCells += cells * uint64(len(rec.got))
+		}
+	}
+	run.processed, run.dispatched, run.deadDrops = eng.Processed(), eng.Dispatched(), fab.DeadDrops()
+	run.outcome = transportOutcome{
 		injected:  injected,
 		delivered: delivered,
 		dropped:   uint64(len(drops.ids)),
 		discarded: uint64(len(discards.ids)),
 		digest:    h.Sum64(),
 	}
+	return run
 }
 
 // TestTransportPropertyInvariants is the transport property suite:
@@ -413,7 +485,6 @@ func TestShardedTransportMatchesSolo(t *testing.T) {
 			src := src
 			r := append(net.Route(src, (src+3)%hosts), netsim.HandlerFunc(func(p *netsim.Packet) {
 				got[src] = append(got[src], uint64(p.Seq))
-				p.Release()
 			}))
 			for i := 0; i < packets; i++ {
 				id := uint64(src)<<32 | uint64(i+1)
@@ -521,7 +592,6 @@ func TestSingleSimulatorFluidTrunkFates(t *testing.T) {
 			for src := 0; src < srcs; src++ {
 				route := append(net.Route(src, 3), netsim.HandlerFunc(func(p *netsim.Packet) {
 					deliver(p)
-					p.Release()
 				}))
 				for i := 1; i <= burst; i++ {
 					p := netsim.NewPacket()
@@ -566,5 +636,111 @@ func TestSingleSimulatorFluidTrunkFates(t *testing.T) {
 				t.Fatalf("cell leak: %d delivered + %d lost != %d sent", c.CellsDelivered, c.FabricDrops, c.CellsSent)
 			}
 		})
+	}
+}
+
+// One packet of N cells across a K=4 one-shard fabric: with every last
+// hop an event the loop dispatches N arrivals at the destination adapter;
+// counted, it dispatches one completion, at the last cell's arrival. The
+// model runs the same events either way (Processed), and the packet
+// arrives at the same instant.
+func TestPacketCompletesOnOneEvent(t *testing.T) {
+	const cells = 9
+	run := func(events bool) (dispatched, processed uint64, at sim.Time) {
+		cl, err := fabric.ClosFor(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := parsim.New(parsim.Config{Shards: 1, Lookahead: sim.Microsecond})
+		fab, err := fabric.NewSharded(eng, fabric.DefaultConfig(netsim.Bps(10e9*1.05), sim.Microsecond, 1), cl, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sdc := netsim.DefaultStardust(10e9, cl.FAUplinks, sim.Microsecond)
+		net, err := netsim.NewShardedStardustNet(fab, sdc, cl.NumFA, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if events {
+			for fa := range cl.NumFA {
+				fab.SetEgress(fa, netsim.HandlerFunc(net.DeliverCell))
+			}
+		}
+		var got int
+		route := append(net.Route(0, 5), netsim.HandlerFunc(func(*netsim.Packet) {
+			got++
+			at = net.HostSim(5).Now()
+		}))
+		net.HostSim(0).AtLaneFunc(0, 0, func() {
+			p := netsim.FreeListOf(net.HostSim(0)).Get()
+			p.Size = cells * (sdc.CellBytes - sdc.CellHeader)
+			p.SetRoute(route)
+			p.SendOn()
+		})
+		eng.Run(sim.Millisecond)
+		if got != 1 || net.CellsSent() != cells || net.CellsDelivered() != cells {
+			t.Fatalf("events=%v: delivered %d packets, %d of %d cells", events, got, net.CellsDelivered(), net.CellsSent())
+		}
+		return eng.Dispatched(), eng.Processed(), at
+	}
+	evDisp, evProc, evAt := run(true)
+	disp, proc, at := run(false)
+	if proc != evProc || at != evAt {
+		t.Fatalf("counted: %d events, packet at %d; every last hop an event: %d, at %d", proc, at, evProc, evAt)
+	}
+	if evDisp-disp != cells-1 {
+		t.Fatalf("dispatched %d counted, %d with every last hop an event: %d fewer, want %d (%d arrivals, one completion)",
+			disp, evDisp, int64(evDisp)-int64(disp), cells-1, cells)
+	}
+}
+
+// TestTransportCountedMatchesEvents holds the counted last hops to the
+// reference that dispatches every one (DeliverCell re-installed as a plain
+// endpoint): the invariant programs — random matrices, hairpins, links
+// failing and healing while counted cells are on the wire — at shards
+// {1, 2, 4}. Packet fates, the digest, the transport counters at every
+// barrier and Processed must be equal; Dispatched must fall by the cells
+// that crossed the fabric less one completion per delivered packet, give
+// or take the cells of lost packets.
+func TestTransportCountedMatchesEvents(t *testing.T) {
+	progs := []transportProgram{newProgram(7), newProgram(42), hotspotProgram(33, 3), victimProgram(5)}
+	if testing.Short() {
+		progs = progs[2:]
+	}
+	for _, prog := range progs {
+		var dispatched []uint64 // counted, per shard count: must not depend on it
+		for _, shards := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("seed=%d/fail=%d/victim=%v/shards=%d", prog.seed, prog.failN, prog.victimFA, shards), func(t *testing.T) {
+				ref := runTransportProgram(t, prog, shards, true)
+				got := runTransportProgram(t, prog, shards, false)
+				if got.outcome != ref.outcome {
+					t.Fatalf("outcome:\n  counted: %v\n  events:  %v", got.outcome, ref.outcome)
+				}
+				if len(got.barriers) != len(ref.barriers) {
+					t.Fatalf("%d barriers counted, %d with events", len(got.barriers), len(ref.barriers))
+				}
+				for i := range got.barriers {
+					if got.barriers[i] != ref.barriers[i] {
+						t.Fatalf("barrier %d:\n  counted: %+v\n  events:  %+v", i, got.barriers[i], ref.barriers[i])
+					}
+				}
+				if got.processed != ref.processed {
+					t.Fatalf("Processed %d counted, %d with events", got.processed, ref.processed)
+				}
+				if prog.victimFA && ref.deadDrops == 0 {
+					t.Fatal("no cell was lost on the victim's wires")
+				}
+				want := ref.crossCells - ref.crossPkts // one completion per packet
+				diff := int64(ref.dispatched) - int64(got.dispatched)
+				slack := int64(ref.deadDrops + ref.outcome.discarded*uint64(prog.size/504+1))
+				if off := diff - int64(want); off < -slack || off > slack || prog.failN == 0 && !prog.victimFA && off != 0 {
+					t.Fatalf("dispatched %d fewer, want %d (%d cells across the fabric, %d packets) within %d",
+						diff, want, ref.crossCells, ref.crossPkts, slack)
+				}
+				if dispatched = append(dispatched, got.dispatched); got.dispatched != dispatched[0] {
+					t.Fatalf("dispatched %d, %d at one shard", got.dispatched, dispatched[0])
+				}
+			})
+		}
 	}
 }

@@ -6,9 +6,10 @@
 // Stardust Fabric Adapter model) live in package tcp and netsim's
 // stardust.go.
 //
-// The packet hot path is allocation-free in steady state: packets come
-// from a shared free list (NewPacket/Release) or one goroutine's own
-// (FreeList), queues buffer them in
+// The packet hot path is allocation-free in steady state: every packet
+// comes from the free list of the event loop that runs it (FreeList,
+// FreeListOf) and goes back to the list of the loop where it ends, queues
+// buffer them in
 // ring buffers that reuse their backing arrays under sustained load, and
 // queue draining and pipe propagation schedule pre-bound sim.Actions
 // instead of closures.
@@ -16,7 +17,6 @@ package netsim
 
 import (
 	"fmt"
-	"sync"
 
 	"stardust/internal/sim"
 )
@@ -32,9 +32,10 @@ type Handler interface {
 // Packet is the unit moved through the simulated network. A packet carries
 // its forward route and advances itself hop by hop.
 //
-// Packets are pooled: obtain them with NewPacket and hand them back with
-// Release at the end of their life (terminal endpoints and dropping queues
-// do this). A released packet must not be touched again.
+// A packet belongs to the event loop that runs it: take it from the
+// loop's FreeList (FreeListOf) and put it back on the list of the loop
+// where its life ends — terminal endpoints and dropping queues do this.
+// A packet put back must not be touched again.
 type Packet struct {
 	Size int   // bytes on the wire
 	Seq  int64 // first byte carried (data) / echoed cumulative ack (ACK)
@@ -52,47 +53,50 @@ type Packet struct {
 	hop   int
 }
 
-// packetPool is the shared free list. It is safe for concurrent use, so
-// simulations running in parallel worker goroutines share one pool.
-var packetPool = sync.Pool{New: func() any { return new(Packet) }}
+// NewPacket allocates a zeroed packet that no free list has handed out:
+// for code that runs outside any event loop (set-up, probes, tests).
+func NewPacket() *Packet { return new(Packet) }
 
-// NewPacket returns a zeroed packet from the shared free list.
-func NewPacket() *Packet { return packetPool.Get().(*Packet) }
-
-// Release zeroes p and returns it to the free list. The caller must hold
-// the only live reference.
-func (p *Packet) Release() {
-	*p = Packet{}
-	packetPool.Put(p)
+// FreeList is the free list of one event loop (a Simulator, a shard of an
+// engine): its packets and the Stardust transport's reassembly states.
+// Taking and returning one is a slice operation, and only the loop's own
+// events and barrier context touch the list, so it needs no lock. An
+// empty list allocates. Within a window a list grows as it must; at the
+// barrier EvenFreeLists evens out the lists of an engine's loops, so
+// packets flow from a shard that frees more than it takes to one that
+// takes more. The zero value is ready to use.
+type FreeList struct {
+	free  []*Packet
+	reasm []*sreasm
 }
 
-// FreeList is a free list of packets that one goroutine owns — a shard's
-// event loop. Taking and returning a packet is a slice operation, where the
-// shared free list pins the processor and runs a lock-free dequeue at
-// either end. It holds at most FreeListCap packets: past that it spills to
-// the shared list, and empty it refills from there, so packets still flow
-// from a shard that releases more than it takes to one that takes more.
-// The zero value is ready to use; a FreeList must never be touched by two
-// goroutines.
-type FreeList struct{ free []*Packet }
-
-// FreeListCap bounds a FreeList. A list absorbs the difference between the
-// packets its goroutine releases and those it takes: the cells in flight,
-// for a loop that takes one per injection and releases one per delivery,
-// plus the drift between two shards trading cells across their cut. A
-// fabric cell is released when its last hop is handed over, not when it
-// arrives (the arrival is only counted), so a two-shard K=8 Clos at load
-// 0.4 never has more than ~450 live. At 192 (1.5 KiB of pointers) it goes
-// to the shared list for fewer than one cell in a thousand, at start-up
-// and at drain; shards that take and release at different rates spill
-// that difference under any bound.
+// FreeListCap is what a list keeps once EvenFreeLists has run: the
+// excess goes to the lists under the bound, and what none has room for
+// goes to the garbage collector. A list absorbs the difference between
+// what its loop frees and what it takes: the drift between two shards
+// trading cells across their cut, plus the cells in flight for a loop
+// that takes one per injection and frees one per delivery. A raw fabric
+// cell goes back to the receiver's list when its last hop is handed over
+// (its arrival is only counted), so a two-shard K=8 Clos at load 0.6
+// fills both lists to the bound.
 const FreeListCap = 192
+
+// FreeListOf returns the free list of event loop s, made on first use.
+// Call it from s's own events, in barrier context or before the run.
+func FreeListOf(s *sim.Simulator) *FreeList {
+	if l, ok := s.Local.(*FreeList); ok {
+		return l
+	}
+	l := new(FreeList)
+	s.Local = l
+	return l
+}
 
 // Get returns a zeroed packet.
 func (l *FreeList) Get() *Packet {
 	n := len(l.free) - 1
 	if n < 0 {
-		return NewPacket()
+		return new(Packet)
 	}
 	p := l.free[n]
 	l.free[n] = nil
@@ -100,23 +104,45 @@ func (l *FreeList) Get() *Packet {
 	return p
 }
 
-// Put zeroes p and keeps it for Get, or releases it to the shared free
-// list when the list is full. The caller must hold the only live
+// Put zeroes p and keeps it for Get. The caller must hold the only live
 // reference.
 func (l *FreeList) Put(p *Packet) {
-	if len(l.free) == FreeListCap {
-		p.Release()
-		return
-	}
-	if l.free == nil {
-		l.free = make([]*Packet, 0, FreeListCap)
-	}
 	*p = Packet{}
 	l.free = append(l.free, p)
 }
 
 // Len returns the number of packets the list holds.
 func (l *FreeList) Len() int { return len(l.free) }
+
+// EvenFreeLists evens out lists, the free lists of one engine's loops, in
+// barrier context: a list over FreeListCap gives its excess to the lists
+// under it, in list order, and drops what none has room for. Packets and
+// reassembly states are evened alike. Allocates nothing once the lists
+// have grown.
+func EvenFreeLists(lists []*FreeList) {
+	even(lists, func(l *FreeList) *[]*Packet { return &l.free })
+	even(lists, func(l *FreeList) *[]*sreasm { return &l.reasm })
+}
+
+func even[T any](lists []*FreeList, of func(*FreeList) *[]T) {
+	j := 0 // the first list that may still take some
+	for _, l := range lists {
+		from := of(l)
+		for over := len(*from) - FreeListCap; over > 0; over = len(*from) - FreeListCap {
+			for j < len(lists) && len(*of(lists[j])) >= FreeListCap {
+				j++
+			}
+			k := over
+			if j < len(lists) {
+				to := of(lists[j])
+				k = min(k, FreeListCap-len(*to))
+				*to = append(*to, (*from)[len(*from)-k:]...)
+			}
+			clear((*from)[len(*from)-k:])
+			*from = (*from)[:len(*from)-k]
+		}
+	}
+}
 
 // SetRoute installs the forward route and resets the hop cursor.
 func (p *Packet) SetRoute(route []Handler) {
@@ -387,7 +413,7 @@ func (q *Queue) Receive(p *Packet) {
 		if q.OnDrop != nil {
 			q.OnDrop(p)
 		}
-		p.Release()
+		FreeListOf(q.Sim).Put(p)
 		return
 	}
 	if q.ECNThreshBytes > 0 && q.bytes >= q.ECNThreshBytes {
@@ -508,17 +534,21 @@ type HandlerFunc func(*Packet)
 func (f HandlerFunc) Receive(p *Packet) { f(p) }
 
 // Counter is a terminal handler counting packets and bytes (a debugging
-// sink). It releases delivered packets back to the free list.
+// sink). It puts delivered packets on Free, the free list of the loop it
+// runs on; with Free nil it leaves them to the garbage collector.
 type Counter struct {
 	Packets uint64
 	Bytes   uint64
+	Free    *FreeList
 }
 
 // Receive implements Handler.
 func (c *Counter) Receive(p *Packet) {
 	c.Packets++
 	c.Bytes += uint64(p.Size)
-	p.Release()
+	if c.Free != nil {
+		c.Free.Put(p)
+	}
 }
 
 func (q *Queue) String() string {

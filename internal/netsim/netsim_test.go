@@ -175,7 +175,7 @@ func TestStardustSizingValidation(t *testing.T) {
 func TestLanePipeLaneOrder(t *testing.T) {
 	s := sim.New()
 	var got []int64
-	sink := HandlerFunc(func(p *Packet) { got = append(got, p.Seq); p.Release() })
+	sink := HandlerFunc(func(p *Packet) { got = append(got, p.Seq) })
 	hi := &LanePipe{Sched: s, Delay: sim.Microsecond, Lane: 9}
 	lo := &LanePipe{Sched: s, Delay: sim.Microsecond, Lane: 2}
 	send := func(lp *LanePipe, seq int64) {

@@ -48,12 +48,12 @@ func (q *PriorityQueue) Receive(p *Packet) {
 				victim := q.bands[1].popTail()
 				q.bytes -= victim.Size
 				q.Drops[1]++
-				victim.Release()
+				FreeListOf(q.Sim).Put(victim)
 			}
 		}
 		if q.bytes+p.Size > q.MaxBytes {
 			q.Drops[band]++
-			p.Release()
+			FreeListOf(q.Sim).Put(p)
 			return
 		}
 	}

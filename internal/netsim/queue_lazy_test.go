@@ -108,7 +108,6 @@ func (q *refQueue) Receive(p *Packet) {
 	if q.bytes+p.Size > q.depth.max {
 		q.drops++
 		q.onDrop(p)
-		p.Release()
 		return
 	}
 	if q.bytes >= q.depth.ecn {
@@ -157,7 +156,6 @@ func newLazyRig(lazy bool, depth lazyDepth, ops []lazyOp) *lazyRig {
 	wire := &LanePipe{Sched: r.sm, Delay: lazyDelay, Lane: lazyWireLane}
 	sink := HandlerFunc(func(p *Packet) {
 		r.log = append(r.log, lazyRec{What: "far", At: r.sm.Now(), ID: p.Seq, CE: p.CE})
-		p.Release()
 	})
 	if lazy {
 		r.q = NewQueue(r.sm, "q", lazyRate, depth.max, depth.ecn)

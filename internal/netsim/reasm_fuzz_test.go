@@ -23,12 +23,13 @@ import (
 // delivers it after (op mod 32) · 7µs, so later cells routinely overtake
 // earlier ones and whole packets interleave at the destination.
 type scriptedFabric struct {
-	s       *sim.Simulator
-	net     *StardustNet
-	prog    []byte
-	i       int
-	sent    uint64
-	dropped uint64
+	s         *sim.Simulator
+	net       *StardustNet
+	prog      []byte
+	i         int
+	sent      uint64
+	delivered uint64
+	dropped   uint64
 }
 
 func (f *scriptedFabric) Inject(c *Packet, src, dst int) {
@@ -40,12 +41,16 @@ func (f *scriptedFabric) Inject(c *Packet, src, dst int) {
 	}
 	if op%8 == 0 {
 		f.dropped++
-		c.Release()
 		return
 	}
 	delay := sim.Time(op%32) * 7 * sim.Microsecond
-	f.s.After(delay, func() { f.net.DeliverCell(c) })
+	f.s.After(delay, func() {
+		f.delivered++
+		f.net.DeliverCell(c)
+	})
 }
+
+func (f *scriptedFabric) Delivered() uint64 { return f.delivered }
 
 func (f *scriptedFabric) Drops() uint64 { return f.dropped }
 
@@ -90,7 +95,6 @@ func FuzzReassembly(f *testing.F) {
 				}
 				r.last = p.Seq
 				r.delivered++
-				p.Release()
 			}))
 			for i := 0; i < perFlow; i++ {
 				i := i

@@ -35,14 +35,22 @@
 // the CI matrix verify it rather than assume it.
 //
 // The hot path allocates nothing in steady state: packets, cells and
-// reassembly states are pooled, every control message reuses a pre-bound
-// sim.Action and a prebuilt lane scheduler, and the per-shard counters are
-// plain fields summed only in barrier context.
+// reassembly states come from the free list of the loop that runs them
+// (FreeList), every control message reuses a pre-bound sim.Action and a
+// prebuilt lane scheduler, and the per-shard counters are plain fields
+// summed only in barrier context.
+//
+// Over a fabric that can count (a ShardedCellFabric), a cell's last hop is
+// not an event: the fabric hands the cell to the destination adapter as a
+// count where the hop is handed over (CellCounter), the adapter ticks the
+// packet's outstanding bytes down and keeps the latest (time, lane) of its
+// cells, and the last byte schedules one completion event at that key —
+// the arrival the packet would have completed on. Hairpins and fabrics
+// that do not count deliver by events (DeliverCell).
 package netsim
 
 import (
 	"fmt"
-	"sync"
 
 	"stardust/internal/parsim"
 	"stardust/internal/sched"
@@ -111,9 +119,12 @@ func DefaultStardust(hostRate Bps, uplinks int, linkDelay sim.Time) StardustConf
 // CellFabric is the fabric crossing for cells. Inject carries one cell
 // from the source edge device to the destination edge device; the fabric
 // hands delivered cells to the transport (DeliverCell, or the SetEgress
-// endpoints of a ShardedCellFabric) and Releases lost ones.
+// endpoints of a ShardedCellFabric) and frees lost ones. Delivered and
+// Drops count the cells that reached their destination adapter and the
+// cells lost on the way (barrier context).
 type CellFabric interface {
 	Inject(c *Packet, srcFA, dstFA int)
+	Delivered() uint64
 	Drops() uint64
 }
 
@@ -135,6 +146,30 @@ type ShardedCellFabric interface {
 	// Lanes returns the first event lane not used by the fabric; the
 	// transport allocates its lanes from there up.
 	Lanes() int32
+	// LinkEpoch counts the link state changes so far. It changes only in
+	// barrier context.
+	LinkEpoch() uint64
+	// SettleThrough is called on FA fa's shard by the event at (t, lane).
+	// If a link has changed state since LinkEpoch was since, the cells
+	// counted into fa (CellCounter) whose arrival is due, and the one
+	// arriving at (t, lane), take effect: a cell whose wire is down at its
+	// arrival is reported lost (LostCell). Otherwise no cell of a packet
+	// shipped at since can have been lost, and it reads nothing else.
+	SettleThrough(fa int, t sim.Time, lane int32, since uint64)
+}
+
+// CellCounter is a delivery endpoint that can take a cell's last hop as a
+// count instead of an event: the Stardust transport's destination adapter
+// on a ShardedCellFabric. The fabric asks it on the destination's event
+// loop where the hop is handed over.
+type CellCounter interface {
+	Handler // cells that arrive by an event: hairpins, fabrics that do not count
+	// CountCell counts c as arriving at (t, lane). True: the fabric keeps
+	// c until that key is due and then frees it, or reports it lost if its
+	// wire is down then.
+	CountCell(c *Packet, t sim.Time, lane int32) bool
+	// LostCell reports a counted cell whose wire was down at its arrival.
+	LostCell(c *Packet)
 }
 
 // fluidTrunk is the Appendix G abstraction of the fabric and the
@@ -168,6 +203,14 @@ func (t *fluidTrunk) Inject(c *Packet, srcFA, dstFA int) {
 	c.SendOn()
 }
 
+// Delivered implements CellFabric: what the down trunks passed on.
+func (t *fluidTrunk) Delivered() (d uint64) {
+	for _, q := range t.down {
+		d += q.Forwarded()
+	}
+	return d
+}
+
 // Drops implements CellFabric: trunk tail-drops (§5.5: must stay zero
 // under credit pacing).
 func (t *fluidTrunk) Drops() (d uint64) {
@@ -178,14 +221,14 @@ func (t *fluidTrunk) Drops() (d uint64) {
 }
 
 // sdShard is the per-shard slice of a StardustNet: the shard's event heap
-// plus the counters its hosts increment, so the hot path never writes a
-// counter another shard's goroutine could be writing.
+// and free list plus the counters its hosts increment, so the hot path
+// never writes a counter another shard's goroutine could be writing.
 type sdShard struct {
-	id int
-	sm *sim.Simulator
+	id   int
+	sm   *sim.Simulator
+	free *FreeList // the loop's: cells, packets and reassembly states
 
 	cellsSent      uint64
-	cellsDelivered uint64
 	creditsSent    uint64
 	creditBytes    uint64
 	voqDrops       uint64
@@ -225,6 +268,7 @@ type StardustNet struct {
 
 	eng      *parsim.Engine // nil: every host on one Simulator
 	fab      CellFabric
+	sfab     ShardedCellFabric // fab when it counts last hops (the engine placement), else nil
 	hosts    int
 	hostsPer int
 	laneBase int32
@@ -287,13 +331,12 @@ func newStardustNet(s *sim.Simulator, sfab ShardedCellFabric, cfg StardustConfig
 		hostsPer: hostsPer,
 		voqs:     make(map[voqKey]*svoq),
 	}
-	sink := HandlerFunc(n.DeliverCell)
 	faShard := make([]int, numFA)
 	if sfab == nil {
 		// A solo fabric.New schedules nothing on lanes, so the pair lanes
 		// number from 0.
-		n.shards = []*sdShard{{sm: s}}
-		n.fab = newFluidTrunk(s, cfg, numFA, sink)
+		n.shards = []*sdShard{{sm: s, free: FreeListOf(s)}}
+		n.fab = newFluidTrunk(s, cfg, numFA, HandlerFunc(n.DeliverCell))
 	} else {
 		eng := sfab.Engine()
 		if eng == nil {
@@ -307,10 +350,11 @@ func newStardustNet(s *sim.Simulator, sfab ShardedCellFabric, cfg StardustConfig
 			return nil, fmt.Errorf("netsim: %d hosts / %d per FA needs %d FAs, fabric has %d",
 				hosts, hostsPer, numFA, got)
 		}
-		n.eng, n.fab, n.laneBase = eng, sfab, sfab.Lanes()
+		n.eng, n.fab, n.sfab, n.laneBase = eng, sfab, sfab, sfab.Lanes()
 		n.shards = make([]*sdShard, eng.Shards())
 		for i := range n.shards {
-			n.shards[i] = &sdShard{id: i, sm: eng.Shard(i).Sim()}
+			sm := eng.Shard(i).Sim()
+			n.shards[i] = &sdShard{id: i, sm: sm, free: FreeListOf(sm)}
 		}
 		for fa := range faShard {
 			faShard[fa] = sfab.ShardOfFA(fa)
@@ -351,7 +395,7 @@ func newStardustNet(s *sim.Simulator, sfab ShardedCellFabric, cfg StardustConfig
 		return n, nil
 	}
 	for fa := 0; fa < numFA; fa++ {
-		sfab.SetEgress(fa, sink)
+		sfab.SetEgress(fa, sdSink{n})
 	}
 	return n, nil
 }
@@ -438,10 +482,9 @@ func (n *StardustNet) voq(src, dst int) *svoq {
 // ReadCounters snapshots the aggregate transport counters into out.
 // Barrier context only (the sums cross every shard).
 func (n *StardustNet) ReadCounters(out *TransportCounters) {
-	*out = TransportCounters{FabricDrops: n.fab.Drops()}
+	*out = TransportCounters{CellsDelivered: n.fab.Delivered(), FabricDrops: n.fab.Drops()}
 	for _, sh := range n.shards {
 		out.CellsSent += sh.cellsSent
-		out.CellsDelivered += sh.cellsDelivered
 		out.CreditsSent += sh.creditsSent
 		out.CreditBytes += sh.creditBytes
 		out.VOQDrops += sh.voqDrops
@@ -544,53 +587,130 @@ func (n *StardustNet) CheckInvariants() error {
 	return nil
 }
 
-// DeliverCell is the destination adapters' cell sink — the SetEgress
-// endpoint of every FA of a sharded fabric, the delivery callback of any
-// other CellFabric. It runs on the destination host's shard: tick the
-// cell's packet's outstanding byte count down and hand completed packets
-// to the owning in-order stream.
+// DeliverCell is the destination adapters' cell sink for a cell that
+// arrives by an event — a hairpin, or any cell of a fabric that does not
+// count last hops (the delivery callback of a solo CellFabric). It runs on
+// the destination host's shard: tick the cell's packet's outstanding byte
+// count down and complete the packet with its last byte. A packet's cells
+// either all arrive by events or, hairpins aside, are all counted: a
+// fabric decides per link before the run.
 func (n *StardustNet) DeliverCell(c *Packet) {
-	state, ok := c.Flow.(*sreasm)
+	st, ok := c.Flow.(*sreasm)
 	if !ok {
-		c.Release() // foreign cell from a misbehaving fabric: not ours, not counted
-		return
+		return // foreign cell from a misbehaving fabric: not ours, not counted
 	}
-	payload := c.Size - n.Cfg.CellHeader
-	c.Release()
-	state.stream.sh.cellsDelivered++
-	state.remaining -= payload
-	if state.remaining > 0 {
-		return
+	st.remaining -= c.Size - n.Cfg.CellHeader
+	st.stream.sh.free.Put(c)
+	if st.remaining <= 0 {
+		st.complete()
 	}
-	if state.discarded {
-		// The reassembly timer gave up on this packet and its stragglers
-		// have now all drained; the state can be reused.
-		state.stream = nil
-		sreasmFree.Put(state)
-		return
+}
+
+// sdSink is the destination adapters' endpoint on a ShardedCellFabric:
+// DeliverCell for a cell that arrives by an event, a count for one whose
+// last hop the fabric hands over.
+type sdSink struct{ n *StardustNet }
+
+// Receive implements Handler.
+func (k sdSink) Receive(c *Packet) { k.n.DeliverCell(c) }
+
+// CountCell implements CellCounter: the cell's bytes are counted now and
+// its arrival key kept if it is the packet's latest; the last byte
+// schedules the completion at the latest key, in place of the arrival
+// held there.
+func (k sdSink) CountCell(c *Packet, t sim.Time, lane int32) bool {
+	st, ok := c.Flow.(*sreasm)
+	if !ok {
+		return false
 	}
-	state.done = true
-	state.stream.deliver()
+	st.remaining -= c.Size - k.n.Cfg.CellHeader
+	if !st.counted || t > st.lastAt || t == st.lastAt && lane > st.lastLane {
+		st.counted, st.lastAt, st.lastLane = true, t, lane
+	}
+	if st.remaining <= 0 {
+		st.stream.sh.sm.AtHeld(st.lastAt, st.lastLane, (*sreasmDone)(st), 0)
+	}
+	return true
+}
+
+// LostCell implements CellCounter: the cell's bytes are outstanding
+// again, so its packet never completes and the reassembly timer discards
+// it.
+func (k sdSink) LostCell(c *Packet) {
+	if st, ok := c.Flow.(*sreasm); ok {
+		st.remaining += c.Size - k.n.Cfg.CellHeader
+	}
 }
 
 // sreasm tracks one packet's cells at the destination adapter. It doubles
 // as the ship notification's sim.Action: shipping schedules the state
 // itself onto the destination shard, so entering the in-order stream
-// allocates nothing.
+// allocates nothing; as a sreasmDone it is the completion event.
 type sreasm struct {
 	orig      *Packet
 	remaining int
 	stream    *sstream
 	shippedAt sim.Time
+	epoch     uint64 // the fabric's link-state epoch at shipping
+	// The latest arrival key among the counted cells (counted: any).
+	lastAt    sim.Time
+	lastLane  int32
+	counted   bool
 	done      bool // all cells arrived, waiting for in-order delivery
 	discarded bool // reassembly timer fired; late cells just drain
 }
 
-var sreasmFree = sync.Pool{New: func() any { return new(sreasm) }}
-
 // Act implements sim.Action: the ship notification lands on the
 // destination shard — enter the stream's flight ring in ship order.
 func (st *sreasm) Act(uint64) { st.stream.enter(st) }
+
+// getReasm returns a reassembly state from the loop's list; the caller
+// sets every field.
+func (l *FreeList) getReasm() *sreasm {
+	n := len(l.reasm) - 1
+	if n < 0 {
+		return new(sreasm)
+	}
+	st := l.reasm[n]
+	l.reasm[n] = nil
+	l.reasm = l.reasm[:n]
+	return st
+}
+
+// putReasm keeps st for getReasm.
+func (l *FreeList) putReasm(st *sreasm) {
+	st.orig, st.stream = nil, nil
+	l.reasm = append(l.reasm, st)
+}
+
+// sreasmDone is a sreasm as its completion event: the arrival of the
+// latest of its counted cells.
+type sreasmDone sreasm
+
+// Act implements sim.Action.
+func (d *sreasmDone) Act(uint64) { (*sreasm)(d).complete() }
+
+// complete runs at the packet's last arrival. If its cells were counted,
+// the adapter's in-links are settled through this arrival first (a no-op
+// unless a link changed state since the packet shipped), and a lost cell
+// leaves the packet incomplete. A complete packet is released in order,
+// or its state freed if the reassembly timer gave up on it already.
+func (st *sreasm) complete() {
+	s := st.stream
+	if st.counted {
+		s.net.sfab.SettleThrough(s.key.dst/s.net.hostsPer, st.lastAt, st.lastLane, st.epoch)
+		if st.remaining > 0 {
+			return
+		}
+	}
+	if st.discarded {
+		// The stragglers have all drained; the state can be reused.
+		s.sh.free.putReasm(st)
+		return
+	}
+	st.done = true
+	s.deliver()
+}
 
 // sstream is the destination half of a split VOQ: the §4.1 in-order
 // reassembly stream, owned by dst's shard. It also carries the pre-bound
@@ -640,9 +760,7 @@ func (s *sstream) deliver() {
 			s.flight.pop()
 			orig := head.orig
 			s.sh.deliveredBytes += uint64(orig.Size)
-			head.orig = nil
-			head.stream = nil
-			sreasmFree.Put(head)
+			s.sh.free.putReasm(head)
 			orig.SendOn()
 			continue
 		}
@@ -652,7 +770,7 @@ func (s *sstream) deliver() {
 			if h := n.OnReasmDiscard; h != nil {
 				h(head.orig)
 			}
-			head.orig.Release()
+			s.sh.free.Put(head.orig)
 			head.orig = nil
 			s.sh.reasmTimeouts++
 			continue
@@ -748,7 +866,7 @@ func (v *svoq) Receive(p *Packet) {
 		if h := v.net.OnVOQDrop; h != nil {
 			h(p)
 		}
-		p.Release()
+		v.sh.free.Put(p)
 		return // ingress tail-drop, as a ToR would (§3.1)
 	}
 	v.q.push(p)
@@ -791,17 +909,16 @@ func (v *svoq) release() {
 
 // ship fragments one packet into cells and injects them into the fabric
 // from the source FA's shard; the reassembly state itself is the ship
-// notification scheduled onto the destination's shard.
+// notification scheduled onto the destination's shard. Cells and state
+// come from the source shard's free list.
 func (v *svoq) ship(p *Packet) {
 	n := v.net
 	payload := n.Cfg.CellBytes - n.Cfg.CellHeader
-	st := sreasmFree.Get().(*sreasm)
-	st.orig = p
-	st.remaining = p.Size
-	st.stream = v.stream
-	st.shippedAt = v.sh.sm.Now()
-	st.done = false
-	st.discarded = false
+	st := v.sh.free.getReasm()
+	*st = sreasm{orig: p, remaining: p.Size, stream: v.stream, shippedAt: v.sh.sm.Now()}
+	if n.sfab != nil {
+		st.epoch = n.sfab.LinkEpoch()
+	}
 	// The notification beats every cell: a cell needs at least two fabric
 	// hops (or, on the hairpin path, arrives at the same instant but on
 	// the earlier fabric lane, which enter/deliver tolerate).
@@ -812,7 +929,7 @@ func (v *svoq) ship(p *Packet) {
 		if sent+chunk > p.Size {
 			chunk = p.Size - sent
 		}
-		c := NewPacket()
+		c := v.sh.free.Get()
 		c.Size = chunk + n.Cfg.CellHeader
 		c.Flow = st
 		v.sh.cellsSent++

@@ -12,8 +12,9 @@ type blackholeFabric struct{ dropped uint64 }
 
 func (b *blackholeFabric) Inject(c *Packet, src, dst int) {
 	b.dropped++
-	c.Release()
 }
+
+func (b *blackholeFabric) Delivered() uint64 { return 0 }
 
 func (b *blackholeFabric) Drops() uint64 { return b.dropped }
 

@@ -66,18 +66,34 @@ func DefaultConfig(rateBps float64) Config {
 
 type classState struct {
 	cfg     ClassConfig
-	ring    []Requester      // activation order (credit arrival order, §3.3)
-	backlog map[uint16]int64 // per-source estimated backlog bytes
-	next    int              // round-robin cursor
-	deficit int              // WRR deficit counter
+	ring    []Requester // activation order (credit arrival order, §3.3)
+	backlog []int64     // per source FA: estimated backlog bytes, -1 while it has not requested
+	next    int         // round-robin cursor
+	deficit int         // WRR deficit counter
+}
+
+// backlogOf returns src's estimated backlog, -1 when it is not in the ring.
+func (cs *classState) backlogOf(src uint16) int64 {
+	if int(src) >= len(cs.backlog) {
+		return -1
+	}
+	return cs.backlog[src]
+}
+
+// setBacklog records src's estimate (-1: absent), growing the table.
+func (cs *classState) setBacklog(src uint16, bytes int64) {
+	for int(src) >= len(cs.backlog) {
+		cs.backlog = append(cs.backlog, -1)
+	}
+	cs.backlog[src] = bytes
 }
 
 // PortScheduler issues credits for one egress port.
 type PortScheduler struct {
 	cfg      Config
-	classes  map[uint8]*classState
-	tcOrder  []uint8 // deterministic class iteration order
-	prios    []int   // distinct priorities, descending
+	classes  []*classState // by traffic class; nil where none is configured
+	tcOrder  []uint8       // deterministic class iteration order
+	prios    []int         // distinct priorities, descending
 	throttle float64
 	fciPend  bool          // an FCI mark arrived since the last credit tick
 	paused   bool          // egress buffer back-pressure (§4.1)
@@ -101,7 +117,7 @@ func New(cfg Config) *PortScheduler {
 	if cfg.MinThrottle <= 0 {
 		cfg.MinThrottle = 0.1
 	}
-	s := &PortScheduler{cfg: cfg, classes: make(map[uint8]*classState), throttle: 1}
+	s := &PortScheduler{cfg: cfg, throttle: 1}
 	seen := map[int]bool{}
 	for tc := 0; tc < 256; tc++ {
 		cc, ok := cfg.Classes[uint8(tc)]
@@ -111,7 +127,10 @@ func New(cfg Config) *PortScheduler {
 		if cc.Weight < 1 {
 			cc.Weight = 1
 		}
-		s.classes[uint8(tc)] = &classState{cfg: cc, backlog: make(map[uint16]int64)}
+		for len(s.classes) <= tc {
+			s.classes = append(s.classes, nil)
+		}
+		s.classes[tc] = &classState{cfg: cc}
 		s.tcOrder = append(s.tcOrder, uint8(tc))
 		if !seen[cc.Priority] {
 			seen[cc.Priority] = true
@@ -140,19 +159,22 @@ func (s *PortScheduler) CreditInterval() sim.Time {
 // backlogBytes is the VOQ's current queued byte count; a request with zero
 // backlog withdraws the VOQ.
 func (s *PortScheduler) Request(r Requester, backlogBytes int64) error {
-	cs, ok := s.classes[r.TC]
-	if !ok {
+	var cs *classState
+	if int(r.TC) < len(s.classes) {
+		cs = s.classes[r.TC]
+	}
+	if cs == nil {
 		return fmt.Errorf("sched: unknown traffic class %d", r.TC)
 	}
-	_, present := cs.backlog[r.SrcFA]
+	present := cs.backlogOf(r.SrcFA) >= 0
 	if backlogBytes <= 0 {
 		if present {
-			delete(cs.backlog, r.SrcFA)
+			cs.backlog[r.SrcFA] = -1
 			cs.removeFromRing(r)
 		}
 		return nil
 	}
-	cs.backlog[r.SrcFA] = backlogBytes
+	cs.setBacklog(r.SrcFA, backlogBytes)
 	if !present {
 		cs.ring = append(cs.ring, r) // credit-arrival order
 	}
@@ -259,7 +281,7 @@ func (s *PortScheduler) NextCredit() (Credit, bool) {
 		if rem < 0 {
 			rem = 0
 		}
-		best.backlog[r.SrcFA] = rem
+		best.backlog[r.SrcFA] = rem // r is in the ring, so its entry exists
 		s.Issued++
 		s.IssuedBytes += uint64(s.cfg.CreditBytes)
 		return Credit{To: r, Bytes: s.cfg.CreditBytes}, true
@@ -279,8 +301,8 @@ func totalWeight(cs []*classState) int {
 // Demand returns the number of requesting sources across all classes.
 func (s *PortScheduler) Demand() int {
 	n := 0
-	for _, cs := range s.classes {
-		n += len(cs.ring)
+	for _, tc := range s.tcOrder {
+		n += len(s.classes[tc].ring)
 	}
 	return n
 }

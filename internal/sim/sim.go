@@ -100,9 +100,10 @@
 //
 // Processed counts an elided completion once, like any other event: at
 // Elide; AtCompletion takes one count back and the real event counts
-// itself when it runs. Both points are functions of the simulated system,
-// so the total stays independent of the partitioning. Dispatched reports
-// what the loop actually executed.
+// itself when it runs (AtHeld does the same for a held delivery). Both
+// points are functions of the simulated system, so the total stays
+// independent of the partitioning. Dispatched reports what the loop
+// actually executed.
 //
 // The same rule covers a delivery whose only effect is to be counted by
 // its receiver — a cell reaching an egress that does nothing but count
@@ -113,7 +114,10 @@
 // until its instant has passed, so a run drained to quiet ends where it
 // would have ended with the event. A mailbox that hands actions to the
 // loop that runs them (parsim) inserts them with AtArrival, which asks an
-// action implementing Arrival whether it can take effect that way.
+// action implementing Arrival whether it can take effect that way. A
+// receiver that counts several deliveries toward one effect (the cells of
+// one packet) runs that effect as an event after all, at the key of the
+// last delivery it counted: AtHeld.
 package sim
 
 import (
@@ -358,7 +362,10 @@ type Simulator struct {
 	freeKeys   [][]uint64
 	freeBodies [][]eventBody
 
-	_ [5*CacheLine - 304]byte
+	// Local is what a layer above the kernel keeps per event loop: only
+	// the loop's own events and barrier context may touch it. netsim keeps
+	// the loop's free packets here. It fills the last line exactly.
+	Local any
 }
 
 // New returns a Simulator starting at time zero.
@@ -486,6 +493,16 @@ func (s *Simulator) Hold(t Time, lane int32) {
 	if !s.holding || t > s.holdAt || t == s.holdAt && lane > s.holdLane {
 		s.holding, s.holdAt, s.holdLane = true, t, lane
 	}
+}
+
+// AtHeld turns a delivery counted by Hold at (t, lane) into the event it
+// stands for: the count is taken back, a.Act(arg) runs at (t, lane) and
+// counts itself then. The Hold may come just after the call, in the same
+// hand-over. Allocates nothing.
+func (s *Simulator) AtHeld(t Time, lane int32, a Action, arg uint64) {
+	s.Processed--
+	s.elided--
+	s.schedule(t, lane, a, arg)
 }
 
 // Arrival is implemented by an Action that may take effect where it is

@@ -29,7 +29,8 @@ type DCQCN struct {
 	// afterwards disables the pause entirely.
 	MaxInflight int64
 
-	fwd []netsim.Handler
+	fwd  []netsim.Handler
+	free *netsim.FreeList // the loop's: data packets come from it, acks go back to it
 
 	rate      netsim.Bps
 	target    netsim.Bps
@@ -89,6 +90,7 @@ func NewDCQCN(s *sim.Simulator, name string, mss int, lineRate netsim.Bps, flowB
 		LineRate:  lineRate,
 		FlowBytes: flowBytes,
 		fwd:       fwd,
+		free:      netsim.FreeListOf(s),
 		rate:      lineRate,
 		target:    lineRate,
 		g:         1.0 / 256,
@@ -149,7 +151,7 @@ func (d *DCQCN) pace() {
 	if d.FlowBytes > 0 && d.highest+size > d.FlowBytes {
 		size = d.FlowBytes - d.highest
 	}
-	p := netsim.NewPacket()
+	p := d.free.Get()
 	p.Size = int(size)
 	p.Seq = d.highest
 	p.Flow = d
@@ -299,6 +301,7 @@ type DCQCNSink struct {
 	Sim     *sim.Simulator
 	Src     *DCQCN
 	rev     []netsim.Handler
+	free    *netsim.FreeList // the loop's
 	cumAck  int64
 	ooo     map[int64]int
 	lastCNP sim.Time
@@ -308,7 +311,7 @@ type DCQCNSink struct {
 
 // NewDCQCNSink builds the receiver; rev must end at DCQCNAck.
 func NewDCQCNSink(s *sim.Simulator, src *DCQCN, rev []netsim.Handler) *DCQCNSink {
-	return &DCQCNSink{Sim: s, Src: src, rev: rev, ooo: make(map[int64]int), lastCNP: -1 << 60}
+	return &DCQCNSink{Sim: s, Src: src, rev: rev, free: netsim.FreeListOf(s), ooo: make(map[int64]int), lastCNP: -1 << 60}
 }
 
 // Receive implements netsim.Handler.
@@ -328,8 +331,8 @@ func (k *DCQCNSink) Receive(p *netsim.Packet) {
 		k.ooo[p.Seq] = p.Size
 	}
 	ce := p.CE
-	p.Release()
-	ack := netsim.NewPacket()
+	k.free.Put(p)
+	ack := k.free.Get()
 	ack.Size = 64
 	ack.Ack = true
 	ack.Seq = k.cumAck
@@ -348,14 +351,15 @@ type DCQCNAckEndpoint struct{}
 // Receive implements netsim.Handler.
 func (DCQCNAckEndpoint) Receive(p *netsim.Packet) {
 	src, ok := p.Flow.(*DCQCN)
-	seq, echo := p.Seq, p.Echo
-	p.Release()
-	if ok {
-		if echo {
-			src.OnCNP()
-		}
-		src.OnAck(seq)
+	if !ok {
+		return // not an ACK of ours: left to the garbage collector
 	}
+	seq, echo := p.Seq, p.Echo
+	src.free.Put(p)
+	if echo {
+		src.OnCNP()
+	}
+	src.OnAck(seq)
 }
 
 // DCQCNAck is a shared endpoint.

@@ -46,7 +46,8 @@ type Source struct {
 	quota *Quota
 	end   int64 // current assigned end of this sender's byte stream
 
-	fwd []netsim.Handler // route to the sink (sink included)
+	fwd  []netsim.Handler // route to the sink (sink included)
+	free *netsim.FreeList // the loop's: data packets come from it, acks go back to it
 
 	cwnd      float64 // bytes
 	ssthresh  float64
@@ -102,6 +103,7 @@ func NewSource(s *sim.Simulator, cfg Config, name string, flowBytes int64, route
 		Name:      name,
 		FlowBytes: flowBytes,
 		fwd:       route,
+		free:      netsim.FreeListOf(s),
 		cwnd:      float64(cfg.InitialWnd * cfg.MSS),
 		ssthresh:  1 << 30,
 		rto:       cfg.RTOMin,
@@ -168,7 +170,7 @@ func (s *Source) sendMore() {
 }
 
 func (s *Source) transmit(seq int64, size int, rtx bool) {
-	p := netsim.NewPacket()
+	p := s.free.Get()
 	p.Size = size
 	p.Seq = seq
 	p.Flow = s
@@ -367,10 +369,11 @@ func max64f(a, b float64) float64 {
 // cumulatively and returns one ACK per data packet along the reverse
 // route, echoing CE marks per-packet (DCTCP-style).
 type Sink struct {
-	Sim *sim.Simulator
-	Cfg Config
-	Src *Source
-	rev []netsim.Handler // reverse route back to the source (ends at ackReceiver)
+	Sim  *sim.Simulator
+	Cfg  Config
+	Src  *Source
+	rev  []netsim.Handler // reverse route back to the source (ends at ackReceiver)
+	free *netsim.FreeList // the loop's: data packets end here, acks start here
 
 	cumAck int64
 	ooo    map[int64]int // out-of-order segments: seq -> size
@@ -381,7 +384,7 @@ type Sink struct {
 // NewSink builds the receiving side; rev is the reverse route and must end
 // at a handler that calls Src.OnAck (use AckEndpoint).
 func NewSink(s *sim.Simulator, cfg Config, src *Source, rev []netsim.Handler) *Sink {
-	return &Sink{Sim: s, Cfg: cfg, Src: src, rev: rev, ooo: make(map[int64]int)}
+	return &Sink{Sim: s, Cfg: cfg, Src: src, rev: rev, free: netsim.FreeListOf(s), ooo: make(map[int64]int)}
 }
 
 // Receive implements netsim.Handler for data packets.
@@ -406,8 +409,8 @@ func (k *Sink) receive(p *Packet) {
 		k.ooo[p.Seq] = p.Size
 	}
 	echo := p.CE
-	p.Release()
-	ack := netsim.NewPacket()
+	k.free.Put(p)
+	ack := k.free.Get()
 	ack.Size = k.Cfg.AckBytes
 	ack.Seq = k.cumAck
 	ack.Ack = true
@@ -417,17 +420,19 @@ func (k *Sink) receive(p *Packet) {
 	ack.SendOn()
 }
 
-// AckEndpoint terminates the reverse route, delivering ACKs to sources.
+// AckEndpoint terminates the reverse route, delivering ACKs to sources
+// (and the ACK to its source's free list).
 type AckEndpoint struct{}
 
 // Receive implements netsim.Handler.
 func (AckEndpoint) Receive(p *Packet) {
 	src, ok := p.Flow.(*Source)
-	seq, echo := p.Seq, p.Echo
-	p.Release()
-	if ok {
-		src.OnAck(seq, echo)
+	if !ok {
+		return // not an ACK of ours: left to the garbage collector
 	}
+	seq, echo := p.Seq, p.Echo
+	src.free.Put(p)
+	src.OnAck(seq, echo)
 }
 
 // Ack is a shared AckEndpoint.

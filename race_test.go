@@ -3,6 +3,6 @@
 package stardust_test
 
 // raceEnabled reports that the race detector is instrumenting this build:
-// sync.Pool drops items at random under it, so allocation counts of the
-// pooled packet paths mean nothing.
+// its instrumentation allocates, so allocation counts of the packet paths
+// mean nothing.
 const raceEnabled = true
