@@ -276,7 +276,7 @@ func TestGoldenUpdateRefusesABrokenBound(t *testing.T) {
 	// reads is row's reading with every bound kept, as the recorded runs
 	// keep them, but quantity at v.
 	reads := func(row, quantity string, v float64) []reading {
-		q := map[string]float64{"unaccounted": 0, "unreachable": 0, "util_pct": 96.2, "drops": 0, "dispatched_per_cell": 4.55}
+		q := map[string]float64{"unaccounted": 0, "unreachable": 0, "util_pct": 96.2, "drops": 0, "dispatched_per_cell": 3.66}
 		q[quantity] = v
 		return []reading{{row, bounds[row], q}}
 	}

@@ -1007,11 +1007,11 @@ func deliverMail(m *Model, owned []bool, batch []byte) error {
 		if e.at < now {
 			return fmt.Errorf("distsim: mail for t=%d arrived at t=%d, behind the lookahead", e.at, now)
 		}
-		act, _, err := m.Net.DecodeMail(e.kind, e.lane, e.pay)
+		act, val, err := m.Net.DecodeMail(e.kind, e.lane, e.pay)
 		if err != nil {
 			return err
 		}
-		m.Eng.DeliverMail(e.dst, parsim.Mail{At: e.at, Lane: e.lane, Act: act, Arg: e.arg})
+		m.Eng.DeliverMail(e.dst, parsim.Mail{At: e.at, Lane: e.lane, Act: act, Arg: e.arg, Val: val})
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("distsim: mail batch has %d trailing bytes", len(rest))

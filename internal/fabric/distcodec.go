@@ -5,36 +5,38 @@
 // A distributed run replicates the whole deterministic model on every
 // process and executes only an owned subset of the shards per process, so
 // a cross-shard message never needs to carry model objects — only enough
-// to rebind the message to the receiver's replica. Exactly two action
-// kinds cross shard cuts in a fabric simulation, and both are compact:
+// to rebind the message to the receiver's replica. Exactly two kinds of
+// message cross shard cuts in a fabric simulation, and both are compact:
 //
-//   - a cell (*netsim.Packet) in flight on a directed link's propagation
-//     lane — the lane IS the directed link index, so the receiver rebinds
-//     the decoded cell to its own replica's link route;
+//   - a cell in flight on a directed link's propagation lane. It crosses
+//     as a value (parsim.Value) in process too, so the codec writes and
+//     reads that same value and no packet: the lane IS the directed link
+//     index, and the receiver's lander (link.land) takes a packet from its
+//     own shard's list, or none, exactly as for a cell from a shard of its
+//     own process;
 //   - under the reach protocol, a reachability re-advertisement on an
 //     FE1's reach lane — spine index, down port and the reach.Message
 //     batch. A recomputed graph reconverges by barrier controls every
 //     replica runs locally and ships nothing.
 //
-// A transport overlay (packets with Flow state, closure actions) cannot
+// A transport overlay (cells with Flow state, closure actions) cannot
 // be rebound to a remote replica; EncodeMail rejects it with a
 // deterministic error rather than guessing. Frames arrive from a socket:
 // DecodeMail checks every field against the model and returns an error,
-// so a decoded action cannot panic later inside the event loop.
+// so a decoded message cannot panic later inside the event loop.
 package fabric
 
 import (
 	"encoding/binary"
 	"fmt"
 
-	"stardust/internal/netsim"
 	"stardust/internal/parsim"
 	"stardust/internal/sim"
 )
 
 // Wire kinds of a cross-shard mail payload.
 const (
-	MailCell  byte = 1 // *netsim.Packet on a directed link's lane
+	MailCell  byte = 1 // a cell's value on a directed link's lane
 	MailReach byte = 2 // reach-protocol update on an FE1's reach lane
 )
 
@@ -53,26 +55,25 @@ func (n *Net) EncodeMail(m parsim.Mail) (kind byte, payload []byte, err error) {
 }
 
 // AppendMail serializes one cross-shard message for the wire, appending
-// its payload to buf. It consumes the message: an encoded cell goes back
-// to the free list of the shard that sent it, so the caller must not
-// touch m.Act afterwards. Messages the codec cannot rebind on a remote
-// replica (transport packets with Flow state, unknown action types)
-// return an error — the distributed runtime turns that into a
-// deterministic "not distributable" failure instead of silent corruption.
-// A cell allocates nothing once buf has room. Barrier context.
+// its payload to buf: a cell's value (m.Act nil, m.Val) or a reach batch.
+// Messages the codec cannot rebind on a remote replica (cells with Flow
+// state, unknown action types) return an error — the distributed runtime
+// turns that into a deterministic "not distributable" failure instead of
+// silent corruption. A cell allocates nothing once buf has room. Barrier
+// context.
 func (n *Net) AppendMail(buf []byte, m parsim.Mail) (kind byte, payload []byte, err error) {
-	a, ok := m.Act.(*netsim.Packet)
-	if !ok {
+	if m.Act != nil {
 		if payload, ok := n.routes.encodeMail(m.Act); ok {
 			return MailReach, append(buf, payload...), nil
 		}
 		return 0, buf, fmt.Errorf("fabric: cross-shard action %T on lane %d is not distributable", m.Act, m.Lane)
 	}
+	a := m.Val
 	if a.Flow != nil {
 		return 0, buf, fmt.Errorf("fabric: cell on lane %d carries transport flow state; the transport overlay is not distributable", m.Lane)
 	}
 	if m.Lane < 0 || int(m.Lane) >= len(n.links) {
-		return 0, buf, fmt.Errorf("fabric: packet on non-link lane %d is not distributable", m.Lane)
+		return 0, buf, fmt.Errorf("fabric: cell on non-link lane %d is not distributable", m.Lane)
 	}
 	var flags byte
 	if a.Ack {
@@ -91,22 +92,23 @@ func (n *Net) AppendMail(buf []byte, m parsim.Mail) (kind byte, payload []byte, 
 	buf = binary.AppendUvarint(buf, uint64(a.Size))
 	buf = binary.AppendUvarint(buf, uint64(a.Dst))
 	buf = binary.AppendVarint(buf, a.Seq)
-	// The link's queue, and so the cell, was the sending shard's.
-	netsim.FreeListOf(n.links[m.Lane].q.Sim).Put(a)
 	return MailCell, buf, nil
 }
 
-// DecodeMail rebinds one wire payload to this replica of the model,
-// returning the action and argument to inject on the destination shard at
-// the original (time, lane) key.
-func (n *Net) DecodeMail(kind byte, lane int32, payload []byte) (sim.Action, uint64, error) {
+// DecodeMail rebinds one wire payload to this replica of the model: the
+// action to inject on the destination shard at the original (time, lane)
+// key, or for a cell no action and its value, for the engine's lander
+// (parsim.Mail's two kinds). It takes no packet: the lander does, from
+// the receiving shard's list, if the cell needs one.
+func (n *Net) DecodeMail(kind byte, lane int32, payload []byte) (sim.Action, parsim.Value, error) {
+	var v parsim.Value
 	switch kind {
 	case MailCell:
 		if lane < 0 || int(lane) >= len(n.links) {
-			return nil, 0, fmt.Errorf("fabric: cell on bad link lane %d", lane)
+			return nil, v, fmt.Errorf("fabric: cell on bad link lane %d", lane)
 		}
 		if len(payload) < 1 {
-			return nil, 0, fmt.Errorf("fabric: truncated cell payload")
+			return nil, v, fmt.Errorf("fabric: truncated cell payload")
 		}
 		flags, rest := payload[0], payload[1:]
 		// A cell that crossed a link queue has bytes and fits in it, and is
@@ -114,35 +116,29 @@ func (n *Net) DecodeMail(kind byte, lane int32, payload []byte) (sim.Action, uin
 		// forwarding tables, or be counted on arrival as a cell it cannot be.
 		size, k := binary.Uvarint(rest)
 		if k <= 0 || size == 0 || size > uint64(n.Cfg.LinkBytes) {
-			return nil, 0, fmt.Errorf("fabric: bad cell size")
+			return nil, v, fmt.Errorf("fabric: bad cell size")
 		}
 		rest = rest[k:]
 		dst, k := binary.Uvarint(rest)
 		if k <= 0 || dst >= uint64(n.NumFA()) {
-			return nil, 0, fmt.Errorf("fabric: bad cell dst")
+			return nil, v, fmt.Errorf("fabric: bad cell dst")
 		}
 		rest = rest[k:]
 		seq, k := binary.Varint(rest)
 		if k <= 0 || k != len(rest) {
-			return nil, 0, fmt.Errorf("fabric: bad cell seq")
+			return nil, v, fmt.Errorf("fabric: bad cell seq")
 		}
-		p := n.links[lane].sh.cells.Get() // the receiving shard's
-		p.Size = int(size)
-		p.Dst = int32(dst)
-		p.Seq = seq
-		p.Ack = flags&cellAck != 0
-		p.CE = flags&cellCE != 0
-		p.Echo = flags&cellEcho != 0
-		p.Down = flags&cellDown != 0
-		// A cell crossing a shard cut was scheduled by the link's wire: its
-		// next hop is the link itself, the whole of the link's route.
-		p.SetRoute(n.links[lane].route[:])
-		return p, 0, nil
+		v.Size, v.Dst, v.Seq = int32(size), int32(dst), seq
+		v.Ack = flags&cellAck != 0
+		v.CE = flags&cellCE != 0
+		v.Echo = flags&cellEcho != 0
+		v.Down = flags&cellDown != 0
+		return nil, v, nil
 	case MailReach:
 		act, err := n.routes.decodeMail(lane, payload)
-		return act, 0, err
+		return act, v, err
 	default:
-		return nil, 0, fmt.Errorf("fabric: unknown mail kind %d", kind)
+		return nil, v, fmt.Errorf("fabric: unknown mail kind %d", kind)
 	}
 }
 

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"encoding/binary"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -114,7 +115,10 @@ func TestDecodeMailRejectsHostileFrames(t *testing.T) {
 }
 
 // TestMailRoundTrip: what EncodeMail writes, DecodeMail rebinds to the
-// same action on the replica.
+// same action on the replica, or gives back as the same cell value — all
+// 64 bits of its Seq, every flag — without a packet on either side. A
+// cell with transport state, and a packet handed over as an action, are
+// refused.
 func TestMailRoundTrip(t *testing.T) {
 	n := codecFabric(t, "clos")
 	r := n.routes.(*reachProtocol)
@@ -145,26 +149,41 @@ func TestMailRoundTrip(t *testing.T) {
 		t.Fatalf("after the decoded reach batch: %v", err)
 	}
 
-	c := netsim.NewPacket()
-	c.Size, c.Dst, c.Seq, c.Down = 512, 5, -77, true
-	kind, payload, err = n.EncodeMail(parsim.Mail{Lane: 6, Act: c})
-	if err != nil || kind != MailCell {
-		t.Fatalf("encode cell: kind %d, %v", kind, err)
+	for _, v := range []parsim.Value{
+		{Size: 512, Dst: 5, Seq: -77, Down: true},
+		{Size: 1, Dst: 0, Seq: math.MaxInt64, Ack: true, Echo: true},
+		{Size: int32(n.Cfg.LinkBytes), Dst: int32(n.NumFA() - 1), Seq: math.MinInt64, CE: true, Down: true},
+		{Size: 64, Dst: 3, Seq: 1<<40 + 7, Ack: true, CE: true, Echo: true, Down: true},
+	} {
+		kind, payload, err = n.EncodeMail(parsim.Mail{Lane: 6, Val: v})
+		if err != nil || kind != MailCell {
+			t.Fatalf("encode cell %+v: kind %d, %v", v, kind, err)
+		}
+		act, got, err := n.DecodeMail(kind, 6, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if act != nil || got != v {
+			t.Fatalf("cell %+v came back as %T, %+v", v, act, got)
+		}
 	}
-	act, _, err = n.DecodeMail(kind, 6, payload)
-	if err != nil {
-		t.Fatal(err)
+	if n.shards[0].cells.Len()+n.shards[1].cells.Len() != 0 {
+		t.Fatal("the codec took or gave back packets")
 	}
-	if p := act.(*netsim.Packet); p.Size != 512 || p.Dst != 5 || p.Seq != -77 || !p.Down {
-		t.Fatalf("cell came back as %+v", p)
+	for _, m := range []parsim.Mail{
+		{Lane: 6, Val: parsim.Value{Size: 512, Dst: 5, Flow: new(int)}},
+		{Lane: 6, Act: netsim.NewPacket()},
+		{Lane: int32(len(n.links)), Val: parsim.Value{Size: 512, Dst: 5}},
+	} {
+		if _, _, err := n.EncodeMail(m); err == nil || !strings.Contains(err.Error(), "distributable") {
+			t.Errorf("encoding %+v: %v, want a not-distributable error", m, err)
+		}
 	}
 }
 
 // A peer encodes a window's cells into its frame buffer and decodes the
-// frames it receives: once the buffer and the shards' free lists have
-// grown, neither allocates. Every directed link of a two-shard fabric
-// carries one cell per window, taken from its sender's list; decoding
-// takes from its receiver's, and the round trip gives it back there.
+// frames it receives: once the buffer has grown, neither allocates. Every
+// directed link of a two-shard fabric carries one cell's value per window.
 func TestMailCodecAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -174,26 +193,24 @@ func TestMailCodecAllocFree(t *testing.T) {
 	var at []int // where each payload starts in buf
 	window := func() {
 		buf, at = buf[:0], at[:0]
-		for d, l := range n.links {
-			c := netsim.FreeListOf(l.q.Sim).Get()
-			c.Size, c.Dst, c.Seq = 512, int32(d%n.NumFA()), int64(d)
+		for d := range n.links {
+			v := parsim.Value{Size: 512, Dst: int32(d % n.NumFA()), Seq: int64(d) << 40}
 			at = append(at, len(buf))
 			var kind byte
 			var err error
-			if kind, buf, err = n.AppendMail(buf, parsim.Mail{Lane: int32(d), Act: c}); err != nil || kind != MailCell {
+			if kind, buf, err = n.AppendMail(buf, parsim.Mail{Lane: int32(d), Val: v}); err != nil || kind != MailCell {
 				t.Fatalf("encode: kind %d, %v", kind, err)
 			}
 		}
 		at = append(at, len(buf))
-		for d, l := range n.links {
-			act, _, err := n.DecodeMail(MailCell, int32(d), buf[at[d]:at[d+1]])
+		for d := range n.links {
+			_, v, err := n.DecodeMail(MailCell, int32(d), buf[at[d]:at[d+1]])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c := act.(*netsim.Packet); c.Seq != int64(d) {
-				t.Fatalf("lane %d: cell %d came back", d, c.Seq)
+			if v.Seq != int64(d)<<40 {
+				t.Fatalf("lane %d: cell %d came back", d, v.Seq)
 			}
-			l.sh.cells.Put(act.(*netsim.Packet))
 		}
 	}
 	window()
@@ -216,9 +233,10 @@ func lastHop(n *Net) (lane int32, dst uint64) {
 // FuzzDecodeMail: whatever bytes arrive, on either route policy's
 // fabric, DecodeMail returns an error or an action that executes and
 // drains without a panic, and leaves the spreaders what the tables say
-// (checkSpray). A cell is delivered as a peer delivers it, on the shard
-// its lane's link feeds, where a cell on its last hop is counted instead
-// of scheduled.
+// (checkSpray). A cell's value encodes again to what decodes to itself,
+// and is delivered as a peer delivers it, on the shard its lane's link
+// feeds, whose lander counts a cell on its last hop instead of scheduling
+// it.
 func FuzzDecodeMail(f *testing.F) {
 	clos := codecFabric(f, "clos")
 	lane0 := clos.routes.(*reachProtocol).reachLane(0)
@@ -238,14 +256,21 @@ func FuzzDecodeMail(f *testing.F) {
 			topoName = "sshuffle"
 		}
 		n := codecFabric(t, topoName)
-		act, arg, err := n.DecodeMail(kind, lane, payload)
+		act, v, err := n.DecodeMail(kind, lane, payload)
 		if err != nil {
 			return
 		}
 		if kind == MailCell {
-			n.eng.DeliverMail(n.links[lane].sh.id, parsim.Mail{At: sim.Microsecond, Lane: lane, Act: act, Arg: arg})
+			k, again, err := n.AppendMail(nil, parsim.Mail{Lane: lane, Val: v})
+			if err != nil {
+				t.Fatalf("decoded cell %+v does not encode: %v", v, err)
+			}
+			if a, w, err := n.DecodeMail(k, lane, again); err != nil || a != nil || w != v {
+				t.Fatalf("cell %+v re-encoded decodes to %T, %+v, %v", v, a, w, err)
+			}
+			n.eng.DeliverMail(n.links[lane].sh.id, parsim.Mail{At: sim.Microsecond, Lane: lane, Val: v})
 		} else {
-			act.Act(arg)
+			act.Act(0)
 		}
 		n.eng.RunUntilQuiet(sim.Millisecond)
 		if !n.eng.Quiet() {
@@ -259,3 +284,122 @@ func FuzzDecodeMail(f *testing.F) {
 		}
 	})
 }
+
+// A cell never leaves its shard, and it crosses a cut the same way in
+// process and between peers. Two replicas of a two-shard K=8 Clos each own
+// one shard and step through the distributed seam (StepOwned with an
+// emit), handing each other what leaves their owned shard as a peer does:
+// encoded, decoded, delivered. No message on a directed link's lane
+// carries a packet — every one is a value — and every cell's 64-bit id,
+// injected in Seq, reaches its destination edge: the replicas together
+// deliver exactly the ids an engine running both shards does.
+func TestCellsCrossByValue(t *testing.T) {
+	const cellsPerFA = 40
+	build := func() (*Net, [][]int64) {
+		g, err := ClosFor(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := parsim.New(parsim.Config{Shards: 2, Lookahead: sim.Microsecond})
+		n, err := NewSharded(eng, DefaultConfig(10e9, sim.Microsecond, 3), g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([][]int64, n.NumFA()) // per edge, on its shard: the ids it received
+		for fa := range n.NumFA() {
+			n.SetEgress(fa, netsim.HandlerFunc(func(c *netsim.Packet) {
+				got[fa] = append(got[fa], c.Seq)
+				netsim.FreeListOf(n.EdgeSim(fa)).Put(c)
+			}))
+			sm := n.EdgeSim(fa)
+			for i := range cellsPerFA {
+				sm.AtLaneFunc(sim.Time(i)*100*sim.Nanosecond, 0, func() {
+					c := netsim.FreeListOf(sm).Get()
+					c.Size, c.Seq = 512, cellID(fa, i)
+					n.Inject(c, fa, (fa+1+i)%n.NumFA())
+				})
+			}
+		}
+		return n, got
+	}
+	reached := func(per ...[][]int64) map[int64]int { // id -> the edge it reached
+		m := map[int64]int{}
+		for _, got := range per {
+			for fa, ids := range got {
+				for _, id := range ids {
+					m[id] = fa
+				}
+			}
+		}
+		return m
+	}
+	one, delivered := build()
+	one.eng.RunUntilQuiet(sim.Millisecond)
+	want := reached(delivered)
+	if len(want) != cellsPerFA*one.NumFA() {
+		t.Fatalf("one engine delivered %d distinct ids, want %d", len(want), cellsPerFA*one.NumFA())
+	}
+
+	var reps [2]*Net
+	var gots [2][][]int64
+	for i := range reps {
+		reps[i], gots[i] = build()
+	}
+	owned := [2][]bool{{true, false}, {false, true}}
+	type entry struct {
+		dst  int
+		m    parsim.Mail
+		kind byte
+		pay  []byte
+	}
+	cells := 0
+	for w := 0; w < 1000; w++ {
+		var out [2][]entry
+		for i, n := range reps {
+			n.eng.StepOwned(owned[i], func(src, dst int, m parsim.Mail) {
+				if m.Lane < int32(len(n.links)) {
+					if m.Act != nil {
+						t.Fatalf("window %d: lane %d carries %T, not a value", w, m.Lane, m.Act)
+					}
+					cells++
+				}
+				kind, pay, err := n.EncodeMail(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[i] = append(out[i], entry{dst, m, kind, pay})
+			})
+		}
+		for i, n := range reps {
+			for _, e := range out[1-i] {
+				act, v, err := n.DecodeMail(e.kind, e.m.Lane, e.pay)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if act == nil && v != e.m.Val {
+					t.Fatalf("window %d: value %+v decoded as %+v", w, e.m.Val, v)
+				}
+				n.eng.DeliverMail(e.dst, parsim.Mail{At: e.m.At, Lane: e.m.Lane, Act: act, Arg: e.m.Arg, Val: v})
+			}
+		}
+		if reps[0].eng.OwnedPending(owned[0])+reps[1].eng.OwnedPending(owned[1]) == 0 {
+			break
+		}
+	}
+	if cells == 0 {
+		t.Fatal("no cell crossed the cut")
+	}
+	got := reached(gots[0], gots[1])
+	if len(got) != len(want) {
+		t.Fatalf("the replicas delivered %d distinct ids, one engine %d", len(got), len(want))
+	}
+	for id, fa := range want {
+		if g, ok := got[id]; !ok || g != fa {
+			t.Fatalf("cell %#x reached edge %d (delivered %v) on the replicas, edge %d on one engine", id, g, ok, fa)
+		}
+	}
+}
+
+// cellID is a cell id that needs all 64 bits of Seq: the top bit and bits
+// above 32 set, distinct per (edge, index).
+func cellID(fa, i int) int64 { return math.MinInt64 | int64(fa)<<40 | int64(i)<<8 | 0x5a }

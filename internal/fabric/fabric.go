@@ -48,9 +48,19 @@
 // and every link delivery is ordered by the directed link's own event
 // lane, so the execution order of same-instant events at any node is a
 // function of the topology alone and results are byte-identical for every
-// shard count. Link administration
-// mutates nodes on several shards and therefore runs in barrier context,
-// quantized to window boundaries — a function of the lookahead alone.
+// shard count. Link administration mutates nodes on several shards and
+// therefore runs in barrier context, quantized to window boundaries — a
+// function of the lookahead alone.
+//
+// A cell never leaves its shard. The wire of a link that crosses a cut
+// hands the cell's value to the mailbox (parsim.Value) and the packet back
+// to the sending shard's free list; the receiving shard's lander (land)
+// takes a packet from its own list, or none for a last hop it only counts.
+// That is the one representation of a crossing cell: a distributed peer
+// encodes and decodes the same value (distcodec.go). Nothing one shard
+// writes inside a window shares a cache line with another shard's state:
+// shard counters, nodes, egresses, injectors and links are padded to whole
+// lines, and a link's receiver-written half starts a line of its own.
 //
 // The per-cell hot path allocates nothing: cells are netsim.Packets
 // recycled through each shard's event loop's netsim.FreeList (an Injector
@@ -73,13 +83,14 @@
 // counts too (netsim.CellCounter), and no OnDeliver, no OnCellDrop — a
 // cell's last hop is not an event either. The link into the device
 // records the cell where it is handed over: at the sender's hand-over
-// when both ends share a shard, at the receiver's mailbox when the link
-// crosses a cut (sim.Arrival). The receiving shard holds the arrival's
+// when both ends share a shard, where the cell lands when the link
+// crosses a cut. The receiving shard holds the arrival's
 // instant (sim.Hold), and the counters take the record once sim.Due says
 // the arrival would have run — when they are read, and before the link's
 // state changes, so a cell on a wire that fails is the same dead drop it
-// would have been. With no endpoint the link keeps only (arrival, size)
-// and the cell goes back to the receiver's free list at once. An
+// would have been. With no endpoint the link keeps only (arrival, size),
+// and the cell goes back to the receiver's free list at once — or, landing
+// from a cut, never takes a packet. An
 // endpoint that counts is asked first (CountCell) and the link keeps the
 // cell itself until it is due, so that a cell whose wire is down by then
 // is reported lost to it (LostCell). Every change of a link's state bumps
@@ -188,18 +199,32 @@ type shardState struct {
 // package comment): home names the edge device whose cells the link counts
 // instead, held keeps the counted cells until they are due, and heldCells
 // those an endpoint counted (counter).
+//
+// A link whose ends live on two shards is written by both: its queue by the
+// sender, its held cells by the receiver. So the receiver's half starts a
+// cache line of its own, and the link fills whole lines
+// (TestLinkLayout); what both ends read is written only in barrier
+// context.
 type link struct {
-	net       *Net
-	sh        *shardState // receiving node's shard
-	to        *node
-	up        bool
-	home      int32              // the far end's edge index while its cells are counted, else -1 (rehome)
-	counter   netsim.CellCounter // the far end's endpoint, while it counts the cells
-	route     [1]netsim.Handler  // {link}: what a cell on the wire continues to
-	wire      netsim.LanePipe
-	q         netsim.Queue
+	net     *Net
+	sh      *shardState // receiving node's shard
+	to      *node
+	up      bool
+	home    int32              // the far end's edge index while its cells are counted, else -1 (rehome)
+	counter netsim.CellCounter // the far end's endpoint, while it counts the cells
+	route   [1]netsim.Handler  // {link}: what a cell on the wire continues to
+	wire    netsim.LanePipe
+	cut     parsim.Port      // a cut link's: the sender's port to the receiver
+	keep    *netsim.FreeList // a cut link's: the sender's list, where its cells stay
+
+	// The sender's.
+	q netsim.Queue
+	_ [sim.CacheLine - 48]byte
+
+	// The receiver's.
 	held      fifo[arrival]
 	heldCells fifo[heldCell]
+	_         [sim.CacheLine - 16]byte
 }
 
 // arrivalEvents, set by tests only, delivers every cell by an event: the
@@ -225,8 +250,8 @@ func (l *link) send(c *netsim.Packet) {
 // is the far end's edge index) or delivered by an event (home is -1):
 // counted while the far end's egress has no endpoint, or one that counts.
 // A link whose ends share a shard is its own wire's scheduler while it
-// counts, so the hand-over reaches AtLane; a cut link is asked by the
-// receiver's mailbox (Arrive).
+// counts, so the hand-over reaches AtLane; a cut link decides where its
+// cells land (land).
 func (l *link) rehome() {
 	l.home, l.counter = -1, nil
 	if e := l.to.edge; e >= 0 && !arrivalEvents {
@@ -256,37 +281,78 @@ func (l *link) AtLane(t sim.Time, lane int32, a sim.Action, arg uint64) {
 	l.sh.sm.AtLane(t, lane, a, arg)
 }
 
-// Arrive implements netsim.Terminus, for a cell that crossed a shard cut:
-// the receiver's mailbox asks before it schedules the arrival.
-func (l *link) Arrive(c *netsim.Packet, t sim.Time) bool {
-	return c.Dst == l.home && l.count(c, t)
+// crossing is the wire of a link that crosses a shard cut, as its queue
+// sees it: a cell handed to it crosses by value (parsim.Value), and the
+// packet stays on the sending shard, back on its free list.
+type crossing link
+
+// Now implements sim.LaneScheduler.
+func (x *crossing) Now() sim.Time { return x.cut.Now() }
+
+// AtLane implements sim.LaneScheduler for a cell on the wire: the queue
+// hands over nothing else.
+func (x *crossing) AtLane(t sim.Time, lane int32, a sim.Action, _ uint64) {
+	c := a.(*netsim.Packet)
+	x.cut.AtValue(t, lane, c.Value())
+	x.keep.Put(c)
 }
+
+// land is the arrival of a cell that crossed the cut as v, on the
+// receiving shard, as its window begins (parsim.Engine.OnValue): counted
+// for its instant if it only would be, with no packet at all when the
+// far end has no endpoint; otherwise a packet from the receiver's own
+// list, which arrives as any cell does.
+func (l *link) land(t sim.Time, v parsim.Value) {
+	sm, lane := l.sh.sm, l.wire.Lane
+	if v.Dst == l.home && l.counter == nil && l.counts() {
+		l.countArrival(t, int(v.Size))
+		sm.Hold(t, lane)
+		return
+	}
+	c := l.sh.cells.Get()
+	c.SetValue(v)
+	c.SetRoute(l.route[:])
+	if v.Dst == l.home && l.count(c, t) {
+		sm.Hold(t, lane)
+		return
+	}
+	sm.AtLane(t, lane, c, 0)
+}
+
+// counts reports whether nothing would see a counted cell: the hooks are
+// asked here rather than in rehome, because they are fields, set whenever
+// the caller likes before the run.
+func (l *link) counts() bool { return l.net.OnDeliver == nil && l.net.OnCellDrop == nil }
 
 // count records c, arriving at t at its destination, for settle. With no
 // endpoint c goes back to the receiver's free list at once; an endpoint
-// that counts is asked first, and the link keeps c until it is due. The
-// hooks that would see the cell are asked here rather than in rehome:
-// they are fields, set whenever the caller likes before the run.
+// that counts is asked first, and the link keeps c until it is due.
 func (l *link) count(c *netsim.Packet, t sim.Time) bool {
-	if l.net.OnDeliver != nil || l.net.OnCellDrop != nil {
+	if !l.counts() {
 		return false
 	}
-	if l.counter != nil {
-		if !l.counter.CountCell(c, t, l.wire.Lane) {
-			return false
-		}
-		if l.heldCells.full() {
-			l.settle()
-		}
-		l.heldCells.push(heldCell{at: t, c: c})
+	if l.counter == nil {
+		l.countArrival(t, c.Size)
+		l.sh.cells.Put(c)
 		return true
 	}
+	if !l.counter.CountCell(c, t, l.wire.Lane) {
+		return false
+	}
+	if l.heldCells.full() {
+		l.settle()
+	}
+	l.heldCells.push(heldCell{at: t, c: c})
+	return true
+}
+
+// countArrival records a cell of size bytes that reaches an edge with no
+// endpoint at t.
+func (l *link) countArrival(t sim.Time, size int) {
 	if l.held.full() {
 		l.settle()
 	}
-	l.held.push(arrival{at: t, size: c.Size})
-	l.sh.cells.Put(c)
-	return true
+	l.held.push(arrival{at: t, size: size})
 }
 
 // settle applies the counted cells whose arrival is due on the receiving
@@ -383,7 +449,9 @@ func (r *fifo[T]) grow() {
 // egress terminates cells at their destination edge device and counts
 // them: it runs on its device's shard, so in a distributed run only the
 // device's owner accumulates real counts. in lists the links into the
-// device, whose counted cells settle adds to cells and bytes.
+// device, whose counted cells settle adds to cells and bytes. It fills
+// whole cache lines: the egresses of two shards' edges are allocated one
+// after the other.
 type egress struct {
 	net     *Net
 	sh      *shardState
@@ -392,6 +460,7 @@ type egress struct {
 	in      []*link
 	cells   uint64
 	bytes   uint64
+	_       [2*sim.CacheLine - 88]byte
 }
 
 // settle applies the due counted cells of every link into the device.
@@ -429,7 +498,10 @@ type portRef struct {
 // value, and the spreader owns the group's candidate sets: sprDown one
 // per destination edge (the descend sets), sprUp one, key 0 (the climb
 // set). The route policy keeps them current by writing through the
-// spreaders; a group of no ports is an empty spreader.
+// spreaders; a group of no ports is an empty spreader. A node is written
+// by its shard on every cell it forwards (the spreaders' cursors), and the
+// nodes of two shards are allocated one after the other: it fills whole
+// cache lines.
 type node struct {
 	// What forwarding a cell reads, first.
 	edge    int32 // edge index, -1 for pure transit nodes
@@ -444,6 +516,7 @@ type node struct {
 	port []portRef // per port: where it sits in down or up
 	down []*link   // descend group, by slot; nil entry when the port is unwired
 	up   []*link   // climb group, by slot
+	_    [sim.CacheLine - 32]byte
 }
 
 // Receive implements netsim.Handler: deliver the cell when it is home,
@@ -623,12 +696,17 @@ func NewSharded(eng *parsim.Engine, cfg Config, g topo.Graph, assign []int) (*Ne
 		shards[i] = &shardState{id: i, sm: sm, cells: lists[i]}
 	}
 	n, err := build(cfg, g, shards, Partition(g, eng.Shards()), eng)
-	if err == nil && len(lists) > 1 {
+	if err != nil {
+		return nil, err
+	}
+	// A cell crosses a cut by value and lands on its link.
+	eng.OnValue(func(t sim.Time, lane int32, v parsim.Value) { n.links[lane].land(t, v) })
+	if len(lists) > 1 {
 		// A shard that delivers more cells than it injects would hoard
 		// them while its neighbours allocate: even the lists out.
 		eng.OnBarrier(func(sim.Time) { netsim.EvenFreeLists(lists) })
 	}
-	return n, err
+	return n, nil
 }
 
 // Partition cuts the nodes of g into n shards along its traffic. Each
@@ -784,9 +862,9 @@ func build(cfg Config, g topo.Graph, shards []*shardState, assign []int, eng *pa
 		n.hairpin[e] = []netsim.Handler{hop, d.eg}
 	}
 	// One directed link per direction, lane = directed index: the queue's
-	// wire is a LanePipe on the link's own lane, crossing shards through
-	// the engine's mailboxes when the endpoints live apart (rehome picks
-	// the scheduler of a link whose ends share a shard).
+	// wire is a LanePipe on the link's own lane, crossing shards by value
+	// through the engine's mailboxes when the endpoints live apart (rehome
+	// picks the scheduler of a link whose ends share a shard).
 	mkLink := func(from, port, to int) {
 		src, dst := n.nodes[from], n.nodes[to]
 		l := &link{
@@ -799,7 +877,9 @@ func build(cfg Config, g topo.Graph, shards []*shardState, assign []int, eng *pa
 		l.route[0] = l
 		l.wire = netsim.LanePipe{Delay: cfg.LinkDelay, Lane: int32(len(n.links))}
 		if src.sh != dst.sh {
-			l.wire.Sched = eng.Shard(src.sh.id).To(dst.sh.id)
+			l.cut = eng.Shard(src.sh.id).To(dst.sh.id).(parsim.Port)
+			l.keep = src.sh.cells
+			l.wire.Sched = (*crossing)(l)
 		}
 		l.q.Wire = &l.wire
 		if dst.eg != nil {

@@ -20,6 +20,51 @@ func TestShardStateLayout(t *testing.T) {
 	}
 }
 
+// Everything else a shard writes inside a window fills whole cache lines
+// too: nodes, egresses, injectors and links are made one after the other
+// for all shards, and a Go allocation of whole lines starts on a line
+// boundary. A field added later goes into the padding, not past it.
+func TestFabricLayout(t *testing.T) {
+	for name, size := range map[string]uintptr{
+		"node":     unsafe.Sizeof(node{}),
+		"egress":   unsafe.Sizeof(egress{}),
+		"Injector": unsafe.Sizeof(Injector{}),
+		"link":     unsafe.Sizeof(link{}),
+	} {
+		if size%sim.CacheLine != 0 {
+			t.Errorf("%s is %d bytes: not whole %d-byte cache lines", name, size, sim.CacheLine)
+		}
+	}
+}
+
+// A cut link is written at both ends inside a window: its queue by the
+// sending shard, its held cells by the receiving one. The receiver's half
+// starts a line past the last one the queue's counters are on, and what
+// both ends read comes before the queue.
+func TestLinkLayout(t *testing.T) {
+	var l link
+	qEnd := unsafe.Offsetof(l.q) + unsafe.Sizeof(l.q)
+	for name, off := range map[string]uintptr{
+		"held":      unsafe.Offsetof(l.held),
+		"heldCells": unsafe.Offsetof(l.heldCells),
+	} {
+		if off/sim.CacheLine <= (qEnd-1)/sim.CacheLine {
+			t.Errorf("link.%s at offset %d shares a line with the queue, which ends at %d", name, off, qEnd)
+		}
+	}
+	if off := unsafe.Offsetof(l.held); off%sim.CacheLine != 0 {
+		t.Errorf("link.held at offset %d: the receiver's half does not start a line", off)
+	}
+	for name, off := range map[string]uintptr{
+		"up": unsafe.Offsetof(l.up), "home": unsafe.Offsetof(l.home), "counter": unsafe.Offsetof(l.counter),
+		"route": unsafe.Offsetof(l.route), "wire": unsafe.Offsetof(l.wire), "cut": unsafe.Offsetof(l.cut),
+	} {
+		if off >= unsafe.Offsetof(l.q) {
+			t.Errorf("link.%s at offset %d: read by both ends, it sits behind the queue", name, off)
+		}
+	}
+}
+
 func TestClosForShapes(t *testing.T) {
 	for _, k := range []int{4, 6, 8, 12} {
 		c, err := ClosFor(k)
@@ -346,26 +391,56 @@ func netDigest(n *Net) uint64 {
 	return h.Sum64()
 }
 
-// Under rotate traffic on two shards every cell is taken from its source's
-// shard list and returned to its destination's, so cells cross the cut
-// both ways and the lists trade them: the lists must stay bounded, lose
-// no cell the fabric counts, and leave the run the one-shard run. Load 0.6
-// keeps enough cells live that both lists reach the bound at the drain.
+// A cell never changes lists: one that crosses the cut goes back to its
+// sender's list and the receiver takes one of its own, so a shard's list
+// holds what it has freed beyond what it takes — its cells in flight, once
+// they drain. An incast onto the edges of shard 1 at load 0.6 piles the
+// cells up in shard 1's queues (some overflow), and as they drain its
+// list runs over the bound while shard 0's is under it: the barriers give
+// the excess across and drop the rest. The lists must stay bounded, lose
+// no cell the fabric counts, and leave the run the one-shard run.
 func TestShardFreeListsStayBounded(t *testing.T) {
+	gave := 0 // barriers at which one list was over the bound and another under it
 	run := func(shards int) *Net {
 		g, err := ClosFor(8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		eng := parsim.New(parsim.Config{Shards: shards, Lookahead: sim.Microsecond})
-		n, err := NewSharded(eng, DefaultConfig(10e9, sim.Microsecond, 5), g, nil)
+		var n *Net
+		// Registered first, so it sees the lists before the fabric's hook
+		// evens them.
+		eng.OnBarrier(func(sim.Time) {
+			over, under := false, false
+			for _, sh := range n.shards {
+				over = over || sh.cells.Len() > netsim.FreeListCap
+				under = under || sh.cells.Len() < netsim.FreeListCap
+			}
+			if over && under {
+				gave++
+			}
+		})
+		n, err = NewSharded(eng, DefaultConfig(10e9, sim.Microsecond, 5), g, nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		sinks := []int{} // the edges of shard 1 of two, whatever the run's count
+		cut := Partition(g, 2)
+		for fa, d := range n.edges {
+			if cut[d.id] == 1 {
+				sinks = append(sinks, fa)
+			}
 		}
 		numFA := n.NumFA()
 		for fa := range numFA {
 			gap := n.CellGap(fa, 512, 0.6)
-			n.NewInjector(fa, gap, 512, 500*sim.Microsecond, -1).Start(sim.Time(fa) * gap / sim.Time(numFA))
+			j := n.NewInjector(fa, gap, 512, 500*sim.Microsecond, -1)
+			if dst := sinks[fa%len(sinks)]; dst != fa {
+				j.FixDst(dst)
+			} else {
+				j.FixDst(sinks[(fa+1)%len(sinks)])
+			}
+			j.Start(sim.Time(fa) * gap / sim.Time(numFA))
 		}
 		eng.RunUntilQuiet(sim.Millisecond)
 		if !eng.Quiet() {
@@ -374,6 +449,9 @@ func TestShardFreeListsStayBounded(t *testing.T) {
 		return n
 	}
 	solo, n := run(1), run(2)
+	if gave == 0 {
+		t.Error("no barrier found one list over the bound and another under it: the evening went untested")
+	}
 	full := 0
 	for s, sh := range n.shards {
 		if l := sh.cells.Len(); l > netsim.FreeListCap {

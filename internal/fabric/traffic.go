@@ -39,7 +39,8 @@ func (n *Net) CellGap(fa, cellBytes int, load float64) sim.Time {
 // Everything it does is a function of (edge, instant) alone: it lives on
 // its device's shard, takes its cells from that shard's free list and
 // keeps its own rotation counter, so the offered traffic is identical at
-// every shard count.
+// every shard count. It fills whole cache lines, like everything a shard
+// writes: the injectors of two shards' edges are made one after the other.
 type Injector struct {
 	net   *Net
 	sm    *sim.Simulator   // fa's event loop
@@ -53,6 +54,7 @@ type Injector struct {
 	dst   int      // fixed destination; -1 = rotate
 	rot   int      // cells sent, modulo numFA-1
 	sent  uint64
+	_     [2*sim.CacheLine - 96]byte
 }
 
 // NewInjector builds an injector for FA fa pacing one cell of cellBytes

@@ -8,16 +8,17 @@
 //
 // The packet hot path is allocation-free in steady state: every packet
 // comes from the free list of the event loop that runs it (FreeList,
-// FreeListOf) and goes back to the list of the loop where it ends, queues
-// buffer them in
-// ring buffers that reuse their backing arrays under sustained load, and
-// queue draining and pipe propagation schedule pre-bound sim.Actions
-// instead of closures.
+// FreeListOf) and goes back to the list of the loop where it ends (a cell
+// that crosses a shard cut ends there as a packet and goes on as a value,
+// Packet.Value); queues buffer them in ring buffers that reuse their
+// backing arrays under sustained load, and queue draining and pipe
+// propagation schedule pre-bound sim.Actions instead of closures.
 package netsim
 
 import (
 	"fmt"
 
+	"stardust/internal/parsim"
 	"stardust/internal/sim"
 )
 
@@ -34,8 +35,9 @@ type Handler interface {
 //
 // A packet belongs to the event loop that runs it: take it from the
 // loop's FreeList (FreeListOf) and put it back on the list of the loop
-// where its life ends — terminal endpoints and dropping queues do this.
-// A packet put back must not be touched again.
+// where its life ends — terminal endpoints, dropping queues and the wire
+// of a link that crosses a shard cut do this. A packet put back must not
+// be touched again.
 type Packet struct {
 	Size int   // bytes on the wire
 	Seq  int64 // first byte carried (data) / echoed cumulative ack (ACK)
@@ -57,28 +59,48 @@ type Packet struct {
 // for code that runs outside any event loop (set-up, probes, tests).
 func NewPacket() *Packet { return new(Packet) }
 
+// Value copies out what p carries across a shard cut, everything but its
+// route: the sender keeps p (see parsim.Value).
+func (p *Packet) Value() parsim.Value {
+	return parsim.Value{Seq: p.Seq, Flow: p.Flow, Size: int32(p.Size), Dst: p.Dst, Ack: p.Ack, CE: p.CE, Echo: p.Echo, Down: p.Down}
+}
+
+// SetValue copies v into p, the receiver's own packet; the route is the
+// receiver's to set.
+func (p *Packet) SetValue(v parsim.Value) {
+	p.Seq, p.Flow, p.Size, p.Dst = v.Seq, v.Flow, int(v.Size), v.Dst
+	p.Ack, p.CE, p.Echo, p.Down = v.Ack, v.CE, v.Echo, v.Down
+}
+
 // FreeList is the free list of one event loop (a Simulator, a shard of an
 // engine): its packets and the Stardust transport's reassembly states.
 // Taking and returning one is a slice operation, and only the loop's own
 // events and barrier context touch the list, so it needs no lock. An
-// empty list allocates. Within a window a list grows as it must; at the
-// barrier EvenFreeLists evens out the lists of an engine's loops, so
-// packets flow from a shard that frees more than it takes to one that
-// takes more. The zero value is ready to use.
+// empty list allocates a block of packets. A cell never changes lists on
+// its way: one that crosses a shard cut goes back to its sender's list,
+// and the receiver takes one of its own (parsim.Value), so every shard a
+// cell passes takes one packet and frees one. What a fabric's list holds
+// beyond that is what its shard had in flight at its peak, back once it
+// has drained. Lists drift only where a packet's life starts on one shard
+// and ends on another: the transport's host packets and reassembly states,
+// taken on the source host's shard and freed on the destination's. Within
+// a window a list grows as it must; at the barrier EvenFreeLists evens out
+// the lists of an engine's loops, so packets flow from a shard that frees
+// more than it takes to one that takes more. The list fills a cache line:
+// its header is written on every Get and Put, and the lists of two shards
+// are allocated one after the other. The zero value is ready to use.
 type FreeList struct {
 	free  []*Packet
 	reasm []*sreasm
+	_     [sim.CacheLine - 48]byte
 }
 
 // FreeListCap is what a list keeps once EvenFreeLists has run: the
 // excess goes to the lists under the bound, and what none has room for
-// goes to the garbage collector. A list absorbs the difference between
-// what its loop frees and what it takes: the drift between two shards
-// trading cells across their cut, plus the cells in flight for a loop
-// that takes one per injection and frees one per delivery. A raw fabric
-// cell goes back to the receiver's list when its last hop is handed over
-// (its arrival is only counted), so a two-shard K=8 Clos at load 0.6
-// fills both lists to the bound.
+// goes to the garbage collector. A list absorbs the cells its loop had in
+// flight, as they come back, and a transport's drift: an incast that
+// piles cells up in one shard's queues runs that shard's list over the
+// bound as they drain, while the sources' list is under it.
 const FreeListCap = 192
 
 // FreeListOf returns the free list of event loop s, made on first use.
@@ -92,11 +114,21 @@ func FreeListOf(s *sim.Simulator) *FreeList {
 	return l
 }
 
+// packetBlock is how many packets an empty list allocates at once: a
+// block is whole cache lines (16 packets of 80 bytes), so a loop's packets
+// never share a line with another loop's, even when two loops' lists fill
+// up on one thread — as a sharded run's do while its windows run inline.
+const packetBlock = 16
+
 // Get returns a zeroed packet.
 func (l *FreeList) Get() *Packet {
 	n := len(l.free) - 1
 	if n < 0 {
-		return new(Packet)
+		block := make([]Packet, packetBlock)
+		for i := range block[1:] {
+			l.free = append(l.free, &block[1+i])
+		}
+		return &block[0]
 	}
 	p := l.free[n]
 	l.free[n] = nil
@@ -117,8 +149,9 @@ func (l *FreeList) Len() int { return len(l.free) }
 // EvenFreeLists evens out lists, the free lists of one engine's loops, in
 // barrier context: a list over FreeListCap gives its excess to the lists
 // under it, in list order, and drops what none has room for. Packets and
-// reassembly states are evened alike. Allocates nothing once the lists
-// have grown.
+// reassembly states are evened alike. A fabric's lists run over as queues
+// drain, a transport's also as its packets end on other shards (see
+// FreeList). Allocates nothing once the lists have grown.
 func EvenFreeLists(lists []*FreeList) {
 	even(lists, func(l *FreeList) *[]*Packet { return &l.free })
 	even(lists, func(l *FreeList) *[]*sreasm { return &l.reasm })
@@ -165,26 +198,6 @@ func (p *Packet) SendOn() {
 // Act implements sim.Action so pipes and queues can schedule a packet's
 // next hop without allocating a closure.
 func (p *Packet) Act(uint64) { p.SendOn() }
-
-// Terminus is a route hop that may take a packet's arrival as a count
-// instead of an event: a link into the device that only counts it.
-type Terminus interface {
-	// Arrive is asked on the receiver's event loop for p arriving at t on
-	// the terminus's own lane. True: the terminus has counted p for its
-	// instant and owns it; nothing is to be scheduled.
-	Arrive(p *Packet, t sim.Time) bool
-}
-
-// Arrive implements sim.Arrival: a packet whose next hop is a Terminus
-// asks it.
-func (p *Packet) Arrive(t sim.Time, _ int32, _ uint64) bool {
-	if p.hop < len(p.route) {
-		if h, ok := p.route[p.hop].(Terminus); ok {
-			return h.Arrive(p, t)
-		}
-	}
-	return false
-}
 
 // ring is a growable circular buffer. Unlike an append-and-shift slice it
 // reuses its backing array under sustained load: the array only grows
@@ -303,8 +316,9 @@ type pktRing = ring[*Packet]
 //
 // The hand-over may be the packet's last event too: the wire's scheduler
 // is whatever its far end chose, and a far end that only counts what
-// arrives (a Terminus) records the arrival there and holds its instant
-// (sim.Hold) instead of scheduling it.
+// arrives records the arrival there and holds its instant (sim.Hold)
+// instead of scheduling it. A wire that crosses a shard cut hands over
+// the packet's value and keeps the packet (parsim.Value).
 type Queue struct {
 	Name           string
 	Sim            *sim.Simulator

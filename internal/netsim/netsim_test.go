@@ -15,6 +15,18 @@ func TestShardCountersLayout(t *testing.T) {
 	}
 }
 
+// A free list is written on every Get and Put, and the lists of two shards
+// are made one after the other: it fills a cache line. A block of packets
+// fills whole lines, so two loops' packets never share one.
+func TestFreeListLayout(t *testing.T) {
+	if got := unsafe.Sizeof(FreeList{}); got%sim.CacheLine != 0 {
+		t.Errorf("FreeList is %d bytes: not whole %d-byte cache lines", got, sim.CacheLine)
+	}
+	if got := packetBlock * unsafe.Sizeof(Packet{}); got%sim.CacheLine != 0 {
+		t.Errorf("a block of %d packets is %d bytes: not whole %d-byte cache lines", packetBlock, got, sim.CacheLine)
+	}
+}
+
 func TestQueueServesAtRate(t *testing.T) {
 	s := sim.New()
 	q := NewQueue(s, "q", 8e9, 1<<20, 0) // 1 byte/ns

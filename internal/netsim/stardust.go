@@ -910,7 +910,10 @@ func (v *svoq) release() {
 // ship fragments one packet into cells and injects them into the fabric
 // from the source FA's shard; the reassembly state itself is the ship
 // notification scheduled onto the destination's shard. Cells and state
-// come from the source shard's free list.
+// come from the source shard's free list. Nothing here keeps a cell once
+// it is injected: all a cell's packet needs is the state its Flow names,
+// so a cell crosses a shard cut by value, Flow and all (parsim.Value),
+// like a raw fabric cell, and stays on the shard that took it.
 func (v *svoq) ship(p *Packet) {
 	n := v.net
 	payload := n.Cfg.CellBytes - n.Cfg.CellHeader

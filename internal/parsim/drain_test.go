@@ -114,3 +114,94 @@ func TestOwnedPendingSumsToPending(t *testing.T) {
 		t.Fatalf("nothing in flight to count: %+v, %d pending", st, one.eng.Pending())
 	}
 }
+
+// A message carries an action or a value, and a value its Flow, if any,
+// beside it: mixed in one outbox, each reaches its receiver as sent —
+// through the receiver's own window, inline or fanned out, and through a
+// distributed seam (StepOwned's emit, DeliverMail on another engine) —
+// 64-bit Seq and every flag intact. Values land as the window begins, in
+// send order; the actions run after them, in lane order.
+func TestValuesAndActionsCrossIntact(t *testing.T) {
+	const look = sim.Microsecond
+	flow := new(int)
+	sent := []Mail{
+		{At: look, Lane: 1, Val: Value{Seq: -1 << 62, Size: 512, Dst: 3, Ack: true, Down: true}},
+		{At: look, Lane: 2, Arg: 7},
+		{At: look, Lane: 1, Val: Value{Seq: 1<<40 + 9, Size: 64, Dst: 5, CE: true, Echo: true, Flow: flow}},
+		{At: look, Lane: 3, Arg: 8},
+		{At: look, Lane: 1, Val: Value{Seq: 3, Size: 1, Dst: 0}},
+	}
+	newEngine := func(got *[]Mail) *Engine {
+		eng := New(Config{Shards: 2, Lookahead: look})
+		eng.OnValue(func(at sim.Time, lane int32, v Value) { *got = append(*got, Mail{At: at, Lane: lane, Val: v}) })
+		return eng
+	}
+	// send sends every message from shard 0 of eng to shard 1, whose
+	// simulator is sm where the actions run.
+	send := func(eng *Engine, got *[]Mail, sm *sim.Simulator) {
+		port := eng.Shard(0).To(1).(Port)
+		for _, m := range sent {
+			if m.Val.Size == 0 {
+				port.AtLane(m.At, m.Lane, recorder{got, sm, m.Lane}, m.Arg)
+			} else {
+				port.AtValue(m.At, m.Lane, m.Val)
+			}
+		}
+	}
+	var order []Mail // values first, then actions (their lanes ascend)
+	for _, values := range []bool{true, false} {
+		for _, m := range sent {
+			if (m.Val.Size != 0) == values {
+				order = append(order, m)
+			}
+		}
+	}
+	want := func(t *testing.T, name string, got []Mail) {
+		t.Helper()
+		if len(got) != len(order) {
+			t.Fatalf("%s: %d messages arrived, %d sent", name, len(got), len(order))
+		}
+		for i, m := range order {
+			if g := got[i]; g != m {
+				t.Fatalf("%s: message %d arrived as %+v, want %+v", name, i, g, m)
+			}
+		}
+	}
+	for _, force := range []execForce{forceInline, forceFanOut} {
+		var got []Mail
+		eng := newEngine(&got)
+		eng.force = force
+		send(eng, &got, eng.Shard(1).Sim())
+		eng.Run(2 * look)
+		want(t, fmt.Sprintf("force=%d", force), got)
+	}
+
+	var got []Mail
+	src, dst := newEngine(new([]Mail)), newEngine(&got)
+	send(src, &got, dst.Shard(1).Sim())
+	var mail []Mail
+	src.StepOwned([]bool{true, false}, func(_, to int, m Mail) {
+		if to != 1 {
+			t.Fatalf("mail for shard %d", to)
+		}
+		mail = append(mail, m)
+	})
+	dst.StepOwned([]bool{false, true}, nil)
+	for _, m := range mail {
+		dst.DeliverMail(1, m)
+	}
+	dst.StepOwned([]bool{false, true}, nil)
+	want(t, "seam", got)
+}
+
+// recorder is an action that records the mail it stands for as it runs
+// on sm.
+type recorder struct {
+	got  *[]Mail
+	sm   *sim.Simulator
+	lane int32
+}
+
+func (r recorder) Act(arg uint64) {
+	*r.got = append(*r.got, Mail{At: r.sm.Now(), Lane: r.lane, Arg: arg})
+}

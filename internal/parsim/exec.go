@@ -21,7 +21,8 @@ const (
 )
 
 // execForce pins the execution mode; tests only. It overrides both the
-// governor and the race-build rule, and a forced engine reads no clock.
+// governor and the race-build rule, and a forced engine reads no clock but
+// the one that times fanned windows (Stats.Busy).
 type execForce uint8
 
 const (
@@ -285,7 +286,7 @@ func (w *workers) run(shards []*Shard, end sim.Time) {
 	w.end = end
 	w.left.Store(int64(len(shards)))
 	w.release()
-	shards[0].window(end)
+	shards[0].fannedWindow(end)
 	done := func() bool { return w.left.Load() == 0 }
 	switch {
 	case w.finish(shards[0]):
@@ -314,7 +315,7 @@ func (w *workers) serve(idle *parker, s *Shard) {
 		if seen = w.gen.Load(); w.stop {
 			return
 		}
-		s.window(w.end)
+		s.fannedWindow(w.end)
 		w.finish(s)
 	}
 }
@@ -336,20 +337,29 @@ func (w *workers) close() {
 }
 
 // Stats is the engine's account of how it has executed so far: the
-// governor's decisions, how the hand-offs went and the mailbox traffic it
-// all happened on. It is wall-clock dependent (except Windows, Mail,
-// MailLess and ShardEvents) and therefore never part of a deterministic
-// output.
+// governor's decisions, how the hand-offs went, what the shards' fanned
+// windows cost and the mailbox traffic it all happened on. It is wall-clock
+// dependent (except Windows, Mail, MailLess and ShardEvents) and therefore
+// never part of a deterministic output.
+//
+// Busy is the price of splitting a run, per shard: the time its goroutine
+// spent inside fanned windows, over the events it executed there
+// (BusyEvents). Two clock reads per shard and fanned window pay for it;
+// inline windows are not timed. Set against one shard's time per event,
+// it is what work costs once it is split across cores: the lines the
+// shards share and the caches they leave cold.
 type Stats struct {
-	Windows     uint64   // windows executed
-	Fanned      uint64   // of those, windows whose shards were handed to workers
-	Probes      uint64   // epochs run in the other mode to compare costs
-	Switches    uint64   // probes that won and changed the mode
-	Parked      uint64   // hand-offs that outlasted the spin and parked a goroutine
-	Stragglers  []uint64 // per shard: fanned windows it was the last to finish
-	Mail        uint64   // cross-shard messages sent, up to the last barrier
-	MailLess    uint64   // windows in which none was
-	ShardEvents []uint64 // events executed per shard
+	Windows     uint64          // windows executed
+	Fanned      uint64          // of those, windows whose shards were handed to workers
+	Probes      uint64          // epochs run in the other mode to compare costs
+	Switches    uint64          // probes that won and changed the mode
+	Parked      uint64          // hand-offs that outlasted the spin and parked a goroutine
+	Stragglers  []uint64        // per shard: fanned windows it was the last to finish
+	Busy        []time.Duration // per shard: time spent running fanned windows
+	BusyEvents  []uint64        // per shard: events executed in fanned windows
+	Mail        uint64          // cross-shard messages sent, up to the last barrier
+	MailLess    uint64          // windows in which none was
+	ShardEvents []uint64        // events executed per shard
 }
 
 // Stats returns the execution account. Call it between Run calls.
@@ -361,6 +371,8 @@ func (e *Engine) Stats() Stats {
 		Switches:    e.gov.switches,
 		Parked:      e.parked.Load(),
 		Stragglers:  make([]uint64, len(e.shards)),
+		Busy:        make([]time.Duration, len(e.shards)),
+		BusyEvents:  make([]uint64, len(e.shards)),
 		Mail:        e.mail,
 		MailLess:    e.mailLess,
 		ShardEvents: make([]uint64, len(e.shards)),
@@ -368,6 +380,7 @@ func (e *Engine) Stats() Stats {
 	for i, s := range e.shards {
 		st.ShardEvents[i] = s.sm.Processed
 		st.Stragglers[i] = s.last.Load()
+		st.Busy[i], st.BusyEvents[i] = s.busy, s.busyEv
 	}
 	return st
 }

@@ -27,6 +27,11 @@ func TestShardLayout(t *testing.T) {
 			t.Errorf("%s is %d bytes: not whole %d-byte cache lines", name, size, sim.CacheLine)
 		}
 	}
+	// A message is half a line: what the receiver reads of what the
+	// sender wrote, per message.
+	if got := unsafe.Sizeof(xmsg{}); got != sim.CacheLine/2 {
+		t.Errorf("xmsg is %d bytes, want half a %d-byte cache line", got, sim.CacheLine)
+	}
 	var s Shard
 	if off := unsafe.Offsetof(s.sent); off%sim.CacheLine != 0 {
 		t.Errorf("Shard.sent at offset %d: what a window writes shares a line with what other shards read", off)

@@ -67,19 +67,32 @@
 // the owned set (StepOwned's emit). Mail not yet inserted counts as pending
 // (Pending, Quiet, OwnedPending), so a drain cannot end with a message in
 // an outbox, and it is counted where it is sent, so Stats.Mail and MailLess
-// do not depend on how windows were executed. Mail is inserted with sim's
-// AtArrival: a message whose only effect is to be counted is counted by the
-// receiver there, and its instant stays pending (sim.Hold) until a window
-// has passed it, so the drain still ends where the event would have ended it.
+// do not depend on how windows were executed.
+//
+// Mail carries an action or a value. An action (Port.AtLane) is a model
+// object the sender hands over; a value (Port.AtValue) is a packet's
+// fields, and the packet stays with the shard that owns it: the sender
+// puts it back on its own free list, and the receiver's lander (OnValue)
+// fills one of its own, or, when the value's only effect is to be counted,
+// counts it without a packet and holds its instant (sim.Hold) until a
+// window has passed it, so the drain still ends where the event would have
+// ended it. A fabric cell crosses a cut this way, in process and between
+// distributed peers alike: one representation, and no core ever writes a
+// packet another core wrote last.
 //
 // What a shard's goroutine writes inside a window fills whole cache lines:
-// Shard, its outbox headers, sim.Simulator and the per-shard counters of
-// fabric and netsim are padded to multiples of sim.CacheLine (a layout test
-// each), because the allocator packs equal-sized objects back to back and a
+// Shard, its outbox headers, sim.Simulator, the per-shard counters and free
+// lists of fabric and netsim, and the fabric's nodes, edge counters,
+// injectors and links (whose receiver-written half starts a line of its
+// own) are padded to multiples of sim.CacheLine (a layout test each),
+// because the allocator packs equal-sized objects back to back and a
 // 48-byte counter block shared a line with its neighbour's. Each of the
-// three is necessary: the sizing prototype's forced fan-out of the
+// first three was necessary: the sizing prototype's forced fan-out of the
 // benchmark's K=8 run stayed at 0.43-0.49 s with any two, against 0.30-0.35
-// with all.
+// with all. With cells crossing by value as well (Value), a fanned window
+// of that run costs 1.3-1.5x an inline one per event, against 1.7-2.2x
+// while cells crossed as pointers (in-process alternation on the 2-vCPU
+// reference VM; Stats.Busy).
 //
 // Fan-out still buys parallelism at a price — every window ends when its
 // slowest shard does — and whether that pays is a property of the host and
@@ -154,22 +167,121 @@ type Config struct {
 	Lookahead sim.Time
 }
 
-// xmsg is one cross-shard event in flight: it is scheduled into the
-// destination shard's heap at the window barrier.
+// xmsg is one cross-shard message in flight: an action, scheduled into
+// the destination shard's heap as its window begins, or a value, handed to
+// the engine's lander there (Engine.OnValue). It is half a cache line: the
+// receiver reads every line the sender wrote, and on the benchmark's K=8
+// Clos a window carries dozens. So what a message refers to — its action,
+// a value's Flow — waits beside it in the outbox, at the message's own
+// index (acts, flows), and tag says which.
 type xmsg struct {
 	at   sim.Time
+	arg  uint64 // an action's argument, a value's Seq
 	lane int32
-	act  sim.Action
-	arg  uint64
+	dst  int32  // a value's Dst
+	size int32  // a value's Size
+	tag  uint32 // msgAction, or a value's flags (flagAck ... flagFlow)
+}
+
+// A message's tag.
+const (
+	flagAck = 1 << iota
+	flagCE
+	flagEcho
+	flagDown
+	flagFlow // the value's Flow is not nil
+	msgAction
+)
+
+// valueMsg is the message that carries v, but for its Flow, which waits
+// beside it.
+func valueMsg(t sim.Time, lane int32, v Value) xmsg {
+	m := xmsg{at: t, arg: uint64(v.Seq), lane: lane, dst: v.Dst, size: v.Size}
+	if v.Ack {
+		m.tag |= flagAck
+	}
+	if v.CE {
+		m.tag |= flagCE
+	}
+	if v.Echo {
+		m.tag |= flagEcho
+	}
+	if v.Down {
+		m.tag |= flagDown
+	}
+	return m
+}
+
+// Value is what a message carries when its sender hands over no object:
+// the fields of a packet (netsim.Packet) that a cell needs on its next
+// hop. The sending shard copies them out and puts its packet back on its
+// own free list; the receiving shard's lander copies them into a packet of
+// its own, or counts them without one. So a packet is only ever written by
+// the goroutine of the shard that owns it, and a crossing costs the
+// receiver no cache line the sender wrote, beyond the outbox it reads
+// anyway. Seq is a whole 64-bit word: ECMP's flow ids and the tests'
+// unique cell ids ride in it; Size is a cell's, far inside 31 bits. Flow
+// is what the packet's endpoints share (the Stardust transport's
+// reassembly state, which the transport hands across by itself): the
+// value carries the reference, and no endpoint keeps one to the packet.
+type Value struct {
+	Seq                 int64
+	Flow                any
+	Size                int32
+	Dst                 int32
+	Ack, CE, Echo, Down bool
 }
 
 // outbox holds the messages one shard has sent to one other and the
-// receiver has not drained yet. The sender appends during one window, the
-// receiver empties it at the start of the next: each header has a cache
-// line to itself, so neither disturbs the boxes the other is working on.
+// receiver has not drained yet, and what they refer to. The sender appends
+// during one window, the receiver empties it at the start of the next:
+// each header has cache lines to itself, so neither disturbs the boxes the
+// other is working on.
 type outbox struct {
-	msgs []xmsg
-	_    [sim.CacheLine - 24]byte
+	msgs  []xmsg
+	acts  []sim.Action // the actions of msgs
+	flows []any        // the Flows of msgs' values
+	_     [2*sim.CacheLine - 72]byte
+}
+
+// refer puts ref at index i of refs, which holds the references of the
+// messages before i that have one, and zero values in between.
+func refer[T any](refs []T, i int, ref T) []T {
+	for len(refs) < i {
+		var zero T
+		refs = append(refs, zero)
+	}
+	return append(refs, ref)
+}
+
+// value is the value that message i of o carries.
+func (o *outbox) value(i int) Value {
+	m := &o.msgs[i]
+	v := Value{
+		Seq: int64(m.arg), Size: m.size, Dst: m.dst,
+		Ack: m.tag&flagAck != 0, CE: m.tag&flagCE != 0, Echo: m.tag&flagEcho != 0, Down: m.tag&flagDown != 0,
+	}
+	if m.tag&flagFlow != 0 {
+		v.Flow = o.flows[i]
+	}
+	return v
+}
+
+// mail is message i of o in exported form.
+func (o *outbox) mail(i int) Mail {
+	m := &o.msgs[i]
+	if m.tag&msgAction != 0 {
+		return Mail{At: m.at, Lane: m.lane, Act: o.acts[i], Arg: m.arg}
+	}
+	return Mail{At: m.at, Lane: m.lane, Val: o.value(i)}
+}
+
+// reset empties o, references included, so that nothing it held stays
+// reachable.
+func (o *outbox) reset() {
+	clear(o.acts)
+	clear(o.flows)
+	o.msgs, o.acts, o.flows = o.msgs[:0], o.acts[:0], o.flows[:0]
 }
 
 // Shard is one event loop of the engine, owning a disjoint slice of the
@@ -191,9 +303,11 @@ type Shard struct {
 	out []outbox
 	_   [sim.CacheLine - 48]byte
 
-	sent uint64        // messages sent through Ports (Stats.Mail)
-	last atomic.Uint64 // fanned windows this shard was the last to finish
-	_    [sim.CacheLine - 16]byte
+	sent   uint64        // messages sent through Ports (Stats.Mail)
+	last   atomic.Uint64 // fanned windows this shard was the last to finish
+	busy   time.Duration // wall-clock time spent running fanned windows (Stats.Busy)
+	busyEv uint64        // events executed in them
+	_      [sim.CacheLine - 32]byte
 }
 
 // ID returns the shard's index.
@@ -227,13 +341,33 @@ func (p Port) Now() sim.Time { return p.src.sm.Now() }
 
 // AtLane enqueues a.Act(arg) to run on the destination shard at time t.
 func (p Port) AtLane(t sim.Time, lane int32, a sim.Action, arg uint64) {
+	o := p.outbox(t)
+	o.acts = refer(o.acts, len(o.msgs), a)
+	o.msgs = append(o.msgs, xmsg{at: t, arg: arg, lane: lane, tag: msgAction})
+}
+
+// AtValue enqueues v to be landed on the destination shard at time t, on
+// lane, by the engine's lander (OnValue). The lookahead rule of AtLane
+// holds.
+func (p Port) AtValue(t sim.Time, lane int32, v Value) {
+	o := p.outbox(t)
+	m := valueMsg(t, lane, v)
+	if v.Flow != nil {
+		o.flows = refer(o.flows, len(o.msgs), v.Flow)
+		m.tag |= flagFlow
+	}
+	o.msgs = append(o.msgs, m)
+}
+
+// outbox checks that a message for time t respects the lookahead, counts
+// it, and returns the outbox it goes to.
+func (p Port) outbox(t sim.Time) *outbox {
 	if t < p.src.sm.Now()+p.src.eng.look {
 		panic(fmt.Sprintf("parsim: cross-shard event at %d violates lookahead (now %d + %d)",
 			t, p.src.sm.Now(), p.src.eng.look))
 	}
-	o := &p.src.out[2*p.dst+p.src.eng.par]
-	o.msgs = append(o.msgs, xmsg{at: t, lane: lane, act: a, arg: arg})
 	p.src.sent++
+	return &p.src.out[2*p.dst+p.src.eng.par]
 }
 
 // window executes the window ending at end on s, on whichever goroutine
@@ -243,8 +377,9 @@ func (p Port) AtLane(t sim.Time, lane int32, a sim.Action, arg uint64) {
 // originate from one shard (a lane names one sending entity), so this
 // order is itself partition-independent, and across lanes the heap key
 // decides and insertion order is irrelevant — then the events before end.
-// A message is inserted with sim's AtArrival: one whose only effect is to
-// be counted (sim.Arrival) is counted by its receiver and not dispatched.
+// A value goes to the engine's lander, which schedules what it stands for
+// or, when its only effect is to be counted, counts it and holds its
+// instant (sim.Hold).
 func (s *Shard) window(end sim.Time) {
 	par := s.eng.par ^ 1
 	for _, src := range s.eng.shards {
@@ -252,12 +387,25 @@ func (s *Shard) window(end sim.Time) {
 		if len(o.msgs) == 0 {
 			continue
 		}
-		for _, m := range o.msgs {
-			s.sm.AtArrival(m.at, m.lane, m.act, m.arg)
+		for i := range o.msgs {
+			if m := &o.msgs[i]; m.tag&msgAction != 0 {
+				s.sm.AtLane(m.at, m.lane, o.acts[i], m.arg)
+			} else {
+				s.eng.land(m.at, m.lane, o.value(i))
+			}
 		}
-		o.msgs = o.msgs[:0]
+		o.reset()
 	}
 	s.sm.RunBefore(end)
+}
+
+// fannedWindow is window as a fanned-out window runs it, timed: two clock
+// reads, which only fan-out pays (Stats.Busy).
+func (s *Shard) fannedWindow(end sim.Time) {
+	t0, p0 := time.Now(), s.sm.Processed
+	s.window(end)
+	s.busy += time.Since(t0)
+	s.busyEv += s.sm.Processed - p0
 }
 
 // control is one barrier-context action.
@@ -273,6 +421,7 @@ type Engine struct {
 	par      int // parity of the outboxes being filled; the others are being drained
 	shards   []*Shard
 	hooks    []func(now sim.Time)
+	land     func(t sim.Time, lane int32, v Value) // OnValue
 	ctls     []control
 	ctlSeq   int
 	now      sim.Time // end of the last completed window
@@ -407,6 +556,14 @@ func (e *Engine) OnBarrier(fn func(now sim.Time)) {
 	e.hooks = append(e.hooks, fn)
 }
 
+// OnValue installs fn as the lander of every message sent by value
+// (Port.AtValue, a Mail without an Act). It runs on the receiving shard as
+// that shard's window begins, or in barrier context for DeliverMail, and
+// must schedule what v stands for at (t, lane) on the shard that lane
+// feeds, or count it there and hold its instant (sim.Hold). Install it
+// before the first window.
+func (e *Engine) OnValue(fn func(t sim.Time, lane int32, v Value)) { e.land = fn }
+
 // runControls executes the controls due at the window starting at `start`.
 func (e *Engine) runControls(start sim.Time) {
 	for len(e.ctls) > 0 && e.ctls[0].at <= start {
@@ -431,10 +588,10 @@ func (e *Engine) exchange(owned []bool, emit func(src, dst int, m Mail)) {
 				continue
 			}
 			o := &src.out[2*dst+e.par]
-			for _, m := range o.msgs {
-				emit(src.id, dst, Mail{At: m.at, Lane: m.lane, Act: m.act, Arg: m.arg})
+			for i := range o.msgs {
+				emit(src.id, dst, o.mail(i))
 			}
-			o.msgs = o.msgs[:0]
+			o.reset()
 		}
 	}
 	if sent == e.mail {
@@ -458,15 +615,18 @@ func (e *Engine) RunUntilQuiet(max sim.Time) sim.Time {
 }
 
 // Mail is one cross-shard message in exported form — the unit the
-// distributed runtime (internal/distsim) serializes over the wire. Inside
-// one process the Act value is a live model object; a distributed peer
-// encodes it with a model codec at the barrier and the receiving peer
-// decodes it against its own replica of the model.
+// distributed runtime (internal/distsim) serializes over the wire. It
+// carries an action, Act(Arg), or, with Act nil, a value for the engine's
+// lander (Val, see OnValue). Inside one process an Act is a live model
+// object; a distributed peer encodes either kind with a model codec at the
+// barrier and the receiving peer decodes it against its own replica of the
+// model.
 type Mail struct {
 	At   sim.Time
 	Lane int32
 	Act  sim.Action
 	Arg  uint64
+	Val  Value
 }
 
 // OwnedPending counts the events pending on the owned subset of shards
@@ -503,12 +663,16 @@ func (e *Engine) ControlsPending() int { return len(e.ctls) }
 // orders it exactly as a locally flushed message. Messages on one lane
 // must be delivered in their send order (they originate from a single
 // sending entity); across lanes the order of DeliverMail calls is
-// irrelevant. Like a local flush it inserts with sim's AtArrival.
+// irrelevant. Like a local flush it hands a value to the lander.
 func (e *Engine) DeliverMail(dst int, m Mail) {
 	if e.inWindow {
 		panic("parsim: DeliverMail outside barrier context")
 	}
-	e.shards[dst].sm.AtArrival(m.At, m.Lane, m.Act, m.Arg)
+	if m.Act == nil {
+		e.land(m.At, m.Lane, m.Val)
+		return
+	}
+	e.shards[dst].sm.AtLane(m.At, m.Lane, m.Act, m.Arg)
 }
 
 // StepOwned advances exactly one window — the distributed counterpart of

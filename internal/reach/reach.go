@@ -19,6 +19,9 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
+	"unsafe"
+
+	"stardust/internal/sim"
 )
 
 // Bitmap is a dense bit set over Fabric Adapter (or link) indices.
@@ -259,13 +262,13 @@ func NewSpreader[L any](links []L, sets, reshuffleRounds int, seed int64) Spread
 	n := len(links)
 	words := max(1, (n+63)/64)
 	s := Spreader[L]{
-		posSets:   make([]uint64, sets*words),
-		byPos:     make([]L, n),
+		posSets:   lines[uint64](sets * words),
+		byPos:     lines[L](n),
 		left:      reshuffleRounds,
 		words:     int32(words),
-		linkSets:  make([]uint64, sets*words),
-		perm:      make([]int32, n),
-		inv:       make([]int32, n),
+		linkSets:  lines[uint64](sets * words),
+		perm:      lines[int32](n),
+		inv:       lines[int32](n),
 		maxRounds: reshuffleRounds,
 	}
 	if n > 0 {
@@ -276,6 +279,15 @@ func NewSpreader[L any](links []L, sets, reshuffleRounds int, seed int64) Spread
 	}
 	s.invert()
 	return s
+}
+
+// lines makes a slice of n whose backing array fills whole cache lines, so
+// that a spreader's arrays never share a line with another's: a sharded
+// fabric's spreaders are made one after the other, for every shard.
+func lines[T any](n int) []T {
+	size := int(unsafe.Sizeof(*new(T)))
+	per := max(1, sim.CacheLine/size)
+	return make([]T, n, (n+per-1)/per*per)
 }
 
 // Sets returns how many candidate sets the spreader holds.

@@ -382,10 +382,18 @@ func init() {
 				res.Add("events_per_sec_per_core", evps/float64(shards), "1/s")
 				res.Add("speedup_vs_1", speedup, "x")
 				st := r.exec
-				fmt.Fprintf(&b, "  wall %v, %.0f events/sec (%.0f per core), %.2fx vs one shard (byte-identical digest); "+
-					"%d windows, %d fanned, %d probes, %d switches, %d parked, last to finish %v, %.1f mail/window, %d mail-less\n",
+				busy := make([]string, len(st.Busy)) // per shard, ns per event inside fanned windows
+				for i, d := range st.Busy {
+					busy[i] = "-"
+					if st.BusyEvents[i] > 0 {
+						busy[i] = fmt.Sprintf("%.1f", float64(d.Nanoseconds())/float64(st.BusyEvents[i]))
+					}
+				}
+				fmt.Fprintf(&b, "  wall %v, %.0f events/sec (%.0f per core), %.2fx vs one shard (%.1f ns/event, byte-identical digest); "+
+					"%d windows, %d fanned (busy %v ns/event), %d probes, %d switches, %d parked, last to finish %v, %.1f mail/window, %d mail-less\n",
 					r.wall.Round(time.Millisecond), evps, evps/float64(shards), speedup,
-					st.Windows, st.Fanned, st.Probes, st.Switches, st.Parked, st.Stragglers,
+					float64(ref.wall.Nanoseconds())/float64(ref.events),
+					st.Windows, st.Fanned, busy, st.Probes, st.Switches, st.Parked, st.Stragglers,
 					float64(st.Mail)/float64(st.Windows), st.MailLess)
 			}
 			res.Text = engine.Textf("%s", b.String())

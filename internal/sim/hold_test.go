@@ -79,30 +79,3 @@ func TestDueInsideEvents(t *testing.T) {
 		}
 	}
 }
-
-// arrival is an Arrival that takes effect on the spot or not.
-type arrival struct {
-	counted bool
-	ran     *int
-}
-
-func (a arrival) Act(uint64)                      { *a.ran++ }
-func (a arrival) Arrive(Time, int32, uint64) bool { return a.counted }
-
-// AtArrival holds an Arrival that takes effect and schedules anything
-// else, an Arrival that declines included.
-func TestAtArrival(t *testing.T) {
-	s := New()
-	ran := 0
-	s.AtArrival(40, 2, arrival{counted: true, ran: &ran}, 0)
-	s.AtArrival(40, 3, arrival{counted: false, ran: &ran}, 0)
-	s.AtArrival(40, 4, ActionFunc(func(uint64) { ran++ }), 0)
-	if s.Pending() != 3 {
-		t.Fatalf("Pending %d after three arrivals, want 3 (one held)", s.Pending())
-	}
-	s.Run()
-	if ran != 2 || s.Processed != 3 || s.Dispatched() != 2 || s.Pending() != 0 {
-		t.Fatalf("ran %d processed %d dispatched %d pending %d, want 2/3/2/0",
-			ran, s.Processed, s.Dispatched(), s.Pending())
-	}
-}

@@ -112,12 +112,11 @@
 // looked at, once Due(time, lane) says the event would have run. A held
 // delivery counts as processed at Hold and keeps the simulator pending
 // until its instant has passed, so a run drained to quiet ends where it
-// would have ended with the event. A mailbox that hands actions to the
-// loop that runs them (parsim) inserts them with AtArrival, which asks an
-// action implementing Arrival whether it can take effect that way. A
-// receiver that counts several deliveries toward one effect (the cells of
-// one packet) runs that effect as an event after all, at the key of the
-// last delivery it counted: AtHeld.
+// would have ended with the event. A mailbox that hands deliveries to the
+// loop that runs them (parsim) lets the receiver decide the same way, and
+// hold what it counted. A receiver that counts several deliveries toward
+// one effect (the cells of one packet) runs that effect as an event after
+// all, at the key of the last delivery it counted: AtHeld.
 package sim
 
 import (
@@ -502,27 +501,6 @@ func (s *Simulator) Hold(t Time, lane int32) {
 func (s *Simulator) AtHeld(t Time, lane int32, a Action, arg uint64) {
 	s.Processed--
 	s.elided--
-	s.schedule(t, lane, a, arg)
-}
-
-// Arrival is implemented by an Action that may take effect where it is
-// handed to the loop that runs it instead of being dispatched: a delivery
-// whose only effect is to be counted.
-type Arrival interface {
-	// Arrive is asked on the receiving simulator, for an action that would
-	// run at (t, lane). True: the action has recorded itself for its
-	// receiver to apply once Due(t, lane), and it must not be scheduled.
-	Arrive(t Time, lane int32, arg uint64) bool
-}
-
-// AtArrival is AtLane for an action handed over from another event loop
-// (a mailbox): an Arrival that takes effect on the spot is held (Hold)
-// instead of scheduled.
-func (s *Simulator) AtArrival(t Time, lane int32, a Action, arg uint64) {
-	if r, ok := a.(Arrival); ok && r.Arrive(t, lane, arg) {
-		s.Hold(t, lane)
-		return
-	}
 	s.schedule(t, lane, a, arg)
 }
 
