@@ -214,12 +214,12 @@ type link struct {
 	counter netsim.CellCounter // the far end's endpoint, while it counts the cells
 	route   [1]netsim.Handler  // {link}: what a cell on the wire continues to
 	wire    netsim.LanePipe
-	cut     parsim.Port      // a cut link's: the sender's port to the receiver
-	keep    *netsim.FreeList // a cut link's: the sender's list, where its cells stay
 
 	// The sender's.
-	q netsim.Queue
-	_ [sim.CacheLine - 48]byte
+	q    netsim.Queue
+	cut  parsim.Port      // a cut link's: the sender's port to the receiver
+	keep *netsim.FreeList // a cut link's: the sender's list, where its cells stay
+	_    [sim.CacheLine - 48]byte
 
 	// The receiver's.
 	held      fifo[arrival]

@@ -57,7 +57,7 @@ func TestLinkLayout(t *testing.T) {
 	}
 	for name, off := range map[string]uintptr{
 		"up": unsafe.Offsetof(l.up), "home": unsafe.Offsetof(l.home), "counter": unsafe.Offsetof(l.counter),
-		"route": unsafe.Offsetof(l.route), "wire": unsafe.Offsetof(l.wire), "cut": unsafe.Offsetof(l.cut),
+		"route": unsafe.Offsetof(l.route), "wire": unsafe.Offsetof(l.wire),
 	} {
 		if off >= unsafe.Offsetof(l.q) {
 			t.Errorf("link.%s at offset %d: read by both ends, it sits behind the queue", name, off)
