@@ -137,7 +137,10 @@ func SpecOf(stream []byte) (Spec, error) {
 // Replay re-drives the fabric from a recorded stream: rebuild the world
 // from the embedded spec with overrides applied, re-record it, and diff
 // the two streams. Returns the divergence report, the replayed run's
-// outcome, and the replayed stream (for chained what-ifs).
+// outcome, and the replayed stream (for chained what-ifs). The twin's
+// buffer is sized once, to the recorded stream: an unchanged replay
+// writes exactly that many bytes and a what-if about as many. The
+// comparison holds one window of each stream.
 func Replay(stream []byte, ov Overrides) (*telemetry.Divergence, Outcome, []byte, error) {
 	spec, err := SpecOf(stream)
 	if err != nil {
@@ -148,6 +151,7 @@ func Replay(stream []byte, ov Overrides) (*telemetry.Divergence, Outcome, []byte
 		spec.Shards = 1
 	}
 	var buf bytes.Buffer
+	buf.Grow(len(stream))
 	outc, err := Record(spec, &buf)
 	if err != nil {
 		return nil, outc, nil, err

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -336,6 +337,37 @@ func TestCacheEndpointLocal(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode == http.StatusOK {
 			t.Fatalf("bogus key %q served", bad)
+		}
+	}
+}
+
+// cacheKeyPat is the content-address shape isCacheKey checks by hand, kept
+// here as the oracle the table and the handler fuzz test hold it to.
+var cacheKeyPat = regexp.MustCompile(`^[0-9a-f]{64}$`)
+
+func TestIsCacheKey(t *testing.T) {
+	key := RunRequest{Scenario: "mgmttest/echo", Seed: 3}.CacheKey()
+	for _, tc := range []struct {
+		name, key string
+		want      bool
+	}{
+		{"valid", key, true},
+		{"every hex digit", strings.Repeat("0123456789abcdef", 4), true},
+		{"63 chars", key[:63], false},
+		{"65 chars", key + "0", false},
+		{"upper-case hex", strings.ToUpper(key), false},
+		{"one upper-case digit", "A" + key[1:], false},
+		{"non-ASCII", key[:62] + "é", false},
+		{"non-ASCII of 64 bytes", strings.Repeat("é", 32), false},
+		{"just before the digits", key[:63] + "/", false},
+		{"just past the digits", key[:63] + ":", false},
+		{"just before the letters", key[:63] + "`", false},
+		{"just past the letters", key[:63] + "g", false},
+		{"trailing newline", key[:63] + "\n", false},
+		{"empty", "", false},
+	} {
+		if got := isCacheKey(tc.key); got != tc.want || got != cacheKeyPat.MatchString(tc.key) {
+			t.Errorf("%s: isCacheKey(%q) = %v, want %v (regexp %v)", tc.name, tc.key, got, tc.want, cacheKeyPat.MatchString(tc.key))
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"regexp"
 	"strconv"
 	"time"
 
@@ -237,8 +236,19 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, job)
 }
 
-// cacheKeyPat is the shape of a content address: 64 hex chars.
-var cacheKeyPat = regexp.MustCompile(`^[0-9a-f]{64}$`)
+// isCacheKey reports whether key has the shape of a content address: 64
+// lower-case hex characters.
+func isCacheKey(key string) bool {
+	if len(key) != 64 {
+		return false
+	}
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
 
 // cacheGet serves result bytes by content address. A local hit — a run
 // completed here or a result already fetched from a peer — is pure
@@ -248,7 +258,7 @@ var cacheKeyPat = regexp.MustCompile(`^[0-9a-f]{64}$`)
 // (that is what peers themselves ask for, so fetches cannot loop).
 func (s *Server) cacheGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if !cacheKeyPat.MatchString(key) {
+	if !isCacheKey(key) {
 		writeErr(w, http.StatusBadRequest, "bad cache key %q (want 64 hex chars)", key)
 		return
 	}
@@ -561,7 +571,9 @@ func replayOverrides(r *http.Request) (distsim.Overrides, error) {
 // and the daemon re-drives the fabric from the stream's embedded spec
 // and returns the divergence report. An unchanged replay of a recorded
 // run reports zero divergence; anything else is exactly the effect of
-// the overrides.
+// the overrides. Beyond the body as read, a replay holds the twin's
+// stream and one decoded window of each: the comparison walks both a
+// window at a time and expands neither into per-window copies.
 func (s *Server) replay(w http.ResponseWriter, r *http.Request) {
 	stream, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {

@@ -11,7 +11,9 @@ import (
 // Divergence is the recorded-vs-replayed comparison report. Zero
 // divergence means every window's counter deltas match exactly; byte
 // identity is the stronger (and expected, for an unchanged replay)
-// condition.
+// condition. Every field is folded in as the two streams are read, one
+// window of each at a time: building the report costs memory for one
+// window per stream, not for the streams' windows.
 type Divergence struct {
 	ByteIdentical bool `json:"byte_identical"`
 	ShapeMatch    bool `json:"shape_match"` // same dirs/FAs; false for what-if runs that changed K
@@ -57,115 +59,136 @@ func absDelta(a, b uint64) uint64 {
 	return b - a
 }
 
-type streamTotals struct {
-	windows []Window // deep-copied per window
-	cells   uint64
-	drops   uint64
+// side is one stream of a comparison: its reader, its header and the
+// totals of the windows read so far.
+type side struct {
+	sr           *Reader
+	hdr          StreamHeader
+	windows      int
+	cells, drops uint64
+	err          error // what ended the stream, nil for a clean end
+	done         bool
 }
 
-func readAll(stream []byte) (*streamTotals, StreamHeader, error) {
-	sr := NewReader(bytes.NewReader(stream))
-	hdr, err := sr.Header()
-	if err != nil {
-		return nil, hdr, err
-	}
-	t := &streamTotals{}
-	for {
-		win, _, err := sr.Next()
-		if err == io.EOF {
-			return t, hdr, nil
-		}
+func openSide(stream []byte) *side {
+	s := &side{sr: NewReader(bytes.NewReader(stream))}
+	s.hdr, s.err = s.sr.Header()
+	s.done = s.err != nil
+	return s
+}
+
+// next returns the stream's next window, its totals already summed, or nil
+// once the stream has ended (err says how). The window is the reader's:
+// it is valid until the next call.
+func (s *side) next() *Window {
+	for !s.done {
+		win, _, err := s.sr.Next()
 		if err != nil {
-			return nil, hdr, err
+			s.done = true
+			if err != io.EOF {
+				s.err = err
+			}
+			return nil
 		}
 		if win == nil {
-			continue
+			continue // an event record
 		}
-		cp := Window{
-			Index:      win.Index,
-			T:          win.T,
-			DFwdBytes:  append([]uint64(nil), win.DFwdBytes...),
-			DFwdCells:  append([]uint64(nil), win.DFwdCells...),
-			DDrops:     append([]uint64(nil), win.DDrops...),
-			DSinkCells: append([]uint64(nil), win.DSinkCells...),
-			DSinkBytes: append([]uint64(nil), win.DSinkBytes...),
-		}
-		t.windows = append(t.windows, cp)
+		s.windows++
 		for _, c := range win.DSinkCells {
-			t.cells += c
+			s.cells += c
 		}
 		for _, d := range win.DDrops {
-			t.drops += d
+			s.drops += d
 		}
+		return win
+	}
+	return nil
+}
+
+// drain reads the rest of the stream into its totals.
+func (s *side) drain() {
+	for s.next() != nil {
 	}
 }
 
 // Compare diffs a recorded stream against a replayed one, window by
 // window. Streams with different shapes (a what-if replay that changed
-// K) are compared on aggregate totals only.
+// K) are compared on aggregate totals only. The two streams are read in
+// lockstep, each window compared while it is its reader's current one,
+// so beyond the two byte slices Compare holds one decoded window per
+// stream, whatever their length. A corrupt recorded stream is reported
+// as such even when the replayed one is corrupt too.
 func Compare(recorded, replayed []byte) (*Divergence, error) {
 	d := &Divergence{FirstDivergentWindow: -1, ByteIdentical: bytes.Equal(recorded, replayed)}
-
-	rec, rhdr, err := readAll(recorded)
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: recorded stream: %w", err)
+	rec := openSide(recorded)
+	if rec.err != nil {
+		return nil, fmt.Errorf("telemetry: recorded stream: %w", rec.err)
 	}
-	rep, phdr, err := readAll(replayed)
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: replayed stream: %w", err)
+	rep := openSide(replayed)
+	d.ShapeMatch = rec.hdr.Dirs == rep.hdr.Dirs && rec.hdr.FAs == rep.hdr.FAs
+	var diverged []bool // built with the first compared window, which proves the header's dims
+	for {
+		a, b := rec.next(), rep.next()
+		if a == nil || b == nil {
+			break
+		}
+		if !d.ShapeMatch {
+			continue
+		}
+		if diverged == nil {
+			diverged = make([]bool, rec.hdr.Dirs)
+		}
+		d.compareWindow(a, b, diverged)
+		d.ComparedWindows++
 	}
-	d.RecordedWindows = len(rec.windows)
-	d.ReplayedWindows = len(rep.windows)
+	rec.drain()
+	if rec.err != nil {
+		return nil, fmt.Errorf("telemetry: recorded stream: %w", rec.err)
+	}
+	rep.drain()
+	if rep.err != nil {
+		return nil, fmt.Errorf("telemetry: replayed stream: %w", rep.err)
+	}
+	d.RecordedWindows, d.ReplayedWindows = rec.windows, rep.windows
 	d.RecordedCells, d.RecordedDrops = rec.cells, rec.drops
 	d.ReplayedCells, d.ReplayedDrops = rep.cells, rep.drops
-	d.ShapeMatch = rhdr.Dirs == phdr.Dirs && rhdr.FAs == phdr.FAs
 	if !d.ShapeMatch {
-		d.Zero = false
 		return d, nil
-	}
-
-	n := len(rec.windows)
-	if len(rep.windows) < n {
-		n = len(rep.windows)
-	}
-	d.ComparedWindows = n
-	diverged := make([]bool, rhdr.Dirs)
-	for w := 0; w < n; w++ {
-		a, b := &rec.windows[w], &rep.windows[w]
-		bad := false
-		for dir := 0; dir < rhdr.Dirs; dir++ {
-			dc := absDelta(a.DFwdCells[dir], b.DFwdCells[dir])
-			dd := absDelta(a.DDrops[dir], b.DDrops[dir])
-			if dc == 0 && dd == 0 && a.DFwdBytes[dir] == b.DFwdBytes[dir] {
-				continue
-			}
-			bad = true
-			diverged[dir] = true
-			if dc > d.MaxCellDelta {
-				d.MaxCellDelta = dc
-			}
-			if dd > d.MaxDropDelta {
-				d.MaxDropDelta = dd
-			}
-		}
-		for fa := 0; fa < rhdr.FAs; fa++ {
-			if a.DSinkCells[fa] != b.DSinkCells[fa] || a.DSinkBytes[fa] != b.DSinkBytes[fa] {
-				bad = true
-			}
-		}
-		if bad {
-			d.DivergentWindows++
-			if d.FirstDivergentWindow < 0 {
-				d.FirstDivergentWindow = w
-				d.FirstDivergentT = a.T
-			}
-		}
 	}
 	for _, v := range diverged {
 		if v {
 			d.DirsDiverged++
 		}
 	}
-	d.Zero = d.DivergentWindows == 0 && len(rec.windows) == len(rep.windows)
+	d.Zero = d.DivergentWindows == 0 && rec.windows == rep.windows
 	return d, nil
+}
+
+// compareWindow folds window number d.ComparedWindows of two streams of
+// the same shape into d, marking the dirs that differ in diverged.
+func (d *Divergence) compareWindow(a, b *Window, diverged []bool) {
+	bad := false
+	for dir := range diverged {
+		dc := absDelta(a.DFwdCells[dir], b.DFwdCells[dir])
+		dd := absDelta(a.DDrops[dir], b.DDrops[dir])
+		if dc == 0 && dd == 0 && a.DFwdBytes[dir] == b.DFwdBytes[dir] {
+			continue
+		}
+		bad = true
+		diverged[dir] = true
+		d.MaxCellDelta = max(d.MaxCellDelta, dc)
+		d.MaxDropDelta = max(d.MaxDropDelta, dd)
+	}
+	for fa := range a.DSinkCells {
+		if a.DSinkCells[fa] != b.DSinkCells[fa] || a.DSinkBytes[fa] != b.DSinkBytes[fa] {
+			bad = true
+		}
+	}
+	if bad {
+		d.DivergentWindows++
+		if d.FirstDivergentWindow < 0 {
+			d.FirstDivergentWindow = d.ComparedWindows
+			d.FirstDivergentT = a.T
+		}
+	}
 }

@@ -289,16 +289,18 @@ type Event struct {
 // has been read and verified.
 type Reader struct {
 	r      io.Reader
+	br     byteReader
 	hdr    StreamHeader
 	win    Window
 	ev     Event
 	body   []byte
+	word   [4]byte // a frame's type, then its CRC: read here, so a frame allocates nothing
 	opened bool
 }
 
 // NewReader wraps r. The header is read lazily on the first call that
 // needs it (Header or Next).
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
+func NewReader(r io.Reader) *Reader { return &Reader{r: r, br: byteReader{r: r}} }
 
 // open consumes the magic and the header record.
 func (sr *Reader) open() error {
@@ -353,14 +355,14 @@ func (sr *Reader) Header() (StreamHeader, error) {
 // frame boundary; a partial frame is ErrTruncated, a CRC mismatch
 // ErrCorrupt.
 func (sr *Reader) readFrame() (byte, []byte, error) {
-	var t [1]byte
-	if _, err := io.ReadFull(sr.r, t[:]); err != nil {
+	if _, err := io.ReadFull(sr.r, sr.word[:1]); err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF
 		}
 		return 0, nil, ErrTruncated
 	}
-	n, err := binary.ReadUvarint(oneByteReader{sr.r})
+	typ := sr.word[0]
+	n, err := binary.ReadUvarint(&sr.br)
 	if err != nil {
 		return 0, nil, ErrTruncated
 	}
@@ -381,31 +383,32 @@ func (sr *Reader) readFrame() (byte, []byte, error) {
 		}
 	}
 	sr.body = body
-	var crcb [4]byte
-	if _, err := io.ReadFull(sr.r, crcb[:]); err != nil {
+	crc := crc32.Update(0, crc32.IEEETable, sr.word[:1])
+	crc = crc32.Update(crc, crc32.IEEETable, body)
+	if _, err := io.ReadFull(sr.r, sr.word[:]); err != nil {
 		return 0, nil, ErrTruncated
 	}
-	crc := crc32.ChecksumIEEE(t[:])
-	crc = crc32.Update(crc, crc32.IEEETable, body)
-	if crc != binary.LittleEndian.Uint32(crcb[:]) {
+	if crc != binary.LittleEndian.Uint32(sr.word[:]) {
 		return 0, nil, ErrCorrupt
 	}
-	return t[0], body, nil
+	return typ, body, nil
 }
 
-// oneByteReader adapts an io.Reader to io.ByteReader without buffering
+// byteReader adapts an io.Reader to io.ByteReader without buffering
 // (the varint length must not over-read into the body).
-type oneByteReader struct{ r io.Reader }
+type byteReader struct {
+	r io.Reader
+	b [1]byte
+}
 
-func (o oneByteReader) ReadByte() (byte, error) {
-	var b [1]byte
-	if _, err := io.ReadFull(o.r, b[:]); err != nil {
+func (o *byteReader) ReadByte() (byte, error) {
+	if _, err := io.ReadFull(o.r, o.b[:]); err != nil {
 		if err == io.EOF {
 			return 0, io.EOF
 		}
 		return 0, ErrTruncated
 	}
-	return b[0], nil
+	return o.b[0], nil
 }
 
 // Next returns the next record: (*Window, nil, nil), (nil, *Event, nil),
