@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,6 +18,7 @@ import (
 
 	"stardust/internal/engine"
 	"stardust/internal/mgmt"
+	_ "stardust/internal/scenarios" // registers scaling/fig2
 )
 
 func init() {
@@ -293,6 +295,87 @@ func TestResubmitOfFetchedResultIsAnsweredLocally(t *testing.T) {
 	}
 	if got, _, _ := here.q.Result(job.ID); !bytes.Equal(got, want) {
 		t.Fatalf("resubmitted job serves %q, the owner's bytes are %q", got, want)
+	}
+}
+
+// A node's memory does not grow with the history it has served. Three
+// times MaxRetained distinct scaling/fig2 runs are each submitted through a
+// node that does not own them and read there and at the third node; every
+// node then holds at most MaxRetained peer results, and the newest runs
+// still read byte-identical everywhere.
+func TestPeerResultsBoundedByRetention(t *testing.T) {
+	nodes := newTestCluster(t, 3, 8)
+	byURL := make(map[string]*testNode, len(nodes))
+	for _, tn := range nodes {
+		byURL[tn.url] = tn
+	}
+	var keys []string
+	for seed := int64(1); seed <= 3*mgmt.MaxRetained; seed++ {
+		req := mgmt.RunRequest{Scenario: "scaling/fig2", Seed: seed}
+		order := nodes[0].node.Ring().Order(req.CacheKey())
+		owner, via, other := byURL[order[0]], byURL[order[1]], byURL[order[2]]
+		resp, job := submitTo(t, via.ts.URL, req, "")
+		if resp.StatusCode != http.StatusAccepted || resp.Header.Get("X-Stardust-Served-By") != owner.url {
+			t.Fatalf("seed %d: submit answered %d, served by %q", seed, resp.StatusCode, resp.Header.Get("X-Stardust-Served-By"))
+		}
+		if done, _ := owner.q.Wait(job.ID, 10*time.Second); done.State != mgmt.JobDone {
+			t.Fatalf("seed %d: %+v", seed, done)
+		}
+		fetchCache(t, via.ts.URL, job.Key, time.Second)
+		fetchCache(t, other.ts.URL, job.Key, time.Second)
+		keys = append(keys, job.Key)
+	}
+	for _, tn := range nodes {
+		if fetched := tn.node.Stats().PeerFetches; fetched <= mgmt.MaxRetained {
+			t.Fatalf("node %s fetched %d results: the store was never full", tn.url, fetched)
+		}
+		if held := tn.q.Stats().RemoteResults; held > mgmt.MaxRetained {
+			t.Fatalf("node %s holds %d peer results, more than %d", tn.url, held, mgmt.MaxRetained)
+		}
+	}
+	for _, key := range keys[len(keys)-10:] {
+		want, _ := fetchCache(t, nodes[0].ts.URL, key, time.Second)
+		for _, tn := range nodes[1:] {
+			if got, _ := fetchCache(t, tn.ts.URL, key, time.Second); !bytes.Equal(got, want) {
+				t.Fatalf("%s: node %s serves %d bytes, node %s %d", key, tn.url, len(got), nodes[0].url, len(want))
+			}
+		}
+	}
+}
+
+// A peer that answers with a body over MaxBodyBytes is a failed fetch, not
+// a result: the read stops one byte past the cap, the key is a miss, and
+// nothing reaches the local store.
+func TestOversizedPeerResultRefused(t *testing.T) {
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		chunk := make([]byte, 64<<10)
+		for left := mgmt.MaxBodyBytes + 1; left > 0; left -= len(chunk) {
+			if _, err := w.Write(chunk[:min(left, len(chunk))]); err != nil {
+				return
+			}
+		}
+	}))
+	defer peer.Close()
+	self := "http://self.cluster-test"
+	node, err := New(Config{Self: self, Peers: []string{self, peer.URL}, Attempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := mgmt.NewRunQueue(4, 1, 1)
+	defer q.Shutdown()
+	s := mgmt.NewServer(q, nil)
+	s.SetCluster(node)
+	key := mgmt.RunRequest{Scenario: "clustertest/echo", Seed: 1}.CacheKey()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/cache/"+key, nil))
+	if rec.Code != http.StatusNotFound || !strings.Contains(rec.Body.String(), "too large") {
+		t.Fatalf("oversized peer body: %d %s", rec.Code, rec.Body)
+	}
+	if st := node.Stats(); st.PeerFetches != 0 || st.PeerFetchMiss != 1 {
+		t.Fatalf("oversized peer body counted as a fetch: %+v", st)
+	}
+	if st := q.Stats(); st.RemoteResults != 0 || st.RemoteBytes != 0 {
+		t.Fatalf("oversized peer body reached the store: %+v", st)
 	}
 }
 

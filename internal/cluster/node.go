@@ -188,7 +188,7 @@ func (n *Node) postRun(ctx context.Context, addr string, blob []byte, client str
 			lastErr = err
 			continue
 		}
-		body, err := io.ReadAll(resp.Body)
+		body, err := mgmt.ReadBody(resp.Body, mgmt.MaxBodyBytes)
 		resp.Body.Close()
 		if err != nil {
 			lastErr = err
@@ -266,7 +266,7 @@ func (n *Node) getCache(ctx context.Context, addr, key string) ([]byte, error) {
 		io.Copy(io.Discard, resp.Body)
 		return nil, fmt.Errorf("peer %s: %s", addr, resp.Status)
 	}
-	return io.ReadAll(resp.Body)
+	return mgmt.ReadBody(resp.Body, mgmt.MaxBodyBytes)
 }
 
 // Info implements mgmt.Cluster: membership, placement shares and

@@ -4,15 +4,21 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"regexp"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"stardust/internal/engine"
@@ -39,7 +45,7 @@ func init() {
 // and a JSON error, not read to completion.
 func TestOversizedSubmitBodyRejected(t *testing.T) {
 	ts, _, _ := newTestDaemon(t, false)
-	big := append([]byte(`{"scenario":"`), bytes.Repeat([]byte("a"), maxBodyBytes+1024)...)
+	big := append([]byte(`{"scenario":"`), bytes.Repeat([]byte("a"), MaxBodyBytes+1024)...)
 	big = append(big, []byte(`"}`)...)
 	resp, err := http.Post(ts.URL+"/api/v1/runs", "application/json", bytes.NewReader(big))
 	if err != nil {
@@ -59,7 +65,7 @@ func TestOversizedSubmitBodyRejected(t *testing.T) {
 func TestOversizedReplayBodyRejected(t *testing.T) {
 	ts, _, _ := newTestDaemon(t, false)
 	resp, err := http.Post(ts.URL+"/api/v1/replay", "application/octet-stream",
-		bytes.NewReader(make([]byte, maxBodyBytes+1)))
+		bytes.NewReader(make([]byte, MaxBodyBytes+1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,6 +76,50 @@ func TestOversizedReplayBodyRejected(t *testing.T) {
 	var e map[string]string
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e["error"] == "" {
 		t.Fatalf("413 body is not a JSON error: %v %v", err, e)
+	}
+}
+
+// ReadBody hands back exactly the bytes sent, in a buffer of their size,
+// for about twice a large body's size in allocations; one byte over the
+// limit is the *http.MaxBytesError the replay endpoint answers with 413
+// (TestOversizedReplayBodyRejected), and a reader's own error is passed on.
+func TestReadBody(t *testing.T) {
+	for _, n := range []int{0, 1, 511, 512, 513, 749, 256<<10 + 1, 3<<20 + 5} {
+		body := make([]byte, n)
+		for i := range body {
+			body[i] = byte(i * 7)
+		}
+		got, err := ReadBody(bytes.NewReader(body), int64(n))
+		if err != nil || !bytes.Equal(got, body) || cap(got) != n {
+			t.Fatalf("%d-byte body at its limit: %v, %d bytes back, cap %d", n, err, len(got), cap(got))
+		}
+		var tooBig *http.MaxBytesError
+		if _, err := ReadBody(bytes.NewReader(append(body, 1)), int64(n)); !errors.As(err, &tooBig) || tooBig.Limit != int64(n) {
+			t.Fatalf("%d-byte body over a limit of %d: %v", n+1, n, err)
+		}
+	}
+	boom := errors.New("boom")
+	if _, err := ReadBody(io.MultiReader(bytes.NewReader(make([]byte, 5000)), iotest.ErrReader(boom)), MaxBodyBytes); !errors.Is(err, boom) {
+		t.Fatalf("reader error: %v", err)
+	}
+
+	// Other goroutines' allocations can only add to a measurement: the
+	// smallest of three is the reader's.
+	const size = 8 << 20
+	body := make([]byte, size)
+	alloc := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := ReadBody(bytes.NewReader(body), MaxBodyBytes)
+		runtime.ReadMemStats(&after)
+		if err != nil || len(got) != size {
+			t.Fatalf("8 MiB body: %v, %d bytes back", err, len(got))
+		}
+		alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
+	}
+	if alloc > size*5/2 {
+		t.Fatalf("reading an 8 MiB body allocated %d bytes, %.2fx the body", alloc, float64(alloc)/size)
 	}
 }
 
@@ -396,12 +446,107 @@ func TestRemoteResultStore(t *testing.T) {
 	if st := q.Stats(); st.RemoteHits != 1 || st.RemoteResults != 1 || st.RemoteBytes != len(out) {
 		t.Fatalf("remote stats: %+v", st)
 	}
-	// The store is byte-capped with FIFO eviction. (The evicted key's
-	// bytes remain reachable through the done job it coalesced into —
-	// only the peer-fetched copy is dropped.)
-	q.maxRemote = len(out) + 4
+	// The store keeps the newest maxRetained results and evicts the
+	// oldest first. (The evicted key's bytes remain reachable through the
+	// done job it coalesced into — only the peer-fetched copy is dropped.)
+	q.maxRetained = 1
 	q.PutRemote(strings.Repeat("b", 64), []byte("12345"))
 	if st := q.Stats(); st.RemoteResults != 1 || st.RemoteBytes != 5 {
 		t.Fatalf("FIFO eviction did not drop the oldest remote result: %+v", st)
+	}
+	if got, ok := q.ResultByKey(key); !ok || !bytes.Equal(got, out) {
+		t.Fatalf("evicted key no longer served through its job: %v %q", ok, got)
+	}
+}
+
+// The peer-result store keeps the rule the job store keeps: the newest
+// maxRetained results, the oldest out first. Random PutRemote / Submit /
+// ResultByKey sequences are held step by step to a model of both stores:
+// the node keeps exactly the model's peer keys in their order, serves what
+// the model serves, and its remote gauges read the model's.
+func TestRemoteStoreKeepsTheRule(t *testing.T) {
+	const retained = 3
+	q := NewRunQueue(4096, 1, 1)
+	q.Shutdown() // nothing runs: the test finishes each queued job itself
+	q.maxRetained = retained
+	type result struct {
+		key string
+		out []byte
+	}
+	var peer, local []result // the newest retained of each, oldest first
+	find := func(rs []result, key string) ([]byte, bool) {
+		for _, r := range rs {
+			if r.key == key {
+				return r.out, true
+			}
+		}
+		return nil, false
+	}
+	keep := func(rs []result, r result) []result {
+		if rs = append(rs, r); len(rs) > retained {
+			rs = rs[1:]
+		}
+		return rs
+	}
+	var remoteHits uint64
+	rng := rand.New(rand.NewSource(1))
+	for step := 0; step < 3000; step++ {
+		req := RunRequest{Scenario: "mgmttest/echo", Seed: int64(1 + rng.Intn(8))}
+		key := req.CacheKey()
+		switch rng.Intn(3) {
+		case 0:
+			out := []byte(fmt.Sprintf("peer %d %s", step, strings.Repeat("x", rng.Intn(9))))
+			if rng.Intn(8) == 0 {
+				out = nil // an empty result is not kept
+			}
+			q.PutRemote(key, out)
+			if _, held := find(peer, key); len(out) > 0 && !held {
+				peer = keep(peer, result{key, out})
+			}
+		case 1:
+			snap, cached, err := q.Submit(req, "test")
+			if err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			_, isLocal := find(local, key)
+			out, isPeer := find(peer, key)
+			if cached != (isLocal || isPeer) {
+				t.Fatalf("step %d: submit cached=%v, the model holds it locally %v, from a peer %v", step, cached, isLocal, isPeer)
+			}
+			switch {
+			case isLocal: // coalesced onto the retained job: nothing installed
+			case isPeer:
+				remoteHits++
+				local = keep(local, result{key, out})
+			default: // the run the queue would have made
+				out = []byte(fmt.Sprintf("local %d", step))
+				q.mu.Lock()
+				q.jobs[snap.ID].State, q.jobs[snap.ID].output = JobDone, out
+				q.mu.Unlock()
+				local = keep(local, result{key, out})
+			}
+		case 2:
+			got, ok := q.ResultByKey(key)
+			want, held := find(local, key)
+			if !held {
+				want, held = find(peer, key)
+			}
+			if ok != held || !bytes.Equal(got, want) {
+				t.Fatalf("step %d: ResultByKey = %v %q, the model serves %v %q", step, ok, got, held, want)
+			}
+		}
+		var keys []string
+		bytesHeld := 0
+		for _, r := range peer {
+			keys = append(keys, r.key)
+			bytesHeld += len(r.out)
+		}
+		if !slices.Equal(q.remoteOrder, keys) || len(q.remote) != len(keys) {
+			t.Fatalf("step %d: the store holds %d keys in the order %v, the model %v", step, len(q.remote), q.remoteOrder, keys)
+		}
+		if st := q.Stats(); st.RemoteResults != len(peer) || st.RemoteBytes != bytesHeld || st.RemoteHits != remoteHits {
+			t.Fatalf("step %d: remote gauges %d results, %d bytes, %d hits; the model %d, %d, %d",
+				step, st.RemoteResults, st.RemoteBytes, st.RemoteHits, len(peer), bytesHeld, remoteHits)
+		}
 	}
 }

@@ -116,6 +116,10 @@ type clientAcct struct {
 	lastSeen  time.Time
 }
 
+// MaxRetained is how many finished jobs, and apart from them how many
+// peer-fetched results, a run queue keeps; the oldest go first.
+const MaxRetained = 256
+
 // RunQueue executes scenario runs on a bounded queue over the engine
 // worker pool, deduplicating through a content-addressed result cache:
 // a submission whose (scenario, params, seed) digest matches a live or
@@ -124,8 +128,7 @@ type clientAcct struct {
 type RunQueue struct {
 	engineWorkers int
 	workers       int
-	maxRetained   int // finished jobs kept (results + progress); older ones evicted
-	maxRemote     int // byte cap for peer-fetched results
+	maxRetained   int // finished jobs and peer-fetched results kept, each; older ones evicted
 
 	mu          sync.Mutex
 	queue       chan *Job
@@ -135,8 +138,7 @@ type RunQueue struct {
 	byKey       map[string]*Job // content-addressed cache (queued, running or done)
 	clients     map[string]*clientAcct
 	remote      map[string][]byte // peer-fetched results by cache key
-	remoteOrder []string          // FIFO eviction order for remote results
-	remoteBytes int
+	remoteOrder []string          // their keys, oldest first
 	nextID      int
 	pending     int // queued + running jobs (admission-controlled total)
 	running     int
@@ -162,8 +164,7 @@ func NewRunQueue(depth, workers, engineWorkers int) *RunQueue {
 	q := &RunQueue{
 		engineWorkers: engineWorkers,
 		workers:       workers,
-		maxRetained:   256,
-		maxRemote:     256 << 20,
+		maxRetained:   MaxRetained,
 		queue:         make(chan *Job, depth),
 		jobs:          make(map[string]*Job),
 		byKey:         make(map[string]*Job),
@@ -546,7 +547,9 @@ func (q *RunQueue) Stats() QueueStats {
 	s.Running = q.running
 	s.ActiveClients = q.activeClientsLocked()
 	s.RemoteResults = len(q.remote)
-	s.RemoteBytes = q.remoteBytes
+	for _, out := range q.remote {
+		s.RemoteBytes += len(out)
+	}
 	return s
 }
 
@@ -591,11 +594,12 @@ func (q *RunQueue) ResultByKey(key string) ([]byte, bool) {
 }
 
 // PutRemote stores a peer-fetched result under its cache key so later
-// reads (and submissions) of that key are served locally. The store is
-// byte-capped with FIFO eviction; locally computed results take
-// precedence on read.
+// reads (and submissions) of that key are served locally. The store keeps
+// the newest maxRetained results and evicts the oldest first; locally
+// computed results take precedence on read. It keeps out itself: the
+// caller must not change it afterwards.
 func (q *RunQueue) PutRemote(key string, out []byte) {
-	if len(out) == 0 || len(out) > q.maxRemote {
+	if len(out) == 0 {
 		return
 	}
 	q.mu.Lock()
@@ -603,17 +607,12 @@ func (q *RunQueue) PutRemote(key string, out []byte) {
 	if _, ok := q.remote[key]; ok {
 		return
 	}
-	// Keep copies of just what is counted: a fetched body's buffer has up
-	// to a fifth more capacity than length, and a key cut from a request
-	// path would pin the whole request line.
+	// A key cut from a request path would pin the whole request line.
 	key = strings.Clone(key)
-	q.remote[key] = bytes.Clone(out)
+	q.remote[key] = out
 	q.remoteOrder = append(q.remoteOrder, key)
-	q.remoteBytes += len(out)
-	for q.remoteBytes > q.maxRemote && len(q.remoteOrder) > 0 {
-		old := q.remoteOrder[0]
-		q.remoteOrder = q.remoteOrder[1:]
-		q.remoteBytes -= len(q.remote[old])
-		delete(q.remote, old)
+	for len(q.remoteOrder) > q.maxRetained {
+		delete(q.remote, q.remoteOrder[0])
+		q.remoteOrder = slices.Delete(q.remoteOrder, 0, 1) // clears the vacated slot: no evicted key stays reachable
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -19,10 +18,9 @@ import (
 	"stardust/internal/telemetry"
 )
 
-// maxBodyBytes caps every body-decoding endpoint (run submission, twin
-// replay). Oversized bodies get 413 with a JSON error instead of an
-// unbounded read.
-const maxBodyBytes = 64 << 20
+// MaxBodyBytes caps every body stardustd reads: a run submission or twin
+// replay (413 with a JSON error) and a ring peer's answer (a failed call).
+const MaxBodyBytes = 64 << 20
 
 // Cluster is the peer-ring view the server consults when stardustd runs
 // as part of a multi-node serving tier (implemented by
@@ -39,7 +37,7 @@ type Cluster interface {
 	// submit locally.
 	ForwardSubmit(ctx context.Context, req RunRequest, client string) (*ForwardResult, error)
 	// FetchResult retrieves the result bytes for a cache key from the
-	// first peer (in ring order) that has them.
+	// first peer (in ring order) that has them; the caller keeps them.
 	FetchResult(ctx context.Context, key string) (out []byte, from string, err error)
 	// Info describes ring membership and forwarding counters.
 	Info() any
@@ -163,7 +161,7 @@ func headerClient(r *http.Request) string {
 // decodeBody JSON-decodes a capped request body, distinguishing an
 // oversized body (413) from malformed JSON (400).
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	err := json.NewDecoder(r.Body).Decode(v)
 	var tooBig *http.MaxBytesError
 	switch {
@@ -575,7 +573,7 @@ func replayOverrides(r *http.Request) (distsim.Overrides, error) {
 // stream and one decoded window of each: the comparison walks both a
 // window at a time and expands neither into per-window copies.
 func (s *Server) replay(w http.ResponseWriter, r *http.Request) {
-	stream, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	stream, err := ReadBody(r.Body, MaxBodyBytes)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -661,8 +659,8 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 	gauge("stardustd_runs_running", "jobs currently executing", float64(qs.Running))
 	gauge("stardustd_run_queue_capacity", "bounded queue capacity (total pending jobs)", float64(qs.Capacity))
 	gauge("stardustd_run_queue_active_clients", "clients with pending runs", float64(qs.ActiveClients))
-	gauge("stardustd_remote_results", "peer-fetched results held in the local store", float64(qs.RemoteResults))
-	gauge("stardustd_remote_result_bytes", "bytes held in the peer-fetched result store", float64(qs.RemoteBytes))
+	gauge("stardustd_remote_results", "peer-fetched results held in the local store: the newest "+strconv.Itoa(MaxRetained)+" at most, the oldest evicted first", float64(qs.RemoteResults))
+	gauge("stardustd_remote_result_bytes", "bytes of the peer-fetched results held in the local store", float64(qs.RemoteBytes))
 	// Distributed-coordinator metrics are process-wide (any distsim run
 	// this daemon coordinated), so they render with or without a fabric.
 	ds := distsim.DefaultStats.Snapshot()
