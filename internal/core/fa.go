@@ -5,6 +5,7 @@ import (
 	"stardust/internal/reach"
 	"stardust/internal/sched"
 	"stardust/internal/sim"
+	"stardust/internal/topo"
 	"stardust/internal/voq"
 )
 
@@ -73,7 +74,7 @@ func newFabricAdapter(n *Network, id uint16, numUplinks int) *FabricAdapter {
 		upSending:  make([]bool, numUplinks),
 		hostInBusy: make([]sim.Time, n.Cfg.HostPortsPerFA),
 		table:      reach.NewTable(n.clos.NumFA, numUplinks),
-		spreader:   newSpreader(numUplinks, n.Cfg.Seed+int64(id)*31337),
+		spreader:   newSpreader(n, topo.NodeID{Kind: topo.KindFA, Index: int(id)}, numUplinks),
 		reasm:      make(map[reasmKey]*cell.Reassembler),
 		egressQ:    make([]int64, n.Cfg.HostPortsPerFA),
 		egressBusy: make([]bool, n.Cfg.HostPortsPerFA),

@@ -4,6 +4,7 @@ import (
 	"stardust/internal/cell"
 	"stardust/internal/reach"
 	"stardust/internal/sim"
+	"stardust/internal/stats"
 	"stardust/internal/topo"
 )
 
@@ -21,6 +22,7 @@ type FabricElement struct {
 	table    *reach.Table
 	monitors []*reach.Monitor
 	spreader reach.Spreader[int]
+	downSet  reach.Bitmap // pickDown's candidate set
 	reachTmr *sim.Timer
 
 	// Per-output-link queues (cells waiting for the serializer) with a
@@ -50,7 +52,8 @@ func newFabricElement(n *Network, id topo.NodeID, numLinks int) *FabricElement {
 		links:    make([]*link, numLinks),
 		downN:    downN,
 		table:    reach.NewTable(n.clos.NumFA, numLinks),
-		spreader: newSpreader(numLinks, n.Cfg.Seed+int64(id.Index)*7919+int64(id.Kind)*104729),
+		spreader: newSpreader(n, id, numLinks),
+		downSet:  reach.NewBitmap(numLinks),
 		queues:   make([][]*cell.Cell, numLinks),
 		sending:  make([]bool, numLinks),
 	}
@@ -166,28 +169,27 @@ func (fe *FabricElement) onCell(port int, c *cell.Cell) {
 	fe.net.Sim.After(fe.net.Cfg.FELatency, func() { fe.enqueue(out, c) })
 }
 
-// pickDown spreads among eligible down-facing links only.
+// pickDown spreads among eligible down-facing links only: the candidate
+// set is eligible without the ports from downN on.
 func (fe *FabricElement) pickDown(eligible reach.Bitmap) int {
-	for tries := 0; tries < len(fe.links); tries++ {
-		l := spray(&fe.spreader, eligible)
-		if l < 0 {
-			return -1
-		}
-		if l < fe.downN {
-			return l
-		}
+	down := fe.downSet
+	copy(down, eligible)
+	for l := fe.downN; l < len(fe.links); l++ {
+		down.Clear(l)
 	}
-	return -1
+	return spray(&fe.spreader, down)
 }
 
-// newSpreader returns a §5.3 spreader over numLinks ports, named by index,
-// with one candidate set (see spray).
-func newSpreader(numLinks int, seed int64) reach.Spreader[int] {
+// newSpreader returns device id's §5.3 spreader over numLinks ports, named
+// by index, with one candidate set (see spray). A device has one spreader,
+// and it draws from the stream ("spray", node, 0), node being the device's
+// index in the Clos graph.
+func newSpreader(n *Network, id topo.NodeID, numLinks int) reach.Spreader[int] {
 	ports := make([]int, numLinks)
 	for i := range ports {
 		ports[i] = i
 	}
-	return reach.NewSpreader(ports, 1, 4, seed)
+	return reach.NewSpreader(ports, 1, 4, stats.Stream(n.Cfg.Seed, "spray", n.clos.NodeIndex(id), 0))
 }
 
 // spray makes eligible sp's candidate set and returns the port it picks

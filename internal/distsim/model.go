@@ -29,11 +29,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 
 	"stardust/internal/fabric"
 	"stardust/internal/parsim"
 	"stardust/internal/sim"
+	"stardust/internal/stats"
 	"stardust/internal/topo"
 	"stardust/internal/workload"
 )
@@ -121,10 +122,11 @@ type Model struct {
 }
 
 // NewModel builds the replica deterministically from spec: same spec,
-// same replica, on every process. The construction order (seed
-// consumption, injector scheduling, control registration) is part of the
-// determinism contract — change it and remote digests diverge from local
-// ones.
+// same replica, on every process. Every random stream is named
+// (stats.Stream: "spray" per node and direction, "perm", "chaos"), so the
+// order in which they are made is not part of the determinism contract;
+// the order of injector scheduling and control registration is — change
+// it and remote digests diverge from local ones.
 func NewModel(spec Spec) (*Model, error) {
 	if err := spec.Check(); err != nil {
 		return nil, err
@@ -153,7 +155,7 @@ func NewModel(spec Spec) (*Model, error) {
 	case "", "rotate", "alltoall":
 		// The default rotation: every edge cycles through every other edge.
 	case "permutation":
-		perm = workload.Permutation(rand.New(rand.NewSource(spec.Seed^0x9e3779b9)), numFA)
+		perm = workload.Permutation(rand.New(stats.Stream(spec.Seed, "perm")), numFA)
 	case "incast":
 		// Everyone converges on edge 0; edge 0 itself stays silent.
 	default:
@@ -184,9 +186,9 @@ func NewModel(spec Spec) (*Model, error) {
 		j.Start(sim.Time(fa) * gap / sim.Time(numFA))
 	}
 	if spec.FailN > 0 {
-		rng := rand.New(rand.NewSource(spec.Seed ^ 0xfa11))
+		rng := rand.New(stats.Stream(spec.Seed, "chaos"))
 		for i := 0; i < spec.FailN; i++ {
-			lk := rng.Intn(n.NumLinks())
+			lk := rng.IntN(n.NumLinks())
 			eng.At(spec.FailAt, func() { n.FailLink(lk) })
 			eng.At(spec.HealAt, func() { n.RestoreLink(lk) })
 		}
@@ -212,13 +214,13 @@ func NewModel(spec Spec) (*Model, error) {
 	}
 	drain := 4 * cfg.ReachDelay
 	_, isClos := graph.(*topo.Clos)
-	if !isClos || spec.Hotspot > 1 || spec.Pattern == "permutation" || spec.Pattern == "incast" {
-		// A hotspot overloads its FAs' uplink queues, the fixed matrices
-		// concentrate load the same way (incast on the victim's downlink,
-		// permutation on relay links), and the irregular graphs carry
-		// transit traffic over shared relay links under any matrix — so
-		// cells keep draining well past the injection stop: allow every
-		// queue on a four-hop path to empty completely at line rate.
+	if !isClos || spec.Hotspot > 1 || spec.Pattern == "incast" {
+		// A hotspot overloads its FAs' uplink queues, incast concentrates
+		// load the same way on the victim's downlink, and the irregular
+		// graphs carry transit traffic over shared relay links under any
+		// matrix — so cells keep draining well past the injection stop:
+		// allow every queue on a four-hop path to empty completely at line
+		// rate.
 		drain += 8 * sim.Time(float64(cfg.LinkBytes*8)/float64(cfg.LinkRate)*float64(sim.Second))
 	}
 	return &Model{

@@ -4,18 +4,19 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"sort"
 
 	"stardust/internal/sim"
+	"stardust/internal/stats"
 	"stardust/internal/workload"
 )
 
-// newMatrixRNG derives the traffic-matrix RNG from the run seed,
-// independent of the testbed's flow-choice RNG, so every protocol of a
-// sweep sees the identical matrix.
+// newMatrixRNG is the run's traffic-matrix stream, named apart from the
+// testbed's flow-choice stream, so every protocol of a sweep sees the
+// identical matrix.
 func newMatrixRNG(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed ^ 0x5DEECE66D))
+	return rand.New(stats.Stream(seed, "matrix"))
 }
 
 // This file holds the experiments that need the topology-faithful

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 	"sort"
 
 	"stardust/internal/fabric"
@@ -96,7 +96,7 @@ type testbed struct {
 }
 
 func newTestbed(cfg HtsimConfig, proto Protocol) (*testbed, error) {
-	tb := &testbed{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	tb := &testbed{cfg: cfg, rng: rand.New(stats.Stream(cfg.Seed, "flows"))}
 	switch proto {
 	case ProtoStardust:
 		hostsPer := cfg.K / 2 // hosts per edge device in a k-ary fat-tree
@@ -365,7 +365,7 @@ func FCT(cfg HtsimConfig, proto Protocol, measuredFlows int) (*FCTResult, error)
 			continue
 		}
 		for j := 0; j < 4; j++ {
-			d := tb.rng.Intn(tb.hosts)
+			d := tb.rng.IntN(tb.hosts)
 			if d == bg || d == src || d == dst {
 				d = (d + 1) % tb.hosts
 				if d == bg || d == src || d == dst {

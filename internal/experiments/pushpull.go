@@ -7,10 +7,11 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 
 	"stardust/internal/netsim"
 	"stardust/internal/sim"
+	"stardust/internal/stats"
 )
 
 // PushPullResult carries the Fig 7 / Fig 12 outcome: delivered fraction of
@@ -34,7 +35,7 @@ type PushPullResult struct {
 // synchronization hazard for cell spraying).
 func constSource(s *sim.Simulator, rate netsim.Bps, size int, route []netsim.Handler, tag int, offset, until sim.Time) {
 	gap := float64(size*8) / float64(rate) * float64(sim.Second)
-	rng := rand.New(rand.NewSource(int64(tag)*7919 + 13))
+	rng := rand.New(stats.Stream(0, "jitter", tag)) // the figure takes no run seed
 	free := netsim.FreeListOf(s)
 	var emit func()
 	emit = func() {

@@ -103,23 +103,24 @@ package fabric
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
 
 	"stardust/internal/netsim"
 	"stardust/internal/parsim"
 	"stardust/internal/reach"
 	"stardust/internal/sim"
+	"stardust/internal/stats"
 	"stardust/internal/topo"
 )
+
+// reshuffleRounds is how many full traversals a spreader keeps one
+// permutation before reshuffling (§5.3's anti-synchronization).
+const reshuffleRounds = 64
 
 // Config sizes the fabric's links and control plane.
 type Config struct {
 	LinkRate  netsim.Bps // per serial link (the paper runs the fabric ~5% over the edge)
 	LinkDelay sim.Time   // per-hop propagation
 	LinkBytes int        // per-link queue capacity
-	// ReshuffleRounds is how many full traversals a spreader keeps one
-	// permutation before reshuffling (§5.3's anti-synchronization).
-	ReshuffleRounds int
 	// ReachDelay is the latency for a reachability change to take effect
 	// beyond the devices adjacent to a failure (Appendix E's propagation
 	// step).
@@ -131,12 +132,11 @@ type Config struct {
 // and hop delay.
 func DefaultConfig(rate netsim.Bps, delay sim.Time, seed int64) Config {
 	return Config{
-		LinkRate:        rate,
-		LinkDelay:       delay,
-		LinkBytes:       256 << 10,
-		ReshuffleRounds: 64,
-		ReachDelay:      50 * sim.Microsecond,
-		Seed:            seed,
+		LinkRate:   rate,
+		LinkDelay:  delay,
+		LinkBytes:  256 << 10,
+		ReachDelay: 50 * sim.Microsecond,
+		Seed:       seed,
 	}
 }
 
@@ -795,9 +795,6 @@ func build(cfg Config, g topo.Graph, shards []*shardState, assign []int, eng *pa
 	if cfg.LinkRate <= 0 || cfg.LinkBytes <= 0 {
 		return nil, fmt.Errorf("fabric: need positive link rate and capacity")
 	}
-	if cfg.ReshuffleRounds < 1 {
-		cfg.ReshuffleRounds = 64
-	}
 	if err := topo.ValidateGraph(g); err != nil {
 		return nil, err
 	}
@@ -898,21 +895,14 @@ func build(cfg Config, g topo.Graph, shards []*shardState, assign []int, eng *pa
 		mkLink(lk.B, lk.BPort, lk.A)
 	}
 
-	// Spreaders, once the links they pick from exist. Seeds are drawn in
-	// node order, descend before climb, one per group with ports; each
-	// spreader is sized over its own port group, because Spreader.Next
-	// advances its position even when no candidate is eligible. The descend
-	// sets are filled by the route policy's seed; the climb set starts full.
-	seeds := rand.New(rand.NewSource(cfg.Seed))
-	seed := func(group []*link) int64 {
-		if len(group) == 0 {
-			return 0 // an empty spreader draws nothing
-		}
-		return seeds.Int63()
-	}
-	for _, d := range n.nodes {
-		d.sprDown = reach.NewSpreader(d.down, numEdge, cfg.ReshuffleRounds, seed(d.down))
-		d.sprUp = reach.NewSpreader(d.up, 1, cfg.ReshuffleRounds, seed(d.up))
+	// Spreaders, once the links they pick from exist: each draws from the
+	// stream named by its node and direction (0 descend, 1 climb), so no
+	// spreader's stream depends on which others exist. Each is sized over
+	// its own port group. The descend sets are filled by the route policy's
+	// seed; the climb set starts full.
+	for i, d := range n.nodes {
+		d.sprDown = reach.NewSpreader(d.down, numEdge, reshuffleRounds, stats.Stream(cfg.Seed, "spray", i, 0))
+		d.sprUp = reach.NewSpreader(d.up, 1, reshuffleRounds, stats.Stream(cfg.Seed, "spray", i, 1))
 		for s := range d.up {
 			d.sprUp.Set(0, s)
 		}

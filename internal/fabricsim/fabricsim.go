@@ -16,7 +16,7 @@ package fabricsim
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 
 	"stardust/internal/sim"
 	"stardust/internal/stats"
@@ -181,7 +181,7 @@ type fabric struct {
 func newFabric(cfg Config) *fabric {
 	f := &fabric{
 		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		rng:     rand.New(stats.Stream(cfg.Seed, "traffic")),
 		fe1Down: cfg.NumFA * cfg.FAUplinks / cfg.NumFE1,
 		perFE2:  cfg.FE1Up / cfg.NumFE2,
 	}
@@ -345,7 +345,7 @@ func Run(cfg Config) (*Result, error) {
 			fb.acc[i] += genRate
 			for fb.acc[i] >= 1 {
 				fb.acc[i]--
-				dst := fb.rng.Intn(cfg.NumFA - 1)
+				dst := fb.rng.IntN(cfg.NumFA - 1)
 				if dst >= i {
 					dst++
 				}

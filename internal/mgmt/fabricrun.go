@@ -3,13 +3,14 @@ package mgmt
 import (
 	"fmt"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 
 	"stardust/internal/fabric"
 	"stardust/internal/netsim"
 	"stardust/internal/parsim"
 	"stardust/internal/sim"
+	"stardust/internal/stats"
 	"stardust/internal/telemetry"
 	"stardust/internal/topo"
 )
@@ -142,7 +143,7 @@ func NewFabricRun(cfg FabricRunConfig) (*FabricRun, error) {
 		Fab: fab,
 		Ctl: newController(fab),
 		Eng: eng,
-		rng: rand.New(rand.NewSource(cfg.Seed ^ 0x51d)),
+		rng: rand.New(stats.Stream(cfg.Seed, "chaos")),
 	}
 	if cfg.TransportHostsPer > 0 {
 		// The transport overlay is the load source: TCP flows over the
@@ -250,7 +251,7 @@ func (r *FabricRun) chaosStep() {
 	n := r.Fab.NumLinks()
 	pick := -1
 	for try := 0; try < 8; try++ {
-		i := r.rng.Intn(n)
+		i := r.rng.IntN(n)
 		if r.Fab.LinkUp(i) {
 			pick = i
 			break

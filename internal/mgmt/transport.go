@@ -2,10 +2,12 @@ package mgmt
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"sync"
 
 	"stardust/internal/netsim"
 	"stardust/internal/sim"
+	"stardust/internal/stats"
 	"stardust/internal/tcp"
 	"stardust/internal/topo"
 	"stardust/internal/workload"
@@ -72,7 +74,7 @@ func (r *FabricRun) buildTransport(hostsPer int) error {
 		return err
 	}
 	r.Net = net
-	perm := workload.Permutation(r.rng, hosts)
+	perm := workload.Permutation(rand.New(stats.Stream(r.Cfg.Seed, "perm")), hosts)
 	tcfg := tcp.DefaultConfig()
 	for src := 0; src < hosts; src++ {
 		dst := perm[src]

@@ -1,7 +1,7 @@
 package reach
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -112,10 +112,10 @@ func FuzzReachApplyMessage(f *testing.F) {
 // FuzzSpreaderMatchesWalk runs a fuzzed program of Set, Clear, Replace and
 // Next steps over several keys of a spreader of up to 130 links against
 // the walk reference (scanSpreader): every Next must agree in link,
-// position, round count and permutation, and every step must leave the
-// link sets as written and the position sets their image. A step is two
-// bytes, an operation and its argument; a Replace draws its set, bits
-// beyond the links included, from the argument.
+// every key's position, pick count and permutation, and every step must
+// leave the link sets as written and the position sets their image. A
+// step is two bytes, an operation and its argument; a Replace draws its
+// set, bits beyond the links included, from the argument.
 func FuzzSpreaderMatchesWalk(f *testing.F) {
 	f.Add(uint8(5), uint8(2), int64(1), []byte{0, 3, 3, 0, 3, 1, 1, 3, 3, 2})
 	f.Add(uint8(64), uint8(1), int64(7), []byte{2, 200, 3, 0, 3, 1, 2, 9, 3, 2, 1, 64})
@@ -133,10 +133,10 @@ func FuzzSpreaderMatchesWalk(f *testing.F) {
 			case 1:
 				p.clear(key, arg%n)
 			case 2:
-				rng := rand.New(rand.NewSource(int64(arg)))
-				set, density := NewBitmap(n+64), rng.Intn(101)
+				rng := rand.New(rand.NewPCG(uint64(arg), 0))
+				set, density := NewBitmap(n+64), rng.IntN(101)
 				for l := 0; l < n+64; l++ {
-					if rng.Intn(100) < density {
+					if rng.IntN(100) < density {
 						set.Set(l)
 					}
 				}
@@ -151,5 +151,38 @@ func FuzzSpreaderMatchesWalk(f *testing.F) {
 			p.next(i % keys)
 		}
 		p.check()
+	})
+}
+
+// FuzzSpreaderBalance holds a spreader to checkBalance on fuzzed candidate
+// sets and key sequences: between two reshuffles, each member of a key's
+// set is picked as often as a round robin of that key alone would pick it,
+// give or take one. The sets are drawn from their bytes (eight links a
+// byte, cycling), the key of each call from one byte of keys.
+func FuzzSpreaderBalance(f *testing.F) {
+	f.Add(uint8(3), uint8(0), int64(1), []byte{0xff, 0xff}, []byte{0, 1, 0, 1, 0, 1, 0, 1})
+	f.Add(uint8(8), uint8(2), int64(5), []byte{0xff, 0x0f, 0x3c}, []byte{0, 1, 2, 0, 0, 1, 2, 2, 1, 0, 1, 2, 0, 1, 2, 0})
+	f.Add(uint8(99), uint8(0), int64(-3), []byte{0xaa, 0x55, 0xff, 0x81}, []byte{3, 2, 1, 0, 0, 1, 2, 3, 3, 3, 0, 1})
+	f.Fuzz(func(t *testing.T, width, rounds uint8, seed int64, masks, keys []byte) {
+		if len(masks) == 0 || len(masks) > 8 {
+			return
+		}
+		n := int(width)%130 + 1
+		sets := make([]Bitmap, len(masks))
+		for k, m := range masks {
+			sets[k] = NewBitmap(n)
+			for l := range n {
+				if m>>(l%8)&1 != 0 {
+					sets[k].Set(l)
+				}
+			}
+		}
+		seq := make([]int, 0, 4*len(keys))
+		for range 4 {
+			for _, k := range keys {
+				seq = append(seq, int(k)%len(sets))
+			}
+		}
+		checkBalance(t, n, []int{1 << 30, 1, 2, 64}[rounds%4], seed, sets, seq)
 	})
 }

@@ -17,7 +17,7 @@ package reach
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
+	"math/rand/v2"
 	"slices"
 	"unsafe"
 
@@ -233,51 +233,53 @@ func (t *Table) ReachableSet() Bitmap {
 // and over permutation positions, which is all Next reads. A position set
 // is the image of its link set under the current permutation; it is
 // derived again when the set is written (Set, Clear, Replace) and, for
-// every key, when the permutation is reshuffled.
+// every key, when the permutation is reshuffled. Each key keeps its own
+// place in the traversal, so every key's set is balanced on its own
+// however the keys interleave.
 type Spreader[L any] struct {
-	// What Next reads, in one cache line: the position sets, key-major,
-	// words words per key; the links in permutation order; the rounds
-	// left before a reshuffle is due, and the next position to look at.
+	// What Next reads first: the position sets, key-major, words words per
+	// key; the links in permutation order; each key's next position (the
+	// number of links when its traversal is at its end); the picks left
+	// before a reshuffle is due.
 	posSets []uint64
 	byPos   []L
+	at      []int32
 	left    int
-	at      int32
 	words   int32 // per set, at least one
 
-	linkSets  []uint64 // the link sets, laid out like posSets
-	perm      []int32  // position -> link index
-	inv       []int32  // link index -> position
-	maxRounds int
-	rng       *rand.Rand
+	linkSets []uint64 // the link sets, laid out like posSets
+	perm     []int32  // position -> link index
+	inv      []int32  // link index -> position
+	period   int      // picks from one reshuffle to the next
+	rng      rand.PCG
 }
 
 // NewSpreader creates a spreader over links holding sets empty candidate
-// sets and reshuffling its permutation every reshuffleRounds full
-// traversals. A link is named by its index in links. A spreader over no
-// links is empty: Next finds nothing.
-func NewSpreader[L any](links []L, sets, reshuffleRounds int, seed int64) Spreader[L] {
-	if reshuffleRounds < 1 {
-		reshuffleRounds = 4
-	}
+// sets and reshuffling its permutation every reshuffleRounds×len(links)
+// picks — reshuffleRounds full traversals of a set of every link —
+// drawing every permutation from its own copy of src. A link is named by
+// its index in links. A spreader over no links is empty: Next finds
+// nothing.
+func NewSpreader[L any](links []L, sets, reshuffleRounds int, src *rand.PCG) Spreader[L] {
 	n := len(links)
 	words := max(1, (n+63)/64)
 	s := Spreader[L]{
-		posSets:   lines[uint64](sets * words),
-		byPos:     lines[L](n),
-		left:      reshuffleRounds,
-		words:     int32(words),
-		linkSets:  lines[uint64](sets * words),
-		perm:      lines[int32](n),
-		inv:       lines[int32](n),
-		maxRounds: reshuffleRounds,
+		posSets:  lines[uint64](sets * words),
+		byPos:    lines[L](n),
+		at:       lines[int32](sets),
+		left:     reshuffleRounds * n,
+		words:    int32(words),
+		linkSets: lines[uint64](sets * words),
+		perm:     lines[int32](n),
+		inv:      lines[int32](n),
+		period:   reshuffleRounds * n,
+		rng:      *src,
 	}
-	if n > 0 {
-		s.rng = rand.New(rand.NewSource(seed))
-		for at, link := range s.rng.Perm(n) {
-			s.perm[at], s.byPos[at] = int32(link), links[link]
-		}
+	for i := range n {
+		s.perm[i], s.byPos[i] = int32(i), links[i]
 	}
 	s.invert()
+	s.reshuffle()
 	return s
 }
 
@@ -361,14 +363,17 @@ func (s *Spreader[L]) invert() {
 }
 
 // reshuffle replaces the traversal order with a fresh permutation in
-// place (Fisher-Yates) and derives every position set again, allocating
-// nothing — the spreader sits on the per-cell fabric hot path.
+// place (Fisher-Yates), sends every key back to position 0 and derives
+// every position set again, allocating nothing — the spreader sits on the
+// per-cell fabric hot path.
 func (s *Spreader[L]) reshuffle() {
+	clear(s.at)
 	if len(s.perm) < 2 {
 		return // one order only: nothing can move
 	}
+	rng := rand.New(&s.rng)
 	for i := len(s.perm) - 1; i > 0; i-- {
-		j := s.rng.Intn(i + 1)
+		j := rng.IntN(i + 1)
 		s.perm[i], s.perm[j] = s.perm[j], s.perm[i]
 		s.byPos[i], s.byPos[j] = s.byPos[j], s.byPos[i]
 	}
@@ -391,74 +396,70 @@ func (s *Spreader[L]) reshuffle() {
 }
 
 // Next picks the next link among key's candidates: the first candidate in
-// permutation order from the current position, wrapping once. The
-// position moves past it, a round is counted at every wrap, and an empty
-// set costs one full fruitless traversal (the position comes back to
-// where it was, one round later) and returns ok false. A spreader of no
-// links has no traversal and counts nothing. The permutation is only
-// replaced between traversals, at position 0, never inside a call.
+// permutation order from key's position on, wrapping once, and key's
+// position moves past it. An empty set returns ok false.
+//
+// Each key keeps its own position, but the reshuffle epoch is the
+// spreader's: it counts the picks of every key, and the call that finds
+// none left replaces the permutation and sends every key back to position
+// 0 before it picks. So between two reshuffles every key walks its set
+// round-robin from the start of one permutation, whatever the other keys
+// do: a member of a set S that is not written is picked ⌊c/|S|⌋ or
+// ⌈c/|S|⌉ times in the key's c picks.
 func (s *Spreader[L]) Next(key int) (link L, ok bool) {
 	n := len(s.byPos)
 	if n == 0 {
 		return link, false
 	}
-	if s.at == 0 && s.left <= 0 {
-		s.left = s.maxRounds
+	if s.left <= 0 {
+		s.left = s.period
 		s.reshuffle()
 	}
-	words, at := int(s.words), int(s.at)
-	base, sh := key*words, at&63
-	if word := s.posSets[base+at>>6]; word>>sh&1 == 0 {
-		// The word holding at, rotated so its members from at on come first
-		// and those below at after them: its first member in traversal
-		// order is off positions on. It is the answer unless the word is
-		// empty, or the member lies below at and other words could hold one
-		// before it.
-		word = bits.RotateLeft64(word, -sh)
-		off := sh + bits.TrailingZeros64(word)
-		if word == 0 || off >= 64 && words > 1 {
-			if at = s.wrap(s.posSets[base:base+words], at>>6); at < 0 {
-				return link, false
-			}
-		} else {
-			s.left -= off >> 6 // a member below at: the traversal wrapped
-			at += off&63 - sh
-		}
+	words := int(s.words)
+	set := s.posSets[key*words : (key+1)*words]
+	at := -1
+	if from := int(s.at[key]); from < n {
+		at = first(set, from)
 	}
-	if at+1 == n {
-		s.at = 0
-		s.left--
-	} else {
-		s.at = int32(at + 1)
-	}
-	return s.byPos[at], true
-}
-
-// wrap finds the first member of set in a word after word i, else
-// the first member from position 0 on, counting the round that wraps.
-// Returns -1 when set is empty.
-func (s *Spreader[L]) wrap(set []uint64, i int) int {
-	for w := i + 1; w < len(set); w++ {
-		if set[w] != 0 {
-			return w*64 + bits.TrailingZeros64(set[w])
+	if at < 0 {
+		if at = first(set, 0); at < 0 {
+			return link, false
 		}
 	}
 	s.left--
-	for w, word := range set[:i+1] {
-		if word != 0 {
-			return w*64 + bits.TrailingZeros64(word)
+	s.at[key] = int32(at + 1)
+	return s.byPos[at], true
+}
+
+// first returns the first member of set at position from or later, -1 if
+// there is none: a shift and a trailing-zero count, and then a scan of the
+// words after from's.
+func first(set []uint64, from int) int {
+	w := from >> 6
+	if word := set[w] >> (from & 63); word != 0 {
+		return from + bits.TrailingZeros64(word)
+	}
+	for w++; w < len(set); w++ {
+		if set[w] != 0 {
+			return w*64 + bits.TrailingZeros64(set[w])
 		}
 	}
 	return -1
 }
 
 // Check reports whether every position set is the image of its link set
-// under the current permutation, and no link set names a link beyond the
-// spreader's: the invariant every write and every reshuffle keeps.
+// under the current permutation, every key's position lies in the
+// traversal, and no link set names a link beyond the spreader's: the
+// invariant every write, every Next and every reshuffle keeps.
 func (s *Spreader[L]) Check() error {
 	for at, link := range s.perm {
 		if s.inv[link] != int32(at) {
 			return fmt.Errorf("reach: link %d at position %d, inverse says %d", link, at, s.inv[link])
+		}
+	}
+	for key, at := range s.at {
+		if at < 0 || int(at) > len(s.perm) {
+			return fmt.Errorf("reach: set %d at position %d of %d", key, at, len(s.perm))
 		}
 	}
 	for key := range s.Sets() {

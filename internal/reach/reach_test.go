@@ -1,8 +1,8 @@
 package reach
 
 import (
-	"math/rand"
-	"reflect"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -168,7 +168,7 @@ func TestApplyMessageErrors(t *testing.T) {
 
 func TestSpreaderEvenness(t *testing.T) {
 	// §5.3: "the same amount of data is sent down each link".
-	s := NewSpreader(indices(16), 1, 4, 1)
+	s := NewSpreader(indices(16), 1, 4, pcg(1))
 	eligible := NewBitmap(16)
 	for i := 0; i < 16; i++ {
 		eligible.Set(i)
@@ -191,7 +191,7 @@ func TestSpreaderEvenness(t *testing.T) {
 }
 
 func TestSpreaderSkipsIneligible(t *testing.T) {
-	s := NewSpreader(indices(8), 1, 4, 2)
+	s := NewSpreader(indices(8), 1, 4, pcg(2))
 	s.Set(0, 3)
 	s.Set(0, 6)
 	counts := map[int]int{}
@@ -208,7 +208,7 @@ func TestSpreaderSkipsIneligible(t *testing.T) {
 }
 
 func TestSpreaderEmptySet(t *testing.T) {
-	s := NewSpreader(indices(4), 1, 4, 3)
+	s := NewSpreader(indices(4), 1, 4, pcg(3))
 	if l := pick(&s, 0); l != -1 {
 		t.Fatalf("empty set returned %d", l)
 	}
@@ -217,7 +217,7 @@ func TestSpreaderEmptySet(t *testing.T) {
 // A port group of no links is an empty spreader: every key's set is empty
 // and stays so, and Next says so, however often it is asked.
 func TestSpreaderOfNoLinks(t *testing.T) {
-	s := NewSpreader(indices(0), 3, 2, 1)
+	s := NewSpreader(indices(0), 3, 2, pcg(1))
 	for i := 0; i < 100; i++ {
 		if l := pick(&s, i%3); l != -1 {
 			t.Fatalf("call %d: a spreader of no links returned %d", i, l)
@@ -239,7 +239,7 @@ func TestPropertySpreaderFairness(t *testing.T) {
 		if mask == 0 {
 			return true
 		}
-		s := NewSpreader(indices(16), 1, 1000000, seed) // no reshuffle mid-test
+		s := NewSpreader(indices(16), 1, 1000000, pcg(seed)) // no reshuffle mid-test
 		eligible := NewBitmap(16)
 		n := 0
 		for i := 0; i < 16; i++ {
@@ -336,7 +336,7 @@ func TestMessagesPerTable(t *testing.T) {
 // spreader must never fail to find an eligible link (a mid-scan reshuffle
 // used to skip links).
 func TestSpreaderSparseNeverFails(t *testing.T) {
-	s := NewSpreader(indices(8), 1, 2, 42) // reshuffle every 2 rounds
+	s := NewSpreader(indices(8), 1, 2, pcg(42)) // reshuffle every 16 picks
 	s.Set(0, 2)
 	s.Set(0, 5)
 	for i := 0; i < 10000; i++ {
@@ -347,41 +347,47 @@ func TestSpreaderSparseNeverFails(t *testing.T) {
 }
 
 // scanSpreader is the arbiter as it was first written — walk the
-// permutation from pos until an eligible link turns up — kept as the
-// reference Spreader.Next is held to. It draws and reshuffles its
-// permutation exactly as Spreader does, and is handed the link set to walk
-// on every call.
+// permutation from the key's position, wrapping once, until an eligible
+// link turns up — kept as the reference Spreader.Next is held to. It
+// draws and reshuffles its permutation exactly as Spreader does, keeps one
+// position per key, and is handed the key's link set to walk on every
+// call.
 type scanSpreader struct {
 	perm      []int
-	pos       int
-	rounds    int
+	pos       []int
+	picks     int
 	maxRounds int
 	rng       *rand.Rand
 }
 
-func newScanSpreader(numLink, reshuffleRounds int, seed int64) *scanSpreader {
-	s := &scanSpreader{rng: rand.New(rand.NewSource(seed)), maxRounds: reshuffleRounds}
-	s.perm = s.rng.Perm(numLink)
+func newScanSpreader(numLink, keys, reshuffleRounds int, seed int64) *scanSpreader {
+	s := &scanSpreader{pos: make([]int, keys), rng: rand.New(pcg(seed)), maxRounds: reshuffleRounds}
+	for l := range numLink {
+		s.perm = append(s.perm, l)
+	}
+	s.shuffle()
 	return s
 }
 
-func (s *scanSpreader) Next(eligible Bitmap) int {
-	n := len(s.perm)
-	if s.pos == 0 && s.rounds >= s.maxRounds {
-		s.rounds = 0
-		for i := n - 1; i > 0; i-- {
-			j := s.rng.Intn(i + 1)
-			s.perm[i], s.perm[j] = s.perm[j], s.perm[i]
-		}
+func (s *scanSpreader) shuffle() {
+	for i := len(s.perm) - 1; i > 0; i-- {
+		j := s.rng.IntN(i + 1)
+		s.perm[i], s.perm[j] = s.perm[j], s.perm[i]
 	}
-	for scanned := 0; scanned < n; scanned++ {
-		link := s.perm[s.pos]
-		s.pos++
-		if s.pos == n {
-			s.pos = 0
-			s.rounds++
-		}
-		if eligible.Get(link) {
+	clear(s.pos)
+}
+
+func (s *scanSpreader) Next(key int, eligible Bitmap) int {
+	n := len(s.perm)
+	if n > 0 && s.picks >= s.maxRounds*n {
+		s.picks = 0
+		s.shuffle()
+	}
+	for i := range n {
+		p := (s.pos[key] + i) % n
+		if link := s.perm[p]; eligible.Get(link) {
+			s.pos[key] = p + 1
+			s.picks++
 			return link
 		}
 	}
@@ -391,7 +397,7 @@ func (s *scanSpreader) Next(eligible Bitmap) int {
 // spreaderPair drives a Spreader and its walk reference side by side over
 // keys candidate sets: every write goes to the Spreader through its API and
 // to the reference's own copy of the link sets, and every Next must agree
-// in link, position, round count and permutation.
+// in link, every key's position, pick count and permutation.
 type spreaderPair struct {
 	t    testing.TB
 	n    int
@@ -402,7 +408,7 @@ type spreaderPair struct {
 }
 
 func newSpreaderPair(t testing.TB, n, keys, rounds int, seed int64) *spreaderPair {
-	p := &spreaderPair{t: t, n: n, got: NewSpreader(indices(n), keys, rounds, seed), want: newScanSpreader(n, rounds, seed)}
+	p := &spreaderPair{t: t, n: n, got: NewSpreader(indices(n), keys, rounds, pcg(seed)), want: newScanSpreader(n, keys, rounds, seed)}
 	for range keys {
 		p.sets = append(p.sets, NewBitmap(n+64)) // room for bits beyond n
 	}
@@ -421,15 +427,19 @@ func (p *spreaderPair) replace(key int, set Bitmap) {
 func (p *spreaderPair) next(key int) {
 	p.t.Helper()
 	p.step++
-	g, w := pick(&p.got, key), p.want.Next(p.sets[key])
+	g, w := pick(&p.got, key), p.want.Next(key, p.sets[key])
 	perm := make([]int, len(p.got.perm))
 	for i, l := range p.got.perm {
 		perm[i] = int(l)
 	}
-	at, rounds := int(p.got.at), p.got.maxRounds-p.got.left
-	if g != w || at != p.want.pos || rounds != p.want.rounds || !reflect.DeepEqual(perm, p.want.perm) {
-		p.t.Fatalf("n=%d step %d key %d: link %d pos %d rounds %d, the walk gives link %d pos %d rounds %d (perms equal: %v)",
-			p.n, p.step, key, g, at, rounds, w, p.want.pos, p.want.rounds, reflect.DeepEqual(perm, p.want.perm))
+	at := make([]int, len(p.got.at))
+	for k, a := range p.got.at {
+		at[k] = int(a)
+	}
+	picks := p.got.period - p.got.left
+	if g != w || !slices.Equal(at, p.want.pos) || picks != p.want.picks || !slices.Equal(perm, p.want.perm) {
+		p.t.Fatalf("n=%d step %d key %d: link %d positions %v picks %d, the walk gives link %d positions %v picks %d (perms equal: %v)",
+			p.n, p.step, key, g, at, picks, w, p.want.pos, p.want.picks, slices.Equal(perm, p.want.perm))
 	}
 }
 
@@ -451,7 +461,7 @@ func (p *spreaderPair) check() {
 }
 
 // Spreader.Next finds its answer with bit arithmetic over position sets
-// instead of a walk; the state it leaves behind — position, round count,
+// instead of a walk; the state it leaves behind — positions, pick count,
 // and through them every later reshuffle — must be the walk's exactly, on
 // any set: full, sparse, empty, with bits beyond the links, written
 // between calls through Set, Clear and Replace.
@@ -461,31 +471,31 @@ func TestSpreaderNextMatchesScan(t *testing.T) {
 		for _, rounds := range []int{1, 2, 64} {
 			for seed := int64(1); seed <= 6; seed++ {
 				p := newSpreaderPair(t, n, keys, rounds, seed)
-				rng := rand.New(rand.NewSource(seed * 977))
+				rng := rand.New(rand.NewPCG(uint64(seed), 977))
 				for call := 0; call < 3000; call++ {
 					// Mostly keep the sets and flip one link, as failures do;
 					// now and then redraw one at a random density (bits beyond
 					// n included) or empty it.
-					key := rng.Intn(keys)
-					switch r := rng.Intn(40); {
+					key := rng.IntN(keys)
+					switch r := rng.IntN(40); {
 					case r == 0:
 						p.replace(key, nil)
 					case r < 4:
-						set, density := NewBitmap(n+64), rng.Intn(101)
+						set, density := NewBitmap(n+64), rng.IntN(101)
 						for l := 0; l < n+64; l++ {
-							if rng.Intn(100) < density {
+							if rng.IntN(100) < density {
 								set.Set(l)
 							}
 						}
 						p.replace(key, set)
 					case r < 12:
-						if l := rng.Intn(n); p.sets[key].Get(l) {
+						if l := rng.IntN(n); p.sets[key].Get(l) {
 							p.clear(key, l)
 						} else {
 							p.set(key, l)
 						}
 					}
-					p.next(rng.Intn(keys))
+					p.next(rng.IntN(keys))
 					if call%97 == 0 {
 						p.check()
 					}
@@ -496,10 +506,101 @@ func TestSpreaderNextMatchesScan(t *testing.T) {
 	}
 }
 
+// checkBalance calls Next over a spreader of n links holding sets, one key
+// after another as seq names them, and holds every epoch between two
+// reshuffles to the balance a per-key round robin gives: each member of
+// key k's set picked ⌊c_k/|S_k|⌋ or ⌈c_k/|S_k|⌉ times in the epoch's c_k
+// calls on k, no other link ever. It does not look at the permutation or
+// the positions: a call that reshuffled is one that drew from the
+// spreader's random source, and its pick is the new epoch's first.
+func checkBalance(t testing.TB, n, rounds int, seed int64, sets []Bitmap, seq []int) {
+	t.Helper()
+	s := NewSpreader(indices(n), len(sets), rounds, pcg(seed))
+	for k, set := range sets {
+		s.Replace(k, set)
+	}
+	counts := make([][]int, len(sets))
+	for k := range counts {
+		counts[k] = make([]int, n)
+	}
+	calls := make([]int, len(sets))
+	epoch := 0
+	settle := func() {
+		for k, set := range sets {
+			size := s.Links(k).Count()
+			for l := range n {
+				c := counts[k][l]
+				switch {
+				case !set.Get(l) && c != 0:
+					t.Fatalf("epoch %d: key %d picked link %d, not in its set, %d times", epoch, k, l, c)
+				case set.Get(l) && (c < calls[k]/size || c > (calls[k]+size-1)/size):
+					t.Fatalf("epoch %d: key %d picked link %d %d times in %d calls over %d links (n=%d, sets %v, seq %v)",
+						epoch, k, l, c, calls[k], size, n, sets, seq)
+				}
+			}
+			clear(counts[k])
+			calls[k] = 0
+		}
+		epoch++
+	}
+	for _, k := range seq {
+		src := s.rng
+		l := pick(&s, k)
+		if s.rng != src {
+			settle()
+		}
+		if (l < 0) != (s.Links(k).Count() == 0) {
+			t.Fatalf("key %d: picked %d from a set of %d links", k, l, s.Links(k).Count())
+		}
+		if l >= 0 {
+			counts[k][l]++
+			calls[k]++
+		}
+	}
+	settle()
+}
+
+// Property: however the keys interleave, each key's set is balanced
+// between two reshuffles (checkBalance), with one permutation for the whole
+// run and with one replaced every traversal's worth of picks or every few.
+func TestPropertySpreaderBalance(t *testing.T) {
+	f := func(width uint8, rounds uint8, seed int64, masks [4]uint64, keys []uint8) bool {
+		n := int(width)%70 + 1
+		sets := make([]Bitmap, len(masks))
+		for k, m := range masks {
+			sets[k] = NewBitmap(n)
+			for l := range n {
+				if m>>(l%64)&1 != 0 {
+					sets[k].Set(l)
+				}
+			}
+		}
+		seq := make([]int, 0, 8*len(keys))
+		for range 8 {
+			for _, k := range keys {
+				seq = append(seq, int(k)%len(sets))
+			}
+		}
+		r := []int{1, 3, 64, 1 << 30}[rounds%4]
+		checkBalance(t, n, r, seed, sets, seq)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	// Two keys over one full set, called in turn: one cursor for both would
+	// hand each key every other link only.
+	full := NewBitmap(4)
+	for l := range 4 {
+		full.Set(l)
+	}
+	checkBalance(t, 4, 1<<30, 1, []Bitmap{full, full}, []int{0, 1, 0, 1, 0, 1, 0, 1})
+}
+
 // Bits beyond the spreader's links (a wider table's row handed to a
 // narrower port group) are not candidates.
 func TestSpreaderIgnoresBitsBeyondLinks(t *testing.T) {
-	s := NewSpreader(indices(5), 1, 4, 9)
+	s := NewSpreader(indices(5), 1, 4, pcg(9))
 	eligible := NewBitmap(64)
 	eligible.Set(40)
 	s.Replace(0, eligible)
@@ -525,6 +626,9 @@ func indices(n int) []int {
 	return links
 }
 
+// pcg is the random source a test spreader draws its permutations from.
+func pcg(seed int64) *rand.PCG { return rand.NewPCG(uint64(seed), 0) }
+
 // pick is Next as a link index, -1 when the set is empty.
 func pick(s *Spreader[int], key int) int {
 	if link, ok := s.Next(key); ok {
@@ -536,7 +640,7 @@ func pick(s *Spreader[int], key int) int {
 // Check catches a link set whose position set was not written with it,
 // and a set naming a position beyond the spreader's links.
 func TestSpreaderCheckCatchesDrift(t *testing.T) {
-	s := NewSpreader(indices(5), 2, 4, 1)
+	s := NewSpreader(indices(5), 2, 4, pcg(1))
 	s.Set(1, 3)
 	if err := s.Check(); err != nil {
 		t.Fatal(err)

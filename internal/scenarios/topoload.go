@@ -12,13 +12,14 @@ package scenarios
 import (
 	"fmt"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 
 	"stardust/internal/engine"
 	"stardust/internal/experiments"
 	"stardust/internal/fabric"
 	"stardust/internal/netsim"
 	"stardust/internal/sim"
+	"stardust/internal/stats"
 	"stardust/internal/topo"
 	"stardust/internal/workload"
 )
@@ -193,11 +194,11 @@ func init() {
 				return engine.Result{}, err
 			}
 			numFA := g.NumEdge()
-			var sizes interface{ Sample(*rand.Rand) float64 } = workload.StorageFlowSizes()
+			sizes := workload.StorageFlowSizes()
 			if c.Params.Str("sizes") == "web" {
 				sizes = workload.WebFlowSizes()
 			}
-			rng := rand.New(rand.NewSource(c.Seed ^ 0x5ee0_10ad))
+			rng := rand.New(stats.Stream(c.Seed, "arrivals"))
 			arrivals := workload.DiurnalArrivals(rng,
 				c.Params.Float("rate_kfps")*1e3,
 				c.Params.Float("trough"),
@@ -206,8 +207,8 @@ func init() {
 			var want uint64
 			var flowBytes int64
 			for _, at := range arrivals {
-				src := rng.Intn(numFA)
-				dst := rng.Intn(numFA - 1)
+				src := rng.IntN(numFA)
+				dst := rng.IntN(numFA - 1)
 				if dst >= src {
 					dst++
 				}

@@ -1,8 +1,7 @@
 package stats
 
 import (
-	"math"
-	"math/rand"
+	"math/rand/v2"
 	"sort"
 )
 
@@ -116,32 +115,6 @@ func (e *EmpiricalCDF) Mean() float64 {
 // Poisson arrival processes.
 func Exp(rng *rand.Rand, mean float64) float64 {
 	return rng.ExpFloat64() * mean
-}
-
-// Poisson draws a Poisson-distributed count with the given mean using
-// Knuth's method for small means and a normal approximation for large ones.
-func Poisson(rng *rand.Rand, mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 60 {
-		// Normal approximation is plenty for the burst-size draws we do.
-		n := int(math.Round(mean + math.Sqrt(mean)*rng.NormFloat64()))
-		if n < 0 {
-			n = 0
-		}
-		return n
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= rng.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
 }
 
 // Permutation returns a random permutation of n elements with no fixed

@@ -3,7 +3,7 @@ package stats
 import (
 	"bytes"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -174,7 +174,7 @@ func TestSampleQuantilesAndCDF(t *testing.T) {
 
 func TestDiscrete(t *testing.T) {
 	d := NewDiscrete([]int{64, 1500}, []float64{3, 1})
-	rng := rand.New(rand.NewSource(1))
+	rng := rand.New(rand.NewPCG(1, 0))
 	n64 := 0
 	const draws = 100000
 	for i := 0; i < draws; i++ {
@@ -198,7 +198,7 @@ func TestDiscrete(t *testing.T) {
 func TestEmpiricalCDF(t *testing.T) {
 	// Uniform on [0, 10].
 	e := NewEmpiricalCDF([]float64{0, 10}, []float64{0, 1})
-	rng := rand.New(rand.NewSource(7))
+	rng := rand.New(rand.NewPCG(7, 0))
 	var w Welford
 	for i := 0; i < 200000; i++ {
 		x := e.Sample(rng)
@@ -215,24 +215,8 @@ func TestEmpiricalCDF(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, mean := range []float64{0.5, 4, 30, 200} {
-		var w Welford
-		for i := 0; i < 20000; i++ {
-			w.Add(float64(Poisson(rng, mean)))
-		}
-		if math.Abs(w.Mean()-mean) > mean*0.05+0.05 {
-			t.Fatalf("Poisson(%v) mean = %v", mean, w.Mean())
-		}
-	}
-	if Poisson(rng, 0) != 0 || Poisson(rng, -1) != 0 {
-		t.Fatal("non-positive mean must give 0")
-	}
-}
-
 func TestExpMean(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
+	rng := rand.New(rand.NewPCG(9, 0))
 	var w Welford
 	for i := 0; i < 100000; i++ {
 		w.Add(Exp(rng, 3.0))
@@ -244,7 +228,7 @@ func TestExpMean(t *testing.T) {
 
 // Property: Permutation returns a derangement (no host sends to itself).
 func TestPropertyPermutationDerangement(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+	rng := rand.New(rand.NewPCG(11, 0))
 	for n := 2; n < 64; n++ {
 		p := Permutation(rng, n)
 		if len(p) != n {

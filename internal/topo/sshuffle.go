@@ -32,7 +32,9 @@ type SpaceShuffle struct {
 
 // NewSpaceShuffle builds n switches on s random ring spaces. The wiring
 // is a pure function of (n, s, seed): every process parsing the same spec
-// builds the identical graph.
+// builds the identical graph. It is the one stream not drawn from
+// stats.Stream: its seed is part of the spec string, not of the run, so
+// the spec names the graph, and keeps naming the graph it always named.
 func NewSpaceShuffle(n, s int, seed int64) (*SpaceShuffle, error) {
 	if n < 4 || s < 1 {
 		return nil, fmt.Errorf("topo: sshuffle needs >= 4 switches and >= 1 space, got n=%d s=%d", n, s)

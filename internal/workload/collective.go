@@ -2,7 +2,7 @@ package workload
 
 import (
 	"math"
-	"math/rand"
+	"math/rand/v2"
 
 	"stardust/internal/stats"
 )

@@ -1,7 +1,7 @@
 package workload
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -62,7 +62,7 @@ func TestTreeAllReduce(t *testing.T) {
 
 func TestStorageFlowSizes(t *testing.T) {
 	cdf := StorageFlowSizes()
-	rng := rand.New(rand.NewSource(7))
+	rng := rand.New(rand.NewPCG(7, 0))
 	small, large := 0, 0
 	for i := 0; i < 10000; i++ {
 		s := cdf.Sample(rng)
@@ -86,8 +86,8 @@ func TestStorageFlowSizes(t *testing.T) {
 
 func TestDiurnalArrivals(t *testing.T) {
 	const peak, trough, period, dur = 1000.0, 0.2, 10.0, 20.0
-	a := DiurnalArrivals(rand.New(rand.NewSource(42)), peak, trough, period, dur)
-	b := DiurnalArrivals(rand.New(rand.NewSource(42)), peak, trough, period, dur)
+	a := DiurnalArrivals(rand.New(rand.NewPCG(42, 0)), peak, trough, period, dur)
+	b := DiurnalArrivals(rand.New(rand.NewPCG(42, 0)), peak, trough, period, dur)
 	if len(a) == 0 || len(a) != len(b) {
 		t.Fatalf("determinism broken: %d vs %d arrivals", len(a), len(b))
 	}

@@ -10,7 +10,7 @@
 package workload
 
 import (
-	"math/rand"
+	"math/rand/v2"
 
 	"stardust/internal/stats"
 )
@@ -117,7 +117,7 @@ func Hotspot(rng *rand.Rand, nodes, hotspots int, hotFraction float64) ([]Flow, 
 	for src := 0; src < nodes; src++ {
 		dst := perm[src]
 		if rng.Float64() < hotFraction {
-			if h := hot[rng.Intn(len(hot))]; h != src {
+			if h := hot[rng.IntN(len(hot))]; h != src {
 				dst = h
 			}
 		}
@@ -138,25 +138,6 @@ func AllToAll(nodes int) []Flow {
 		}
 	}
 	return flows
-}
-
-// IncastMatrix builds the Fig 10(c) fan-in as a flow list: fanin distinct
-// backends each send one flow to a randomly chosen frontend. Returns the
-// flows and the frontend.
-func IncastMatrix(rng *rand.Rand, nodes, fanin int) ([]Flow, int) {
-	inc := NewIncast(rng, nodes, fanin, 0)
-	flows := make([]Flow, 0, len(inc.Backends))
-	for _, b := range inc.Backends {
-		flows = append(flows, Flow{Src: b, Dst: inc.Frontend})
-	}
-	return flows, inc.Frontend
-}
-
-// FlowArrivals generates Poisson flow inter-arrival times with the given
-// mean rate (flows/second), returning seconds until the next arrival.
-func FlowArrivals(rng *rand.Rand, ratePerSec float64) func() float64 {
-	mean := 1 / ratePerSec
-	return func() float64 { return stats.Exp(rng, mean) }
 }
 
 // MTU is the conventional Ethernet payload ceiling used by the htsim
