@@ -7,6 +7,7 @@ import (
 	"os"
 	"reflect"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -79,29 +80,36 @@ func observe(t *testing.T, spec distsim.Spec, events bool, hook func(*distsim.Mo
 // deadDrops is what the run's last barrier read of Net.DeadDrops.
 func (o observed) deadDrops() uint64 { return o.barriers[len(o.barriers)-1][len(o.barriers[0])-1] }
 
+// sameObserved holds run a, named as, to run b, named bs: everything but
+// what they dispatched must be equal.
+func sameObserved(t *testing.T, a, b observed, as, bs string) {
+	t.Helper()
+	if len(a.barriers) != len(b.barriers) {
+		t.Errorf("%d barriers %s, %d %s", len(a.barriers), as, len(b.barriers), bs)
+	}
+	for i := range min(len(a.barriers), len(b.barriers)) {
+		if !slices.Equal(a.barriers[i], b.barriers[i]) {
+			t.Errorf("barrier %d: %s reads %v, %s %v", i+1, as, a.barriers[i], bs, b.barriers[i])
+			break
+		}
+	}
+	if a.now != b.now || a.windows != b.windows || a.mail != b.mail || a.mailLess != b.mailLess {
+		t.Errorf("end %d after %d windows, %d mail, %d mail-less %s; %d after %d, %d, %d %s",
+			a.now, a.windows, a.mail, a.mailLess, as, b.now, b.windows, b.mail, b.mailLess, bs)
+	}
+	if !reflect.DeepEqual(a.out, b.out) {
+		t.Errorf("outcome %+v %s, %+v %s", a.out, as, b.out, bs)
+	}
+	if !bytes.Equal(a.record, b.record) {
+		t.Errorf("Record streams differ: %d bytes %s, %d %s", len(a.record), as, len(b.record), bs)
+	}
+}
+
 // compareObserved holds a counted run to its event run, and returns how
 // many events counting saved.
 func compareObserved(t *testing.T, counted, events observed) (elided uint64) {
 	t.Helper()
-	if len(counted.barriers) != len(events.barriers) {
-		t.Errorf("%d barriers counted, %d with events", len(counted.barriers), len(events.barriers))
-	}
-	for i := range min(len(counted.barriers), len(events.barriers)) {
-		if !slices.Equal(counted.barriers[i], events.barriers[i]) {
-			t.Errorf("barrier %d: counted run reads %v, event run %v", i+1, counted.barriers[i], events.barriers[i])
-			break
-		}
-	}
-	if counted.now != events.now || counted.windows != events.windows || counted.mail != events.mail || counted.mailLess != events.mailLess {
-		t.Errorf("end %d after %d windows, %d mail, %d mail-less; with events %d after %d, %d, %d",
-			counted.now, counted.windows, counted.mail, counted.mailLess, events.now, events.windows, events.mail, events.mailLess)
-	}
-	if !reflect.DeepEqual(counted.out, events.out) {
-		t.Errorf("outcome %+v, with events %+v", counted.out, events.out)
-	}
-	if !bytes.Equal(counted.record, events.record) {
-		t.Errorf("Record streams differ: %d bytes counted, %d with events", len(counted.record), len(events.record))
-	}
+	sameObserved(t, counted, events, "counted", "with events")
 	elided = events.dispatched - counted.dispatched
 	delivered, dead := counted.out.Delivered, counted.deadDrops()
 	if elided < delivered || elided > delivered+dead || dead == 0 && elided != delivered {
@@ -111,8 +119,9 @@ func compareObserved(t *testing.T, counted, events observed) (elided uint64) {
 	return elided
 }
 
-// Every digest row of the golden ledger, at the shard counts it is held at.
-func TestCountedArrivalsMatchEvents(t *testing.T) {
+// ledgerSpecs returns every digest row of the golden ledger, by name.
+func ledgerSpecs(t *testing.T) map[string]distsim.Spec {
+	t.Helper()
 	buf, err := os.ReadFile("../../testdata/golden.json")
 	if err != nil {
 		t.Fatal(err)
@@ -129,15 +138,76 @@ func TestCountedArrivalsMatchEvents(t *testing.T) {
 	if len(ledger.Digests) == 0 {
 		t.Fatal("no digest rows")
 	}
+	specs := map[string]distsim.Spec{}
 	for _, row := range ledger.Digests {
+		specs[row.Name] = row.Spec
+	}
+	return specs
+}
+
+// Every digest row of the golden ledger, at the shard counts it is held at.
+func TestCountedArrivalsMatchEvents(t *testing.T) {
+	for name, spec := range ledgerSpecs(t) {
 		for _, shards := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("%s/shards=%d", row.Name, shards), func(t *testing.T) {
-				spec := row.Spec
+			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
 				spec.Shards = shards
 				compareObserved(t, observe(t, spec, false, nil), observe(t, spec, true, nil))
 			})
 		}
 	}
+}
+
+// The oracle of injection trains, beside counted arrivals': a spec runs
+// as built, where an edge device of a Clos injects a window's cells in
+// one event, and again with every train capped at one cell (TapInjectors).
+// Everything the two runs let anybody see must be equal, and the trains
+// dispatch fewer events by exactly the injector events they took in:
+// some on every Clos, none where edge devices relay. The specs are every
+// digest row of the golden ledger at 1, 2 and 4 shards, a hotspot whose
+// FA uplinks tail-drop and back up past the hand-over horizon, and the
+// fail/heal incast.
+func TestInjectionTrainsMatchEvents(t *testing.T) {
+	specs := map[string]distsim.Spec{}
+	for name, spec := range ledgerSpecs(t) {
+		for _, shards := range []int{1, 2, 4} {
+			spec.Shards = shards
+			specs[fmt.Sprintf("%s/shards=%d", name, shards)] = spec
+		}
+	}
+	for _, shards := range []int{1, 2} {
+		specs[fmt.Sprintf("clos/k4/hotspot/shards=%d", shards)] = distsim.Spec{
+			K: 4, Topo: "clos", Seed: 5, Shards: shards, Dur: 400 * sim.Microsecond,
+			Load: 0.6, CellBytes: 512, Hotspot: 4,
+		}
+		specs[fmt.Sprintf("clos/k4/failheal-incast/shards=%d", shards)], _ = failHealSpec(t, "clos", shards)
+	}
+	for name, spec := range specs {
+		t.Run(name, func(t *testing.T) {
+			trains, trainEvents := observeTrains(t, spec, false)
+			cells, cellEvents := observeTrains(t, spec, true)
+			sameObserved(t, trains, cells, "in trains", "a cell an event")
+			saved := cells.dispatched - trains.dispatched
+			if saved != cellEvents-trainEvents || spec.Topo == "clos" && saved == 0 || spec.Topo != "clos" && saved != 0 {
+				t.Errorf("dispatched %d in trains, %d a cell an event: %d saved; injector events %d in trains, %d a cell an event",
+					trains.dispatched, cells.dispatched, saved, trainEvents, cellEvents)
+			}
+			if strings.Contains(name, "hotspot") && trains.out.Drops == 0 {
+				t.Errorf("the hotspot dropped no cell: its FA uplinks never filled")
+			}
+		})
+	}
+}
+
+// observeTrains is observe with every train capped at one cell or not,
+// and the injector events the run dispatched.
+func observeTrains(t *testing.T, spec distsim.Spec, oneCell bool) (o observed, events uint64) {
+	t.Helper()
+	var n atomic.Uint64
+	defer fabric.TapInjectors(oneCell, &n)()
+	o = observe(t, spec, false, func(m *distsim.Model) {
+		m.Eng.OnBarrier(func(sim.Time) { events = n.Load() }) // before Record's run adds its own
+	})
+	return o, events
 }
 
 // A fabric with an OnDeliver or an OnCellDrop hook counts no arrival: each

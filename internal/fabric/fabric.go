@@ -98,6 +98,19 @@
 // arrival settles its links (SettleThrough), which is a no-op while no
 // link has changed since the epoch it names. Hairpins and endpoints that
 // cannot count keep the event.
+//
+// A paced cell is an event only at the head of its train. On an engine,
+// an Injector at an edge device of a Clos — an FA relays nothing, and
+// nothing else feeds it — injects in one event every cell due before the
+// window's end, each admitted to its first link's queue as of its own
+// instant (netsim.Queue.ReceiveAt) and counted as the event it would have
+// been (sim.Elide). The window's end bounds the train because whatever
+// could see its cells or change the device waits for it: a cell's next
+// hop is an arrival a link delay, at least one lookahead, later, and link
+// administration, route control and every cross-shard read run at the
+// barrier. A hand-over event pending on one of the device's links ends a
+// train before it. Devices that relay (Space Shuffle, star) and a fabric
+// on a bare Simulator inject a cell an event.
 package fabric
 
 import (
@@ -190,7 +203,7 @@ type shardState struct {
 // on the sending node's shard; Receive runs on the receiving node's.
 //
 // The link owns its queue, its wire and its route, so a hop reads one
-// object: send hands the cell to the queue, the crossing is the queue's
+// object: forward hands the cell to the queue, the crossing is the queue's
 // Wire, a LanePipe on the link's own lane, and the route is {link}: an
 // idle link costs one kernel event per cell, the arrival (see
 // netsim.Queue).
@@ -231,19 +244,19 @@ type link struct {
 // reference the counted arrivals are held to.
 var arrivalEvents bool
 
-// Receive implements netsim.Handler: the cell reaches the far end.
+// Receive implements netsim.Handler: the cell reaches the far end, which
+// delivers it when it is home and forwards it otherwise.
 func (l *link) Receive(c *netsim.Packet) {
 	if !l.up {
 		l.sh.deadDrops++
 		l.net.dropCell(l.sh, c)
 		return
 	}
-	l.to.Receive(c)
-}
-
-func (l *link) send(c *netsim.Packet) {
-	c.SetRoute(l.route[:])
-	l.q.Receive(c)
+	if d := l.to; d.edge == c.Dst {
+		d.eg.Receive(c)
+	} else {
+		d.forward(c, l.sh.sm.Now())
+	}
 }
 
 // rehome decides whether cells on their last hop over l are counted (home
@@ -519,49 +532,43 @@ type node struct {
 	_    [sim.CacheLine - 32]byte
 }
 
-// Receive implements netsim.Handler: deliver the cell when it is home,
-// otherwise forward it by the up/down rule — descend beats climb
-// (shortest path), and a cell that already descended must not climb
-// again.
-func (d *node) Receive(c *netsim.Packet) {
-	if d.edge == c.Dst {
-		d.eg.Receive(c)
-		return
-	}
+// forward sends c, not home, on as of t (the clock, or later for an
+// Injector's train) by the up/down rule — descend beats climb (shortest
+// path), and a cell that already descended must not climb again — and
+// returns the link it took: nil when none leads on and c is discarded.
+func (d *node) forward(c *netsim.Packet, t sim.Time) *link {
+	var l *link
+	var ok bool
 	if d.ecmp {
-		d.pickECMP(c)
-		return
-	}
-	if l, ok := d.sprDown.Next(int(c.Dst)); ok {
+		l, ok = d.pickECMP(c)
+	} else if l, ok = d.sprDown.Next(int(c.Dst)); ok {
 		c.Down = true
-		l.send(c)
-		return
+	} else if !c.Down {
+		l, ok = d.sprUp.Next(0)
 	}
-	if !c.Down {
-		if l, ok := d.sprUp.Next(0); ok {
-			l.send(c)
-			return
-		}
+	if !ok {
+		d.noRoute(c)
+		return nil
 	}
-	d.noRoute(c)
+	c.SetRoute(l.route[:])
+	l.q.ReceiveAt(c, t)
+	return l
 }
 
-// pickECMP forwards c by the same rule over the same candidate sets, one
-// candidate per flow.
-func (d *node) pickECMP(c *netsim.Packet) {
+// pickECMP picks c's next link by the same rule over the same candidate
+// sets, one candidate per flow.
+func (d *node) pickECMP(c *netsim.Packet) (*link, bool) {
 	h := ecmpHash(d.id, c.Seq)
 	if down := pickNth(d.sprDown.Links(int(c.Dst)), h); down >= 0 {
 		c.Down = true
-		d.down[down].send(c)
-		return
+		return d.down[down], true
 	}
 	if !c.Down {
 		if up := pickNth(d.sprUp.Links(0), h); up >= 0 {
-			d.up[up].send(c)
-			return
+			return d.up[up], true
 		}
 	}
-	d.noRoute(c)
+	return nil, false
 }
 
 // noRoute discards a cell with no live next hop.
@@ -623,6 +630,7 @@ type Net struct {
 	links   []*link
 	adminUp []bool             // per topology link, in Graph.Routes' input shape
 	hairpin [][]netsim.Handler // per edge: local switching path (src == dst)
+	sources []int              // per edge: the Injectors built there
 
 	// OnDeliver receives every cell that reaches its destination edge and
 	// owns it (must forward it or free it). When nil, delivered cells go
@@ -853,6 +861,7 @@ func build(cfg Config, g topo.Graph, shards []*shardState, assign []int, eng *pa
 
 	// Lanes: directed links, then the route policy's lanes, then hairpins.
 	n.hairpin = make([][]netsim.Handler, numEdge)
+	n.sources = make([]int, numEdge)
 	for e, d := range n.edges {
 		d.eg = &egress{net: n, sh: d.sh}
 		hop := &netsim.LanePipe{Sched: d.sh.sm, Delay: cfg.LinkDelay, Lane: n.hairpinLane(e)}
@@ -985,20 +994,26 @@ func (n *Net) SetEgress(fa int, h netsim.Handler) {
 // flow to the same path; ECMP fabrics therefore cannot carry a transport
 // overlay that uses Seq.
 func (n *Net) Inject(c *netsim.Packet, srcFA, dstFA int) {
+	n.inject(c, srcFA, dstFA, n.edges[srcFA].sh.sm.Now())
+}
+
+// inject is Inject as of t, at or after the clock of srcFA's shard, and
+// returns the link the cell took: nil for a hairpin or a discarded cell.
+func (n *Net) inject(c *netsim.Packet, srcFA, dstFA int, t sim.Time) *link {
 	d := n.edges[srcFA]
 	d.sh.injected++
 	c.Dst = int32(dstFA)
 	c.Down = false
 	if srcFA == dstFA {
 		// Local switching inside the edge device: no fabric crossing.
-		c.SetRoute(n.hairpin[srcFA])
-		c.SendOn()
-		return
+		c.SetRoute(n.hairpin[srcFA][1:])
+		n.hairpin[srcFA][0].(*netsim.LanePipe).ReceiveAt(c, t)
+		return nil
 	}
 	if d.ecmp {
 		c.Seq = int64(srcFA)*int64(n.Topo.NumEdge()) + int64(dstFA) + 1
 	}
-	d.Receive(c) // not home (srcFA != dstFA): forwards
+	return d.forward(c, t) // not home (srcFA != dstFA)
 }
 
 // dropCell returns a cell lost inside the fabric to the free list of sh,

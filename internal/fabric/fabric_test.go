@@ -3,6 +3,7 @@ package fabric
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -389,6 +390,45 @@ func netDigest(n *Net) uint64 {
 		w(dr)
 	}
 	return h.Sum64()
+}
+
+// An edge device fed by something besides its one Injector injects a cell
+// an event: two injectors interleave their cells on the device's
+// spreader, and an endpoint may inject too. A two-shard K=4 Clos where
+// edge 0 has two injectors, edge 1 an endpoint that injects and the rest
+// one injector each runs as it does with every train capped at one cell,
+// and the trains of the rest still take events in.
+func TestSharedEdgeInjectsACellAnEvent(t *testing.T) {
+	run := func(oneCell bool) (digest, dispatched, events uint64) {
+		var n atomic.Uint64
+		defer TapInjectors(oneCell, &n)()
+		g, err := ClosFor(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := parsim.New(parsim.Config{Shards: 2, Lookahead: sim.Microsecond})
+		fab, err := NewSharded(eng, DefaultConfig(10e9, sim.Microsecond, 3), g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Edge 1 sends every cell it receives on to edge 2.
+		fab.SetEgress(1, netsim.HandlerFunc(func(c *netsim.Packet) { fab.Inject(c, 1, 2) }))
+		for fa := range fab.NumFA() {
+			gap := fab.CellGap(fa, 512, 0.3)
+			fab.NewInjector(fa, gap, 512, 200*sim.Microsecond, -1).Start(sim.Time(fa) * gap / 8)
+			if fa == 0 {
+				fab.NewInjector(fa, gap+gap/3, 512, 200*sim.Microsecond, -1).Start(gap / 2)
+			}
+		}
+		eng.RunUntilQuiet(sim.Millisecond)
+		return netDigest(fab), eng.Dispatched(), n.Load()
+	}
+	digest, dispatched, events := run(false)
+	wantDigest, wantDispatched, wantEvents := run(true)
+	if digest != wantDigest || dispatched+wantEvents-events != wantDispatched || events == wantEvents {
+		t.Errorf("digest %016x, dispatched %d, injector events %d; a cell an event %016x, %d, %d",
+			digest, dispatched, events, wantDigest, wantDispatched, wantEvents)
+	}
 }
 
 // A cell never changes lists: one that crosses the cut goes back to its

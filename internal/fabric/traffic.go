@@ -3,6 +3,7 @@ package fabric
 import (
 	"stardust/internal/netsim"
 	"stardust/internal/sim"
+	"stardust/internal/topo"
 )
 
 // CellGap returns the pacing gap at which edge device fa, sending cells
@@ -41,6 +42,11 @@ func (n *Net) CellGap(fa, cellBytes int, load float64) sim.Time {
 // keeps its own rotation counter, so the offered traffic is identical at
 // every shard count. It fills whole cache lines, like everything a shard
 // writes: the injectors of two shards' edges are made one after the other.
+//
+// Where nothing else can feed its device and the device relays nothing —
+// on an engine, at an edge device of a Clos with no endpoint and no other
+// Injector — one event injects every cell due before the window's end, a
+// train (see the package comment); everywhere else a train is one cell.
 type Injector struct {
 	net   *Net
 	sm    *sim.Simulator   // fa's event loop
@@ -54,8 +60,14 @@ type Injector struct {
 	dst   int      // fixed destination; -1 = rotate
 	rot   int      // cells sent, modulo numFA-1
 	sent  uint64
-	_     [2*sim.CacheLine - 96]byte
+	train bool // on an engine, at an edge of a Clos
+	_     [2*sim.CacheLine - 97]byte
 }
+
+// injectorTap, set by tests only, sees every injector event; returning
+// true caps the event's train at one cell, the reference trains are held
+// to.
+var injectorTap func() (oneCell bool)
 
 // NewInjector builds an injector for FA fa pacing one cell of cellBytes
 // every gap. Injection ends at time stop (0 = unbounded) or after quota
@@ -63,9 +75,12 @@ type Injector struct {
 // the first cell.
 func (n *Net) NewInjector(fa int, gap sim.Time, cellBytes int, stop sim.Time, quota int) *Injector {
 	sh := n.edges[fa].sh
+	_, clos := n.Topo.(*topo.Clos)
+	n.sources[fa]++
 	return &Injector{
 		net: n, sm: sh.sm, cells: sh.cells, fa: fa, numFA: n.NumFA(),
 		gap: gap, cell: cellBytes, stop: stop, quota: quota, dst: -1,
+		train: clos && n.eng != nil,
 	}
 }
 
@@ -81,31 +96,67 @@ func (j *Injector) Start(at sim.Time) { j.sm.AtAction(at, j, 0) }
 // Sent returns the number of cells injected so far.
 func (j *Injector) Sent() uint64 { return j.sent }
 
-// Act implements sim.Action: inject one cell and reschedule.
+// Act implements sim.Action: inject the train of cells due before the
+// horizon, then reschedule at the next cell.
 func (j *Injector) Act(uint64) {
-	if j.stop != 0 && j.sm.Now() >= j.stop {
-		return
+	t, end := j.sm.Now(), j.horizon()
+	for {
+		if j.stop != 0 && t >= j.stop || j.quota == 0 {
+			return
+		}
+		if j.quota > 0 {
+			j.quota--
+		}
+		c := j.cells.Get()
+		c.Size = j.cell
+		// The n-th cell goes to (fa+1 + n%(numFA-1)) % numFA: every other
+		// edge in turn, counted without a division.
+		if j.rot++; j.rot >= j.numFA-1 {
+			j.rot = 0
+		}
+		dst := j.dst
+		if dst < 0 {
+			if dst = j.fa + 1 + j.rot; dst >= j.numFA {
+				dst -= j.numFA
+			}
+		}
+		if l := j.net.inject(c, j.fa, dst, t); l != nil {
+			end = l.handOverCap(end)
+		}
+		j.sent++
+		if t += j.gap; t >= end {
+			break
+		}
+		j.sm.Elide() // the event of the cell at t
 	}
-	if j.quota == 0 {
-		return
+	j.sm.AtAction(t, j, 0)
+}
+
+// horizon returns the instant before which the running event injects:
+// the end of the engine's window capped by the hand-over events pending
+// on the device's links where a train may run (see Injector), else the
+// clock — one cell.
+func (j *Injector) horizon() sim.Time {
+	d := j.net.edges[j.fa]
+	if injectorTap != nil && injectorTap() || !j.train || d.eg.to != nil || j.net.sources[j.fa] > 1 {
+		return j.sm.Now()
 	}
-	if j.quota > 0 {
-		j.quota--
-	}
-	c := j.cells.Get()
-	c.Size = j.cell
-	// The n-th cell goes to (fa+1 + n%(numFA-1)) % numFA: every other edge
-	// in turn, counted without a division.
-	if j.rot++; j.rot >= j.numFA-1 {
-		j.rot = 0
-	}
-	dst := j.dst
-	if dst < 0 {
-		if dst = j.fa + 1 + j.rot; dst >= j.numFA {
-			dst -= j.numFA
+	end := j.net.eng.Now() + j.net.eng.Lookahead()
+	for _, links := range [2][]*link{d.down, d.up} {
+		for _, l := range links {
+			if l != nil {
+				end = l.handOverCap(end)
+			}
 		}
 	}
-	j.net.Inject(c, j.fa, dst)
-	j.sent++
-	j.sm.AfterAction(j.gap, j, 0)
+	return end
+}
+
+// handOverCap returns end, or the instant of the hand-over event pending
+// on l's queue if that comes first.
+func (l *link) handOverCap(end sim.Time) sim.Time {
+	if at, ok := l.q.HandOver(); ok && at < end {
+		return at
+	}
+	return end
 }

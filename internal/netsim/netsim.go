@@ -314,6 +314,11 @@ type pktRing = ring[*Packet]
 // (sim.AtCompletion) that hands over the next horizon's worth. Invariant:
 // the ring is non-empty exactly while that event is pending.
 //
+// A packet may also be admitted at a later instant than the clock
+// (ReceiveAt): everything its admission decides is then decided as of its
+// own instant, so a source that nothing else can overtake — a paced edge
+// device that relays nothing — admits a window's packets in one event.
+//
 // The hand-over may be the packet's last event too: the wire's scheduler
 // is whatever its far end chose, and a far end that only counts what
 // arrives records the arrival there and holds its instant (sim.Hold)
@@ -419,9 +424,24 @@ func (q *Queue) FwdBytes() uint64 {
 	return q.fwdBytes
 }
 
-// Receive implements Handler.
-func (q *Queue) Receive(p *Packet) {
+// Receive implements Handler: p is admitted at the clock.
+func (q *Queue) Receive(p *Packet) { q.ReceiveAt(p, q.Sim.Now()) }
+
+// ReceiveAt admits p (wire mode) as a default-lane event at t, at or after
+// the clock, would: the completions due by t are applied, and the tail
+// drop, the ECN mark, PeakBytes, the ElideHorizon test and the departure
+// all read t for the clock. Admitting ahead of the clock is exact while
+// nothing else touches the queue before t: no other admission or read,
+// and no hand-over event at or before t (HandOver). A fabric.Injector
+// admits a window's cells this way, in time order.
+func (q *Queue) ReceiveAt(p *Packet, t sim.Time) {
 	q.settle()
+	// Ahead of the clock, a default-lane event at t finds every completion
+	// due by t applied.
+	for t > q.Sim.Now() && q.head.size > 0 && q.head.dep <= t {
+		q.complete(q.head.size)
+		q.head = q.later.pop()
+	}
 	if q.bytes+p.Size > q.MaxBytes {
 		q.Drops++
 		if q.OnDrop != nil {
@@ -443,8 +463,8 @@ func (q *Queue) Receive(p *Packet) {
 		q.ring.push(p)
 	case q.Wire == nil:
 		q.start(p)
-	case q.last <= q.Sim.Now()+sim.ElideHorizon:
-		q.hand(p)
+	case q.last <= t+sim.ElideHorizon:
+		q.hand(p, t)
 	default:
 		// Too far ahead to schedule the arrival now: the last packet handed
 		// over completes as an event, which takes the ring from there.
@@ -460,10 +480,15 @@ func (q *Queue) start(p *Packet) {
 	q.Sim.AfterAction(q.txTime(p.Size), q, 0)
 }
 
-// hand gives p to the wire for the departure its place in the queue fixes,
-// and notes the completion (wire mode).
-func (q *Queue) hand(p *Packet) {
-	q.last = max(q.last, q.Sim.Now()) + q.txTime(p.Size)
+// HandOver returns the instant of a wire-mode queue's pending hand-over
+// event (sim.AtCompletion), and whether one is pending: the only event of
+// the queue's own.
+func (q *Queue) HandOver() (at sim.Time, pending bool) { return q.last, q.ring.len() > 0 }
+
+// hand gives p, admitted at t, to the wire for the departure its place in
+// the queue fixes, and notes the completion (wire mode).
+func (q *Queue) hand(p *Packet, t sim.Time) {
+	q.last = max(q.last, t) + q.txTime(p.Size)
 	c := completion{q.last, p.Size}
 	if q.head.size == 0 {
 		q.head = c
@@ -493,7 +518,7 @@ func (q *Queue) Act(uint64) {
 		q.complete(q.head.size)
 	}
 	for now := q.Sim.Now(); q.ring.len() > 0 && q.last <= now+sim.ElideHorizon; {
-		q.hand(q.ring.pop())
+		q.hand(q.ring.pop(), now)
 	}
 	if q.ring.len() > 0 {
 		q.Sim.AtCompletion(q.last, q, 0)

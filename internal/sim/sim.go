@@ -463,7 +463,9 @@ func (s *Simulator) Due(t Time, lane int32) bool {
 // effect: Due on CompletionLane.
 func (s *Simulator) Completed(t Time) bool { return s.Due(t, CompletionLane) }
 
-// Elide counts one completion as processed without enqueuing it.
+// Elide counts one event as processed without enqueuing it: a completion,
+// or a paced source's next event when the running one did its work
+// (fabric.Injector).
 func (s *Simulator) Elide() {
 	s.Processed++
 	s.elided++
