@@ -9,9 +9,11 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,7 +31,8 @@ import (
 // digests (distsim fabric runs), transport (Fig 10a/b/c of the Stardust
 // transport), stream (the STREC1 stream `stardust -seed 7 trace/record
 // k=4` writes) and scenarios (every registered scenario's text, JSON and
-// CSV bytes, keyed by the command that prints them).
+// CSV bytes, keyed by the command that prints them) and lines (the line
+// ratchet, see lineRow).
 //
 // Beside what it records, a row carries the bounds other tests hold the
 // same run to. A recorded value only changes in a change that says why,
@@ -49,6 +52,7 @@ type ledger struct {
 	Transport []transportRow    `json:"transport"`
 	Stream    []streamRow       `json:"stream"`
 	Scenarios []scenarioRow     `json:"scenarios"`
+	Lines     []lineRow         `json:"lines"`
 	Skipped   map[string]string `json:"skipped"` // registered scenarios with no row, and why
 }
 
@@ -102,14 +106,20 @@ func TestGolden(t *testing.T) {
 	if err := checkParamTable(readmePath, *update); err != nil {
 		t.Error(err)
 	}
+	counts, err := countLines(lineRoots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines, linesErr := ratchet(l.Lines, counts, *update)
 	if *update {
 		var rs []reading
-		var errs [4]error
+		var errs [5]error
 		next := l
 		next.Digests, errs[0] = rerecord(l.Digests, &rs)
 		next.Transport, errs[1] = rerecord(l.Transport, &rs)
 		next.Stream, errs[2] = rerecord(l.Stream, &rs)
 		next.Scenarios, errs[3] = rerecord(l.Scenarios, &rs)
+		next.Lines, errs[4] = lines, linesErr
 		err := errors.Join(errs[:]...)
 		if err == nil {
 			err = record(ledgerPath, next, rs)
@@ -118,6 +128,8 @@ func TestGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		l = next
+	} else if linesErr != nil {
+		t.Error(linesErr)
 	}
 	walk(t, "digests", l.Digests)
 	walk(t, "transport", l.Transport)
@@ -252,6 +264,102 @@ func readLedger(path string) (ledger, error) {
 	dec.DisallowUnknownFields() // a misspelt "bounds" would drop a row's bounds unseen
 	err = dec.Decode(&l)
 	return l, err
+}
+
+// A lineRow is one step of the line ratchet: the most non-test Go lines
+// (blank and comment lines included) its package, a directory under
+// lineRoots, may hold. TestGolden fails when a package is above its row; a
+// package with no row is held to 0 lines. -update lowers a row to its
+// package's count freely, drops the row of a package that is gone, and
+// raises a row, or adds one, only where it carries a reason, which
+// CHANGES.md quotes. A row that is lowered again loses its reason.
+type lineRow struct {
+	Package string `json:"package"`
+	Lines   int    `json:"lines"`
+	Reason  string `json:"reason,omitempty"`
+}
+
+var lineRoots = []string{"internal", "cmd", "bench", "examples"}
+
+// countLines counts the non-test Go lines of every package under roots, by
+// slash-separated directory.
+func countLines(roots []string) (map[string]int, error) {
+	counts := map[string]int{}
+	for _, root := range roots {
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			switch {
+			case err != nil:
+				return err
+			case d.IsDir() && d.Name() == "testdata":
+				return filepath.SkipDir
+			case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+				return nil
+			}
+			buf, err := os.ReadFile(path)
+			counts[filepath.ToSlash(filepath.Dir(path))] += bytes.Count(buf, []byte("\n"))
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return counts, nil
+}
+
+// ratchet returns rows re-recorded from counts, and an error naming every
+// package above its row: every one, or with raise only those whose row
+// gives no reason to raise it.
+func ratchet(rows []lineRow, counts map[string]int, raise bool) ([]lineRow, error) {
+	old := map[string]lineRow{}
+	for _, r := range rows {
+		old[r.Package] = r
+	}
+	var next []lineRow
+	var above []error
+	for _, pkg := range slices.Sorted(maps.Keys(counts)) {
+		r, n := old[pkg], counts[pkg]
+		switch {
+		case n > r.Lines && (!raise || r.Reason == ""):
+			above = append(above, fmt.Errorf("%s: %d non-test Go lines, its row in %s allows %d: cut them, or give the row a reason and re-record",
+				pkg, n, ledgerPath, r.Lines))
+		case n < r.Lines:
+			r.Reason = ""
+		}
+		next = append(next, lineRow{pkg, n, r.Reason})
+	}
+	return next, errors.Join(above...)
+}
+
+// The ratchet lowers freely, raises only with a reason, and re-records an
+// unchanged tree as it was.
+func TestLineRatchet(t *testing.T) {
+	rows := []lineRow{
+		{"cut", 100, "raised once"},
+		{"gone", 50, ""},
+		{"grown", 10, ""},
+		{"justified", 10, "a new model"},
+		{"same", 20, "kept"},
+	}
+	counts := map[string]int{"cut": 90, "grown": 11, "justified": 12, "new": 5, "same": 20}
+	if _, err := ratchet(rows, counts, false); err == nil ||
+		!strings.Contains(err.Error(), "grown:") || !strings.Contains(err.Error(), "justified:") || !strings.Contains(err.Error(), "new:") ||
+		strings.Contains(err.Error(), "cut:") || strings.Contains(err.Error(), "same:") {
+		t.Errorf("checking: %v, want grown, justified and new above their rows", err)
+	}
+	if _, err := ratchet(rows, counts, true); err == nil ||
+		!strings.Contains(err.Error(), "grown:") || !strings.Contains(err.Error(), "new:") || strings.Contains(err.Error(), "justified:") {
+		t.Errorf("re-recording: %v, want grown and new refused", err)
+	}
+	delete(counts, "grown")
+	delete(counts, "new")
+	got, err := ratchet(rows, counts, true)
+	want := []lineRow{{"cut", 90, ""}, {"justified", 12, "a new model"}, {"same", 20, "kept"}}
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("re-recorded %v (%v), want %v", got, err, want)
+	}
+	if again, err := ratchet(got, counts, false); err != nil || !reflect.DeepEqual(again, got) {
+		t.Errorf("an unchanged tree re-records as %v (%v), want %v", again, err, got)
+	}
 }
 
 // A re-record whose run breaks a bound of its row is refused and leaves

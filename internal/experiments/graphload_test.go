@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"stardust/internal/sim"
+	"stardust/internal/topo"
+	"stardust/internal/workload"
 )
 
 // TestGraphSprayBeatsECMP is the §5.3 claim carried to non-Clos graphs:
@@ -66,5 +68,82 @@ func TestGraphLoadDeterminism(t *testing.T) {
 	}
 	if *a != *b {
 		t.Fatalf("two identical runs diverged:\n%+v\n%+v", a, b)
+	}
+}
+
+// choicePoints counts the (node, flow) points at which a cell of one of
+// perm's flows over g has more than one candidate next hop: the only
+// places where spraying and hash-pinning can part. It walks every node the
+// flow's cells can reach over the live candidate sets, from its source.
+func choicePoints(g topo.Graph, perm []int) int {
+	descend, _ := g.Routes(nil)
+	peer := make([][]int, g.NumNodes())
+	for i := range peer {
+		peer[i] = make([]int, g.Node(i).Ports)
+	}
+	for _, lk := range g.GraphLinks() {
+		peer[lk.A][lk.APort], peer[lk.B][lk.BPort] = lk.B, lk.A
+	}
+	points := 0
+	for src, dst := range perm {
+		if src == dst {
+			continue
+		}
+		seen := map[int]bool{}
+		for next := []int{g.EdgeNode(src)}; len(next) > 0; {
+			u := next[len(next)-1]
+			next = next[:len(next)-1]
+			if seen[u] {
+				continue
+			}
+			seen[u] = true
+			if len(descend[u][dst]) > 1 {
+				points++
+			}
+			for _, p := range descend[u][dst] {
+				next = append(next, peer[u][p])
+			}
+		}
+	}
+	return points
+}
+
+// On the star, fabric/graphload prints the same row for spray and ECMP
+// exactly when the seed's permutation gives no cell a choice of next hop:
+// at the default seed 3 none has one, so the two rows are equal there by
+// construction, not by a mode switch that fails to reach the nodes.
+func TestGraphModesDifferOnlyAtChoicePoints(t *testing.T) {
+	const k, load = 8, 0.6
+	g, err := topo.ByName("star", k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, climb := g.Routes(nil); len(climb) != g.NumNodes() {
+		t.Fatalf("%d climb lists for %d nodes", len(climb), g.NumNodes())
+	} else {
+		for n, ports := range climb {
+			if len(ports) > 0 {
+				t.Fatalf("node %d of %s may climb: the walk sees descend candidates only", n, g.Spec())
+			}
+		}
+	}
+	want := map[int64]int{1: 7, 2: 2, 3: 0, 4: 3, 5: 2}
+	for seed := int64(1); seed <= 5; seed++ {
+		points := choicePoints(g, workload.Permutation(newMatrixRNG(seed), g.NumEdge()))
+		if points != want[seed] {
+			t.Errorf("seed %d: %d choice points, want %d", seed, points, want[seed])
+		}
+		spray, err := GraphLinkLoad("star", k, "spray", load, 100*sim.Microsecond, 400*sim.Microsecond, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ecmp, err := GraphLinkLoad("star", k, "ecmp", load, 100*sim.Microsecond, 400*sim.Microsecond, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ecmp.Mode = spray.Mode
+		if same := *spray == *ecmp; same != (points == 0) {
+			t.Errorf("seed %d: %d choice points, rows equal %v:\n%+v\n%+v", seed, points, same, spray, ecmp)
+		}
 	}
 }

@@ -301,23 +301,20 @@ func TestFabricIsolatedFA(t *testing.T) {
 // placement: the Clos and a graph topology on one event loop, and the
 // Clos split over a two-shard engine. A batch is 32 cells from every
 // edge device through the fabric's own Injector, so a path that
-// allocated per cell would show hundreds per batch. What a multi-shard
-// engine allocates per Run call is not the cell path's: always its
-// call-scoped worker pool, and in a call where the governor probes
-// fan-out the workers themselves, which AllocsPerRun's truncated mean
-// absorbs.
+// allocated per cell would show hundreds per batch. The engine allocates
+// nothing either: AllocsPerRun measures at GOMAXPROCS 1, where a
+// multi-shard call runs inline and has no worker pool to allocate.
 func TestFabricAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
 	}
 	for _, tc := range []struct {
 		name, topo string
-		shards     int     // 0 = one bare simulator
-		perCall    float64 // the engine's own allocations per Run call
+		shards     int // 0 = one bare simulator
 	}{
-		{"clos", "clos", 0, 0},
-		{"sshuffle", "sshuffle", 0, 0},
-		{"clos sharded", "clos", 2, 1},
+		{"clos", "clos", 0},
+		{"sshuffle", "sshuffle", 0},
+		{"clos sharded", "clos", 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, err := topo.ByName(tc.topo, 4)
@@ -359,7 +356,7 @@ func TestFabricAllocFree(t *testing.T) {
 			for i := 0; i < 8; i++ { // warm the pools, rings and mailboxes
 				batch()
 			}
-			if avg := testing.AllocsPerRun(100, batch); avg > tc.perCall {
+			if avg := testing.AllocsPerRun(100, batch); avg > 0 {
 				t.Errorf("fabric hot path allocates: %.0f allocs per %d cells", avg, perFA*len(injs))
 			}
 			if want := uint64(109 * perFA * len(injs)); n.Injected() != want || n.Delivered() != want {

@@ -11,18 +11,14 @@ import (
 // The executor's constants; the package comment's Execution section gives
 // the measurements behind them.
 const (
-	epochWindows = 32      // windows per timed epoch
-	switchMargin = 0.10    // a probe must be this much cheaper to take over
-	minHold      = 4       // incumbent epochs before the first probe and after a switch
-	maxHold      = 256     // cap of the doubling back-off
-	smoothing    = 0.25    // weight of the latest epoch in the incumbent's cost
-	starvedHold  = 32      // least hold after a probe found fan-out parking, not polling
+	epochWindows = 32      // windows per epoch of the starvation back-off
+	starvedHold  = 32      // epochs inline after fan-out first starved
+	maxHold      = 256     // cap of the doubling hold
 	spinBudget   = 1 << 16 // polls before a hand-off parks (Engine.spin)
 )
 
-// execForce pins the execution mode; tests only. It overrides both the
-// governor and the race-build rule, and a forced engine reads no clock but
-// the one that times fanned windows (Stats.Busy).
+// execForce pins the execution mode; tests only. It overrides the rule,
+// the back-off and the race build.
 type execForce uint8
 
 const (
@@ -32,104 +28,43 @@ const (
 	forceAlternate           // flip every epochWindows windows
 )
 
-// governor chooses, one epoch at a time, between running a window's
-// shards inline on the calling goroutine and fanning them out to workers.
-// It holds a few words and no clock: the Engine feeds it spans.
-type governor struct {
-	fan      bool    // mode of the epoch in progress
-	moved    bool    // that epoch is the first in its mode: it pays for the move and is no sample
-	probing  bool    // that epoch is a probe of the mode that is not the incumbent
-	hold     int     // incumbent epochs between probes
-	held     int     // incumbent epochs since the last probe
-	cost     float64 // the incumbent's epochs, smoothed, ns per unit ...
-	last     float64 // ... and its latest
-	probes   uint64
-	switches uint64
-	parked   uint64 // Engine.parked when the epoch in progress began
-
-	// The epoch in progress. It may span several Run or StepOwned calls:
-	// time between the calls' spans is not counted.
-	windows int
-	nanos   time.Duration
-	events  uint64
-	t0      time.Time // open span
-	p0      uint64
+// backOff is the starvation back-off of the package comment's Execution
+// section, counted in windows. It lives in the Engine, so it outlasts the
+// many short calls of a testbed or a distributed peer.
+type backOff struct {
+	inline int    // windows still to run inline
+	hold   int    // epochs inline the next starvation costs
+	epoch  int    // fanned windows into the epoch in progress
+	parked uint64 // Engine.parked when that epoch began
 }
 
-// startGovernor is the governor of a fresh engine: inline, and about to
-// run the one epoch that pays for everything cold.
-func startGovernor() governor { return governor{hold: minHold, moved: true} }
-
-// open starts a span at time t with `processed` events executed so far.
-func (g *governor) open(t time.Time, processed uint64) { g.t0, g.p0 = t, processed }
-
-// close ends the open span. Once the epoch holds its epochWindows windows
-// it becomes one sample; a shorter one is carried into the next span.
-func (g *governor) close(t time.Time, processed uint64) {
-	g.nanos += t.Sub(g.t0)
-	g.events += processed - g.p0
-	if g.windows < epochWindows {
-		return
+// fan reports whether the next window fans out, parked being
+// Engine.parked now.
+func (b *backOff) fan(parked uint64) bool {
+	if b.inline > 0 {
+		b.inline--
+		return false
 	}
-	g.sample(float64(g.nanos) / float64(g.events+uint64(g.windows)))
-	g.windows, g.nanos, g.events = 0, 0, 0
+	if b.epoch == 0 {
+		b.parked = parked
+	}
+	return true
 }
 
-// sample takes the cost of the epoch just finished — nanoseconds per unit
-// of work, a unit being an executed event or a window — and sets the mode
-// of the next one. The first epoch after a change of mode moves the
-// shards' working sets between the processors' caches and is no measure of
-// either mode; the one after it is, and a probe is judged on that one,
-// against the incumbent's smoothed cost rather than its latest epoch,
-// which is as noisy as the probe.
-func (g *governor) sample(cost float64) {
-	switch {
-	case g.moved:
-		g.moved = false
-	case !g.probing:
-		if g.cost == 0 {
-			g.cost = cost
+// fanned counts a fanned window at its barrier, parked being Engine.parked
+// then.
+func (b *backOff) fanned(parked uint64) {
+	b.epoch++
+	switch n := parked - b.parked; {
+	case n > epochWindows/4:
+		b.inline, b.epoch = b.hold*epochWindows, 0
+		b.hold = min(2*b.hold, maxHold)
+	case b.epoch == epochWindows:
+		if n == 0 {
+			b.hold = starvedHold
 		}
-		g.cost += (cost - g.cost) * smoothing
-		g.last = cost
-		if g.held++; g.held >= g.hold {
-			g.probing = true
-			g.flip()
-			g.probes++
-		}
-	case cost < min(g.cost, g.last)*(1-switchMargin):
-		// The probed mode stays on as the new incumbent.
-		g.probing, g.held = false, 0
-		g.cost, g.last, g.hold = cost, cost, minHold
-		g.switches++
-	default:
-		g.probing, g.held = false, 0
-		g.flip()
-		g.hold = min(2*g.hold, maxHold)
+		b.epoch = 0
 	}
-}
-
-func (g *governor) flip() { g.fan, g.moved = !g.fan, true }
-
-// starved ends fan-out at once, probe or incumbent: more than a quarter of
-// the epoch's windows have outlasted the spin and parked, which is what
-// hand-offs do when the shards' threads do not get a processor each
-// (another tenant of the host took one, taskset with GOMAXPROCS left
-// alone), and then each costs two spins. No measurement is needed to know
-// how that compares, and none would be cheap: a K=8 probe of two such
-// epochs costs 13 ms. A probe that ends this way has shown nothing for
-// fan-out, which stays away for at least starvedHold epochs; an incumbent
-// had, so it is tried again as after any switch — what hit it may have
-// been a burst.
-func (g *governor) starved() {
-	if g.probing {
-		g.hold = min(max(2*g.hold, starvedHold), maxHold)
-	} else {
-		g.cost, g.last, g.hold = 0, 0, minHold // inline takes over unmeasured
-		g.switches++
-	}
-	g.probing, g.held = false, 0
-	g.flip()
 }
 
 // processors is how many of a window's shards can run at the same time,
@@ -141,49 +76,19 @@ func (e *Engine) processors() int {
 	return min(runtime.GOMAXPROCS(0), runtime.NumCPU())
 }
 
-// timed reports whether a call executing several shards' windows on procs
-// processors is governed: it is when there is a choice to make — a second
-// processor to run them on — and nothing has made it already.
-func (e *Engine) timed(procs int) bool {
-	return procs > 1 && e.force == forceNone && !raceEnabled
-}
-
-// tick counts one governed window and laps the clock at an epoch boundary.
-func (e *Engine) tick() {
-	g := &e.gov
-	if g.fan && e.parked.Load()-g.parked > epochWindows/4 {
-		g.starved()
-	}
-	if g.windows++; g.windows == epochWindows {
-		t, p := e.clock(), e.Processed()
-		g.close(t, p)
-		g.open(t, p)
-		g.parked = e.parked.Load()
-	}
-}
-
-// fanOut picks the mode of the next multi-shard window of a call that is
-// governed or not.
-func (e *Engine) fanOut(timed bool) bool {
-	switch e.force {
-	case forceInline:
-		return false
-	case forceFanOut:
-		return true
-	case forceAlternate:
-		return e.now/e.look/epochWindows%2 == 1
-	}
-	return raceEnabled || timed && e.gov.fan
-}
-
-// runWindow executes the window ending at end on the shards in run:
-// inline, the calling goroutine runs them one after the other; fanned out,
-// it runs the first itself and pool's workers the others. The shards
+// runWindow executes the window ending at end on the shards in run and
+// reports whether it fanned them out. Without a pool the calling goroutine
+// runs them one after the other (inline); with one it runs the first and
+// pool's workers the others, unless the back-off, where it governs the
+// call (backs), or forceAlternate holds the window inline. The shards
 // cannot observe which mode ran them: they interact only through outboxes
 // that change hands at the barrier.
-func (e *Engine) runWindow(run []*Shard, end sim.Time, pool *workers, timed bool) {
+func (e *Engine) runWindow(run []*Shard, end sim.Time, pool *workers, backs bool) bool {
+	fan := pool != nil &&
+		(e.force != forceAlternate || e.now/e.look/epochWindows%2 == 1) &&
+		(!backs || e.back.fan(e.parked.Load()))
 	e.inWindow = true
-	if len(run) > 1 && e.fanOut(timed) {
+	if fan {
 		e.fanned++
 		pool.run(run, end)
 	} else {
@@ -192,6 +97,7 @@ func (e *Engine) runWindow(run []*Shard, end sim.Time, pool *workers, timed bool
 		}
 	}
 	e.inWindow = false
+	return fan
 }
 
 // parker is where one goroutine waits for a condition another brings
@@ -241,7 +147,7 @@ func (p *parker) park(w *workers, ready func() bool) {
 // been woken up to steal it (about a whole spin, on the reference VM). So
 // it yields: the woken goroutine runs here at once and this one is picked
 // up by the next processor to look — only ever after a park, which a run
-// that fans out for a reason sees in well under 1 % of its windows.
+// whose shards each have a processor sees in well under 1 % of its windows.
 func (p *parker) unpark() {
 	if p.parked.Load() && p.parked.CompareAndSwap(true, false) {
 		p.wake <- struct{}{}
@@ -250,11 +156,10 @@ func (p *parker) unpark() {
 }
 
 // workers are the goroutines one Run or StepOwned call hands shards to,
-// one for every shard but the first, which the caller runs. They are
-// spawned at the call's first fanned window, park through inline epochs
-// and exit when the call closes the pool. Caller and workers meet in two
-// words, each on a cache line of its own: gen, which the caller bumps to
-// start a window, and left, which every shard that finishes decrements.
+// one for every shard but the first, which the caller runs. Caller and
+// workers meet in two words, each on a cache line of its own: gen, which
+// the caller bumps to start a window, and left, which every shard that
+// finishes decrements.
 type workers struct {
 	gen  atomic.Uint64
 	end  sim.Time // the window to run: written before gen, read after it
@@ -336,8 +241,8 @@ func (w *workers) close() {
 	w.release()
 }
 
-// Stats is the engine's account of how it has executed so far: the
-// governor's decisions, how the hand-offs went, what the shards' fanned
+// Stats is the engine's account of how it has executed so far: how many
+// windows fanned out, how the hand-offs went, what the shards' fanned
 // windows cost and the mailbox traffic it all happened on. It is wall-clock
 // dependent (except Windows, Mail, MailLess and ShardEvents) and therefore
 // never part of a deterministic output.
@@ -351,8 +256,6 @@ func (w *workers) close() {
 type Stats struct {
 	Windows     uint64          // windows executed
 	Fanned      uint64          // of those, windows whose shards were handed to workers
-	Probes      uint64          // epochs run in the other mode to compare costs
-	Switches    uint64          // probes that won and changed the mode
 	Parked      uint64          // hand-offs that outlasted the spin and parked a goroutine
 	Stragglers  []uint64        // per shard: fanned windows it was the last to finish
 	Busy        []time.Duration // per shard: time spent running fanned windows
@@ -367,8 +270,6 @@ func (e *Engine) Stats() Stats {
 	st := Stats{
 		Windows:     uint64(e.now / e.look),
 		Fanned:      e.fanned,
-		Probes:      e.gov.probes,
-		Switches:    e.gov.switches,
 		Parked:      e.parked.Load(),
 		Stragglers:  make([]uint64, len(e.shards)),
 		Busy:        make([]time.Duration, len(e.shards)),

@@ -54,7 +54,7 @@
 // a parked thread of that VM takes as long — a shorter spin parks for
 // delays a wake-up cannot beat, and gives up its processor before an idle
 // one has come to take the goroutine it waits for. With fewer processors
-// than shards to run (GOMAXPROCS, or the CPUs the process may use) nothing
+// than shards to run, which only a race build or a test fans out, nothing
 // can be polled for and every wait parks at once, as does the caller's
 // first wait for workers it has just spawned; the goroutine that wakes
 // another yields to it.
@@ -95,36 +95,24 @@
 // reference VM; Stats.Busy).
 //
 // Fan-out still buys parallelism at a price — every window ends when its
-// slowest shard does — and whether that pays is a property of the host and
-// the load, not of the model: the same two-shard K=8 run (6,256 windows of
-// ~900 events and ~65 messages) takes 0.26-0.30 s inline and 0.28-0.33 s
-// fanned out, one shard 0.23-0.28 s (quartiles of 14 runs on the shared
-// 2-vCPU reference VM; 0.28-0.32 s and 0.34-0.44 s while three times the
-// mail crossed the cut), where on two idle vCPUs fan-out once led with
-// 0.27-0.30 s against 0.36-0.37 s inline. So the engine measures instead
-// of being told: a governor times every epoch of 32 windows (one clock read
-// per epoch inside a long Run, two more per call), divides by the events
-// and windows executed, and after `hold` epochs probes the other mode for
-// two: the first epoch after any change of mode moves the shards' working
-// sets between caches (about an epoch's worth at K=8) and is not a sample;
-// the second is judged against the smaller of the incumbent's smoothed cost
-// and its latest epoch — the average because two identical epochs differ by
-// +-8 %, the latest because costs drift and an average lags — and takes
-// over only if it is more than 10 % cheaper. Every probe the incumbent wins
-// doubles hold, from 4 up to 256, so where inline wins a 6,256-window run
-// spends 10 of its 195 epochs probing. Parking is evidence of its own: an
-// epoch of fan-out that parks in more than a quarter of its windows means
-// the shards' threads are not getting a processor each, and ends fan-out on
-// the spot — a probe nine windows in, kept away for 32 epochs or more, an
-// incumbent until the next ordinary probe. An epoch cut short by the end of
-// a call is carried into the next call, not sampled. The governor's few
-// words live in the Engine and so survive the many short Run and
-// per-window StepOwned calls of a testbed or a distributed peer. With a
-// single shard to execute (a one-shard engine, a distributed peer owning
-// one shard, the coordinator owning none) or a single processor to execute
-// on there is no choice: runWindow is a direct call, no worker exists and
-// no clock is read. There is no knob: Config carries nothing about
-// execution.
+// slowest shard does — and it can pay only while each shard has a
+// processor of its own. So the rule is a count, read once per Run,
+// RunUntilQuiet or StepOwned call: a call with more than one shard to run
+// fans out when there are at least as many processors (GOMAXPROCS or the
+// usable CPUs, whichever is fewer) as shards, and otherwise runs inline
+// and allocates no worker pool. The benchmark's two-shard K=8 run takes a
+// median 0.150 s this way on the 2-vCPU reference VM, and 0.197 s under
+// the opposite rule, inline unless a processor is left over. A host can
+// still withhold a processor the count promised (another tenant; taskset
+// with GOMAXPROCS left alone), and then hand-offs park instead of
+// polling. That is the one signal the executor reads, and it is a count
+// too (backOff): when more than a quarter of an epoch's 32 fanned windows
+// park, the engine runs inline for 32 epochs, twice as long each time
+// fan-out starves again, up to 256, until a fanned epoch parks nowhere.
+// One shard to execute (a one-shard engine, a distributed peer owning one,
+// the coordinator owning none) is a direct call, with no worker. There is
+// no knob: Config carries nothing about execution, and the one clock the
+// engine reads times fanned windows (Stats.Busy).
 //
 // The choice cannot change results. Within a window a shard reads and
 // writes only its own state, the outboxes it fills and the ones it drains;
@@ -133,19 +121,16 @@
 // and whether two shards' windows overlapped in time, is therefore
 // unobservable to the model (tests force each mode, and a mode flip every
 // epoch, against the recorded digests; a stress test runs a million
-// hand-offs with shards that stall past the spin). Builds with the race
-// detector bypass the governor and fan out every multi-shard window, so
-// `go test -race` always sees the concurrent path in full, whatever the
-// host would have chosen.
+// hand-offs with shards that stall past the spin). Race builds fan out
+// every multi-shard window, so `go test -race` sees the concurrent path.
 //
-// Workers are scoped to one call: spawned at the call's first fanned
-// window, parked through inline epochs, stopped when it returns.
+// Workers are scoped to one call: spawned at its first fanned window,
+// parked through the back-off's inline epochs, stopped when it returns.
 // Workers that outlived the call would need an explicit Close on the
 // Engine, and an abandoned Engine would leak them; the price is that a
 // per-window StepOwned call that fans out starts its workers on the
 // caller's own processor and runs the window's shards one after the other
-// all the same. Stats reports what the governor did, how the hand-offs
-// went and the mailbox traffic it all happened on.
+// all the same.
 package parsim
 
 import (
@@ -427,18 +412,17 @@ type Engine struct {
 	now      sim.Time // end of the last completed window
 	inWindow bool
 
-	// Execution (see the package comment): the governor's numbers outlive
-	// every Run and StepOwned call, workers do not.
-	gov      governor
-	force    execForce        // tests only: overrides the governor and the race rule
-	clock    func() time.Time // the governor's clock; tests inject one
-	procs    int              // tests only: overrides what processors() asks the runtime
-	spin     int              // polls before a hand-off parks; spinBudget, tests vary it
-	run      []*Shard         // StepOwned's scratch list of owned shards
-	fanned   uint64           // windows whose shards were handed to workers
-	parked   atomic.Uint64    // hand-offs that outlasted the spin and parked
-	mail     uint64           // cross-shard messages sent up to the last barrier
-	mailLess uint64           // windows in which none was sent
+	// Execution (see the package comment): the back-off outlives every
+	// Run and StepOwned call, workers do not.
+	back     backOff
+	force    execForce     // tests only: overrides the rule, the back-off and the race build
+	procs    int           // tests only: overrides what processors() asks the runtime
+	spin     int           // polls before a hand-off parks; spinBudget, tests vary it
+	run      []*Shard      // StepOwned's scratch list of owned shards
+	fanned   uint64        // windows whose shards were handed to workers
+	parked   atomic.Uint64 // hand-offs that outlasted the spin and parked
+	mail     uint64        // cross-shard messages sent up to the last barrier
+	mailLess uint64        // windows in which none was sent
 }
 
 // New builds an engine with cfg.Shards fresh simulators, all at time zero.
@@ -450,7 +434,7 @@ func New(cfg Config) *Engine {
 		panic("parsim: lookahead must be positive")
 	}
 	e := &Engine{
-		look: cfg.Lookahead, clock: time.Now, gov: startGovernor(), spin: spinBudget,
+		look: cfg.Lookahead, back: backOff{hold: starvedHold}, spin: spinBudget,
 	}
 	e.shards = make([]*Shard, cfg.Shards)
 	for i := range e.shards {
@@ -716,33 +700,30 @@ func (e *Engine) loop(run []*Shard, owned []bool, emit func(src, dst int, m Mail
 	if e.now >= until {
 		return
 	}
-	// Call-scoped (see the package comment), and only where there is
-	// something to hand off: the pool escapes to its workers, and a
-	// one-shard call should not pay an allocation for it.
+	// The rule (see the package comment), read once per call. Only a call
+	// that hands shards off allocates its pool, which escapes to the
+	// workers. Its hand-offs poll only while every shard has a processor
+	// to itself: with fewer, the goroutine polled for may be waiting for
+	// this one to get off its processor.
 	var pool *workers
-	timed := false
-	if len(run) > 1 {
+	if len(run) > 1 && e.force != forceInline {
 		procs := e.processors()
-		pool = &workers{eng: e}
-		defer pool.close()
-		// Polling pays only while every shard has a processor to itself:
-		// with fewer, the goroutine polled for may be waiting for this one
-		// to get off its processor, so the hand-off parks at once.
-		if len(run) <= procs {
-			pool.spin = e.spin
+		if e.force != forceNone || raceEnabled || len(run) <= procs {
+			pool = &workers{eng: e}
+			defer pool.close()
+			if len(run) <= procs {
+				pool.spin = e.spin
+			}
 		}
-		timed = e.timed(procs)
 	}
-	if timed {
-		e.gov.open(e.clock(), e.Processed())
-	}
+	backs := pool != nil && e.force == forceNone && !raceEnabled
 	for e.now < until {
 		e.runControls(e.now)
 		if stopWhenQuiet && e.Quiet() {
 			break
 		}
 		end := e.now + e.look
-		e.runWindow(run, end, pool, timed)
+		fanned := e.runWindow(run, end, pool, backs)
 		for i, own := range owned {
 			if !own {
 				e.shards[i].sm.SkipTo(end)
@@ -753,11 +734,8 @@ func (e *Engine) loop(run []*Shard, owned []bool, emit func(src, dst int, m Mail
 		for _, fn := range e.hooks {
 			fn(end)
 		}
-		if timed {
-			e.tick()
+		if fanned && backs {
+			e.back.fanned(e.parked.Load())
 		}
-	}
-	if timed {
-		e.gov.close(e.clock(), e.Processed())
 	}
 }

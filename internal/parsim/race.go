@@ -4,5 +4,5 @@ package parsim
 
 // raceEnabled reports that the race detector is instrumenting this build:
 // every multi-shard window then fans out, so the detector sees the
-// concurrent path whatever the governor would have measured.
+// concurrent path whether or not each shard has a processor.
 const raceEnabled = true

@@ -337,7 +337,7 @@ func init() {
 			patternParam,
 			engine.Int("dur_ms", "5", "injection duration in ms"),
 			engine.Float("hotspot", "1", "boost factor for the first quarter of the FAs (>1 = skewed matrix, changes the offered traffic)"),
-			engine.Bool("timings", "false", "true adds wall-clock events/sec (total and per core), speedup vs one shard and the engine's execution stats (windows, fanned, probes, switches, parked hand-offs, which shard finished last how often, mail) — with -peers, each peer's busy and mesh-wait time, how its mesh reads waited (parked or polled) and the straggler instead — nondeterministic output, keep off when diffing runs")),
+			engine.Bool("timings", "false", "true adds wall-clock events/sec (total and per core), speedup vs one shard and the engine's execution stats (windows, fanned, parked hand-offs, which shard finished last how often, mail) — with -peers, each peer's busy and mesh-wait time, how its mesh reads waited (parked or polled) and the straggler instead — nondeterministic output, keep off when diffing runs")),
 		Variants: func(v engine.Values) []engine.Params { return shardSweep(v, v.List("topo")) },
 		Check:    checkSpec(parscaleSpec),
 		Run: func(c engine.Context) (engine.Result, error) {
@@ -390,10 +390,10 @@ func init() {
 					}
 				}
 				fmt.Fprintf(&b, "  wall %v, %.0f events/sec (%.0f per core), %.2fx vs one shard (%.1f ns/event, byte-identical digest); "+
-					"%d windows, %d fanned (busy %v ns/event), %d probes, %d switches, %d parked, last to finish %v, %.1f mail/window, %d mail-less\n",
+					"%d windows, %d fanned (busy %v ns/event), %d parked, last to finish %v, %.1f mail/window, %d mail-less\n",
 					r.wall.Round(time.Millisecond), evps, evps/float64(shards), speedup,
 					float64(ref.wall.Nanoseconds())/float64(ref.events),
-					st.Windows, st.Fanned, busy, st.Probes, st.Switches, st.Parked, st.Stragglers,
+					st.Windows, st.Fanned, busy, st.Parked, st.Stragglers,
 					float64(st.Mail)/float64(st.Windows), st.MailLess)
 			}
 			res.Text = engine.Textf("%s", b.String())
