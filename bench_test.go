@@ -140,8 +140,9 @@ func reportDispatched(b *testing.B, events uint64) {
 }
 
 // reportFanned attaches the windows per op whose shards the engine handed
-// to workers (parsim.Stats.Fanned): every window where each shard has a
-// processor, unless hand-offs parked, and 0 at -cpu 1.
+// to workers (parsim.Stats.Fanned): every window of a multi-window call
+// where each shard has a processor, unless hand-offs parked, and 0 at
+// -cpu 1.
 func reportFanned(b *testing.B, fanned uint64) {
 	b.ReportMetric(float64(fanned)/float64(b.N), "fanned/op")
 }

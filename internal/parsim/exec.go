@@ -155,7 +155,7 @@ func (p *parker) unpark() {
 	}
 }
 
-// workers are the goroutines one Run or StepOwned call hands shards to,
+// workers are the goroutines one multi-window call hands shards to,
 // one for every shard but the first, which the caller runs. Caller and
 // workers meet in two words, each on a cache line of its own: gen, which
 // the caller bumps to start a window, and left, which every shard that

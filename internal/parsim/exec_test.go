@@ -7,10 +7,12 @@ import (
 	"stardust/internal/sim"
 )
 
-// A call fans out when every shard it runs has a processor, and otherwise
-// runs inline and allocates nothing; a race build always fans out. One
-// shard to run — a one-shard engine, a distributed peer owning one of
-// several, the coordinator owning none — is never handed off.
+// A call fans out when every shard it runs has a processor and it runs
+// more than one window, and otherwise runs inline, allocates nothing and
+// times nothing; a race build always fans out. A one-window call — every
+// StepOwned — stays inline, and so does one shard to run: a one-shard
+// engine, a distributed peer owning one of several, the coordinator
+// owning none.
 func TestFanOutWhenEachShardHasAProcessor(t *testing.T) {
 	const windows = 3 * epochWindows
 	for _, procs := range []int{1, 2, 4} {
@@ -21,7 +23,7 @@ func TestFanOutWhenEachShardHasAProcessor(t *testing.T) {
 				r.eng.procs = procs // whatever -cpu says
 				r.eng.spin = 0      // no wait polls, so none reports the host of the test as starving it
 				st := r.run(windows, step).stats
-				fans := shards <= procs || raceEnabled
+				fans := shards <= procs && !step || raceEnabled
 				want := uint64(0)
 				if fans {
 					want = windows
@@ -29,11 +31,19 @@ func TestFanOutWhenEachShardHasAProcessor(t *testing.T) {
 				if st.Windows != windows || st.Fanned != want {
 					t.Errorf("%s: %d of %d windows fanned, want %d", name, st.Fanned, st.Windows, want)
 				}
-				if !fans && !raceEnabled { // allocation counts mean nothing under the detector
+				if fans {
+					continue
+				}
+				for i, d := range st.Busy {
+					if d != 0 || st.BusyEvents[i] != 0 {
+						t.Errorf("%s: shard %d timed %v over %d events inline", name, i, d, st.BusyEvents[i])
+					}
+				}
+				if !raceEnabled { // allocation counts mean nothing under the detector
 					// The ring's hooks allocate; an idle engine does not.
 					eng := New(Config{Shards: shards, Lookahead: sim.Microsecond})
 					eng.procs = procs
-					call := func() { eng.Run(eng.Now() + sim.Microsecond) }
+					call := func() { eng.Run(eng.Now() + 2*sim.Microsecond) }
 					if step {
 						owned := allOwned(shards)
 						call = func() { eng.StepOwned(owned, nil) }
@@ -74,8 +84,8 @@ func TestFanOutWhenEachShardHasAProcessor(t *testing.T) {
 // windows in — for starvedHold epochs, twice as long each time it starves
 // again, up to maxHold. A fanned epoch that does not park ends the
 // doubling; one that parks in a quarter of its windows neither starves
-// nor ends it. The back-off lives in the Engine: per-window StepOwned
-// calls keep it as one long Run does.
+// nor ends it. The back-off lives in the Engine: short Run calls keep it
+// as one long one does.
 func TestGovernorLeavesFanOutWhenStarved(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race builds fan out every window")
@@ -90,11 +100,13 @@ func TestGovernorLeavesFanOutWhenStarved(t *testing.T) {
 		}
 		seen = eng.fanned
 	})
-	run := func(windows int, step bool) uint64 {
+	run := func(windows int, short bool) uint64 {
 		fanned := eng.fanned
-		if step {
-			for w := 0; w < windows; w++ {
-				eng.StepOwned([]bool{true, true}, nil)
+		if short { // two windows a call, the fewest that fan out; an odd count starts with three
+			for left := windows; left > 0; {
+				n := 2 + left%2
+				eng.Run(eng.Now() + sim.Time(n)*sim.Microsecond)
+				left -= n
 			}
 		} else {
 			eng.Run(eng.Now() + sim.Time(windows)*sim.Microsecond)

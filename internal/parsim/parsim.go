@@ -97,22 +97,24 @@
 // Fan-out still buys parallelism at a price — every window ends when its
 // slowest shard does — and it can pay only while each shard has a
 // processor of its own. So the rule is a count, read once per Run,
-// RunUntilQuiet or StepOwned call: a call with more than one shard to run
-// fans out when there are at least as many processors (GOMAXPROCS or the
-// usable CPUs, whichever is fewer) as shards, and otherwise runs inline
-// and allocates no worker pool. The benchmark's two-shard K=8 run takes a
-// median 0.150 s this way on the 2-vCPU reference VM, and 0.197 s under
-// the opposite rule, inline unless a processor is left over. A host can
-// still withhold a processor the count promised (another tenant; taskset
-// with GOMAXPROCS left alone), and then hand-offs park instead of
-// polling. That is the one signal the executor reads, and it is a count
-// too (backOff): when more than a quarter of an epoch's 32 fanned windows
-// park, the engine runs inline for 32 epochs, twice as long each time
-// fan-out starves again, up to 256, until a fanned epoch parks nowhere.
-// One shard to execute (a one-shard engine, a distributed peer owning one,
-// the coordinator owning none) is a direct call, with no worker. There is
-// no knob: Config carries nothing about execution, and the one clock the
-// engine reads times fanned windows (Stats.Busy).
+// RunUntilQuiet or StepOwned call: a call with more than one shard to run,
+// for more than one window, fans out when there are at least as many
+// processors (GOMAXPROCS or the usable CPUs, whichever is fewer) as
+// shards; otherwise it runs inline and allocates no worker pool. The
+// benchmark's two-shard K=8 run takes a median 0.150 s this way on the
+// 2-vCPU reference VM, and 0.197 s under the opposite rule, inline unless
+// a processor is left over. A host can still withhold a processor the
+// count promised (another tenant; taskset with GOMAXPROCS left alone), and
+// then hand-offs park instead of polling. That is the one signal the
+// executor reads, and it is a count too (backOff): when more than a
+// quarter of an epoch's 32 fanned windows park, the engine runs inline for
+// 32 epochs, twice as long each time fan-out starves again, up to 256,
+// until a fanned epoch parks nowhere. One shard to execute (a one-shard
+// engine, a distributed peer owning one, the coordinator owning none) is a
+// direct call, with no worker, and so is one window (every StepOwned, so
+// also a peer owning several shards). There is no knob: Config carries
+// nothing about execution, and the one clock the engine reads times fanned
+// windows (Stats.Busy).
 //
 // The choice cannot change results. Within a window a shard reads and
 // writes only its own state, the outboxes it fills and the ones it drains;
@@ -127,10 +129,9 @@
 // Workers are scoped to one call: spawned at its first fanned window,
 // parked through the back-off's inline epochs, stopped when it returns.
 // Workers that outlived the call would need an explicit Close on the
-// Engine, and an abandoned Engine would leak them; the price is that a
-// per-window StepOwned call that fans out starts its workers on the
-// caller's own processor and runs the window's shards one after the other
-// all the same.
+// Engine, and an abandoned Engine would leak them; the price is that one
+// window runs inline, and one forced to fan out (tests, race builds)
+// starts its workers on the caller's processor and runs its shards in turn.
 package parsim
 
 import (
@@ -661,15 +662,14 @@ func (e *Engine) DeliverMail(dst int, m Mail) {
 
 // StepOwned advances exactly one window — the distributed counterpart of
 // one iteration of Run's loop. It runs the controls due at the window
-// start, executes the window on every shard with owned[i] == true
-// (inline or fanned out, as in Run), advances unowned shards' clocks
-// without executing them, hands the mail leaving the owned set to emit in
-// (source shard, send order) — mail inside it waits for its receiver's
-// next window and counts as pending until then — and runs the barrier
-// hooks. The caller must deliver the mail it receives from other peers
-// (DeliverMail) before the next StepOwned, and must not drop a shard from
-// the owned set while OwnedPending counts mail for it. Returns the new
-// synchronized time.
+// start, executes the window on every shard with owned[i] == true (inline,
+// as the rule runs one window), advances unowned shards' clocks without
+// executing them, hands the mail leaving the owned set to emit in (source
+// shard, send order) — mail inside it waits for its receiver's next window
+// and counts as pending until then — and runs the barrier hooks. The
+// caller must deliver the mail it receives from other peers (DeliverMail)
+// before the next StepOwned, and must not drop a shard from the owned set
+// while OwnedPending counts mail for it. Returns the new synchronized time.
 //
 // With every shard owned and emit nil this is bit-identical to one window
 // of Run — the property the distributed determinism tests assert.
@@ -708,7 +708,7 @@ func (e *Engine) loop(run []*Shard, owned []bool, emit func(src, dst int, m Mail
 	var pool *workers
 	if len(run) > 1 && e.force != forceInline {
 		procs := e.processors()
-		if e.force != forceNone || raceEnabled || len(run) <= procs {
+		if e.force != forceNone || raceEnabled || len(run) <= procs && until-e.now > e.look {
 			pool = &workers{eng: e}
 			defer pool.close()
 			if len(run) <= procs {
