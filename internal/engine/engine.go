@@ -156,13 +156,11 @@ type Scenario struct {
 	// Desc is a one-line description shown by -list and as the text
 	// header.
 	Desc string
-	// Params declares every parameter a request may set, once each.
+	// Params declares every parameter a request may set, once each. A
+	// list declared with Each is swept: the runner executes one
+	// independent parallel instance per element of the cross product of
+	// the swept lists, the first-declared list outermost.
 	Params []Param
-	// Variants optionally expands one requested instance into several
-	// (one per protocol, per sweep point, …), each written as the
-	// request's strings with the swept keys set. The runner executes each
-	// variant as an independent parallel instance. nil = run as-is.
-	Variants func(v Values) []Params
 	// Check optionally refuses parameter values no run could accept,
 	// where refusing is cheap and running is not (a shard count that
 	// allocates the machine away): Resolve calls it, so the command line
@@ -173,7 +171,8 @@ type Scenario struct {
 	// Run executes one instance.
 	Run func(c Context) (Result, error)
 
-	defaults Params // every declared key at its default
+	defaults Params  // every declared key at its default
+	sweeps   []Param // the lists declared with Each, in declaration order
 }
 
 // ParamDocs returns the scenario's parameter table, sorted by key.

@@ -7,7 +7,7 @@ import (
 	"io"
 	"reflect"
 	"runtime"
-	"strconv"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -28,15 +28,9 @@ var (
 
 func init() {
 	Register(Scenario{
-		Name: "test/parallel",
-		Desc: "records concurrency",
-		Variants: func(v Values) []Params {
-			out := make([]Params, 8)
-			for i := range out {
-				out[i] = v.Params().With("i", fmt.Sprint(i))
-			}
-			return out
-		},
+		Name:   "test/parallel",
+		Desc:   "records concurrency",
+		Params: []Param{Ints("i", "0,1,2,3,4,5,6,7", "").Each("i")},
 		Run: func(c Context) (Result, error) {
 			n := parCur.Add(1)
 			for {
@@ -73,26 +67,16 @@ func init() {
 			return r, nil
 		},
 	})
-	// The sweeps write a point key no request may set, and read it back as
-	// the string they wrote.
-	points := func(v Values) []Params {
-		out := make([]Params, v.Int("points"))
-		for i := range out {
-			out[i] = v.Params().With("point", fmt.Sprint(i))
-		}
-		return out
-	}
-	point := func(c Context) int {
-		i, _ := strconv.Atoi(c.Params.Params()["point"])
-		return i
-	}
+	// The sweeps hold each of their points under a key no request may set.
 	Register(Scenario{
-		Name:     "test/sweep",
-		Desc:     "expands into one instance per point",
-		Params:   []Param{Int("points", "3", "")},
-		Variants: points,
+		Name:   "test/sweep",
+		Desc:   "expands into one instance per point, panics at panic_at",
+		Params: []Param{Ints("points", "0,1,2", "").Each("point"), Int("panic_at", "-1", "")},
 		Run: func(c Context) (Result, error) {
-			i := point(c)
+			i := c.Params.Int("point")
+			if i == c.Params.Int("panic_at") {
+				panic("deliberate panic")
+			}
 			var r Result
 			r.Add("point", float64(i), "")
 			r.Text = Textf("point %d\n", i)
@@ -100,12 +84,11 @@ func init() {
 		},
 	})
 	Register(Scenario{
-		Name:     "test/render",
-		Desc:     "counts its renderer's calls, panics in one outside a text run",
-		Params:   []Param{Int("points", "8", ""), Int("fail", "-1", "")},
-		Variants: points,
+		Name:   "test/render",
+		Desc:   "counts its renderer's calls, panics in one outside a text run",
+		Params: []Param{Ints("points", "0,1,2,3,4,5,6,7", "").Each("point"), Int("fail", "-1", "")},
 		Run: func(c Context) (Result, error) {
-			i := point(c)
+			i := c.Params.Int("point")
 			var r Result
 			r.Add("point", float64(i), "")
 			r.Text = func(w io.Writer) error {
@@ -116,7 +99,7 @@ func init() {
 				if i == c.Params.Int("fail") {
 					return errRender
 				}
-				_, err := fmt.Fprintf(w, "point %d of %d\n", i, c.Params.Int("points"))
+				_, err := fmt.Fprintf(w, "point %d of %d\n", i, len(c.Params.Ints("points")))
 				return err
 			}
 			return r, nil
@@ -131,14 +114,13 @@ func init() {
 			Enums("es", "x", "all", "", "x", "y").Each("es"), Ints("is", "1", "").Min(1),
 			Floats("fs", "0.5,1", "").Above(0).Each("f1"), Topos("ts", "", ""),
 		},
-		Variants: func(v Values) []Params {
-			var out []Params
-			for _, e := range v.List("es") {
-				for _, f := range v.Floats("fs") {
-					out = append(out, v.Params().Merge(Params{"es": e, "f1": fmt.Sprint(f)}))
-				}
-			}
-			return out
+		Run: func(Context) (Result, error) { return Result{}, nil },
+	})
+	Register(Scenario{
+		Name: "test/nest",
+		Desc: "sweeps three lists declared out of key order",
+		Params: []Param{
+			Ints("z", "1", "").Each("z"), Enums("a", "p", "all", "", "p", "q").Each("a"), Floats("m", "1", "").Each("m1"),
 		},
 		Run: func(Context) (Result, error) { return Result{}, nil },
 	})
@@ -159,9 +141,13 @@ func init() {
 }
 
 // Every kind parses once into typed storage its accessor reads without a
-// default; an instance of a list the Variants sweep reads one element.
+// default; an instance of a swept list reads one element.
 func TestParamsAccessors(t *testing.T) {
-	v, err := resolve("test/kinds", Params{"is": "3, 4", "ts": "clos,sshuffle:n=32,s=2,seed=1,star", "es": "all"}, Options{})
+	sc, err := Lookup("test/kinds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := sc.parse(sc.defaults.Merge(Params{"is": "3, 4", "ts": "clos,sshuffle:n=32,s=2,seed=1,star", "es": "all"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,9 +162,9 @@ func TestParamsAccessors(t *testing.T) {
 			t.Errorf("got %#v, want %#v", tc.got, tc.want)
 		}
 	}
-	insts, err := v.instances()
-	if err != nil || len(insts) != 4 {
-		t.Fatalf("instances: %d, %v", len(insts), err)
+	insts := v.instances()
+	if len(insts) != 4 {
+		t.Fatalf("%d instances, want 4", len(insts))
 	}
 	if got := insts[3]; got.Str("es") != "y" || got.Float("f1") != 1 || got.Floats("fs")[1] != 1 {
 		t.Fatalf("last instance reads es=%q f1=%v", got.Str("es"), got.Float("f1"))
@@ -245,7 +231,7 @@ func runBytes(t *testing.T, opts Options, jobs []Job) []byte {
 // byte-identical output stream, at any worker count and in any format.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	jobs := []Job{
-		{Scenario: "test/sweep", Params: Params{"points": "8"}},
+		{Scenario: "test/sweep", Params: Params{"points": "0,1,2,3,4,5,6,7"}},
 		{Scenario: "test/echo", Params: Params{"x": "5"}},
 	}
 	for _, format := range []string{"text", "json", "csv"} {
@@ -262,7 +248,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestRunVariantExpansion(t *testing.T) {
-	results, err := Run(Options{Workers: 4}, []Job{{Scenario: "test/sweep", Params: Params{"points": "5"}}})
+	results, err := Run(Options{Workers: 4}, []Job{{Scenario: "test/sweep", Params: Params{"points": "0,1,2,3,4"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,6 +258,46 @@ func TestRunVariantExpansion(t *testing.T) {
 	for i, r := range results {
 		if got := r.Params["point"]; got != fmt.Sprint(i) {
 			t.Fatalf("instance %d has point %s (order not preserved)", i, got)
+		}
+	}
+}
+
+// A sweep is the cross product of its Each lists, the first-declared list
+// outermost whatever the keys' order. A list swept under a key of its own
+// keeps the request's string beside the element, which is written as a
+// request would write it; and no instance carries a key its scenario does
+// not declare.
+func TestSweepNestsInDeclarationOrder(t *testing.T) {
+	results, err := Run(Options{Workers: 3}, []Job{{Scenario: "test/nest", Params: Params{"z": "2,1", "a": "all", "m": "0.50,2"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range results {
+		got = append(got, r.Params.String())
+	}
+	var want []string
+	for _, z := range []string{"2", "1"} {
+		for _, a := range []string{"p", "q"} {
+			for _, m1 := range []string{"0.5", "2"} {
+				want = append(want, "a="+a+" m=0.50,2 m1="+m1+" z="+z)
+			}
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("instances:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	for _, sc := range List() {
+		insts, err := resolve(sc.Name, nil, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		for _, iv := range insts {
+			for k := range iv.raw {
+				if _, ok := sc.defaults[k]; !ok && !slices.ContainsFunc(sc.sweeps, func(p Param) bool { return p.each == k }) {
+					t.Errorf("%s: instance %s holds %q, which it does not declare", sc.Name, iv.raw, k)
+				}
+			}
 		}
 	}
 }
@@ -352,7 +378,7 @@ func TestRenderOnlyForText(t *testing.T) {
 	textRun.Store(true)
 	var buf bytes.Buffer
 	results, err := Run(Options{Workers: 8, Format: "text", Out: &buf}, []Job{{Scenario: "test/render", Params: Params{"fail": "5"}}})
-	if want := "engine: test/render (fail=5 point=5 points=8): deliberate render failure"; err == nil || err.Error() != want || !errors.Is(err, errRender) {
+	if want := "engine: test/render (fail=5 point=5 points=0,1,2,3,4,5,6,7): deliberate render failure"; err == nil || err.Error() != want || !errors.Is(err, errRender) {
 		t.Fatalf("render error: err = %v, want %q", err, want)
 	}
 	for i, r := range results {
@@ -360,7 +386,7 @@ func TestRenderOnlyForText(t *testing.T) {
 			t.Fatalf("instance %d: err %v", i, r.Err)
 		}
 	}
-	if want := "point 4 of 8\nERROR [fail=5 point=5 points=8]: deliberate render failure\npoint 6 of 8\n"; !strings.Contains(buf.String(), want) {
+	if want := "point 4 of 8\nERROR [fail=5 point=5 points=0,1,2,3,4,5,6,7]: deliberate render failure\npoint 6 of 8\n"; !strings.Contains(buf.String(), want) {
 		t.Fatalf("text output misses the ERROR line in instance order:\n%s", buf.String())
 	}
 }
@@ -372,8 +398,8 @@ func TestRunUnknownScenario(t *testing.T) {
 }
 
 // The typed accessors fall back silently, so before Resolve a misspelt
-// key ran the defaults; it must fail the request, name the accepted keys,
-// and leave the keys a Variants hook adds ("point") alone.
+// key ran the defaults; it must fail the request and name the accepted
+// keys.
 func TestRunRejectsUndeclaredParam(t *testing.T) {
 	var buf bytes.Buffer
 	_, err := Run(Options{Out: &buf}, []Job{{Scenario: "test/echo", Params: Params{"xx": "5", "zz": "1"}}})
@@ -386,18 +412,17 @@ func TestRunRejectsUndeclaredParam(t *testing.T) {
 	if _, err := Run(Options{}, []Job{{Scenario: "test/fail", Params: Params{"x": "1"}}}); err == nil || !strings.Contains(err.Error(), "takes none") {
 		t.Fatalf("parameter for a scenario without any: err = %v", err)
 	}
-	if _, err := Run(Options{}, []Job{{Scenario: "test/sweep", Params: Params{"points": "2"}}}); err != nil {
-		t.Fatalf("variant-added keys must not be checked: %v", err)
-	}
-	// A declared key with a value the Variants hook panics on (make with a
-	// negative length) is an error like the others, not a crash, and does
-	// not hide the undeclared key of the job before it.
-	hostile := Job{Scenario: "test/sweep", Params: Params{"points": "-1"}}
-	if _, err := Run(Options{Out: &buf}, []Job{{Scenario: "test/echo"}, hostile}); err == nil || !strings.Contains(err.Error(), "test/sweep (points=-1): scenario panicked") || buf.Len() != 0 {
-		t.Fatalf("panicking Variants: err = %v, emitted %q", err, buf.String())
+	// A declared key with a value Run panics on is an error like the
+	// others, not a crash, and does not hide the undeclared key of the job
+	// before it.
+	hostile := Job{Scenario: "test/sweep", Params: Params{"panic_at": "1"}}
+	if _, err := Run(Options{Out: &buf}, []Job{{Scenario: "test/echo"}, hostile}); err == nil ||
+		!strings.Contains(err.Error(), "test/sweep (panic_at=1 point=1 points=0,1,2): scenario panicked") ||
+		!strings.Contains(buf.String(), "ERROR [panic_at=1 point=1 points=0,1,2]") {
+		t.Fatalf("panicking Run: err = %v, emitted %q", err, buf.String())
 	}
 	if _, err := Run(Options{}, []Job{{Scenario: "test/echo", Params: Params{"xx": "5"}}, hostile}); err == nil || !strings.Contains(err.Error(), `no parameter "xx"`) {
-		t.Fatalf("undeclared parameter before a panicking Variants: err = %v", err)
+		t.Fatalf("undeclared parameter before a panicking Run: err = %v", err)
 	}
 }
 

@@ -3,6 +3,8 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -94,9 +96,10 @@ func (p Param) Even() Param {
 	return p
 }
 
-// Each says the scenario's Variants sweep the list: one instance holds
-// one element of it under key — the list's own key, or one no request may
-// set — which Run reads with the element's kind.
+// Each sweeps the list: one instance runs per element, holding it under
+// key — the list's own key, or one no request may set, beside the list's
+// request string — which Run reads with the element's kind. An empty list
+// runs one instance with an empty element.
 func (p Param) Each(key string) Param {
 	p.each = key
 	return p
@@ -249,57 +252,44 @@ func (v Values) Ints(key string) []int       { return v.get(key).([]int) }
 func (v Values) Floats(key string) []float64 { return v.get(key).([]float64) }
 func (v Values) List(key string) []string    { return v.get(key).([]string) }
 
-// Params returns the strings v was parsed from: what a result emits, and
-// what a Variants hook writes an instance from.
-func (v Values) Params() Params { return v.raw }
-
-// parse reads p, the request merged over the defaults or, when instance,
-// one instance a Variants hook wrote, into the scenario's kinds.
-func (sc *Scenario) parse(p Params, instance bool) (Values, error) {
+// parse reads p, the request merged over the defaults, into the
+// scenario's kinds.
+func (sc *Scenario) parse(p Params) (Values, error) {
 	v := Values{sc: sc, raw: p, typed: make(map[string]any, len(sc.Params))}
 	for i := range sc.Params {
 		d := &sc.Params[i]
-		err := v.set(d, d.Key, instance && d.each == d.Key)
-		if err == nil && instance && d.each != "" && d.each != d.Key {
-			err = v.set(d, d.each, true)
-		}
+		x, err := d.parse(p[d.Key], false)
 		if err != nil {
-			return Values{}, err
+			return Values{}, fmt.Errorf("engine: scenario %q: parameter %s=%s: %w", sc.Name, d.Key, p[d.Key], err)
 		}
+		v.typed[d.Key] = x
 	}
 	return v, nil
 }
 
-func (v Values) set(d *Param, key string, elem bool) error {
-	x, err := d.parse(v.raw[key], elem)
-	if err != nil {
-		return fmt.Errorf("engine: scenario %q: parameter %s=%s: %w", v.sc.Name, key, v.raw[key], err)
-	}
-	v.typed[key] = x
-	return nil
-}
-
-// instances expands v through the scenario's Variants hook, under the
-// recover the runner gives Run, and parses each instance — v itself when
-// there is no hook or it returns none. Run sees exactly these.
-func (v Values) instances() (insts []Values, err error) {
-	if v.sc.Variants == nil {
-		return []Values{v}, nil
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("engine: %s (%s): scenario panicked expanding variants: %v", v.sc.Name, v.raw, r)
+// instances expands v into one instance per element of the cross product
+// of the scenario's Each lists, the first-declared list outermost; v
+// itself when the scenario sweeps no list. An instance is v with each
+// list's element under its Each key, written as fmt.Sprint writes it (an
+// int as strconv.Itoa, a float as %g); an empty list is one empty
+// element. Run sees exactly these.
+func (v Values) instances() []Values {
+	insts := []Values{v}
+	for _, d := range v.sc.sweeps {
+		list := reflect.ValueOf(v.get(d.Key))
+		var next []Values
+		for _, in := range insts {
+			for i := range max(list.Len(), 1) {
+				var x any = ""
+				if list.Len() > 0 {
+					x = list.Index(i).Interface()
+				}
+				w := Values{sc: v.sc, raw: in.raw.With(d.each, fmt.Sprint(x)), typed: maps.Clone(in.typed)}
+				w.typed[d.each] = x
+				next = append(next, w)
+			}
 		}
-	}()
-	ps := v.sc.Variants(v)
-	if len(ps) == 0 {
-		return []Values{v}, nil
+		insts = next
 	}
-	insts = make([]Values, len(ps))
-	for i, p := range ps {
-		if insts[i], err = v.sc.parse(p, true); err != nil {
-			return nil, err
-		}
-	}
-	return insts, nil
+	return insts
 }

@@ -25,6 +25,11 @@ func Register(s Scenario) {
 		panic("engine: scenario needs a name and a Run function")
 	}
 	sc := s
+	for _, p := range s.Params {
+		if p.each != "" {
+			sc.sweeps = append(sc.sweeps, p)
+		}
+	}
 	sc.Params = slices.Clone(s.Params)
 	slices.SortFunc(sc.Params, func(a, b Param) int { return strings.Compare(a.Key, b.Key) })
 	sc.defaults = make(Params, len(sc.Params))
@@ -34,7 +39,7 @@ func Register(s Scenario) {
 	if len(sc.defaults) < len(sc.Params) {
 		panic("engine: " + s.Name + " declares a parameter twice")
 	}
-	if _, err := sc.parse(sc.defaults, false); err != nil {
+	if _, err := sc.parse(sc.defaults); err != nil {
 		panic(err)
 	}
 	regMu.Lock()
@@ -64,15 +69,19 @@ func Lookup(name string) (*Scenario, error) {
 // refuses under the engine's default options, is an error naming the key
 // before anything is queued, keyed, forwarded or built.
 func Resolve(name string, req Params) (*Scenario, error) {
-	v, err := resolve(name, req, Options{})
-	return v.sc, err
+	insts, err := resolve(name, req, Options{})
+	if err != nil {
+		return nil, err
+	}
+	return insts[0].sc, nil
 }
 
-// resolve is Resolve for a run under opts: Check sees the Context Run would.
-func resolve(name string, req Params, opts Options) (Values, error) {
+// resolve is Resolve for a run under opts, returning the instances the
+// request expands into: Check sees each as Run would.
+func resolve(name string, req Params, opts Options) ([]Values, error) {
 	sc, err := Lookup(name)
 	if err != nil {
-		return Values{}, err
+		return nil, err
 	}
 	var unknown []string
 	for k := range req {
@@ -82,22 +91,22 @@ func resolve(name string, req Params, opts Options) (Values, error) {
 	}
 	if len(unknown) > 0 {
 		sort.Strings(unknown) // map order must not pick the message
-		return Values{}, sc.noParam(unknown[0])
+		return nil, sc.noParam(unknown[0])
 	}
-	v, err := sc.parse(sc.defaults.Merge(req), false)
-	if err != nil || sc.Check == nil {
-		return v, err
-	}
-	insts, err := v.instances()
+	v, err := sc.parse(sc.defaults.Merge(req))
 	if err != nil {
-		return Values{}, err
+		return nil, err
+	}
+	insts := v.instances()
+	if sc.Check == nil {
+		return insts, nil
 	}
 	for _, iv := range insts {
 		if err := sc.Check(opts.context(iv, 0)); err != nil {
-			return Values{}, fmt.Errorf("engine: scenario %q: %w", sc.Name, err)
+			return nil, fmt.Errorf("engine: scenario %q: %w", sc.Name, err)
 		}
 	}
-	return v, nil
+	return insts, nil
 }
 
 // noParam is the error for a key the scenario does not declare; it names

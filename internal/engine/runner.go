@@ -10,9 +10,9 @@ import (
 )
 
 // Job requests one scenario run. Params are merged over the scenario's
-// defaults and parsed into its declared kinds; the scenario's Variants
-// hook may then expand the job into several instances (e.g. one per
-// protocol).
+// defaults and parsed into its declared kinds; a scenario that sweeps
+// lists (Param.Each) then expands the job into one instance per element
+// of their cross product (e.g. one per protocol and fan-in).
 type Job struct {
 	Scenario string
 	Params   Params
@@ -68,20 +68,19 @@ type RunResult struct {
 	Elapsed time.Duration
 }
 
-// instance is one unit of parallel work after variant expansion.
+// instance is one unit of parallel work after sweep expansion.
 type instance struct {
 	vals Values
 	seed int64
 }
 
 // expand resolves jobs against the registry — an unknown scenario, an
-// undeclared parameter, a value that does not parse or a Variants hook
-// that panics fails the whole request — and applies variant expansion,
-// preserving request order.
+// undeclared parameter or a value that does not parse fails the whole
+// request — and expands each job's sweep, preserving request order.
 func expand(opts Options, jobs []Job) ([]instance, error) {
 	var insts []instance
 	for _, j := range jobs {
-		v, err := resolve(j.Scenario, j.Params, opts)
+		ivs, err := resolve(j.Scenario, j.Params, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -92,11 +91,7 @@ func expand(opts Options, jobs []Job) ([]instance, error) {
 		if seed == 0 {
 			seed = 1
 		}
-		variants, err := v.instances()
-		if err != nil {
-			return nil, err
-		}
-		for _, iv := range variants {
+		for _, iv := range ivs {
 			insts = append(insts, instance{vals: iv, seed: seed})
 		}
 	}

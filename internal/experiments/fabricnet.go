@@ -24,14 +24,13 @@ func newMatrixRNG(seed int64) *rand.Rand {
 // spraying vs ECMP, goodput through link failures, and the hotspot /
 // all-to-all traffic matrices.
 
-// LinkLoadResult summarizes how evenly one run spread bytes over the
-// measured uplink set. The §5.3 claim is per device — every FA (or edge
-// switch) spreads its own offered load evenly over its own uplinks — so
+// Spread summarizes how evenly one run spread bytes over the measured
+// uplink set. The §5.3 claim is per device — every FA (or edge switch)
+// spreads its own offered load evenly over its own uplinks — so
 // DevSpreadPct is the headline number: the worst (max-min)/mean across
 // the per-device uplink groups. The global numbers additionally fold in
 // per-device demand differences (hairpin flows never touch an uplink).
-type LinkLoadResult struct {
-	Mode         string // "spray" (Stardust cells) or "ecmp" (per-flow hashing)
+type Spread struct {
 	Links        int
 	MinBytes     float64
 	MaxBytes     float64
@@ -39,7 +38,59 @@ type LinkLoadResult struct {
 	CoVPct       float64 // global coefficient of variation, percent
 	SpreadPct    float64 // global (max-min)/mean, percent
 	DevSpreadPct float64 // worst per-device uplink spread, percent
-	MeanUtilPct  float64 // edge utilization sanity check
+}
+
+// uplinkSpread measures the bytes each uplink carried between the base
+// and end readings, laid out device by device with groups[d] uplinks for
+// device d. A device with fewer than two uplinks has no spread of its own.
+func uplinkSpread(base, end []uint64, groups []int) Spread {
+	res := Spread{Links: len(end)}
+	var sum, sumSq float64
+	res.MinBytes = math.Inf(1)
+	for i := range end {
+		b := float64(end[i] - base[i])
+		sum += b
+		sumSq += b * b
+		res.MinBytes = math.Min(res.MinBytes, b)
+		res.MaxBytes = math.Max(res.MaxBytes, b)
+	}
+	nl := float64(len(end))
+	res.MeanBytes = sum / nl
+	if res.MeanBytes > 0 {
+		variance := sumSq/nl - res.MeanBytes*res.MeanBytes
+		res.CoVPct = 100 * math.Sqrt(math.Max(variance, 0)) / res.MeanBytes
+		res.SpreadPct = 100 * (res.MaxBytes - res.MinBytes) / res.MeanBytes
+	}
+	off := 0
+	for _, n := range groups {
+		if n < 2 {
+			off += n
+			continue
+		}
+		var dMin, dMax, dSum float64
+		dMin = math.Inf(1)
+		for p := 0; p < n; p++ {
+			b := float64(end[off+p] - base[off+p])
+			dSum += b
+			dMin = math.Min(dMin, b)
+			dMax = math.Max(dMax, b)
+		}
+		off += n
+		if dSum > 0 {
+			if sp := 100 * (dMax - dMin) / (dSum / float64(n)); sp > res.DevSpreadPct {
+				res.DevSpreadPct = sp
+			}
+		}
+	}
+	return res
+}
+
+// LinkLoadResult is one fabric/linkload run: the uplink spread, and the
+// edge utilization as a sanity check.
+type LinkLoadResult struct {
+	Mode string // "spray" (Stardust cells) or "ecmp" (per-flow hashing)
+	Spread
+	MeanUtilPct float64
 }
 
 // LinkLoad runs a permutation workload and measures per-uplink byte
@@ -83,38 +134,11 @@ func LinkLoad(cfg HtsimConfig, mode string) (*LinkLoadResult, error) {
 	tb.runUntil(cfg.Warmup + cfg.Duration)
 
 	end := linkBytes()
-	res := &LinkLoadResult{Mode: mode, Links: len(end)}
-	var sum, sumSq float64
-	res.MinBytes = math.Inf(1)
-	for i := range end {
-		b := float64(end[i] - base[i])
-		sum += b
-		sumSq += b * b
-		res.MinBytes = math.Min(res.MinBytes, b)
-		res.MaxBytes = math.Max(res.MaxBytes, b)
+	groups := make([]int, len(end)/perDev)
+	for i := range groups {
+		groups[i] = perDev
 	}
-	nl := float64(len(end))
-	res.MeanBytes = sum / nl
-	if res.MeanBytes > 0 {
-		variance := sumSq/nl - res.MeanBytes*res.MeanBytes
-		res.CoVPct = 100 * math.Sqrt(math.Max(variance, 0)) / res.MeanBytes
-		res.SpreadPct = 100 * (res.MaxBytes - res.MinBytes) / res.MeanBytes
-	}
-	for dev := 0; dev+perDev <= len(end); dev += perDev {
-		var dMin, dMax, dSum float64
-		dMin = math.Inf(1)
-		for p := 0; p < perDev; p++ {
-			b := float64(end[dev+p] - base[dev+p])
-			dSum += b
-			dMin = math.Min(dMin, b)
-			dMax = math.Max(dMax, b)
-		}
-		if dSum > 0 {
-			if s := 100 * (dMax - dMin) / (dSum / float64(perDev)); s > res.DevSpreadPct {
-				res.DevSpreadPct = s
-			}
-		}
-	}
+	res := &LinkLoadResult{Mode: mode, Spread: uplinkSpread(base, end, groups)}
 	var good float64
 	for i, r := range runners {
 		good += float64(r.deliveredAt()-goodputBase[i]) * 8 / cfg.Duration.Seconds()

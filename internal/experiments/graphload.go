@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"stardust/internal/fabric"
 	"stardust/internal/netsim"
@@ -14,22 +13,17 @@ import (
 
 // GraphLoadResult summarizes per-uplink byte spread of one raw-cell run
 // on a pluggable topology — the §5.3 spray-vs-ECMP comparison carried to
-// non-Clos graphs (Space Shuffle, star-replaced). Same shape as
-// LinkLoadResult, plus the cell-fate counters, because on irregular
-// graphs ECMP can also lose throughput outright, not just balance.
+// non-Clos graphs (Space Shuffle, star-replaced). The Spread counts
+// uplink directions; the cell-fate counters are there because on
+// irregular graphs ECMP can also lose throughput outright, not just
+// balance.
 type GraphLoadResult struct {
-	Topo         string
-	Mode         string // "spray" or "ecmp"
-	Links        int    // measured uplink directions
-	MeanBytes    float64
-	MinBytes     float64
-	MaxBytes     float64
-	CoVPct       float64 // global coefficient of variation, percent
-	SpreadPct    float64 // global (max-min)/mean, percent
-	DevSpreadPct float64 // worst per-device uplink spread, percent
-	Injected     uint64
-	Delivered    uint64
-	Drops        uint64
+	Topo string
+	Mode string // "spray" or "ecmp"
+	Spread
+	Injected  uint64
+	Delivered uint64
+	Drops     uint64
 }
 
 // GraphLinkLoad runs a permutation of raw-cell flows between the edge
@@ -82,51 +76,15 @@ func GraphLinkLoad(topoName string, k int, mode string, load float64, warmup, du
 	s.RunUntil(warmup + dur)
 	end := fab.FAUplinkBytes()
 
-	res := &GraphLoadResult{
-		Topo: g.Spec(), Mode: mode, Links: len(end),
+	// Group sizes vary on irregular graphs.
+	groups := make([]int, numFA)
+	for fa := range groups {
+		groups[fa] = len(uplinks[fa])
+	}
+	return &GraphLoadResult{
+		Topo: g.Spec(), Mode: mode, Spread: uplinkSpread(base, end, groups),
 		Injected: fab.Injected(), Delivered: fab.Delivered(), Drops: fab.Drops(),
-	}
-	var sum, sumSq float64
-	res.MinBytes = math.Inf(1)
-	for i := range end {
-		b := float64(end[i] - base[i])
-		sum += b
-		sumSq += b * b
-		res.MinBytes = math.Min(res.MinBytes, b)
-		res.MaxBytes = math.Max(res.MaxBytes, b)
-	}
-	nl := float64(len(end))
-	res.MeanBytes = sum / nl
-	if res.MeanBytes > 0 {
-		variance := sumSq/nl - res.MeanBytes*res.MeanBytes
-		res.CoVPct = 100 * math.Sqrt(math.Max(variance, 0)) / res.MeanBytes
-		res.SpreadPct = 100 * (res.MaxBytes - res.MinBytes) / res.MeanBytes
-	}
-	// Per-device spread over each edge device's own uplink group; group
-	// sizes vary on irregular graphs, so walk the flat array by group.
-	off := 0
-	for fa := 0; fa < numFA; fa++ {
-		n := len(uplinks[fa])
-		if n < 2 {
-			off += n
-			continue
-		}
-		var dMin, dMax, dSum float64
-		dMin = math.Inf(1)
-		for p := 0; p < n; p++ {
-			b := float64(end[off+p] - base[off+p])
-			dSum += b
-			dMin = math.Min(dMin, b)
-			dMax = math.Max(dMax, b)
-		}
-		off += n
-		if dSum > 0 {
-			if sp := 100 * (dMax - dMin) / (dSum / float64(n)); sp > res.DevSpreadPct {
-				res.DevSpreadPct = sp
-			}
-		}
-	}
-	return res, nil
+	}, nil
 }
 
 // WriteGraphLoad prints one graphload row.

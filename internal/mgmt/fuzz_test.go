@@ -56,7 +56,7 @@ const (
 func FuzzRunBodies(f *testing.F) {
 	for _, seed := range []string{
 		`{"scenario":"mgmttest/echo","params":{"x":"9"},"seed":3}`,
-		`{"scenario":"mgmttest/echo","params":{"points":"-1"}}`,
+		`{"scenario":"mgmttest/echo","params":{"x":"-1"}}`,
 		`{"scenario":"mgmttest/echo","params":{"xx":"8"}}`,
 		`{"scenario":"mgmttest/fail"}`,
 		`{"scenario":"no/such","seed":-1}`,

@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -30,20 +29,16 @@ func init() {
 		Desc: "daemon test scenario",
 		Params: []engine.Param{
 			engine.Int("x", "1", "the echoed value"),
-			engine.Int("points", "2", "sweep width"),
-		},
-		Variants: func(v engine.Values) []engine.Params {
-			// Any int arrives here (FuzzRunBodies); a negative one panics in
-			// make, which the engine has to turn into a failed job.
-			out := make([]engine.Params, min(v.Int("points"), 8))
-			for i := range out {
-				out[i] = v.Params().With("point", fmt.Sprint(i))
-			}
-			return out
+			engine.Ints("points", "0,1", "sweep points, one instance each").Each("point"),
 		},
 		Run: func(c engine.Context) (engine.Result, error) {
+			// Any int arrives here (FuzzRunBodies); a negative x panics,
+			// which the engine has to turn into a failed job.
+			if c.Params.Int("x") < 0 {
+				panic("mgmttest/echo: negative x")
+			}
 			var r engine.Result
-			point, _ := strconv.Atoi(c.Params.Params()["point"]) // written by Variants, not declared
+			point := c.Params.Int("point")
 			r.Add("x", float64(c.Params.Int("x")), "")
 			r.Add("point", float64(point), "")
 			r.Add("seed", float64(c.Seed), "")
@@ -136,7 +131,7 @@ func fetchResult(t *testing.T, ts *httptest.Server, q *RunQueue, id string) []by
 // and both submissions observe byte-identical result bytes.
 func TestConcurrentDuplicateSubmitServedFromCache(t *testing.T) {
 	ts, q, _ := newTestDaemon(t, false)
-	req := RunRequest{Scenario: "mgmttest/echo", Params: engine.Params{"x": "42", "points": "3"}, Seed: 7}
+	req := RunRequest{Scenario: "mgmttest/echo", Params: engine.Params{"x": "42", "points": "0,1,2"}, Seed: 7}
 
 	var wg sync.WaitGroup
 	jobs := make([]Job, 2)
@@ -289,10 +284,10 @@ func TestSubmitRejectsUndeclaredParam(t *testing.T) {
 
 func TestFailedJobDoesNotPoisonCache(t *testing.T) {
 	_, q, _ := newTestDaemon(t, false)
-	// A Variants hook that panics fails its job like a Run that errors, and
-	// the worker it ran on lives to take the next job.
+	// A Run that panics fails its job like a Run that errors, and the
+	// worker it ran on lives to take the next job.
 	for _, req := range []RunRequest{
-		{Scenario: "mgmttest/echo", Params: engine.Params{"points": "-1"}},
+		{Scenario: "mgmttest/echo", Params: engine.Params{"x": "-1"}},
 		{Scenario: "mgmttest/fail"},
 	} {
 		j, cached, err := q.Submit(req, "test")

@@ -1,7 +1,9 @@
 package scenarios
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"strings"
 
 	"stardust/internal/distsim"
@@ -17,11 +19,14 @@ import (
 // main() (or TestMain) must call distsim.MaybeRunPeer first; engine.Main
 // documents the same requirement.
 
-// distOne serves spec to npeers forked peers and returns the outcome.
-func distOne(spec distsim.Spec, npeers int) (distsim.Outcome, error) {
+// forkServe serves spec to npeers peer processes it forks on loopback
+// (the devnet seam: the hosting main or TestMain must call
+// distsim.MaybeRunPeer) and returns the outcome and the telemetry stream
+// the coordinator emitted, empty unless spec records one.
+func forkServe(spec distsim.Spec, npeers int) (distsim.Outcome, []byte, error) {
 	l, err := distsim.Listen("127.0.0.1:0")
 	if err != nil {
-		return distsim.Outcome{}, fmt.Errorf("distscale: loopback listen: %w", err)
+		return distsim.Outcome{}, nil, fmt.Errorf("loopback listen: %w", err)
 	}
 	addr := l.Addr().String()
 	peers := make([]*devnet.Peer, 0, npeers)
@@ -35,21 +40,39 @@ func distOne(spec distsim.Spec, npeers int) (distsim.Outcome, error) {
 		p, err := devnet.Spawn(addr)
 		if err != nil {
 			l.Close()
-			return distsim.Outcome{}, err
+			return distsim.Outcome{}, nil, err
 		}
 		peers = append(peers, p)
 	}
-	out, err := distsim.Serve(l, distsim.CoordConfig{Spec: spec, Peers: npeers})
+	var buf bytes.Buffer
+	out, err := distsim.Serve(l, distsim.CoordConfig{Spec: spec, Peers: npeers, Stream: &buf})
 	if err != nil {
-		return distsim.Outcome{}, err
+		return distsim.Outcome{}, nil, err
 	}
 	for _, p := range peers {
 		if werr := p.Wait(); werr != nil {
-			return distsim.Outcome{}, fmt.Errorf("distscale: peer exited uncleanly: %w", werr)
+			return distsim.Outcome{}, nil, fmt.Errorf("peer exited uncleanly: %w", werr)
 		}
 	}
 	peers = nil
-	return out, nil
+	return out, buf.Bytes(), nil
+}
+
+// serveDist serves cfg as the coordinator of a run started with -peers:
+// it listens on c.DistListen and waits for c.DistPeers peer processes
+// (started with -join or devnet), letting a lost one rejoin. The outcome
+// and stream are byte-identical to the in-process run's — the equivalence
+// the distributed CI job diffs.
+func serveDist(c engine.Context, cfg distsim.CoordConfig) (distsim.Outcome, error) {
+	l, err := distsim.Listen(c.DistListen)
+	if err != nil {
+		return distsim.Outcome{}, err
+	}
+	// The resolved address goes to stderr: with -listen :0 the peers need
+	// it, and stdout must stay byte-identical to the in-process run.
+	fmt.Fprintf(os.Stderr, "distsim: coordinator listening on %s for %d peer(s)\n", l.Addr(), c.DistPeers)
+	cfg.Peers, cfg.Rejoin = c.DistPeers, true
+	return distsim.Serve(l, cfg)
 }
 
 // distscaleSpec assembles the sweep's Spec from its parameters. Its shard
@@ -97,9 +120,9 @@ func init() {
 				if np < 1 || np > shards {
 					return engine.Result{}, fmt.Errorf("distscale: peer count %d must be in [1, shards=%d]", np, shards)
 				}
-				got, err := distOne(spec, np)
+				got, _, err := forkServe(spec, np)
 				if err != nil {
-					return engine.Result{}, err
+					return engine.Result{}, fmt.Errorf("distscale: %d peers: %w", np, err)
 				}
 				if got.Digest != want.Digest || got.Injected != want.Injected ||
 					got.Delivered != want.Delivered || got.Drops != want.Drops ||

@@ -19,13 +19,6 @@ func init() {
 			engine.Floats("utils", "0.66,0.8,0.92,0.95,1.2", "comma list of offered utilizations (one instance each)").Above(0).Each("util"),
 			engine.Bool("dist", "false", "also emit the full latency and queue-size distributions"),
 		},
-		Variants: func(v engine.Values) []engine.Params {
-			var out []engine.Params
-			for _, u := range v.Floats("utils") {
-				out = append(out, v.Params().With("util", fmt.Sprintf("%g", u)))
-			}
-			return out
-		},
 		Run: func(c engine.Context) (engine.Result, error) {
 			util := c.Params.Float("util")
 			scale := c.Params.Int("scale")
@@ -78,7 +71,6 @@ func init() {
 		Params: []engine.Param{
 			engine.Enums("tc", "both", "both", "traffic classes on the congested port: true, false, or both", "false", "true").Each("tc"),
 		},
-		Variants: sweep("tc"),
 		Run: func(c engine.Context) (engine.Result, error) {
 			r := experiments.PushPull(c.Params.Str("tc") == "true")
 			var res engine.Result

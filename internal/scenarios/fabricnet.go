@@ -18,7 +18,6 @@ func init() {
 		Desc: "per-uplink byte counts under a permutation: cell spraying vs per-flow ECMP (§5.3)",
 		Params: append(htsimParams("8", "10", "5"),
 			engine.Enums("mode", "both", "both", "spray (Stardust cells), ecmp (per-flow hashing), or both", "spray", "ecmp").Each("mode")),
-		Variants: sweep("mode"),
 		Run: func(c engine.Context) (engine.Result, error) {
 			r, err := experiments.LinkLoad(htsimConfig(c), c.Params.Str("mode"))
 			if err != nil {
@@ -42,9 +41,9 @@ func init() {
 		Name: "fabric/failures",
 		Desc: "kill N random fabric links mid-run: goodput dip and self-healing recovery (§5.9, App E)",
 		Params: append(htsimParams("8", "30", "10"),
-			engine.Int("fail", "4", "random fabric links to kill mid-run"),
+			engine.Int("fail", "4", "random fabric links to kill mid-run").Min(0),
 			engine.Int("fail_ms", "10", "failure instant relative to end of warmup, in ms"),
-			engine.Int("bin_ms", "1", "goodput aggregation bin, in ms")),
+			engine.Int("bin_ms", "1", "goodput aggregation bin, in ms").Min(1)),
 		Run: func(c engine.Context) (engine.Result, error) {
 			r, err := experiments.FabricFailures(htsimConfig(c),
 				c.Params.Int("fail"), msTime(c.Params.Int("fail_ms")), msTime(c.Params.Int("bin_ms")))
@@ -70,7 +69,6 @@ func init() {
 		Params: protoParams("8",
 			engine.Int("hot", "2", "number of hot destination hosts"),
 			engine.Float("frac", "0.4", "fraction of senders aimed at a hot destination")),
-		Variants: sweep("proto"),
 		Run: func(c engine.Context) (engine.Result, error) {
 			cfg, proto := protoConfig(c)
 			r, hot, err := experiments.HotspotRun(cfg, proto, c.Params.Int("hot"), c.Params.Float("frac"))
@@ -92,10 +90,9 @@ func init() {
 	})
 
 	engine.Register(engine.Scenario{
-		Name:     "htsim/alltoall",
-		Desc:     "all-to-all matrix (n*(n-1) flows): per-flow goodput distribution, per protocol",
-		Params:   protoParams("4"),
-		Variants: sweep("proto"),
+		Name:   "htsim/alltoall",
+		Desc:   "all-to-all matrix (n*(n-1) flows): per-flow goodput distribution, per protocol",
+		Params: protoParams("4"),
 		Run: func(c engine.Context) (engine.Result, error) {
 			r, err := experiments.AllToAllRun(protoConfig(c))
 			if err != nil {

@@ -1,7 +1,6 @@
 package scenarios
 
 import (
-	"fmt"
 	"io"
 	"slices"
 
@@ -49,24 +48,11 @@ func protoConfig(c engine.Context) (experiments.HtsimConfig, experiments.Protoco
 	return cfg, experiments.Protocol(c.Params.Str("proto"))
 }
 
-// sweep is the Variants hook that expands one instance per element of the
-// enum list key.
-func sweep(key string) func(engine.Values) []engine.Params {
-	return func(v engine.Values) []engine.Params {
-		var out []engine.Params
-		for _, e := range v.List(key) {
-			out = append(out, v.Params().With(key, e))
-		}
-		return out
-	}
-}
-
 func init() {
 	engine.Register(engine.Scenario{
-		Name:     "htsim/permutation",
-		Desc:     "Fig 10(a) permutation throughput on a K-ary fat-tree, per protocol",
-		Params:   protoParams("8"),
-		Variants: sweep("proto"),
+		Name:   "htsim/permutation",
+		Desc:   "Fig 10(a) permutation throughput on a K-ary fat-tree, per protocol",
+		Params: protoParams("8"),
 		Run: func(c engine.Context) (engine.Result, error) {
 			r, err := experiments.Permutation(protoConfig(c))
 			if err != nil {
@@ -90,7 +76,6 @@ func init() {
 		Desc: "Fig 10(b) Web-workload flow completion times under background load, per protocol",
 		Params: protoParams("8",
 			engine.Int("flows", "100", "Web-workload flows to measure on the clean pair")),
-		Variants: sweep("proto"),
 		Run: func(c engine.Context) (engine.Result, error) {
 			cfg, proto := protoConfig(c)
 			r, err := experiments.FCT(cfg, proto, c.Params.Int("flows"))
@@ -114,15 +99,6 @@ func init() {
 		Params: protoParams("8",
 			engine.Ints("n", "4,8,16,32", "comma list of backend counts (one instance per fan-in)").Min(1).Each("n"),
 			engine.Int("response_bytes", "450000", "bytes each backend sends to the frontend")),
-		Variants: func(v engine.Values) []engine.Params {
-			var out []engine.Params
-			for _, pr := range v.List("proto") {
-				for _, n := range v.Ints("n") {
-					out = append(out, v.Params().Merge(engine.Params{"proto": pr, "n": fmt.Sprint(n)}))
-				}
-			}
-			return out
-		},
 		Run: func(c engine.Context) (engine.Result, error) {
 			cfg, proto := protoConfig(c)
 			r, err := experiments.Incast(cfg, proto, c.Params.Int("n"), int64(c.Params.Int("response_bytes")))

@@ -12,7 +12,7 @@ import (
 )
 
 // clockParam declares the one parameter of the Fig 8 scenarios.
-var clockParam = []engine.Param{engine.Float("clock_hz", "150000000", "NetFPGA datapath clock in Hz")}
+var clockParam = []engine.Param{engine.Float("clock_hz", "150000000", "NetFPGA datapath clock in Hz").Above(0)}
 
 func init() {
 	engine.Register(engine.Scenario{

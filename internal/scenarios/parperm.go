@@ -43,9 +43,7 @@ func init() {
 			engine.Int("warmup_ms", "2", "warmup before measurement starts, in ms"),
 			engine.Bool("check", "false", "true re-runs at one shard and fails unless the digests are byte-identical"),
 		},
-		// Its instances carry an empty topo, as its emitted params always have.
-		Variants: func(v engine.Values) []engine.Params { return shardSweep(v, nil) },
-		Check:    func(c engine.Context) error { return checkShards(c, closOnly) },
+		Check: func(c engine.Context) error { return checkShards(c, closOnly) },
 		Run: func(c engine.Context) (engine.Result, error) {
 			cfg := htsimConfig(c)
 			k, shards := cfg.K, effectiveShards(c)

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
-	"os"
 	"strings"
 	"time"
 
@@ -107,19 +106,12 @@ func runShardedFabric(spec distsim.Spec) (parRun, error) {
 	return r, nil
 }
 
-// runDistFabric executes spec as a distributed coordinator: it listens on
-// c.DistListen, waits for c.DistPeers peer processes (started with -join
-// or devnet), and drives the run over the wire. The outcome is
-// byte-identical to runShardedFabric on the same spec — that equivalence
-// is what the distributed CI job diffs.
-func runDistFabric(spec distsim.Spec, c engine.Context, timings bool) (parRun, error) {
-	l, err := distsim.Listen(c.DistListen)
-	if err != nil {
-		return parRun{}, err
+// runFabric executes spec as the coordinator of a run started with -peers
+// (serveDist), or else with in-process goroutine shards.
+func runFabric(spec distsim.Spec, c engine.Context, timings bool) (parRun, error) {
+	if c.DistPeers == 0 {
+		return runShardedFabric(spec)
 	}
-	// The resolved address goes to stderr: with -listen :0 the peers need
-	// it, and stdout must stay byte-identical to the in-process run.
-	fmt.Fprintf(os.Stderr, "distsim: coordinator listening on %s for %d peer(s)\n", l.Addr(), c.DistPeers)
 	// A run of its own accumulator can print its own clock; otherwise the
 	// process-wide one that /metrics renders takes it.
 	var stats *distsim.CoordStats
@@ -127,12 +119,7 @@ func runDistFabric(spec distsim.Spec, c engine.Context, timings bool) (parRun, e
 		stats = distsim.NewCoordStats()
 	}
 	t0 := time.Now()
-	out, err := distsim.Serve(l, distsim.CoordConfig{
-		Spec:   spec,
-		Peers:  c.DistPeers,
-		Rejoin: true,
-		Stats:  stats,
-	})
+	out, err := serveDist(c, distsim.CoordConfig{Spec: spec, Stats: stats})
 	if err != nil {
 		return parRun{}, err
 	}
@@ -212,24 +199,6 @@ func addParMetrics(res *engine.Result, k, shardsParam int, r parRun) {
 	res.Add("events", float64(r.events), "")
 	res.Add("digest_lo", float64(uint32(r.digest)), "")
 	res.Add("digest_hi", float64(r.digest>>32), "")
-}
-
-// shardSweep expands the k and shards lists, under each of topos, into
-// one instance per combination. No topos means one empty topo: the -topo
-// flag.
-func shardSweep(v engine.Values, topos []string) []engine.Params {
-	if len(topos) == 0 {
-		topos = []string{""}
-	}
-	var out []engine.Params
-	for _, t := range topos {
-		for _, k := range v.Ints("k") {
-			for _, s := range v.Ints("shards") {
-				out = append(out, v.Params().With("topo", t).With("k", fmt.Sprint(k)).With("shards", fmt.Sprint(s)))
-			}
-		}
-	}
-	return out
 }
 
 // shardLabel renders the requested shard count for the text report —
@@ -330,26 +299,20 @@ func init() {
 	engine.Register(engine.Scenario{
 		Name: "fabric/parscale",
 		Desc: "sharded-engine scaling sweep: shards×K, deterministic traffic digest (+ events/sec and speedup with timings=true)",
+		// The sweep nests topo × k × shards, in declaration order.
 		Params: append(specParams("0.5"),
+			engine.Topos("topo", "", "topology family sized by k: clos, sshuffle, star, or a full spec string; empty = the -topo flag (comma list sweeps)").Each("topo"),
 			engine.Ints("k", "4", "fat-tree K sizing the Clos (comma list sweeps)").Each("k"),
 			engine.Ints("shards", "0", "event-loop shards; 0 = the -shards flag (comma list sweeps). Explicit values also report the per-shard event split").Each("shards"),
-			engine.Topos("topo", "", "topology family sized by k: clos, sshuffle, star, or a full spec string; empty = the -topo flag (comma list sweeps)").Each("topo"),
 			patternParam,
 			engine.Int("dur_ms", "5", "injection duration in ms"),
 			engine.Float("hotspot", "1", "boost factor for the first quarter of the FAs (>1 = skewed matrix, changes the offered traffic)"),
 			engine.Bool("timings", "false", "true adds wall-clock events/sec (total and per core), speedup vs one shard and the engine's execution stats (windows, fanned, parked hand-offs, which shard finished last how often, mail) — with -peers, each peer's busy and mesh-wait time, how its mesh reads waited (parked or polled) and the straggler instead — nondeterministic output, keep off when diffing runs")),
-		Variants: func(v engine.Values) []engine.Params { return shardSweep(v, v.List("topo")) },
-		Check:    checkSpec(parscaleSpec),
+		Check: checkSpec(parscaleSpec),
 		Run: func(c engine.Context) (engine.Result, error) {
 			spec := parscaleSpec(c)
 			k, shards := spec.K, spec.Shards
-			var r parRun
-			var err error
-			if c.DistPeers > 0 {
-				r, err = runDistFabric(spec, c, c.Params.Bool("timings"))
-			} else {
-				r, err = runShardedFabric(spec)
-			}
+			r, err := runFabric(spec, c, c.Params.Bool("timings"))
 			if err != nil {
 				return engine.Result{}, err
 			}
@@ -413,13 +376,7 @@ func init() {
 		Run: func(c engine.Context) (engine.Result, error) {
 			spec := parhealSpec(c)
 			k := spec.K
-			var r parRun
-			var err error
-			if c.DistPeers > 0 {
-				r, err = runDistFabric(spec, c, false)
-			} else {
-				r, err = runShardedFabric(spec)
-			}
+			r, err := runFabric(spec, c, false)
 			if err != nil {
 				return engine.Result{}, err
 			}

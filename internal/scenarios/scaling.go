@@ -30,9 +30,9 @@ func init() {
 		Name: "scaling/table2",
 		Desc: "Table 2 element counts for (k, t, l)",
 		Params: []engine.Param{
-			engine.Int("k", "8", "FE radix factor k of Table 2"),
-			engine.Int("t", "4", "ToR downlinks per FA"),
-			engine.Int("l", "2", "FA fabric links"),
+			engine.Int("k", "8", "FE radix factor k of Table 2").Min(1),
+			engine.Int("t", "4", "ToR downlinks per FA").Min(1),
+			engine.Int("l", "2", "FA fabric links").Min(1),
 		},
 		Run: func(c engine.Context) (engine.Result, error) {
 			p := topo.Params{K: c.Params.Int("k"), T: c.Params.Int("t"), L: c.Params.Int("l")}

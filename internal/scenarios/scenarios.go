@@ -3,19 +3,21 @@
 // effects from a cmd binary) populates the engine registry:
 //
 //	htsim/permutation  htsim/fct  htsim/incast      (§6.3, Fig 10a-c)
-//	htsim/hotspot  htsim/alltoall                   (traffic-matrix sweeps)
+//	htsim/hotspot  htsim/alltoall  htsim/parperm    (traffic matrices; sharded transport)
 //	fabric/fig9  fabric/pushpull  fabric/recovery   (§6.2 Fig 9, Fig 7/12, App E)
 //	fabric/linkload  fabric/failures                (§5.3 balance, §5.9 healing)
-//	fabric/parscale  fabric/parheal                 (sharded parallel engine)
-//	trace/record  trace/replay                     (telemetry stream + digital twin)
+//	fabric/graphload  fabric/collective  fabric/openloop  (pluggable topologies)
+//	fabric/parscale  fabric/parheal  fabric/distscale     (sharded and distributed engine)
+//	trace/record  trace/replay                      (telemetry stream + digital twin)
 //	system/arista                                   (§6.1.2)
 //	pack/fig8a  pack/fig8b                          (§6.1.1, Fig 8)
 //	scaling/fig2  scaling/table2  scaling/fig3
 //	scaling/fig10d  scaling/fig11  scaling/appendixE
 //
 // The computation lives in internal/experiments and friends; this package
-// only declares parameters, sweep expansion and result shaping. A
-// scenario's report is rendered only for text output (engine.Result.Text).
+// only declares parameters — the engine expands a list declared with Each
+// into one instance per element — and shapes results. A scenario's report
+// is rendered only for text output (engine.Result.Text).
 package scenarios
 
 import (

@@ -410,3 +410,31 @@ func TestProtoListIsChecked(t *testing.T) {
 		}
 	}
 }
+
+// A value below its parameter's declared range is refused at the door —
+// exit 1 on the command line, 400 from stardustd — with the range named.
+// Each of these ran before its range was declared, to a panic (fail=-1
+// sliced a link list at -1), a single meaningless bin (bin_ms=0), or
+// rows of Inf, NaN or zero throughput.
+func TestOutOfRangeParamsRefused(t *testing.T) {
+	for _, tc := range []struct{ cmd, want string }{
+		{"fabric/failures fail=-1", "want >= 0"},
+		{"fabric/failures bin_ms=0", "want >= 1"},
+		{"scaling/table2 k=0", "want >= 1"},
+		{"scaling/table2 t=0", "want >= 1"},
+		{"scaling/table2 l=0", "want >= 1"},
+		{"pack/fig8a clock_hz=0", "want > 0"},
+		{"pack/fig8b clock_hz=-1", "want > 0"},
+		{"fabric/collective kb=0", "want >= 1"},
+	} {
+		args := strings.Fields(tc.cmd)
+		jobs, err := engine.ParseArgs(args)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.cmd, err)
+		}
+		_, err = engine.Resolve(jobs[0].Scenario, jobs[0].Params)
+		if want := "parameter " + args[1] + ": " + tc.want; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want one naming %q", tc.cmd, err, want)
+		}
+	}
+}

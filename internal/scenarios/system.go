@@ -1,8 +1,6 @@
 package scenarios
 
 import (
-	"fmt"
-
 	"stardust/internal/engine"
 	"stardust/internal/experiments"
 )
@@ -17,15 +15,6 @@ func init() {
 			engine.Bool("packing", "false", "enable cell packing on the FA ingress"),
 			engine.Int("dur_us", "300", "measurement window in us"),
 			engine.Ints("sizes", "64,128,256,384,512,1024,1518", "comma list of packet sizes in bytes (one instance each)").Min(1).Each("size"),
-		},
-		// One instance per packet size: the sweep points are independent
-		// simulations, so they parallelize.
-		Variants: func(v engine.Values) []engine.Params {
-			var out []engine.Params
-			for _, s := range v.Ints("sizes") {
-				out = append(out, v.Params().With("size", fmt.Sprint(s)))
-			}
-			return out
 		},
 		Run: func(c engine.Context) (engine.Result, error) {
 			cfg := experiments.ScaledArista()

@@ -77,15 +77,6 @@ func init() {
 			engine.Int("warm_us", "100", "warmup before measurement, in µs"),
 			engine.Int("dur_us", "400", "measurement window in µs"),
 		},
-		Variants: func(v engine.Values) []engine.Params {
-			var out []engine.Params
-			for _, t := range v.List("topo") {
-				for _, m := range v.List("mode") {
-					out = append(out, v.Params().With("topo", t).With("mode", m))
-				}
-			}
-			return out
-		},
 		Run: func(c engine.Context) (engine.Result, error) {
 			r, err := experiments.GraphLinkLoad(c.Params.Str("topo"), c.Params.Int("k"), c.Params.Str("mode"),
 				c.Params.Float("load"), usTime(c.Params.Int("warm_us")), usTime(c.Params.Int("dur_us")), c.Seed)
@@ -114,7 +105,7 @@ func init() {
 		Desc: "ML-collective all-reduce (ring or binomial tree) over any topology: phase-synchronized cell traffic, completion time and conservation",
 		Params: graphParams(
 			engine.Enum("collective", "ring", "schedule: ring (bandwidth-optimal reduce-scatter + all-gather) or tree (binomial reduce + broadcast)", "ring", "tree"),
-			engine.Int("kb", "64", "all-reduce payload per rank in KB")),
+			engine.Int("kb", "64", "all-reduce payload per rank in KB").Min(1)),
 		Run: func(c engine.Context) (engine.Result, error) {
 			cell, load := c.Params.Int("cell"), c.Params.Float("load")
 			bytes := int64(c.Params.Int("kb")) * 1024

@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"stardust/internal/distsim"
-	"stardust/internal/distsim/devnet"
 	"stardust/internal/engine"
 	"stardust/internal/telemetry"
 )
@@ -39,60 +38,14 @@ func traceSpec(c engine.Context) distsim.Spec {
 // paths emit through the same telemetry.Emitter, so the bytes agree.
 func runRecord(spec distsim.Spec, c engine.Context) ([]byte, distsim.Outcome, error) {
 	var buf bytes.Buffer
+	var out distsim.Outcome
+	var err error
 	if c.DistPeers > 0 {
-		l, err := distsim.Listen(c.DistListen)
-		if err != nil {
-			return nil, distsim.Outcome{}, err
-		}
-		fmt.Fprintf(os.Stderr, "distsim: coordinator listening on %s for %d peer(s)\n", l.Addr(), c.DistPeers)
-		out, err := distsim.Serve(l, distsim.CoordConfig{
-			Spec:   spec,
-			Peers:  c.DistPeers,
-			Rejoin: true,
-			Stream: &buf,
-		})
-		return buf.Bytes(), out, err
+		out, err = serveDist(c, distsim.CoordConfig{Spec: spec, Stream: &buf})
+	} else {
+		out, err = distsim.Record(spec, &buf)
 	}
-	out, err := distsim.Record(spec, &buf)
 	return buf.Bytes(), out, err
-}
-
-// distRecord serves spec to npeers forked peer processes (the same
-// devnet seam fabric/distscale uses; the hosting main or TestMain must
-// call distsim.MaybeRunPeer) and returns the stream the coordinator
-// emitted.
-func distRecord(spec distsim.Spec, npeers int) ([]byte, error) {
-	l, err := distsim.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("trace/record: loopback listen: %w", err)
-	}
-	addr := l.Addr().String()
-	peers := make([]*devnet.Peer, 0, npeers)
-	defer func() {
-		for _, p := range peers {
-			p.Kill()
-			p.Wait()
-		}
-	}()
-	for i := 0; i < npeers; i++ {
-		p, err := devnet.Spawn(addr)
-		if err != nil {
-			l.Close()
-			return nil, err
-		}
-		peers = append(peers, p)
-	}
-	var buf bytes.Buffer
-	if _, err := distsim.Serve(l, distsim.CoordConfig{Spec: spec, Peers: npeers, Stream: &buf}); err != nil {
-		return nil, err
-	}
-	for _, p := range peers {
-		if werr := p.Wait(); werr != nil {
-			return nil, fmt.Errorf("trace/record: peer exited uncleanly: %w", werr)
-		}
-	}
-	peers = nil
-	return buf.Bytes(), nil
 }
 
 // streamDigest fingerprints a stream for the deterministic text report.
@@ -215,9 +168,9 @@ func init() {
 				if np < 1 || np > spec.Shards {
 					return engine.Result{}, fmt.Errorf("trace/record: peer count %d must be in [1, shards=%d]", np, spec.Shards)
 				}
-				dstream, err := distRecord(spec, np)
+				_, dstream, err := forkServe(spec, np)
 				if err != nil {
-					return engine.Result{}, err
+					return engine.Result{}, fmt.Errorf("trace/record: %d peers: %w", np, err)
 				}
 				if !bytes.Equal(dstream, stream) {
 					return engine.Result{}, fmt.Errorf("trace/record: %d-peer stream diverged from in-process: %d vs %d bytes, digest %016x vs %016x",
