@@ -413,9 +413,9 @@ func TestProtoListIsChecked(t *testing.T) {
 
 // A value below its parameter's declared range is refused at the door —
 // exit 1 on the command line, 400 from stardustd — with the range named.
-// Each of these ran before its range was declared, to a panic (fail=-1
-// sliced a link list at -1), a single meaningless bin (bin_ms=0), or
-// rows of Inf, NaN or zero throughput.
+// Run with these, the scenarios panic (fail=-1 slices a link list at -1)
+// or print a meaningless bin (bin_ms=0) or rows of Inf, NaN or zero
+// throughput.
 func TestOutOfRangeParamsRefused(t *testing.T) {
 	for _, tc := range []struct{ cmd, want string }{
 		{"fabric/failures fail=-1", "want >= 0"},
