@@ -6,9 +6,6 @@ import (
 	"stardust/internal/sim"
 )
 
-// DebugExpire, when set, observes expiry flushes (test hook).
-var DebugExpire func(now, stallAt sim.Time, window, started, cursor int)
-
 // Reassembler rebuilds packets from cells arriving out of order (§4.1).
 //
 // One Reassembler serves one (source FA, traffic class) stream at the
@@ -130,9 +127,6 @@ func (r *Reassembler) Push(now sim.Time, c *Cell) []PacketRef {
 func (r *Reassembler) Expire(now sim.Time) int {
 	if !r.stalled || now-r.stallAt < r.timeout {
 		return 0
-	}
-	if DebugExpire != nil {
-		DebugExpire(now, r.stallAt, len(r.window), len(r.started), int(r.cursor))
 	}
 	maxAhead := 0
 	for s := range r.window {

@@ -217,7 +217,7 @@ func Serve(lis net.Listener, cfg CoordConfig) (Outcome, error) {
 		return Outcome{}, err
 	}
 	for p, pc := range c.peers {
-		if err := pc.write(tFinish, nil, false); err != nil {
+		if err := pc.write(tFinish, nil); err != nil {
 			c.logf("distsim: peer %d left before FINISH: %v", p, err)
 		}
 	}
@@ -235,7 +235,7 @@ func (c *coord) logf(format string, args ...any) {
 func (c *coord) abort(err error) {
 	for _, pc := range c.peers {
 		if pc != nil {
-			pc.write(tError, []byte(err.Error()), false)
+			pc.write(tError, []byte(err.Error()))
 		}
 	}
 }
@@ -326,7 +326,7 @@ func (c *coord) converge(w int, wait time.Duration) error {
 			if err != nil {
 				return err
 			}
-			if err := pc.write(tWelcome, wb, true); err != nil {
+			if err := pc.write(tWelcome, wb); err != nil {
 				if !c.cfg.Rejoin {
 					return fmt.Errorf("distsim: peer %d welcome: %w", p, err)
 				}
@@ -369,7 +369,7 @@ func (c *coord) converge(w int, wait time.Duration) error {
 		s := &peerStream{dones: make(chan doneMsg, doneQueue), quit: make(chan struct{})}
 		c.streams[p] = s
 		// A failed write shows up as the reader's first error.
-		pc.write(tStart, sb, false)
+		pc.write(tStart, sb)
 		c.readers.Add(1)
 		go c.drain(p, pc, s, w)
 	}

@@ -3,6 +3,7 @@ package distsim
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -217,9 +218,16 @@ func TestDistributedMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestVersionMismatch: a peer speaking the wrong protocol version gets a
-// deterministic ERROR frame and the coordinator aborts — no hang.
+// TestVersionMismatch: a peer speaking another protocol version — the one
+// before this, or one from nowhere — gets a deterministic ERROR frame and
+// the coordinator aborts — no hang.
 func TestVersionMismatch(t *testing.T) {
+	for _, v := range []int{protoVersion - 1, 99} {
+		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) { testVersionMismatch(t, v) })
+	}
+}
+
+func testVersionMismatch(t *testing.T, version int) {
 	l := mustListen(t)
 	addr := l.Addr().String()
 	ch := make(chan serveResult, 1)
@@ -232,8 +240,8 @@ func TestVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	hb, _ := json.Marshal(helloMsg{Version: 99, Mesh: "127.0.0.1:1"})
-	if _, err := conn.Write(frame(t, tHello, hb, false)); err != nil {
+	hb, _ := json.Marshal(helloMsg{Version: version, Mesh: "127.0.0.1:1"})
+	if _, err := conn.Write(frame(t, tHello, hb)); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
@@ -270,7 +278,7 @@ func TestPartitionDisagreement(t *testing.T) {
 	}
 	defer conn.Close()
 	hb, _ := json.Marshal(helloMsg{Version: protoVersion, Mesh: "127.0.0.1:1"})
-	if _, err := conn.Write(frame(t, tHello, hb, false)); err != nil {
+	if _, err := conn.Write(frame(t, tHello, hb)); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
@@ -279,7 +287,7 @@ func TestPartitionDisagreement(t *testing.T) {
 		t.Fatalf("expected WELCOME, got type %d err %v", typ, err)
 	}
 	rb, _ := json.Marshal(readyMsg{Hash: 0xdeadbeef})
-	if _, err := conn.Write(frame(t, tReady, rb, false)); err != nil {
+	if _, err := conn.Write(frame(t, tReady, rb)); err != nil {
 		t.Fatal(err)
 	}
 	typ, body, err := readFrame(conn)
@@ -379,7 +387,7 @@ func TestBadShardCount(t *testing.T) {
 		t.Fatalf("expected HELLO, got type %d err %v", typ, err)
 	}
 	wb, _ := json.Marshal(welcomeMsg{Spec: smallSpec(100000), NPeers: 1, Owners: make([]int, 100000)})
-	if _, err := conn.Write(frame(t, tWelcome, wb, true)); err != nil {
+	if _, err := conn.Write(frame(t, tWelcome, wb)); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -446,7 +454,7 @@ func TestBadSpec(t *testing.T) {
 		t.Fatalf("expected HELLO, got type %d err %v", typ, err)
 	}
 	wb, _ := json.Marshal(welcomeMsg{Spec: bad, NPeers: 1, Owners: make([]int, 1)})
-	if _, err := conn.Write(frame(t, tWelcome, wb, true)); err != nil {
+	if _, err := conn.Write(frame(t, tWelcome, wb)); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -523,7 +531,7 @@ func TestDoubleJoin(t *testing.T) {
 	}
 	defer conn.Close()
 	hb, _ := json.Marshal(helloMsg{Version: protoVersion, Mesh: "127.0.0.1:1"})
-	if _, err := conn.Write(frame(t, tHello, hb, false)); err != nil {
+	if _, err := conn.Write(frame(t, tHello, hb)); err != nil {
 		t.Fatal(err)
 	}
 	<-l.second

@@ -85,15 +85,14 @@
 // 200 B, 20.8 against 17.6 µs at 2 KiB. A poll therefore yields between
 // attempts, and a frame of any size is offered to the socket first.
 //
-// No DEFLATE between peers of one host. BenchmarkFrameRoundTrip/4096B: 91 µs
-// and 51 allocations to deflate and inflate a 4 KiB mail frame (45 MB/s)
-// against 0.29 µs plain — twice a K=8 window's simulation, and a loss on any
-// link faster than ~350 Mb/s. The window loop's frames (XCHG, DONE) are
-// deflated only on a connection whose ends have different IPs
-// (peerConn.far); nobody has measured a real link yet, so there the policy
-// is the inherited one. K=8, 2 ms, 2,006 windows of ~1.8 KiB frames, two
-// peers in one process: 0.54-0.60 s before, 0.18-0.22 s now, RunLocal
-// 0.16-0.17 s; with polling forced off 0.30 s.
+// No DEFLATE. BenchmarkFrameRoundTrip/4096B measured 91 µs and 51
+// allocations to deflate and inflate a 4 KiB mail frame (45 MB/s) against
+// 0.29 µs plain — twice a K=8 window's simulation, and a loss on any link
+// faster than ~350 Mb/s. Every frame therefore goes as written, between
+// hosts too, as the paper's fabric carries its cells. K=8, 2 ms, 2,006
+// windows of ~1.8 KiB frames, two peers in one process: 0.54-0.60 s while
+// the window loop deflated, 0.18-0.22 s plain, RunLocal 0.16-0.17 s; with
+// polling forced off 0.30 s.
 //
 // Shared memory between peers of one host (ring.go). On a polled loopback
 // link what was left of the exchange was system calls: 36 % of a
@@ -300,7 +299,7 @@ func runPeerConn(conn net.Conn, ch *chaos) error {
 	if err != nil {
 		return err
 	}
-	if err := p.pc.write(tHello, hb, false); err != nil {
+	if err := p.pc.write(tHello, hb); err != nil {
 		return err
 	}
 	var s *session
@@ -337,7 +336,7 @@ func runPeerConn(conn net.Conn, ch *chaos) error {
 // aborts the run. An induced death says nothing, like the crash it plays.
 func (p *peer) fatal(err error) error {
 	if !errors.Is(err, errInduced) {
-		p.pc.write(tError, []byte(err.Error()), false)
+		p.pc.write(tError, []byte(err.Error()))
 	}
 	return err
 }
@@ -403,7 +402,7 @@ func (p *peer) welcome(body []byte) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.pc.write(tReady, rb, false); err != nil {
+	if err := p.pc.write(tReady, rb); err != nil {
 		return nil, fmt.Errorf("distsim: coordinator connection lost: %w", err)
 	}
 	return s, nil
@@ -590,7 +589,7 @@ func (s *session) meshHandshake(l *meshLink, token uint64, dialed bool, wantID f
 	say := func() error {
 		b, err := json.Marshal(hello)
 		if err == nil {
-			err = pc.write(tMeshHello, b, false)
+			err = pc.write(tMeshHello, b)
 		}
 		return err
 	}
@@ -621,7 +620,7 @@ func (s *session) meshHandshake(l *meshLink, token uint64, dialed bool, wantID f
 				return err
 			}
 		}
-		if err := pc.write(tRing, []byte{flag(l.ring != nil)}, false); err != nil {
+		if err := pc.write(tRing, []byte{flag(l.ring != nil)}); err != nil {
 			return err
 		}
 		return l.onRing(true)
@@ -739,7 +738,7 @@ func (s *session) run(startBody []byte) error {
 		if err != nil {
 			return err
 		}
-		if err := coord.write(tReport, rep, true); err != nil {
+		if err := coord.write(tReport, rep); err != nil {
 			return fmt.Errorf("distsim: coordinator connection lost: %w", err)
 		}
 		return nil
@@ -750,7 +749,7 @@ func (s *session) run(startBody []byte) error {
 		stall := binary.AppendUvarint(nil, uint64(s.window))
 		stall = binary.AppendUvarint(stall, uint64(lost.neighbour))
 		stall = append(stall, lost.err.Error()...)
-		if err := coord.write(tStall, stall, false); err != nil {
+		if err := coord.write(tStall, stall); err != nil {
 			return fmt.Errorf("distsim: coordinator connection lost: %w", err)
 		}
 		return nil
@@ -797,29 +796,27 @@ func (s *session) windows(links []*meshLink) error {
 	flush := func() error {
 		for _, l := range links {
 			if l != nil {
-				clock.rawBytes += l.pc.raw
 				clock.wireBytes += l.pc.wire
-				l.pc.raw, l.pc.wire = 0, 0
+				l.pc.wire = 0
 				clock.poll[l.id] = linkPoll{l.pc.rd.n, l.pc.rd.gov.polling(), l.ring != nil}
 				l.pc.rd.n = pollCounts{}
 				l.pc.deadline()
 			}
 		}
-		clock.rawBytes += coord.raw
 		clock.wireBytes += coord.wire
-		coord.raw, coord.wire = 0, 0
+		coord.wire = 0
 		coord.deadline()
 		statsBuf = clock.appendStats(statsBuf[:0])
 		clock.reset()
-		if err := coord.put(tStats, statsBuf, false); err != nil {
+		if err := coord.put(tStats, statsBuf); err != nil {
 			return err
 		}
 		return coord.flush()
 	}
-	coord.raw, coord.wire = 0, 0 // the handshakes are not window-loop traffic
+	coord.wire = 0 // the handshakes are not window-loop traffic
 	for _, l := range links {
 		if l != nil {
-			l.pc.raw, l.pc.wire = 0, 0
+			l.pc.wire = 0
 			l.pc.deadline()
 		}
 	}
@@ -868,7 +865,7 @@ func (s *session) windows(links []*meshLink) error {
 			if cnt[l.id] > 0 {
 				clock.mailFrames++
 			}
-			err := l.pc.put(tXchg, xchg, l.pc.far)
+			err := l.pc.put(tXchg, xchg)
 			if err == nil {
 				err = l.send()
 			}
@@ -887,7 +884,7 @@ func (s *session) windows(links []*meshLink) error {
 		if s.telem > 0 {
 			done = appendTelemSection(done, m, s.ownedDirs, s.ownedFAs, end, look, s.telem)
 		}
-		err := coord.put(tDone, done, coord.far)
+		err := coord.put(tDone, done)
 		if err == nil && len(coord.out) >= writeBuffer {
 			err = coord.flush()
 		}

@@ -1,6 +1,7 @@
 package distsim
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -180,7 +181,7 @@ func meshPair(t testing.TB, force pollForce) (*peerConn, net.Conn) {
 // faultCut does: the window loop turns it into the same STALL), and the
 // deadline's timeout from a neighbour that stays silent.
 func TestPolledReadEquivalence(t *testing.T) {
-	stream := append(frame(t, tXchg, []byte("the first of two frames"), false), frame(t, tXchg, []byte("and the second"), false)...)
+	stream := append(frame(t, tXchg, []byte("the first of two frames")), frame(t, tXchg, []byte("and the second"))...)
 	type result struct {
 		got []byte
 		err error
@@ -262,7 +263,8 @@ func TestCutLinkStalls(t *testing.T) {
 	}
 }
 
-// TestSameHost: the no-DEFLATE rule reads one property off a connection.
+// TestSameHost: whether a mesh link may run over a ring reads one property
+// off a connection, and it changes nothing a frame carries.
 func TestSameHost(t *testing.T) {
 	pc, _ := meshPair(t, pollGoverned)
 	if pc.far {
@@ -281,19 +283,22 @@ func TestSameHost(t *testing.T) {
 		t.Fatal("one IP in two spellings counts as two hosts")
 	}
 
-	// A far link deflates its window frames as before, a near one does not.
+	// A far link and a near one put the same bytes: the frame as written.
 	body := make([]byte, 0, 4<<10)
 	for i := 0; len(body) < 4<<10; i++ {
 		body = appendEntry(body, mailEntry{dst: i % 4, at: 1_000_000, lane: int32(i % 96), kind: 1, pay: []byte{0, 0x80, 4}})
 	}
-	for _, far := range []bool{false, true} {
-		pc := &peerConn{far: far}
-		if err := pc.put(tXchg, body, pc.far); err != nil {
+	near, far := &peerConn{}, &peerConn{far: true}
+	for _, pc := range []*peerConn{near, far} {
+		if err := pc.put(tXchg, body); err != nil {
 			t.Fatal(err)
 		}
-		if deflated := pc.wire < pc.raw; deflated != far {
-			t.Fatalf("far=%v: %d raw bytes went out as %d", far, pc.raw, pc.wire)
+		if pc.wire != uint64(len(body)+frameHeader) {
+			t.Fatalf("far=%v: a %d-byte body went out as %d bytes", pc.far, len(body), pc.wire)
 		}
+	}
+	if !bytes.Equal(near.out, far.out) {
+		t.Fatal("a far link put other bytes than a near one")
 	}
 }
 
@@ -353,7 +358,7 @@ func BenchmarkMeshExchange(b *testing.B) {
 						exchange := func(l *meshLink) error {
 							for t0 := time.Now(); time.Since(t0) < meshBenchStep; {
 							}
-							if err := l.pc.put(tXchg, body, l.pc.far); err != nil {
+							if err := l.pc.put(tXchg, body); err != nil {
 								return err
 							}
 							if err := write.send(l); err != nil {

@@ -364,13 +364,7 @@ func connPair(t testing.TB) (net.Conn, net.Conn) {
 func TestNoDeadlockSymmetricExchange(t *testing.T) { testSymmetricExchange(t, pollGoverned) }
 
 func testSymmetricExchange(t *testing.T, force pollForce) {
-	// Incompressible, so the frame is as large on the wire as here.
 	big := make([]byte, 256<<10)
-	x := uint32(1)
-	for i := range big {
-		x = x*1664525 + 1013904223
-		big[i] = byte(x >> 24)
-	}
 	links := func() [2]*meshLink {
 		a, b := tcpPair(t)
 		var ls [2]*meshLink
@@ -393,7 +387,7 @@ func testSymmetricExchange(t *testing.T, force pollForce) {
 			go func() {
 				defer wg.Done()
 				for f := 0; f < frames && errs[i] == nil; f++ {
-					if errs[i] = l.pc.put(tXchg, body, true); errs[i] == nil {
+					if errs[i] = l.pc.put(tXchg, body); errs[i] == nil {
 						errs[i] = write(l)
 					}
 				}
@@ -467,10 +461,9 @@ func testSymmetricExchange(t *testing.T, force pollForce) {
 // kilobytes of mail per window each way) over mesh connections with
 // shrunken buffers.
 //
-// Written as they are since nothing between two peers of one host is
-// deflated, these frames exceed what the shrunken buffers let TCP keep in
-// flight, and every window waits out a timer or two of the kernel's (a
-// third of a second a window, 0.5 s -> 18 s for the test): the price of
+// These frames exceed what the shrunken buffers let TCP keep in flight,
+// and every window waits out a timer or two of the kernel's (a third of a
+// second a window, 0.5 s -> 18 s for the test): the price of
 // exercising, in every window, the path where the socket takes part of a
 // frame and a goroutine writes the rest. (So the links stay on their
 // sockets; TestNoDeadlockRingFull is the same run over shrunken rings.)

@@ -32,7 +32,6 @@ type peerClock struct {
 	stepNs     uint64
 	codecNs    uint64
 	mailFrames uint64 // XCHG frames that carried at least one entry
-	rawBytes   uint64
 	wireBytes  uint64
 	waitNs     []uint64   // indexed by neighbour id, own slot unused
 	poll       []linkPoll // likewise
@@ -82,12 +81,12 @@ func (c *peerClock) reset() {
 // appendStats encodes the STATS frame body:
 //
 //	STATS := uvarint windows | uvarint stepNs | uvarint codecNs |
-//	         uvarint mailFrames | uvarint rawBytes | uvarint wireBytes |
+//	         uvarint mailFrames | uvarint wireBytes |
 //	         uvarint npeers | npeers * (uvarint waitNs | uvarint tries |
 //	                  uvarint ready | uvarint parks | u8 polling | u8 ring) |
 //	         uvarint nbuckets | nbuckets * uvarint count
 func (c *peerClock) appendStats(b []byte) []byte {
-	for _, v := range []uint64{c.windows, c.stepNs, c.codecNs, c.mailFrames, c.rawBytes, c.wireBytes} {
+	for _, v := range []uint64{c.windows, c.stepNs, c.codecNs, c.mailFrames, c.wireBytes} {
 		b = binary.AppendUvarint(b, v)
 	}
 	b = binary.AppendUvarint(b, uint64(len(c.waitNs)))
@@ -109,7 +108,7 @@ func (c *peerClock) appendStats(b []byte) []byte {
 // parseStats decodes a STATS frame into c, which is sized for the run.
 func (c *peerClock) parseStats(b []byte) error {
 	var np, nb uint64
-	b, err := uvarints(b, "STATS", &c.windows, &c.stepNs, &c.codecNs, &c.mailFrames, &c.rawBytes, &c.wireBytes, &np)
+	b, err := uvarints(b, "STATS", &c.windows, &c.stepNs, &c.codecNs, &c.mailFrames, &c.wireBytes, &np)
 	if err != nil {
 		return err
 	}
@@ -153,8 +152,7 @@ type CoordStats struct {
 	telemWindows uint64
 	mailFrames   uint64 // XCHG frames carrying mail, as the peers report them
 	mailEntries  uint64
-	rawBytes     uint64 // frame bytes the peers wrote, before compression
-	wireBytes    uint64 // the same frames as they went on the wire
+	wireBytes    uint64 // frame bytes the peers wrote, headers included
 	peers        []peerTotals
 	barrier      *telemetry.Histogram
 	mailBytes    *telemetry.Histogram
@@ -211,14 +209,15 @@ type PeerStats struct {
 
 // CoordStatsSnapshot is a point-in-time copy of the metrics.
 type CoordStatsSnapshot struct {
-	Runs             uint64  `json:"runs"`
-	Windows          uint64  `json:"windows"`
-	TelemetryWindows uint64  `json:"telemetry_windows"`
-	MailFrames       uint64  `json:"mail_frames"`
-	MailEntries      uint64  `json:"mail_entries"`
-	RawBytes         uint64  `json:"raw_bytes"`
-	WireBytes        uint64  `json:"wire_bytes"`
-	CompressionRatio float64 `json:"compression_ratio"` // raw/wire, 0 until traffic flows
+	Runs             uint64 `json:"runs"`
+	Windows          uint64 `json:"windows"`
+	TelemetryWindows uint64 `json:"telemetry_windows"`
+	MailFrames       uint64 `json:"mail_frames"`
+	MailEntries      uint64 `json:"mail_entries"`
+	// RawBytes is WireBytes, the frame bytes the peers wrote: frames go as
+	// written. It stays for readers of the old raw/wire pair.
+	RawBytes  uint64 `json:"raw_bytes"`
+	WireBytes uint64 `json:"wire_bytes"`
 	// Peers is the per-peer wall-time split; Straggler the peer the others
 	// waited on longest (-1 while nobody has waited).
 	Peers     []PeerStats `json:"peers"`
@@ -238,7 +237,7 @@ func (s *CoordStats) Snapshot() CoordStatsSnapshot {
 		TelemetryWindows: s.telemWindows,
 		MailFrames:       s.mailFrames,
 		MailEntries:      s.mailEntries,
-		RawBytes:         s.rawBytes,
+		RawBytes:         s.wireBytes,
 		WireBytes:        s.wireBytes,
 		Peers:            make([]PeerStats, len(s.peers)),
 		Straggler:        -1,
@@ -264,9 +263,6 @@ func (s *CoordStats) Snapshot() CoordStatsSnapshot {
 		}
 	}
 	s.mu.Unlock()
-	if snap.WireBytes > 0 {
-		snap.CompressionRatio = float64(snap.RawBytes) / float64(snap.WireBytes)
-	}
 	snap.BarrierLatency = s.barrier.Snapshot()
 	snap.WindowMailBytes = s.mailBytes.Snapshot()
 	return snap
@@ -306,7 +302,6 @@ func (s *CoordStats) flushed(p int, c *peerClock) {
 		t.ring += int(flag(lp.ring))
 	}
 	s.mailFrames += c.mailFrames
-	s.rawBytes += c.rawBytes
 	s.wireBytes += c.wireBytes
 	s.mu.Unlock()
 	s.barrier.Merge(c.waitHist, float64(wait)*1e-9)

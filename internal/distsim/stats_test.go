@@ -41,7 +41,7 @@ func TestPeerClocksReachTheCoordinator(t *testing.T) {
 	if want := snap.Windows * npeers; snap.BarrierLatency.Count != want {
 		t.Errorf("%d mesh-wait samples, want %d (one per peer per window)", snap.BarrierLatency.Count, want)
 	}
-	if snap.MailFrames == 0 || snap.MailEntries == 0 || snap.WireBytes == 0 || snap.RawBytes < snap.WireBytes {
+	if snap.MailFrames == 0 || snap.MailEntries == 0 || snap.WireBytes == 0 || snap.RawBytes != snap.WireBytes {
 		t.Errorf("traffic accounting: %+v", snap)
 	}
 
@@ -59,7 +59,7 @@ func TestPeerClocksReachTheCoordinator(t *testing.T) {
 // TestStatsFrameRoundTrip pins the STATS codec, including what it refuses.
 func TestStatsFrameRoundTrip(t *testing.T) {
 	c := newPeerClock(3)
-	c.windows, c.stepNs, c.codecNs, c.mailFrames, c.rawBytes, c.wireBytes = 32, 1e6, 2e5, 60, 9000, 8000
+	c.windows, c.stepNs, c.codecNs, c.mailFrames, c.wireBytes = 32, 1e6, 2e5, 60, 8000
 	c.waitNs[1], c.waitNs[2] = 7e5, 3e4
 	c.poll[1] = linkPoll{pollCounts{tries: 900, ready: 30, parks: 2}, true, true}
 	c.poll[2] = linkPoll{pollCounts{parks: 32}, false, false}
@@ -72,7 +72,7 @@ func TestStatsFrameRoundTrip(t *testing.T) {
 	if err := got.parseStats(body); err != nil {
 		t.Fatal(err)
 	}
-	if got.windows != 32 || got.stepNs != 1e6 || got.waitNs[1] != 7e5 || got.waitHist[0] != 1 || got.waitHist[len(got.waitHist)-1] != 1 {
+	if got.windows != 32 || got.stepNs != 1e6 || got.mailFrames != 60 || got.wireBytes != 8000 || got.waitNs[1] != 7e5 || got.waitHist[0] != 1 || got.waitHist[len(got.waitHist)-1] != 1 {
 		t.Fatalf("STATS came back as %+v", got)
 	}
 	if got.poll[0] != (linkPoll{}) || got.poll[1] != c.poll[1] || got.poll[2] != c.poll[2] {

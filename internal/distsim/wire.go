@@ -1,11 +1,10 @@
-// Wire protocol (v7): length-prefixed frames over TCP — or, on a mesh link
+// Wire protocol (v8): length-prefixed frames over TCP — or, on a mesh link
 // whose ends share a host, through a shared-memory ring (ring.go).
 //
 //	frame   := u32be length | u8 type | u8 flags | body
-//	length  counts type+flags+body. flags bit0 = body is DEFLATE-compressed:
-//	the writer's choice per frame, for a body of compressFloor bytes or more
-//	that shrinks by it — the one-off REPORT and WELCOME always, the window
-//	loop's XCHG and DONE only between hosts (peerConn.far).
+//	length  counts type+flags+body. flags is always 0 and any other value
+//	is refused: a body goes as it was written (why: the package comment in
+//	peer.go).
 //
 // Control frames (HELLO, WELCOME, READY, START, MESH-HELLO, REPORT, ERROR)
 // carry JSON — they happen once per join, as does RING, the dialer's
@@ -36,16 +35,13 @@
 //
 // Everything here parses bytes from a socket, and since v4 every peer has
 // a listening one: a frame body is grown with the bytes that actually
-// arrive (a length prefix alone reserves nothing), a compressed body is
-// inflated through the frame limit, a connection that has not yet proved
-// who it is may only send helloLimit bytes, and every malformed input is
-// an error.
+// arrive (a length prefix alone reserves nothing), a connection that has
+// not yet proved who it is may only send helloLimit bytes, and every
+// malformed input is an error.
 package distsim
 
 import (
 	"bufio"
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -65,8 +61,9 @@ import (
 // from window 0, dropping the resume log from WELCOME and the mail copy
 // from DONE; 7 lets a mesh link of one host run over a shared-memory ring
 // (the ring offer in the acceptor's mesh HELLO, the RING answer) and adds
-// each link's transport to STATS.
-const protoVersion = 7
+// each link's transport to STATS; 8 sends every frame as written (the
+// flags byte is always 0) and drops the uncompressed byte count from STATS.
+const protoVersion = 8
 
 // Frame types.
 const (
@@ -86,12 +83,9 @@ const (
 )
 
 const (
-	flagDeflate byte = 1 << 0
-
-	maxFrame      = 1 << 28 // hard cap on a frame body, compressed or inflated
-	helloLimit    = 4 << 10 // cap until a connection has identified itself
-	compressFloor = 512     // don't bother deflating tiny frames
-	readChunk     = 64 << 10
+	maxFrame   = 1 << 28 // hard cap on a frame body
+	helloLimit = 4 << 10 // cap until a connection has identified itself
+	readChunk  = 64 << 10
 )
 
 type helloMsg struct {
@@ -166,64 +160,28 @@ type peerReport struct {
 	Dirs   []dirReport   `json:"dirs"`
 }
 
-// frameWriter encodes frames for one connection. The DEFLATE state is
-// built on first use and Reset per frame, so a frame below compressFloor
-// costs no allocation once the destination has grown.
-type frameWriter struct {
-	zw *flate.Writer
-	zb bytes.Buffer
-}
-
 const frameHeader = 6 // u32be length | u8 type | u8 flags
 
-// append appends one frame to dst. When compress is set and the body
-// clears the floor, the body is DEFLATE-compressed (and kept only if
-// smaller).
-func (fw *frameWriter) append(dst []byte, typ byte, body []byte, compress bool) ([]byte, error) {
+// appendFrame appends one frame to dst.
+func appendFrame(dst []byte, typ byte, body []byte) ([]byte, error) {
 	if len(body) > maxFrame {
 		return dst, fmt.Errorf("distsim: frame body of %d bytes exceeds the %d limit", len(body), maxFrame)
 	}
-	flags := byte(0)
-	if compress && len(body) >= compressFloor {
-		fw.zb.Reset()
-		if fw.zw == nil {
-			zw, err := flate.NewWriter(&fw.zb, flate.BestSpeed)
-			if err != nil {
-				return dst, err
-			}
-			fw.zw = zw
-		} else {
-			fw.zw.Reset(&fw.zb)
-		}
-		if _, err := fw.zw.Write(body); err != nil {
-			return dst, err
-		}
-		if err := fw.zw.Close(); err != nil {
-			return dst, err
-		}
-		if fw.zb.Len() < len(body) {
-			body = fw.zb.Bytes()
-			flags = flagDeflate
-		}
-	}
 	dst = binary.BigEndian.AppendUint32(dst, uint32(2+len(body)))
-	dst = append(dst, typ, flags)
+	dst = append(dst, typ, 0)
 	return append(dst, body...), nil
 }
 
-// frameReader reads frames off one connection into buffers it reuses: a
+// frameReader reads frames off one connection into a buffer it reuses: a
 // returned body is valid until the next read.
 type frameReader struct {
 	r     io.Reader
-	limit int // largest acceptable body, compressed or inflated
+	limit int // largest acceptable body
 	buf   []byte
-	zbuf  []byte
-	zsrc  bytes.Reader
-	zr    io.ReadCloser
 	hdr   [4]byte
 }
 
-// read returns the next frame's type and decompressed body.
+// read returns the next frame's type and body.
 func (fr *frameReader) read() (byte, []byte, error) {
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return 0, nil, err
@@ -233,60 +191,28 @@ func (fr *frameReader) read() (byte, []byte, error) {
 		return 0, nil, fmt.Errorf("distsim: bad frame length %d", n)
 	}
 	var err error
-	if fr.buf, err = readGrowing(fr.r, fr.buf[:0], n, n); err != nil {
+	if fr.buf, err = readGrowing(fr.r, fr.buf[:0], n); err != nil {
 		return 0, nil, err
 	}
-	typ, flags, body := fr.buf[0], fr.buf[1], fr.buf[2:]
-	if flags&^flagDeflate != 0 {
+	if flags := fr.buf[1]; flags != 0 {
 		return 0, nil, fmt.Errorf("distsim: unknown frame flags %#x", flags)
 	}
-	if flags&flagDeflate != 0 {
-		fr.zsrc.Reset(body)
-		if fr.zr == nil {
-			fr.zr = flate.NewReader(&fr.zsrc)
-		} else if err := fr.zr.(flate.Resetter).Reset(&fr.zsrc, nil); err != nil {
-			return 0, nil, err
-		}
-		if fr.zbuf, err = readGrowing(fr.zr, fr.zbuf[:0], -1, fr.limit); err != nil {
-			return 0, nil, fmt.Errorf("distsim: corrupt compressed frame: %w", err)
-		}
-		body = fr.zbuf
-	}
-	return typ, body, nil
+	return fr.buf[0], fr.buf[2:], nil
 }
 
-// readGrowing appends to buf exactly n bytes from r — or, with n < 0,
-// everything up to EOF, which must come within limit bytes. The buffer
-// grows with what has arrived (doubling from readChunk), never with what
-// a length prefix promised, so a header costs its sender the body too.
-func readGrowing(r io.Reader, buf []byte, n, limit int) ([]byte, error) {
-	for n < 0 || len(buf) < n {
+// readGrowing appends to buf exactly n bytes from r. The buffer grows with
+// what has arrived (doubling from readChunk), never with what a length
+// prefix promised, so a header costs its sender the body too.
+func readGrowing(r io.Reader, buf []byte, n int) ([]byte, error) {
+	for len(buf) < n {
 		if len(buf) == cap(buf) {
-			grow := max(len(buf), readChunk)
-			if n >= 0 {
-				grow = min(grow, n-len(buf))
-			} else {
-				grow = min(grow, limit+1-len(buf))
-			}
-			buf = slices.Grow(buf, grow)
+			buf = slices.Grow(buf, min(max(len(buf), readChunk), n-len(buf)))
 		}
-		end := cap(buf)
-		if n >= 0 {
-			end = min(end, n)
-		}
-		k, err := r.Read(buf[len(buf):end])
+		k, err := r.Read(buf[len(buf):min(cap(buf), n)])
 		buf = buf[:len(buf)+k]
-		if n < 0 && len(buf) > limit {
-			return buf, fmt.Errorf("body exceeds the %d byte limit", limit)
-		}
-		if err == io.EOF {
-			if n < 0 {
-				return buf, nil
-			}
-			if len(buf) < n {
-				return buf, io.ErrUnexpectedEOF
-			}
-		} else if err != nil {
+		if err == io.EOF && len(buf) < n {
+			return buf, io.ErrUnexpectedEOF
+		} else if err != nil && err != io.EOF {
 			return buf, err
 		}
 	}
@@ -295,22 +221,18 @@ func readGrowing(r io.Reader, buf []byte, n, limit int) ([]byte, error) {
 
 // peerConn is one framed TCP connection with deadlines: coordinator to
 // peer, or peer to peer. Frames are put into out and leave when the caller
-// flushes (a mesh link sends instead, see meshLink); raw and wire count
-// the frame bytes put (before and after compression, headers included) for
-// the peers' traffic report.
+// flushes (a mesh link sends instead, see meshLink); wire counts the frame
+// bytes put, headers included, for the peers' traffic report.
 type peerConn struct {
 	conn net.Conn
 	rd   sockReader
 	br   *bufio.Reader
 	fr   frameReader
-	fw   frameWriter
 	out  []byte
 	io   time.Duration
-	raw  uint64
 	wire uint64
 	// far says the other end is another host, as far as the addresses tell:
-	// the one case in which the window loop's frames are worth deflating
-	// (see the package comment in peer.go).
+	// a mesh link to it stays on its socket (see meshHandshake in peer.go).
 	far bool
 }
 
@@ -348,10 +270,9 @@ func (pc *peerConn) deadline() {
 }
 
 // put buffers one frame without flushing.
-func (pc *peerConn) put(typ byte, body []byte, compress bool) (err error) {
+func (pc *peerConn) put(typ byte, body []byte) (err error) {
 	before := len(pc.out)
-	pc.out, err = pc.fw.append(pc.out, typ, body, compress)
-	pc.raw += uint64(len(body) + frameHeader)
+	pc.out, err = appendFrame(pc.out, typ, body)
 	pc.wire += uint64(len(pc.out) - before)
 	return err
 }
@@ -364,9 +285,9 @@ func (pc *peerConn) flush() error {
 }
 
 // write sends one frame now, under a fresh deadline.
-func (pc *peerConn) write(typ byte, body []byte, compress bool) error {
+func (pc *peerConn) write(typ byte, body []byte) error {
 	pc.deadline()
-	if err := pc.put(typ, body, compress); err != nil {
+	if err := pc.put(typ, body); err != nil {
 		return err
 	}
 	return pc.flush()
@@ -381,7 +302,7 @@ func (pc *peerConn) read() (byte, []byte, error) {
 
 // fail sends a best-effort ERROR frame and closes the connection.
 func (pc *peerConn) fail(msg string) {
-	pc.write(tError, []byte(msg), false)
+	pc.write(tError, []byte(msg))
 	pc.conn.Close()
 }
 

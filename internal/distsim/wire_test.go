@@ -2,7 +2,6 @@ package distsim
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -19,9 +18,9 @@ import (
 )
 
 // frame encodes one frame the way a connection would.
-func frame(t testing.TB, typ byte, body []byte, compress bool) []byte {
+func frame(t testing.TB, typ byte, body []byte) []byte {
 	t.Helper()
-	b, err := new(frameWriter).append(nil, typ, body, compress)
+	b, err := appendFrame(nil, typ, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,14 +29,13 @@ func frame(t testing.TB, typ byte, body []byte, compress bool) []byte {
 
 func TestFrameRoundTrip(t *testing.T) {
 	var wire bytes.Buffer
-	var fw frameWriter
 	fr := &frameReader{r: &wire, limit: maxFrame}
 	bodies := [][]byte{nil, []byte("x"), bytes.Repeat([]byte("stardust "), 100), bytes.Repeat([]byte{7}, 200<<10)}
-	for round := 0; round < 2; round++ { // second round runs on the Reset codecs
+	for round := 0; round < 2; round++ { // second round reuses the reader's buffer
 		for i, body := range bodies {
-			b, err := fw.append(nil, byte(i+1), body, true)
-			if err != nil {
-				t.Fatal(err)
+			b := frame(t, byte(i+1), body)
+			if len(b) != len(body)+frameHeader {
+				t.Fatalf("a %d-byte body went out as a %d-byte frame", len(body), len(b))
 			}
 			wire.Write(b)
 		}
@@ -80,51 +78,31 @@ func TestHostileFrames(t *testing.T) {
 			t.Fatalf("six hostile bytes made the reader allocate %d bytes", got)
 		}
 	})
-	t.Run("deflate-bomb", func(t *testing.T) {
-		var z bytes.Buffer
-		zw, _ := flate.NewWriter(&z, flate.BestCompression)
-		zeros := make([]byte, 1<<20)
-		for i := 0; i < 64; i++ {
-			zw.Write(zeros)
-		}
-		zw.Close()
-		bomb := binary.BigEndian.AppendUint32(nil, uint32(2+z.Len()))
-		bomb = append(bomb, tXchg, flagDeflate)
-		bomb = append(bomb, z.Bytes()...)
-		var err error
-		got := allocated(func() {
-			_, _, err = (&frameReader{r: bytes.NewReader(bomb), limit: 256 << 10}).read()
-		})
-		if err == nil || !strings.Contains(err.Error(), "limit") {
-			t.Fatalf("a %d-byte frame inflating to 64 MiB: %v, want a limit error", len(bomb), err)
-		}
-		if got >= 1<<20 {
-			t.Fatalf("a %d-byte bomb made an unidentified connection's reader allocate %d bytes", len(bomb), got)
-		}
-	})
 	t.Run("oversized-before-identification", func(t *testing.T) {
-		big := frame(t, tMeshHello, make([]byte, helloLimit+1), false)
+		big := frame(t, tMeshHello, make([]byte, helloLimit+1))
 		if _, _, err := (&frameReader{r: bytes.NewReader(big), limit: helloLimit}).read(); err == nil {
 			t.Fatal("an unidentified connection got a frame past helloLimit accepted")
 		}
 	})
 	t.Run("unknown-flags", func(t *testing.T) {
-		if _, _, err := (&frameReader{r: bytes.NewReader([]byte{0, 0, 0, 3, tXchg, 0x80, 1}), limit: maxFrame}).read(); err == nil {
-			t.Fatal("unknown frame flags were accepted")
+		// 0x01 was v7's DEFLATE bit: a v8 reader inflates nothing.
+		for _, flags := range []byte{0x01, 0x80} {
+			if _, _, err := (&frameReader{r: bytes.NewReader([]byte{0, 0, 0, 3, tXchg, flags, 1}), limit: maxFrame}).read(); err == nil {
+				t.Fatalf("frame flags %#x were accepted", flags)
+			}
 		}
 	})
 }
 
-// TestFrameAllocs holds the codec satellite: a frame below compressFloor
-// costs no allocation to write or to read once the buffers exist.
+// TestFrameAllocs: a frame costs no allocation to write or to read once
+// the buffers exist.
 func TestFrameAllocs(t *testing.T) {
 	body := bytes.Repeat([]byte{0xa5}, 200)
 	var wire bytes.Buffer
-	var fw frameWriter
 	var out []byte
 	fr := &frameReader{r: &wire, limit: maxFrame}
 	roundTrip := func() {
-		out, _ = fw.append(out[:0], tXchg, body, true)
+		out, _ = appendFrame(out[:0], tXchg, body)
 		wire.Write(out)
 		if _, got, err := fr.read(); err != nil || len(got) != len(body) {
 			t.Fatalf("round trip: %d bytes, %v", len(got), err)
@@ -137,7 +115,7 @@ func TestFrameAllocs(t *testing.T) {
 }
 
 func BenchmarkFrameRoundTrip(b *testing.B) {
-	// Mail-like bodies: varint entries compress, but not to nothing.
+	// Mail-like bodies, written as a peer writes them.
 	mk := func(n int) []byte {
 		body := make([]byte, 0, n)
 		for i := 0; len(body) < n; i++ {
@@ -145,34 +123,25 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 		}
 		return body[:n]
 	}
-	// "-plain" is the same frame written without DEFLATE, as on a link
-	// between two peers of one host.
 	for _, n := range []int{200, 4 << 10} {
-		for _, deflate := range []bool{true, false} {
-			name := fmt.Sprintf("%dB", n)
-			if !deflate {
-				name += "-plain"
-			}
-			b.Run(name, func(b *testing.B) {
-				body := mk(n)
-				var wire bytes.Buffer
-				var fw frameWriter
-				var out []byte
-				fr := &frameReader{r: &wire, limit: maxFrame}
-				b.SetBytes(int64(n))
-				b.ReportAllocs()
-				for b.Loop() {
-					var err error
-					if out, err = fw.append(out[:0], tXchg, body, deflate); err != nil {
-						b.Fatal(err)
-					}
-					wire.Write(out)
-					if _, got, err := fr.read(); err != nil || len(got) != n {
-						b.Fatalf("read %d bytes, %v", len(got), err)
-					}
+		b.Run(fmt.Sprintf("%dB", n), func(b *testing.B) {
+			body := mk(n)
+			var wire bytes.Buffer
+			var out []byte
+			fr := &frameReader{r: &wire, limit: maxFrame}
+			b.SetBytes(int64(n))
+			b.ReportAllocs()
+			for b.Loop() {
+				var err error
+				if out, err = appendFrame(out[:0], tXchg, body); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				wire.Write(out)
+				if _, got, err := fr.read(); err != nil || len(got) != n {
+					b.Fatalf("read %d bytes, %v", len(got), err)
+				}
+			}
+		})
 	}
 }
 
@@ -230,7 +199,7 @@ func TestMeshHelloRejections(t *testing.T) {
 	}()
 	hello := func(v, id int, tok, h uint64) []byte {
 		b, _ := json.Marshal(meshHelloMsg{Version: v, Peer: id, Token: tok, Hash: h})
-		return frame(t, tMeshHello, b, false)
+		return frame(t, tMeshHello, b)
 	}
 	addr := lis.Addr().String()
 	dialerOffer, _ := json.Marshal(meshHelloMsg{Version: protoVersion, Peer: 1, Token: token, Hash: hash, Ring: ringPrefix + "1-0000000000000001"})
@@ -245,9 +214,9 @@ func TestMeshHelloRejections(t *testing.T) {
 		{"wrong token", hello(protoVersion, 1, token+1, hash), "token"},
 		{"wrong hash", hello(protoVersion, 1, token, hash+1), "different model"},
 		{"wrong version", hello(protoVersion-1, 1, token, hash), "version"},
-		{"not a hello", frame(t, tXchg, []byte{0, 0, 0, 0}, false), "instead of a mesh HELLO"},
-		{"not json", frame(t, tMeshHello, []byte("{"), false), "bad mesh HELLO"},
-		{"a dialer's ring offer", frame(t, tMeshHello, dialerOffer, false), "offers a ring"},
+		{"not a hello", frame(t, tXchg, []byte{0, 0, 0, 0}), "instead of a mesh HELLO"},
+		{"not json", frame(t, tMeshHello, []byte("{")), "bad mesh HELLO"},
+		{"a dialer's ring offer", frame(t, tMeshHello, dialerOffer), "offers a ring"},
 		{"length prefix only", []byte{0x10, 0, 0, 0, tMeshHello, 0}, "bad frame length"},
 	} {
 		if typ, body := meshStranger(t, addr, bad.send); typ != tError || !strings.Contains(body, bad.want) {
@@ -257,7 +226,7 @@ func TestMeshHelloRejections(t *testing.T) {
 	// The real peers decline the ring the listener may offer them: the
 	// slot is taken once the handshake is over.
 	real := func(id int) []byte {
-		return append(hello(protoVersion, id, token, hash), frame(t, tRing, []byte{0}, false)...)
+		return append(hello(protoVersion, id, token, hash), frame(t, tRing, []byte{0})...)
 	}
 	if typ, _ := meshStranger(t, addr, real(1)); typ != tMeshHello {
 		t.Fatalf("the real peer 1 was answered with frame %d", typ)
@@ -330,12 +299,12 @@ func liveFrames(t testing.TB) (xchg, done [][]byte) {
 
 func FuzzReadFrame(f *testing.F) {
 	body := bytes.Repeat([]byte("mail "), 300)
-	f.Add(frame(f, tXchg, body, true))
-	f.Add(frame(f, tDone, body[:100], true))
-	f.Add(frame(f, tHello, []byte(`{"v":5,"mesh":"127.0.0.1:1"}`), false))
-	f.Add(append(frame(f, tStats, nil, false), frame(f, tStall, []byte{1, 2}, false)...))
+	f.Add(frame(f, tXchg, body))
+	f.Add(frame(f, tDone, body[:100]))
+	f.Add(frame(f, tHello, []byte(`{"v":5,"mesh":"127.0.0.1:1"}`)))
+	f.Add(append(frame(f, tStats, nil), frame(f, tStall, []byte{1, 2})...))
 	f.Add([]byte{0x10, 0, 0, 0, tXchg, 0})
-	f.Add([]byte{0, 0, 0, 3, tXchg, flagDeflate, 0xff})
+	f.Add([]byte{0, 0, 0, 3, tXchg, 0x01, 0xff}) // v7's DEFLATE bit
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// A small limit keeps a found bomb from costing the fuzzing host
 		// what it would cost a victim; the limit logic is the same.
@@ -350,7 +319,7 @@ func FuzzReadFrame(f *testing.F) {
 				t.Fatalf("frame %d came back with %d bytes past the %d limit", typ, len(body), limit)
 			}
 			// Whatever was accepted must survive the writer unchanged.
-			again := frame(t, typ, body, true)
+			again := frame(t, typ, body)
 			typ2, body2, err := (&frameReader{r: bytes.NewReader(again), limit: limit}).read()
 			if err != nil || typ2 != typ || !bytes.Equal(body2, body) {
 				t.Fatalf("accepted frame does not round-trip: %v", err)
@@ -373,8 +342,8 @@ func FuzzWindowFrames(f *testing.F) {
 	}
 	f.Add(byte(4), mailDone(f))
 	hello, _ := json.Marshal(meshHelloMsg{Version: protoVersion, Peer: 1, Token: 7, Hash: 9})
-	f.Add(byte(2), frame(f, tMeshHello, hello, false))
-	f.Add(byte(2), frame(f, tError, []byte("no"), false))
+	f.Add(byte(2), frame(f, tMeshHello, hello))
+	f.Add(byte(2), frame(f, tError, []byte("no")))
 	f.Add(byte(0), []byte{0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 
 	spec := smallSpec(2)

@@ -1,7 +1,6 @@
 package mgmt
 
 import (
-	"log"
 	"sync"
 
 	"stardust/internal/sim"
@@ -40,26 +39,18 @@ type Event struct {
 	Detail string    `json:"detail,omitempty"`
 }
 
-// Bus is the management-plane event bus: a bounded ring of recent events
-// (the queryable log) plus fan-out to live subscribers. Publishing never
-// blocks — a subscriber that stops draining its channel loses events and
-// the loss is counted — so the simulation goroutine can publish from
-// inside fabric hooks without ever stalling on a slow HTTP client.
+// Bus is the management-plane event bus: a bounded ring of recent events,
+// the queryable log that clients long-poll through Since. Publishing never
+// blocks, so the simulation goroutine can publish from inside fabric hooks
+// without ever stalling on a slow HTTP client; a client that polls too
+// rarely finds the oldest events evicted, and the eviction is counted.
 type Bus struct {
-	mu   sync.Mutex
-	seq  uint64
-	ring []Event
-	head int // index of the oldest retained event
-	n    int
-	subs map[int]chan Event
-	next int
-
-	// Dropped counts events lost to full subscriber channels.
-	Dropped uint64
-
-	subDrops map[int]uint64 // per-subscriber losses (live subscribers only)
-	evicted  uint64         // retained-log entries overwritten by ring wrap
-	warned   bool           // one-shot loss warning emitted
+	mu      sync.Mutex
+	seq     uint64
+	ring    []Event
+	head    int // index of the oldest retained event
+	n       int
+	evicted uint64 // retained-log entries overwritten by ring wrap
 }
 
 // NewBus returns a bus retaining the last capacity events.
@@ -67,15 +58,11 @@ func NewBus(capacity int) *Bus {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Bus{
-		ring:     make([]Event, capacity),
-		subs:     make(map[int]chan Event),
-		subDrops: make(map[int]uint64),
-	}
+	return &Bus{ring: make([]Event, capacity)}
 }
 
-// Publish stamps e with the next sequence number, appends it to the ring
-// and fans it out. It returns the stamped event.
+// Publish stamps e with the next sequence number and appends it to the
+// ring. It returns the stamped event.
 func (b *Bus) Publish(e Event) Event {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -95,43 +82,7 @@ func (b *Bus) Publish(e Event) Event {
 		b.n++
 	}
 	b.ring[i] = e
-	for id, ch := range b.subs {
-		select {
-		case ch <- e:
-		default:
-			b.Dropped++
-			b.subDrops[id]++
-			if !b.warned {
-				b.warned = true
-				log.Printf("mgmt: event bus dropping events (subscriber %d not draining); further losses are counted, not logged", id)
-			}
-		}
-	}
 	return e
-}
-
-// Subscribe returns a channel receiving every event published after the
-// call, buffered to buf, and a cancel function that unsubscribes and
-// closes the channel. Events overflowing the buffer are dropped.
-func (b *Bus) Subscribe(buf int) (<-chan Event, func()) {
-	if buf < 1 {
-		buf = 16
-	}
-	ch := make(chan Event, buf)
-	b.mu.Lock()
-	id := b.next
-	b.next++
-	b.subs[id] = ch
-	b.mu.Unlock()
-	return ch, func() {
-		b.mu.Lock()
-		if _, ok := b.subs[id]; ok {
-			delete(b.subs, id)
-			delete(b.subDrops, id)
-			close(ch)
-		}
-		b.mu.Unlock()
-	}
 }
 
 // Since returns up to max retained events with Seq > seq, oldest first.
@@ -164,36 +115,17 @@ func (b *Bus) LastSeq() uint64 {
 }
 
 // BusStats is the bus's own loss accounting: events published, retained
-// in the queryable ring, evicted from it by wrap-around, and dropped on
-// the live fan-out — in total and per still-connected subscriber. Before
-// this existed both loss paths were silent.
+// in the queryable ring, and evicted from it by wrap-around.
 type BusStats struct {
-	Published     uint64         `json:"published"`
-	Retained      int            `json:"retained"`
-	Capacity      int            `json:"capacity"`
-	Evicted       uint64         `json:"evicted"`
-	Dropped       uint64         `json:"dropped"`
-	Subscribers   int            `json:"subscribers"`
-	PerSubscriber map[int]uint64 `json:"dropped_per_subscriber,omitempty"`
+	Published uint64 `json:"published"`
+	Retained  int    `json:"retained"`
+	Capacity  int    `json:"capacity"`
+	Evicted   uint64 `json:"evicted"`
 }
 
 // Stats snapshots the loss counters.
 func (b *Bus) Stats() BusStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	st := BusStats{
-		Published:   b.seq,
-		Retained:    b.n,
-		Capacity:    len(b.ring),
-		Evicted:     b.evicted,
-		Dropped:     b.Dropped,
-		Subscribers: len(b.subs),
-	}
-	if len(b.subDrops) > 0 {
-		st.PerSubscriber = make(map[int]uint64, len(b.subDrops))
-		for id, n := range b.subDrops {
-			st.PerSubscriber[id] = n
-		}
-	}
-	return st
+	return BusStats{Published: b.seq, Retained: b.n, Capacity: len(b.ring), Evicted: b.evicted}
 }

@@ -37,10 +37,10 @@ func TestInventoryFromClos(t *testing.T) {
 	}
 }
 
+// TestBusPublishSinceSubscribe: a subscriber long-polls the retained
+// ring through Since.
 func TestBusPublishSinceSubscribe(t *testing.T) {
 	b := NewBus(4)
-	ch, cancel := b.Subscribe(8)
-	defer cancel()
 	for i := 0; i < 6; i++ {
 		b.Publish(Event{Kind: EventLinkDown, Link: i, Time: sim.Time(i)})
 	}
@@ -59,33 +59,6 @@ func TestBusPublishSinceSubscribe(t *testing.T) {
 	if b.LastSeq() != 6 {
 		t.Fatalf("LastSeq = %d", b.LastSeq())
 	}
-	// The subscriber saw every publish in order.
-	for want := uint64(1); want <= 6; want++ {
-		e := <-ch
-		if e.Seq != want {
-			t.Fatalf("subscriber got seq %d, want %d", e.Seq, want)
-		}
-	}
-}
-
-func TestBusSlowSubscriberDropsNotBlocks(t *testing.T) {
-	b := NewBus(16)
-	_, cancel := b.Subscribe(1)
-	defer cancel()
-	for i := 0; i < 5; i++ {
-		b.Publish(Event{Kind: EventLinkUp}) // must not block
-	}
-	if b.Dropped != 4 {
-		t.Fatalf("dropped %d events, want 4", b.Dropped)
-	}
-}
-
-func TestBusCancelIsIdempotent(t *testing.T) {
-	b := NewBus(4)
-	_, cancel := b.Subscribe(1)
-	cancel()
-	cancel() // second close must not panic
-	b.Publish(Event{Kind: EventLinkUp})
 }
 
 func TestSeriesRingWrap(t *testing.T) {

@@ -669,9 +669,7 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 	counter("stardust_distsim_telemetry_windows_total", "telemetry stream windows emitted by the coordinator", float64(ds.TelemetryWindows))
 	counter("stardust_distsim_mail_frames_total", "peer-to-peer XCHG frames carrying mail, as the peers report them", float64(ds.MailFrames))
 	counter("stardust_distsim_mail_entries_total", "cross-peer mail entries exchanged", float64(ds.MailEntries))
-	counter("stardust_distsim_raw_bytes_total", "frame bytes the peers wrote (mesh and coordinator stream), before compression", float64(ds.RawBytes))
-	counter("stardust_distsim_wire_bytes_total", "the same frames as they went on the wire", float64(ds.WireBytes))
-	gauge("stardust_distsim_compression_ratio", "raw/wire byte ratio of the peers' traffic", ds.CompressionRatio)
+	counter("stardust_distsim_wire_bytes_total", "frame bytes the peers wrote (mesh and coordinator stream), headers included", float64(ds.WireBytes))
 	gauge("stardust_distsim_straggler", "peer the others spent longest waiting on (-1: nobody waited)", float64(ds.Straggler))
 	perPeer := func(name, typ, help string, v func(distsim.PeerStats) float64) {
 		if len(ds.Peers) == 0 {
@@ -717,10 +715,7 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 	counter("stardust_fabric_link_recoveries_total", "link recovery events", float64(st.LinkRecovers))
 	counter("stardust_mgmt_reach_updates_total", "reachability withdrawals/readvertisements observed at the spine", float64(st.ReachUpdates))
 	counter("stardust_mgmt_events_total", "management events published", float64(s.run.Ctl.Bus().LastSeq()))
-	bs := s.run.Ctl.Bus().Stats()
-	counter("stardust_mgmt_events_dropped_total", "events lost to full subscriber channels", float64(bs.Dropped))
-	counter("stardust_mgmt_events_evicted_total", "retained events overwritten by ring wrap-around", float64(bs.Evicted))
-	gauge("stardust_mgmt_event_subscribers", "live event bus subscribers", float64(bs.Subscribers))
+	counter("stardust_mgmt_events_evicted_total", "retained events overwritten by ring wrap-around", float64(s.run.Ctl.Bus().Stats().Evicted))
 	gauge("stardust_mgmt_anomalies", "active anomalies: spray imbalances and reachability holes the analyzers found", float64(len(s.run.Ctl.Anomalies())))
 	rs := s.run.Rec.Stats()
 	counter("stardust_telemetry_windows_total", "telemetry windows captured", float64(rs.Windows))

@@ -92,8 +92,8 @@ func init() {
 			engine.Int("shards", "4", "event-loop shards to partition over the peers (must be >= every peer count)"),
 			engine.String("topo", "", "topology family sized by k: clos, sshuffle, star, or a full spec string; empty = the -topo flag"),
 			engine.Int("dur_ms", "1", "injection duration in ms"),
-			engine.Ints("peers", "2,4", "comma list of peer-process counts to verify against the in-process run")),
-		Check: checkSpec(distscaleSpec),
+			engine.Ints("peers", "2,4", "comma list of peer-process counts to verify against the in-process run").Min(1)),
+		Check: checkPeers(distscaleSpec),
 		Run: func(c engine.Context) (engine.Result, error) {
 			spec := distscaleSpec(c)
 			k, shards := spec.K, spec.Shards
@@ -117,9 +117,6 @@ func init() {
 			fmt.Fprintf(&b, "distscale K=%d shards=%d: local digest %016x (%d cells, %d events)\n",
 				k, shards, want.Digest, want.Delivered, want.Events)
 			for _, np := range c.Params.Ints("peers") {
-				if np < 1 || np > shards {
-					return engine.Result{}, fmt.Errorf("distscale: peer count %d must be in [1, shards=%d]", np, shards)
-				}
 				got, _, err := forkServe(spec, np)
 				if err != nil {
 					return engine.Result{}, fmt.Errorf("distscale: %d peers: %w", np, err)

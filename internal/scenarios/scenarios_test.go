@@ -417,6 +417,14 @@ func TestProtoListIsChecked(t *testing.T) {
 // or print a meaningless bin (bin_ms=0) or rows of Inf, NaN or zero
 // throughput.
 func TestOutOfRangeParamsRefused(t *testing.T) {
+	resolve := func(cmd string) error {
+		jobs, err := engine.ParseArgs(strings.Fields(cmd))
+		if err != nil {
+			t.Fatalf("%s: %v", cmd, err)
+		}
+		_, err = engine.Resolve(jobs[0].Scenario, jobs[0].Params)
+		return err
+	}
 	for _, tc := range []struct{ cmd, want string }{
 		{"fabric/failures fail=-1", "want >= 0"},
 		{"fabric/failures bin_ms=0", "want >= 1"},
@@ -426,15 +434,22 @@ func TestOutOfRangeParamsRefused(t *testing.T) {
 		{"pack/fig8a clock_hz=0", "want > 0"},
 		{"pack/fig8b clock_hz=-1", "want > 0"},
 		{"fabric/collective kb=0", "want >= 1"},
+		{"trace/record peers=0", `"0": want >= 1`},
+		{"fabric/distscale peers=0", `"0": want >= 1`},
 	} {
-		args := strings.Fields(tc.cmd)
-		jobs, err := engine.ParseArgs(args)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.cmd, err)
-		}
-		_, err = engine.Resolve(jobs[0].Scenario, jobs[0].Params)
-		if want := "parameter " + args[1] + ": " + tc.want; err == nil || !strings.Contains(err.Error(), want) {
+		err := resolve(tc.cmd)
+		if want := "parameter " + strings.Fields(tc.cmd)[1] + ": " + tc.want; err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: err = %v, want one naming %q", tc.cmd, err, want)
+		}
+	}
+	// Every peer owns a shard at least: -shards is 1 here, distscale's own
+	// shards parameter 4.
+	for cmd, want := range map[string]string{
+		"trace/record peers=2":       "parameter peers: 2: want <= shards (1)",
+		"fabric/distscale peers=2,5": "parameter peers: 5: want <= shards (4)",
+	} {
+		if err := resolve(cmd); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want one naming %q", cmd, err, want)
 		}
 	}
 }

@@ -55,16 +55,18 @@ func streamDigest(stream []byte) uint64 {
 	return h.Sum64()
 }
 
-// streamShape counts the records in a stream for the report.
-func streamShape(stream []byte) (windows, events int, err error) {
+// addStreamMetrics emits the deterministic stream identity: shape (its
+// records counted), size and content digest — the values the CI
+// determinism matrix diffs across {workers}×{shards} and against the
+// 2-peer distributed run — and returns the shape for the report.
+func addStreamMetrics(res *engine.Result, stream []byte) (windows, events int, err error) {
 	r := telemetry.NewReader(bytes.NewReader(stream))
 	for {
-		w, e, rerr := r.Next()
-		if rerr != nil {
-			if errors.Is(rerr, io.EOF) {
-				return windows, events, nil
-			}
-			return windows, events, rerr
+		w, e, err := r.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			return 0, 0, fmt.Errorf("recorded stream does not parse: %w", err)
 		}
 		if w != nil {
 			windows++
@@ -73,16 +75,6 @@ func streamShape(stream []byte) (windows, events int, err error) {
 			events++
 		}
 	}
-}
-
-// addStreamMetrics emits the deterministic stream identity: shape, size
-// and content digest — the values the CI determinism matrix diffs across
-// {workers}×{shards} and against the 2-peer distributed run — and returns
-// the shape for the report.
-func addStreamMetrics(res *engine.Result, stream []byte) (windows, events int, err error) {
-	if windows, events, err = streamShape(stream); err != nil {
-		return 0, 0, fmt.Errorf("recorded stream does not parse: %w", err)
-	}
 	d := streamDigest(stream)
 	res.Add("stream_bytes", float64(len(stream)), "B")
 	res.Add("stream_windows", float64(windows), "")
@@ -90,6 +82,18 @@ func addStreamMetrics(res *engine.Result, stream []byte) (windows, events int, e
 	res.Add("stream_digest_lo", float64(uint32(d)), "")
 	res.Add("stream_digest_hi", float64(d>>32), "")
 	return windows, events, nil
+}
+
+// checkPeers is checkSpec, and refuses a count in the peers list above
+// the Spec's shards: every peer owns one at least.
+func checkPeers(spec func(engine.Context) distsim.Spec) func(engine.Context) error {
+	return func(c engine.Context) error {
+		np, shards := slices.Max(append([]int{0}, c.Params.Ints("peers")...)), spec(c).Shards
+		if err := checkSpec(spec)(c); err != nil || np <= shards {
+			return err
+		}
+		return fmt.Errorf("parameter peers: %d: want <= shards (%d)", np, shards)
+	}
 }
 
 // traceOverrides assembles the what-if knobs from scenario parameters.
@@ -123,8 +127,8 @@ func init() {
 		Desc: "record a fabric run as a durable STREC1 telemetry stream (byte-identical at any shard/worker/peer count) and run the offline analyzers over it",
 		Params: append(slices.Clone(recordParams),
 			engine.Path("out", "", "file to write the stream to (empty = in-memory only)"),
-			engine.Ints("peers", "", "comma list of peer-process counts to fork and verify stream byte-identity against (each must be <= the shard count)")),
-		Check: checkSpec(traceSpec),
+			engine.Ints("peers", "", "comma list of peer-process counts to fork and verify stream byte-identity against (each must be <= the shard count)").Min(1)),
+		Check: checkPeers(traceSpec),
 		Run: func(c engine.Context) (engine.Result, error) {
 			spec := traceSpec(c)
 			stream, outc, err := runRecord(spec, c)
@@ -165,9 +169,6 @@ func init() {
 			fmt.Fprintf(&b, "  %d cells injected, %d delivered, %d dropped; %d analyzer findings (%d critical)\n",
 				outc.Injected, outc.Delivered, outc.Drops, len(findings), critical)
 			for _, np := range c.Params.Ints("peers") {
-				if np < 1 || np > spec.Shards {
-					return engine.Result{}, fmt.Errorf("trace/record: peer count %d must be in [1, shards=%d]", np, spec.Shards)
-				}
 				_, dstream, err := forkServe(spec, np)
 				if err != nil {
 					return engine.Result{}, fmt.Errorf("trace/record: %d peers: %w", np, err)
